@@ -465,7 +465,7 @@ def _central_json(val: CentralElement):
 # commands
 
 def _emit(payload, out_path=None):
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2, allow_nan=False)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -532,7 +532,7 @@ def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     sc = build_scenario(cfg, seed=args.seed)
     suites = SUITES if args.suite == "all" else (args.suite,)
-    report = run_all(sc, suites=suites, threads=args.threads)
+    report = run_all(sc, suites=suites)
     _emit(report, args.out)
     return 0 if report["pass"] else 1
 
@@ -569,7 +569,9 @@ def make_parser() -> argparse.ArgumentParser:
         default="all",
     )
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; no effect"
+    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
     return parser

@@ -34,8 +34,8 @@ from .errors import (
 from .matalg import (
     AlgebraElement,
     CentralElement,
-    OperatorMatrix,
     central_exp,
+    central_stack,
     embed_central,
     extract_central,
     is_central,
@@ -140,8 +140,7 @@ def gns_build(h: Multiplier, table: ActionTable, tol: float = 1e-9) -> GNSModule
             g = h.group.mul(h.group.inverse(s), t)
             row.append(table.autos[s].apply_central(h.values[g]))
         gram.append(row)
-    m = OperatorMatrix.from_central_grid(h.structure, gram)
-    ok, lam = is_positive(m, tol=tol, hermitian_tol=1e-8)
+    ok, lam = is_positive(central_stack(h.structure, gram), tol=tol, hermitian_tol=1e-8)
     if not ok:
         raise NotPositiveError(
             "Gram matrix of the multiplier is not positive", lambda_min=lam

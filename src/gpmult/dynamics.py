@@ -40,7 +40,7 @@ class Automorphism:
     structure: BlockStructure
     block_perm: tuple
     unitaries: tuple
-    _perm_inv: tuple = field(repr=False, default=None)
+    _perm_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         perm = tuple(int(p) for p in self.block_perm)
@@ -63,12 +63,12 @@ class Automorphism:
                 )
             if float(np.max(np.abs(u @ u.conj().T - np.eye(d)))) > 1e-10:
                 raise StructureMismatchError("matrix is not unitary", block=k)
-        inv = [0] * K
-        for j, k in enumerate(perm):
-            inv[k] = j
+        inv = np.empty(K, dtype=np.intp)
+        inv[list(perm)] = np.arange(K)
+        inv.flags.writeable = False
         object.__setattr__(self, "block_perm", perm)
         object.__setattr__(self, "unitaries", unis)
-        object.__setattr__(self, "_perm_inv", tuple(inv))
+        object.__setattr__(self, "_perm_inv", inv)
 
     @classmethod
     def identity(cls, structure: BlockStructure) -> "Automorphism":
@@ -91,9 +91,7 @@ class Automorphism:
         """Central elements only move with the block permutation."""
         if c.structure != self.structure:
             raise StructureMismatchError("element has wrong structure")
-        return CentralElement(
-            self.structure, c.scalars[np.array(self._perm_inv, dtype=np.intp)]
-        )
+        return CentralElement(self.structure, c.scalars[self._perm_inv])
 
     def is_identity_map(self, tol: float = MAP_TOL) -> bool:
         for e in _matrix_units(self.structure):

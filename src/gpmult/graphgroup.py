@@ -82,25 +82,6 @@ class SimplicialGraph:
         return sorted((i, j) for (i, j) in self._adj if i < j)
 
 
-def validate_graph(graph: SimplicialGraph) -> None:
-    """Re-check graph invariants on an already-built instance.
-
-    ``SimplicialGraph.build`` validates eagerly; this exists so callers can
-    assert invariants on graphs received from elsewhere.
-    """
-    seen = set()
-    for e in graph.edges:
-        pair = tuple(e)
-        if len(pair) != 2:
-            raise LoopEdgeError("loop edges are not allowed", edge=pair)
-        for v in pair:
-            if v not in graph._index:
-                raise UnknownVertexError("edge endpoint not declared", vertex=v)
-        if e in seen:  # pragma: no cover - frozenset already dedupes
-            raise LoopEdgeError("duplicate edge", edge=pair)
-        seen.add(e)
-
-
 def multipartite_graph(part_sizes) -> SimplicialGraph:
     """Complete multipartite graph K_{n1,...,nk} with integer vertex ids.
 

@@ -3,10 +3,13 @@
 An algebra is a direct sum of full matrix blocks, fixed by a
 :class:`BlockStructure`.  Elements store one dense complex array per block.
 Central elements are exactly the block scalars and get their own lightweight
-vector representation.  Positivity of operator matrices over the algebra is
-certified by flattening to one dense Hermitian matrix and inspecting its
-spectrum; an independent pivoted-Cholesky cross-check lives in the test
-suite.
+vector representation.  An n x n grid of central elements is stored as a
+``(K, n, n)`` stack of scalar matrices, one per block: the operator matrix it
+stands for flattens to the direct sum of G_k (x) I_{d_k} up to a
+permutation, so it is positive exactly when every block G_k is, and
+:func:`is_positive` certifies the whole stack with one batched eigensolve.
+:class:`OperatorMatrix` keeps the flattened layout as a reference; an
+independent pivoted-Cholesky cross-check lives in the test suite.
 """
 
 from __future__ import annotations
@@ -247,7 +250,11 @@ def extract_central(a: AlgebraElement, tol: float = DEFAULT_CENTRAL_TOL) -> Cent
 
 
 class OperatorMatrix:
-    """An n x n matrix with entries in the block algebra."""
+    """An n x n matrix with entries in the block algebra.
+
+    Its :meth:`flatten` layout is the reference that :func:`central_stack`
+    is tested against; certification itself works on the stacks.
+    """
 
     __slots__ = ("structure", "n", "entries")
 
@@ -278,43 +285,42 @@ class OperatorMatrix:
                 ].dense()
         return out
 
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.structure != other.structure or self.n != other.n:
-            raise StructureMismatchError("mixed operator matrix shapes")
-        return OperatorMatrix(
-            self.structure,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
+
+def central_stack(structure: BlockStructure, grid) -> np.ndarray:
+    """The ``(K, n, n)`` stack of block scalar matrices of a central grid.
+
+    ``stack[k, i, j]`` is scalar k of ``grid[i][j]``.
+    """
+    n = len(grid)
+    scalars = np.array([[c.scalars for c in row] for row in grid], dtype=np.complex128)
+    return np.moveaxis(scalars.reshape(n, n, structure.num_blocks), -1, 0)
 
 
 def is_positive(m, tol: float = DEFAULT_POS_TOL, hermitian_tol: float | None = None):
-    """Positive semidefiniteness with tolerance.
+    """Positive semidefiniteness with tolerance, over the last two axes.
 
-    Accepts an :class:`OperatorMatrix` or a dense complex array.  The matrix
-    is symmetrized when its Hermitian deviation (largest entry of M - M*) is
+    Accepts a dense ``(N, N)`` matrix or a ``(K, n, n)`` stack of block
+    matrices, which is positive when every block is.  The input is
+    symmetrized when its Hermitian deviation (largest entry of M - M*) is
     within ``hermitian_tol`` (default: same as ``tol``) and rejected with
-    ``NotHermitianError`` otherwise.  Returns ``(ok, lambda_min)`` where the
-    test is lambda_min >= -tol * (1 + ||M||).
+    ``NotHermitianError`` otherwise.  Returns ``(ok, lambda_min)`` where
+    lambda_min is the smallest eigenvalue over all blocks and the test is
+    lambda_min >= -tol * (1 + largest |eigenvalue| over all blocks).
     """
-    if isinstance(m, OperatorMatrix):
-        m = m.flatten()
     m = np.asarray(m, dtype=np.complex128)
+    if m.size == 0:
+        return True, 0.0
     if hermitian_tol is None:
         hermitian_tol = tol
-    dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    adj = m.conj().swapaxes(-1, -2)
+    dev = float(np.max(np.abs(m - adj)))
     if dev > hermitian_tol:
         raise NotHermitianError(
             "matrix is not Hermitian within tolerance", deviation=dev, tol=hermitian_tol
         )
-    h = (m + m.conj().T) / 2.0
-    if h.size == 0:
-        return True, 0.0
-    eigs = np.linalg.eigvalsh(h)
-    lam_min = float(eigs[0])
-    scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
+    eigs = np.linalg.eigvalsh((m + adj) / 2.0)
+    lam_min = float(np.min(eigs[..., 0]))
+    scale = float(np.max(np.abs(eigs)))
     return lam_min >= -tol * (1.0 + scale), lam_min
 
 

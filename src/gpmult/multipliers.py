@@ -43,7 +43,7 @@ from .graphgroup import FiniteGroup, SimplicialGraph
 from .matalg import (
     BlockStructure,
     CentralElement,
-    OperatorMatrix,
+    central_stack,
     is_positive,
 )
 from .wordcraft import GPElement, WordContext
@@ -126,8 +126,8 @@ def is_positive_definite(
     """Positive definiteness of a multiplier relative to an action.
 
     Assembles the matrix with entries ``alpha_{x_j}(h(x_i^-1 x_j))`` over the
-    tuple S (default: the whole group) and certifies positivity of the
-    flattened matrix.  Returns ``(ok, lambda_min)``.
+    tuple S (default: the whole group) as a ``(K, n, n)`` stack of block
+    scalar matrices and certifies every block.  Returns ``(ok, lambda_min)``.
     """
     if table.group is not h.group or table.structure != h.structure:
         raise ContextMismatchError("multiplier and action do not match")
@@ -140,8 +140,7 @@ def is_positive_definite(
             g = h.group.mul(h.group.inverse(xi), xj)
             row.append(table.autos[xj].apply_central(h.values[g]))
         grid.append(row)
-    m = OperatorMatrix.from_central_grid(h.structure, grid)
-    return is_positive(m, tol=tol, hermitian_tol=hermitian_tol)
+    return is_positive(central_stack(h.structure, grid), tol=tol, hermitian_tol=hermitian_tol)
 
 
 def convention_flip(h: Multiplier) -> Multiplier:
@@ -289,19 +288,10 @@ class MultiplierSystem:
     def kernel(self, x: GPElement, y: GPElement) -> CentralElement:
         return self._kernel.get(x, y)
 
-    def kernel_matrix(self, xs, threads: int = 1) -> OperatorMatrix:
+    def kernel_matrix(self, xs) -> np.ndarray:
+        """Kernel Gram matrix over xs as a ``(K, n, n)`` stack of block scalars."""
         xs = list(xs)
-        if threads > 1 and len(xs) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            def row(x):
-                return [self.kernel(x, y) for y in xs]
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                grid = list(pool.map(row, xs))
-        else:
-            grid = [[self.kernel(x, y) for y in xs] for x in xs]
-        return OperatorMatrix.from_central_grid(self.structure, grid)
+        return central_stack(self.structure, [[self.kernel(x, y) for y in xs] for x in xs])
 
 
 class KernelTable:

@@ -31,7 +31,7 @@ from .errors import (
     NotPositiveError,
     NotUnitalError,
 )
-from .matalg import OperatorMatrix, is_positive
+from .matalg import central_stack, is_positive
 from .multipliers import (
     MultiplierSystem,
     convention_flip,
@@ -182,20 +182,25 @@ def _complete_sets(sc: Scenario):
 
 
 def verify_main_theorem(sc: Scenario, threads: int = 1) -> CheckResult:
-    """Positivity of the kernel Gram matrix over seeded complete sets."""
+    """Positivity of the kernel Gram matrix over seeded complete sets.
+
+    ``threads`` is accepted for compatibility and has no effect.
+    """
     try:
         sets = _complete_sets(sc)
     except BudgetExceededError:
         raise
     except GPMultError as err:
         return _failure("kernel-gram-positive", "main", err)
+    if not sets:
+        return _vacuous("kernel-gram-positive", "main", "no complete set (num_sets is 0)")
     worst = np.inf
     sizes = []
     all_ok = True
     T = sc.system.structure.total_dim
     for X in sets:
         try:
-            m = sc.system.kernel_matrix(X, threads=threads)
+            m = sc.system.kernel_matrix(X)
             ok, lam = is_positive(m, tol=PSD_TOL, hermitian_tol=1e-8)
         except GPMultError as err:
             return _failure(
@@ -347,14 +352,10 @@ def verify_cross_terms(sc: Scenario) -> CheckResult:
 
 
 def _psd_margin(structure, lhs_grid, rhs_grid):
-    """lambda_min of LHS - RHS for grids of central elements."""
-    diff = OperatorMatrix.from_central_grid(
-        structure,
-        [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(lhs_grid, rhs_grid)],
-    )
-    dense = diff.flatten()
-    maxdiff = float(np.max(np.abs(dense))) if dense.size else 0.0
-    _, lam = is_positive(dense, tol=ABS_PSD_TOL, hermitian_tol=1e-8)
+    """lambda_min of LHS - RHS for grids of central elements, and max |LHS - RHS|."""
+    diff = central_stack(structure, lhs_grid) - central_stack(structure, rhs_grid)
+    maxdiff = float(np.max(np.abs(diff)))
+    _, lam = is_positive(diff, tol=ABS_PSD_TOL, hermitian_tol=1e-8)
     return lam, maxdiff
 
 
@@ -603,6 +604,15 @@ def verify_cocycles(sc: Scenario) -> list:
         rep = negative_definite_check(
             Q, table, trials=sc.nd_trials, seed=sc.seed + 7 * v
         )
+        if rep.trials == 0 and rep.ok:
+            out.append(
+                _vacuous(
+                    f"{prefix}/negative-definiteness",
+                    "cocycles",
+                    "no random trial drawn (nd_trials is 0)",
+                )
+            )
+            continue
         out.append(
             CheckResult(
                 name=f"{prefix}/negative-definiteness",
@@ -637,14 +647,12 @@ def _guarded(name, suite, fn, *args, **kwargs):
         return _failure(name, suite, err)
 
 
-def run_suite(sc: Scenario, suite: str, threads: int = 1) -> list:
+def run_suite(sc: Scenario, suite: str) -> list:
     if suite == "main":
         return [
             _guarded("setup", "main", verify_setup, sc),
             _guarded("product-well-defined", "main", verify_well_defined, sc),
-            _guarded(
-                "kernel-gram-positive", "main", verify_main_theorem, sc, threads=threads
-            ),
+            _guarded("kernel-gram-positive", "main", verify_main_theorem, sc),
         ]
     if suite == "lemmas":
         return [
@@ -667,14 +675,15 @@ def run_all(sc: Scenario, suites=SUITES, threads: int = 1) -> dict:
     """Run the requested suites in order and assemble the JSON report.
 
     Wall-clock data lives only under the "timing" key so that the rest of
-    the report is reproducible byte for byte for a fixed seed.
+    the report is reproducible byte for byte for a fixed seed.  ``threads``
+    is accepted for compatibility and has no effect.
     """
     checks = []
     timing = {}
     t0 = time.perf_counter()
     for suite in suites:
         t_suite = time.perf_counter()
-        results = run_suite(sc, suite, threads=threads)
+        results = run_suite(sc, suite)
         for r in results:
             checks.append(r)
         timing[suite] = round((time.perf_counter() - t_suite) * 1000.0, 3)

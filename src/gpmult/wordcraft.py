@@ -233,12 +233,6 @@ class WordContext:
         self._check_ctx(x, y)
         return self.normalize(x.letters + y.letters)
 
-    def product(self, *xs) -> GPElement:
-        out = self.identity()
-        for x in xs:
-            out = self.multiply(out, x)
-        return out
-
     def inverse(self, x: GPElement) -> GPElement:
         self._check_ctx(x)
         inv = [
@@ -266,23 +260,6 @@ class WordContext:
             w = frontier.popleft()
             for i in range(len(w) - 1):
                 if self.graph.adjacent(w[i].vertex, w[i + 1].vertex):
-                    s = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
-                    if s not in seen:
-                        seen.add(s)
-                        if len(seen) > budget:
-                            raise BudgetExceededError(
-                                "rearrangement class exceeds budget", budget=budget
-                            )
-                        frontier.append(s)
-        return sorted(seen)
-
-    def _vertex_rearrangements(self, vertices: tuple, budget: int = DEFAULT_BUDGET):
-        seen = {tuple(vertices)}
-        frontier = deque(seen)
-        while frontier:
-            w = frontier.popleft()
-            for i in range(len(w) - 1):
-                if self.graph.adjacent(w[i], w[i + 1]):
                     s = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
                     if s not in seen:
                         seen.add(s)
@@ -397,8 +374,11 @@ class WordContext:
             raise ElementOutOfRangeError("vertex index out of range", vertex=v0)
         val = self._nc_direct(vertices, v0)
         if check_all:
+            # Only vertices matter to the search, so any element stands in.
+            placeholders = tuple(Letter(v, 0) for v in vertices)
             vals = set()
-            for r in self._vertex_rearrangements(vertices):
+            for seq in self._rearrangements_seq(placeholders, DEFAULT_BUDGET):
+                r = [l.vertex for l in seq]
                 if r and r[-1] == v0:
                     vals.add(
                         sum(1 for v in r[:-1] if not self.graph.adjacent(v, v0))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gpmult.cli import main
+from gpmult.cli import _emit, main
 
 FREE_PAIR = "scenarios/free_pair_z2.json"
 
@@ -156,3 +156,29 @@ def test_verify_report_echoes_expanded_config(capsys, tmp_path):
     assert config["multipliers"]["a"]["values"] == [[[1.0, 0.0]], [[0.5, 0.0]]]
     assert config["groups"]["a"] == {"name": "cyclic-2", "order": 2}
     assert config["verify"]["budget"] == 100000
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_zero_sets_gram_check_is_vacuous_and_report_is_strict_json(capsys, tmp_path):
+    cfg = load_free_pair()
+    cfg.setdefault("verify", {})["num_sets"] = 0
+    out_path = tmp_path / "report.json"
+    code, _, _ = run(
+        capsys,
+        ["verify", write_config(tmp_path, cfg), "--suite", "main", "--out", str(out_path)],
+    )
+    assert code == 0
+    report = json.loads(out_path.read_text(), parse_constant=_reject_constant)
+    gram = {c["name"]: c for c in report["checks"]}["kernel-gram-positive"]
+    assert gram["vacuous"] is True
+    assert "lambda_min" not in gram
+    assert gram["details"]["reason"]
+
+
+def test_emit_refuses_non_finite_floats():
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            _emit({"x": bad})

@@ -6,7 +6,10 @@ decision procedure on random Hermitian matrices.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from gpmult.cli import build_scenario, load_config
 from gpmult.errors import NotCentralError, NotHermitianError, StructureMismatchError
 from gpmult.matalg import (
     AlgebraElement,
@@ -14,12 +17,14 @@ from gpmult.matalg import (
     CentralElement,
     OperatorMatrix,
     central_exp,
+    central_stack,
     embed_central,
     extract_central,
     is_central,
     is_positive,
     tensor_algebra,
 )
+from gpmult.verifier import _complete_sets
 
 
 def chol_psd_oracle(m, tol=1e-9):
@@ -178,3 +183,101 @@ def test_tensor_algebra_embeddings_commute_and_multiply():
     assert (left * right).maxabs_diff(right * left) < 1e-12
     expect = np.kron(a.blocks[0], b.blocks[0])
     assert np.allclose((left * right).blocks[0], expect)
+
+
+# ----------------------------------------------------------------------
+# central stacks against the flattened reference layout
+
+SCENARIOS = [
+    "block_swap_free",
+    "free_pair_z2",
+    "multipartite_k12",
+    "path_mixed",
+    "sabotage_noninvariant",
+    "sabotage_nonpd",
+    "tensor_edge_z2_z3",
+    "triangle_perm_z2",
+]
+
+
+def flat_layout(structure, stack):
+    """Sum over blocks of G_k (x) P_k, P_k projecting onto block k's coordinates."""
+    T = structure.total_dim
+    out = np.zeros((stack.shape[1] * T, stack.shape[2] * T), dtype=complex)
+    for k, (off, d) in enumerate(zip(structure.offsets(), structure.block_dims)):
+        proj = np.zeros((T, T))
+        proj[off : off + d, off : off + d] = np.eye(d)
+        out += np.kron(stack[k], proj)
+    return out
+
+
+def assert_same_certificate(stack, flat, **kw):
+    """Stack and flattened matrix get the same verdict and lambda_min, or both raise."""
+    try:
+        ok, lam = is_positive(flat, **kw)
+    except NotHermitianError:
+        with pytest.raises(NotHermitianError):
+            is_positive(stack, **kw)
+        return
+    ok_stack, lam_stack = is_positive(stack, **kw)
+    herm = (stack + stack.conj().swapaxes(-1, -2)) / 2.0
+    scale = float(np.max(np.abs(np.linalg.eigvalsh(herm)))) if stack.size else 0.0
+    assert ok_stack == ok
+    assert abs(lam_stack - lam) <= 1e-12 * (1.0 + scale)
+
+
+@hst.composite
+def central_grids(draw):
+    dims = draw(hst.lists(hst.integers(1, 3), min_size=1, max_size=3))
+    n = draw(hst.integers(1, 6))
+    kind = draw(hst.sampled_from(["psd", "low-rank", "hermitian", "nearly", "general"]))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    K = len(dims)
+    b = rng.standard_normal((K, n, n)) + 1j * rng.standard_normal((K, n, n))
+    adj = b.conj().swapaxes(-1, -2)
+    if kind == "psd":
+        z = b @ adj
+    elif kind == "low-rank":
+        z = b[:, :, :1] @ adj[:, :1, :]
+    elif kind == "hermitian":
+        z = b + adj
+    elif kind == "nearly":
+        # Hermitian up to a perturbation either side of the Hermitian tolerance
+        z = b + adj + draw(hst.sampled_from([1e-12, 1e-6])) * b
+    else:
+        z = b
+    structure = BlockStructure(dims)
+    grid = [[CentralElement(structure, z[:, i, j]) for j in range(n)] for i in range(n)]
+    return structure, grid, z
+
+
+@settings(max_examples=150, deadline=None)
+@given(central_grids())
+def test_central_stack_certifies_like_the_flattened_matrix(case):
+    structure, grid, z = case
+    stack = central_stack(structure, grid)
+    assert stack.shape == z.shape
+    assert np.array_equal(stack, z)
+    flat = OperatorMatrix.from_central_grid(structure, grid).flatten()
+    assert np.array_equal(flat_layout(structure, stack), flat)
+    assert_same_certificate(stack, flat, tol=1e-9, hermitian_tol=1e-8)
+
+
+def test_central_stack_of_an_empty_grid():
+    structure = BlockStructure([2, 1])
+    stack = central_stack(structure, [])
+    assert stack.shape == (2, 0, 0)
+    assert is_positive(stack) == (True, 0.0)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_kernel_matrix_matches_the_flattened_oracle(name):
+    sc = build_scenario(load_config(f"scenarios/{name}.json"))
+    system = sc.system
+    for xs in _complete_sets(sc):
+        stack = system.kernel_matrix(xs)
+        grid = [[system.kernel(x, y) for y in xs] for x in xs]
+        flat = OperatorMatrix.from_central_grid(system.structure, grid).flatten()
+        assert stack.shape == (system.structure.num_blocks, len(xs), len(xs))
+        assert np.array_equal(flat_layout(system.structure, stack), flat)
+        assert_same_certificate(stack, flat, tol=1e-8, hermitian_tol=1e-8)

@@ -201,14 +201,6 @@ def test_kernel_star_symmetry_and_gram_positivity():
     assert ok, lam
 
 
-def test_kernel_matrix_threads_do_not_change_values():
-    sys = free_pair_system()
-    ball = sorted(sys.words.ball(3), key=lambda x: x.letters)
-    a = sys.kernel_matrix(ball, threads=1).flatten()
-    b = sys.kernel_matrix(ball, threads=2).flatten()
-    assert np.array_equal(a, b)
-
-
 def test_system_rejects_mismatched_pieces():
     z2, z3 = cyclic_group(2), cyclic_group(3)
     ctx = WordContext(SimplicialGraph.build(("a", "b"), []), (z2, z2))
@@ -311,8 +303,8 @@ def test_tensor_fixture_matches_block_diagonal_phase_model():
     for xa, xb in zip(ball_a, ball_b):
         assert xa.letters == xb.letters
         assert np.max(np.abs(sc.system.gp_value(xa).scalars - tf.gp_value(xb).scalars)) < 1e-14
-    ka = sc.system.kernel_matrix(ball_a).flatten()
-    kb = tf.kernel_matrix(ball_b).flatten()
+    ka = sc.system.kernel_matrix(ball_a)
+    kb = tf.kernel_matrix(ball_b)
     assert np.max(np.abs(ka - kb)) < 1e-14
 
 

@@ -120,6 +120,18 @@ def test_noninvariant_edge_multiplier_hits_the_well_defined_check():
             assert c["pass"], name
 
 
+def test_zero_trials_negative_definiteness_is_vacuous():
+    sc = dataclasses.replace(scenario("free_pair_z2"), nd_trials=0)
+    rep = run_all(sc, suites=("cocycles",))
+    nd = [c for c in rep["checks"] if c["name"].endswith("/negative-definiteness")]
+    assert len(nd) == 2
+    for c in nd:
+        assert c["pass"] is True
+        assert c["vacuous"] is True
+        assert "trials" not in c.get("counts", {})
+        assert c["details"]["reason"]
+
+
 def test_complete_sets_are_complete_and_capped():
     sc = scenario("triangle_perm_z2")
     sets = _complete_sets(sc)
