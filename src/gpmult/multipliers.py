@@ -18,7 +18,7 @@ phrased through K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .dynamics import (
     ActionSystem,
     ActionTable,
     Automorphism,
-    actions_commute,
     point_permutation_action,
     trivial_action,
 )

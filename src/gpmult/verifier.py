@@ -104,9 +104,14 @@ def _failure(name, suite, err: GPMultError, **extra) -> CheckResult:
     return CheckResult(name=name, suite=suite, passed=False, details=details)
 
 
-def _vacuous(name, suite, reason: str) -> CheckResult:
+def _vacuous(name, suite, reason: str, counts: dict | None = None) -> CheckResult:
     return CheckResult(
-        name=name, suite=suite, passed=True, vacuous=True, details={"reason": reason}
+        name=name,
+        suite=suite,
+        passed=True,
+        vacuous=True,
+        counts=counts or {},
+        details={"reason": reason},
     )
 
 
@@ -265,6 +270,13 @@ def verify_peel_off(sc: Scenario) -> CheckResult:
             rhs = twisted * sys_.gp_value(tail)
             worst = max(worst, sys_.gp_value_letters(r).maxabs_diff(rhs))
             n_checked += 1
+    if n_checked == 0:
+        return _vacuous(
+            "peel-first-letter",
+            "lemmas",
+            "no nontrivial element in the identity-check ball",
+            {"expressions": 0},
+        )
     return CheckResult(
         name="peel-first-letter",
         suite="lemmas",
@@ -299,6 +311,13 @@ def verify_drop_last(sc: Scenario) -> CheckResult:
                 rhs = sys_.kernel(x, head) * sys_.kernel(head, y)
                 worst = max(worst, k_xy.maxabs_diff(rhs))
                 n_checked += 1
+    if n_checked == 0:
+        return _vacuous(
+            "drop-last-letter",
+            "lemmas",
+            "no x != e and y in the identity-check ball with x^-1 y reduced",
+            {"instances": 0},
+        )
     return CheckResult(
         name="drop-last-letter",
         suite="lemmas",
@@ -342,6 +361,13 @@ def verify_cross_terms(sc: Scenario) -> CheckResult:
                     n1 += 1
                 else:
                     n2 += 1
+    if n1 == n2 == 0:
+        return _vacuous(
+            "cross-terms",
+            "lemmas",
+            "no pair (x, z) meets either order condition",
+            {"smaller-count": 0, "different-prefix": 0},
+        )
     return CheckResult(
         name="cross-terms",
         suite="lemmas",
@@ -420,6 +446,13 @@ def verify_schwarz(sc: Scenario) -> CheckResult:
         all_ok = all_ok and (lam >= -ABS_PSD_TOL)
     if accepted == 0:
         return _vacuous("schwarz-inequality", "lemmas", "no admissible family found")
+    if non_vacuous == 0 and all_ok:
+        return _vacuous(
+            "schwarz-inequality",
+            "lemmas",
+            "LHS - RHS vanishes on every admissible family",
+            {"families": accepted, "non_vacuous": 0, "rejected": rejected},
+        )
     return CheckResult(
         name="schwarz-inequality",
         suite="lemmas",
@@ -620,7 +653,10 @@ def verify_cocycles(sc: Scenario) -> list:
                 passed=rep.ok,
                 residual=rep.worst_margin,
                 counts={"trials": rep.trials},
-                details={"symmetry_deviation": rep.symmetry_deviation},
+                details={
+                    "symmetry_deviation": rep.symmetry_deviation,
+                    "exact_lambda_max": rep.exact_lambda_max,
+                },
             )
         )
     return out

@@ -63,6 +63,11 @@ def test_free_pair_key_numbers(free_pair_report):
     wit = checks["haagerup-witness"]
     assert wit["residual"] == 0.5**5
     assert wit["counts"] == {"witness_set": 9, "ball": 13}
+    # psi = 2 - 2 h(a) = 1 off the identity of Z/2; the sum-zero unit vector
+    # (1, -1)/sqrt(2) gives the form -psi(a)
+    for v in "ab":
+        nd = checks[f"vertex-{v}/negative-definiteness"]
+        assert abs(nd["details"]["exact_lambda_max"] + 1.0) < 1e-12
 
 
 def test_tuple_targets_are_met(free_pair_report):
@@ -130,6 +135,34 @@ def test_zero_trials_negative_definiteness_is_vacuous():
         assert c["vacuous"] is True
         assert "trials" not in c.get("counts", {})
         assert c["details"]["reason"]
+
+
+@pytest.fixture(scope="module")
+def radius_zero_report():
+    sc = dataclasses.replace(scenario("free_pair_z2"), identity_radius=0)
+    return by_name(run_all(sc, suites=("lemmas",)))
+
+
+@pytest.mark.parametrize(
+    "name, counts",
+    [
+        ("peel-first-letter", {"expressions": 0}),
+        ("drop-last-letter", {"instances": 0}),
+        ("cross-terms", {"smaller-count": 0, "different-prefix": 0}),
+        ("schwarz-inequality", {"non_vacuous": 0}),
+    ],
+)
+def test_zero_evidence_lemma_checks_are_vacuous(
+    name, counts, radius_zero_report, free_pair_report
+):
+    """At identity_radius 0 the ball is the identity alone, so these checks
+    examine nothing; at the scenario's own radius they stay non-vacuous."""
+    c = radius_zero_report[name]
+    assert c["pass"] is True
+    assert c["vacuous"] is True
+    assert c["details"]["reason"]
+    assert counts.items() <= c["counts"].items()
+    assert by_name(free_pair_report)[name]["vacuous"] is False
 
 
 def test_complete_sets_are_complete_and_capped():
