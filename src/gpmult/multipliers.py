@@ -45,7 +45,7 @@ from .matalg import (
     central_stack,
     is_positive,
 )
-from .wordcraft import GPElement, WordContext
+from .wordcraft import GPElement, Letter, WordContext
 
 UNITAL_TOL = 1e-12
 COMMUTE_TOL = 1e-12
@@ -267,17 +267,18 @@ class MultiplierSystem:
     def gp_value_letters(self, letters) -> CentralElement:
         """Evaluate on one specific reduced expression.
 
-        Each letter's value is twisted by the inverse action of its right
-        tail; tails are inverted at the word level, never the map level.
+        Each letter's value is twisted by the action of its inverted right
+        tail, read as the raw sequence of inverted tail letters; central
+        actions permute block scalars exactly, so no tail is normalized.
         """
         letters = tuple(letters)
         if not letters:
             return CentralElement.one(self.structure)
+        groups = self.words.groups
+        inv = [Letter(l.vertex, groups[l.vertex].inverse(l.elem)) for l in letters]
         out = None
         for j, letter in enumerate(letters[:-1]):
-            tail = self.words._from_reduced(letters[j + 1 :])
-            tail_inv = self.words.inverse(tail)
-            factor = self.actions.act_word(tail_inv).on_central(
+            factor = self.actions.act_word(inv[:j:-1]).on_central(
                 self.value_of_letter(letter)
             )
             out = factor if out is None else out * factor

@@ -262,7 +262,7 @@ def verify_peel_off(sc: Scenario) -> CheckResult:
         if not x.letters:
             continue
         for r in words.rearrangements(x):
-            tail = words._from_reduced(r[1:])
+            tail = words._push(r[1:])
             tail_inv = words.inverse(tail)
             twisted = sys_.actions.act_word(tail_inv).on_central(
                 sys_.value_of_letter(r[0])
@@ -307,7 +307,7 @@ def verify_drop_last(sc: Scenario) -> CheckResult:
                 continue
             k_xy = sys_.kernel(x, y)
             for r in words.rearrangements(x):
-                head = words._from_reduced(r[:-1])
+                head = words._push(r[:-1])
                 rhs = sys_.kernel(x, head) * sys_.kernel(head, y)
                 worst = max(worst, k_xy.maxabs_diff(rhs))
                 n_checked += 1
@@ -532,6 +532,13 @@ def verify_y1_square(sc: Scenario) -> CheckResult:
         return _vacuous(
             "shared-prefix-square-bound", "lemmas", "no family with the vertex found"
         )
+    if non_vacuous == 0 and all_ok:
+        return _vacuous(
+            "shared-prefix-square-bound",
+            "lemmas",
+            "LHS - RHS vanishes on every family",
+            {"families": accepted, "non_vacuous": 0},
+        )
     return CheckResult(
         name="shared-prefix-square-bound",
         suite="lemmas",
@@ -637,21 +644,22 @@ def verify_cocycles(sc: Scenario) -> list:
         rep = negative_definite_check(
             Q, table, trials=sc.nd_trials, seed=sc.seed + 7 * v
         )
-        if rep.trials == 0 and rep.ok:
+        if rep.trials == 0 and rep.ok and module.group.order == 1:
             out.append(
                 _vacuous(
                     f"{prefix}/negative-definiteness",
                     "cocycles",
-                    "no random trial drawn (nd_trials is 0)",
+                    "trivial group (sum-zero subspace is 0) and no random trial drawn",
                 )
             )
             continue
+        # with no trial drawn, exact_lambda_max alone certifies the check
         out.append(
             CheckResult(
                 name=f"{prefix}/negative-definiteness",
                 suite="cocycles",
                 passed=rep.ok,
-                residual=rep.worst_margin,
+                residual=rep.worst_margin if rep.trials else None,
                 counts={"trials": rep.trials},
                 details={
                     "symmetry_deviation": rep.symmetry_deviation,

@@ -3,11 +3,13 @@
 Elements of the graph product are stored as canonical words: reduced letter
 sequences that are lexicographically least among all rearrangements (the
 rearrangement class of a reduced word is its orbit under swapping adjacent
-letters whose vertices are joined in the graph).  The canonical form is
-computed greedily by repeatedly extracting the smallest letter that can be
-commuted to the front; a plain "swap descending neighbours" bubble pass is not
-enough, since reaching the lexicographic minimum can require temporarily
-ascending swaps.
+letters whose vertices are joined in the graph).  Every canonical word is
+built by one routine, ``WordContext._push``, which appends letters one at a
+time: a new letter either merges with the one same-vertex letter it can
+commute back to, or is inserted at the one place that keeps the word least
+(Green's normal form theorem; the shortlex forms of Hermiller and Meier).
+Products push only the right factor onto the left one, so cancellation
+happens at the interface.
 
 A word is *reduced* when for every pair of equal-vertex positions k < l some
 intermediate position p carries a vertex not joined to it; equivalently, no
@@ -153,65 +155,44 @@ class WordContext:
 
         Accepts (vertex, elem) pairs; identity letters are dropped, mergeable
         same-vertex letters are combined (possibly cancelling), and the
-        resulting reduced word is rotated to its lexicographic minimum.
+        result is the lexicographically least reduced word of its class.
         """
-        letters = []
-        for v, g in raw:
+        letters = list(raw)
+        for v, g in letters:
             self._check_letter(v, g)
-            if g != self.groups[v].identity:
-                letters.append(Letter(v, g))
-        reduced = self._reduce(letters)
-        return GPElement(self, tuple(self._canonical(reduced)))
+        return self._push(letters)
 
-    def _reduce(self, letters: list) -> list:
-        """Merge same-vertex letters whenever only commuting letters separate them."""
-        work = list(letters)
-        changed = True
-        while changed:
-            changed = False
-            n = len(work)
-            for i in range(n):
-                vi = work[i].vertex
-                for j in range(i + 1, n):
-                    if work[j].vertex != vi:
-                        continue
-                    # first same-vertex successor; later ones are blocked by this one
-                    if all(
-                        self.graph.adjacent(vi, work[p].vertex)
-                        for p in range(i + 1, j)
-                    ):
-                        grp = self.groups[vi]
-                        g = grp.mul(work[i].elem, work[j].elem)
-                        del work[j]
-                        if g == grp.identity:
-                            del work[i]
-                        else:
-                            work[i] = Letter(vi, g)
-                        changed = True
-                    break
-                if changed:
-                    break
-        return work
+    def _push(self, letters, word=()) -> GPElement:
+        """Push letters one at a time onto the canonical word ``word``.
 
-    def _canonical(self, reduced: list) -> list:
-        """Lexicographically least rearrangement of a reduced word.
-
-        Greedy: among letters that commute with everything before them, pull
-        the one with the smallest vertex to the front, then recurse on the
-        rest.  Same-vertex letters never overtake each other because a vertex
-        is not adjacent to itself.
+        Each letter scans left across the letters it commutes with.  If that
+        reaches a letter of its own vertex the two merge (and vanish at the
+        identity); otherwise it is inserted before the first letter of larger
+        vertex in the reachable suffix.  Merging keeps the word reduced, and
+        the insertion point keeps it least: a word is lexicographically least
+        in its class exactly when it has no factor b u a with a < b and a
+        commuting with b u.
         """
-        rem = list(reduced)
-        out = []
-        while rem:
-            best = None
-            best_idx = -1
-            for j, (v, _) in enumerate(rem):
-                if all(self.graph.adjacent(v, rem[i].vertex) for i in range(j)):
-                    if best is None or v < best:
-                        best, best_idx = v, j
-            out.append(rem.pop(best_idx))
-        return out
+        adjacent = self.graph.adjacent
+        out = list(word)
+        for v, g in letters:
+            grp = self.groups[v]
+            if g == grp.identity:
+                continue
+            i = pos = len(out)
+            while i > 0 and adjacent(v, out[i - 1].vertex):
+                i -= 1
+                if out[i].vertex > v:
+                    pos = i
+            if i > 0 and out[i - 1].vertex == v:
+                g = grp.mul(out[i - 1].elem, g)
+                if g == grp.identity:
+                    del out[i - 1]
+                else:
+                    out[i - 1] = Letter(v, g)
+            else:
+                out.insert(pos, Letter(v, g))
+        return GPElement(self, tuple(out))
 
     def is_reduced(self, vertices) -> bool:
         """Reducedness of a vertex word (no group elements involved)."""
@@ -231,15 +212,14 @@ class WordContext:
 
     def multiply(self, x: GPElement, y: GPElement) -> GPElement:
         self._check_ctx(x, y)
-        return self.normalize(x.letters + y.letters)
+        return self._push(y.letters, x.letters)
 
     def inverse(self, x: GPElement) -> GPElement:
         self._check_ctx(x)
-        inv = [
-            Letter(l.vertex, self.groups[l.vertex].inverse(l.elem))
+        return self._push(
+            (l.vertex, self.groups[l.vertex].inverse(l.elem))
             for l in reversed(x.letters)
-        ]
-        return self.normalize(inv)
+        )
 
     # ------------------------------------------------------------------
     # rearrangements and the truncation order
@@ -270,15 +250,12 @@ class WordContext:
                         frontier.append(s)
         return sorted(seen)
 
-    def _from_reduced(self, letters) -> GPElement:
-        return GPElement(self, tuple(self._canonical(list(letters))))
-
     def _immediate_truncations(self, z: GPElement):
         out = set()
         for r in self._rearrangements_seq(z.letters, DEFAULT_BUDGET):
             if r:
-                out.add(self._from_reduced(r[1:]))
-                out.add(self._from_reduced(r[:-1]))
+                out.add(self._push(r[1:]))
+                out.add(self._push(r[:-1]))
         return out
 
     def leq(self, x: GPElement, y: GPElement, budget: int = DEFAULT_BUDGET) -> bool:
@@ -477,16 +454,16 @@ class WordContext:
                         continue
                     if self._nc_direct(y_vw, v0) != n_target:
                         continue
-                    ya = self._from_reduced(tuple(y_letters) + (letter,))
+                    ya = self._push(tuple(y_letters) + (letter,))
                     if not self.leq(ya, x):
                         continue
                     if best_y is None or j < best_y:
                         best_y = j
                     form = StandardForm(
-                        y=self._from_reduced(y_letters),
-                        c=self._from_reduced(c_letters),
+                        y=self._push(y_letters),
+                        c=self._push(c_letters),
                         a=letter,
-                        b=self._from_reduced(b),
+                        b=self._push(b),
                         v0=v0,
                         nc=n_target,
                     )
@@ -509,7 +486,7 @@ class WordContext:
             nxt = []
             for x in frontier:
                 for l in gens:
-                    y = self.normalize(x.letters + (l,))
+                    y = self._push((l,), x.letters)
                     if y not in out:
                         out.add(y)
                         if len(out) > budget:

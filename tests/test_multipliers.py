@@ -1,9 +1,12 @@
 """Multipliers: positive definiteness, product evaluation, kernels, witnesses."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpmult.errors import (
     BadIdentityValueError,
@@ -36,6 +39,7 @@ from gpmult.multipliers import (
     tensor_fixture,
     unitalize,
 )
+from gpmult.verifier import Scenario, verify_main_theorem, verify_setup
 from gpmult.wordcraft import WordContext
 
 SCALAR = BlockStructure((1,))
@@ -230,6 +234,128 @@ def test_validate_flags_noninvariant_neighbour_multiplier():
     sys = MultiplierSystem(acts, (hu, hv))
     with pytest.raises(EdgeViolationError):
         sys.validate()
+
+
+# ----------------------------------------------------------------------
+# random graph products
+
+
+def canonical_tail_value(system, letters):
+    """Reference evaluator: each right tail is normalized, then inverted."""
+    letters = tuple(letters)
+    if not letters:
+        return CentralElement.one(system.structure)
+    words = system.words
+    out = None
+    for j, letter in enumerate(letters[:-1]):
+        tail_inv = words.inverse(words.normalize(letters[j + 1 :]))
+        factor = system.actions.act_word(tail_inv).on_central(
+            system.value_of_letter(letter)
+        )
+        out = factor if out is None else out * factor
+    last = system.value_of_letter(letters[-1])
+    return last if out is None else out * last
+
+
+POINTS = 4
+_PERMS = list(itertools.permutations(range(POINTS)))
+
+
+def _compose(p, q):
+    return tuple(p[i] for i in q)
+
+
+def _power(p, k):
+    out = tuple(range(POINTS))
+    for _ in range(k):
+        out = _compose(p, out)
+    return out
+
+
+def _orbits(perms):
+    """Orbit label of each point under the group the permutations generate."""
+    label = list(range(POINTS))
+    for _ in range(POINTS):
+        for p in perms:
+            for i in range(POINTS):
+                label[i] = label[p[i]] = min(label[i], label[p[i]])
+    return label
+
+
+@st.composite
+def _random_system(draw):
+    """Cyclic groups on a random graph acting on 4 points by permutations.
+
+    Adjacent actions are made to commute, as the setup requires; others may
+    not.  Each vertex carries a geometric multiplier c^(cyclic distance) with
+    one c <= 1/2 per orbit of its own and its neighbours' actions, so it is
+    positive definite and fixed by its neighbours, yet moved by the actions
+    of non-neighbours.
+    """
+    n = draw(st.integers(1, 4))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [p for p in pairs if draw(st.booleans())]
+    graph = SimplicialGraph.build(tuple(range(n)), edges)
+    groups = [cyclic_group(draw(st.integers(1, 4))) for _ in range(n)]
+    structure = BlockStructure((1,) * POINTS)
+    ident = _PERMS[0]
+    gens = []
+    for v, grp in enumerate(groups):
+        cands = [p for p in _PERMS if _power(p, grp.order) == ident]
+        p = draw(st.sampled_from(cands))
+        if any(graph.adjacent(u, v) and _compose(p, q) != _compose(q, p) for u, q in enumerate(gens)):
+            p = ident
+        gens.append(p)
+    tables = [
+        trivial_action(grp, structure)
+        if p == ident
+        else point_permutation_action(grp, structure, [list(_power(p, g)) for g in range(grp.order)])
+        for grp, p in zip(groups, gens)
+    ]
+    mults = []
+    for v, grp in enumerate(groups):
+        label = _orbits([gens[v]] + [gens[u] for u in range(n) if graph.adjacent(u, v)])
+        cs = {o: draw(st.floats(0.0, 0.5)) for o in sorted(set(label))}
+        k = grp.order
+        vals = [
+            CentralElement(structure, np.array([complex(cs[o]) ** min(g, k - g) for o in label]))
+            for g in range(k)
+        ]
+        mults.append(Multiplier(grp, structure, tuple(vals)))
+    words = WordContext(graph, groups)
+    return MultiplierSystem(ActionSystem(words, structure, tables), mults)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_random_system())
+def test_random_graph_products_are_positive_and_evaluate_bit_exactly(system):
+    sc = Scenario(name="random", system=system, ball_radius=3)
+    assert verify_setup(sc).passed
+    gram = verify_main_theorem(sc)
+    assert gram.passed and not gram.vacuous
+    words = system.words
+    for x in words.ball(3):
+        for r in words.rearrangements(x):
+            got = system.gp_value_letters(r).scalars
+            assert got.tobytes() == canonical_tail_value(system, r).scalars.tobytes()
+
+
+def test_noncommuting_adjacent_actions_break_well_definedness():
+    """Path u-v plus an isolated w; the u and v point maps do not commute."""
+    z2 = cyclic_group(2)
+    graph = SimplicialGraph.build(("u", "v", "w"), [("u", "v")])
+    ident = [0, 1, 2, 3]
+    system = groupoid_from_space(
+        graph,
+        [z2] * 3,
+        POINTS,
+        {0: [ident, [1, 0, 2, 3]], 1: [ident, [0, 2, 1, 3]]},
+        [[[1] * 4, [0.1, 0.2, 0.3, 0.4]], [[1] * 4, [0.5] * 4], [[1] * 4, [0.5] * 4]],
+    )
+    rep = gp_well_defined(system)
+    assert not rep.ok
+    assert rep.max_deviation == pytest.approx(0.05)
+    assert rep.checked_expressions == 38
 
 
 # ----------------------------------------------------------------------

@@ -125,16 +125,51 @@ def test_noninvariant_edge_multiplier_hits_the_well_defined_check():
             assert c["pass"], name
 
 
-def test_zero_trials_negative_definiteness_is_vacuous():
+def test_zero_trials_negative_definiteness_keeps_the_exact_certificate():
+    """With no random trial, exact_lambda_max still certifies a nontrivial group."""
     sc = dataclasses.replace(scenario("free_pair_z2"), nd_trials=0)
     rep = run_all(sc, suites=("cocycles",))
     nd = [c for c in rep["checks"] if c["name"].endswith("/negative-definiteness")]
     assert len(nd) == 2
     for c in nd:
         assert c["pass"] is True
+        assert c["vacuous"] is False
+        assert c["counts"] == {"trials": 0}
+        assert "residual" not in c
+        assert c["details"]["exact_lambda_max"] < 0
+
+
+def test_zero_trials_on_the_trivial_group_is_vacuous():
+    cfg = load_config("scenarios/free_pair_z2.json")
+    cfg["groups"]["b"] = {"preset": "cyclic", "n": 1}
+    cfg["multipliers"]["b"] = {"values": [1]}
+    cfg["verify"] = {"nd_trials": 0}
+    checks = by_name(run_all(build_scenario(cfg), suites=("cocycles",)))
+    trivial = checks["vertex-b/negative-definiteness"]
+    assert trivial["pass"] is True
+    assert trivial["vacuous"] is True
+    assert trivial["details"]["reason"]
+    assert "counts" not in trivial
+    assert checks["vertex-a/negative-definiteness"]["vacuous"] is False
+
+
+def test_shared_prefix_with_vanishing_difference_is_vacuous(free_pair_report):
+    """Multipliers [1, 1] make LHS = RHS on every family, so nothing is examined."""
+    cfg = load_config("scenarios/free_pair_z2.json")
+    for vid in ("a", "b"):
+        cfg["multipliers"][vid] = {"values": [1, 1]}
+    cfg["verify"] = {}
+    checks = by_name(run_all(build_scenario(cfg), suites=("lemmas",)))
+    for name in ("shared-prefix-square-bound", "schwarz-inequality"):
+        c = checks[name]
+        assert c["pass"] is True
         assert c["vacuous"] is True
-        assert "trials" not in c.get("counts", {})
         assert c["details"]["reason"]
+        assert c["counts"]["non_vacuous"] == 0
+        assert c["counts"]["families"] > 0
+    committed = by_name(free_pair_report)["shared-prefix-square-bound"]
+    assert committed["vacuous"] is False
+    assert committed["counts"]["non_vacuous"] == 60
 
 
 @pytest.fixture(scope="module")

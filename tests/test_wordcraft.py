@@ -3,7 +3,9 @@
 The canonical-form engine is cross-checked against a brute-force oracle
 that explores the full rewriting class of a raw word (drop identity
 letters, merge same-vertex neighbours, swap adjacent commuting letters)
-and takes the lexicographically least reduced member.
+and takes the lexicographically least reduced member, and against the
+earlier two-pass normalization (quadratic merge, then greedy extraction of
+the least available letter) on random graph products.
 """
 
 from collections import deque
@@ -82,6 +84,106 @@ def oracle_normalize(ctx, raw):
     return min(reduced, key=lambda w: (len(w), w))
 
 
+# ----------------------------------------------------------------------
+# reference: the earlier two-pass normalization
+
+def _reference_reduce(ctx, letters):
+    """Merge same-vertex letters whenever only commuting letters separate them."""
+    work = list(letters)
+    changed = True
+    while changed:
+        changed = False
+        n = len(work)
+        for i in range(n):
+            vi = work[i].vertex
+            for j in range(i + 1, n):
+                if work[j].vertex != vi:
+                    continue
+                # first same-vertex successor; later ones are blocked by this one
+                if all(ctx.graph.adjacent(vi, work[p].vertex) for p in range(i + 1, j)):
+                    grp = ctx.groups[vi]
+                    g = grp.mul(work[i].elem, work[j].elem)
+                    del work[j]
+                    if g == grp.identity:
+                        del work[i]
+                    else:
+                        work[i] = Letter(vi, g)
+                    changed = True
+                break
+            if changed:
+                break
+    return work
+
+
+def _reference_canonical(ctx, reduced):
+    """Greedy: pull the least letter that commutes with everything before it."""
+    rem = list(reduced)
+    out = []
+    while rem:
+        best = None
+        best_idx = -1
+        for j, (v, _) in enumerate(rem):
+            if all(ctx.graph.adjacent(v, rem[i].vertex) for i in range(j)):
+                if best is None or v < best:
+                    best, best_idx = v, j
+        out.append(rem.pop(best_idx))
+    return out
+
+
+def reference_normalize(ctx, raw):
+    """Canonical letters of a raw word by the two-pass reduce-then-extract."""
+    letters = [Letter(v, g) for v, g in raw if g != ctx.groups[v].identity]
+    return tuple(_reference_canonical(ctx, _reference_reduce(ctx, letters)))
+
+
+def reference_ball(ctx, radius):
+    out = {()}
+    frontier = [()]
+    for _ in range(radius):
+        nxt = []
+        for x in frontier:
+            for l in ctx.generators():
+                y = reference_normalize(ctx, x + (l,))
+                if y not in out:
+                    out.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return sorted(out, key=lambda w: (len(w), w))
+
+
+@st.composite
+def _graph_product(draw, max_vertices=5, max_order=4):
+    """A random graph (random edges) with one cyclic group per vertex."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [p for p in pairs if draw(st.booleans())]
+    orders = draw(st.lists(st.integers(1, max_order), min_size=n, max_size=n))
+    graph = SimplicialGraph.build(list(range(n)), edges)
+    return WordContext(graph, [cyclic_group(k) for k in orders])
+
+
+def _draw_raw(draw, ctx, max_len=12):
+    n = ctx.graph.n
+    v_list = draw(st.lists(st.integers(0, n - 1), max_size=max_len))
+    return [(v, draw(st.integers(0, ctx.groups[v].order - 1))) for v in v_list]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_word_layer_matches_reference_normalization(data):
+    ctx = data.draw(_graph_product())
+    raw_x = _draw_raw(data.draw, ctx)
+    raw_y = _draw_raw(data.draw, ctx)
+    x, y = ctx.normalize(raw_x), ctx.normalize(raw_y)
+    assert x.letters == reference_normalize(ctx, raw_x)
+    assert y.letters == reference_normalize(ctx, raw_y)
+    assert ctx.multiply(x, y).letters == reference_normalize(ctx, x.letters + y.letters)
+    inv = [(l.vertex, ctx.groups[l.vertex].inverse(l.elem)) for l in reversed(x.letters)]
+    assert ctx.inverse(x).letters == reference_normalize(ctx, inv)
+    radius = data.draw(st.integers(0, 3))
+    assert [b.letters for b in ctx.ball(radius)] == reference_ball(ctx, radius)
+
+
 @pytest.mark.parametrize("ctx_factory", [free_pair, path_abc, triangle, k12_z2])
 def test_normalize_matches_rewriting_oracle(ctx_factory):
     ctx = ctx_factory()
@@ -100,8 +202,8 @@ def test_normalize_matches_rewriting_oracle(ctx_factory):
 
 def test_bubble_pass_counterexample_is_handled():
     # c,a,b is stuck for naive adjacent-swap descent (a cannot move past c),
-    # yet b,c,a is the least member of its class; the canonical form must
-    # find it by extracting the least available letter.
+    # yet b,c,a is the least member of its class; inserting b must carry it
+    # past a and c to the front.
     ctx = path_abc()
     a, b, c = 0, 1, 2
     x = ctx.normalize([(c, 1), (a, 1), (b, 1)])
