@@ -347,14 +347,44 @@ def _echo_config(name, graph, groups, structure, cfg, params):
     }
 
 
+class _NonFinite:
+    """Placeholder for a JSON number that is not a finite float."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+def _parse_float(text: str):
+    value = float(text)
+    return value if np.isfinite(value) else _NonFinite(text)
+
+
+def _reject_non_finite(x, pointer: str) -> None:
+    if isinstance(x, _NonFinite):
+        raise ConfigError(
+            pointer or "/",
+            f"non-finite number {x.text} is not allowed",
+            code="config_non_finite",
+        )
+    if isinstance(x, dict):
+        for k, v in x.items():
+            _reject_non_finite(v, f"{pointer}/{k}")
+    elif isinstance(x, list):
+        for i, v in enumerate(x):
+            _reject_non_finite(v, f"{pointer}/{i}")
+
+
 def load_config(path: str) -> dict:
+    """Parse a config file.  ``NaN``, ``Infinity`` and numbers that overflow
+    a float are rejected with a pointer to where they occur."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_NonFinite, parse_float=_parse_float)
     except OSError as err:
         raise ConfigError("/", f"cannot read config: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError("/", f"invalid JSON: {err}") from err
+    _reject_non_finite(cfg, "")
     return _as_dict(cfg, "/")
 
 

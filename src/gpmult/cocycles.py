@@ -33,6 +33,7 @@ import numpy as np
 from .dynamics import ActionTable
 from .errors import (
     NotCentralError,
+    NotFiniteError,
     NotPositiveError,
     NotUnitalError,
     StructureMismatchError,
@@ -238,7 +239,10 @@ def _form_lambda_max(mk, bk) -> float:
     for i in range(mk.shape[0]):
         for j in range(mk.shape[0]):
             acc = acc + (bh[:, i] @ mk[i, j]) @ bk[:, j]
-    return float(np.max(np.linalg.eigvalsh((acc + acc.conj().swapaxes(-1, -2)) / 2.0)))
+    herm = (acc + acc.conj().swapaxes(-1, -2)) / 2.0
+    if not np.isfinite(herm).all():
+        raise NotFiniteError("negative-definiteness form is not finite", shape=herm.shape)
+    return float(np.max(np.linalg.eigvalsh(herm)))
 
 
 def negative_definite_check(

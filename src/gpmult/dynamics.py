@@ -6,6 +6,13 @@ dimension and conjugates each target block by a unitary: output block k is
 element; validation checks the homomorphism property exhaustively on matrix
 units.  Automorphisms are never inverted numerically - words are inverted at
 the group level instead, so inverse actions come from inverse words.
+
+On central elements an automorphism only permutes the block scalars, through
+its index array ``_perm_inv``.  A word action on central elements is
+therefore one composed index array, I(l1...ln) = I(l2...ln)[_perm_inv(l1)];
+:class:`ActionSystem` memoizes it per letter tuple, building each entry from
+its memoized suffix, so applying a word to a central value is one fancy
+index.
 """
 
 from __future__ import annotations
@@ -91,7 +98,7 @@ class Automorphism:
         """Central elements only move with the block permutation."""
         if c.structure != self.structure:
             raise StructureMismatchError("element has wrong structure")
-        return CentralElement(self.structure, c.scalars[self._perm_inv])
+        return CentralElement._adopt(self.structure, c.scalars[self._perm_inv])
 
     def is_identity_map(self, tol: float = MAP_TOL) -> bool:
         for e in _matrix_units(self.structure):
@@ -195,6 +202,12 @@ class ActionSystem:
         self.tables = tables
         self.validated = False
         self.commutes_ok = None
+        self._word_perms: dict = {}
+        # _inverse_perms[v][g]: the index array of alpha_{(v, g)^-1} on central values
+        self._inverse_perms = tuple(
+            tuple(t.autos[t.group.inverse(g)]._perm_inv for g in range(t.group.order))
+            for t in tables
+        )
 
     def validate_actions(self, tol: float = MAP_TOL) -> None:
         for t in self.tables:
@@ -238,6 +251,30 @@ class ActionSystem:
             letters = tuple(x)
         return WordAction(self, letters)
 
+    def word_perm(self, letters: tuple) -> np.ndarray:
+        """Index array I with ``act_word(letters)`` mapping scalars c to c[I].
+
+        Built right to left by I(l1...ln) = I(l2...ln)[_perm_inv(l1)] from
+        the longest memoized suffix, memoizing every longer suffix on the way.
+        """
+        perms = self._word_perms
+        perm = perms.get(letters)
+        if perm is not None:
+            return perm
+        start = 1
+        while start < len(letters) and letters[start:] not in perms:
+            start += 1
+        perm = perms.get(letters[start:])
+        if perm is None:  # the empty word
+            perm = np.arange(self.structure.num_blocks, dtype=np.intp)
+            perm.flags.writeable = False
+        for i in range(min(start, len(letters)) - 1, -1, -1):
+            l = letters[i]
+            perm = perm[self.tables[l.vertex].autos[l.elem]._perm_inv]
+            perm.flags.writeable = False
+            perms[letters[i:]] = perm
+        return perm
+
 
 class WordAction:
     """Composition alpha_{l1} o alpha_{l2} o ... o alpha_{ln} for a letter word."""
@@ -254,9 +291,10 @@ class WordAction:
         return a
 
     def on_central(self, c: CentralElement) -> CentralElement:
-        for l in reversed(self.letters):
-            c = self.system.tables[l.vertex].autos[l.elem].apply_central(c)
-        return c
+        system = self.system
+        if c.structure != system.structure:
+            raise StructureMismatchError("element has wrong structure")
+        return CentralElement._adopt(c.structure, c.scalars[system.word_perm(self.letters)])
 
 
 # ----------------------------------------------------------------------

@@ -93,6 +93,10 @@ class NotPositiveError(GPMultError):
     code = "not_positive"
 
 
+class NotFiniteError(GPMultError):
+    code = "not_finite"
+
+
 # --- actions ---
 
 class NotHomomorphismError(GPMultError):

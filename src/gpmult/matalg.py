@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     NotCentralError,
+    NotFiniteError,
     NotHermitianError,
     StructureMismatchError,
 )
@@ -172,6 +173,19 @@ class CentralElement:
         object.__setattr__(self, "scalars", arr)
 
     @classmethod
+    def _adopt(cls, structure, scalars: np.ndarray) -> "CentralElement":
+        """Wrap a ``(K,)`` complex array the package has just computed.
+
+        Skips validation and the defensive copy: the caller owns ``scalars``
+        (a fresh arithmetic or fancy-index result), which is frozen in place.
+        """
+        obj = object.__new__(cls)
+        scalars.flags.writeable = False
+        object.__setattr__(obj, "structure", structure)
+        object.__setattr__(obj, "scalars", scalars)
+        return obj
+
+    @classmethod
     def one(cls, structure) -> "CentralElement":
         return cls(structure, np.ones(structure.num_blocks))
 
@@ -189,33 +203,38 @@ class CentralElement:
 
     def __add__(self, other):
         self._check(other)
-        return CentralElement(self.structure, self.scalars + other.scalars)
+        return CentralElement._adopt(self.structure, self.scalars + other.scalars)
 
     def __sub__(self, other):
         self._check(other)
-        return CentralElement(self.structure, self.scalars - other.scalars)
+        return CentralElement._adopt(self.structure, self.scalars - other.scalars)
 
     def __mul__(self, other):
         if isinstance(other, CentralElement):
             self._check(other)
-            return CentralElement(self.structure, self.scalars * other.scalars)
+            return CentralElement._adopt(self.structure, self.scalars * other.scalars)
         return CentralElement(self.structure, other * self.scalars)
 
     def __rmul__(self, scalar):
         return CentralElement(self.structure, scalar * self.scalars)
 
     def conj(self) -> "CentralElement":
-        return CentralElement(self.structure, self.scalars.conj())
+        return CentralElement._adopt(self.structure, self.scalars.conj())
 
     def norm(self) -> float:
-        return float(np.max(np.abs(self.scalars))) if self.scalars.size else 0.0
+        return float(np.abs(self.scalars).max()) if self.scalars.size else 0.0
 
     def maxabs_diff(self, other) -> float:
         self._check(other)
-        return float(np.max(np.abs(self.scalars - other.scalars)))
+        return float(np.abs(self.scalars - other.scalars).max())
 
     def __repr__(self):
         return f"CentralElement({list(self.scalars)})"
+
+
+def max_residual(worst: float, d: float) -> float:
+    """The larger of two residuals; NaN wins, so a NaN residual cannot pass."""
+    return d if d > worst or d != d else worst
 
 
 def central_exp(c: CentralElement) -> CentralElement:
@@ -305,7 +324,9 @@ def is_positive(m, tol: float = DEFAULT_POS_TOL, hermitian_tol: float | None = N
     within ``hermitian_tol`` (default: same as ``tol``) and rejected with
     ``NotHermitianError`` otherwise.  Returns ``(ok, lambda_min)`` where
     lambda_min is the smallest eigenvalue over all blocks and the test is
-    lambda_min >= -tol * (1 + largest |eigenvalue| over all blocks).
+    lambda_min >= -tol * (1 + largest |eigenvalue| over all blocks).  A
+    non-finite entry, or one whose symmetrization overflows, raises
+    ``NotFiniteError``: no eigensolve can certify it.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.size == 0:
@@ -313,12 +334,15 @@ def is_positive(m, tol: float = DEFAULT_POS_TOL, hermitian_tol: float | None = N
     if hermitian_tol is None:
         hermitian_tol = tol
     adj = m.conj().swapaxes(-1, -2)
+    herm = (m + adj) / 2.0
+    if not np.isfinite(herm).all():
+        raise NotFiniteError("matrix has a non-finite or overflowing entry", shape=m.shape)
     dev = float(np.max(np.abs(m - adj)))
     if dev > hermitian_tol:
         raise NotHermitianError(
             "matrix is not Hermitian within tolerance", deviation=dev, tol=hermitian_tol
         )
-    eigs = np.linalg.eigvalsh((m + adj) / 2.0)
+    eigs = np.linalg.eigvalsh(herm)
     lam_min = float(np.min(eigs[..., 0]))
     scale = float(np.max(np.abs(eigs)))
     return lam_min >= -tol * (1.0 + scale), lam_min

@@ -8,7 +8,10 @@ per vertex is evaluated on reduced words by twisting each letter's value with
 the inverse action of its right tail and multiplying; when the per-edge
 commutation requirements hold (adjacent actions commute as maps, and each
 vertex action fixes the multipliers of its neighbours), the value does not
-depend on the chosen rearrangement.
+depend on the chosen rearrangement.  On central values each twist is an
+index array, and one right-to-left pass builds all of them, each extending
+the next letter's array by one inverted letter, so an m-letter expression
+costs O(m) index operations.
 
 The kernel of a multiplier is ``K(x, y) = alpha_y(h(x^-1 y))``; positive
 definiteness of h is equivalent to positivity of all kernel matrices over
@@ -44,8 +47,9 @@ from .matalg import (
     CentralElement,
     central_stack,
     is_positive,
+    max_residual,
 )
-from .wordcraft import GPElement, Letter, WordContext
+from .wordcraft import GPElement, WordContext
 
 UNITAL_TOL = 1e-12
 COMMUTE_TOL = 1e-12
@@ -265,25 +269,33 @@ class MultiplierSystem:
         return cached
 
     def gp_value_letters(self, letters) -> CentralElement:
-        """Evaluate on one specific reduced expression.
+        """Evaluate on one specific reduced expression l_0 ... l_{m-1}.
 
-        Each letter's value is twisted by the action of its inverted right
-        tail, read as the raw sequence of inverted tail letters; central
-        actions permute block scalars exactly, so no tail is normalized.
+        Letter j is twisted by the action of its inverted right tail, the raw
+        letters (l_{m-1}^-1, ..., l_{j+1}^-1); no tail is normalized.  On
+        central values that action is the index array
+        I_j = p(l_{j+1}^-1)[I_{j+1}] (I_{m-1} the identity), so one
+        right-to-left pass builds every twist, and the twisted factors are
+        multiplied left to right.
         """
         letters = tuple(letters)
         if not letters:
             return CentralElement.one(self.structure)
-        groups = self.words.groups
-        inv = [Letter(l.vertex, groups[l.vertex].inverse(l.elem)) for l in letters]
-        out = None
-        for j, letter in enumerate(letters[:-1]):
-            factor = self.actions.act_word(inv[:j:-1]).on_central(
-                self.value_of_letter(letter)
-            )
-            out = factor if out is None else out * factor
         last = self.value_of_letter(letters[-1])
-        return last if out is None else out * last
+        if len(letters) == 1:
+            return last
+        inverse_perms = self.actions._inverse_perms
+        twisted = [None] * (len(letters) - 1)
+        idx = None
+        for j in range(len(letters) - 2, -1, -1):
+            after = letters[j + 1]
+            p = inverse_perms[after.vertex][after.elem]
+            idx = p if idx is None else p[idx]
+            twisted[j] = self.value_of_letter(letters[j]).scalars[idx]
+        out = twisted[0]
+        for factor in twisted[1:]:
+            out = out * factor
+        return CentralElement._adopt(self.structure, out * last.scalars)
 
     def kernel(self, x: GPElement, y: GPElement) -> CentralElement:
         return self._kernel.get(x, y)
@@ -295,19 +307,27 @@ class MultiplierSystem:
 
 
 class KernelTable:
-    """Lazy memoized kernel K(x, y) = alpha_y(h(x^-1 y))."""
+    """Lazy memoized kernel K(x, y) = alpha_y(h(x^-1 y)).
+
+    ``inverses`` memoizes x^-1 per x, so a row of the kernel inverts x once.
+    """
 
     def __init__(self, system: MultiplierSystem):
         self.system = system
         self.cache: dict = {}
+        self.inverses: dict = {}
 
     def get(self, x: GPElement, y: GPElement) -> CentralElement:
         key = (x.letters, y.letters)
         val = self.cache.get(key)
         if val is None:
-            words = self.system.words
-            z = words.multiply(words.inverse(x), y)
-            val = self.system.actions.act_word(y).on_central(self.system.gp_value(z))
+            system = self.system
+            words = system.words
+            x_inv = self.inverses.get(x.letters)
+            if x_inv is None:
+                x_inv = self.inverses[x.letters] = words.inverse(x)
+            z = words.multiply(x_inv, y)
+            val = system.actions.act_word(y).on_central(system.gp_value(z))
             self.cache[key] = val
         return val
 
@@ -361,7 +381,7 @@ def gp_well_defined(
         for r in words.rearrangements(x, budget=budget):
             n_exprs += 1
             dev = system.gp_value_letters(r).maxabs_diff(base)
-            if dev > worst:
+            if dev > worst or (dev != dev and worst == worst):  # the first NaN wins
                 worst = dev
                 witness = r
     return WellDefinedReport(
@@ -419,7 +439,7 @@ def haagerup_witness_ball(
     for x in ball:
         if in_F(x):
             continue
-        worst = max(worst, system.gp_value(x).norm())
+        worst = max_residual(worst, system.gp_value(x).norm())
     return WitnessReport(
         ok=worst < eps,
         max_off_norm=worst,

@@ -6,11 +6,14 @@ hypotheses a scenario does not meet are reported as *vacuous* rather than
 passed-by-silence; genuine computations record the certified quantity
 (smallest eigenvalue or worst residual) together with problem sizes and
 counts.  All randomness is drawn from seeded generators derived from the
-scenario seed, so reports are reproducible bit for bit.
+scenario seed, so reports are reproducible bit for bit.  A non-finite
+certified quantity fails its check and is reported as ``null`` with the
+reason under ``details.non_finite``, so reports stay strict JSON.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -28,10 +31,11 @@ from .cocycles import (
 from .errors import (
     BudgetExceededError,
     GPMultError,
+    NotFiniteError,
     NotPositiveError,
     NotUnitalError,
 )
-from .matalg import central_stack, is_positive
+from .matalg import central_stack, is_positive, max_residual
 from .multipliers import (
     MultiplierSystem,
     convention_flip,
@@ -77,6 +81,13 @@ class CheckResult:
     sizes: list = field(default_factory=list)
     counts: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
+    ms: float | None = field(default=None, repr=False, compare=False)  # wall time, for timing
+
+    def __post_init__(self):
+        # a non-finite certified quantity certifies nothing
+        for val in (self.lambda_min, self.residual):
+            if val is not None and not math.isfinite(val):
+                self.passed = False
 
     def to_json(self) -> dict:
         out = {
@@ -85,17 +96,34 @@ class CheckResult:
             "pass": bool(self.passed),
             "vacuous": bool(self.vacuous),
         }
-        if self.lambda_min is not None:
-            out["lambda_min"] = float(self.lambda_min)
-        if self.residual is not None:
-            out["residual"] = float(self.residual)
+        non_finite: dict = {}
+        for key in ("lambda_min", "residual"):
+            val = getattr(self, key)
+            if val is not None:
+                out[key] = _finite(float(val), key, non_finite)
         if self.sizes:
             out["sizes"] = self.sizes
         if self.counts:
             out["counts"] = self.counts
-        if self.details:
-            out["details"] = self.details
+        details = _finite(self.details, "details", non_finite)
+        if non_finite:
+            details = {**details, "non_finite": non_finite}
+        if details:
+            out["details"] = details
         return out
+
+
+def _finite(value, path: str, non_finite: dict):
+    """``value`` with every non-finite float replaced by None, each recorded
+    in ``non_finite`` under its path (its repr, e.g. "nan" or "inf")."""
+    if isinstance(value, float) and not math.isfinite(value):
+        non_finite[path] = repr(value)
+        return None
+    if isinstance(value, dict):
+        return {k: _finite(v, f"{path}/{k}", non_finite) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v, f"{path}/{i}", non_finite) for i, v in enumerate(value)]
+    return value
 
 
 def _failure(name, suite, err: GPMultError, **extra) -> CheckResult:
@@ -228,22 +256,20 @@ def verify_main_theorem(sc: Scenario, threads: int = 1) -> CheckResult:
 # kernel identity suite
 
 def verify_star_symmetry(sc: Scenario) -> CheckResult:
-    """K(x, y) = K(y, x)* over all pairs from the identity-check ball."""
+    """K(x, y) = K(y, x)* over all pairs from the identity-check ball.
+
+    The residual is max |G - G^H| over the blocks of the ball's kernel stack.
+    """
     sys_ = sc.system
     ball = sys_.words.ball(sc.identity_radius, budget=sc.budget)
-    worst = 0.0
-    n_pairs = 0
-    for x in ball:
-        for y in ball:
-            d = sys_.kernel(x, y).maxabs_diff(sys_.kernel(y, x).conj())
-            worst = max(worst, d)
-            n_pairs += 1
+    gram = sys_.kernel_matrix(ball)
+    worst = float(np.abs(gram - gram.conj().swapaxes(-1, -2)).max())
     return CheckResult(
         name="kernel-star-symmetry",
         suite="lemmas",
         passed=worst <= KERNEL_TOL,
         residual=worst,
-        counts={"pairs": n_pairs},
+        counts={"pairs": len(ball) ** 2},
     )
 
 
@@ -268,7 +294,7 @@ def verify_peel_off(sc: Scenario) -> CheckResult:
                 sys_.value_of_letter(r[0])
             )
             rhs = twisted * sys_.gp_value(tail)
-            worst = max(worst, sys_.gp_value_letters(r).maxabs_diff(rhs))
+            worst = max_residual(worst, sys_.gp_value_letters(r).maxabs_diff(rhs))
             n_checked += 1
     if n_checked == 0:
         return _vacuous(
@@ -301,16 +327,26 @@ def verify_drop_last(sc: Scenario) -> CheckResult:
         if not x.letters:
             continue
         x_inv = words.inverse(x)
+        heads = None  # (head, K(x, head)) per reduced expression of x, on first use
+        lhs, left, right = [], [], []  # one (K,) row per instance
         for y in ball:
             concat = x_inv.vertex_word + y.vertex_word
             if not words.is_reduced(concat):
                 continue
-            k_xy = sys_.kernel(x, y)
-            for r in words.rearrangements(x):
-                head = words._push(r[:-1])
-                rhs = sys_.kernel(x, head) * sys_.kernel(head, y)
-                worst = max(worst, k_xy.maxabs_diff(rhs))
-                n_checked += 1
+            if heads is None:
+                heads = []
+                for r in words.rearrangements(x):
+                    head = words._push(r[:-1])
+                    heads.append((head, sys_.kernel(x, head).scalars))
+            k_xy = sys_.kernel(x, y).scalars
+            for head, k_xh in heads:
+                lhs.append(k_xy)
+                left.append(k_xh)
+                right.append(sys_.kernel(head, y).scalars)
+        if lhs:
+            diff = np.array(lhs) - np.array(left) * np.array(right)
+            worst = max_residual(worst, float(np.abs(diff).max()))
+            n_checked += len(lhs)
     if n_checked == 0:
         return _vacuous(
             "drop-last-letter",
@@ -346,6 +382,7 @@ def verify_cross_terms(sc: Scenario) -> CheckResult:
         for x in with_v0:
             sf = forms[x]
             yc = words.multiply(sf.y, sf.c)
+            lhs, right = [], []  # one (K,) row per qualifying z
             for z in ball:
                 cond1 = nc_set[z] < nc_set[x]
                 cond2 = False
@@ -353,14 +390,15 @@ def verify_cross_terms(sc: Scenario) -> CheckResult:
                     cond2 = forms[z].y.vertex_word != sf.y.vertex_word
                 if not (cond1 or cond2):
                     continue
-                d = sys_.kernel(x, z).maxabs_diff(
-                    sys_.kernel(x, yc) * sys_.kernel(yc, z)
-                )
-                worst = max(worst, d)
+                lhs.append(sys_.kernel(x, z).scalars)
+                right.append(sys_.kernel(yc, z).scalars)
                 if cond1:
                     n1 += 1
                 else:
                     n2 += 1
+            if lhs:
+                diff = np.array(lhs) - sys_.kernel(x, yc).scalars * np.array(right)
+                worst = max_residual(worst, float(np.abs(diff).max()))
     if n1 == n2 == 0:
         return _vacuous(
             "cross-terms",
@@ -580,8 +618,20 @@ def verify_witness(sc: Scenario) -> CheckResult:
 # cocycle suite
 
 def verify_cocycles(sc: Scenario) -> list:
-    """Per-vertex module and cocycle checks, in the row-twisted convention."""
+    """Per-vertex module and cocycle checks, in the row-twisted convention.
+
+    Each result's ``ms`` is the wall time since the previous result.
+    """
     out = []
+    t_last = time.perf_counter()
+
+    def add(result: CheckResult) -> None:
+        nonlocal t_last
+        now = time.perf_counter()
+        result.ms = (now - t_last) * 1000.0
+        t_last = now
+        out.append(result)
+
     sys_ = sc.system
     graph = sys_.words.graph
     for v in range(graph.n):
@@ -592,13 +642,13 @@ def verify_cocycles(sc: Scenario) -> list:
         try:
             module = gns_build(h_row, table)
             coc = cocycle_build(module)
-        except (NotPositiveError, NotUnitalError) as err:
-            out.append(
+        except (NotFiniteError, NotPositiveError, NotUnitalError) as err:
+            add(
                 _failure(f"{prefix}/cocycle-identity", "cocycles", err)
             )
             continue
         res = cocycle_identity_residual(coc)
-        out.append(
+        add(
             CheckResult(
                 name=f"{prefix}/cocycle-identity",
                 suite="cocycles",
@@ -607,7 +657,7 @@ def verify_cocycles(sc: Scenario) -> list:
             )
         )
         res2 = squared_norm_residual(coc)
-        out.append(
+        add(
             CheckResult(
                 name=f"{prefix}/cocycle-norm-identity",
                 suite="cocycles",
@@ -631,7 +681,7 @@ def verify_cocycles(sc: Scenario) -> list:
             if prev is not None and gap > prev + 1e-12:
                 mono_ok = False
             prev = gap
-        out.append(
+        add(
             CheckResult(
                 name=f"{prefix}/schoenberg-positivity",
                 suite="cocycles",
@@ -645,7 +695,7 @@ def verify_cocycles(sc: Scenario) -> list:
             Q, table, trials=sc.nd_trials, seed=sc.seed + 7 * v
         )
         if rep.trials == 0 and rep.ok and module.group.order == 1:
-            out.append(
+            add(
                 _vacuous(
                     f"{prefix}/negative-definiteness",
                     "cocycles",
@@ -654,7 +704,7 @@ def verify_cocycles(sc: Scenario) -> list:
             )
             continue
         # with no trial drawn, exact_lambda_max alone certifies the check
-        out.append(
+        add(
             CheckResult(
                 name=f"{prefix}/negative-definiteness",
                 suite="cocycles",
@@ -691,36 +741,56 @@ def _guarded(name, suite, fn, *args, **kwargs):
         return _failure(name, suite, err)
 
 
-def run_suite(sc: Scenario, suite: str) -> list:
+def _suite_checks(suite: str) -> list:
+    """(name, check function) pairs of one suite, in report order.
+
+    The functions are looked up at call time, so wrappers installed on this
+    module's names take effect.
+    """
     if suite == "main":
         return [
-            _guarded("setup", "main", verify_setup, sc),
-            _guarded("product-well-defined", "main", verify_well_defined, sc),
-            _guarded("kernel-gram-positive", "main", verify_main_theorem, sc),
+            ("setup", verify_setup),
+            ("product-well-defined", verify_well_defined),
+            ("kernel-gram-positive", verify_main_theorem),
         ]
     if suite == "lemmas":
         return [
-            _guarded("kernel-star-symmetry", "lemmas", verify_star_symmetry, sc),
-            _guarded("peel-first-letter", "lemmas", verify_peel_off, sc),
-            _guarded("drop-last-letter", "lemmas", verify_drop_last, sc),
-            _guarded("cross-terms", "lemmas", verify_cross_terms, sc),
-            _guarded("schwarz-inequality", "lemmas", verify_schwarz, sc),
-            _guarded("shared-prefix-square-bound", "lemmas", verify_y1_square, sc),
+            ("kernel-star-symmetry", verify_star_symmetry),
+            ("peel-first-letter", verify_peel_off),
+            ("drop-last-letter", verify_drop_last),
+            ("cross-terms", verify_cross_terms),
+            ("schwarz-inequality", verify_schwarz),
+            ("shared-prefix-square-bound", verify_y1_square),
         ]
     if suite == "haagerup":
-        return [_guarded("haagerup-witness", "haagerup", verify_witness, sc)]
+        return [("haagerup-witness", verify_witness)]
     if suite == "cocycles":
-        result = _guarded("cocycle-modules", "cocycles", verify_cocycles, sc)
-        return result if isinstance(result, list) else [result]
+        return [("cocycle-modules", verify_cocycles)]
     raise ValueError(f"unknown suite {suite!r}")
+
+
+def run_suite(sc: Scenario, suite: str) -> list:
+    """Run one suite; every result carries its wall time in ``ms``."""
+    out = []
+    for name, fn in _suite_checks(suite):
+        t0 = time.perf_counter()
+        result = _guarded(name, suite, fn, sc)
+        if isinstance(result, list):  # the cocycle checks time themselves
+            out.extend(result)
+        else:
+            result.ms = (time.perf_counter() - t0) * 1000.0
+            out.append(result)
+    return out
 
 
 def run_all(sc: Scenario, suites=SUITES, threads: int = 1) -> dict:
     """Run the requested suites in order and assemble the JSON report.
 
     Wall-clock data lives only under the "timing" key so that the rest of
-    the report is reproducible byte for byte for a fixed seed.  ``threads``
-    is accepted for compatibility and has no effect.
+    the report is reproducible byte for byte for a fixed seed: per suite
+    (``suite_ms``), per check name (``check_ms``; names are unique within a
+    report) and in total.  ``threads`` is accepted for compatibility and has
+    no effect.
     """
     checks = []
     timing = {}
@@ -745,6 +815,7 @@ def run_all(sc: Scenario, suites=SUITES, threads: int = 1) -> dict:
     report["timing"] = {
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "suite_ms": timing,
+        "check_ms": {c.name: round(c.ms, 3) for c in checks},
         "total_ms": total_ms,
     }
     return report

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from gpmult.cli import _emit, main
@@ -182,3 +183,46 @@ def test_emit_refuses_non_finite_floats():
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValueError):
             _emit({"x": bad})
+
+
+@pytest.mark.parametrize(
+    "raw, shown",
+    [("NaN", "NaN"), ("Infinity", "Infinity"), ("-Infinity", "-Infinity"), ("1e400", "1e400")],
+)
+def test_non_finite_config_number_is_a_config_error(capsys, tmp_path, raw, shown):
+    cfg = load_free_pair()
+    cfg["multipliers"]["a"]["values"] = [1, "PLACEHOLDER"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"PLACEHOLDER"', raw))
+    code, out, err = run(capsys, ["verify", str(path), "--seed", "42"])
+    assert code == 2
+    assert out == ""
+    assert "config error at /multipliers/a/values/1" in err
+    assert f"non-finite number {shown}" in err
+    assert "Traceback" not in err
+
+
+def test_overflowing_multiplier_gives_a_strict_json_report(capsys, tmp_path):
+    """Finite values whose products overflow: typed failures, null residuals."""
+    cfg = load_free_pair()
+    cfg["multipliers"]["a"]["values"] = [1, 1e308]
+    out_path = tmp_path / "report.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, err = run(
+            capsys,
+            ["verify", write_config(tmp_path, cfg), "--seed", "42", "--out", str(out_path)],
+        )
+    assert code == 1
+    assert "Traceback" not in err
+    report = json.loads(out_path.read_text(), parse_constant=_reject_constant)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert report["pass"] is False
+    for name in ("setup", "kernel-gram-positive", "vertex-a/cocycle-identity"):
+        assert checks[name]["pass"] is False
+        assert checks[name]["details"]["error"] == "not_finite"
+    # residuals that overflow are null with a reason, and fail
+    for name in ("product-well-defined", "kernel-star-symmetry", "drop-last-letter", "cross-terms"):
+        assert checks[name]["pass"] is False
+        assert checks[name]["residual"] is None
+        assert checks[name]["details"]["non_finite"] == {"residual": "nan"}
+    assert checks["vertex-b/negative-definiteness"]["pass"] is True

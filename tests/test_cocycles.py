@@ -25,7 +25,7 @@ from gpmult.dynamics import (
     block_permutation_action,
     trivial_action,
 )
-from gpmult.errors import NotPositiveError, NotUnitalError
+from gpmult.errors import NotFiniteError, NotPositiveError, NotUnitalError
 from gpmult.graphgroup import cyclic_group, dihedral_group
 from gpmult.matalg import AlgebraElement, BlockStructure, CentralElement, embed_central
 from gpmult.multipliers import Multiplier, convention_flip
@@ -192,6 +192,14 @@ def test_negative_definite_check_rejects_positive_definite_function():
     assert not rep.ok
     assert rep.worst_margin > 1.0
     assert rep.exact_lambda_max > 0
+
+
+def test_negative_definite_check_rejects_an_overflowing_form():
+    z2 = cyclic_group(2)
+    psi = [embed_central(CentralElement(SCALAR, [v])) for v in (0.0, 1.7e308)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NotFiniteError):
+            negative_definite_check(psi, trivial_action(z2, SCALAR), trials=0)
 
 
 def test_negative_definite_check_sweep_mode():

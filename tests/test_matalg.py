@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from gpmult.cli import build_scenario, load_config
-from gpmult.errors import NotCentralError, NotHermitianError, StructureMismatchError
+from gpmult.errors import (
+    NotCentralError,
+    NotFiniteError,
+    NotHermitianError,
+    StructureMismatchError,
+)
 from gpmult.matalg import (
     AlgebraElement,
     BlockStructure,
@@ -84,6 +89,22 @@ def test_is_positive_two_by_two_hand_values():
 def test_is_positive_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
         is_positive(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[1.0, np.nan], [np.nan, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+        [[1.0, 1e308], [1e308, 1.0]],  # finite, but M + M* overflows
+        [[[1.0, 0.0], [0.0, 1.0]], [[1.0, -np.inf], [-np.inf, 1.0]]],  # one block of a stack
+    ],
+)
+def test_is_positive_rejects_non_finite_entries(m):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NotFiniteError) as info:
+            is_positive(np.array(m))
+    assert info.value.code == "not_finite"
 
 
 def test_is_positive_relative_tolerance():

@@ -49,7 +49,7 @@ def test_free_pair_passes_everything(free_pair_report):
     # one cocycle block per vertex
     assert "vertex-a/cocycle-identity" in names
     assert "vertex-b/negative-definiteness" in names
-    assert sorted(rep["timing"]) == ["generated_at", "suite_ms", "total_ms"]
+    assert sorted(rep["timing"]) == ["check_ms", "generated_at", "suite_ms", "total_ms"]
     assert rep["config"]["name"] == "free_pair_z2"
 
 
@@ -239,6 +239,31 @@ def test_check_result_json_omits_empty_fields():
     c = CheckResult(name="x", suite="main", passed=True)
     out = c.to_json()
     assert sorted(out) == ["name", "pass", "suite", "vacuous"]
+
+
+def test_check_result_reports_non_finite_quantities_as_null_with_a_reason():
+    c = CheckResult(
+        name="x",
+        suite="lemmas",
+        passed=True,
+        residual=float("nan"),
+        details={"bound": float("-inf"), "grid": [1.0, float("inf")]},
+    )
+    assert c.passed is False
+    out = c.to_json()
+    json.dumps(out, allow_nan=False)
+    assert out["pass"] is False
+    assert out["residual"] is None
+    assert out["details"]["bound"] is None
+    assert out["details"]["grid"] == [1.0, None]
+    assert out["details"]["non_finite"] == {
+        "residual": "nan",
+        "details/bound": "-inf",
+        "details/grid/1": "inf",
+    }
+    finite = CheckResult(name="y", suite="main", passed=True, lambda_min=0.5)
+    assert finite.passed is True
+    assert "details" not in finite.to_json()
 
 
 def test_scenario_defaults():
