@@ -612,7 +612,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as err:
-        print(f"config error at {err.pointer}: {err}", file=sys.stderr)
+        print(f"config error at {err.pointer}: {err.args[0]}", file=sys.stderr)
         return 2
     except BudgetExceededError as err:
         print(f"budget exceeded: {err}", file=sys.stderr)

@@ -10,13 +10,17 @@ row-convention multipliers - flip package-default ones first.
 The module of a row-convention positive definite h on a finite group G is
 represented concretely by its Gram matrix ``gram[s, t] = alpha_s(h(s^-1 t))``
 over the full group (no null-space quotient is formed; all identities are
-checked through inner products).  The left regular vectors
-``(u_s v)(t) = alpha_s(v(s^-1 t))`` act unitarily for the twisted form, and
-for unital h the vector xi = delta_e has ``<u_s xi | xi> = h(s)``.  The
-associated cocycle ``b(s) = xi - u_s xi`` satisfies b(st) = b(s) + u_s b(t)
-and ``<b(s)|b(s)> = 2 - h(s) - h(s)*``.
+checked through inner products).  Every quantity on this path is central:
+xi = delta_e has coefficient 1 and alpha_s(1) = 1.  So the Gram matrix is an
+``(n, n, K)`` array of block scalars, a vector is an ``(n, K)`` array, and
+the left regular action ``(u_s v)(t) = alpha_s(v(s^-1 t))`` is one fancy
+index by the group table and the block permutation of alpha_s.  It acts
+unitarily for the twisted form (``<u_s f|u_s g> = alpha_s(<f|g>)``), and
+for unital h the vector xi has ``<u_s xi | xi> = h(s)``.  The associated
+cocycle ``b(s) = xi - u_s xi`` satisfies b(st) = b(s) + u_s b(t) and
+``Q(s) = <b(s)|b(s)> = 2 - h(s) - h(s)*``.
 
-Negative definiteness of psi = <b|b> (Schoenberg: every exp(-t psi) is then
+Negative definiteness of psi = Q (Schoenberg: every exp(-t psi) is then
 positive definite) is checked on the twisted matrix
 ``M_ij = alpha_{g_i}(psi(g_i^-1 g_j))``, one ``(n, n, d_k, d_k)`` stack per
 block.  Seeded random sum-zero coefficients are drawn and evaluated in fixed
@@ -32,23 +36,13 @@ import numpy as np
 
 from .dynamics import ActionTable
 from .errors import (
-    NotCentralError,
     NotFiniteError,
     NotPositiveError,
     NotUnitalError,
     StructureMismatchError,
     SupportEscapeError,
 )
-from .matalg import (
-    AlgebraElement,
-    CentralElement,
-    central_exp,
-    central_stack,
-    embed_central,
-    extract_central,
-    is_central,
-    is_positive,
-)
+from .matalg import CentralElement, is_positive
 from .multipliers import Multiplier, convention_flip, is_positive_definite
 
 
@@ -56,72 +50,48 @@ class GNSModule:
     """Inner-product module of a row-convention positive definite multiplier.
 
     The support is always the whole (finite) group, so the twisted left
-    regular action never escapes it.
+    regular action never escapes it.  ``src[s, t] = s^-1 t`` and
+    ``perm[s]`` is the index array of alpha_s on block scalars.
     """
 
-    def __init__(self, h: Multiplier, table: ActionTable, gram, lambda_min: float):
+    def __init__(self, h: Multiplier, table: ActionTable):
+        group = h.group
         self.h = h
         self.table = table
-        self.group = h.group
+        self.group = group
         self.structure = h.structure
-        self.gram = gram  # grid of CentralElement
-        self.gram_embedded = [[embed_central(c) for c in row] for row in gram]
-        self.lambda_min = lambda_min
+        self.src = group.table[group.inv]
+        self.perm = np.array([a._perm_inv for a in table.autos])
+        hv = np.array([v.scalars for v in h.values])
+        self.gram = hv[self.src[:, :, None], self.perm[:, None, :]]
+        self.lambda_min = None  # set once gns_build has certified the Gram matrix
 
     # -- vectors --
 
-    def delta(self, g: int, coeff: AlgebraElement | None = None) -> "ModuleVector":
-        if coeff is None:
-            coeff = AlgebraElement.identity(self.structure)
-        coeffs = [AlgebraElement.zero(self.structure) for _ in range(self.group.order)]
-        coeffs[g] = coeff
-        return ModuleVector(self, tuple(coeffs))
+    def delta(self, g: int) -> np.ndarray:
+        v = np.zeros((self.group.order, self.structure.num_blocks), dtype=np.complex128)
+        v[g] = 1.0
+        return v
 
-    def inner(self, f: "ModuleVector", g: "ModuleVector") -> AlgebraElement:
-        """Twisted form <f|g> = sum_{s,t} g(s)* gram[s,t] f(t)."""
-        out = AlgebraElement.zero(self.structure)
+    def inner(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Twisted form <f|g> = sum_{s,t} g(s)* gram[s,t] f(t), per block."""
+        out = np.zeros(self.structure.num_blocks, dtype=np.complex128)
         for s in range(self.group.order):
-            gs = g.coeffs[s].adjoint()
+            gs = g[s].conj()
             for t in range(self.group.order):
-                out = out + gs * self.gram_embedded[s][t] * f.coeffs[t]
+                out = out + gs * self.gram[s, t] * f[t]
         return out
 
-    def u_action(self, s: int, v: "ModuleVector") -> "ModuleVector":
-        """(u_s v)(t) = alpha_s(v(s^-1 t)); unitary for the twisted form."""
-        if v.module is not self:
-            raise StructureMismatchError("vector from a different module")
+    def u_action(self, s: int, v: np.ndarray) -> np.ndarray:
+        """(u_s v)(t) = alpha_s(v(s^-1 t)), so <u_s f|u_s g> = alpha_s(<f|g>).
+
+        ``v`` is one ``(n, K)`` vector or a stack of them.
+        """
+        if v.shape[-2:] != self.gram.shape[1:]:
+            raise StructureMismatchError("vector has the wrong shape", shape=v.shape)
         if not (0 <= s < self.group.order):
             raise SupportEscapeError("group element outside the support", element=s)
-        s_inv = self.group.inverse(s)
-        auto = self.table.autos[s]
-        coeffs = [
-            auto.apply(v.coeffs[self.group.mul(s_inv, t)])
-            for t in range(self.group.order)
-        ]
-        return ModuleVector(self, tuple(coeffs))
-
-
-@dataclass(frozen=True, eq=False)
-class ModuleVector:
-    """Finitely supported A-valued function on the group, as a coefficient tuple."""
-
-    module: GNSModule
-    coeffs: tuple
-
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        return ModuleVector(
-            self.module, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        return ModuleVector(
-            self.module, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def maxabs_diff(self, other: "ModuleVector") -> float:
-        return max(
-            a.maxabs_diff(b) for a, b in zip(self.coeffs, other.coeffs)
-        )
+        return v[..., self.src[s], :][..., self.perm[s]]
 
 
 def gns_build(h: Multiplier, table: ActionTable, tol: float = 1e-9) -> GNSModule:
@@ -132,34 +102,29 @@ def gns_build(h: Multiplier, table: ActionTable, tol: float = 1e-9) -> GNSModule
     """
     if table.group is not h.group or table.structure != h.structure:
         raise StructureMismatchError("multiplier and action do not match")
-    n = h.group.order
-    gram = []
-    for s in range(n):
-        row = []
-        for t in range(n):
-            g = h.group.mul(h.group.inverse(s), t)
-            row.append(table.autos[s].apply_central(h.values[g]))
-        gram.append(row)
-    ok, lam = is_positive(central_stack(h.structure, gram), tol=tol, hermitian_tol=1e-8)
+    module = GNSModule(h, table)
+    ok, lam = is_positive(np.moveaxis(module.gram, -1, 0), tol=tol, hermitian_tol=1e-8)
     if not ok:
         raise NotPositiveError(
             "Gram matrix of the multiplier is not positive", lambda_min=lam
         )
-    return GNSModule(h, table, gram, lam)
+    module.lambda_min = lam
+    return module
 
 
 class Cocycle:
-    """b(s) = xi - u_s xi for xi = delta_e, defined for unital multipliers."""
+    """b(s) = xi - u_s xi for xi = delta_e, defined for unital multipliers.
+
+    ``b`` is the ``(n, n, K)`` stack of the vectors b(s) and ``Q[s]`` the
+    block scalars of <b(s)|b(s)>.
+    """
 
     def __init__(self, module: GNSModule):
         self.module = module
         self.xi = module.delta(module.group.identity)
-        self.b = tuple(
-            self.xi - module.u_action(s, self.xi) for s in range(module.group.order)
-        )
-
-    def squared_norm(self, s: int) -> AlgebraElement:
-        return self.module.inner(self.b[s], self.b[s])
+        n = module.group.order
+        self.b = np.stack([self.xi - module.u_action(s, self.xi) for s in range(n)])
+        self.Q = np.array([module.inner(bs, bs) for bs in self.b])
 
 
 def cocycle_build(module: GNSModule) -> Cocycle:
@@ -174,23 +139,15 @@ def cocycle_identity_residual(c: Cocycle) -> float:
     mod = c.module
     worst = 0.0
     for s in range(mod.group.order):
-        for t in range(mod.group.order):
-            st = mod.group.mul(s, t)
-            rhs = c.b[s] + mod.u_action(s, c.b[t])
-            worst = max(worst, c.b[st].maxabs_diff(rhs))
+        rhs = c.b[s] + mod.u_action(s, c.b)  # row t: b(s) + u_s b(t)
+        worst = max(worst, float(np.max(np.abs(c.b[mod.group.table[s]] - rhs))))
     return worst
 
 
 def squared_norm_residual(c: Cocycle) -> float:
     """Worst deviation of <b(s)|b(s)> from 2 - h(s) - h(s)* over the group."""
-    mod = c.module
-    one = AlgebraElement.identity(mod.structure)
-    worst = 0.0
-    for s in range(mod.group.order):
-        hs = embed_central(mod.h.values[s])
-        expected = 2.0 * one - hs - hs.adjoint()
-        worst = max(worst, c.squared_norm(s).maxabs_diff(expected))
-    return worst
+    hv = np.array([v.scalars for v in c.module.h.values])
+    return float(np.max(np.abs(c.Q - (2.0 - hv - hv.conj()))))
 
 
 @dataclass
@@ -323,43 +280,14 @@ def negative_definite_check(
     )
 
 
-def schoenberg_multiplier(c: Cocycle, t: float) -> Multiplier:
-    """The row-convention multiplier s -> exp(-t Q(s)^2), Q(s) = <b(s)|b(s)>.
-
-    Requires every Q(s) to be central (automatic when the cocycle comes from
-    a central-valued multiplier); raises ``NotCentralError`` otherwise.
-    """
-    mod = c.module
-    vals = []
-    for s in range(mod.group.order):
-        q = c.squared_norm(s)
-        if not is_central(q):
-            raise NotCentralError("squared norm is not central", element=s)
-        qc = extract_central(q)
-        vals.append(central_exp(-t * (qc * qc)))
-    return Multiplier(mod.group, mod.structure, tuple(vals))
+def schoenberg_multiplier(c: Cocycle, t: float) -> np.ndarray:
+    """The ``(n, K)`` block scalars of s -> exp(-t Q(s)^2), row convention."""
+    return np.exp(-t * (c.Q * c.Q))
 
 
 def schoenberg_is_pd(c: Cocycle, t: float, tol: float = 1e-9):
     """Positivity of the Schoenberg multiplier, in the row convention."""
-    h = schoenberg_multiplier(c, t)
-    return is_positive_definite(convention_flip(h), c.module.table, tol=tol)
-
-
-def spectral_gap(q_values, group) -> dict:
-    """Smallest block scalar (real part) of each positive central value.
-
-    ``q_values`` maps group elements to :class:`CentralElement`; the result
-    maps each element to its gap, and growing gaps off finite sets witness
-    properness of the associated function.
-    """
-    out = {}
-    for g in range(group.order):
-        q = q_values[g]
-        out[g] = float(np.min(q.scalars.real)) if q.scalars.size else 0.0
-    return out
-
-
-def sublevel(gaps: dict, radius: float):
-    """Elements whose gap does not exceed the radius, sorted."""
-    return sorted(g for g, v in gaps.items() if v <= radius)
+    mod = c.module
+    vals = tuple(CentralElement(mod.structure, v) for v in schoenberg_multiplier(c, t))
+    h = Multiplier(mod.group, mod.structure, vals)
+    return is_positive_definite(convention_flip(h), mod.table, tol=tol)

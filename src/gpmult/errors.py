@@ -85,10 +85,6 @@ class NotHermitianError(GPMultError):
     code = "not_hermitian"
 
 
-class NotCentralError(GPMultError):
-    code = "not_central"
-
-
 class NotPositiveError(GPMultError):
     code = "not_positive"
 

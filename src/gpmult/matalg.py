@@ -19,14 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    NotCentralError,
     NotFiniteError,
     NotHermitianError,
     StructureMismatchError,
 )
 
 DEFAULT_POS_TOL = 1e-9
-DEFAULT_CENTRAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -237,34 +235,10 @@ def max_residual(worst: float, d: float) -> float:
     return d if d > worst or d != d else worst
 
 
-def central_exp(c: CentralElement) -> CentralElement:
-    """Entrywise exponential, which is exp of the central element."""
-    return CentralElement(c.structure, np.exp(c.scalars))
-
-
 def embed_central(c: CentralElement) -> AlgebraElement:
     return AlgebraElement(
         c.structure,
         [z * np.eye(d) for z, d in zip(c.scalars, c.structure.block_dims)],
-    )
-
-
-def is_central(a: AlgebraElement, tol: float = DEFAULT_CENTRAL_TOL) -> bool:
-    """Whether every block is within tol (Frobenius) of a scalar matrix."""
-    for b, d in zip(a.blocks, a.structure.block_dims):
-        z = np.trace(b) / d
-        if float(np.linalg.norm(b - z * np.eye(d))) > tol:
-            return False
-    return True
-
-
-def extract_central(a: AlgebraElement, tol: float = DEFAULT_CENTRAL_TOL) -> CentralElement:
-    """Project a (numerically) central element onto its block scalars."""
-    if not is_central(a, tol):
-        raise NotCentralError("element is not central within tolerance", tol=tol)
-    return CentralElement(
-        a.structure,
-        np.array([np.trace(b) / d for b, d in zip(a.blocks, a.structure.block_dims)]),
     )
 
 

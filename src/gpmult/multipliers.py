@@ -54,7 +54,6 @@ from .wordcraft import GPElement, WordContext
 UNITAL_TOL = 1e-12
 COMMUTE_TOL = 1e-12
 WELL_DEFINED_TOL = 1e-10
-HERMITIAN_ID_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,19 +152,6 @@ def convention_flip(h: Multiplier) -> Multiplier:
     """
     vals = [h.values[h.group.inverse(g)].conj() for g in range(h.group.order)]
     return Multiplier(h.group, h.structure, tuple(vals))
-
-
-def hermitian_identity_check(h: Multiplier, table: ActionTable) -> float:
-    """Largest deviation in h(a^-1)* = alpha_a(h(a)) over the group.
-
-    Zero (up to roundoff) for every positive definite multiplier.
-    """
-    worst = 0.0
-    for a in range(h.group.order):
-        lhs = h.values[h.group.inverse(a)].conj()
-        rhs = table.autos[a].apply_central(h.values[a])
-        worst = max(worst, lhs.maxabs_diff(rhs))
-    return worst
 
 
 def unitalize(h: Multiplier, tol: float = 1e-12) -> Multiplier:

@@ -35,7 +35,7 @@ from .errors import (
     NotPositiveError,
     NotUnitalError,
 )
-from .matalg import central_stack, is_positive, max_residual
+from .matalg import CentralElement, central_stack, embed_central, is_positive, max_residual
 from .multipliers import (
     MultiplierSystem,
     convention_flip,
@@ -674,10 +674,7 @@ def verify_cocycles(sc: Scenario) -> list:
             ok, lam = schoenberg_is_pd(coc, t)
             sch_ok = sch_ok and ok
             lam_worst = min(lam_worst, lam)
-            vals = schoenberg_multiplier(coc, t)
-            gap = max(
-                float(np.max(np.abs(1.0 - val.scalars))) for val in vals.values
-            )
+            gap = float(np.max(np.abs(1.0 - schoenberg_multiplier(coc, t))))
             if prev is not None and gap > prev + 1e-12:
                 mono_ok = False
             prev = gap
@@ -690,7 +687,7 @@ def verify_cocycles(sc: Scenario) -> list:
                 details={"t_grid": ts, "monotone": mono_ok},
             )
         )
-        Q = [coc.squared_norm(s) for s in range(module.group.order)]
+        Q = [embed_central(CentralElement(module.structure, q)) for q in coc.Q]
         rep = negative_definite_check(
             Q, table, trials=sc.nd_trials, seed=sc.seed + 7 * v
         )

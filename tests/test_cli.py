@@ -198,6 +198,7 @@ def test_non_finite_config_number_is_a_config_error(capsys, tmp_path, raw, shown
     assert code == 2
     assert out == ""
     assert "config error at /multipliers/a/values/1" in err
+    assert err.count("/multipliers/a/values/1") == 1  # the pointer is not repeated
     assert f"non-finite number {shown}" in err
     assert "Traceback" not in err
 

@@ -1,4 +1,10 @@
-"""Modules, cocycles, Schoenberg multipliers, negative definiteness."""
+"""Modules, cocycles, Schoenberg multipliers, negative definiteness.
+
+The package runs the module layer on ``(n, K)`` arrays of block scalars.
+The generic ``AlgebraElement`` module layer it replaced is kept below as the
+oracle: dense blocks, vectors as coefficient lists, the action applied with
+its unitaries, and the Gram matrix certified in its flattened layout.
+"""
 
 from pathlib import Path
 
@@ -15,19 +21,33 @@ from gpmult.cocycles import (
     negative_definite_check,
     schoenberg_is_pd,
     schoenberg_multiplier,
-    spectral_gap,
     squared_norm_residual,
-    sublevel,
 )
 from gpmult.dynamics import (
     ActionTable,
     Automorphism,
     block_permutation_action,
+    diagonal_phase_action,
     trivial_action,
+    validate_action,
 )
-from gpmult.errors import NotFiniteError, NotPositiveError, NotUnitalError
+from gpmult.errors import (
+    GPMultError,
+    NotFiniteError,
+    NotPositiveError,
+    NotUnitalError,
+    StructureMismatchError,
+    SupportEscapeError,
+)
 from gpmult.graphgroup import cyclic_group, dihedral_group
-from gpmult.matalg import AlgebraElement, BlockStructure, CentralElement, embed_central
+from gpmult.matalg import (
+    AlgebraElement,
+    BlockStructure,
+    CentralElement,
+    OperatorMatrix,
+    embed_central,
+    is_positive,
+)
 from gpmult.multipliers import Multiplier, convention_flip
 
 SCALAR = BlockStructure((1,))
@@ -49,13 +69,23 @@ def z4_module():
     return h, gns_build(h, trivial_action(z4, SCALAR))
 
 
+def as_coefficients(structure, v):
+    """An ``(n, K)`` array of block scalars as a list of algebra elements."""
+    return [embed_central(CentralElement(structure, x)) for x in v]
+
+
+def squared_norms(c):
+    """The cocycle's Q(s) as algebra elements, as the cocycle suite passes them."""
+    return as_coefficients(c.module.structure, c.Q)
+
+
 def test_gram_matches_classical_circulant():
     """With trivial action on C the Gram matrix is the classical [h(s^-1 t)]."""
     h, mod = z4_module()
     hv = np.array([1.0, 0.5, 0.2, 0.5])
     classical = np.array([[hv[(t - s) % 4] for t in range(4)] for s in range(4)])
-    got = np.array([[mod.gram[s][t].scalars[0] for t in range(4)] for s in range(4)])
-    assert np.max(np.abs(classical - got)) == 0.0
+    assert mod.gram.shape == (4, 4, 1)
+    assert np.max(np.abs(classical - mod.gram[:, :, 0])) == 0.0
     # smallest circulant eigenvalue, also the smallest DFT value of h
     assert abs(mod.lambda_min - 0.2) < 1e-12
     assert abs(mod.lambda_min - np.fft.fft(hv).real.min()) < 1e-12
@@ -73,22 +103,35 @@ def test_vector_of_identity_represents_h():
     hv = [1.0, 0.5, 0.2, 0.5]
     for s in range(4):
         v = mod.inner(mod.u_action(s, c.xi), c.xi)
-        assert abs(v.dense()[0, 0] - hv[s]) < 1e-14
+        assert v.shape == (1,)
+        assert abs(v[0] - hv[s]) < 1e-14
 
 
 def test_u_action_preserves_the_form():
     _, mod = z4_module()
     f, g = mod.delta(1), mod.delta(2)
     lhs = mod.inner(mod.u_action(3, f), mod.u_action(3, g))
-    assert lhs.maxabs_diff(mod.inner(f, g)) < 1e-14
+    assert np.max(np.abs(lhs - mod.inner(f, g))) < 1e-14
+
+
+def test_u_action_rejects_elements_and_vectors_outside_the_module():
+    """A negative index would otherwise wrap around to another element."""
+    _, mod = z4_module()
+    v = mod.delta(1)
+    for s in (-1, 4):
+        with pytest.raises(SupportEscapeError):
+            mod.u_action(s, v)
+    with pytest.raises(StructureMismatchError):
+        mod.u_action(1, np.zeros((3, 1), dtype=complex))
 
 
 def test_cocycle_residuals_vanish():
     _, mod = z4_module()
     c = cocycle_build(mod)
+    assert c.b.shape == (4, 4, 1) and c.Q.shape == (4, 1)
     assert cocycle_identity_residual(c) <= 1e-12
     assert squared_norm_residual(c) <= 1e-12
-    assert np.max(np.abs(c.squared_norm(0).dense())) == 0.0  # b(e) = 0
+    assert np.max(np.abs(c.Q[0])) == 0.0  # b(e) = 0
 
 
 def test_cocycle_needs_unital_multiplier():
@@ -107,20 +150,7 @@ def test_cocycle_on_block_swapping_action():
     c = cocycle_build(gns_build(h, swap))
     assert cocycle_identity_residual(c) <= 1e-12
     assert squared_norm_residual(c) <= 1e-12
-    assert np.allclose(c.squared_norm(1).dense().diagonal(), [1.2, 1.2])  # 2 - 2 h(g)
-
-
-def test_spectral_gap_and_sublevel():
-    _, mod = z4_module()
-    c = cocycle_build(mod)
-    qc = [
-        CentralElement(SCALAR, np.array([c.squared_norm(s).dense()[0, 0]], dtype=complex))
-        for s in range(4)
-    ]
-    gaps = spectral_gap(qc, mod.group)
-    assert gaps == {0: 0.0, 1: 1.0, 2: pytest.approx(1.6), 3: 1.0}
-    assert sublevel(gaps, 0.5) == [0]
-    assert sublevel(gaps, 1.1) == [0, 1, 3]
+    assert np.allclose(c.Q[1], [1.2, 1.2])  # 2 - 2 h(g)
 
 
 def test_schoenberg_values_and_positivity():
@@ -129,7 +159,8 @@ def test_schoenberg_values_and_positivity():
     sm = schoenberg_multiplier(c, 0.5)
     hv = np.array([1.0, 0.5, 0.2, 0.5])
     expected = np.exp(-0.5 * (2 - 2 * hv) ** 2)
-    got = np.array([sm.values[g].scalars[0].real for g in range(4)])
+    assert sm.shape == (4, 1)
+    got = sm[:, 0].real
     assert np.max(np.abs(got - expected)) < 1e-14
     ok, lam = schoenberg_is_pd(c, 0.5)
     assert ok
@@ -143,10 +174,7 @@ def test_schoenberg_tends_to_one_monotonically():
     c = cocycle_build(gns_build(h, trivial_action(z3, SCALAR)))
     prev_gap = np.inf
     for t in (10.0, 1.0, 0.1, 0.01):
-        sm = schoenberg_multiplier(c, t)
-        gap = max(
-            float(np.max(np.abs(sm.values[g].scalars - 1.0))) for g in range(3)
-        )
+        gap = float(np.max(np.abs(schoenberg_multiplier(c, t) - 1.0)))
         ok, _ = schoenberg_is_pd(c, t)
         assert ok
         assert gap <= prev_gap + 1e-12
@@ -165,7 +193,7 @@ def test_schoenberg_square_is_not_pd_for_uneven_gaps():
     ok, lam = schoenberg_is_pd(c, 0.1)
     assert not ok
     assert lam < -0.03
-    q = np.array([c.squared_norm(s).dense()[0, 0].real for s in range(4)])
+    q = c.Q[:, 0].real
     assert np.allclose(q, [0.0, 1.0, 1.6, 1.0])
     for t in (0.01, 0.1, 1.0, 10.0):
         assert np.fft.fft(np.exp(-t * q)).real.min() > -1e-12
@@ -175,8 +203,9 @@ def test_negative_definite_check_accepts_squared_norms():
     z4 = cyclic_group(4)
     _, mod = z4_module()
     c = cocycle_build(mod)
-    psi = [c.squared_norm(s) for s in range(4)]
-    rep = negative_definite_check(psi, trivial_action(z4, SCALAR), trials=200, seed=5)
+    rep = negative_definite_check(
+        squared_norms(c), trivial_action(z4, SCALAR), trials=200, seed=5
+    )
     assert rep.ok
     assert rep.worst_margin < 0  # strictly inside for these coefficients
     assert rep.symmetry_deviation == 0.0
@@ -206,8 +235,7 @@ def test_negative_definite_check_sweep_mode():
     z4 = cyclic_group(4)
     _, mod = z4_module()
     c = cocycle_build(mod)
-    psi = [c.squared_norm(s) for s in range(4)]
-    rep = negative_definite_check(psi, trivial_action(z4, SCALAR), mode="sweep")
+    rep = negative_definite_check(squared_norms(c), trivial_action(z4, SCALAR), mode="sweep")
     assert rep.ok
     assert rep.trials == 6  # one matrix unit, six element pairs
     assert abs(rep.worst_margin + 2.0) < 1e-12
@@ -254,8 +282,7 @@ def test_exact_certificate_matches_the_circulant_spectrum():
     z4 = cyclic_group(4)
     _, mod = z4_module()
     c = cocycle_build(mod)
-    psi = [c.squared_norm(s) for s in range(4)]
-    rep = negative_definite_check(psi, trivial_action(z4, SCALAR), trials=1, seed=5)
+    rep = negative_definite_check(squared_norms(c), trivial_action(z4, SCALAR), trials=1, seed=5)
     q = [0.0, 1.0, 1.6, 1.0]
     assert abs(rep.exact_lambda_max - np.fft.fft(q).real[1:].max()) < 1e-12
     assert abs(rep.exact_lambda_max + 0.4) < 1e-12
@@ -353,8 +380,7 @@ def vertex_functions(name):
         h = convention_flip(sc.system.multipliers[v])
         table = sc.system.actions.tables[v]
         try:
-            coc = cocycle_build(gns_build(h, table))
-            psi = [coc.squared_norm(s) for s in range(h.group.order)]
+            psi = squared_norms(cocycle_build(gns_build(h, table)))
             built = True
         except (NotPositiveError, NotUnitalError):
             one = AlgebraElement.identity(h.structure)
@@ -449,3 +475,200 @@ def test_negative_definite_check_matches_reference(case):
     scale = max(float(np.max(np.abs(b))) for x in psi for b in x.blocks)
     if rep.exact_lambda_max < -1e-9 * scale:
         assert rep.worst_margin <= 1e-9 * scale
+
+
+# ----------------------------------------------------------------------
+# the AlgebraElement module layer, kept as the oracle
+
+
+class OracleModule:
+    """Module of a row-convention multiplier with dense algebra coefficients.
+
+    A vector is a list of one :class:`AlgebraElement` per group element; the
+    action applies each automorphism with its unitaries, and the Gram matrix
+    is certified in its flattened ``(nT) x (nT)`` layout.
+    """
+
+    def __init__(self, h, table, tol=1e-9):
+        group = h.group
+        n = group.order
+        self.h, self.table, self.group, self.structure = h, table, group, h.structure
+        grid = [
+            [table.autos[s].apply_central(h.values[group.mul(group.inverse(s), t)])
+             for t in range(n)]
+            for s in range(n)
+        ]
+        flat = OperatorMatrix.from_central_grid(h.structure, grid).flatten()
+        ok, self.lambda_min = is_positive(flat, tol=tol, hermitian_tol=1e-8)
+        if not ok:
+            raise NotPositiveError("Gram matrix of the multiplier is not positive")
+        self.gram = [[embed_central(c) for c in row] for row in grid]
+
+    def delta(self, g):
+        v = [AlgebraElement.zero(self.structure) for _ in range(self.group.order)]
+        v[g] = AlgebraElement.identity(self.structure)
+        return v
+
+    def inner(self, f, g):
+        out = AlgebraElement.zero(self.structure)
+        for s in range(self.group.order):
+            gs = g[s].adjoint()
+            for t in range(self.group.order):
+                out = out + gs * self.gram[s][t] * f[t]
+        return out
+
+    def u_action(self, s, v):
+        s_inv = self.group.inverse(s)
+        auto = self.table.autos[s]
+        return [auto.apply(v[self.group.mul(s_inv, t)]) for t in range(self.group.order)]
+
+
+def coefficient_diff(u, v):
+    """Largest entrywise difference of two coefficient lists."""
+    return max(a.maxabs_diff(b) for a, b in zip(u, v))
+
+
+def oracle_cocycle(mod):
+    """(Q, cocycle-identity residual, squared-norm residual) of xi = delta_e."""
+    n = mod.group.order
+    xi = mod.delta(mod.group.identity)
+    b = [[x - y for x, y in zip(xi, mod.u_action(s, xi))] for s in range(n)]
+    Q = [mod.inner(bs, bs) for bs in b]
+    res = 0.0
+    for s in range(n):
+        for t in range(n):
+            rhs = [x + y for x, y in zip(b[s], mod.u_action(s, b[t]))]
+            res = max(res, coefficient_diff(b[mod.group.mul(s, t)], rhs))
+    one = AlgebraElement.identity(mod.structure)
+    res2 = 0.0
+    for s in range(n):
+        hs = embed_central(mod.h.values[s])
+        res2 = max(res2, Q[s].maxabs_diff(2.0 * one - hs - hs.adjoint()))
+    return Q, res, res2
+
+
+def oracle_schoenberg(Q, t):
+    """exp(-t Q(s)^2) per block, after checking that every Q(s) is central."""
+    out = []
+    for q in Q:
+        scalars = []
+        for blk in q.blocks:
+            d = blk.shape[0]
+            z = np.trace(blk) / d
+            assert np.linalg.norm(blk - z * np.eye(d)) <= 1e-9
+            scalars.append(z)
+        qc = np.array(scalars)
+        out.append(np.exp(-t * (qc * qc)))
+    return np.array(out)
+
+
+def outcome(build):
+    """(value, None) or (None, error class) of a build that may raise."""
+    try:
+        return build(), None
+    except GPMultError as err:
+        return None, type(err)
+
+
+def assert_matches_oracle(h, table):
+    mod, err = outcome(lambda: gns_build(h, table))
+    ref, ref_err = outcome(lambda: OracleModule(h, table))
+    assert err is ref_err
+    if err is not None:
+        return
+    assert abs(mod.lambda_min - ref.lambda_min) <= 1e-12 * (1.0 + abs(ref.lambda_min))
+    # the action and the form on vectors that are not block-constant, where
+    # the block permutation of each alpha_s shows
+    st = h.structure
+    f, g = np.random.default_rng(0).standard_normal((2, h.group.order, st.num_blocks, 2)) @ [1, 1j]
+    scale = 1.0 + float(np.max(np.abs(mod.gram)))
+    for s in range(h.group.order):
+        us_f = as_coefficients(st, mod.u_action(s, f))
+        assert coefficient_diff(us_f, ref.u_action(s, as_coefficients(st, f))) <= 1e-12
+        # <u_s f|u_s g> = alpha_s(<f|g>)
+        form = mod.inner(mod.u_action(s, f), mod.u_action(s, g))
+        assert np.max(np.abs(form - mod.inner(f, g)[table.autos[s]._perm_inv])) <= 1e-12 * scale
+    ref_form = ref.inner(as_coefficients(st, f), as_coefficients(st, g))
+    assert coefficient_diff([ref_form], as_coefficients(st, [mod.inner(f, g)])) <= 1e-12 * scale
+    c, c_err = outcome(lambda: cocycle_build(mod))
+    if c_err is not None:
+        assert c_err is NotUnitalError
+        return
+    Q, res, res2 = oracle_cocycle(ref)
+    assert coefficient_diff(Q, squared_norms(c)) <= 1e-12
+    for t in (0.1, 1.0, 10.0):
+        sch = schoenberg_multiplier(c, t)
+        assert np.max(np.abs(sch - oracle_schoenberg(Q, t))) <= 1e-12
+    assert res <= 1e-12 and res2 <= 1e-12
+    assert cocycle_identity_residual(c) <= 1e-12
+    assert squared_norm_residual(c) <= 1e-12
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_module_layer_matches_the_oracle_on_scenarios(name):
+    sc = build_scenario(load_config(str(SCENARIO_DIR / f"{name}.json")))
+    for v in range(sc.system.words.graph.n):
+        h = convention_flip(sc.system.multipliers[v])
+        assert_matches_oracle(h, sc.system.actions.tables[v])
+
+
+def row_hermitian_values(group, table, rng, scale):
+    """Unital values with h(u^-1) = alpha_{u^-1}(h(u))*, so the Gram matrix
+    is Hermitian; off-identity values have size about ``scale``."""
+    K = table.structure.num_blocks
+    perm = [a._perm_inv for a in table.autos]
+    vals = [None] * group.order
+    for u in range(group.order):
+        ui = group.inverse(u)
+        x = scale * (rng.standard_normal(K) + 1j * rng.standard_normal(K))
+        if u == group.identity:
+            vals[u] = np.ones(K, dtype=complex)
+        elif ui == u:
+            vals[u] = (x + x[perm[u]].conj()) / 2.0
+        elif u < ui:
+            vals[u], vals[ui] = x, x[perm[ui]].conj()
+    return vals
+
+
+@hst.composite
+def module_cases(draw):
+    """A cyclic or dihedral group of order <= 6 acting trivially, by swapping
+    blocks 0 and 1, or by diagonal phases on K <= 3 blocks of size <= 2,
+    with a unital row-Hermitian multiplier that may or may not be pd."""
+    kind, m = draw(hst.sampled_from(
+        [("cyclic", m) for m in range(1, 7)] + [("dihedral", m) for m in range(1, 4)]
+    ))
+    group = cyclic_group(m) if kind == "cyclic" else dihedral_group(m)
+    # a character chi: G -> Z_q, the rotation index or the reflection bit
+    q = m if kind == "cyclic" else 2
+    chi = [g % q if kind == "cyclic" else g // m for g in range(group.order)]
+    dims = draw(hst.lists(hst.integers(1, 2), min_size=1, max_size=3))
+    actions = ["trivial", "phase"]
+    if len(dims) > 1 and q % 2 == 0:
+        actions.append("swap")
+    action = draw(hst.sampled_from(actions))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    if action == "swap":
+        dims[1] = dims[0]
+    structure = BlockStructure(tuple(dims))
+    if action == "trivial":
+        table = trivial_action(group, structure)
+    elif action == "swap":
+        rest = list(range(2, len(dims)))
+        perms = [([1, 0] if chi[g] % 2 else [0, 1]) + rest for g in range(group.order)]
+        table = block_permutation_action(group, structure, perms)
+    else:
+        freqs = [rng.integers(0, q, size=d) for d in dims]
+        phases = [[2 * np.pi * f * chi[g] / q for f in freqs] for g in range(group.order)]
+        table = diagonal_phase_action(group, structure, phases)
+    validate_action(table)
+    scale = draw(hst.sampled_from([0.0, 0.1, 0.3, 1.0]))
+    vals = row_hermitian_values(group, table, rng, scale)
+    h = Multiplier(group, structure, tuple(CentralElement(structure, v) for v in vals))
+    return h, table
+
+
+@settings(max_examples=80, deadline=None)
+@given(module_cases())
+def test_module_layer_matches_the_oracle(case):
+    assert_matches_oracle(*case)

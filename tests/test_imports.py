@@ -1,12 +1,17 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+module-level UPPER_CASE constant of the package is loaded somewhere in
+``src/``, ``tests/`` or ``bench/``."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gpmult"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gpmult"
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
+CONSTANT = re.compile(r"_*[A-Z][A-Z0-9_]*")
 
 
 def imported_names(tree):
@@ -73,3 +78,72 @@ def test_scanner_finds_unused_and_keeps_used():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def defined_constants(source: str):
+    """Name -> line of every module-level assignment to an UPPER_CASE name."""
+    out = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for t in targets:
+            if isinstance(t, ast.Name) and CONSTANT.fullmatch(t.id):
+                out[t.id] = node.lineno
+    return out
+
+
+def loaded_names(source: str):
+    """Names read as variables or as attributes anywhere in the source."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+    return out
+
+
+def unloaded_constants(module: str, loaded):
+    """Constants the module defines that are not in the loaded names, by line."""
+    return sorted(
+        (line, name) for name, line in defined_constants(module).items() if name not in loaded
+    )
+
+
+def test_constant_scanner_finds_unloaded_constants():
+    module = (
+        "import numpy as np\n"
+        "UNITAL_TOL = 1e-12\n"
+        "HERMITIAN_ID_TOL = 1e-10\n"
+        "_CHUNK: int = 64\n"
+        "ELSEWHERE = 3\n"
+        "lower_case = 4\n"
+        "def f(x):\n"
+        "    LOCAL = 5\n"
+        "    return x[:_CHUNK] <= UNITAL_TOL\n"
+    )
+    other = "from pkg import mod\nprint(mod.ELSEWHERE)\nHERMITIAN_ID_TOL = 0\n"
+    both = loaded_names(module) | loaded_names(other)
+    assert unloaded_constants(module, both) == [(3, "HERMITIAN_ID_TOL")]
+    expected = [(3, "HERMITIAN_ID_TOL"), (5, "ELSEWHERE")]
+    assert unloaded_constants(module, loaded_names(module)) == expected
+
+
+@pytest.fixture(scope="module")
+def project_loads():
+    """Names loaded by any Python file under src/, tests/ or bench/."""
+    out = set()
+    for d in ("src", "tests", "bench"):
+        for p in (ROOT / d).rglob("*.py"):
+            out |= loaded_names(p.read_text(encoding="utf-8"))
+    return out
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unloaded_constants(module, project_loads):
+    source = (SRC / module).read_text(encoding="utf-8")
+    assert unloaded_constants(source, project_loads) == []

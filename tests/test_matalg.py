@@ -11,7 +11,6 @@ from hypothesis import strategies as hst
 
 from gpmult.cli import build_scenario, load_config
 from gpmult.errors import (
-    NotCentralError,
     NotFiniteError,
     NotHermitianError,
     StructureMismatchError,
@@ -21,11 +20,8 @@ from gpmult.matalg import (
     BlockStructure,
     CentralElement,
     OperatorMatrix,
-    central_exp,
     central_stack,
     embed_central,
-    extract_central,
-    is_central,
     is_positive,
     tensor_algebra,
 )
@@ -150,23 +146,6 @@ def test_central_ops_and_embedding():
     emb = embed_central(c)
     assert np.allclose(emb.blocks[0], np.eye(2))
     assert np.allclose(emb.blocks[1], [[2.0]])
-    assert is_central(emb)
-    back = extract_central(emb)
-    assert np.allclose(back.scalars, c.scalars)
-
-
-def test_extract_central_rejects_off_diagonal():
-    st = BlockStructure([2])
-    x = AlgebraElement.matrix_unit(st, 0, 0, 1)
-    assert not is_central(x)
-    with pytest.raises(NotCentralError):
-        extract_central(x)
-
-
-def test_central_exp_is_entrywise():
-    st = BlockStructure([1, 1])
-    c = CentralElement(st, [0.0, np.log(2.0)])
-    assert np.allclose(central_exp(c).scalars, [1.0, 2.0])
 
 
 def test_operator_matrix_flatten_layout():

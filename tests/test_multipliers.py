@@ -34,7 +34,6 @@ from gpmult.multipliers import (
     gp_well_defined,
     groupoid_from_space,
     haagerup_witness_ball,
-    hermitian_identity_check,
     is_positive_definite,
     tensor_fixture,
     unitalize,
@@ -107,14 +106,6 @@ def test_convention_flip_fixes_hermitian_multipliers():
     h = scalar_multiplier(z3, 1.0, z, np.conj(z))
     f = convention_flip(h)
     assert all(f.values[g].maxabs_diff(h.values[g]) == 0.0 for g in range(3))
-
-
-def test_hermitian_identity_check():
-    z3 = cyclic_group(3)
-    triv = trivial_action(z3, SCALAR)
-    z = 0.3 + 0.1j
-    assert hermitian_identity_check(scalar_multiplier(z3, 1.0, z, np.conj(z)), triv) == 0.0
-    assert abs(hermitian_identity_check(scalar_multiplier(z3, 1.0, 0.5, 0.2), triv) - 0.3) < 1e-15
 
 
 def test_unitalize_replaces_identity_value():
