@@ -13,6 +13,7 @@ Exit codes: 0 all requested checks passed, 1 at least one check failed,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -263,18 +264,12 @@ def _build_multiplier(spec, pointer, group, structure) -> Multiplier:
     )
 
 
-_VERIFY_KEYS = {
-    "seed": ("seed", int),
-    "ball_radius": ("ball_radius", int),
-    "identity_radius": ("identity_radius", int),
-    "max_set_size": ("max_set_size", int),
-    "max_flat_dim": ("max_flat_dim", int),
-    "num_sets": ("num_sets", int),
-    "sample_size": ("sample_size", int),
-    "tuple_target": ("tuple_target", int),
-    "nd_trials": ("nd_trials", int),
-    "budget": ("budget", int),
-}
+# The verification parameters are the Scenario fields past the system and
+# before the provenance echo; their order is the order of the echoed config.
+_VERIFY_FIELDS = tuple(
+    f for f in dataclasses.fields(Scenario) if f.name not in ("name", "system", "expanded_config")
+)
+_INT_PARAMS = tuple(f.name for f in _VERIFY_FIELDS if f.name not in ("schoenberg_t", "witness"))
 
 
 def _verify_params(cfg) -> dict:
@@ -283,11 +278,10 @@ def _verify_params(cfg) -> dict:
     if v is None:
         return out
     v = _as_dict(v, "/verify")
-    allowed = set(_VERIFY_KEYS) | {"schoenberg_t", "witness"}
-    _keys(v, "/verify", allowed)
-    for key, (attr, _) in _VERIFY_KEYS.items():
+    _keys(v, "/verify", {f.name for f in _VERIFY_FIELDS})
+    for key in _INT_PARAMS:
         if key in v:
-            out[attr] = _as_int(v[key], f"/verify/{key}", at_least=0)
+            out[key] = _as_int(v[key], f"/verify/{key}", at_least=0)
     if "schoenberg_t" in v:
         ts = _as_list(v["schoenberg_t"], "/verify/schoenberg_t")
         _want(len(ts) > 0, "/verify/schoenberg_t", "need at least one value")
@@ -305,12 +299,11 @@ def _verify_params(cfg) -> dict:
     return out
 
 
-def _echo_config(name, graph, groups, structure, cfg, params):
+def _echo_config(name, graph, groups, structure, cfg, multipliers, params):
     """Fully expanded config: presets resolved, every default made explicit."""
     actions_cfg = cfg["actions"]
     mult_echo = {}
-    for v, vid in enumerate(graph.vertices):
-        h = params["_multipliers"][v]
+    for vid, h in zip(graph.vertices, multipliers):
         rows = []
         for val in h.values:
             rows.append([[float(s.real), float(s.imag)] for s in val.scalars])
@@ -330,20 +323,7 @@ def _echo_config(name, graph, groups, structure, cfg, params):
         "algebra": {"blocks": list(structure.block_dims)},
         "actions": {vid: actions_cfg[vid] for vid in graph.vertices},
         "multipliers": mult_echo,
-        "verify": {
-            "seed": params["seed"],
-            "ball_radius": params["ball_radius"],
-            "identity_radius": params["identity_radius"],
-            "max_set_size": params["max_set_size"],
-            "max_flat_dim": params["max_flat_dim"],
-            "num_sets": params["num_sets"],
-            "sample_size": params["sample_size"],
-            "tuple_target": params["tuple_target"],
-            "schoenberg_t": list(params["schoenberg_t"]),
-            "nd_trials": params["nd_trials"],
-            "budget": params["budget"],
-            "witness": params["witness"],
-        },
+        "verify": {**params, "schoenberg_t": list(params["schoenberg_t"])},
     }
 
 
@@ -425,35 +405,12 @@ def build_scenario(cfg, seed: int | None = None) -> Scenario:
     ]
     system = MultiplierSystem(actions, multipliers)
 
-    defaults = Scenario(name="defaults", system=system)
-    params = {
-        "seed": defaults.seed,
-        "ball_radius": defaults.ball_radius,
-        "identity_radius": defaults.identity_radius,
-        "max_set_size": defaults.max_set_size,
-        "max_flat_dim": defaults.max_flat_dim,
-        "num_sets": defaults.num_sets,
-        "sample_size": defaults.sample_size,
-        "tuple_target": defaults.tuple_target,
-        "schoenberg_t": defaults.schoenberg_t,
-        "nd_trials": defaults.nd_trials,
-        "budget": defaults.budget,
-        "witness": None,
-    }
+    params = {f.name: f.default for f in _VERIFY_FIELDS}
     params.update(_verify_params(cfg))
     if seed is not None:
         params["seed"] = seed
-    params["_multipliers"] = multipliers
-    echo = _echo_config(name, graph, groups, structure, cfg, params)
-    del params["_multipliers"]
-    witness = params.pop("witness")
-    return Scenario(
-        name=name,
-        system=system,
-        witness=witness,
-        expanded_config=echo,
-        **params,
-    )
+    echo = _echo_config(name, graph, groups, structure, cfg, multipliers, params)
+    return Scenario(name=name, system=system, expanded_config=echo, **params)
 
 
 # ----------------------------------------------------------------------

@@ -121,10 +121,6 @@ class BadIdentityValueError(GPMultError):
     code = "bad_identity_value"
 
 
-class NotPositiveValueError(GPMultError):
-    code = "not_positive_value"
-
-
 class HypothesisViolatedError(GPMultError):
     code = "hypothesis_violated"
 

@@ -49,7 +49,7 @@ from .matalg import (
     is_positive,
     max_residual,
 )
-from .wordcraft import GPElement, WordContext
+from .wordcraft import DEFAULT_BUDGET, GPElement, WordContext
 
 UNITAL_TOL = 1e-12
 COMMUTE_TOL = 1e-12
@@ -385,6 +385,7 @@ def haagerup_witness_ball(
     eps: float,
     L: int,
     per_vertex=None,
+    budget: int = DEFAULT_BUDGET,
 ) -> WitnessReport:
     """Certify smallness of the product multiplier off a finite witness set.
 
@@ -393,7 +394,7 @@ def haagerup_witness_ball(
     whole vertex group).  Preconditions: every vertex multiplier is unital
     with off-identity values of norm at most 1/2, ``2^-K <= eps``, and
     ``L > K``.  Reports the largest multiplier norm over the radius-L ball
-    outside F and whether it stays below eps.
+    outside F and whether it stays below eps; ``budget`` caps the ball.
     """
     for v, h in enumerate(system.multipliers):
         if not h.is_unital:
@@ -419,7 +420,7 @@ def haagerup_witness_ball(
             return False
         return all(l.elem in allowed[l.vertex] for l in x.letters)
 
-    ball = words.ball(L)
+    ball = words.ball(L, budget=budget)
     f_size = sum(1 for x in ball if in_F(x))
     worst = 0.0
     for x in ball:

@@ -35,7 +35,7 @@ from .errors import (
     NotPositiveError,
     NotUnitalError,
 )
-from .matalg import CentralElement, central_stack, embed_central, is_positive, max_residual
+from .matalg import CentralElement, embed_central, is_positive, max_residual
 from .multipliers import (
     MultiplierSystem,
     convention_flip,
@@ -287,7 +287,7 @@ def verify_peel_off(sc: Scenario) -> CheckResult:
     for x in words.ball(sc.identity_radius, budget=sc.budget):
         if not x.letters:
             continue
-        for r in words.rearrangements(x):
+        for r in words.rearrangements(x, budget=sc.budget):
             tail = words._push(r[1:])
             tail_inv = words.inverse(tail)
             twisted = sys_.actions.act_word(tail_inv).on_central(
@@ -312,41 +312,45 @@ def verify_peel_off(sc: Scenario) -> CheckResult:
     )
 
 
+def _reduced_pairs(words, elements) -> np.ndarray:
+    """``(n, n)`` booleans: whether x_i^-1 x_j is reduced, for all pairs.
+
+    It is reduced exactly when x_i and x_j share no first vertex, so the
+    matrix is one integer product of the ``(n, V)`` first-vertex incidence
+    matrix with its transpose.
+    """
+    first = np.zeros((len(elements), words.graph.n), dtype=bool)
+    for i, x in enumerate(elements):
+        first[i, list(words.first_vertices(x))] = True
+    counts = first.astype(int)
+    return counts @ counts.T == 0
+
+
 def verify_drop_last(sc: Scenario) -> CheckResult:
     """Kernel factorization through the last letter.
 
     When x^-1 y is reduced (length adds), K(x, y) must factor as
     K(x, head) K(head, y) for the head of every reduced expression of x.
+    Heads and y lie in the identity-check ball, so per x the instances are
+    one gather from the ball's kernel stack: the y with x^-1 y reduced
+    against the heads H, one per expression (repeats kept).
     """
     sys_ = sc.system
     words = sys_.words
     ball = words.ball(sc.identity_radius, budget=sc.budget)
+    gram = sys_.kernel_matrix(ball)
+    index = {x: i for i, x in enumerate(ball)}
+    reduced = _reduced_pairs(words, ball)
     worst = 0.0
     n_checked = 0
-    for x in ball:
+    for i, x in enumerate(ball):
         if not x.letters:
             continue
-        x_inv = words.inverse(x)
-        heads = None  # (head, K(x, head)) per reduced expression of x, on first use
-        lhs, left, right = [], [], []  # one (K,) row per instance
-        for y in ball:
-            concat = x_inv.vertex_word + y.vertex_word
-            if not words.is_reduced(concat):
-                continue
-            if heads is None:
-                heads = []
-                for r in words.rearrangements(x):
-                    head = words._push(r[:-1])
-                    heads.append((head, sys_.kernel(x, head).scalars))
-            k_xy = sys_.kernel(x, y).scalars
-            for head, k_xh in heads:
-                lhs.append(k_xy)
-                left.append(k_xh)
-                right.append(sys_.kernel(head, y).scalars)
-        if lhs:
-            diff = np.array(lhs) - np.array(left) * np.array(right)
-            worst = max_residual(worst, float(np.abs(diff).max()))
-            n_checked += len(lhs)
+        Y = np.flatnonzero(reduced[i])
+        H = [index[words._push(r[:-1])] for r in words.rearrangements(x, budget=sc.budget)]
+        diff = gram[:, i, Y][:, None, :] - gram[:, i, H][:, :, None] * gram[:, H][:, :, Y]
+        worst = max_residual(worst, float(np.abs(diff).max()))
+        n_checked += len(H) * len(Y)
     if n_checked == 0:
         return _vacuous(
             "drop-last-letter",
@@ -368,36 +372,36 @@ def verify_cross_terms(sc: Scenario) -> CheckResult:
 
     x ranges over ball elements containing the distinguished vertex, with
     standard form x = y c a b; pairs (x, z) qualify when the down-set count
-    of z is strictly smaller, or equal with a different y vertex word.
+    of z is strictly smaller, or equal with a different y vertex word.  yc
+    is a truncation of x, so per x the residuals are one gather from the
+    ball's kernel stack over the qualifying z.
     """
     sys_ = sc.system
     words = sys_.words
     ball = words.ball(sc.identity_radius, budget=sc.budget)
+    gram = sys_.kernel_matrix(ball)
+    index = {x: i for i, x in enumerate(ball)}
+    vertex_words = [x.vertex_word for x in ball]
     worst = 0.0
     n1 = n2 = 0
     for v0 in range(words.graph.n):
-        with_v0 = [x for x in ball if v0 in x.vertex_word]
-        nc_set = {x: words.nc_length_set(words.downset(x), v0) for x in ball}
-        forms = {x: words.standard_form(x, v0) for x in with_v0}
-        for x in with_v0:
-            sf = forms[x]
-            yc = words.multiply(sf.y, sf.c)
-            lhs, right = [], []  # one (K,) row per qualifying z
-            for z in ball:
-                cond1 = nc_set[z] < nc_set[x]
-                cond2 = False
-                if not cond1 and nc_set[z] == nc_set[x] and v0 in z.vertex_word:
-                    cond2 = forms[z].y.vertex_word != sf.y.vertex_word
-                if not (cond1 or cond2):
-                    continue
-                lhs.append(sys_.kernel(x, z).scalars)
-                right.append(sys_.kernel(yc, z).scalars)
-                if cond1:
-                    n1 += 1
-                else:
-                    n2 += 1
-            if lhs:
-                diff = np.array(lhs) - sys_.kernel(x, yc).scalars * np.array(right)
+        nc = np.array([words.nc_length_set(words.downset(x), v0) for x in ball])
+        ycls = np.full(len(ball), -1)  # id of the y vertex word, -1 without a v0 letter
+        classes: dict = {}
+        yc = {}  # ball index of x -> ball index of its y c
+        for i, x in enumerate(ball):
+            if v0 in vertex_words[i]:
+                sf = words.standard_form(x, v0)
+                ycls[i] = classes.setdefault(sf.y.vertex_word, len(classes))
+                yc[i] = index[words.multiply(sf.y, sf.c)]
+        for i, c in yc.items():
+            cond1 = nc < nc[i]
+            cond2 = (nc == nc[i]) & (ycls >= 0) & (ycls != ycls[i])
+            Z = np.flatnonzero(cond1 | cond2)
+            n1 += int(cond1.sum())
+            n2 += int(cond2.sum())
+            if Z.size:
+                diff = gram[:, i, Z] - gram[:, i, c][:, None] * gram[:, c, Z]
                 worst = max_residual(worst, float(np.abs(diff).max()))
     if n1 == n2 == 0:
         return _vacuous(
@@ -415,9 +419,18 @@ def verify_cross_terms(sc: Scenario) -> CheckResult:
     )
 
 
-def _psd_margin(structure, lhs_grid, rhs_grid):
-    """lambda_min of LHS - RHS for grids of central elements, and max |LHS - RHS|."""
-    diff = central_stack(structure, lhs_grid) - central_stack(structure, rhs_grid)
+def _dominance_margin(system, xs, ps):
+    """lambda_min and largest |entry| of the dominance difference
+    K(x_i, x_j) - K(x_i, p_i) K(p_i, p_j) K(p_j, x_j) over a family.
+
+    Both Gram stacks come from ``kernel_matrix``; the product is formed
+    left to right, as the central products it stands for.
+    """
+    left = np.array([system.kernel(x, p).scalars for x, p in zip(xs, ps)]).T
+    right = np.array([system.kernel(p, x).scalars for x, p in zip(xs, ps)]).T
+    diff = system.kernel_matrix(xs) - (
+        left[:, :, None] * system.kernel_matrix(ps) * right[:, None, :]
+    )
     maxdiff = float(np.max(np.abs(diff)))
     _, lam = is_positive(diff, tol=ABS_PSD_TOL, hermitian_tol=1e-8)
     return lam, maxdiff
@@ -429,8 +442,9 @@ def verify_schwarz(sc: Scenario) -> CheckResult:
     Families are included only after the per-tuple hypothesis
     K(c_i b_i, c_j) = K(c_i b_i, c_i) K(c_i, c_j) is verified numerically;
     the certified quantity is the smallest eigenvalue of LHS - RHS over all
-    accepted families.  Tuples whose difference vanishes identically are
-    counted as vacuous.
+    accepted families, the dominance difference with x_i = c_i b_i and
+    p_i = c_i.  Tuples whose difference vanishes identically are counted as
+    vacuous.
     """
     sys_ = sc.system
     words = sys_.words
@@ -451,32 +465,16 @@ def verify_schwarz(sc: Scenario) -> CheckResult:
             cs = [ball[int(rng.integers(0, len(ball)))] for _ in range(n)]
         bs = [ball[int(rng.integers(0, len(ball)))] for _ in range(n)]
         cbs = [words.multiply(c, b) for c, b in zip(cs, bs)]
-        hypo_ok = True
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                lhs = sys_.kernel(cbs[i], cs[j])
-                rhs = sys_.kernel(cbs[i], cs[i]) * sys_.kernel(cs[i], cs[j])
-                if lhs.maxabs_diff(rhs) > KERNEL_TOL:
-                    hypo_ok = False
-                    break
-            if not hypo_ok:
-                break
-        if not hypo_ok:
+        k = sys_.kernel
+        if any(
+            k(cbs[i], cs[j]).maxabs_diff(k(cbs[i], cs[i]) * k(cs[i], cs[j])) > KERNEL_TOL
+            for i in range(n)
+            for j in range(n)
+            if i != j
+        ):
             rejected += 1
             continue
-        lhs_grid = [[sys_.kernel(cbs[i], cbs[j]) for j in range(n)] for i in range(n)]
-        rhs_grid = [
-            [
-                sys_.kernel(cbs[i], cs[i])
-                * sys_.kernel(cs[i], cs[j])
-                * sys_.kernel(cs[j], cbs[j])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        lam, maxdiff = _psd_margin(sys_.structure, lhs_grid, rhs_grid)
+        lam, maxdiff = _dominance_margin(sys_, cbs, cs)
         accepted += 1
         if maxdiff > 1e-13:
             non_vacuous += 1
@@ -496,11 +494,7 @@ def verify_schwarz(sc: Scenario) -> CheckResult:
         suite="lemmas",
         passed=all_ok,
         lambda_min=float(worst),
-        counts={
-            "families": accepted,
-            "non_vacuous": non_vacuous,
-            "rejected": rejected,
-        },
+        counts={"families": accepted, "non_vacuous": non_vacuous, "rejected": rejected},
     )
 
 
@@ -508,8 +502,10 @@ def verify_y1_square(sc: Scenario) -> CheckResult:
     """Square dominance for families sharing the prefix vertex word.
 
     Every family member x_i = y_i c_i a_i b_i is put in standard form at a
-    common vertex; families require equal y vertex words.  Requires all
-    multiplier values to be positive central elements.
+    common vertex; families require equal y vertex words.  The certified
+    quantity is the smallest eigenvalue of the dominance difference with
+    p_i = y_i c_i.  Requires all multiplier values to be positive central
+    elements.
     """
     sys_ = sc.system
     words = sys_.words
@@ -547,20 +543,9 @@ def verify_y1_square(sc: Scenario) -> CheckResult:
     for fam in families:
         if non_vacuous >= sc.tuple_target and accepted >= sc.tuple_target:
             break
-        n = len(fam)
-        ycs = [words.multiply(sf.y, sf.c) for (_, sf) in fam]
         xs = [x for (x, _) in fam]
-        lhs_grid = [[sys_.kernel(xs[i], xs[j]) for j in range(n)] for i in range(n)]
-        rhs_grid = [
-            [
-                sys_.kernel(xs[i], ycs[i])
-                * sys_.kernel(ycs[i], ycs[j])
-                * sys_.kernel(ycs[j], xs[j])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        lam, maxdiff = _psd_margin(sys_.structure, lhs_grid, rhs_grid)
+        ycs = [words.multiply(sf.y, sf.c) for (_, sf) in fam]
+        lam, maxdiff = _dominance_margin(sys_, xs, ycs)
         accepted += 1
         if maxdiff > 1e-13:
             non_vacuous += 1
@@ -601,7 +586,10 @@ def verify_witness(sc: Scenario) -> CheckResult:
             eps=float(params["eps"]),
             L=int(params["L"]),
             per_vertex=params.get("per_vertex"),
+            budget=sc.budget,
         )
+    except BudgetExceededError:
+        raise
     except GPMultError as err:
         return _failure("haagerup-witness", "haagerup", err)
     return CheckResult(

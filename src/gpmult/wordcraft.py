@@ -207,6 +207,18 @@ class WordContext:
                     return False
         return True
 
+    def first_vertices(self, x: GPElement) -> tuple:
+        """Vertices some rearrangement of x starts with, in word order.
+
+        They are the vertices of the letters that only letters adjacent to
+        them precede.  x^-1 y is reduced (its length is |x| + |y|) exactly
+        when x and y share no first vertex.
+        """
+        self._check_ctx(x)
+        adjacent = self.graph.adjacent
+        vs = [l.vertex for l in x.letters]
+        return tuple(v for i, v in enumerate(vs) if all(adjacent(u, v) for u in vs[:i]))
+
     # ------------------------------------------------------------------
     # group operations
 

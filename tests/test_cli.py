@@ -104,6 +104,15 @@ def test_verify_budget_exhaustion_exits_three(capsys, tmp_path):
     assert "budget exceeded" in err
 
 
+def test_witness_ball_obeys_the_configured_budget(capsys, tmp_path):
+    # the witness ball (L = 6) has 13 words
+    cfg = load_free_pair()
+    cfg.setdefault("verify", {})["budget"] = 5
+    code, _, err = run(capsys, ["verify", write_config(tmp_path, cfg), "--suite", "haagerup"])
+    assert code == 3
+    assert "ball exceeds budget" in err
+
+
 def test_bad_word_is_a_config_error(capsys):
     code, _, err = run(capsys, ["normalize", FREE_PAIR, "--word", '[["zzz",0]]'])
     assert code == 2

@@ -1,6 +1,7 @@
-"""Every name a package module imports is used in that module, and every
+"""Every name a package module imports is used in that module, every
 module-level UPPER_CASE constant of the package is loaded somewhere in
-``src/``, ``tests/`` or ``bench/``."""
+``src/``, ``tests/`` or ``bench/``, and every ``GPMultError`` subclass in
+``errors.py`` is named by some other file there."""
 
 import ast
 import re
@@ -147,3 +148,59 @@ def project_loads():
 def test_no_unloaded_constants(module, project_loads):
     source = (SRC / module).read_text(encoding="utf-8")
     assert unloaded_constants(source, project_loads) == []
+
+
+def error_classes(source: str):
+    """Name -> line of every class in the source that derives, directly or
+    through another class there, from ``GPMultError``."""
+    out = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(b, ast.Name) and (b.id == "GPMultError" or b.id in out)
+            for b in node.bases
+        ):
+            out[node.name] = node.lineno
+    return out
+
+
+def referenced_names(source: str):
+    """Names loaded as variables or attributes, or imported by name."""
+    return loaded_names(source) | set(imported_names(ast.parse(source)))
+
+
+def unreferenced_errors(errors_source: str, names):
+    return sorted((line, n) for n, line in error_classes(errors_source).items() if n not in names)
+
+
+def test_error_scanner_finds_unreferenced_subclasses():
+    errors = (
+        "class GPMultError(Exception):\n"
+        "    code = 'error'\n"
+        "class RaisedError(GPMultError):\n"
+        "    code = 'raised'\n"
+        "class ImportedError(GPMultError):\n"
+        "    pass\n"
+        "class OrphanError(GPMultError):\n"
+        "    pass\n"
+        "class OrphanChildError(RaisedError):\n"
+        "    pass\n"
+        "class Unrelated(Exception):\n"
+        "    pass\n"
+    )
+    user = (
+        "from .errors import ImportedError\n"
+        "def f():\n"
+        "    raise RaisedError('x')\n"
+        "OrphanError_doc = 'OrphanError'\n"
+    )
+    expected = [(7, "OrphanError"), (9, "OrphanChildError")]
+    assert unreferenced_errors(errors, referenced_names(user)) == expected
+
+
+def test_every_error_class_is_named_outside_its_module():
+    names = set()
+    for d in ("src", "tests", "bench"):
+        for p in (ROOT / d).rglob("*.py"):
+            if p != SRC / "errors.py":
+                names |= referenced_names(p.read_text(encoding="utf-8"))
+    assert unreferenced_errors((SRC / "errors.py").read_text(encoding="utf-8"), names) == []

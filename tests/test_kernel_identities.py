@@ -1,0 +1,266 @@
+"""Stack-gathered kernel identities against the per-pair reference.
+
+``drop-last-letter`` and ``cross-terms`` read every kernel from the
+identity ball's ``(K, n, n)`` stack, and decide whether x^-1 y is reduced
+from the first vertices of x and y.  The Schwarz and shared-prefix bounds
+build their difference from two ``kernel_matrix`` stacks.  The per-pair
+implementations they replaced are kept below as the reference: one
+``kernel`` call per pair, reducedness by rescanning the concatenated vertex
+word, and the dominance difference assembled from grids of central
+products.  Reports are compared byte for byte, on the committed scenarios
+and on random small graph products.  Where the point actions do not
+commute across non-edges the kernels are not Hermitian and the identities
+fail with large residuals that any misplaced gather would change; with
+trivial actions and positive definite values the dominance bounds reach
+their eigensolves.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_composed_actions import THREE_CYCLES, TRANSPOSITIONS, _powers
+
+from gpmult import verifier
+from gpmult.cli import build_scenario, load_config
+from gpmult.graphgroup import SimplicialGraph, cyclic_group
+from gpmult.matalg import central_stack, is_positive, max_residual
+from gpmult.multipliers import groupoid_from_space
+from gpmult.verifier import (
+    ABS_PSD_TOL,
+    KERNEL_TOL,
+    CheckResult,
+    Scenario,
+    _guarded,
+    _reduced_pairs,
+    _vacuous,
+    verify_cross_terms,
+    verify_drop_last,
+    verify_schwarz,
+    verify_y1_square,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = sorted(p.stem for p in (ROOT / "scenarios").glob("*.json"))
+
+
+# ----------------------------------------------------------------------
+# reference: one kernel call per pair
+
+
+def reference_drop_last(sc: Scenario) -> CheckResult:
+    """K(x, y) = K(x, head) K(head, y) for x^-1 y reduced, pair by pair."""
+    sys_ = sc.system
+    words = sys_.words
+    ball = words.ball(sc.identity_radius, budget=sc.budget)
+    worst = 0.0
+    n_checked = 0
+    for x in ball:
+        if not x.letters:
+            continue
+        x_inv = words.inverse(x)
+        heads = None  # (head, K(x, head)) per reduced expression of x, on first use
+        lhs, left, right = [], [], []  # one (K,) row per instance
+        for y in ball:
+            concat = x_inv.vertex_word + y.vertex_word
+            if not words.is_reduced(concat):
+                continue
+            if heads is None:
+                heads = []
+                for r in words.rearrangements(x, budget=sc.budget):
+                    head = words._push(r[:-1])
+                    heads.append((head, sys_.kernel(x, head).scalars))
+            k_xy = sys_.kernel(x, y).scalars
+            for head, k_xh in heads:
+                lhs.append(k_xy)
+                left.append(k_xh)
+                right.append(sys_.kernel(head, y).scalars)
+        if lhs:
+            diff = np.array(lhs) - np.array(left) * np.array(right)
+            worst = max_residual(worst, float(np.abs(diff).max()))
+            n_checked += len(lhs)
+    if n_checked == 0:
+        return _vacuous(
+            "drop-last-letter",
+            "lemmas",
+            "no x != e and y in the identity-check ball with x^-1 y reduced",
+            {"instances": 0},
+        )
+    return CheckResult(
+        name="drop-last-letter",
+        suite="lemmas",
+        passed=worst <= KERNEL_TOL,
+        residual=worst,
+        counts={"instances": n_checked},
+    )
+
+
+def reference_cross_terms(sc: Scenario) -> CheckResult:
+    """K(x, z) = K(x, yc) K(yc, z) under the two order conditions, pair by pair."""
+    sys_ = sc.system
+    words = sys_.words
+    ball = words.ball(sc.identity_radius, budget=sc.budget)
+    worst = 0.0
+    n1 = n2 = 0
+    for v0 in range(words.graph.n):
+        with_v0 = [x for x in ball if v0 in x.vertex_word]
+        nc_set = {x: words.nc_length_set(words.downset(x), v0) for x in ball}
+        forms = {x: words.standard_form(x, v0) for x in with_v0}
+        for x in with_v0:
+            sf = forms[x]
+            yc = words.multiply(sf.y, sf.c)
+            lhs, right = [], []  # one (K,) row per qualifying z
+            for z in ball:
+                cond1 = nc_set[z] < nc_set[x]
+                cond2 = False
+                if not cond1 and nc_set[z] == nc_set[x] and v0 in z.vertex_word:
+                    cond2 = forms[z].y.vertex_word != sf.y.vertex_word
+                if not (cond1 or cond2):
+                    continue
+                lhs.append(sys_.kernel(x, z).scalars)
+                right.append(sys_.kernel(yc, z).scalars)
+                if cond1:
+                    n1 += 1
+                else:
+                    n2 += 1
+            if lhs:
+                diff = np.array(lhs) - sys_.kernel(x, yc).scalars * np.array(right)
+                worst = max_residual(worst, float(np.abs(diff).max()))
+    if n1 == n2 == 0:
+        return _vacuous(
+            "cross-terms",
+            "lemmas",
+            "no pair (x, z) meets either order condition",
+            {"smaller-count": 0, "different-prefix": 0},
+        )
+    return CheckResult(
+        name="cross-terms",
+        suite="lemmas",
+        passed=worst <= KERNEL_TOL,
+        residual=worst,
+        counts={"smaller-count": n1, "different-prefix": n2},
+    )
+
+
+def reference_dominance_margin(system, xs, ps):
+    """The dominance difference from two grids of central products."""
+    n = len(xs)
+    k = system.kernel
+    lhs_grid = [[k(xs[i], xs[j]) for j in range(n)] for i in range(n)]
+    rhs_grid = [
+        [k(xs[i], ps[i]) * k(ps[i], ps[j]) * k(ps[j], xs[j]) for j in range(n)]
+        for i in range(n)
+    ]
+    structure = system.structure
+    diff = central_stack(structure, lhs_grid) - central_stack(structure, rhs_grid)
+    maxdiff = float(np.max(np.abs(diff)))
+    _, lam = is_positive(diff, tol=ABS_PSD_TOL, hermitian_tol=1e-8)
+    return lam, maxdiff
+
+
+# ----------------------------------------------------------------------
+# comparison
+
+
+def report_text(fn, sc) -> str:
+    """The check's report entry, or its recorded failure, as JSON text."""
+    return json.dumps(_guarded("check", "lemmas", fn, sc).to_json())
+
+
+def assert_same_reports(sc, monkeypatch):
+    for fn, ref in ((verify_drop_last, reference_drop_last), (verify_cross_terms, reference_cross_terms)):
+        assert report_text(fn, sc) == report_text(ref, sc)
+    fast = [report_text(fn, sc) for fn in (verify_schwarz, verify_y1_square)]
+    with monkeypatch.context() as m:
+        m.setattr(verifier, "_dominance_margin", reference_dominance_margin)
+        assert [report_text(fn, sc) for fn in (verify_schwarz, verify_y1_square)] == fast
+
+
+def assert_reduced_from_first_vertices(words, ball):
+    reduced = _reduced_pairs(words, ball)
+    for i, x in enumerate(ball):
+        x_inv = words.inverse(x)
+        for j, y in enumerate(ball):
+            assert reduced[i, j] == words.is_reduced(x_inv.vertex_word + y.vertex_word)
+            assert reduced[i, j] == (len(words.multiply(x_inv, y)) == len(x) + len(y))
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_stack_checks_match_the_per_pair_reference(name, monkeypatch):
+    sc = build_scenario(load_config(str(ROOT / "scenarios" / f"{name}.json")), seed=42)
+    assert_same_reports(sc, monkeypatch)
+    assert_reduced_from_first_vertices(sc.system.words, sc.system.words.ball(sc.identity_radius))
+
+
+@st.composite
+def _random_scenario(draw):
+    """2-4 vertices with Z/2 or Z/3 and random edges.  Either each vertex
+    acts on 3 or 4 points by a transposition or a 3-cycle, with random
+    complex or positive values, or the actions are trivial and each point
+    carries the positive definite c^|g| (0 < c < 1), so the kernels are
+    Hermitian and the dominance bounds reach their eigensolves."""
+    n = draw(st.integers(2, 4))
+    points = draw(st.sampled_from([3, 4]))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [p for p in pairs if draw(st.booleans())]
+    orders = [draw(st.sampled_from([2, 3])) for _ in range(n)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["geometric", "positive", "complex"]))
+    maps = {}
+    if kind == "geometric":
+        cs = [rng.uniform(0.1, 0.9, points) for _ in orders]
+        values = [[list(c ** min(g, o - g)) for g in range(o)] for c, o in zip(cs, orders)]
+    else:
+        for v, order in enumerate(orders):
+            gens = TRANSPOSITIONS[points] if order == 2 else THREE_CYCLES[points]
+            maps[v] = _powers(draw(st.sampled_from(gens)), order)
+        values = [
+            [
+                list(rng.uniform(0.1, 1.0, points))
+                if kind == "positive"
+                else list(rng.standard_normal(points) + 1j * rng.standard_normal(points))
+                for _ in range(o)
+            ]
+            for o in orders
+        ]
+    graph = SimplicialGraph.build(tuple(range(n)), edges)
+    system = groupoid_from_space(graph, [cyclic_group(o) for o in orders], points, maps, values)
+    return Scenario(
+        name="random",
+        system=system,
+        seed=draw(st.integers(0, 1000)),
+        identity_radius=2,
+        tuple_target=4,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_scenario())
+def test_stack_checks_match_the_per_pair_reference_on_random_products(sc):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_same_reports(sc, monkeypatch)
+    assert_reduced_from_first_vertices(sc.system.words, sc.system.words.ball(sc.identity_radius))
+
+
+def test_first_vertices_past_sixty_four_vertices():
+    """70 free Z/2 vertices: x^-1 y is reduced for two letters exactly when
+    their vertices differ, also past the width of a 64-bit mask."""
+    n = 70
+    graph = SimplicialGraph.build(tuple(range(n)), [])
+    values = [[[1.0], [0.5]] for _ in range(n)]
+    system = groupoid_from_space(graph, [cyclic_group(2)] * n, 1, {}, values)
+    words = system.words
+    ball = words.ball(1)
+    assert [words.first_vertices(x) for x in ball] == [()] + [(v,) for v in range(n)]
+    reduced = _reduced_pairs(words, ball)
+    letters = reduced[1:, 1:]
+    assert reduced[0].all() and reduced[:, 0].all()
+    assert np.array_equal(letters, ~np.eye(n, dtype=bool))
+    assert_reduced_from_first_vertices(words, ball)
+    sc = Scenario(name="wide", system=system, identity_radius=1)
+    report = verify_drop_last(sc)
+    assert report.counts == {"instances": n * n}
+    assert json.dumps(report.to_json()) == json.dumps(reference_drop_last(sc).to_json())
