@@ -17,6 +17,16 @@ The kernel of a multiplier is ``K(x, y) = alpha_y(h(x^-1 y))``; positive
 definiteness of h is equivalent to positivity of all kernel matrices over
 finite tuples, and the identities verified in :mod:`gpmult.verifier` are all
 phrased through K.
+
+Values of canonical words are memoized by interned word id (see
+:mod:`gpmult.wordcraft`) and computed from the right by the prefix recursion
+value(x' l) = value(x')[p(l^-1)] * h(l), p(l^-1) the index array of the
+inverse letter's action.  An index array distributes over elementwise
+products, so this is bit-equal to the left-to-right product above.  A kernel
+matrix over words x_0, ..., x_{n-1} is then one gather: the successor memo
+gives the ids prod[i, j] of x_i^-1 x_j, and
+``G[k, i, j] = V[prod[i, j], word_perm(x_j)[k]]`` with V the values of the
+distinct ids.
 """
 
 from __future__ import annotations
@@ -248,11 +258,33 @@ class MultiplierSystem:
         """Graph-product multiplier evaluated on the canonical expression."""
         if x.ctx is not self.words:
             raise ContextMismatchError("element belongs to a different context")
-        cached = self._value_cache.get(x.letters)
-        if cached is None:
-            cached = self.gp_value_letters(x.letters)
-            self._value_cache[x.letters] = cached
-        return cached
+        return self._value_of_id(self.words.intern(x.letters))
+
+    def _value_of_id(self, i: int) -> CentralElement:
+        """Value of interned word ``i`` by the prefix recursion, memoizing
+        every prefix on the way."""
+        cache = self._value_cache
+        val = cache.get(i)
+        if val is not None:
+            return val
+        words = self.words
+        prefix = words._id_prefix
+        chain = [i]
+        while prefix[chain[-1]] > 0 and prefix[chain[-1]] not in cache:
+            chain.append(prefix[chain[-1]])
+        inverse_perms = self.actions._inverse_perms
+        for j in reversed(chain):
+            letters = words._id_letters[j]
+            if len(letters) <= 1:
+                val = self.gp_value_letters(letters)
+            else:
+                l = letters[-1]
+                twisted = cache[prefix[j]].scalars[inverse_perms[l.vertex][l.elem]]
+                val = CentralElement._adopt(
+                    self.structure, twisted * self.value_of_letter(l).scalars
+                )
+            cache[j] = val
+        return val
 
     def gp_value_letters(self, letters) -> CentralElement:
         """Evaluate on one specific reduced expression l_0 ... l_{m-1}.
@@ -287,15 +319,37 @@ class MultiplierSystem:
         return self._kernel.get(x, y)
 
     def kernel_matrix(self, xs) -> np.ndarray:
-        """Kernel Gram matrix over xs as a ``(K, n, n)`` stack of block scalars."""
+        """Kernel Gram matrix over xs as a ``(K, n, n)`` stack of block scalars.
+
+        One gather from the memoized values of the distinct products
+        x_i^-1 x_j; no pair gets a central element of its own.
+        """
         xs = list(xs)
-        return central_stack(self.structure, [[self.kernel(x, y) for y in xs] for x in xs])
+        words = self.words
+        words._check_ctx(*xs)
+        n, K = len(xs), self.structure.num_blocks
+        ids = words.product_ids(
+            [self._kernel.inverse_id(x) for x in xs], [words.intern(x.letters) for x in xs]
+        )
+        distinct: dict = {}  # id -> row of the value stack
+        pos = [distinct.setdefault(i, len(distinct)) for row in ids for i in row]
+        known = self._value_cache.get  # skips the call for memoized values
+        values = np.array(
+            [(known(i) or self._value_of_id(i)).scalars for i in distinct], dtype=np.complex128
+        ).reshape(len(distinct), K)
+        perms = np.array(
+            [self.actions.word_perm(x.letters) for x in xs], dtype=np.intp
+        ).reshape(n, K)
+        pos = np.array(pos, dtype=np.intp).reshape(n, n, 1)
+        return values[pos, perms[None, :, :]].transpose(2, 0, 1)
 
 
 class KernelTable:
     """Lazy memoized kernel K(x, y) = alpha_y(h(x^-1 y)).
 
-    ``inverses`` memoizes x^-1 per x, so a row of the kernel inverts x once.
+    ``inverses`` memoizes the interned id of x^-1 per x; x^-1 y is reached
+    from it through the word context's successor memo, and its value comes
+    from the system's value memo.
     """
 
     def __init__(self, system: MultiplierSystem):
@@ -303,17 +357,24 @@ class KernelTable:
         self.cache: dict = {}
         self.inverses: dict = {}
 
+    def inverse_id(self, x: GPElement) -> int:
+        i = self.inverses.get(x.letters)
+        if i is None:
+            words = self.system.words
+            i = self.inverses[x.letters] = words.intern(words.inverse(x).letters)
+        return i
+
     def get(self, x: GPElement, y: GPElement) -> CentralElement:
         key = (x.letters, y.letters)
         val = self.cache.get(key)
         if val is None:
             system = self.system
             words = system.words
-            x_inv = self.inverses.get(x.letters)
-            if x_inv is None:
-                x_inv = self.inverses[x.letters] = words.inverse(x)
-            z = words.multiply(x_inv, y)
-            val = system.actions.act_word(y).on_central(system.gp_value(z))
+            words._check_ctx(x, y)
+            z = self.inverse_id(x)
+            for letter in y.letters:
+                z = words.successor(z, letter)
+            val = system.actions.act_word(y).on_central(system._value_of_id(z))
             self.cache[key] = val
         return val
 

@@ -204,10 +204,11 @@ def _complete_sets(sc: Scenario):
         sample = [ball[i] for i in idx]
         while True:
             try:
-                closure = words.complete_closure(base + sample, max_size=cap)
+                closure = words.complete_closure(base + sample, max_size=cap, budget=sc.budget)
                 break
-            except BudgetExceededError:
-                if not sample:
+            except BudgetExceededError as err:
+                # only an overflowing size cap is retried with a smaller sample
+                if not sample or "max_size" not in err.context:
                     raise
                 sample = sample[:-1]
         sets.append(closure)
@@ -385,13 +386,13 @@ def verify_cross_terms(sc: Scenario) -> CheckResult:
     worst = 0.0
     n1 = n2 = 0
     for v0 in range(words.graph.n):
-        nc = np.array([words.nc_length_set(words.downset(x), v0) for x in ball])
+        nc = np.array([words.downset_nc_max(x, v0, sc.budget) for x in ball])
         ycls = np.full(len(ball), -1)  # id of the y vertex word, -1 without a v0 letter
         classes: dict = {}
         yc = {}  # ball index of x -> ball index of its y c
         for i, x in enumerate(ball):
             if v0 in vertex_words[i]:
-                sf = words.standard_form(x, v0)
+                sf = words.standard_form(x, v0, sc.budget)
                 ycls[i] = classes.setdefault(sf.y.vertex_word, len(classes))
                 yc[i] = index[words.multiply(sf.y, sf.c)]
         for i, c in yc.items():
@@ -419,21 +420,39 @@ def verify_cross_terms(sc: Scenario) -> CheckResult:
     )
 
 
-def _dominance_margin(system, xs, ps):
+def _family_stack(system, xs, ps) -> np.ndarray:
+    """The kernel stack over a family's words, xs then ps."""
+    return system.kernel_matrix(list(xs) + list(ps))
+
+
+def _dominance_margin(system, xs, ps, gram=None):
     """lambda_min and largest |entry| of the dominance difference
     K(x_i, x_j) - K(x_i, p_i) K(p_i, p_j) K(p_j, x_j) over a family.
 
-    Both Gram stacks come from ``kernel_matrix``; the product is formed
-    left to right, as the central products it stands for.
+    Every entry is read from ``gram``, the family's kernel stack (built
+    when not given); the product is formed left to right, as the central
+    products it stands for.
     """
-    left = np.array([system.kernel(x, p).scalars for x, p in zip(xs, ps)]).T
-    right = np.array([system.kernel(p, x).scalars for x, p in zip(xs, ps)]).T
-    diff = system.kernel_matrix(xs) - (
-        left[:, :, None] * system.kernel_matrix(ps) * right[:, None, :]
-    )
+    if gram is None:
+        gram = _family_stack(system, xs, ps)
+    n = len(xs)
+    left = gram[:, :n, n:].diagonal(axis1=1, axis2=2)
+    right = gram[:, n:, :n].diagonal(axis1=1, axis2=2)
+    diff = gram[:, :n, :n] - left[:, :, None] * gram[:, n:, n:] * right[:, None, :]
     maxdiff = float(np.max(np.abs(diff)))
     _, lam = is_positive(diff, tol=ABS_PSD_TOL, hermitian_tol=1e-8)
     return lam, maxdiff
+
+
+def _cross_kernels_factor(gram: np.ndarray, n: int) -> bool:
+    """Whether K(x_i, p_j) = K(x_i, p_i) K(p_i, p_j) for all i != j, read
+    from the kernel stack over x_0..x_{n-1} then p_0..p_{n-1}: per pair the
+    largest block deviation (NaN when one is NaN) is within KERNEL_TOL."""
+    cross = gram[:, :n, n:]
+    left = cross.diagonal(axis1=1, axis2=2)
+    dev = np.abs(cross - left[:, :, None] * gram[:, n:, n:]).max(axis=0)
+    np.fill_diagonal(dev, 0.0)
+    return not (dev > KERNEL_TOL).any()
 
 
 def verify_schwarz(sc: Scenario) -> CheckResult:
@@ -465,16 +484,11 @@ def verify_schwarz(sc: Scenario) -> CheckResult:
             cs = [ball[int(rng.integers(0, len(ball)))] for _ in range(n)]
         bs = [ball[int(rng.integers(0, len(ball)))] for _ in range(n)]
         cbs = [words.multiply(c, b) for c, b in zip(cs, bs)]
-        k = sys_.kernel
-        if any(
-            k(cbs[i], cs[j]).maxabs_diff(k(cbs[i], cs[i]) * k(cs[i], cs[j])) > KERNEL_TOL
-            for i in range(n)
-            for j in range(n)
-            if i != j
-        ):
+        gram = _family_stack(sys_, cbs, cs)
+        if not _cross_kernels_factor(gram, n):
             rejected += 1
             continue
-        lam, maxdiff = _dominance_margin(sys_, cbs, cs)
+        lam, maxdiff = _dominance_margin(sys_, cbs, cs, gram)
         accepted += 1
         if maxdiff > 1e-13:
             non_vacuous += 1
@@ -528,7 +542,7 @@ def verify_y1_square(sc: Scenario) -> CheckResult:
         with_v0 = [x for x in ball if v0 in x.vertex_word]
         classes: dict = {}
         for x in with_v0:
-            sf = words.standard_form(x, v0)
+            sf = words.standard_form(x, v0, sc.budget)
             classes.setdefault(sf.y.vertex_word, []).append((x, sf))
         class_lists.extend(classes.values())
     families = []

@@ -11,6 +11,11 @@ commute back to, or is inserted at the one place that keeps the word least
 Products push only the right factor onto the left one, so cancellation
 happens at the interface.
 
+Canonical words are interned as integer ids.  A prefix of a canonical word
+is canonical, so every id knows the id of its prefix, and a successor memo
+maps (id, letter) to the id of the canonical product; a table of products
+over a set of words is then one memo lookup per pair once the memo is warm.
+
 A word is *reduced* when for every pair of equal-vertex positions k < l some
 intermediate position p carries a vertex not joined to it; equivalently, no
 two same-vertex letters can be brought together by allowed swaps.  All
@@ -111,6 +116,19 @@ class WordContext:
         self.groups = tuple(groups)
         self._downset_cache: dict = {}
         self._sf_cache: dict = {}
+        self._nc_max_cache: dict = {}  # letters -> down-set maximum per v0
+        # interned canonical words: letters -> id, and per id its letters and
+        # the id of its prefix (-1 for the identity, which is always id 0)
+        self._ids: dict = {}
+        self._id_letters: list = []
+        self._id_prefix: list = []
+        # successor memo: (id, letter) -> id of the canonical product, keyed
+        # by the int id * letter_slots + slot(letter)
+        self._succ: dict = {}
+        self._slot_offset = tuple(
+            sum(g.order for g in self.groups[:v]) for v in range(graph.n)
+        )
+        self._letter_slots = sum(g.order for g in self.groups)
 
     # ------------------------------------------------------------------
     # constructors
@@ -234,6 +252,71 @@ class WordContext:
         )
 
     # ------------------------------------------------------------------
+    # interned words
+
+    def intern(self, letters: tuple) -> int:
+        """Integer id of a canonical word, interning its prefixes first.
+
+        Every prefix of the word gets a smaller id than the word, so
+        ascending ids list each word after all of its prefixes.
+        """
+        ids = self._ids
+        i = ids.get(letters)
+        if i is not None:
+            return i
+        new = [letters]
+        while new[-1] and new[-1][:-1] not in ids:
+            new.append(new[-1][:-1])
+        for w in reversed(new):
+            ids[w] = len(self._id_letters)
+            self._id_prefix.append(ids[w[:-1]] if w else -1)
+            self._id_letters.append(w)
+        return ids[letters]
+
+    def successor(self, i: int, letter: Letter) -> int:
+        """Id of the canonical product of word ``i`` and one letter, memoized."""
+        key = i * self._letter_slots + self._slot_offset[letter.vertex] + letter.elem
+        j = self._succ.get(key)
+        if j is None:
+            j = self._succ[key] = self.intern(self._push((letter,), self._id_letters[i]).letters)
+        return j
+
+    def product_ids(self, lefts, rights) -> list:
+        """Ids of the canonical products of words ``lefts[i]`` and
+        ``rights[j]`` (given as ids), as one list per left factor.
+
+        The right factors and their prefixes are listed with every prefix
+        before its extensions, so each product is the successor of the
+        product with the prefix of its right factor: one memo lookup per
+        left factor and word of the prefix closure.
+        """
+        prefix, id_letters = self._id_prefix, self._id_letters
+        slots, offset = self._letter_slots, self._slot_offset
+        pos = {0: 0}  # closure word id -> its place in a row
+        steps = []  # per closure word after the identity: (place of prefix, letter, slot)
+        for j in rights:
+            chain = []
+            while j not in pos:
+                chain.append(j)
+                j = prefix[j]
+            for j in reversed(chain):
+                pos[j] = len(steps) + 1
+                letter = id_letters[j][-1]
+                steps.append((pos[prefix[j]], letter, offset[letter.vertex] + letter.elem))
+        cols = [pos[j] for j in rights]
+        get = self._succ.get
+        rows: dict = {}  # left id -> its products with the closure
+        for a in lefts:
+            if a in rows:
+                continue
+            row = rows[a] = [a]
+            append = row.append
+            for p, letter, slot in steps:
+                b = get(row[p] * slots + slot)
+                append(self.successor(row[p], letter) if b is None else b)
+        return [[row[c] for c in cols] for row in map(rows.__getitem__, lefts)]
+
+    # ------------------------------------------------------------------
     # rearrangements and the truncation order
 
     def rearrangements(self, x: GPElement, budget: int = DEFAULT_BUDGET):
@@ -262,9 +345,9 @@ class WordContext:
                         frontier.append(s)
         return sorted(seen)
 
-    def _immediate_truncations(self, z: GPElement):
+    def _immediate_truncations(self, z: GPElement, budget: int = DEFAULT_BUDGET):
         out = set()
-        for r in self._rearrangements_seq(z.letters, DEFAULT_BUDGET):
+        for r in self._rearrangements_seq(z.letters, budget):
             if r:
                 out.add(self._push(r[1:]))
                 out.add(self._push(r[:-1]))
@@ -282,7 +365,7 @@ class WordContext:
         frontier = deque([y])
         while frontier:
             z = frontier.popleft()
-            for t in self._immediate_truncations(z):
+            for t in self._immediate_truncations(z, budget):
                 if t == x:
                     return True
                 if t not in seen:
@@ -295,21 +378,22 @@ class WordContext:
                         frontier.append(t)
         return False
 
-    def downset(self, x: GPElement, max_size: int = 10_000):
+    def downset(self, x: GPElement, max_size: int = 10_000, budget: int = DEFAULT_BUDGET):
         """All elements below x in the truncation order (x included), sorted."""
         self._check_ctx(x)
         cached = self._downset_cache.get(x.letters)
         if cached is None:
-            cached = self.complete_closure([x], max_size=max_size)
+            cached = self.complete_closure([x], max_size=max_size, budget=budget)
             self._downset_cache[x.letters] = cached
         return cached
 
-    def complete_closure(self, elements, max_size: int = 10_000):
+    def complete_closure(self, elements, max_size: int = 10_000, budget: int = DEFAULT_BUDGET):
         """Smallest truncation-closed set containing the input and the identity.
 
         Closed means: with every member, all one-letter truncations of all its
         rearrangements are members too.  Sorted deterministically by (length,
-        letters).
+        letters).  ``max_size`` caps the closure and ``budget`` each
+        rearrangement class.
         """
         seed = {self.identity()}
         for x in elements:
@@ -319,7 +403,7 @@ class WordContext:
         todo = deque(sorted(seed, key=_sort_key))
         while todo:
             z = todo.popleft()
-            for t in self._immediate_truncations(z):
+            for t in self._immediate_truncations(z, budget):
                 if t not in out:
                     out.add(t)
                     if len(out) > max_size:
@@ -329,13 +413,13 @@ class WordContext:
                     todo.append(t)
         return tuple(sorted(out, key=_sort_key))
 
-    def is_complete(self, elements) -> bool:
+    def is_complete(self, elements, budget: int = DEFAULT_BUDGET) -> bool:
         """Whether a set is already truncation-closed and contains the identity."""
         xs = set(elements)
         if self.identity() not in xs:
             return False
         for z in xs:
-            for t in self._immediate_truncations(z):
+            for t in self._immediate_truncations(z, budget):
                 if t not in xs:
                     return False
         return True
@@ -343,7 +427,7 @@ class WordContext:
     # ------------------------------------------------------------------
     # non-commuting counts and standard form
 
-    def nc_length(self, x, v0: int, check_all: bool = False) -> int:
+    def nc_length(self, x, v0: int, check_all: bool = False, budget: int = DEFAULT_BUDGET) -> int:
         """Non-commuting count of x relative to the vertex v0.
 
         -1 when no rearrangement ends with a v0 letter; otherwise the number
@@ -366,7 +450,7 @@ class WordContext:
             # Only vertices matter to the search, so any element stands in.
             placeholders = tuple(Letter(v, 0) for v in vertices)
             vals = set()
-            for seq in self._rearrangements_seq(placeholders, DEFAULT_BUDGET):
+            for seq in self._rearrangements_seq(placeholders, budget):
                 r = [l.vertex for l in seq]
                 if r and r[-1] == v0:
                     vals.add(
@@ -406,20 +490,43 @@ class WordContext:
             raise EmptySetError("non-commuting count of an empty collection")
         return max(self.nc_length(x, v0) for x in elements)
 
-    def standard_form(self, x: GPElement, v0: int) -> StandardForm:
+    def downset_nc_max(self, x: GPElement, v0: int, budget: int = DEFAULT_BUDGET) -> int:
+        """Largest non-commuting count relative to v0 over the down-set of x.
+
+        The down-set of x is x, the identity and the down-sets of the
+        immediate truncations of x, so the maximum is built from theirs;
+        the maxima of a word for every vertex are memoized together.
+        """
+        self._check_ctx(x)
+        return self._downset_nc_maxima(x, budget)[v0]
+
+    def _downset_nc_maxima(self, x: GPElement, budget: int) -> tuple:
+        maxima = self._nc_max_cache.get(x.letters)
+        if maxima is None:
+            vertices = x.vertex_word
+            maxima = [self._nc_direct(vertices, v0) for v0 in range(self.graph.n)]
+            for t in self._immediate_truncations(x, budget):
+                below = self._downset_nc_maxima(t, budget)
+                maxima = [max(m, b) for m, b in zip(maxima, below)]
+            maxima = self._nc_max_cache[x.letters] = tuple(maxima)
+        return maxima
+
+    def standard_form(self, x: GPElement, v0: int, budget: int = DEFAULT_BUDGET) -> StandardForm:
         """The unique decomposition x = y * c * a * b relative to v0.
 
         Exhaustive search over rearrangements: among splits whose prefix
         through the chosen v0 letter realizes the maximal non-commuting count
         of the down-set of x, first minimize the length of b, then the length
-        of y.  Raises ``NoV0LetterError`` when x has no v0 letter.
+        of y.  Raises ``NoV0LetterError`` when x has no v0 letter, and
+        ``BudgetExceededError`` when a rearrangement class or a truncation
+        search exceeds ``budget``.
         """
         self._check_ctx(x)
         key = (x.letters, v0)
         cached = self._sf_cache.get(key)
         if cached is not None:
             return cached
-        forms = self.standard_form_candidates(x, v0)
+        forms = self.standard_form_candidates(x, v0, budget)
         if len(forms) != 1:
             raise GPMultError(
                 "standard form is not unique",
@@ -431,15 +538,15 @@ class WordContext:
         self._sf_cache[key] = form
         return form
 
-    def standard_form_candidates(self, x: GPElement, v0: int):
+    def standard_form_candidates(self, x: GPElement, v0: int, budget: int = DEFAULT_BUDGET):
         """All minimizers of the standard-form search (should be exactly one)."""
         self._check_ctx(x)
         if v0 not in x.vertex_word:
             raise NoV0LetterError("element has no letter at the vertex", v0=v0)
-        n_target = self.nc_length_set(self.downset(x), v0)
+        n_target = self.downset_nc_max(x, v0, budget)
         # stage 1: choose the split point at a v0 letter, minimizing |b|
         cands = []
-        for r in self._rearrangements_seq(x.letters, DEFAULT_BUDGET):
+        for r in self._rearrangements_seq(x.letters, budget):
             for i, letter in enumerate(r):
                 if letter.vertex != v0:
                     continue
@@ -458,7 +565,7 @@ class WordContext:
         finals = {}
         best_y = None
         for prefix, letter, b in cands:
-            for rp in self._rearrangements_seq(tuple(prefix), DEFAULT_BUDGET):
+            for rp in self._rearrangements_seq(tuple(prefix), budget):
                 for j in range(len(rp) + 1):
                     y_letters, c_letters = rp[:j], rp[j:]
                     y_vw = tuple(m.vertex for m in y_letters) + (v0,)
@@ -467,7 +574,7 @@ class WordContext:
                     if self._nc_direct(y_vw, v0) != n_target:
                         continue
                     ya = self._push(tuple(y_letters) + (letter,))
-                    if not self.leq(ya, x):
+                    if not self.leq(ya, x, budget):
                         continue
                     if best_y is None or j < best_y:
                         best_y = j

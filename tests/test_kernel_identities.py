@@ -3,7 +3,8 @@
 ``drop-last-letter`` and ``cross-terms`` read every kernel from the
 identity ball's ``(K, n, n)`` stack, and decide whether x^-1 y is reduced
 from the first vertices of x and y.  The Schwarz and shared-prefix bounds
-build their difference from two ``kernel_matrix`` stacks.  The per-pair
+read their factor hypothesis and dominance difference from one
+``kernel_matrix`` stack over each family's words.  The per-pair
 implementations they replaced are kept below as the reference: one
 ``kernel`` call per pair, reducedness by rescanning the concatenated vertex
 word, and the dominance difference assembled from grids of central
@@ -145,8 +146,9 @@ def reference_cross_terms(sc: Scenario) -> CheckResult:
     )
 
 
-def reference_dominance_margin(system, xs, ps):
-    """The dominance difference from two grids of central products."""
+def reference_dominance_margin(system, xs, ps, gram=None):
+    """The dominance difference from two grids of central products; a
+    gathered family stack, when passed, is ignored."""
     n = len(xs)
     k = system.kernel
     lhs_grid = [[k(xs[i], xs[j]) for j in range(n)] for i in range(n)]
@@ -161,6 +163,59 @@ def reference_dominance_margin(system, xs, ps):
     return lam, maxdiff
 
 
+def reference_schwarz(sc: Scenario) -> CheckResult:
+    """The Schwarz bound with the factor hypothesis checked pair by pair and
+    the dominance difference from grids of central products."""
+    sys_ = sc.system
+    words = sys_.words
+    ball = list(words.ball(sc.identity_radius, budget=sc.budget))
+    rng = np.random.default_rng([sc.seed, 104])
+    worst = np.inf
+    accepted = non_vacuous = rejected = 0
+    attempts = 0
+    all_ok = True
+    while non_vacuous < sc.tuple_target and attempts < 60 * sc.tuple_target:
+        attempts += 1
+        n = int(rng.integers(2, 4))
+        if rng.integers(0, 2) == 0:
+            cs = [ball[int(rng.integers(0, len(ball)))]] * n
+        else:
+            cs = [ball[int(rng.integers(0, len(ball)))] for _ in range(n)]
+        bs = [ball[int(rng.integers(0, len(ball)))] for _ in range(n)]
+        cbs = [words.multiply(c, b) for c, b in zip(cs, bs)]
+        k = sys_.kernel
+        if any(
+            k(cbs[i], cs[j]).maxabs_diff(k(cbs[i], cs[i]) * k(cs[i], cs[j])) > KERNEL_TOL
+            for i in range(n)
+            for j in range(n)
+            if i != j
+        ):
+            rejected += 1
+            continue
+        lam, maxdiff = reference_dominance_margin(sys_, cbs, cs)
+        accepted += 1
+        if maxdiff > 1e-13:
+            non_vacuous += 1
+        worst = min(worst, lam)
+        all_ok = all_ok and (lam >= -ABS_PSD_TOL)
+    if accepted == 0:
+        return _vacuous("schwarz-inequality", "lemmas", "no admissible family found")
+    if non_vacuous == 0 and all_ok:
+        return _vacuous(
+            "schwarz-inequality",
+            "lemmas",
+            "LHS - RHS vanishes on every admissible family",
+            {"families": accepted, "non_vacuous": 0, "rejected": rejected},
+        )
+    return CheckResult(
+        name="schwarz-inequality",
+        suite="lemmas",
+        passed=all_ok,
+        lambda_min=float(worst),
+        counts={"families": accepted, "non_vacuous": non_vacuous, "rejected": rejected},
+    )
+
+
 # ----------------------------------------------------------------------
 # comparison
 
@@ -171,7 +226,11 @@ def report_text(fn, sc) -> str:
 
 
 def assert_same_reports(sc, monkeypatch):
-    for fn, ref in ((verify_drop_last, reference_drop_last), (verify_cross_terms, reference_cross_terms)):
+    for fn, ref in (
+        (verify_drop_last, reference_drop_last),
+        (verify_cross_terms, reference_cross_terms),
+        (verify_schwarz, reference_schwarz),
+    ):
         assert report_text(fn, sc) == report_text(ref, sc)
     fast = [report_text(fn, sc) for fn in (verify_schwarz, verify_y1_square)]
     with monkeypatch.context() as m:

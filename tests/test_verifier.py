@@ -7,7 +7,16 @@ import pytest
 
 from gpmult.cli import build_scenario, load_config
 from gpmult.errors import BudgetExceededError
-from gpmult.verifier import CheckResult, Scenario, run_all, _complete_sets
+from gpmult.verifier import (
+    CheckResult,
+    Scenario,
+    _complete_sets,
+    run_all,
+    verify_cross_terms,
+    verify_drop_last,
+    verify_peel_off,
+    verify_y1_square,
+)
 
 ALL_SUITES = ("main", "lemmas", "haagerup", "cocycles")
 
@@ -218,6 +227,31 @@ def test_budget_propagates_out_of_run_all():
     sc = dataclasses.replace(scenario("free_pair_z2"), budget=5)
     with pytest.raises(BudgetExceededError):
         run_all(sc, suites=("main",), threads=1)
+
+
+def test_budget_bounds_every_lemma_check():
+    """(Z/2)^4 as the complete graph K4 at identity radius 4: the ball has 16
+    words, but the rearrangement class of abcd has 24 sequences, so a
+    budget of 20 stops every check that enumerates it."""
+    vs = "abcd"
+    cfg = {
+        "name": "k4_z2",
+        "graph": {"vertices": list(vs), "edges": [[u, v] for u in vs for v in vs if u < v]},
+        "groups": {v: {"preset": "cyclic", "n": 2} for v in vs},
+        "algebra": {"blocks": [1, 1]},
+        "actions": {v: {"preset": "trivial"} for v in vs},
+        "multipliers": {v: {"preset": "geometric", "c": 0.3} for v in vs},
+        "verify": {"identity_radius": 4, "budget": 20},
+    }
+    sc = build_scenario(cfg)
+    assert len(sc.system.words.ball(4, budget=20)) == 16
+    for check in (verify_peel_off, verify_drop_last, verify_cross_terms, verify_y1_square):
+        with pytest.raises(BudgetExceededError):
+            check(sc)
+    with pytest.raises(BudgetExceededError):
+        run_all(sc, suites=("lemmas",))
+    wide = dataclasses.replace(build_scenario(cfg), budget=24)
+    assert all(c["pass"] for c in run_all(wide, suites=("lemmas",))["checks"])
 
 
 def test_witnessless_scenario_reports_vacuous_witness():

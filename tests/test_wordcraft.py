@@ -22,6 +22,7 @@ from gpmult.errors import (
 )
 from gpmult.graphgroup import SimplicialGraph, cyclic_group, multipartite_graph
 from gpmult.wordcraft import Letter, WordContext
+from test_composed_actions import _system_and_words
 
 
 def free_pair():
@@ -269,6 +270,30 @@ def test_rearrangements_budget():
         ctx.ball(4, budget=3)
 
 
+def test_budget_bounds_every_rearrangement_search():
+    """(Z/2)^4 as the complete graph K4: abcd has 24 rearrangements."""
+    g = SimplicialGraph.build(list("abcd"), [(u, v) for u in "abcd" for v in "abcd" if u < v])
+    ctx = WordContext(g, [cyclic_group(2)] * 4)
+    abcd = ctx.normalize([(v, 1) for v in range(4)])
+    abc = ctx.normalize([(v, 1) for v in range(3)])
+    assert len(ctx.ball(4, budget=20)) == 16
+    searches = [
+        lambda budget: ctx.standard_form(abcd, 0, budget),
+        lambda budget: ctx.standard_form_candidates(abcd, 0, budget),
+        lambda budget: ctx.downset_nc_max(abcd, 0, budget),
+        lambda budget: ctx.downset(abcd, budget=budget),
+        lambda budget: ctx.complete_closure([abcd], budget=budget),
+        lambda budget: ctx.is_complete(ctx.ball(4), budget=budget),
+        lambda budget: ctx.leq(abc, abcd, budget),
+        lambda budget: ctx.nc_length(abcd, 0, check_all=True, budget=budget),
+    ]
+    for search in searches:
+        with pytest.raises(BudgetExceededError):
+            search(20)
+    for search in searches:
+        search(24)
+
+
 def test_group_laws_on_ball():
     ctx = path_abc()
     ball = ctx.ball(2)
@@ -389,6 +414,25 @@ def test_nc_length_representative_independent():
         for v0 in range(3):
             direct = ctx.nc_length(x, v0)
             assert direct == ctx.nc_length(x, v0, check_all=True)
+
+
+@pytest.mark.parametrize("ctx_factory", [free_pair, path_abc, triangle, k12_z2])
+def test_downset_maximum_matches_the_down_set_scan(ctx_factory):
+    ctx = ctx_factory()
+    ball = ctx.ball(4)
+    for v0 in range(ctx.graph.n):
+        for x in ball:
+            assert ctx.downset_nc_max(x, v0) == ctx.nc_length_set(ctx.downset(x), v0)
+    assert set(ctx._nc_max_cache) == {x.letters for x in ball}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_downset_maximum_matches_the_down_set_scan_on_random_products(data):
+    ctx = data.draw(_graph_product(max_vertices=4, max_order=3))
+    x = ctx.normalize(_draw_raw(data.draw, ctx, max_len=6))
+    for v0 in range(ctx.graph.n):
+        assert ctx.downset_nc_max(x, v0) == ctx.nc_length_set(ctx.downset(x), v0)
 
 
 def test_nc_length_set_on_downsets():
@@ -519,3 +563,27 @@ def test_pairs_round_trip():
     for _ in range(50):
         x = ctx.random_element(rng, 4)
         assert ctx.from_pairs(ctx.to_pairs(x)) == x
+
+
+# ----------------------------------------------------------------------
+# interned words and prefix-recursion values (hypothesis)
+
+@settings(max_examples=60, deadline=None)
+@given(_system_and_words())
+def test_prefixes_of_canonical_words_are_canonical_and_values_recurse(case):
+    """Every prefix of a canonical word is canonical, interning puts it
+    first, and the value built by the prefix recursion is bit-equal to the
+    left-to-right evaluation, on point actions that do not commute."""
+    system, raws, _ = case
+    words = system.words
+    for raw in raws:
+        x = words.normalize(raw)
+        i = words.intern(x.letters)
+        for k in range(len(x.letters), -1, -1):  # the longest first, from a cold memo
+            prefix = x.letters[:k]
+            assert words.normalize(prefix).letters == prefix
+            assert words.intern(prefix) <= i
+            value = system.gp_value(words.normalize(prefix))
+            assert value.scalars.tobytes() == system.gp_value_letters(prefix).scalars.tobytes()
+        if x.letters:
+            assert words._id_prefix[i] == words.intern(x.letters[:-1])
