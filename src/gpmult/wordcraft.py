@@ -413,13 +413,13 @@ class WordContext:
                     todo.append(t)
         return tuple(sorted(out, key=_sort_key))
 
-    def is_complete(self, elements, budget: int = DEFAULT_BUDGET) -> bool:
+    def is_complete(self, elements) -> bool:
         """Whether a set is already truncation-closed and contains the identity."""
         xs = set(elements)
         if self.identity() not in xs:
             return False
         for z in xs:
-            for t in self._immediate_truncations(z, budget):
+            for t in self._immediate_truncations(z):
                 if t not in xs:
                     return False
         return True

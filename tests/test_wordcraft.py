@@ -283,7 +283,6 @@ def test_budget_bounds_every_rearrangement_search():
         lambda budget: ctx.downset_nc_max(abcd, 0, budget),
         lambda budget: ctx.downset(abcd, budget=budget),
         lambda budget: ctx.complete_closure([abcd], budget=budget),
-        lambda budget: ctx.is_complete(ctx.ball(4), budget=budget),
         lambda budget: ctx.leq(abc, abcd, budget),
         lambda budget: ctx.nc_length(abcd, 0, check_all=True, budget=budget),
     ]
