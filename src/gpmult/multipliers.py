@@ -18,15 +18,16 @@ definiteness of h is equivalent to positivity of all kernel matrices over
 finite tuples, and the identities verified in :mod:`gpmult.verifier` are all
 phrased through K.
 
-Values of canonical words are memoized by interned word id (see
-:mod:`gpmult.wordcraft`) and computed from the right by the prefix recursion
+Values of canonical words are the rows of one growing ``(N, K)`` array V,
+row i the value of interned word i (see :mod:`gpmult.wordcraft`).  They are
+computed from the right by the prefix recursion
 value(x' l) = value(x')[p(l^-1)] * h(l), p(l^-1) the index array of the
-inverse letter's action.  An index array distributes over elementwise
-products, so this is bit-equal to the left-to-right product above.  A kernel
-matrix over words x_0, ..., x_{n-1} is then one gather: the successor memo
-gives the ids prod[i, j] of x_i^-1 x_j, and
-``G[k, i, j] = V[prod[i, j], word_perm(x_j)[k]]`` with V the values of the
-distinct ids.
+inverse letter's action, for all ids without a value at once, in rounds of
+ids whose prefixes have theirs.  An index array distributes over
+elementwise products, so this is bit-equal to the left-to-right product
+above.  A kernel matrix over words x_0, ..., x_{n-1} is then one gather:
+the successor memo gives the ids prod[i, j] of x_i^-1 x_j, and
+``G[k, i, j] = V[prod[i, j], word_perm(x_j)[k]]``.
 """
 
 from __future__ import annotations
@@ -59,11 +60,16 @@ from .matalg import (
     is_positive,
     max_residual,
 )
-from .wordcraft import DEFAULT_BUDGET, GPElement, WordContext
+from .wordcraft import DEFAULT_BUDGET, GPElement, Letter, WordContext
 
 UNITAL_TOL = 1e-12
 COMMUTE_TOL = 1e-12
 WELL_DEFINED_TOL = 1e-10
+# Up to this many ids without a value are filled one by one: a fill round
+# costs about as much numpy overhead as nine single rows (16 against 1.8 us
+# on a 2-core x86-64 host), and a few new ids, such as one new word's
+# prefixes, usually form a chain that needs one round per id.
+SEQUENTIAL_FILL = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,8 +230,17 @@ class MultiplierSystem:
         self.multipliers = multipliers
         self.valid_actions = None
         self.valid_multipliers = None
-        self._value_cache: dict = {}
+        self._value_cache = _ValueRows(self.structure.num_blocks)
         self._kernel = KernelTable(self)
+        # per letter slot of the word context: the index array of the inverse
+        # letter's action and the letter's value (the identity's at an
+        # identity slot, which no letter uses)
+        self._slot_perms = np.array(
+            [p for perms in actions._inverse_perms for p in perms], dtype=np.intp
+        ).reshape(-1, self.structure.num_blocks)
+        self._slot_values = np.array(
+            [v.scalars for h in multipliers for v in h.values], dtype=np.complex128
+        ).reshape(-1, self.structure.num_blocks)
 
     # ------------------------------------------------------------------
     # setup validation
@@ -261,30 +276,53 @@ class MultiplierSystem:
         return self._value_of_id(self.words.intern(x.letters))
 
     def _value_of_id(self, i: int) -> CentralElement:
-        """Value of interned word ``i`` by the prefix recursion, memoizing
-        every prefix on the way."""
-        cache = self._value_cache
-        val = cache.get(i)
-        if val is not None:
-            return val
+        return CentralElement._adopt(self.structure, self._value_rows()[i].copy())
+
+    def _value_rows(self) -> np.ndarray:
+        """Values of all interned words, row i the value of word i.
+
+        Ids without a value are filled in rounds, each taking every pending
+        id whose prefix has one: V[i] = V[prefix][p(l^-1)] * h(l) for the
+        last letter l, and a one-letter word copies h(l).  At most
+        ``SEQUENTIAL_FILL`` of them are filled one by one in id order, which
+        lists every prefix first.
+        """
+        rows = self._value_cache
         words = self.words
-        prefix = words._id_prefix
-        chain = [i]
-        while prefix[chain[-1]] > 0 and prefix[chain[-1]] not in cache:
-            chain.append(prefix[chain[-1]])
-        inverse_perms = self.actions._inverse_perms
-        for j in reversed(chain):
-            letters = words._id_letters[j]
-            if len(letters) <= 1:
-                val = self.gp_value_letters(letters)
-            else:
-                l = letters[-1]
-                twisted = cache[prefix[j]].scalars[inverse_perms[l.vertex][l.elem]]
-                val = CentralElement._adopt(
-                    self.structure, twisted * self.value_of_letter(l).scalars
-                )
-            cache[j] = val
-        return val
+        lo, n = rows.filled, len(words._id_prefix)
+        if lo == n:
+            return rows.array[:n]
+        if n > len(rows.array):
+            grown = np.empty((max(n, 2 * len(rows.array)), self.structure.num_blocks), complex)
+            grown[:lo] = rows.array[:lo]
+            rows.array = grown
+        V = rows.array
+        if lo == 0:
+            V[0] = 1.0
+            lo = 1
+        perms, values = self._slot_perms, self._slot_values
+        if n - lo <= SEQUENTIAL_FILL:
+            for j in range(lo, n):
+                p, s = words._id_prefix[j], words._id_last[j]
+                V[j] = values[s] if p == 0 else V[p, perms[s]] * values[s]
+        else:
+            prefix = np.array(words._id_prefix[lo:n], dtype=np.intp)
+            slot = np.array(words._id_last[lo:n], dtype=np.intp)
+            done = np.zeros(n - lo, dtype=bool)
+            todo = np.arange(n - lo)
+            while todo.size:
+                rank = prefix[todo] - lo  # negative where the prefix had a value before
+                ready = (rank < 0) | done[rank.clip(0)]
+                take = todo[ready]
+                p, s = prefix[take], slot[take]
+                vals = V[p[:, None], perms[s]] * values[s]
+                first = p == 0
+                vals[first] = values[s[first]]
+                V[lo + take] = vals
+                done[take] = True
+                todo = todo[~ready]
+        rows.filled = n
+        return V[:n]
 
     def gp_value_letters(self, letters) -> CentralElement:
         """Evaluate on one specific reduced expression l_0 ... l_{m-1}.
@@ -321,35 +359,43 @@ class MultiplierSystem:
     def kernel_matrix(self, xs) -> np.ndarray:
         """Kernel Gram matrix over xs as a ``(K, n, n)`` stack of block scalars.
 
-        One gather from the memoized values of the distinct products
-        x_i^-1 x_j; no pair gets a central element of its own.
+        One gather from the value rows of the products x_i^-1 x_j; no pair
+        gets a central element of its own.
         """
         xs = list(xs)
         words = self.words
         words._check_ctx(*xs)
         n, K = len(xs), self.structure.num_blocks
-        ids = words.product_ids(
+        prod = words.product_ids(
             [self._kernel.inverse_id(x) for x in xs], [words.intern(x.letters) for x in xs]
         )
-        distinct: dict = {}  # id -> row of the value stack
-        pos = [distinct.setdefault(i, len(distinct)) for row in ids for i in row]
-        known = self._value_cache.get  # skips the call for memoized values
-        values = np.array(
-            [(known(i) or self._value_of_id(i)).scalars for i in distinct], dtype=np.complex128
-        ).reshape(len(distinct), K)
+        values = self._value_rows()
         perms = np.array(
             [self.actions.word_perm(x.letters) for x in xs], dtype=np.intp
         ).reshape(n, K)
-        pos = np.array(pos, dtype=np.intp).reshape(n, n, 1)
-        return values[pos, perms[None, :, :]].transpose(2, 0, 1)
+        prod = np.array(prod, dtype=np.intp).reshape(n, n, 1)
+        return values[prod, perms[None, :, :]].transpose(2, 0, 1)
+
+
+class _ValueRows:
+    """Values of interned words as the rows of one growing ``(N, K)`` array;
+    ids below ``filled`` have theirs, and ``len()`` counts them."""
+
+    def __init__(self, num_blocks: int):
+        self.array = np.empty((0, num_blocks), dtype=np.complex128)
+        self.filled = 0
+
+    def __len__(self):
+        return self.filled
 
 
 class KernelTable:
     """Lazy memoized kernel K(x, y) = alpha_y(h(x^-1 y)).
 
-    ``inverses`` memoizes the interned id of x^-1 per x; x^-1 y is reached
-    from it through the word context's successor memo, and its value comes
-    from the system's value memo.
+    ``inverses`` memoizes the interned id of x^-1 per x, reached from the
+    identity by successors over the inverted letters of x in reverse; x^-1 y
+    is reached from it through the same memo, and its value is a row of the
+    system's value array.
     """
 
     def __init__(self, system: MultiplierSystem):
@@ -361,7 +407,10 @@ class KernelTable:
         i = self.inverses.get(x.letters)
         if i is None:
             words = self.system.words
-            i = self.inverses[x.letters] = words.intern(words.inverse(x).letters)
+            i = words.intern(())
+            for l in reversed(x.letters):
+                i = words.successor(i, Letter(l.vertex, words.groups[l.vertex].inverse(l.elem)))
+            self.inverses[x.letters] = i
         return i
 
     def get(self, x: GPElement, y: GPElement) -> CentralElement:

@@ -191,7 +191,11 @@ def _word_json(sc: Scenario, letters):
 
 
 def _complete_sets(sc: Scenario):
-    """Seeded complete sets: closures of random ball samples, size-capped."""
+    """Seeded complete sets: closures of random ball samples, size-capped.
+
+    Each set is the closure of its base and of the longest prefix of its
+    sample that keeps it within the cap.
+    """
     words = sc.system.words
     ball = words.ball(sc.ball_radius, budget=sc.budget)
     rng = np.random.default_rng([sc.seed, 101])
@@ -202,16 +206,7 @@ def _complete_sets(sc: Scenario):
         n_draw = min(sc.sample_size, len(ball))
         idx = sorted(int(i) for i in rng.choice(len(ball), size=n_draw, replace=False))
         sample = [ball[i] for i in idx]
-        while True:
-            try:
-                closure = words.complete_closure(base + sample, max_size=cap, budget=sc.budget)
-                break
-            except BudgetExceededError as err:
-                # only an overflowing size cap is retried with a smaller sample
-                if not sample or "max_size" not in err.context:
-                    raise
-                sample = sample[:-1]
-        sets.append(closure)
+        sets.append(words.complete_closure(base, max_size=cap, budget=sc.budget, optional=sample))
     return sets
 
 

@@ -3,18 +3,24 @@
 Elements of the graph product are stored as canonical words: reduced letter
 sequences that are lexicographically least among all rearrangements (the
 rearrangement class of a reduced word is its orbit under swapping adjacent
-letters whose vertices are joined in the graph).  Every canonical word is
-built by one routine, ``WordContext._push``, which appends letters one at a
-time: a new letter either merges with the one same-vertex letter it can
-commute back to, or is inserted at the one place that keeps the word least
-(Green's normal form theorem; the shortlex forms of Hermiller and Meier).
+letters whose vertices are joined in the graph).  Every canonical word of
+a letter sequence is built by one routine, ``WordContext._push``, which
+appends letters one at a time: a new letter either merges with the one
+same-vertex letter it can commute back to, or is inserted at the one place
+that keeps the word least (Green's normal form theorem; the shortlex forms
+of Hermiller and Meier).
 Products push only the right factor onto the left one, so cancellation
 happens at the interface.
 
 Canonical words are interned as integer ids.  A prefix of a canonical word
-is canonical, so every id knows the id of its prefix, and a successor memo
-maps (id, letter) to the id of the canonical product; a table of products
-over a set of words is then one memo lookup per pair once the memo is warm.
+is canonical, so an id is stored as the id of its prefix and its last
+letter, and a word's letters are read back along its prefixes.  A successor
+memo maps (id, letter) to the id of the canonical product.  A miss does not
+rebuild the word: it recurses on the word's last letter, which the new
+letter merges with, stops at, or passes to meet the prefix (the scan of
+``_push`` one letter at a time), so it costs memo lookups, not a rescan.  A
+table of products over a set of words is one memo lookup per pair once the
+memo is warm.
 
 A word is *reduced* when for every pair of equal-vertex positions k < l some
 intermediate position p carries a vertex not joined to it; equivalently, no
@@ -117,18 +123,27 @@ class WordContext:
         self._downset_cache: dict = {}
         self._sf_cache: dict = {}
         self._nc_max_cache: dict = {}  # letters -> down-set maximum per v0
-        # interned canonical words: letters -> id, and per id its letters and
-        # the id of its prefix (-1 for the identity, which is always id 0)
+        # interned canonical words: per id the id of its prefix and the slot
+        # of its last letter (-1 and -1 for the identity, id 0, which is
+        # installed on first use); ``_ids`` maps the letters of interned
+        # elements to their ids
         self._ids: dict = {}
-        self._id_letters: list = []
         self._id_prefix: list = []
+        self._id_last: list = []
         # successor memo: (id, letter) -> id of the canonical product, keyed
-        # by the int id * letter_slots + slot(letter)
+        # by the int id * letter_slots + slot(letter); when the product is the
+        # word with the letter appended, its entry is what interns that word
         self._succ: dict = {}
         self._slot_offset = tuple(
             sum(g.order for g in self.groups[:v]) for v in range(graph.n)
         )
         self._letter_slots = sum(g.order for g in self.groups)
+        # the letter of each slot (None at a group identity)
+        self._slot_letter = tuple(
+            None if g == grp.identity else Letter(v, g)
+            for v, grp in enumerate(self.groups)
+            for g in range(grp.order)
+        )
 
     # ------------------------------------------------------------------
     # constructors
@@ -260,25 +275,63 @@ class WordContext:
         Every prefix of the word gets a smaller id than the word, so
         ascending ids list each word after all of its prefixes.
         """
-        ids = self._ids
-        i = ids.get(letters)
-        if i is not None:
-            return i
-        new = [letters]
-        while new[-1] and new[-1][:-1] not in ids:
-            new.append(new[-1][:-1])
-        for w in reversed(new):
-            ids[w] = len(self._id_letters)
-            self._id_prefix.append(ids[w[:-1]] if w else -1)
-            self._id_letters.append(w)
-        return ids[letters]
+        i = self._ids.get(letters)
+        if i is None:
+            if not self._id_prefix:
+                self._id_prefix.append(-1)
+                self._id_last.append(-1)
+            i = 0
+            offset = self._slot_offset
+            for l in letters:
+                i = self._child(i, offset[l.vertex] + l.elem)
+            self._ids[letters] = i
+        return i
 
-    def successor(self, i: int, letter: Letter) -> int:
-        """Id of the canonical product of word ``i`` and one letter, memoized."""
-        key = i * self._letter_slots + self._slot_offset[letter.vertex] + letter.elem
+    def _child(self, i: int, slot: int) -> int:
+        """Id of word ``i`` with the letter of ``slot`` appended; only called
+        where that word is canonical."""
+        key = i * self._letter_slots + slot
         j = self._succ.get(key)
         if j is None:
-            j = self._succ[key] = self.intern(self._push((letter,), self._id_letters[i]).letters)
+            j = self._succ[key] = len(self._id_prefix)
+            self._id_prefix.append(i)
+            self._id_last.append(slot)
+        return j
+
+    def successor(self, i: int, letter: Letter) -> int:
+        """Id of the canonical product of word ``i`` and one letter, memoized.
+
+        A miss recurses on the last letter a of word i = w a, following the
+        scan of ``_push``: a letter l at a's vertex merges with a (the
+        product is w, or w with a l in a's place); l not joined to a is
+        appended; l joined to a passes it and meets w as it would alone, so
+        the product is the successor w' of w and l with a put back at the
+        end, except when w' is w with l appended and l's vertex is larger
+        than a's: then the least order keeps l after a, and the product is
+        w a l.
+        """
+        v = letter.vertex
+        slot = self._slot_offset[v] + letter.elem
+        j = self._succ.get(i * self._letter_slots + slot)
+        if j is not None:
+            return j
+        if i == 0:
+            return self._child(0, slot)
+        a_slot = self._id_last[i]
+        a = self._slot_letter[a_slot]
+        p = self._id_prefix[i]
+        if a.vertex == v:
+            grp = self.groups[v]
+            g = grp.mul(a.elem, letter.elem)
+            j = p if g == grp.identity else self._child(p, self._slot_offset[v] + g)
+        elif not self.graph.adjacent(a.vertex, v):
+            return self._child(i, slot)
+        else:
+            r = self.successor(p, letter)
+            if self._id_prefix[r] == p and self._id_last[r] == slot and a.vertex < v:
+                return self._child(i, slot)
+            j = self._child(r, a_slot)
+        self._succ[i * self._letter_slots + slot] = j
         return j
 
     def product_ids(self, lefts, rights) -> list:
@@ -290,8 +343,8 @@ class WordContext:
         product with the prefix of its right factor: one memo lookup per
         left factor and word of the prefix closure.
         """
-        prefix, id_letters = self._id_prefix, self._id_letters
-        slots, offset = self._letter_slots, self._slot_offset
+        prefix, last, slot_letter = self._id_prefix, self._id_last, self._slot_letter
+        slots = self._letter_slots
         pos = {0: 0}  # closure word id -> its place in a row
         steps = []  # per closure word after the identity: (place of prefix, letter, slot)
         for j in rights:
@@ -301,8 +354,7 @@ class WordContext:
                 j = prefix[j]
             for j in reversed(chain):
                 pos[j] = len(steps) + 1
-                letter = id_letters[j][-1]
-                steps.append((pos[prefix[j]], letter, offset[letter.vertex] + letter.elem))
+                steps.append((pos[prefix[j]], slot_letter[last[j]], last[j]))
         cols = [pos[j] for j in rights]
         get = self._succ.get
         rows: dict = {}  # left id -> its products with the closure
@@ -323,7 +375,8 @@ class WordContext:
         """All reduced letter sequences equivalent to x, sorted.
 
         Breadth-first search over adjacent commuting swaps; raises
-        ``BudgetExceededError`` when the class exceeds ``budget`` sequences.
+        ``BudgetExceededError``, with the word and the count of sequences
+        seen, when the class exceeds ``budget`` sequences.
         """
         self._check_ctx(x)
         return self._rearrangements_seq(x.letters, budget)
@@ -340,7 +393,10 @@ class WordContext:
                         seen.add(s)
                         if len(seen) > budget:
                             raise BudgetExceededError(
-                                "rearrangement class exceeds budget", budget=budget
+                                "rearrangement class exceeds budget",
+                                budget=budget,
+                                word=[tuple(l) for l in letters],
+                                sequences=len(seen),
                             )
                         frontier.append(s)
         return sorted(seen)
@@ -372,7 +428,7 @@ class WordContext:
                     seen.add(t)
                     if len(seen) > budget:
                         raise BudgetExceededError(
-                            "truncation search exceeds budget", budget=budget
+                            "truncation search exceeds budget", budget=budget, seen=len(seen)
                         )
                     if len(t) > len(x):
                         frontier.append(t)
@@ -387,13 +443,19 @@ class WordContext:
             self._downset_cache[x.letters] = cached
         return cached
 
-    def complete_closure(self, elements, max_size: int = 10_000, budget: int = DEFAULT_BUDGET):
+    def complete_closure(
+        self, elements, max_size: int = 10_000, budget: int = DEFAULT_BUDGET, optional=()
+    ):
         """Smallest truncation-closed set containing the input and the identity.
 
         Closed means: with every member, all one-letter truncations of all its
         rearrangements are members too.  Sorted deterministically by (length,
         letters).  ``max_size`` caps the closure and ``budget`` each
-        rearrangement class.
+        rearrangement class.  The elements of ``optional`` are then added in
+        order, each with its closure, while the set stays within
+        ``max_size``; the first that does not fit ends the additions, so the
+        result is the closure of the input and of the longest prefix of
+        ``optional`` that fits.
         """
         seed = {self.identity()}
         for x in elements:
@@ -411,6 +473,18 @@ class WordContext:
                             "closure exceeds size budget", max_size=max_size
                         )
                     todo.append(t)
+        for x in optional:
+            self._check_ctx(x)
+            new = {x} - out
+            todo = deque(new)
+            while todo and len(out) + len(new) <= max_size:
+                for t in self._immediate_truncations(todo.popleft(), budget):
+                    if t not in out and t not in new:
+                        new.add(t)
+                        todo.append(t)
+            if len(out) + len(new) > max_size:
+                break
+            out |= new
         return tuple(sorted(out, key=_sort_key))
 
     def is_complete(self, elements) -> bool:
@@ -597,11 +671,15 @@ class WordContext:
     # enumeration
 
     def ball(self, radius: int, budget: int = DEFAULT_BUDGET):
-        """All elements of word length at most ``radius``, sorted."""
+        """All elements of word length at most ``radius``, sorted.
+
+        ``BudgetExceededError`` names the radius whose words were being
+        listed when the ball outgrew ``budget``.
+        """
         gens = self.generators()
         out = {self.identity()}
         frontier = [self.identity()]
-        for _ in range(radius):
+        for r in range(1, radius + 1):
             nxt = []
             for x in frontier:
                 for l in gens:
@@ -610,7 +688,10 @@ class WordContext:
                         out.add(y)
                         if len(out) > budget:
                             raise BudgetExceededError(
-                                "ball exceeds budget", budget=budget
+                                "ball exceeds budget",
+                                budget=budget,
+                                radius_reached=r,
+                                words=len(out),
                             )
                         nxt.append(y)
             frontier = nxt

@@ -111,6 +111,7 @@ def test_witness_ball_obeys_the_configured_budget(capsys, tmp_path):
     code, _, err = run(capsys, ["verify", write_config(tmp_path, cfg), "--suite", "haagerup"])
     assert code == 3
     assert "ball exceeds budget" in err
+    assert "radius_reached=" in err and "words=6" in err
 
 
 def test_bad_word_is_a_config_error(capsys):

@@ -174,8 +174,8 @@ def _memo_tables(system):
         "word_perms": system.actions._word_perms,
         "inverses": system._kernel.inverses,
         "word_ids": words._ids,
-        "id_letters": words._id_letters,
         "id_prefix": words._id_prefix,
+        "id_last": words._id_last,
         "successors": words._succ,
         "downset_nc_max": words._nc_max_cache,
     }

@@ -1,7 +1,7 @@
 """The gathered kernel stack against the per-pair stack builder.
 
 ``kernel_matrix`` reads every product x_i^-1 x_j from the successor memo of
-interned words and every value from the prefix-recursion memo, then gathers
+interned words and every value from the rows of the value array, then gathers
 the ``(K, n, n)`` stack in one indexing step.  The per-pair builder it
 replaced is kept below as the reference: per pair one ``multiply`` of x^-1
 by y, the left-to-right evaluation ``gp_value_letters`` and the word action
@@ -15,14 +15,18 @@ x instead of y changes the stack.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_composed_actions import _system_and_words
+from test_wordcraft import id_letters
 
 from gpmult.cli import build_scenario, load_config
 from gpmult.errors import ContextMismatchError
-from gpmult.matalg import central_stack
+from gpmult.matalg import CentralElement, central_stack
+from gpmult import multipliers
+from gpmult.multipliers import Multiplier, MultiplierSystem
 from gpmult.verifier import _complete_sets
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,7 +59,7 @@ def assert_products_match_multiply(words, lefts, rights):
         [words.intern(a.letters) for a in lefts], [words.intern(b.letters) for b in rights]
     )
     for a, row in zip(lefts, ids):
-        assert [words._id_letters[i] for i in row] == [words.multiply(a, b).letters for b in rights]
+        assert [id_letters(words, i) for i in row] == [words.multiply(a, b).letters for b in rights]
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -88,6 +92,52 @@ def test_gathered_stack_matches_on_unsorted_repeated_words(case, pyrandom):
     assert_same_stack(system, xs[::2])
 
 
+@settings(max_examples=60, deadline=None)
+@given(_system_and_words())
+def test_value_rows_are_bit_equal_to_the_left_to_right_evaluation(case):
+    """Every row of the bulk-filled value array equals ``gp_value_letters``
+    of its id's letters bit for bit, on point actions that do not commute,
+    whether the rows were filled in two steps or from scratch over ids made
+    by the successor recursion, in rounds or one by one.  In the second system about half the letter
+    values are real with a negative zero imaginary part, which 1 * h(l)
+    would make positive, so a one-letter word must copy h(l)."""
+    system, raws, rng = case
+    words = system.words
+    signed = MultiplierSystem(
+        system.actions,
+        [
+            Multiplier(
+                h.group,
+                h.structure,
+                tuple(
+                    CentralElement(h.structure, np.conj(v.scalars.real.astype(complex)))
+                    if rng.random() < 0.5
+                    else v
+                    for v in h.values
+                ),
+            )
+            for h in system.multipliers
+        ],
+    )
+    xs = [words.normalize(raw) for raw in raws] + list(words.ball(1))
+    system.kernel_matrix(xs[: len(raws)])
+    system.kernel_matrix(xs)
+    one_by_one = MultiplierSystem(system.actions, signed.multipliers)
+    saved = multipliers.SEQUENTIAL_FILL
+    try:
+        multipliers.SEQUENTIAL_FILL = 0
+        signed._value_rows()  # every id in rounds
+        multipliers.SEQUENTIAL_FILL = len(words._id_prefix)
+        one_by_one._value_rows()
+    finally:
+        multipliers.SEQUENTIAL_FILL = saved
+    for sys_ in (system, signed, one_by_one):
+        rows = sys_._value_rows()
+        assert len(rows) == len(words._id_prefix) == len(sys_._value_cache)
+        for i, row in enumerate(rows):
+            assert row.tobytes() == sys_.gp_value_letters(id_letters(words, i)).scalars.tobytes()
+
+
 def test_empty_and_single_word_stacks():
     sc = build_scenario(load_config(str(ROOT / "scenarios" / "block_swap_free.json")))
     system = sc.system
@@ -103,18 +153,18 @@ def test_interned_ids_put_prefixes_first():
     words = sc.system.words
     ball = words.ball(3)
     sc.system.kernel_matrix(ball)
-    assert words._id_letters[0] == ()
-    for i, letters in enumerate(words._id_letters):
-        assert words._ids[letters] == i
-        if letters:
-            p = words._id_prefix[i]
-            assert p < i and words._id_letters[p] == letters[:-1]
+    assert words._id_prefix[0] == -1 and words._id_last[0] == -1
+    for i in range(1, len(words._id_prefix)):
+        assert words._id_prefix[i] < i
+        assert words._succ[words._id_prefix[i] * words._letter_slots + words._id_last[i]] == i
+    letters = [id_letters(words, i) for i in range(len(words._id_prefix))]
+    assert len(set(letters)) == len(letters)
+    for key, i in words._ids.items():
+        assert letters[i] == key
     for key, j in words._succ.items():
         i, slot = divmod(key, words._letter_slots)
-        (letter,) = [
-            l for l in words.generators() if words._slot_offset[l.vertex] + l.elem == slot
-        ]
-        assert words._id_letters[j] == words._push((letter,), words._id_letters[i]).letters
+        letter = words._slot_letter[slot]
+        assert letters[j] == words._push((letter,), letters[i]).letters
 
 
 def test_kernel_matrix_rejects_words_of_another_context():

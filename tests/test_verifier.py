@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gpmult.cli import build_scenario, load_config
@@ -19,6 +21,7 @@ from gpmult.verifier import (
 )
 
 ALL_SUITES = ("main", "lemmas", "haagerup", "cocycles")
+SCENARIOS = sorted(p.stem for p in Path("scenarios").glob("*.json"))
 
 
 def scenario(name):
@@ -207,6 +210,71 @@ def test_zero_evidence_lemma_checks_are_vacuous(
     assert c["details"]["reason"]
     assert counts.items() <= c["counts"].items()
     assert by_name(free_pair_report)[name]["vacuous"] is False
+
+
+def sampler_inputs(sc):
+    """Per complete set the base, the seeded ball sample and the cap, drawn
+    as ``_complete_sets`` draws them."""
+    words = sc.system.words
+    ball = words.ball(sc.ball_radius, budget=sc.budget)
+    rng = np.random.default_rng([sc.seed, 101])
+    cap = min(sc.max_set_size, sc.max_flat_dim // sc.system.structure.total_dim)
+    for k in range(sc.num_sets):
+        base = list(words.ball(1)) if k == 0 else [words.identity()]
+        n_draw = min(sc.sample_size, len(ball))
+        idx = sorted(int(i) for i in rng.choice(len(ball), size=n_draw, replace=False))
+        yield base, [ball[i] for i in idx], cap
+
+
+def retry_complete_sets(sc):
+    """The sampler as it was first written: the closure of base and whole
+    sample, retried with one sample element fewer while the cap overflows."""
+    words = sc.system.words
+    sets = []
+    for base, sample, cap in sampler_inputs(sc):
+        while True:
+            try:
+                closure = words.complete_closure(base + sample, max_size=cap, budget=sc.budget)
+                break
+            except BudgetExceededError as err:
+                if not sample or "max_size" not in err.context:
+                    raise
+                sample = sample[:-1]
+        sets.append(closure)
+    return sets
+
+
+def prefix_complete_sets(sc):
+    """Reference sampler: per set, the closure of base and of the longest
+    prefix of the sample whose uncapped closure fits under the cap."""
+    words = sc.system.words
+    sets = []
+    for base, sample, cap in sampler_inputs(sc):
+        closures = [
+            words.complete_closure(base + sample[:m], max_size=10**9, budget=sc.budget)
+            for m in range(len(sample) + 1)
+        ]
+        fits = [c for c in closures if len(c) <= cap]
+        sets.append(fits[-1] if fits else words.complete_closure(base, max_size=cap))
+    return sets
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+@pytest.mark.parametrize("max_set_size", [None, 8, 12, 16])
+def test_complete_sets_take_the_longest_sample_prefix_that_fits(name, max_set_size):
+    sc = scenario(name)
+    if max_set_size is None:
+        assert _complete_sets(sc) == retry_complete_sets(sc)
+        return
+    sc = dataclasses.replace(sc, max_set_size=max_set_size, sample_size=12)
+
+    def outcome(sampler):
+        try:
+            return sampler(sc)
+        except BudgetExceededError as err:
+            return str(err)
+
+    assert outcome(_complete_sets) == outcome(prefix_complete_sets)
 
 
 def test_complete_sets_are_complete_and_capped():

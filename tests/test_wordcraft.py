@@ -20,7 +20,13 @@ from gpmult.errors import (
     EmptySetError,
     NoV0LetterError,
 )
-from gpmult.graphgroup import SimplicialGraph, cyclic_group, multipartite_graph
+from gpmult.graphgroup import (
+    SimplicialGraph,
+    cyclic_group,
+    dihedral_group,
+    multipartite_graph,
+    symmetric_group,
+)
 from gpmult.wordcraft import Letter, WordContext
 from test_composed_actions import _system_and_words
 
@@ -270,6 +276,29 @@ def test_rearrangements_budget():
         ctx.ball(4, budget=3)
 
 
+def test_budget_errors_say_how_far_they_got():
+    ctx = triangle()
+    x = ctx.normalize([(0, 1), (1, 1), (2, 1)])
+    with pytest.raises(BudgetExceededError, match="rearrangement class exceeds budget") as err:
+        ctx.rearrangements(x, budget=3)
+    assert err.value.context == {"budget": 3, "word": [(0, 1), (1, 1), (2, 1)], "sequences": 4}
+    # the 3 letters of radius 1 fit with the identity; the first of radius 2 does not
+    with pytest.raises(BudgetExceededError, match="ball exceeds budget") as err:
+        ctx.ball(4, budget=3)
+    assert err.value.context == {"budget": 3, "radius_reached": 1, "words": 4}
+    with pytest.raises(BudgetExceededError) as err:
+        ctx.ball(4, budget=5)
+    assert err.value.context == {"budget": 5, "radius_reached": 2, "words": 6}
+    # free on a, b, c: ba is no factor of abcab, so the search lists every truncation
+    free = WordContext(SimplicialGraph.build(list("abc"), []), [cyclic_group(2)] * 3)
+    y = free.normalize([(0, 1), (1, 1), (2, 1), (0, 1), (1, 1)])
+    x = free.normalize([(1, 1), (0, 1)])
+    assert not free.leq(x, y)
+    with pytest.raises(BudgetExceededError, match="truncation search exceeds budget") as err:
+        free.leq(x, y, budget=4)
+    assert err.value.context == {"budget": 4, "seen": 5}
+
+
 def test_budget_bounds_every_rearrangement_search():
     """(Z/2)^4 as the complete graph K4: abcd has 24 rearrangements."""
     g = SimplicialGraph.build(list("abcd"), [(u, v) for u in "abcd" for v in "abcd" if u < v])
@@ -347,6 +376,22 @@ def test_complete_closure_is_complete_and_contains_downsets():
         for x in sample:
             for z in ctx.downset(x):
                 assert z in closure
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_capped_closure_adds_the_longest_prefix_of_optional_that_fits(data):
+    """complete_closure with ``optional`` is the closure of the input and of
+    the longest prefix of ``optional`` whose closure fits in ``max_size``."""
+    ctx = path_abc()
+    ball = ctx.ball(4)
+    pick = st.integers(0, len(ball) - 1).map(ball.__getitem__)
+    base = data.draw(st.lists(pick, max_size=2))
+    optional = data.draw(st.lists(pick, max_size=8))
+    closures = [ctx.complete_closure(base + optional[:m]) for m in range(len(optional) + 1)]
+    cap = data.draw(st.integers(len(closures[0]), len(closures[-1]) + 1))
+    want = next(c for c in reversed(closures) if len(c) <= cap)
+    assert ctx.complete_closure(base, max_size=cap, optional=optional) == want
 
 
 def test_is_complete_rejects_punctured_set():
@@ -586,3 +631,62 @@ def test_prefixes_of_canonical_words_are_canonical_and_values_recurse(case):
             assert value.scalars.tobytes() == system.gp_value_letters(prefix).scalars.tobytes()
         if x.letters:
             assert words._id_prefix[i] == words.intern(x.letters[:-1])
+
+
+def id_letters(words, i):
+    """Letters of interned word ``i``, read back along its prefixes."""
+    out = []
+    while i > 0:
+        out.append(words._slot_letter[words._id_last[i]])
+        i = words._id_prefix[i]
+    return tuple(reversed(out))
+
+
+GROUP_FACTORIES = (
+    lambda: cyclic_group(2),
+    lambda: cyclic_group(3),
+    lambda: cyclic_group(4),
+    lambda: symmetric_group(3),
+    lambda: dihedral_group(4),
+)
+
+
+@st.composite
+def _context_and_walks(draw):
+    """2 to 5 vertices with random edges and cyclic, symmetric or dihedral
+    groups; each walk is a raw word followed by the inverse of one of its
+    suffixes, so that letters merge and words cancel down to the identity."""
+    n = draw(st.integers(2, 5))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [p for p in pairs if draw(st.booleans())]
+    groups = [GROUP_FACTORIES[draw(st.integers(0, len(GROUP_FACTORIES) - 1))]() for _ in range(n)]
+    ctx = WordContext(SimplicialGraph.build(tuple(range(n)), edges), groups)
+    letter = st.sampled_from(ctx.generators())
+    walks = []
+    for raw in draw(st.lists(st.lists(letter, max_size=10), min_size=1, max_size=5)):
+        k = draw(st.integers(0, len(raw)))
+        back = [Letter(l.vertex, groups[l.vertex].inverse(l.elem)) for l in reversed(raw[k:])]
+        walks.append(raw + back)
+    return ctx, walks
+
+
+@settings(max_examples=80, deadline=None)
+@given(_context_and_walks())
+def test_successor_memo_agrees_with_push(case):
+    """Successors found by the last-letter recursion are the canonical
+    products ``_push`` builds, every id is one distinct canonical word, and
+    every memo entry, the recursion's own included, is a push."""
+    words, walks = case
+    for walk in walks:
+        i = words.intern(())
+        for letter in walk:
+            j = words.successor(i, letter)
+            assert id_letters(words, j) == words._push((letter,), id_letters(words, i)).letters
+            i = j
+        assert id_letters(words, i) == words.normalize(walk).letters
+        assert i == words.intern(words.normalize(walk).letters)
+    letters = [id_letters(words, i) for i in range(len(words._id_prefix))]
+    assert len(set(letters)) == len(letters)
+    for key, j in words._succ.items():
+        i, slot = divmod(key, words._letter_slots)
+        assert letters[j] == words._push((words._slot_letter[slot],), letters[i]).letters
