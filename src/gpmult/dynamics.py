@@ -285,11 +285,6 @@ class WordAction:
         self.system = system
         self.letters = tuple(letters)
 
-    def on(self, a: AlgebraElement) -> AlgebraElement:
-        for l in reversed(self.letters):
-            a = self.system.tables[l.vertex].autos[l.elem].apply(a)
-        return a
-
     def on_central(self, c: CentralElement) -> CentralElement:
         system = self.system
         if c.structure != system.structure:

@@ -320,37 +320,3 @@ def is_positive(m, tol: float = DEFAULT_POS_TOL, hermitian_tol: float | None = N
     lam_min = float(np.min(eigs[..., 0]))
     scale = float(np.max(np.abs(eigs)))
     return lam_min >= -tol * (1.0 + scale), lam_min
-
-
-def tensor_algebra(s1: BlockStructure, s2: BlockStructure):
-    """Tensor product structure with the two canonical embeddings.
-
-    Blocks are ordered (i, j) row-major over the factors; returns
-    ``(structure, embed_left, embed_right)`` with embed_left(a) = a (x) 1 and
-    embed_right(b) = 1 (x) b.
-    """
-    dims = []
-    for d1 in s1.block_dims:
-        for d2 in s2.block_dims:
-            dims.append(d1 * d2)
-    ts = BlockStructure(tuple(dims))
-
-    def embed_left(a: AlgebraElement) -> AlgebraElement:
-        if a.structure != s1:
-            raise StructureMismatchError("element not in the left factor")
-        blocks = []
-        for b1 in a.blocks:
-            for d2 in s2.block_dims:
-                blocks.append(np.kron(b1, np.eye(d2)))
-        return AlgebraElement(ts, blocks)
-
-    def embed_right(b: AlgebraElement) -> AlgebraElement:
-        if b.structure != s2:
-            raise StructureMismatchError("element not in the right factor")
-        blocks = []
-        for d1 in s1.block_dims:
-            for b2 in b.blocks:
-                blocks.append(np.kron(np.eye(d1), b2))
-        return AlgebraElement(ts, blocks)
-
-    return ts, embed_left, embed_right

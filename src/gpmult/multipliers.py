@@ -36,13 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    ActionSystem,
-    ActionTable,
-    Automorphism,
-    point_permutation_action,
-    trivial_action,
-)
+from .dynamics import ActionSystem, ActionTable
 from .errors import (
     BadIdentityValueError,
     ContextMismatchError,
@@ -52,7 +46,7 @@ from .errors import (
     NotUnitalError,
     StructureMismatchError,
 )
-from .graphgroup import FiniteGroup, SimplicialGraph
+from .graphgroup import FiniteGroup
 from .matalg import (
     BlockStructure,
     CentralElement,
@@ -60,7 +54,7 @@ from .matalg import (
     is_positive,
     max_residual,
 )
-from .wordcraft import DEFAULT_BUDGET, GPElement, Letter, WordContext
+from .wordcraft import DEFAULT_BUDGET, GPElement, Letter
 
 UNITAL_TOL = 1e-12
 COMMUTE_TOL = 1e-12
@@ -232,6 +226,7 @@ class MultiplierSystem:
         self.valid_multipliers = None
         self._value_cache = _ValueRows(self.structure.num_blocks)
         self._kernel = KernelTable(self)
+        self._ball_stacks: dict = {}  # radius -> (kernel stack, index map)
         # per letter slot of the word context: the index array of the inverse
         # letter's action and the letter's value (the identity's at an
         # identity slot, which no letter uses)
@@ -375,6 +370,17 @@ class MultiplierSystem:
         ).reshape(n, K)
         prod = np.array(prod, dtype=np.intp).reshape(n, n, 1)
         return values[prod, perms[None, :, :]].transpose(2, 0, 1)
+
+    def ball_stack(self, radius: int, budget: int = DEFAULT_BUDGET):
+        """The word ball of ``radius``, its kernel stack and the ball index
+        of each element; the read-only stack is built once per radius."""
+        ball = self.words.ball(radius, budget=budget)
+        cached = self._ball_stacks.get(radius)
+        if cached is None:
+            gram = self.kernel_matrix(ball)
+            gram.flags.writeable = False
+            cached = self._ball_stacks[radius] = (gram, {x: i for i, x in enumerate(ball)})
+        return (ball, *cached)
 
 
 class _ValueRows:
@@ -544,118 +550,3 @@ def haagerup_witness_ball(
         f_size=f_size,
         ball_size=len(ball),
     )
-
-
-# ----------------------------------------------------------------------
-# fixtures
-
-def _edge_pair_context(group1: FiniteGroup, group2: FiniteGroup) -> WordContext:
-    graph = SimplicialGraph.build((0, 1), [(0, 1)])
-    return WordContext(graph, (group1, group2))
-
-
-def tensor_fixture(
-    group1: FiniteGroup,
-    table1: ActionTable,
-    h1: Multiplier,
-    group2: FiniteGroup,
-    table2: ActionTable,
-    h2: Multiplier,
-) -> MultiplierSystem:
-    """Single-edge system on A1 (x) A2 with actions alpha1 (x) id and id (x) alpha2.
-
-    The two tensored actions commute by construction and each tensored
-    multiplier is fixed by the other side's action, so the product multiplier
-    on the direct product group is the tensor of the two inputs.
-    """
-    from .matalg import tensor_algebra
-
-    s1, s2 = table1.structure, table2.structure
-    ts, _, _ = tensor_algebra(s1, s2)
-    k2 = s2.num_blocks
-
-    def left_auto(a: Automorphism) -> Automorphism:
-        perm = []
-        unis = []
-        for i in range(s1.num_blocks):
-            for j in range(s2.num_blocks):
-                perm.append(a.block_perm[i] * k2 + j)
-        for i in range(s1.num_blocks):
-            for j, d2 in enumerate(s2.block_dims):
-                unis.append(np.kron(a.unitaries[i], np.eye(d2)))
-        return Automorphism(ts, tuple(perm), tuple(unis))
-
-    def right_auto(a: Automorphism) -> Automorphism:
-        perm = []
-        unis = []
-        for i in range(s1.num_blocks):
-            for j in range(s2.num_blocks):
-                perm.append(i * k2 + a.block_perm[j])
-        for i, d1 in enumerate(s1.block_dims):
-            for j in range(s2.num_blocks):
-                unis.append(np.kron(np.eye(d1), a.unitaries[j]))
-        return Automorphism(ts, tuple(perm), tuple(unis))
-
-    t1 = ActionTable(group1, ts, tuple(left_auto(a) for a in table1.autos))
-    t2 = ActionTable(group2, ts, tuple(right_auto(a) for a in table2.autos))
-
-    def left_central(c: CentralElement) -> CentralElement:
-        scalars = np.empty(ts.num_blocks, dtype=np.complex128)
-        for i in range(s1.num_blocks):
-            for j in range(s2.num_blocks):
-                scalars[i * k2 + j] = c.scalars[i]
-        return CentralElement(ts, scalars)
-
-    def right_central(c: CentralElement) -> CentralElement:
-        scalars = np.empty(ts.num_blocks, dtype=np.complex128)
-        for i in range(s1.num_blocks):
-            for j in range(s2.num_blocks):
-                scalars[i * k2 + j] = c.scalars[j]
-        return CentralElement(ts, scalars)
-
-    m1 = Multiplier(group1, ts, tuple(left_central(v) for v in h1.values))
-    m2 = Multiplier(group2, ts, tuple(right_central(v) for v in h2.values))
-
-    words = _edge_pair_context(group1, group2)
-    actions = ActionSystem(words, ts, (t1, t2))
-    return MultiplierSystem(actions, (m1, m2))
-
-
-def groupoid_from_space(
-    graph: SimplicialGraph,
-    groups,
-    num_points: int,
-    point_maps,
-    values,
-) -> MultiplierSystem:
-    """System on the function algebra of a finite point set.
-
-    ``point_maps[v][g]`` is the image list of the point map of element g at
-    vertex v (omit a vertex for the trivial action); ``values[v][g]`` lists
-    one complex number per point.  This realises multipliers on the
-    transformation groupoid of the actions as central-valued multipliers on
-    the diagonal algebra.
-    """
-    structure = BlockStructure(tuple([1] * num_points))
-    words = WordContext(graph, tuple(groups))
-    tables = []
-    mults = []
-    for v, grp in enumerate(words.groups):
-        maps = point_maps.get(v) if isinstance(point_maps, dict) else point_maps[v]
-        if maps is None:
-            tables.append(trivial_action(grp, structure))
-        else:
-            tables.append(point_permutation_action(grp, structure, maps))
-        vals = values[v] if not isinstance(values, dict) else values[v]
-        mults.append(
-            Multiplier(
-                grp,
-                structure,
-                tuple(
-                    CentralElement(structure, np.asarray(row, dtype=np.complex128))
-                    for row in vals
-                ),
-            )
-        )
-    actions = ActionSystem(words, structure, tuple(tables))
-    return MultiplierSystem(actions, tuple(mults))

@@ -254,11 +254,11 @@ def verify_main_theorem(sc: Scenario, threads: int = 1) -> CheckResult:
 def verify_star_symmetry(sc: Scenario) -> CheckResult:
     """K(x, y) = K(y, x)* over all pairs from the identity-check ball.
 
-    The residual is max |G - G^H| over the blocks of the ball's kernel stack.
+    The residual is max |G - G^H| over the blocks of the ball's kernel stack,
+    which the system builds once per radius and shares with drop-last-letter
+    and cross-terms.
     """
-    sys_ = sc.system
-    ball = sys_.words.ball(sc.identity_radius, budget=sc.budget)
-    gram = sys_.kernel_matrix(ball)
+    ball, gram, _ = sc.system.ball_stack(sc.identity_radius, sc.budget)
     worst = float(np.abs(gram - gram.conj().swapaxes(-1, -2)).max())
     return CheckResult(
         name="kernel-star-symmetry",
@@ -331,11 +331,8 @@ def verify_drop_last(sc: Scenario) -> CheckResult:
     one gather from the ball's kernel stack: the y with x^-1 y reduced
     against the heads H, one per expression (repeats kept).
     """
-    sys_ = sc.system
-    words = sys_.words
-    ball = words.ball(sc.identity_radius, budget=sc.budget)
-    gram = sys_.kernel_matrix(ball)
-    index = {x: i for i, x in enumerate(ball)}
+    words = sc.system.words
+    ball, gram, index = sc.system.ball_stack(sc.identity_radius, sc.budget)
     reduced = _reduced_pairs(words, ball)
     worst = 0.0
     n_checked = 0
@@ -369,14 +366,11 @@ def verify_cross_terms(sc: Scenario) -> CheckResult:
     x ranges over ball elements containing the distinguished vertex, with
     standard form x = y c a b; pairs (x, z) qualify when the down-set count
     of z is strictly smaller, or equal with a different y vertex word.  yc
-    is a truncation of x, so per x the residuals are one gather from the
-    ball's kernel stack over the qualifying z.
+    is a truncation of x, so per vertex the residuals are one gather from
+    the ball's kernel stack over the qualifying pairs.
     """
-    sys_ = sc.system
-    words = sys_.words
-    ball = words.ball(sc.identity_radius, budget=sc.budget)
-    gram = sys_.kernel_matrix(ball)
-    index = {x: i for i, x in enumerate(ball)}
+    words = sc.system.words
+    ball, gram, index = sc.system.ball_stack(sc.identity_radius, sc.budget)
     vertex_words = [x.vertex_word for x in ball]
     worst = 0.0
     n1 = n2 = 0
@@ -384,21 +378,24 @@ def verify_cross_terms(sc: Scenario) -> CheckResult:
         nc = np.array([words.downset_nc_max(x, v0, sc.budget) for x in ball])
         ycls = np.full(len(ball), -1)  # id of the y vertex word, -1 without a v0 letter
         classes: dict = {}
-        yc = {}  # ball index of x -> ball index of its y c
+        rows, yc = [], []  # ball indices of each x with a v0 letter and of its y c
         for i, x in enumerate(ball):
             if v0 in vertex_words[i]:
                 sf = words.standard_form(x, v0, sc.budget)
                 ycls[i] = classes.setdefault(sf.y.vertex_word, len(classes))
-                yc[i] = index[words.multiply(sf.y, sf.c)]
-        for i, c in yc.items():
-            cond1 = nc < nc[i]
-            cond2 = (nc == nc[i]) & (ycls >= 0) & (ycls != ycls[i])
-            Z = np.flatnonzero(cond1 | cond2)
-            n1 += int(cond1.sum())
-            n2 += int(cond2.sum())
-            if Z.size:
-                diff = gram[:, i, Z] - gram[:, i, c][:, None] * gram[:, c, Z]
-                worst = max_residual(worst, float(np.abs(diff).max()))
+                rows.append(i)
+                yc.append(index[words.multiply(sf.y, sf.c)])
+        if not rows:
+            continue
+        cond1 = nc[None, :] < nc[rows, None]
+        cond2 = (nc[None, :] == nc[rows, None]) & (ycls >= 0) & (ycls[None, :] != ycls[rows, None])
+        n1 += int(cond1.sum())
+        n2 += int(cond2.sum())
+        r, z = np.nonzero(cond1 | cond2)
+        if r.size:
+            x, c = np.array(rows)[r], np.array(yc)[r]
+            diff = gram[:, x, z] - gram[:, x, c] * gram[:, c, z]
+            worst = max_residual(worst, float(np.abs(diff).max()))
     if n1 == n2 == 0:
         return _vacuous(
             "cross-terms",
@@ -514,7 +511,8 @@ def verify_y1_square(sc: Scenario) -> CheckResult:
     common vertex; families require equal y vertex words.  The certified
     quantity is the smallest eigenvalue of the dominance difference with
     p_i = y_i c_i.  Requires all multiplier values to be positive central
-    elements.
+    elements.  x_i and its truncation y_i c_i lie in the identity-check
+    ball, so each family stack is a gather from the ball's kernel stack.
     """
     sys_ = sc.system
     words = sys_.words
@@ -527,18 +525,18 @@ def verify_y1_square(sc: Scenario) -> CheckResult:
                     "lemmas",
                     "multiplier values are not positive central elements",
                 )
-    ball = words.ball(sc.identity_radius, budget=sc.budget)
+    ball, gram, index = sys_.ball_stack(sc.identity_radius, sc.budget)
     rng = np.random.default_rng([sc.seed, 105])
     worst = np.inf
     accepted = non_vacuous = 0
     all_ok = True
-    class_lists = []
+    class_lists = []  # per class its members (x, y c)
     for v0 in range(words.graph.n):
         with_v0 = [x for x in ball if v0 in x.vertex_word]
         classes: dict = {}
         for x in with_v0:
             sf = words.standard_form(x, v0, sc.budget)
-            classes.setdefault(sf.y.vertex_word, []).append((x, sf))
+            classes.setdefault(sf.y.vertex_word, []).append((x, words.multiply(sf.y, sf.c)))
         class_lists.extend(classes.values())
     families = []
     per_class = max(8, -(-2 * sc.tuple_target // max(1, len(class_lists))))
@@ -553,8 +551,9 @@ def verify_y1_square(sc: Scenario) -> CheckResult:
         if non_vacuous >= sc.tuple_target and accepted >= sc.tuple_target:
             break
         xs = [x for (x, _) in fam]
-        ycs = [words.multiply(sf.y, sf.c) for (_, sf) in fam]
-        lam, maxdiff = _dominance_margin(sys_, xs, ycs)
+        ycs = [yc for (_, yc) in fam]
+        at = [index[w] for w in xs + ycs]
+        lam, maxdiff = _dominance_margin(sys_, xs, ycs, gram[:, at][:, :, at])
         accepted += 1
         if maxdiff > 1e-13:
             non_vacuous += 1

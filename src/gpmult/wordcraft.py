@@ -39,7 +39,6 @@ from .errors import (
     BudgetExceededError,
     ContextMismatchError,
     ElementOutOfRangeError,
-    EmptySetError,
     GPMultError,
     NoV0LetterError,
 )
@@ -87,6 +86,21 @@ def _sort_key(x: GPElement):
     return (len(x.letters), x.letters)
 
 
+def _ball_budget_error(budget: int, radius_reached: int, words: int) -> BudgetExceededError:
+    return BudgetExceededError(
+        "ball exceeds budget", budget=budget, radius_reached=radius_reached, words=words
+    )
+
+
+def _class_budget_error(letters, budget: int, sequences: int) -> BudgetExceededError:
+    return BudgetExceededError(
+        "rearrangement class exceeds budget",
+        budget=budget,
+        word=[tuple(l) for l in letters],
+        sequences=sequences,
+    )
+
+
 @dataclass(frozen=True)
 class StandardForm:
     """Decomposition x = y * c * a * b singled out by the length minimizations.
@@ -123,6 +137,9 @@ class WordContext:
         self._downset_cache: dict = {}
         self._sf_cache: dict = {}
         self._nc_max_cache: dict = {}  # letters -> down-set maximum per v0
+        # letters -> (size of the rearrangement class, immediate truncations)
+        self._trunc_cache: dict = {}
+        self._balls: dict = {}  # radius -> ball
         # interned canonical words: per id the id of its prefix and the slot
         # of its last letter (-1 and -1 for the identity, id 0, which is
         # installed on first use); ``_ids`` maps the letters of interned
@@ -334,6 +351,22 @@ class WordContext:
         self._succ[i * self._letter_slots + slot] = j
         return j
 
+    def _word_id(self, letters) -> int:
+        """Id of the canonical word of a letter sequence, one successor per
+        letter from the identity."""
+        i = self.intern(())
+        for l in letters:
+            i = self.successor(i, l)
+        return i
+
+    def _element(self, i: int) -> GPElement:
+        """The canonical word of id ``i``, read back along its prefixes."""
+        letters = []
+        while i > 0:
+            letters.append(self._slot_letter[self._id_last[i]])
+            i = self._id_prefix[i]
+        return GPElement(self, tuple(reversed(letters)))
+
     def product_ids(self, lefts, rights) -> list:
         """Ids of the canonical products of words ``lefts[i]`` and
         ``rights[j]`` (given as ids), as one list per left factor.
@@ -392,45 +425,58 @@ class WordContext:
                     if s not in seen:
                         seen.add(s)
                         if len(seen) > budget:
-                            raise BudgetExceededError(
-                                "rearrangement class exceeds budget",
-                                budget=budget,
-                                word=[tuple(l) for l in letters],
-                                sequences=len(seen),
-                            )
+                            raise _class_budget_error(letters, budget, len(seen))
                         frontier.append(s)
         return sorted(seen)
 
-    def _immediate_truncations(self, z: GPElement, budget: int = DEFAULT_BUDGET):
-        out = set()
-        for r in self._rearrangements_seq(z.letters, budget):
-            if r:
-                out.add(self._push(r[1:]))
-                out.add(self._push(r[:-1]))
+    def _immediate_truncations(self, z: GPElement, budget: int = DEFAULT_BUDGET) -> tuple:
+        """The elements r[1:] and r[:-1] over the rearrangements r of z.
+
+        Memoized per word together with the size of its rearrangement
+        class, so a call whose ``budget`` that class exceeds raises the
+        error the enumeration would have raised: it checks the count of
+        sequences from the second one found on and stops at the first count
+        past the budget.
+        """
+        cached = self._trunc_cache.get(z.letters)
+        if cached is None:
+            seqs = self._rearrangements_seq(z.letters, budget)
+            out = set()
+            for r in seqs:
+                if r:
+                    out.add(self._push(r[1:]))
+                    out.add(self._push(r[:-1]))
+            cached = self._trunc_cache[z.letters] = (len(seqs), tuple(out))
+        size, out = cached
+        if size > max(budget, 1):
+            raise _class_budget_error(z.letters, budget, max(budget, 1) + 1)
         return out
 
     def leq(self, x: GPElement, y: GPElement, budget: int = DEFAULT_BUDGET) -> bool:
         """Truncation order: x below y when x arises by repeatedly dropping a
         first or last letter from rearrangements of y."""
         self._check_ctx(x, y)
-        if x == y:
+        return self._leq(x, y, budget)
+
+    def _leq(self, x: GPElement, y: GPElement, budget: int) -> bool:
+        target = x.letters
+        if target == y.letters:
             return True
-        if len(x) >= len(y):
+        if len(target) >= len(y.letters):
             return False
-        seen = {y}
+        seen = {y.letters}
         frontier = deque([y])
         while frontier:
-            z = frontier.popleft()
-            for t in self._immediate_truncations(z, budget):
-                if t == x:
+            for t in self._immediate_truncations(frontier.popleft(), budget):
+                if t.letters == target:
                     return True
-                if t not in seen:
-                    seen.add(t)
+                if t.letters not in seen:
+                    seen.add(t.letters)
                     if len(seen) > budget:
                         raise BudgetExceededError(
                             "truncation search exceeds budget", budget=budget, seen=len(seen)
                         )
-                    if len(t) > len(x):
+                    if len(t.letters) > len(target):
                         frontier.append(t)
         return False
 
@@ -486,17 +532,6 @@ class WordContext:
                 break
             out |= new
         return tuple(sorted(out, key=_sort_key))
-
-    def is_complete(self, elements) -> bool:
-        """Whether a set is already truncation-closed and contains the identity."""
-        xs = set(elements)
-        if self.identity() not in xs:
-            return False
-        for z in xs:
-            for t in self._immediate_truncations(z):
-                if t not in xs:
-                    return False
-        return True
 
     # ------------------------------------------------------------------
     # non-commuting counts and standard form
@@ -557,13 +592,6 @@ class WordContext:
             if i != last and not self.graph.adjacent(v, v0)
         )
 
-    def nc_length_set(self, elements, v0: int) -> int:
-        """Maximum non-commuting count over a nonempty collection."""
-        elements = list(elements)
-        if not elements:
-            raise EmptySetError("non-commuting count of an empty collection")
-        return max(self.nc_length(x, v0) for x in elements)
-
     def downset_nc_max(self, x: GPElement, v0: int, budget: int = DEFAULT_BUDGET) -> int:
         """Largest non-commuting count relative to v0 over the down-set of x.
 
@@ -613,59 +641,70 @@ class WordContext:
         return form
 
     def standard_form_candidates(self, x: GPElement, v0: int, budget: int = DEFAULT_BUDGET):
-        """All minimizers of the standard-form search (should be exactly one)."""
+        """All minimizers of the standard-form search (should be exactly one).
+
+        Stage 1 splits rearrangements of x as p a b at a v0 letter a whose
+        prefix p realizes the down-set maximum n of x, keeping the splits
+        with the shortest b.  Stage 2 splits each rearrangement of such a p
+        as y c, where the word y a is reduced with count n and lies below x,
+        and keeps the least |y|.  The count of y is n exactly when c is a
+        run of letters joined to v0, so per rearrangement the lengths of y
+        start at the end of that run and stop at the first admissible one or
+        past the best found so far; forms are built only for the winning
+        length.
+        """
         self._check_ctx(x)
         if v0 not in x.vertex_word:
             raise NoV0LetterError("element has no letter at the vertex", v0=v0)
         n_target = self.downset_nc_max(x, v0, budget)
+        adjacent = self.graph.adjacent
         # stage 1: choose the split point at a v0 letter, minimizing |b|
         cands = []
         for r in self._rearrangements_seq(x.letters, budget):
+            count = 0
             for i, letter in enumerate(r):
-                if letter.vertex != v0:
-                    continue
-                count = sum(
-                    1 for m in r[:i] if not self.graph.adjacent(m.vertex, v0)
-                )
-                if count == n_target:
+                if letter.vertex == v0 and count == n_target:
                     cands.append((r[:i], letter, r[i + 1 :]))
+                if not adjacent(letter.vertex, v0):
+                    count += 1
         if not cands:
             raise GPMultError(
                 "no split realizes the down-set maximum", word=x.letters, v0=v0
             )
         min_b = min(len(b) for (_, _, b) in cands)
-        cands = [c for c in cands if len(c[2]) == min_b]
         # stage 2: split the prefix as y * c, minimizing |y|
-        finals = {}
         best_y = None
+        winners = set()  # ids of y, c and b, and a, of the splits at best_y
         for prefix, letter, b in cands:
-            for rp in self._rearrangements_seq(tuple(prefix), budget):
-                for j in range(len(rp) + 1):
-                    y_letters, c_letters = rp[:j], rp[j:]
-                    y_vw = tuple(m.vertex for m in y_letters) + (v0,)
-                    if not self.is_reduced(y_vw):
-                        continue
-                    if self._nc_direct(y_vw, v0) != n_target:
-                        continue
-                    ya = self._push(tuple(y_letters) + (letter,))
-                    if not self.leq(ya, x, budget):
-                        continue
-                    if best_y is None or j < best_y:
-                        best_y = j
-                    form = StandardForm(
-                        y=self._push(y_letters),
-                        c=self._push(c_letters),
-                        a=letter,
-                        b=self._push(b),
-                        v0=v0,
-                        nc=n_target,
-                    )
-                    finals.setdefault(j, set()).add(form)
+            if len(b) != min_b:
+                continue
+            for rp in self._rearrangements_seq(prefix, budget):
+                start = len(rp)
+                while start and adjacent(rp[start - 1].vertex, v0):
+                    start -= 1
+                stop = len(rp) if best_y is None else min(best_y, len(rp))
+                if start > stop or not self.is_reduced(
+                    tuple(m.vertex for m in rp[:start]) + (v0,)
+                ):
+                    continue
+                y = self._word_id(rp[:start])
+                for j in range(start, stop + 1):
+                    if j > start:
+                        y = self.successor(y, rp[j - 1])
+                    if self._leq(self._element(self.successor(y, letter)), x, budget):
+                        if j != best_y:
+                            best_y, winners = j, set()
+                        winners.add((y, self._word_id(rp[j:]), letter, self._word_id(b)))
+                        break
         if best_y is None:
             raise GPMultError(
                 "no admissible y split found", word=x.letters, v0=v0
             )
-        return finals[best_y]
+        element = self._element
+        return {
+            StandardForm(y=element(y), c=element(c), a=a, b=element(b), v0=v0, nc=n_target)
+            for y, c, a, b in winners
+        }
 
     # ------------------------------------------------------------------
     # enumeration
@@ -674,8 +713,19 @@ class WordContext:
         """All elements of word length at most ``radius``, sorted.
 
         ``BudgetExceededError`` names the radius whose words were being
-        listed when the ball outgrew ``budget``.
+        listed when the ball outgrew ``budget``.  Memoized per radius: round
+        r lists the words of length r, so the element of a memoized ball
+        where a later, smaller budget runs out has the radius to name.
         """
+        out = self._balls.get(radius)
+        if out is None:
+            out = self._balls[radius] = self._list_ball(radius, budget)
+        words = max(budget, 1) + 1  # the first count checked is 2
+        if len(out) >= words:
+            raise _ball_budget_error(budget, len(out[words - 1]), words)
+        return out
+
+    def _list_ball(self, radius: int, budget: int) -> tuple:
         gens = self.generators()
         out = {self.identity()}
         frontier = [self.identity()]
@@ -687,12 +737,7 @@ class WordContext:
                     if y not in out:
                         out.add(y)
                         if len(out) > budget:
-                            raise BudgetExceededError(
-                                "ball exceeds budget",
-                                budget=budget,
-                                radius_reached=r,
-                                words=len(out),
-                            )
+                            raise _ball_budget_error(budget, r, len(out))
                         nxt.append(y)
             frontier = nxt
         return tuple(sorted(out, key=_sort_key))

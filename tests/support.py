@@ -1,0 +1,202 @@
+"""Constructions and word helpers that only the tests use.
+
+None of them is called by ``gpmult verify``: the tensor and groupoid
+systems build differential fixtures, and the word helpers restate
+properties of complete sets and down-sets that the package computes in
+other ways.
+"""
+
+import numpy as np
+
+from gpmult.dynamics import (
+    ActionSystem,
+    ActionTable,
+    Automorphism,
+    point_permutation_action,
+    trivial_action,
+)
+from gpmult.errors import EmptySetError, StructureMismatchError
+from gpmult.graphgroup import FiniteGroup, SimplicialGraph
+from gpmult.matalg import AlgebraElement, BlockStructure, CentralElement
+from gpmult.multipliers import Multiplier, MultiplierSystem
+from gpmult.wordcraft import WordContext
+
+
+# ----------------------------------------------------------------------
+# words
+
+
+def nc_length_set(words: WordContext, elements, v0: int) -> int:
+    """Maximum non-commuting count over a nonempty collection."""
+    elements = list(elements)
+    if not elements:
+        raise EmptySetError("non-commuting count of an empty collection")
+    return max(words.nc_length(x, v0) for x in elements)
+
+
+def is_complete(words: WordContext, elements) -> bool:
+    """Whether a set is already truncation-closed and contains the identity."""
+    xs = set(elements)
+    if words.identity() not in xs:
+        return False
+    for z in xs:
+        for t in words._immediate_truncations(z):
+            if t not in xs:
+                return False
+    return True
+
+
+def act_on(action, a: AlgebraElement) -> AlgebraElement:
+    """A word action on a full algebra element, one automorphism per letter,
+    last letter first."""
+    for l in reversed(action.letters):
+        a = action.system.tables[l.vertex].autos[l.elem].apply(a)
+    return a
+
+
+# ----------------------------------------------------------------------
+# systems
+
+
+def tensor_algebra(s1: BlockStructure, s2: BlockStructure):
+    """Tensor product structure with the two canonical embeddings.
+
+    Blocks are ordered (i, j) row-major over the factors; returns
+    ``(structure, embed_left, embed_right)`` with embed_left(a) = a (x) 1 and
+    embed_right(b) = 1 (x) b.
+    """
+    dims = []
+    for d1 in s1.block_dims:
+        for d2 in s2.block_dims:
+            dims.append(d1 * d2)
+    ts = BlockStructure(tuple(dims))
+
+    def embed_left(a: AlgebraElement) -> AlgebraElement:
+        if a.structure != s1:
+            raise StructureMismatchError("element not in the left factor")
+        blocks = []
+        for b1 in a.blocks:
+            for d2 in s2.block_dims:
+                blocks.append(np.kron(b1, np.eye(d2)))
+        return AlgebraElement(ts, blocks)
+
+    def embed_right(b: AlgebraElement) -> AlgebraElement:
+        if b.structure != s2:
+            raise StructureMismatchError("element not in the right factor")
+        blocks = []
+        for d1 in s1.block_dims:
+            for b2 in b.blocks:
+                blocks.append(np.kron(np.eye(d1), b2))
+        return AlgebraElement(ts, blocks)
+
+    return ts, embed_left, embed_right
+
+
+def _edge_pair_context(group1: FiniteGroup, group2: FiniteGroup) -> WordContext:
+    graph = SimplicialGraph.build((0, 1), [(0, 1)])
+    return WordContext(graph, (group1, group2))
+
+
+def tensor_fixture(
+    group1: FiniteGroup,
+    table1: ActionTable,
+    h1: Multiplier,
+    group2: FiniteGroup,
+    table2: ActionTable,
+    h2: Multiplier,
+) -> MultiplierSystem:
+    """Single-edge system on A1 (x) A2 with actions alpha1 (x) id and id (x) alpha2.
+
+    The two tensored actions commute by construction and each tensored
+    multiplier is fixed by the other side's action, so the product multiplier
+    on the direct product group is the tensor of the two inputs.
+    """
+    s1, s2 = table1.structure, table2.structure
+    ts, _, _ = tensor_algebra(s1, s2)
+    k2 = s2.num_blocks
+
+    def left_auto(a: Automorphism) -> Automorphism:
+        perm = []
+        unis = []
+        for i in range(s1.num_blocks):
+            for j in range(s2.num_blocks):
+                perm.append(a.block_perm[i] * k2 + j)
+        for i in range(s1.num_blocks):
+            for j, d2 in enumerate(s2.block_dims):
+                unis.append(np.kron(a.unitaries[i], np.eye(d2)))
+        return Automorphism(ts, tuple(perm), tuple(unis))
+
+    def right_auto(a: Automorphism) -> Automorphism:
+        perm = []
+        unis = []
+        for i in range(s1.num_blocks):
+            for j in range(s2.num_blocks):
+                perm.append(i * k2 + a.block_perm[j])
+        for i, d1 in enumerate(s1.block_dims):
+            for j in range(s2.num_blocks):
+                unis.append(np.kron(np.eye(d1), a.unitaries[j]))
+        return Automorphism(ts, tuple(perm), tuple(unis))
+
+    t1 = ActionTable(group1, ts, tuple(left_auto(a) for a in table1.autos))
+    t2 = ActionTable(group2, ts, tuple(right_auto(a) for a in table2.autos))
+
+    def left_central(c: CentralElement) -> CentralElement:
+        scalars = np.empty(ts.num_blocks, dtype=np.complex128)
+        for i in range(s1.num_blocks):
+            for j in range(s2.num_blocks):
+                scalars[i * k2 + j] = c.scalars[i]
+        return CentralElement(ts, scalars)
+
+    def right_central(c: CentralElement) -> CentralElement:
+        scalars = np.empty(ts.num_blocks, dtype=np.complex128)
+        for i in range(s1.num_blocks):
+            for j in range(s2.num_blocks):
+                scalars[i * k2 + j] = c.scalars[j]
+        return CentralElement(ts, scalars)
+
+    m1 = Multiplier(group1, ts, tuple(left_central(v) for v in h1.values))
+    m2 = Multiplier(group2, ts, tuple(right_central(v) for v in h2.values))
+
+    words = _edge_pair_context(group1, group2)
+    actions = ActionSystem(words, ts, (t1, t2))
+    return MultiplierSystem(actions, (m1, m2))
+
+
+def groupoid_from_space(
+    graph: SimplicialGraph,
+    groups,
+    num_points: int,
+    point_maps,
+    values,
+) -> MultiplierSystem:
+    """System on the function algebra of a finite point set.
+
+    ``point_maps[v][g]`` is the image list of the point map of element g at
+    vertex v (omit a vertex for the trivial action); ``values[v][g]`` lists
+    one complex number per point.  This realises multipliers on the
+    transformation groupoid of the actions as central-valued multipliers on
+    the diagonal algebra.
+    """
+    structure = BlockStructure(tuple([1] * num_points))
+    words = WordContext(graph, tuple(groups))
+    tables = []
+    mults = []
+    for v, grp in enumerate(words.groups):
+        maps = point_maps.get(v) if isinstance(point_maps, dict) else point_maps[v]
+        if maps is None:
+            tables.append(trivial_action(grp, structure))
+        else:
+            tables.append(point_permutation_action(grp, structure, maps))
+        vals = values[v] if not isinstance(values, dict) else values[v]
+        mults.append(
+            Multiplier(
+                grp,
+                structure,
+                tuple(
+                    CentralElement(structure, np.asarray(row, dtype=np.complex128))
+                    for row in vals
+                ),
+            )
+        )
+    actions = ActionSystem(words, structure, tuple(tables))
+    return MultiplierSystem(actions, tuple(mults))

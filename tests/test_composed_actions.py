@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from gpmult.cli import build_scenario, load_config
 from gpmult.graphgroup import SimplicialGraph, cyclic_group
 from gpmult.matalg import CentralElement
-from gpmult.multipliers import groupoid_from_space
 from gpmult.verifier import _complete_sets, run_suite
 from gpmult.wordcraft import Letter
+from support import groupoid_from_space
 
 
 def fold_on_central(actions, letters, c):
@@ -164,7 +164,8 @@ def test_word_perm_memoizes_each_suffix_once():
 def _memo_tables(system):
     """Every memo table of a system: the four that grow with the ball, the
     word permutations and the kernel's inverse ids, then the interned words,
-    the successor memo and the down-set maxima."""
+    the successor memo, the down-set maxima, the immediate truncations, the
+    balls and the ball kernel stacks."""
     words = system.words
     return {
         "kernel": system._kernel.cache,
@@ -178,6 +179,9 @@ def _memo_tables(system):
         "id_last": words._id_last,
         "successors": words._succ,
         "downset_nc_max": words._nc_max_cache,
+        "truncations": words._trunc_cache,
+        "balls": words._balls,
+        "ball_stacks": system._ball_stacks,
     }
 
 

@@ -22,6 +22,7 @@ from gpmult.dynamics import (
 from gpmult.graphgroup import SimplicialGraph, cyclic_group
 from gpmult.matalg import AlgebraElement, BlockStructure, CentralElement
 from gpmult.wordcraft import WordContext
+from support import act_on
 
 
 def test_automorphism_is_multiplicative_and_unital():
@@ -159,7 +160,7 @@ def test_word_action_representative_independent_on_commuting_edge():
     a = AlgebraElement(st, [rng.standard_normal((1, 1)) for _ in range(4)])
     outs = []
     for r in ctx.rearrangements(uv):
-        outs.append(system.act_word(list(r)).on(a))
+        outs.append(act_on(system.act_word(list(r)), a))
     assert len(outs) == 2
     assert outs[0].maxabs_diff(outs[1]) < 1e-12
 

@@ -23,13 +23,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import groupoid_from_space, nc_length_set
 from test_composed_actions import THREE_CYCLES, TRANSPOSITIONS, _powers
 
 from gpmult import verifier
 from gpmult.cli import build_scenario, load_config
 from gpmult.graphgroup import SimplicialGraph, cyclic_group
 from gpmult.matalg import central_stack, is_positive, max_residual
-from gpmult.multipliers import groupoid_from_space
 from gpmult.verifier import (
     ABS_PSD_TOL,
     KERNEL_TOL,
@@ -108,7 +108,7 @@ def reference_cross_terms(sc: Scenario) -> CheckResult:
     n1 = n2 = 0
     for v0 in range(words.graph.n):
         with_v0 = [x for x in ball if v0 in x.vertex_word]
-        nc_set = {x: words.nc_length_set(words.downset(x), v0) for x in ball}
+        nc_set = {x: nc_length_set(words, words.downset(x), v0) for x in ball}
         forms = {x: words.standard_form(x, v0) for x in with_v0}
         for x in with_v0:
             sf = forms[x]

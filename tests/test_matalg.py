@@ -23,9 +23,9 @@ from gpmult.matalg import (
     central_stack,
     embed_central,
     is_positive,
-    tensor_algebra,
 )
 from gpmult.verifier import _complete_sets
+from support import tensor_algebra
 
 
 def chol_psd_oracle(m, tol=1e-9):

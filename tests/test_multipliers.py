@@ -32,14 +32,13 @@ from gpmult.multipliers import (
     delta_multiplier,
     geometric_multiplier,
     gp_well_defined,
-    groupoid_from_space,
     haagerup_witness_ball,
     is_positive_definite,
-    tensor_fixture,
     unitalize,
 )
 from gpmult.verifier import Scenario, verify_main_theorem, verify_setup
 from gpmult.wordcraft import WordContext
+from support import groupoid_from_space, tensor_fixture
 
 SCALAR = BlockStructure((1,))
 

@@ -1,0 +1,258 @@
+"""Memoized truncation searches against the un-memoized oracle.
+
+``WordContext`` memoizes the immediate truncations of every word it meets
+(with the size of the word's rearrangement class), and the standard-form
+search skips splits above the best one and builds forms only there.  The
+oracle below is the search without either: every truncation step
+re-enumerates the rearrangement class and re-pushes r[1:] and r[:-1], and
+every admissible split builds its form.  Results must agree exactly, and a
+warm memo must raise the same budget errors as a cold search.
+"""
+
+from collections import deque
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gpmult.cli import build_scenario
+from gpmult.errors import BudgetExceededError, GPMultError, NoV0LetterError
+from gpmult.graphgroup import SimplicialGraph, cyclic_group
+from gpmult.verifier import Scenario, run_suite
+from gpmult.wordcraft import DEFAULT_BUDGET, StandardForm, WordContext, _sort_key
+from support import nc_length_set
+from test_composed_actions import _system_and_words
+
+
+# ----------------------------------------------------------------------
+# oracle
+
+
+def oracle_truncations(words, z, budget=DEFAULT_BUDGET):
+    out = set()
+    for r in words._rearrangements_seq(z.letters, budget):
+        if r:
+            out.add(words._push(r[1:]))
+            out.add(words._push(r[:-1]))
+    return out
+
+
+def oracle_leq(words, x, y, budget=DEFAULT_BUDGET):
+    if x == y:
+        return True
+    if len(x) >= len(y):
+        return False
+    seen = {y}
+    frontier = deque([y])
+    while frontier:
+        z = frontier.popleft()
+        for t in oracle_truncations(words, z, budget):
+            if t == x:
+                return True
+            if t not in seen:
+                seen.add(t)
+                if len(seen) > budget:
+                    raise BudgetExceededError(
+                        "truncation search exceeds budget", budget=budget, seen=len(seen)
+                    )
+                if len(t) > len(x):
+                    frontier.append(t)
+    return False
+
+
+def oracle_closure(words, elements, budget=DEFAULT_BUDGET):
+    out = {words.identity(), *elements}
+    todo = deque(sorted(out, key=_sort_key))
+    while todo:
+        for t in oracle_truncations(words, todo.popleft(), budget):
+            if t not in out:
+                out.add(t)
+                todo.append(t)
+    return tuple(sorted(out, key=_sort_key))
+
+
+def oracle_downset_nc_max(words, x, v0, budget=DEFAULT_BUDGET):
+    return nc_length_set(words, oracle_closure(words, [x], budget), v0)
+
+
+def oracle_standard_form_candidates(words, x, v0, budget=DEFAULT_BUDGET):
+    """Every admissible split at every y length; the forms at the least."""
+    if v0 not in x.vertex_word:
+        raise NoV0LetterError("element has no letter at the vertex", v0=v0)
+    adjacent = words.graph.adjacent
+    n_target = oracle_downset_nc_max(words, x, v0, budget)
+    cands = []
+    for r in words._rearrangements_seq(x.letters, budget):
+        for i, letter in enumerate(r):
+            if letter.vertex != v0:
+                continue
+            count = sum(1 for m in r[:i] if not adjacent(m.vertex, v0))
+            if count == n_target:
+                cands.append((r[:i], letter, r[i + 1 :]))
+    if not cands:
+        raise GPMultError("no split realizes the down-set maximum", word=x.letters, v0=v0)
+    min_b = min(len(b) for (_, _, b) in cands)
+    cands = [c for c in cands if len(c[2]) == min_b]
+    finals = {}
+    for prefix, letter, b in cands:
+        for rp in words._rearrangements_seq(tuple(prefix), budget):
+            for j in range(len(rp) + 1):
+                y_letters, c_letters = rp[:j], rp[j:]
+                y_vw = tuple(m.vertex for m in y_letters) + (v0,)
+                if not words.is_reduced(y_vw):
+                    continue
+                if words._nc_direct(y_vw, v0) != n_target:
+                    continue
+                ya = words._push(tuple(y_letters) + (letter,))
+                if not oracle_leq(words, ya, x, budget):
+                    continue
+                form = StandardForm(
+                    y=words._push(y_letters),
+                    c=words._push(c_letters),
+                    a=letter,
+                    b=words._push(b),
+                    v0=v0,
+                    nc=n_target,
+                )
+                finals.setdefault(j, set()).add(form)
+    if not finals:
+        raise GPMultError("no admissible y split found", word=x.letters, v0=v0)
+    return finals[min(finals)]
+
+
+# ----------------------------------------------------------------------
+# differential tests
+
+
+def assert_matches_oracle(words, elements):
+    """Down-set maxima, closures, the order and standard forms of each
+    element, on one context whose memo warms as the elements go by."""
+    for x in elements:
+        closure = oracle_closure(words, [x])
+        assert words.complete_closure([x]) == closure
+        for v0 in range(words.graph.n):
+            assert words.downset_nc_max(x, v0) == oracle_downset_nc_max(words, x, v0)
+            if v0 in x.vertex_word:
+                forms = oracle_standard_form_candidates(words, x, v0)
+                assert words.standard_form_candidates(x, v0) == forms
+                assert {words.standard_form(x, v0)} == forms
+        for t in closure:
+            assert words.leq(t, x)
+        for y in elements:
+            assert words.leq(y, x) == oracle_leq(words, y, x)
+    assert words.complete_closure(elements) == oracle_closure(words, elements)
+
+
+@st.composite
+def _context_and_words(draw):
+    """At most 5 vertices with random edges, cyclic groups of order 1 to 4,
+    and up to three raw words of at most 6 letters (identities included)."""
+    n = draw(st.integers(1, 5))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [p for p in pairs if draw(st.booleans())]
+    orders = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    words = WordContext(SimplicialGraph.build(list(range(n)), edges), [cyclic_group(k) for k in orders])
+    letter = st.integers(0, n - 1).flatmap(lambda v: st.tuples(st.just(v), st.integers(0, orders[v] - 1)))
+    raws = draw(st.lists(st.lists(letter, max_size=6), min_size=1, max_size=3))
+    return words, [words.normalize(raw) for raw in raws]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_context_and_words())
+def test_memoized_searches_match_the_oracle(case):
+    words, elements = case
+    assert_matches_oracle(words, elements)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_system_and_words())
+def test_memoized_searches_match_the_oracle_under_point_actions(case):
+    """Systems whose point actions do not commute across non-edges: the
+    words of the draw, then every ball word after the lemma suite has run
+    on the system, so the memo is the one the checks left behind."""
+    system, raws, _ = case
+    words = system.words
+    assert_matches_oracle(words, [words.normalize(raw[:6]) for raw in raws])
+    sc = Scenario(name="points", system=system, identity_radius=2, tuple_target=4)
+    run_suite(sc, "lemmas")
+    for x in words.ball(2):
+        for v0 in range(words.graph.n):
+            if v0 in x.vertex_word:
+                assert {words.standard_form(x, v0)} == oracle_standard_form_candidates(words, x, v0)
+
+
+# ----------------------------------------------------------------------
+# budgets
+
+
+def k4_z2():
+    """(Z/2)^4 on the complete graph K4 at identity radius 4, as in the
+    lemma budget test: the class of abcd has 24 sequences."""
+    vs = "abcd"
+    return build_scenario(
+        {
+            "name": "k4_z2",
+            "graph": {"vertices": list(vs), "edges": [[u, v] for u in vs for v in vs if u < v]},
+            "groups": {v: {"preset": "cyclic", "n": 2} for v in vs},
+            "algebra": {"blocks": [1, 1]},
+            "actions": {v: {"preset": "trivial"} for v in vs},
+            "multipliers": {v: {"preset": "geometric", "c": 0.3} for v in vs},
+            "verify": {"identity_radius": 4, "budget": 20},
+        }
+    )
+
+
+def budget_error(search):
+    with pytest.raises(BudgetExceededError) as err:
+        search()
+    return str(err.value), err.value.context
+
+
+def test_warm_truncation_memo_keeps_budget_errors():
+    cold, warm = k4_z2().system.words, k4_z2().system.words
+    abcd = [w.normalize([(v, 1) for v in range(4)]) for w in (cold, warm)]
+    a = [w.normalize([(0, 1)]) for w in (cold, warm)]
+    # warm: every truncation of abcd memoized under the default budget
+    assert len(warm.complete_closure([abcd[1]])) == 16
+    assert warm.leq(a[1], abcd[1])
+    assert abcd[1].letters in warm._trunc_cache
+    searches = [
+        lambda w, x, l, budget: w.leq(l, x, budget=budget),
+        lambda w, x, l, budget: w.complete_closure([x], budget=budget),
+        lambda w, x, l, budget: w.standard_form(x, 0, budget=budget),
+    ]
+    # budgets below 2 are first checked at the second sequence
+    for budget, sequences in ((0, 2), (1, 2), (20, 21), (23, 24)):
+        for search in searches:
+            message, context = budget_error(lambda: search(cold, abcd[0], a[0], budget))
+            assert message.startswith("rearrangement class exceeds budget")
+            word = [(v, 1) for v in range(4)]
+            assert context == {"budget": budget, "word": word, "sequences": sequences}
+            assert budget_error(lambda: search(warm, abcd[1], a[1], budget)) == (message, context)
+    assert warm.leq(a[1], abcd[1], budget=24) and warm.standard_form(abcd[1], 0, budget=24)
+
+
+def test_warm_ball_memo_keeps_budget_errors():
+    graph = SimplicialGraph.build(["p", "q", "r"], [("p", "q"), ("q", "r"), ("p", "r")])
+    warm = WordContext(graph, [cyclic_group(2)] * 3)
+    assert len(warm.ball(4)) == 8
+    for budget, radius, words in ((0, 1, 2), (3, 1, 4), (5, 2, 6), (7, 3, 8)):
+        cold = WordContext(graph, [cyclic_group(2)] * 3)
+        want = budget_error(lambda: cold.ball(4, budget=budget))
+        assert want[1] == {"budget": budget, "radius_reached": radius, "words": words}
+        assert budget_error(lambda: warm.ball(4, budget=budget)) == want
+    assert len(warm.ball(4, budget=8)) == 8
+
+
+def test_shared_ball_stack_is_read_only_and_built_once():
+    sc = k4_z2()
+    sc.budget = DEFAULT_BUDGET
+    run_suite(sc, "lemmas")
+    system = sc.system
+    ball, gram, index = system.ball_stack(sc.identity_radius)
+    assert list(system._ball_stacks) == [sc.identity_radius]
+    assert system.ball_stack(sc.identity_radius)[1] is gram
+    assert not gram.flags.writeable
+    assert np.array_equal(gram, system.kernel_matrix(ball))
+    assert all(ball[i] == x for x, i in index.items())

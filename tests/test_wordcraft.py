@@ -28,6 +28,7 @@ from gpmult.graphgroup import (
     symmetric_group,
 )
 from gpmult.wordcraft import Letter, WordContext
+from support import is_complete, nc_length_set
 from test_composed_actions import _system_and_words
 
 
@@ -372,7 +373,7 @@ def test_complete_closure_is_complete_and_contains_downsets():
     for _ in range(10):
         sample = [ball[int(i)] for i in rng.integers(0, len(ball), size=3)]
         closure = ctx.complete_closure(sample)
-        assert ctx.is_complete(closure)
+        assert is_complete(ctx, closure)
         for x in sample:
             for z in ctx.downset(x):
                 assert z in closure
@@ -399,8 +400,8 @@ def test_is_complete_rejects_punctured_set():
     ab = ctx.normalize([(0, 1), (1, 1)])
     full = ctx.downset(ab)
     missing = tuple(x for x in full if x.vertex_word != (1,))
-    assert not ctx.is_complete(missing)
-    assert not ctx.is_complete([ab])  # identity missing
+    assert not is_complete(ctx, missing)
+    assert not is_complete(ctx, [ab])  # identity missing
 
 
 def test_leq_is_a_partial_order_on_a_sample():
@@ -466,7 +467,7 @@ def test_downset_maximum_matches_the_down_set_scan(ctx_factory):
     ball = ctx.ball(4)
     for v0 in range(ctx.graph.n):
         for x in ball:
-            assert ctx.downset_nc_max(x, v0) == ctx.nc_length_set(ctx.downset(x), v0)
+            assert ctx.downset_nc_max(x, v0) == nc_length_set(ctx, ctx.downset(x), v0)
     assert set(ctx._nc_max_cache) == {x.letters for x in ball}
 
 
@@ -476,15 +477,15 @@ def test_downset_maximum_matches_the_down_set_scan_on_random_products(data):
     ctx = data.draw(_graph_product(max_vertices=4, max_order=3))
     x = ctx.normalize(_draw_raw(data.draw, ctx, max_len=6))
     for v0 in range(ctx.graph.n):
-        assert ctx.downset_nc_max(x, v0) == ctx.nc_length_set(ctx.downset(x), v0)
+        assert ctx.downset_nc_max(x, v0) == nc_length_set(ctx, ctx.downset(x), v0)
 
 
 def test_nc_length_set_on_downsets():
     ctx = free_pair()
     aba = ctx.normalize([(0, 1), (1, 1), (0, 1)])
-    assert ctx.nc_length_set(ctx.downset(aba), 0) == 2
+    assert nc_length_set(ctx, ctx.downset(aba), 0) == 2
     with pytest.raises(EmptySetError):
-        ctx.nc_length_set([], 0)
+        nc_length_set(ctx, [], 0)
 
 
 # ----------------------------------------------------------------------
@@ -535,7 +536,7 @@ def test_standard_form_recomposes_and_preserves_nc():
             )
             assert recomposed == x
             assert sf.a.vertex == v0
-            assert sf.nc == ctx.nc_length_set(ctx.downset(x), v0)
+            assert sf.nc == nc_length_set(ctx, ctx.downset(x), v0)
             checked += 1
     assert checked > 100
 
