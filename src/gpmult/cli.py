@@ -304,10 +304,7 @@ def _echo_config(name, graph, groups, structure, cfg, multipliers, params):
     actions_cfg = cfg["actions"]
     mult_echo = {}
     for vid, h in zip(graph.vertices, multipliers):
-        rows = []
-        for val in h.values:
-            rows.append([[float(s.real), float(s.imag)] for s in val.scalars])
-        mult_echo[vid] = {"values": rows}
+        mult_echo[vid] = {"values": [_complex_pairs(row) for row in h.scalars]}
     return {
         "name": name,
         "graph": {
@@ -440,12 +437,8 @@ def _parse_word(text, words: WordContext):
     return words.from_pairs(letters)
 
 
-def _word_pairs(words: WordContext, x):
-    return [[words.graph.vertices[l.vertex], int(l.elem)] for l in x.letters]
-
-
-def _central_json(val: CentralElement):
-    return [[float(s.real), float(s.imag)] for s in val.scalars]
+def _complex_pairs(scalars):
+    return [[float(s.real), float(s.imag)] for s in scalars]
 
 
 # ----------------------------------------------------------------------
@@ -466,7 +459,7 @@ def cmd_normalize(args) -> int:
     words = sc.system.words
     x = _parse_word(args.word, words)
     payload = {
-        "canonical": _word_pairs(words, x),
+        "canonical": words.to_pairs(x.letters),
         "vertex_word": [words.graph.vertices[v] for v in x.vertex_word],
         "length": len(x.letters),
         "is_identity": not x.letters,
@@ -506,8 +499,8 @@ def cmd_eval(args) -> int:
     val = sc.system.gp_value(x)
     _emit(
         {
-            "canonical": _word_pairs(words, x),
-            "value": _central_json(val),
+            "canonical": words.to_pairs(x.letters),
+            "value": _complex_pairs(val.scalars),
             "blocks": list(sc.system.structure.block_dims),
         },
         args.out,

@@ -42,8 +42,14 @@ from .errors import (
     StructureMismatchError,
     SupportEscapeError,
 )
-from .matalg import CentralElement, is_positive
-from .multipliers import Multiplier, convention_flip, is_positive_definite
+from .matalg import is_positive
+from .multipliers import Multiplier
+
+
+def _row_twisted(values: np.ndarray, table: ActionTable) -> np.ndarray:
+    """The ``(n, n, K)`` gather ``alpha_s(h(s^-1 t))`` of ``(n, K)`` values."""
+    group = table.group
+    return values[group.table[group.inv][:, :, None], table.perms[:, None, :]]
 
 
 class GNSModule:
@@ -51,7 +57,7 @@ class GNSModule:
 
     The support is always the whole (finite) group, so the twisted left
     regular action never escapes it.  ``src[s, t] = s^-1 t`` and
-    ``perm[s]`` is the index array of alpha_s on block scalars.
+    ``table.perms[s]`` is the index array of alpha_s on block scalars.
     """
 
     def __init__(self, h: Multiplier, table: ActionTable):
@@ -61,9 +67,7 @@ class GNSModule:
         self.group = group
         self.structure = h.structure
         self.src = group.table[group.inv]
-        self.perm = np.array([a._perm_inv for a in table.autos])
-        hv = np.array([v.scalars for v in h.values])
-        self.gram = hv[self.src[:, :, None], self.perm[:, None, :]]
+        self.gram = _row_twisted(h.scalars, table)
         self.lambda_min = None  # set once gns_build has certified the Gram matrix
 
     # -- vectors --
@@ -74,13 +78,15 @@ class GNSModule:
         return v
 
     def inner(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Twisted form <f|g> = sum_{s,t} g(s)* gram[s,t] f(t), per block."""
-        out = np.zeros(self.structure.num_blocks, dtype=np.complex128)
-        for s in range(self.group.order):
-            gs = g[s].conj()
-            for t in range(self.group.order):
-                out = out + gs * self.gram[s, t] * f[t]
-        return out
+        """Twisted form <f|g> = sum_{s,t} g(s)* gram[s,t] f(t), per block.
+
+        A cumulative sum adds the terms one by one in (s, t) order to zero,
+        so the rounding does not depend on how numpy would split a sum.
+        """
+        K = self.structure.num_blocks
+        terms = ((g.conj()[:, None] * self.gram) * f[None, :]).reshape(-1, K)
+        start = np.zeros((1, K), dtype=np.complex128)
+        return np.cumsum(np.concatenate([start, terms]), axis=0)[-1]
 
     def u_action(self, s: int, v: np.ndarray) -> np.ndarray:
         """(u_s v)(t) = alpha_s(v(s^-1 t)), so <u_s f|u_s g> = alpha_s(<f|g>).
@@ -91,7 +97,7 @@ class GNSModule:
             raise StructureMismatchError("vector has the wrong shape", shape=v.shape)
         if not (0 <= s < self.group.order):
             raise SupportEscapeError("group element outside the support", element=s)
-        return v[..., self.src[s], :][..., self.perm[s]]
+        return v[..., self.src[s], :][..., self.table.perms[s]]
 
 
 def gns_build(h: Multiplier, table: ActionTable, tol: float = 1e-9) -> GNSModule:
@@ -128,8 +134,7 @@ class Cocycle:
 
 
 def cocycle_build(module: GNSModule) -> Cocycle:
-    one = CentralElement.one(module.structure)
-    if module.h.values[module.group.identity].maxabs_diff(one) > 1e-12:
+    if not module.h.is_unital:
         raise NotUnitalError("cocycle needs a unital multiplier")
     return Cocycle(module)
 
@@ -146,7 +151,7 @@ def cocycle_identity_residual(c: Cocycle) -> float:
 
 def squared_norm_residual(c: Cocycle) -> float:
     """Worst deviation of <b(s)|b(s)> from 2 - h(s) - h(s)* over the group."""
-    hv = np.array([v.scalars for v in c.module.h.values])
+    hv = c.module.h.scalars
     return float(np.max(np.abs(c.Q - (2.0 - hv - hv.conj()))))
 
 
@@ -212,7 +217,7 @@ def negative_definite_check(
 ) -> NDReport:
     """Evidence and an exact certificate that psi is row-twisted negative definite.
 
-    ``psi`` maps each group element to an :class:`AlgebraElement`.  Checks
+    ``psi`` lists one :class:`AlgebraElement` per group element.  Checks
     the symmetry ``alpha_s(psi(s^-1)) = psi(s)*`` exactly, then evaluates the
     form ``sum_{i,j} b_i* alpha_{g_i}(psi(g_i^-1 g_j)) b_j`` over tuples
     (g_i) = G with coefficients summing to zero, and records the largest
@@ -234,7 +239,6 @@ def negative_definite_check(
     group = table.group
     dims = table.structure.block_dims
     n = group.order
-    psi = [psi[g] if not callable(psi) else psi(g) for g in range(n)]
     # the twisted matrix M[i][j] = alpha_{g_i}(psi(g_i^-1 g_j)); M[s][e] = alpha_s(psi(s^-1))
     M = [
         [table.autos[i].apply(psi[group.mul(group.inverse(i), j)]) for j in range(n)]
@@ -286,8 +290,10 @@ def schoenberg_multiplier(c: Cocycle, t: float) -> np.ndarray:
 
 
 def schoenberg_is_pd(c: Cocycle, t: float, tol: float = 1e-9):
-    """Positivity of the Schoenberg multiplier, in the row convention."""
-    mod = c.module
-    vals = tuple(CentralElement(mod.structure, v) for v in schoenberg_multiplier(c, t))
-    h = Multiplier(mod.group, mod.structure, vals)
-    return is_positive_definite(convention_flip(h), mod.table, tol=tol)
+    """Positivity of the Schoenberg multiplier, in the row convention.
+
+    The row-twisted stack R is certified directly: the column-twisted stack
+    of the flipped multiplier is R*, which symmetrizes to the same matrix.
+    """
+    gram = _row_twisted(schoenberg_multiplier(c, t), c.module.table)
+    return is_positive(np.moveaxis(gram, -1, 0), tol=tol, hermitian_tol=1e-8)

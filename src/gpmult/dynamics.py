@@ -7,12 +7,13 @@ element; validation checks the homomorphism property exhaustively on matrix
 units.  Automorphisms are never inverted numerically - words are inverted at
 the group level instead, so inverse actions come from inverse words.
 
-On central elements an automorphism only permutes the block scalars, through
-its index array ``_perm_inv``.  A word action on central elements is
-therefore one composed index array, I(l1...ln) = I(l2...ln)[_perm_inv(l1)];
-:class:`ActionSystem` memoizes it per letter tuple, building each entry from
-its memoized suffix, so applying a word to a central value is one fancy
-index.
+On central elements an automorphism only permutes the block scalars: an
+:class:`ActionTable` holds the index arrays of all its automorphisms as the
+read-only ``(n, K)`` array ``perms``, row g mapping scalars c to c[perms[g]].
+A word action on central elements is one composed index array,
+I(l1...ln) = I(l2...ln)[perms(l1)]; :class:`ActionSystem` memoizes it per
+letter tuple, building each entry from its memoized suffix, so applying a
+word to a central value is one fancy index.
 """
 
 from __future__ import annotations
@@ -94,12 +95,6 @@ class Automorphism:
             blocks.append(u @ a.blocks[self._perm_inv[k]] @ u.conj().T)
         return AlgebraElement(self.structure, blocks)
 
-    def apply_central(self, c: CentralElement) -> CentralElement:
-        """Central elements only move with the block permutation."""
-        if c.structure != self.structure:
-            raise StructureMismatchError("element has wrong structure")
-        return CentralElement._adopt(self.structure, c.scalars[self._perm_inv])
-
     def is_identity_map(self, tol: float = MAP_TOL) -> bool:
         for e in _matrix_units(self.structure):
             if self.apply(e).maxabs_diff(e) > tol:
@@ -118,11 +113,13 @@ def _matrix_units(structure: BlockStructure):
 
 @dataclass(frozen=True, eq=False)
 class ActionTable:
-    """One automorphism per element of a finite group."""
+    """One automorphism per element of a finite group; ``perms[g]`` is the
+    index array of ``autos[g]`` on block scalars."""
 
     group: FiniteGroup
     structure: BlockStructure
     autos: tuple
+    perms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.autos) != self.group.order:
@@ -134,6 +131,9 @@ class ActionTable:
         for a in self.autos:
             if a.structure != self.structure:
                 raise StructureMismatchError("automorphism on wrong structure")
+        perms = np.array([a._perm_inv for a in self.autos], dtype=np.intp)
+        perms.flags.writeable = False
+        object.__setattr__(self, "perms", perms)
 
     def auto(self, g: int) -> Automorphism:
         return self.autos[g]
@@ -203,11 +203,6 @@ class ActionSystem:
         self.validated = False
         self.commutes_ok = None
         self._word_perms: dict = {}
-        # _inverse_perms[v][g]: the index array of alpha_{(v, g)^-1} on central values
-        self._inverse_perms = tuple(
-            tuple(t.autos[t.group.inverse(g)]._perm_inv for g in range(t.group.order))
-            for t in tables
-        )
 
     def validate_actions(self, tol: float = MAP_TOL) -> None:
         for t in self.tables:
@@ -254,7 +249,7 @@ class ActionSystem:
     def word_perm(self, letters: tuple) -> np.ndarray:
         """Index array I with ``act_word(letters)`` mapping scalars c to c[I].
 
-        Built right to left by I(l1...ln) = I(l2...ln)[_perm_inv(l1)] from
+        Built right to left by I(l1...ln) = I(l2...ln)[perms(l1)] from
         the longest memoized suffix, memoizing every longer suffix on the way.
         """
         perms = self._word_perms
@@ -270,7 +265,7 @@ class ActionSystem:
             perm.flags.writeable = False
         for i in range(min(start, len(letters)) - 1, -1, -1):
             l = letters[i]
-            perm = perm[self.tables[l.vertex].autos[l.elem]._perm_inv]
+            perm = perm[self.tables[l.vertex].perms[l.elem]]
             perm.flags.writeable = False
             perms[letters[i:]] = perm
         return perm

@@ -3,10 +3,10 @@
 An algebra is a direct sum of full matrix blocks, fixed by a
 :class:`BlockStructure`.  Elements store one dense complex array per block.
 Central elements are exactly the block scalars and get their own lightweight
-vector representation.  An n x n grid of central elements is stored as a
-``(K, n, n)`` stack of scalar matrices, one per block: the operator matrix it
-stands for flattens to the direct sum of G_k (x) I_{d_k} up to a
-permutation, so it is positive exactly when every block G_k is, and
+vector representation.  An n x n matrix of central elements is gathered by
+its callers as a ``(K, n, n)`` stack of scalar matrices, one per block: the
+operator matrix it stands for flattens to the direct sum of G_k (x) I_{d_k}
+up to a permutation, so it is positive exactly when every block G_k is, and
 :func:`is_positive` certifies the whole stack with one batched eigensolve.
 :class:`OperatorMatrix` keeps the flattened layout as a reference; an
 independent pivoted-Cholesky cross-check lives in the test suite.
@@ -245,8 +245,8 @@ def embed_central(c: CentralElement) -> AlgebraElement:
 class OperatorMatrix:
     """An n x n matrix with entries in the block algebra.
 
-    Its :meth:`flatten` layout is the reference that :func:`central_stack`
-    is tested against; certification itself works on the stacks.
+    Its :meth:`flatten` layout is the reference that the gathered stacks
+    are tested against; certification itself works on the stacks.
     """
 
     __slots__ = ("structure", "n", "entries")
@@ -277,16 +277,6 @@ class OperatorMatrix:
                     j
                 ].dense()
         return out
-
-
-def central_stack(structure: BlockStructure, grid) -> np.ndarray:
-    """The ``(K, n, n)`` stack of block scalar matrices of a central grid.
-
-    ``stack[k, i, j]`` is scalar k of ``grid[i][j]``.
-    """
-    n = len(grid)
-    scalars = np.array([[c.scalars for c in row] for row in grid], dtype=np.complex128)
-    return np.moveaxis(scalars.reshape(n, n, structure.num_blocks), -1, 0)
 
 
 def is_positive(m, tol: float = DEFAULT_POS_TOL, hermitian_tol: float | None = None):

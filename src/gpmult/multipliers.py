@@ -8,10 +8,10 @@ per vertex is evaluated on reduced words by twisting each letter's value with
 the inverse action of its right tail and multiplying; when the per-edge
 commutation requirements hold (adjacent actions commute as maps, and each
 vertex action fixes the multipliers of its neighbours), the value does not
-depend on the chosen rearrangement.  On central values each twist is an
-index array, and one right-to-left pass builds all of them, each extending
-the next letter's array by one inverted letter, so an m-letter expression
-costs O(m) index operations.
+depend on the chosen rearrangement.  A multiplier holds its values as the
+read-only ``(n, K)`` array ``scalars``, and on central values each twist is
+an index array, so an m-letter expression costs m index operations and
+products along the prefix recursion below.
 
 The kernel of a multiplier is ``K(x, y) = alpha_y(h(x^-1 y))``; positive
 definiteness of h is equivalent to positivity of all kernel matrices over
@@ -32,7 +32,7 @@ the successor memo gives the ids prod[i, j] of x_i^-1 x_j, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,13 +47,7 @@ from .errors import (
     StructureMismatchError,
 )
 from .graphgroup import FiniteGroup
-from .matalg import (
-    BlockStructure,
-    CentralElement,
-    central_stack,
-    is_positive,
-    max_residual,
-)
+from .matalg import BlockStructure, CentralElement, is_positive, max_residual
 from .wordcraft import DEFAULT_BUDGET, GPElement, Letter
 
 UNITAL_TOL = 1e-12
@@ -68,11 +62,13 @@ SEQUENTIAL_FILL = 32
 
 @dataclass(frozen=True, eq=False)
 class Multiplier:
-    """Central-valued function on a finite group."""
+    """Central-valued function on a finite group; row g of ``scalars`` holds
+    the block scalars of ``values[g]``."""
 
     group: FiniteGroup
     structure: BlockStructure
     values: tuple  # one CentralElement per group element
+    scalars: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.values) != self.group.order:
@@ -84,14 +80,16 @@ class Multiplier:
         for v in self.values:
             if v.structure != self.structure:
                 raise StructureMismatchError("value has wrong structure")
+        scalars = np.array([v.scalars for v in self.values], dtype=np.complex128)
+        scalars.flags.writeable = False
+        object.__setattr__(self, "scalars", scalars)
 
     def value(self, g: int) -> CentralElement:
         return self.values[g]
 
     @property
     def is_unital(self) -> bool:
-        one = CentralElement.one(self.structure)
-        return self.values[self.group.identity].maxabs_diff(one) <= UNITAL_TOL
+        return float(np.abs(self.scalars[self.group.identity] - 1.0).max()) <= UNITAL_TOL
 
     def off_identity_sup(self) -> float:
         e = self.group.identity
@@ -129,30 +127,20 @@ def geometric_multiplier(group: FiniteGroup, structure: BlockStructure, c: float
 
 
 def is_positive_definite(
-    h: Multiplier,
-    table: ActionTable,
-    S=None,
-    tol: float = 1e-9,
-    hermitian_tol: float = 1e-8,
+    h: Multiplier, table: ActionTable, tol: float = 1e-9, hermitian_tol: float = 1e-8
 ):
     """Positive definiteness of a multiplier relative to an action.
 
-    Assembles the matrix with entries ``alpha_{x_j}(h(x_i^-1 x_j))`` over the
-    tuple S (default: the whole group) as a ``(K, n, n)`` stack of block
-    scalar matrices and certifies every block.  Returns ``(ok, lambda_min)``.
+    Gathers the matrix with entries ``alpha_{x_j}(h(x_i^-1 x_j))`` over the
+    whole group as the ``(K, n, n)`` stack of block scalar matrices
+    ``h.scalars[x_i^-1 x_j, perms[x_j, k]]`` and certifies every block.
+    Returns ``(ok, lambda_min)``.
     """
     if table.group is not h.group or table.structure != h.structure:
         raise ContextMismatchError("multiplier and action do not match")
-    if S is None:
-        S = list(range(h.group.order))
-    grid = []
-    for xi in S:
-        row = []
-        for xj in S:
-            g = h.group.mul(h.group.inverse(xi), xj)
-            row.append(table.autos[xj].apply_central(h.values[g]))
-        grid.append(row)
-    return is_positive(central_stack(h.structure, grid), tol=tol, hermitian_tol=hermitian_tol)
+    prod = h.group.table[h.group.inv]  # prod[i, j] = i^-1 j
+    stack = h.scalars[prod[None, :, :], table.perms.T[:, None, :]]
+    return is_positive(stack, tol=tol, hermitian_tol=hermitian_tol)
 
 
 def convention_flip(h: Multiplier) -> Multiplier:
@@ -177,7 +165,7 @@ def unitalize(h: Multiplier, tol: float = 1e-12) -> Multiplier:
         raise NormTooLargeError(
             "off-identity values must have norm at most 1/2", sup=sup
         )
-    he = h.values[e].scalars
+    he = h.scalars[e]
     if np.max(np.abs(he.imag)) > tol or np.min(he.real) < -tol or np.max(he.real) > 1 + tol:
         raise BadIdentityValueError(
             "identity value must satisfy 0 <= h(e) <= 1", value=list(he)
@@ -230,12 +218,13 @@ class MultiplierSystem:
         # per letter slot of the word context: the index array of the inverse
         # letter's action and the letter's value (the identity's at an
         # identity slot, which no letter uses)
+        K = self.structure.num_blocks
         self._slot_perms = np.array(
-            [p for perms in actions._inverse_perms for p in perms], dtype=np.intp
-        ).reshape(-1, self.structure.num_blocks)
+            [p for t in actions.tables for p in t.perms[t.group.inv]], dtype=np.intp
+        ).reshape(-1, K)
         self._slot_values = np.array(
-            [v.scalars for h in multipliers for v in h.values], dtype=np.complex128
-        ).reshape(-1, self.structure.num_blocks)
+            [v for h in multipliers for v in h.scalars], dtype=np.complex128
+        ).reshape(-1, K)
 
     # ------------------------------------------------------------------
     # setup validation
@@ -268,9 +257,7 @@ class MultiplierSystem:
         """Graph-product multiplier evaluated on the canonical expression."""
         if x.ctx is not self.words:
             raise ContextMismatchError("element belongs to a different context")
-        return self._value_of_id(self.words.intern(x.letters))
-
-    def _value_of_id(self, i: int) -> CentralElement:
+        i = self.words.intern(x.letters)
         return CentralElement._adopt(self.structure, self._value_rows()[i].copy())
 
     def _value_rows(self) -> np.ndarray:
@@ -323,30 +310,20 @@ class MultiplierSystem:
         """Evaluate on one specific reduced expression l_0 ... l_{m-1}.
 
         Letter j is twisted by the action of its inverted right tail, the raw
-        letters (l_{m-1}^-1, ..., l_{j+1}^-1); no tail is normalized.  On
-        central values that action is the index array
-        I_j = p(l_{j+1}^-1)[I_{j+1}] (I_{m-1} the identity), so one
-        right-to-left pass builds every twist, and the twisted factors are
-        multiplied left to right.
+        letters (l_{m-1}^-1, ..., l_{j+1}^-1); no tail is normalized.  This
+        is the step of the value rows along the raw prefixes,
+        out = out[p(l^-1)] * h(l) from a copy of h(l_0), bit-equal to
+        multiplying the twisted factors left to right.
         """
-        letters = tuple(letters)
-        if not letters:
+        offset = self.words._slot_offset
+        slots = [offset[l.vertex] + l.elem for l in letters]
+        if not slots:
             return CentralElement.one(self.structure)
-        last = self.value_of_letter(letters[-1])
-        if len(letters) == 1:
-            return last
-        inverse_perms = self.actions._inverse_perms
-        twisted = [None] * (len(letters) - 1)
-        idx = None
-        for j in range(len(letters) - 2, -1, -1):
-            after = letters[j + 1]
-            p = inverse_perms[after.vertex][after.elem]
-            idx = p if idx is None else p[idx]
-            twisted[j] = self.value_of_letter(letters[j]).scalars[idx]
-        out = twisted[0]
-        for factor in twisted[1:]:
-            out = out * factor
-        return CentralElement._adopt(self.structure, out * last.scalars)
+        perms, values = self._slot_perms, self._slot_values
+        out = values[slots[0]].copy()
+        for s in slots[1:]:
+            out = out[perms[s]] * values[s]
+        return CentralElement._adopt(self.structure, out)
 
     def kernel(self, x: GPElement, y: GPElement) -> CentralElement:
         return self._kernel.get(x, y)
@@ -398,10 +375,9 @@ class _ValueRows:
 class KernelTable:
     """Lazy memoized kernel K(x, y) = alpha_y(h(x^-1 y)).
 
-    ``inverses`` memoizes the interned id of x^-1 per x, reached from the
-    identity by successors over the inverted letters of x in reverse; x^-1 y
-    is reached from it through the same memo, and its value is a row of the
-    system's value array.
+    ``inverses`` memoizes the interned id of x^-1 per x, the word id of the
+    inverted letters of x in reverse; a pair's entry is read from the kernel
+    matrix over (x, y).
     """
 
     def __init__(self, system: MultiplierSystem):
@@ -412,25 +388,18 @@ class KernelTable:
     def inverse_id(self, x: GPElement) -> int:
         i = self.inverses.get(x.letters)
         if i is None:
-            words = self.system.words
-            i = words.intern(())
-            for l in reversed(x.letters):
-                i = words.successor(i, Letter(l.vertex, words.groups[l.vertex].inverse(l.elem)))
-            self.inverses[x.letters] = i
+            groups = self.system.words.groups
+            i = self.inverses[x.letters] = self.system.words._word_id(
+                Letter(l.vertex, groups[l.vertex].inverse(l.elem)) for l in reversed(x.letters)
+            )
         return i
 
     def get(self, x: GPElement, y: GPElement) -> CentralElement:
         key = (x.letters, y.letters)
         val = self.cache.get(key)
         if val is None:
-            system = self.system
-            words = system.words
-            words._check_ctx(x, y)
-            z = self.inverse_id(x)
-            for letter in y.letters:
-                z = words.successor(z, letter)
-            val = system.actions.act_word(y).on_central(system._value_of_id(z))
-            self.cache[key] = val
+            pair = self.system.kernel_matrix([x, y])[:, 0, 1].copy()
+            val = self.cache[key] = CentralElement._adopt(self.system.structure, pair)
         return val
 
 
@@ -444,14 +413,9 @@ def multipliers_commute(system: MultiplierSystem, tol: float = COMMUTE_TOL) -> N
     graph = system.words.graph
     for i, j in graph.edge_index_pairs():
         for (src, dst) in ((i, j), (j, i)):
-            table = system.actions.tables[src]
-            h = system.multipliers[dst]
-            worst = 0.0
-            for a in range(table.group.order):
-                auto = table.autos[a]
-                for b in range(h.group.order):
-                    moved = auto.apply_central(h.values[b])
-                    worst = max(worst, moved.maxabs_diff(h.values[b]))
+            h = system.multipliers[dst].scalars
+            moved = h[:, system.actions.tables[src].perms]  # [b, a]: alpha_a(h(b))
+            worst = float(np.max(np.abs(moved - h[:, None, :])))
             if worst > tol:
                 raise EdgeViolationError(
                     "adjacent action moves a multiplier value",

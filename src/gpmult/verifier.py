@@ -180,14 +180,8 @@ def verify_well_defined(sc: Scenario) -> CheckResult:
             "words": rep.checked_words,
             "expressions": rep.checked_expressions,
         },
-        details={"witness": _word_json(sc, rep.word)} if not rep.ok else {},
+        details={"witness": sc.system.words.to_pairs(rep.word)} if not rep.ok else {},
     )
-
-
-def _word_json(sc: Scenario, letters):
-    if letters is None:
-        return None
-    return [[sc.system.words.graph.vertices[l.vertex], int(l.elem)] for l in letters]
 
 
 def _complete_sets(sc: Scenario):
@@ -516,15 +510,13 @@ def verify_y1_square(sc: Scenario) -> CheckResult:
     """
     sys_ = sc.system
     words = sys_.words
-    for v, h in enumerate(sys_.multipliers):
-        for val in h.values:
-            sc_arr = val.scalars
-            if np.max(np.abs(sc_arr.imag)) > 1e-12 or np.min(sc_arr.real) < -1e-12:
-                return _vacuous(
-                    "shared-prefix-square-bound",
-                    "lemmas",
-                    "multiplier values are not positive central elements",
-                )
+    for h in sys_.multipliers:
+        if np.max(np.abs(h.scalars.imag)) > 1e-12 or np.min(h.scalars.real) < -1e-12:
+            return _vacuous(
+                "shared-prefix-square-bound",
+                "lemmas",
+                "multiplier values are not positive central elements",
+            )
     ball, gram, index = sys_.ball_stack(sc.identity_radius, sc.budget)
     rng = np.random.default_rng([sc.seed, 105])
     worst = np.inf

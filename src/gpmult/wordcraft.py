@@ -758,10 +758,9 @@ class WordContext:
     # ------------------------------------------------------------------
     # serialization
 
-    def to_pairs(self, x: GPElement):
+    def to_pairs(self, letters):
         """Letters as [vertex_id, element_index] pairs (for JSON)."""
-        self._check_ctx(x)
-        return [[self.graph.vertices[l.vertex], int(l.elem)] for l in x.letters]
+        return [[self.graph.vertices[l.vertex], int(l.elem)] for l in letters]
 
     def from_pairs(self, pairs) -> GPElement:
         letters = []

@@ -1,13 +1,16 @@
-"""Constructions and word helpers that only the tests use.
+"""Constructions, word helpers and reference paths that only the tests use.
 
 None of them is called by ``gpmult verify``: the tensor and groupoid
-systems build differential fixtures, and the word helpers restate
-properties of complete sets and down-sets that the package computes in
-other ways.
+systems build differential fixtures, the word helpers restate properties
+of complete sets and down-sets that the package computes in other ways,
+and the per-entry central paths are the oracles of the gathers from
+``ActionTable.perms`` and ``Multiplier.scalars`` (and of the module form's
+cumulative sum) that replaced them.
 """
 
 import numpy as np
 
+from gpmult.cocycles import schoenberg_multiplier
 from gpmult.dynamics import (
     ActionSystem,
     ActionTable,
@@ -15,10 +18,15 @@ from gpmult.dynamics import (
     point_permutation_action,
     trivial_action,
 )
-from gpmult.errors import EmptySetError, StructureMismatchError
+from gpmult.errors import (
+    ContextMismatchError,
+    EdgeViolationError,
+    EmptySetError,
+    StructureMismatchError,
+)
 from gpmult.graphgroup import FiniteGroup, SimplicialGraph
-from gpmult.matalg import AlgebraElement, BlockStructure, CentralElement
-from gpmult.multipliers import Multiplier, MultiplierSystem
+from gpmult.matalg import AlgebraElement, BlockStructure, CentralElement, is_positive
+from gpmult.multipliers import Multiplier, MultiplierSystem, convention_flip
 from gpmult.wordcraft import WordContext
 
 
@@ -52,6 +60,79 @@ def act_on(action, a: AlgebraElement) -> AlgebraElement:
     for l in reversed(action.letters):
         a = action.system.tables[l.vertex].autos[l.elem].apply(a)
     return a
+
+
+# ----------------------------------------------------------------------
+# per-entry central paths
+
+
+def apply_central(auto: Automorphism, c: CentralElement) -> CentralElement:
+    """An automorphism on a central element: only the block permutation acts."""
+    if c.structure != auto.structure:
+        raise StructureMismatchError("element has wrong structure")
+    return CentralElement(auto.structure, c.scalars[auto._perm_inv])
+
+
+def central_stack(structure: BlockStructure, grid) -> np.ndarray:
+    """The ``(K, n, n)`` stack of block scalar matrices of a central grid:
+    ``stack[k, i, j]`` is scalar k of ``grid[i][j]``."""
+    n = len(grid)
+    scalars = np.array([[c.scalars for c in row] for row in grid], dtype=np.complex128)
+    return np.moveaxis(scalars.reshape(n, n, structure.num_blocks), -1, 0)
+
+
+def reference_is_positive_definite(h, table, S=None, tol=1e-9, hermitian_tol=1e-8):
+    """The grid ``alpha_{x_j}(h(x_i^-1 x_j))`` over the tuple S (default: the
+    whole group), one ``apply_central`` per entry, certified as its stack."""
+    if table.group is not h.group or table.structure != h.structure:
+        raise ContextMismatchError("multiplier and action do not match")
+    if S is None:
+        S = list(range(h.group.order))
+    group = h.group
+    grid = [
+        [apply_central(table.autos[xj], h.values[group.mul(group.inverse(xi), xj)]) for xj in S]
+        for xi in S
+    ]
+    return is_positive(central_stack(h.structure, grid), tol=tol, hermitian_tol=hermitian_tol)
+
+
+def reference_multipliers_commute(system: MultiplierSystem, tol: float = 1e-12) -> None:
+    """Every alpha_{i,a} against every h_j(b) over each edge (i, j), one
+    ``apply_central`` per pair; raises like ``multipliers_commute``."""
+    graph = system.words.graph
+    for i, j in graph.edge_index_pairs():
+        for (src, dst) in ((i, j), (j, i)):
+            table = system.actions.tables[src]
+            h = system.multipliers[dst]
+            worst = 0.0
+            for auto in table.autos:
+                for val in h.values:
+                    worst = max(worst, apply_central(auto, val).maxabs_diff(val))
+            if worst > tol:
+                raise EdgeViolationError(
+                    "adjacent action moves a multiplier value",
+                    edge=(graph.vertices[src], graph.vertices[dst]),
+                    deviation=worst,
+                )
+
+
+def reference_inner(module, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The twisted form <f|g> of a module, one pair (s, t) at a time."""
+    out = np.zeros(module.structure.num_blocks, dtype=np.complex128)
+    for s in range(module.group.order):
+        gs = g[s].conj()
+        for t in range(module.group.order):
+            out = out + gs * module.gram[s, t] * f[t]
+    return out
+
+
+def reference_schoenberg_is_pd(c, t: float, tol: float = 1e-9):
+    """Positivity of the Schoenberg multiplier through central elements: the
+    flip to the column convention, then the per-entry grid."""
+    mod = c.module
+    vals = tuple(CentralElement(mod.structure, v) for v in schoenberg_multiplier(c, t))
+    h = Multiplier(mod.group, mod.structure, vals)
+    return reference_is_positive_definite(convention_flip(h), mod.table, tol=tol)
 
 
 # ----------------------------------------------------------------------

@@ -49,6 +49,7 @@ from gpmult.matalg import (
     is_positive,
 )
 from gpmult.multipliers import Multiplier, convention_flip
+from support import apply_central
 
 SCALAR = BlockStructure((1,))
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -494,7 +495,7 @@ class OracleModule:
         n = group.order
         self.h, self.table, self.group, self.structure = h, table, group, h.structure
         grid = [
-            [table.autos[s].apply_central(h.values[group.mul(group.inverse(s), t)])
+            [apply_central(table.autos[s], h.values[group.mul(group.inverse(s), t)])
              for t in range(n)]
             for s in range(n)
         ]

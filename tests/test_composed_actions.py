@@ -1,11 +1,12 @@
 """Composed index arrays against the letter-by-letter reference.
 
 Word actions on central values are one memoized index array per letter
-tuple, and ``gp_value_letters`` builds every twist in one right-to-left
-pass.  Both are compared bit for bit with the reference that applies one
-automorphism per letter (``apply_central``), on actions that do not commute
-across non-edges, so a composition in the wrong order or a tail shifted by
-one letter changes the values.
+tuple, and ``gp_value_letters`` follows the prefix recursion of the value
+rows over the raw letters.  Both are compared bit for bit with the
+reference that applies one automorphism per letter
+(``support.apply_central``), on actions that do not commute across
+non-edges, so a composition in the wrong order or a tail shifted by one
+letter changes the values.
 """
 
 import numpy as np
@@ -18,13 +19,13 @@ from gpmult.graphgroup import SimplicialGraph, cyclic_group
 from gpmult.matalg import CentralElement
 from gpmult.verifier import _complete_sets, run_suite
 from gpmult.wordcraft import Letter
-from support import groupoid_from_space
+from support import apply_central, groupoid_from_space
 
 
 def fold_on_central(actions, letters, c):
     """Reference word action: one automorphism per letter, last letter first."""
     for l in reversed(tuple(letters)):
-        c = actions.tables[l.vertex].autos[l.elem].apply_central(c)
+        c = apply_central(actions.tables[l.vertex].autos[l.elem], c)
     return c
 
 
@@ -126,6 +127,10 @@ def test_composed_actions_match_the_letter_fold(case):
         letters = tuple(Letter(v, g) for v, g in raw)
         # raw, unreduced letter sequences too
         assert action_matches_reference(system.actions, letters, random_central(system.structure, rng))
+        assert same_bits(system.gp_value_letters(letters), fold_gp_value(system, letters))
+    # the empty word and every one-letter word, identity letters included
+    singles = [(Letter(v, g),) for v, grp in enumerate(words.groups) for g in range(grp.order)]
+    for letters in [(), *singles]:
         assert same_bits(system.gp_value_letters(letters), fold_gp_value(system, letters))
     elements = [words.normalize(raw) for raw in raws] + list(words.ball(1))
     assert_matches_reference(system, elements, rng)

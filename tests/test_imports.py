@@ -1,10 +1,13 @@
 """Every name a package module imports is used in that module, every
 module-level UPPER_CASE constant of the package is loaded somewhere in
-``src/``, ``tests/`` or ``bench/``, and every ``GPMultError`` subclass in
-``errors.py`` is named by some other file there."""
+``src/``, ``tests/`` or ``bench/``, every function, method and class of the
+package is named there outside its own definition, and every
+``GPMultError`` subclass in ``errors.py`` is named by some other file
+there."""
 
 import ast
 import re
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -148,6 +151,87 @@ def project_loads():
 def test_no_unloaded_constants(module, project_loads):
     source = (SRC / module).read_text(encoding="utf-8")
     assert unloaded_constants(source, project_loads) == []
+
+
+DUNDER = re.compile(r"__\w+__")
+
+
+def defined_callables(source: str):
+    """(name, first line, last line) of every function, method and class at
+    any depth, decorators included; dunder methods, which Python itself
+    calls, are left out."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not DUNDER.fullmatch(node.name):
+                start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                out.append((node.name, start, node.end_lineno))
+    return out
+
+
+def name_sites(source: str):
+    """Name -> lines where it appears as a Name, an Attribute or a string
+    (``tracing.py`` wraps methods it fetches by ``__dict__["name"]``)."""
+    out = defaultdict(list)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out[node.id].append(node.lineno)
+        elif isinstance(node, ast.Attribute):
+            out[node.attr].append(node.lineno)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out[node.value].append(node.lineno)
+    return out
+
+
+def unnamed_definitions(source: str, elsewhere):
+    """Definitions named neither in ``elsewhere`` (the names of other files)
+    nor in their own module outside their own lines, by line."""
+    sites = name_sites(source)
+    return sorted(
+        (start, name)
+        for name, start, end in defined_callables(source)
+        if name not in elsewhere and all(start <= line <= end for line in sites.get(name, ()))
+    )
+
+
+def test_definition_scanner_finds_unnamed_definitions():
+    module = (
+        "class Used:\n"
+        "    def __init__(self):\n"
+        "        self.helper()\n"
+        "    def helper(self):\n"
+        "        return 1\n"
+        "    def recursive(self, n):\n"
+        "        return self.recursive(n - 1)\n"
+        "    @property\n"
+        "    def by_string(self):\n"
+        "        return 2\n"
+        "def orphan():\n"
+        "    def inner():\n"
+        "        pass\n"
+        "    return inner()\n"
+        "x = Used()\n"
+    )
+    other = "getattr(obj, 'by_string')\nprint('recursive here')\n"
+    assert unnamed_definitions(module, set(name_sites(other))) == [(6, "recursive"), (11, "orphan")]
+    assert unnamed_definitions(module, {"orphan", "recursive"}) == [(8, "by_string")]
+
+
+@pytest.fixture(scope="module")
+def project_sites():
+    """Per Python file under src/, tests/ or bench/, the names it mentions."""
+    return {
+        p: set(name_sites(p.read_text(encoding="utf-8")))
+        for d in ("src", "tests", "bench")
+        for p in (ROOT / d).rglob("*.py")
+    }
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_definition_is_named_outside_itself(module, project_sites):
+    path = SRC / module
+    elsewhere = set().union(*(names for p, names in project_sites.items() if p != path))
+    assert unnamed_definitions(path.read_text(encoding="utf-8"), elsewhere) == []
 
 
 def error_classes(source: str):

@@ -5,7 +5,7 @@ interned words and every value from the rows of the value array, then gathers
 the ``(K, n, n)`` stack in one indexing step.  The per-pair builder it
 replaced is kept below as the reference: per pair one ``multiply`` of x^-1
 by y, the left-to-right evaluation ``gp_value_letters`` and the word action
-of y, collected into ``central_stack``.  Stacks are compared bit for bit on
+of y, collected into ``support.central_stack``.  Stacks are compared bit for bit on
 the complete sets and identity balls of the committed scenarios, and on
 unsorted, repeated and not prefix-closed words of random graph products
 whose point actions do not commute across non-edges, so a swapped prefix
@@ -19,12 +19,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import central_stack
 from test_composed_actions import _system_and_words
 from test_wordcraft import id_letters
 
 from gpmult.cli import build_scenario, load_config
 from gpmult.errors import ContextMismatchError
-from gpmult.matalg import CentralElement, central_stack
+from gpmult.matalg import CentralElement
 from gpmult import multipliers
 from gpmult.multipliers import Multiplier, MultiplierSystem
 from gpmult.verifier import _complete_sets

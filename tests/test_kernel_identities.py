@@ -23,13 +23,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import groupoid_from_space, nc_length_set
+from support import central_stack, groupoid_from_space, nc_length_set
 from test_composed_actions import THREE_CYCLES, TRANSPOSITIONS, _powers
 
 from gpmult import verifier
 from gpmult.cli import build_scenario, load_config
 from gpmult.graphgroup import SimplicialGraph, cyclic_group
-from gpmult.matalg import central_stack, is_positive, max_residual
+from gpmult.matalg import is_positive, max_residual
 from gpmult.verifier import (
     ABS_PSD_TOL,
     KERNEL_TOL,

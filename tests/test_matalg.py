@@ -20,12 +20,11 @@ from gpmult.matalg import (
     BlockStructure,
     CentralElement,
     OperatorMatrix,
-    central_stack,
     embed_central,
     is_positive,
 )
 from gpmult.verifier import _complete_sets
-from support import tensor_algebra
+from support import central_stack, tensor_algebra
 
 
 def chol_psd_oracle(m, tol=1e-9):

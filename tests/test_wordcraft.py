@@ -607,7 +607,7 @@ def test_pairs_round_trip():
     rng = np.random.default_rng(2)
     for _ in range(50):
         x = ctx.random_element(rng, 4)
-        assert ctx.from_pairs(ctx.to_pairs(x)) == x
+        assert ctx.from_pairs(ctx.to_pairs(x.letters)) == x
 
 
 # ----------------------------------------------------------------------
