@@ -21,11 +21,12 @@ cocycle ``b(s) = xi - u_s xi`` satisfies b(st) = b(s) + u_s b(t) and
 ``Q(s) = <b(s)|b(s)> = 2 - h(s) - h(s)*``.
 
 Negative definiteness of psi = Q (Schoenberg: every exp(-t psi) is then
-positive definite) is checked on the twisted matrix
-``M_ij = alpha_{g_i}(psi(g_i^-1 g_j))``, one ``(n, n, d_k, d_k)`` stack per
-block.  Seeded random sum-zero coefficients are drawn and evaluated in fixed
-chunks of trials, with the same stream and rounding as one trial at a time,
-and an exact certificate compresses each block to the sum-zero subspace.
+positive definite) is checked on the same ``(n, K)`` block scalars: the
+twisted matrix ``M_ij = alpha_{g_i}(psi(g_i^-1 g_j))`` is one row-twisted
+gather, and block k of it is the ``(n, n, d_k, d_k)`` stack m_ij I_{d_k}.
+Seeded random sum-zero coefficients are drawn and evaluated in fixed chunks
+of trials, with the same stream and rounding as one trial at a time, and an
+exact certificate compresses each block to the sum-zero subspace.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class GNSModule:
         return v[..., self.src[s], :][..., self.table.perms[s]]
 
 
-def gns_build(h: Multiplier, table: ActionTable, tol: float = 1e-9) -> GNSModule:
+def gns_build(h: Multiplier, table: ActionTable) -> GNSModule:
     """Module of a row-convention pd multiplier; certifies the Gram matrix.
 
     Raises ``NotPositiveError`` when the Gram matrix over the whole group
@@ -109,7 +110,7 @@ def gns_build(h: Multiplier, table: ActionTable, tol: float = 1e-9) -> GNSModule
     if table.group is not h.group or table.structure != h.structure:
         raise StructureMismatchError("multiplier and action do not match")
     module = GNSModule(h, table)
-    ok, lam = is_positive(np.moveaxis(module.gram, -1, 0), tol=tol, hermitian_tol=1e-8)
+    ok, lam = is_positive(np.moveaxis(module.gram, -1, 0), tol=1e-9, hermitian_tol=1e-8)
     if not ok:
         raise NotPositiveError(
             "Gram matrix of the multiplier is not positive", lambda_min=lam
@@ -161,7 +162,6 @@ class NDReport:
     worst_margin: float
     symmetry_deviation: float
     trials: int
-    mode: str
     exact_lambda_max: float
 
 
@@ -208,25 +208,19 @@ def _form_lambda_max(mk, bk) -> float:
 
 
 def negative_definite_check(
-    psi,
-    table: ActionTable,
-    trials: int = 500,
-    seed: int = 0,
-    mode: str = "random",
-    tol: float = 1e-8,
+    psi: np.ndarray, table: ActionTable, trials: int = 500, seed: int = 0
 ) -> NDReport:
     """Evidence and an exact certificate that psi is row-twisted negative definite.
 
-    ``psi`` lists one :class:`AlgebraElement` per group element.  Checks
-    the symmetry ``alpha_s(psi(s^-1)) = psi(s)*`` exactly, then evaluates the
-    form ``sum_{i,j} b_i* alpha_{g_i}(psi(g_i^-1 g_j)) b_j`` over tuples
-    (g_i) = G with coefficients summing to zero, and records the largest
-    eigenvalue of the Hermitian part (should stay below tol).  The twisted
-    matrix is held per block as an ``(n, n, d_k, d_k)`` stack; trials are
-    evaluated ``_CHUNK`` at a time with batched products and eigensolves.
+    ``psi`` is the ``(n, K)`` array of block scalars of a central function.
+    Checks the symmetry ``alpha_s(psi(s^-1)) = psi(s)*`` exactly, then
+    evaluates the form ``sum_{i,j} b_i* alpha_{g_i}(psi(g_i^-1 g_j)) b_j``
+    over tuples (g_i) = G with seeded random coefficients summing to zero,
+    and records the largest eigenvalue of the Hermitian part (should stay
+    below 1e-8).  The twisted matrix is held per block as an
+    ``(n, n, d_k, d_k)`` stack; trials are evaluated ``_CHUNK`` at a time
+    with batched products and eigensolves.
 
-    ``mode="random"`` draws seeded random coefficient tuples; ``mode="sweep"``
-    deterministically sweeps matrix-unit difference patterns (small groups).
     The exact certificate ``exact_lambda_max`` is the form at the
     coefficients V (x) I_{d_k}, V an orthonormal basis of {sum c_i = 0}: the
     largest eigenvalue over blocks of the compressed Hermitian matrix, which
@@ -234,18 +228,13 @@ def negative_definite_check(
     projector in place of V would add a spurious 0 eigenvalue).  ``ok``
     requires the trials, the certificate and the symmetry to pass.
     """
-    if mode not in ("random", "sweep"):
-        raise ValueError(f"unknown mode {mode!r}")
     group = table.group
     dims = table.structure.block_dims
     n = group.order
-    # the twisted matrix M[i][j] = alpha_{g_i}(psi(g_i^-1 g_j)); M[s][e] = alpha_s(psi(s^-1))
-    M = [
-        [table.autos[i].apply(psi[group.mul(group.inverse(i), j)]) for j in range(n)]
-        for i in range(n)
-    ]
-    sym_dev = max(M[s][group.identity].maxabs_diff(psi[s].adjoint()) for s in range(n))
-    stacks = [np.array([[m.blocks[k] for m in row] for row in M]) for k in range(len(dims))]
+    # M[i, j] = alpha_{g_i}(psi(g_i^-1 g_j)); M[s, e] = alpha_s(psi(s^-1))
+    M = _row_twisted(psi, table)
+    sym_dev = float(np.max(np.abs(M[:, group.identity] - psi.conj())))
+    stacks = [M[:, :, k, None, None] * np.eye(d) for k, d in enumerate(dims)]
     exact = 0.0  # the trivial group's sum-zero subspace is zero
     if n > 1:
         V = np.zeros((n, n - 1))  # Helmert columns (1, ..., 1, -a, 0, ...) / |.|
@@ -255,31 +244,21 @@ def negative_definite_check(
             _form_lambda_max(mk, np.kron(V, np.eye(d)).reshape(1, n, d, -1))
             for mk, d in zip(stacks, dims)
         )
-    if mode == "sweep":
-        units = [(k, r, c) for k, d in enumerate(dims) for r in range(d) for c in range(d)]
-        patterns = [(i, j, u) for i in range(n) for j in range(i + 1, n) for u in units]
-        trials = len(patterns)
     rng = np.random.default_rng(seed)
     worst = -np.inf
     count = 0
     for start in range(0, trials, _CHUNK):
         m = min(_CHUNK, trials - start)
-        if mode == "sweep":  # a unit in one block leaves the other blocks zero
-            bs = [np.zeros((m, n, d, d), dtype=np.complex128) for d in dims]
-            for t, (i, j, (k, r, c)) in enumerate(patterns[start : start + m]):
-                bs[k][t, i, r, c], bs[k][t, j, r, c] = 1.0, -1.0
-        else:
-            bs = _draw(rng, dims, n, m)
+        bs = _draw(rng, dims, n, m)
         worst = max(worst, *(_form_lambda_max(mk, bk) for mk, bk in zip(stacks, bs)))
         count += m
     if count == 0:
         worst = 0.0
     return NDReport(
-        ok=(worst <= tol and exact <= tol and sym_dev <= 1e-10),
+        ok=(worst <= 1e-8 and exact <= 1e-8 and sym_dev <= 1e-10),
         worst_margin=float(worst),
         symmetry_deviation=sym_dev,
         trials=count,
-        mode=mode,
         exact_lambda_max=exact,
     )
 
@@ -289,11 +268,11 @@ def schoenberg_multiplier(c: Cocycle, t: float) -> np.ndarray:
     return np.exp(-t * (c.Q * c.Q))
 
 
-def schoenberg_is_pd(c: Cocycle, t: float, tol: float = 1e-9):
+def schoenberg_is_pd(c: Cocycle, t: float):
     """Positivity of the Schoenberg multiplier, in the row convention.
 
     The row-twisted stack R is certified directly: the column-twisted stack
     of the flipped multiplier is R*, which symmetrizes to the same matrix.
     """
     gram = _row_twisted(schoenberg_multiplier(c, t), c.module.table)
-    return is_positive(np.moveaxis(gram, -1, 0), tol=tol, hermitian_tol=1e-8)
+    return is_positive(np.moveaxis(gram, -1, 0), tol=1e-9, hermitian_tol=1e-8)

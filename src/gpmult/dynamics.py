@@ -26,7 +26,6 @@ from .errors import (
     ContextMismatchError,
     EdgeViolationError,
     NotHomomorphismError,
-    SetupInvalidError,
     StructureMismatchError,
 )
 from .graphgroup import FiniteGroup
@@ -95,9 +94,9 @@ class Automorphism:
             blocks.append(u @ a.blocks[self._perm_inv[k]] @ u.conj().T)
         return AlgebraElement(self.structure, blocks)
 
-    def is_identity_map(self, tol: float = MAP_TOL) -> bool:
+    def is_identity_map(self) -> bool:
         for e in _matrix_units(self.structure):
-            if self.apply(e).maxabs_diff(e) > tol:
+            if self.apply(e).maxabs_diff(e) > MAP_TOL:
                 return False
         return True
 
@@ -135,19 +134,16 @@ class ActionTable:
         perms.flags.writeable = False
         object.__setattr__(self, "perms", perms)
 
-    def auto(self, g: int) -> Automorphism:
-        return self.autos[g]
 
-
-def validate_action(table: ActionTable, tol: float = MAP_TOL) -> None:
+def validate_action(table: ActionTable) -> None:
     """Exhaustively check that the table is an action by automorphisms.
 
     The identity element must act as the identity map and
-    ``auto(g*h) == auto(g) o auto(h)`` must hold on every matrix unit.
+    ``autos[g*h] == autos[g] o autos[h]`` must hold on every matrix unit.
     """
     units = _matrix_units(table.structure)
     e = table.group.identity
-    if not table.autos[e].is_identity_map(tol):
+    if not table.autos[e].is_identity_map():
         raise NotHomomorphismError("identity element does not act trivially", g=e)
     n = table.group.order
     for g in range(n):
@@ -156,7 +152,7 @@ def validate_action(table: ActionTable, tol: float = MAP_TOL) -> None:
             for u in units:
                 lhs = table.autos[gh].apply(u)
                 rhs = table.autos[g].apply(table.autos[h].apply(u))
-                if lhs.maxabs_diff(rhs) > tol:
+                if lhs.maxabs_diff(rhs) > MAP_TOL:
                     raise NotHomomorphismError(
                         "action is not multiplicative",
                         g=g,
@@ -165,7 +161,7 @@ def validate_action(table: ActionTable, tol: float = MAP_TOL) -> None:
                     )
 
 
-def actions_commute(t1: ActionTable, t2: ActionTable, tol: float = MAP_TOL) -> bool:
+def actions_commute(t1: ActionTable, t2: ActionTable) -> bool:
     """Whether two actions on the same structure commute as maps.
 
     Compared on matrix units, not on the unitaries themselves, so phase
@@ -180,7 +176,7 @@ def actions_commute(t1: ActionTable, t2: ActionTable, tol: float = MAP_TOL) -> b
             a2 = t2.autos[h]
             for u in units:
                 d = a1.apply(a2.apply(u)).maxabs_diff(a2.apply(a1.apply(u)))
-                if d > tol:
+                if d > MAP_TOL:
                     return False
     return True
 
@@ -200,36 +196,23 @@ class ActionSystem:
         self.words = words
         self.structure = structure
         self.tables = tables
-        self.validated = False
-        self.commutes_ok = None
         self._word_perms: dict = {}
 
-    def validate_actions(self, tol: float = MAP_TOL) -> None:
+    def validate_actions(self) -> None:
         for t in self.tables:
-            validate_action(t, tol)
-        self.validated = True
+            validate_action(t)
 
-    def setup_commutes_per_graph(self, tol: float = MAP_TOL) -> None:
+    def setup_commutes_per_graph(self) -> None:
         """Check that the actions of adjacent vertices commute as maps.
 
         Raises ``EdgeViolationError`` naming the first offending edge.
         """
         for i, j in self.words.graph.edge_index_pairs():
-            if not actions_commute(self.tables[i], self.tables[j], tol):
-                self.commutes_ok = False
+            if not actions_commute(self.tables[i], self.tables[j]):
                 raise EdgeViolationError(
                     "adjacent actions do not commute",
                     edge=(self.words.graph.vertices[i], self.words.graph.vertices[j]),
                 )
-        self.commutes_ok = True
-
-    def require_valid(self) -> None:
-        if not self.validated or self.commutes_ok is not True:
-            raise SetupInvalidError(
-                "action system has not passed validation",
-                validated=self.validated,
-                commutes=self.commutes_ok,
-            )
 
     def act_word(self, x) -> "WordAction":
         """The composite map of a word, letters composed left to right.

@@ -103,10 +103,6 @@ class EdgeViolationError(GPMultError):
     code = "edge_violation"
 
 
-class SetupInvalidError(GPMultError):
-    code = "setup_invalid"
-
-
 # --- multipliers ---
 
 class NotUnitalError(GPMultError):

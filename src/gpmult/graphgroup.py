@@ -82,26 +82,6 @@ class SimplicialGraph:
         return sorted((i, j) for (i, j) in self._adj if i < j)
 
 
-def multipartite_graph(part_sizes) -> SimplicialGraph:
-    """Complete multipartite graph K_{n1,...,nk} with integer vertex ids.
-
-    Vertices are numbered 0.. in part order; two vertices are joined exactly
-    when they lie in different parts.
-    """
-    parts = []
-    next_id = 0
-    for size in part_sizes:
-        parts.append(list(range(next_id, next_id + size)))
-        next_id += size
-    vertices = [v for part in parts for v in part]
-    edges = []
-    for pa, pb in itertools.combinations(parts, 2):
-        for a in pa:
-            for b in pb:
-                edges.append((a, b))
-    return SimplicialGraph.build(vertices, edges)
-
-
 @dataclass(eq=False)
 class FiniteGroup:
     """Finite group given by its full multiplication table.

@@ -84,9 +84,6 @@ class Multiplier:
         scalars.flags.writeable = False
         object.__setattr__(self, "scalars", scalars)
 
-    def value(self, g: int) -> CentralElement:
-        return self.values[g]
-
     @property
     def is_unital(self) -> bool:
         return float(np.abs(self.scalars[self.group.identity] - 1.0).max()) <= UNITAL_TOL
@@ -126,9 +123,7 @@ def geometric_multiplier(group: FiniteGroup, structure: BlockStructure, c: float
     return Multiplier(group, structure, tuple(vals))
 
 
-def is_positive_definite(
-    h: Multiplier, table: ActionTable, tol: float = 1e-9, hermitian_tol: float = 1e-8
-):
+def is_positive_definite(h: Multiplier, table: ActionTable):
     """Positive definiteness of a multiplier relative to an action.
 
     Gathers the matrix with entries ``alpha_{x_j}(h(x_i^-1 x_j))`` over the
@@ -140,7 +135,7 @@ def is_positive_definite(
         raise ContextMismatchError("multiplier and action do not match")
     prod = h.group.table[h.group.inv]  # prod[i, j] = i^-1 j
     stack = h.scalars[prod[None, :, :], table.perms.T[:, None, :]]
-    return is_positive(stack, tol=tol, hermitian_tol=hermitian_tol)
+    return is_positive(stack, tol=1e-9, hermitian_tol=1e-8)
 
 
 def convention_flip(h: Multiplier) -> Multiplier:
@@ -152,7 +147,7 @@ def convention_flip(h: Multiplier) -> Multiplier:
     return Multiplier(h.group, h.structure, tuple(vals))
 
 
-def unitalize(h: Multiplier, tol: float = 1e-12) -> Multiplier:
+def unitalize(h: Multiplier) -> Multiplier:
     """Replace the identity value by 1, keeping all other values.
 
     Requires every off-identity value to have norm at most 1/2 and the
@@ -160,6 +155,7 @@ def unitalize(h: Multiplier, tol: float = 1e-12) -> Multiplier:
     result of a positive definite multiplier is again positive definite.
     """
     e = h.group.identity
+    tol = UNITAL_TOL
     sup = h.off_identity_sup()
     if sup > 0.5 + tol:
         raise NormTooLargeError(
@@ -403,7 +399,7 @@ class KernelTable:
         return val
 
 
-def multipliers_commute(system: MultiplierSystem, tol: float = COMMUTE_TOL) -> None:
+def multipliers_commute(system: MultiplierSystem) -> None:
     """Check that each vertex action fixes the multipliers of its neighbours.
 
     For every edge (i, j), every a in G_i and b in G_j the value h_j(b) must
@@ -416,7 +412,7 @@ def multipliers_commute(system: MultiplierSystem, tol: float = COMMUTE_TOL) -> N
             h = system.multipliers[dst].scalars
             moved = h[:, system.actions.tables[src].perms]  # [b, a]: alpha_a(h(b))
             worst = float(np.max(np.abs(moved - h[:, None, :])))
-            if worst > tol:
+            if worst > COMMUTE_TOL:
                 raise EdgeViolationError(
                     "adjacent action moves a multiplier value",
                     edge=(graph.vertices[src], graph.vertices[dst]),
@@ -427,7 +423,6 @@ def multipliers_commute(system: MultiplierSystem, tol: float = COMMUTE_TOL) -> N
 def gp_well_defined(
     system: MultiplierSystem,
     radius: int = 4,
-    tol: float = WELL_DEFINED_TOL,
     budget: int = 100_000,
 ) -> WellDefinedReport:
     """Compare the product evaluation across all rearrangements of all short words.
@@ -451,7 +446,7 @@ def gp_well_defined(
                 worst = dev
                 witness = r
     return WellDefinedReport(
-        ok=worst <= tol,
+        ok=worst <= WELL_DEFINED_TOL,
         max_deviation=worst,
         word=witness,
         checked_words=n_words,
@@ -464,14 +459,12 @@ def haagerup_witness_ball(
     K: int,
     eps: float,
     L: int,
-    per_vertex=None,
     budget: int = DEFAULT_BUDGET,
 ) -> WitnessReport:
     """Certify smallness of the product multiplier off a finite witness set.
 
-    The witness set F consists of the identity and all elements of length at
-    most K whose letters lie in the chosen per-vertex subsets (default: the
-    whole vertex group).  Preconditions: every vertex multiplier is unital
+    The witness set F consists of all elements of length at most K (the
+    identity included).  Preconditions: every vertex multiplier is unital
     with off-identity values of norm at most 1/2, ``2^-K <= eps``, and
     ``L > K``.  Reports the largest multiplier norm over the radius-L ball
     outside F and whether it stays below eps; ``budget`` caps the ball.
@@ -489,24 +482,12 @@ def haagerup_witness_ball(
         raise HypothesisViolatedError("need 2^-K <= eps", K=K, eps=eps)
     if L <= K:
         raise HypothesisViolatedError("need L > K", K=K, L=L)
-    words = system.words
-    if per_vertex is None:
-        allowed = [set(range(g.order)) for g in words.groups]
-    else:
-        allowed = [set(per_vertex.get(v, range(g.order))) for v, g in enumerate(words.groups)]
-
-    def in_F(x: GPElement) -> bool:
-        if len(x) > K:
-            return False
-        return all(l.elem in allowed[l.vertex] for l in x.letters)
-
-    ball = words.ball(L, budget=budget)
-    f_size = sum(1 for x in ball if in_F(x))
+    ball = system.words.ball(L, budget=budget)
+    f_size = sum(1 for x in ball if len(x) <= K)
     worst = 0.0
     for x in ball:
-        if in_F(x):
-            continue
-        worst = max_residual(worst, system.gp_value(x).norm())
+        if len(x) > K:
+            worst = max_residual(worst, system.gp_value(x).norm())
     return WitnessReport(
         ok=worst < eps,
         max_off_norm=worst,

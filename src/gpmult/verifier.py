@@ -35,7 +35,7 @@ from .errors import (
     NotPositiveError,
     NotUnitalError,
 )
-from .matalg import CentralElement, embed_central, is_positive, max_residual
+from .matalg import is_positive, max_residual
 from .multipliers import (
     MultiplierSystem,
     convention_flip,
@@ -406,21 +406,14 @@ def verify_cross_terms(sc: Scenario) -> CheckResult:
     )
 
 
-def _family_stack(system, xs, ps) -> np.ndarray:
-    """The kernel stack over a family's words, xs then ps."""
-    return system.kernel_matrix(list(xs) + list(ps))
-
-
-def _dominance_margin(system, xs, ps, gram=None):
+def _dominance_margin(system, xs, ps, gram):
     """lambda_min and largest |entry| of the dominance difference
     K(x_i, x_j) - K(x_i, p_i) K(p_i, p_j) K(p_j, x_j) over a family.
 
-    Every entry is read from ``gram``, the family's kernel stack (built
-    when not given); the product is formed left to right, as the central
-    products it stands for.
+    Every entry is read from ``gram``, the kernel stack over xs then ps;
+    the product is formed left to right, as the central products it
+    stands for.
     """
-    if gram is None:
-        gram = _family_stack(system, xs, ps)
     n = len(xs)
     left = gram[:, :n, n:].diagonal(axis1=1, axis2=2)
     right = gram[:, n:, :n].diagonal(axis1=1, axis2=2)
@@ -470,7 +463,7 @@ def verify_schwarz(sc: Scenario) -> CheckResult:
             cs = [ball[int(rng.integers(0, len(ball)))] for _ in range(n)]
         bs = [ball[int(rng.integers(0, len(ball)))] for _ in range(n)]
         cbs = [words.multiply(c, b) for c, b in zip(cs, bs)]
-        gram = _family_stack(sys_, cbs, cs)
+        gram = sys_.kernel_matrix(cbs + cs)
         if not _cross_kernels_factor(gram, n):
             rejected += 1
             continue
@@ -585,7 +578,6 @@ def verify_witness(sc: Scenario) -> CheckResult:
             K=int(params["K"]),
             eps=float(params["eps"]),
             L=int(params["L"]),
-            per_vertex=params.get("per_vertex"),
             budget=sc.budget,
         )
     except BudgetExceededError:
@@ -675,10 +667,7 @@ def verify_cocycles(sc: Scenario) -> list:
                 details={"t_grid": ts, "monotone": mono_ok},
             )
         )
-        Q = [embed_central(CentralElement(module.structure, q)) for q in coc.Q]
-        rep = negative_definite_check(
-            Q, table, trials=sc.nd_trials, seed=sc.seed + 7 * v
-        )
+        rep = negative_definite_check(coc.Q, table, trials=sc.nd_trials, seed=sc.seed + 7 * v)
         if rep.trials == 0 and rep.ok and module.group.order == 1:
             add(
                 _vacuous(

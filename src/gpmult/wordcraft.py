@@ -452,13 +452,9 @@ class WordContext:
             raise _class_budget_error(z.letters, budget, max(budget, 1) + 1)
         return out
 
-    def leq(self, x: GPElement, y: GPElement, budget: int = DEFAULT_BUDGET) -> bool:
+    def _leq(self, x: GPElement, y: GPElement, budget: int) -> bool:
         """Truncation order: x below y when x arises by repeatedly dropping a
         first or last letter from rearrangements of y."""
-        self._check_ctx(x, y)
-        return self._leq(x, y, budget)
-
-    def _leq(self, x: GPElement, y: GPElement, budget: int) -> bool:
         target = x.letters
         if target == y.letters:
             return True
@@ -535,45 +531,6 @@ class WordContext:
 
     # ------------------------------------------------------------------
     # non-commuting counts and standard form
-
-    def nc_length(self, x, v0: int, check_all: bool = False, budget: int = DEFAULT_BUDGET) -> int:
-        """Non-commuting count of x relative to the vertex v0.
-
-        -1 when no rearrangement ends with a v0 letter; otherwise the number
-        of letters, in the prefix of such a rearrangement, whose vertex is not
-        joined to v0 (same-vertex letters count).  Accepts an element or a
-        reduced vertex word.  With ``check_all`` the value is recomputed from
-        every qualifying rearrangement and compared.
-        """
-        if isinstance(x, GPElement):
-            self._check_ctx(x)
-            vertices = x.vertex_word
-        else:
-            vertices = tuple(x)
-            if not self.is_reduced(vertices):
-                raise GPMultError("vertex word is not reduced", word=vertices)
-        if not (0 <= v0 < self.graph.n):
-            raise ElementOutOfRangeError("vertex index out of range", vertex=v0)
-        val = self._nc_direct(vertices, v0)
-        if check_all:
-            # Only vertices matter to the search, so any element stands in.
-            placeholders = tuple(Letter(v, 0) for v in vertices)
-            vals = set()
-            for seq in self._rearrangements_seq(placeholders, budget):
-                r = [l.vertex for l in seq]
-                if r and r[-1] == v0:
-                    vals.add(
-                        sum(1 for v in r[:-1] if not self.graph.adjacent(v, v0))
-                    )
-            if not vals:
-                vals = {-1}
-            if vals != {val}:
-                raise GPMultError(
-                    "non-commuting count disagrees across rearrangements",
-                    word=vertices,
-                    values=sorted(vals),
-                )
-        return val
 
     def _nc_direct(self, vertices: tuple, v0: int) -> int:
         last = -1
@@ -741,19 +698,6 @@ class WordContext:
                         nxt.append(y)
             frontier = nxt
         return tuple(sorted(out, key=_sort_key))
-
-    def random_element(self, rng, max_len: int) -> GPElement:
-        """Normalization of a uniformly random raw word of length <= max_len."""
-        m = int(rng.integers(0, max_len + 1))
-        letters = []
-        for _ in range(m):
-            v = int(rng.integers(0, self.graph.n))
-            grp = self.groups[v]
-            if grp.order == 1:
-                continue
-            g = int(rng.integers(1, grp.order))
-            letters.append((v, g))
-        return self.normalize(letters)
 
     # ------------------------------------------------------------------
     # serialization

@@ -8,6 +8,8 @@ and the per-entry central paths are the oracles of the gathers from
 cumulative sum) that replaced them.
 """
 
+import itertools
+
 import numpy as np
 
 from gpmult.cocycles import schoenberg_multiplier
@@ -22,16 +24,90 @@ from gpmult.errors import (
     ContextMismatchError,
     EdgeViolationError,
     EmptySetError,
+    GPMultError,
     StructureMismatchError,
 )
 from gpmult.graphgroup import FiniteGroup, SimplicialGraph
 from gpmult.matalg import AlgebraElement, BlockStructure, CentralElement, is_positive
 from gpmult.multipliers import Multiplier, MultiplierSystem, convention_flip
-from gpmult.wordcraft import WordContext
+from gpmult.wordcraft import DEFAULT_BUDGET, GPElement, Letter, WordContext
 
 
 # ----------------------------------------------------------------------
-# words
+# graphs and words
+
+
+def multipartite_graph(part_sizes) -> SimplicialGraph:
+    """Complete multipartite graph K_{n1,...,nk} with integer vertex ids.
+
+    Vertices are numbered 0.. in part order; two vertices are joined exactly
+    when they lie in different parts.
+    """
+    parts = []
+    next_id = 0
+    for size in part_sizes:
+        parts.append(list(range(next_id, next_id + size)))
+        next_id += size
+    vertices = [v for part in parts for v in part]
+    edges = []
+    for pa, pb in itertools.combinations(parts, 2):
+        for a in pa:
+            for b in pb:
+                edges.append((a, b))
+    return SimplicialGraph.build(vertices, edges)
+
+
+def random_element(words: WordContext, rng, max_len: int) -> GPElement:
+    """Normalization of a uniformly random raw word of length <= max_len."""
+    m = int(rng.integers(0, max_len + 1))
+    letters = []
+    for _ in range(m):
+        v = int(rng.integers(0, words.graph.n))
+        grp = words.groups[v]
+        if grp.order == 1:
+            continue
+        g = int(rng.integers(1, grp.order))
+        letters.append((v, g))
+    return words.normalize(letters)
+
+
+def leq(words: WordContext, x: GPElement, y: GPElement, budget: int = DEFAULT_BUDGET) -> bool:
+    """Truncation order: x below y when x arises by repeatedly dropping a
+    first or last letter from rearrangements of y."""
+    words._check_ctx(x, y)
+    return words._leq(x, y, budget)
+
+
+def nc_length(
+    words: WordContext, x: GPElement, v0: int, check_all: bool = False, budget: int = DEFAULT_BUDGET
+) -> int:
+    """Non-commuting count of x relative to the vertex v0.
+
+    -1 when no rearrangement ends with a v0 letter; otherwise the number
+    of letters, in the prefix of such a rearrangement, whose vertex is not
+    joined to v0 (same-vertex letters count).  With ``check_all`` the value
+    is recomputed from every qualifying rearrangement and compared.
+    """
+    words._check_ctx(x)
+    vertices = x.vertex_word
+    val = words._nc_direct(vertices, v0)
+    if check_all:
+        # Only vertices matter to the search, so any element stands in.
+        placeholders = tuple(Letter(v, 0) for v in vertices)
+        vals = set()
+        for seq in words._rearrangements_seq(placeholders, budget):
+            r = [l.vertex for l in seq]
+            if r and r[-1] == v0:
+                vals.add(sum(1 for v in r[:-1] if not words.graph.adjacent(v, v0)))
+        if not vals:
+            vals = {-1}
+        if vals != {val}:
+            raise GPMultError(
+                "non-commuting count disagrees across rearrangements",
+                word=vertices,
+                values=sorted(vals),
+            )
+    return val
 
 
 def nc_length_set(words: WordContext, elements, v0: int) -> int:
@@ -39,7 +115,7 @@ def nc_length_set(words: WordContext, elements, v0: int) -> int:
     elements = list(elements)
     if not elements:
         raise EmptySetError("non-commuting count of an empty collection")
-    return max(words.nc_length(x, v0) for x in elements)
+    return max(nc_length(words, x, v0) for x in elements)
 
 
 def is_complete(words: WordContext, elements) -> bool:

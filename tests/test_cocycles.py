@@ -75,11 +75,6 @@ def as_coefficients(structure, v):
     return [embed_central(CentralElement(structure, x)) for x in v]
 
 
-def squared_norms(c):
-    """The cocycle's Q(s) as algebra elements, as the cocycle suite passes them."""
-    return as_coefficients(c.module.structure, c.Q)
-
-
 def test_gram_matches_classical_circulant():
     """With trivial action on C the Gram matrix is the classical [h(s^-1 t)]."""
     h, mod = z4_module()
@@ -204,21 +199,18 @@ def test_negative_definite_check_accepts_squared_norms():
     z4 = cyclic_group(4)
     _, mod = z4_module()
     c = cocycle_build(mod)
-    rep = negative_definite_check(
-        squared_norms(c), trivial_action(z4, SCALAR), trials=200, seed=5
-    )
+    rep = negative_definite_check(c.Q, trivial_action(z4, SCALAR), trials=200, seed=5)
     assert rep.ok
     assert rep.worst_margin < 0  # strictly inside for these coefficients
     assert rep.symmetry_deviation == 0.0
-    assert rep.trials == 200 and rep.mode == "random"
+    assert rep.trials == 200
 
 
 def test_negative_definite_check_rejects_positive_definite_function():
     """A pd multiplier itself makes the form positive - the check must say no."""
     z4 = cyclic_group(4)
     h, _ = z4_module()
-    psi = [embed_central(v) for v in h.values]
-    rep = negative_definite_check(psi, trivial_action(z4, SCALAR), trials=200, seed=5)
+    rep = negative_definite_check(h.scalars, trivial_action(z4, SCALAR), trials=200, seed=5)
     assert not rep.ok
     assert rep.worst_margin > 1.0
     assert rep.exact_lambda_max > 0
@@ -226,48 +218,25 @@ def test_negative_definite_check_rejects_positive_definite_function():
 
 def test_negative_definite_check_rejects_an_overflowing_form():
     z2 = cyclic_group(2)
-    psi = [embed_central(CentralElement(SCALAR, [v])) for v in (0.0, 1.7e308)]
+    psi = np.array([[0.0], [1.7e308]], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NotFiniteError):
             negative_definite_check(psi, trivial_action(z2, SCALAR), trials=0)
 
 
-def test_negative_definite_check_sweep_mode():
-    z4 = cyclic_group(4)
-    _, mod = z4_module()
-    c = cocycle_build(mod)
-    rep = negative_definite_check(squared_norms(c), trivial_action(z4, SCALAR), mode="sweep")
-    assert rep.ok
-    assert rep.trials == 6  # one matrix unit, six element pairs
-    assert abs(rep.worst_margin + 2.0) < 1e-12
-
-
 def test_negative_definite_check_flags_broken_symmetry():
     z4 = cyclic_group(4)
     h = scalar_multiplier(z4, 1.0, 0.5, 0.2, 0.3)  # h(3) != conj(h(1))
-    psi = [embed_central(v) for v in h.values]
-    rep = negative_definite_check(psi, trivial_action(z4, SCALAR), trials=10, seed=5)
+    rep = negative_definite_check(h.scalars, trivial_action(z4, SCALAR), trials=10, seed=5)
     assert not rep.ok
     assert abs(rep.symmetry_deviation - 0.2) < 1e-14
-
-
-def test_negative_definite_check_unknown_mode():
-    z2 = cyclic_group(2)
-    h = scalar_multiplier(z2, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        negative_definite_check(
-            [embed_central(v) for v in h.values],
-            trivial_action(z2, SCALAR),
-            mode="exhaustive",
-        )
 
 
 def test_exact_certificate_fails_without_trials():
     """With no trial drawn, the exact certificate alone rejects a pd function."""
     z4 = cyclic_group(4)
     h, _ = z4_module()
-    psi = [embed_central(v) for v in h.values]
-    rep = negative_definite_check(psi, trivial_action(z4, SCALAR), trials=0, seed=5)
+    rep = negative_definite_check(h.scalars, trivial_action(z4, SCALAR), trials=0, seed=5)
     assert rep.trials == 0 and rep.worst_margin == 0.0
     assert not rep.ok
     # the circulant's values at the nonzero frequencies are 0.8, 0.2, 0.8
@@ -283,7 +252,7 @@ def test_exact_certificate_matches_the_circulant_spectrum():
     z4 = cyclic_group(4)
     _, mod = z4_module()
     c = cocycle_build(mod)
-    rep = negative_definite_check(squared_norms(c), trivial_action(z4, SCALAR), trials=1, seed=5)
+    rep = negative_definite_check(c.Q, trivial_action(z4, SCALAR), trials=1, seed=5)
     q = [0.0, 1.0, 1.6, 1.0]
     assert abs(rep.exact_lambda_max - np.fft.fft(q).real[1:].max()) < 1e-12
     assert abs(rep.exact_lambda_max + 0.4) < 1e-12
@@ -294,11 +263,14 @@ def test_exact_certificate_matches_the_circulant_spectrum():
 # the per-trial AlgebraElement evaluation, kept as the reference
 
 
-def reference_negative_definite_check(psi, table, trials=500, seed=0, mode="random", tol=1e-8):
+def reference_negative_definite_check(psi, table, trials=500, seed=0, tol=1e-8):
     """One trial at a time with generic algebra arithmetic and a dense eigensolve.
 
-    Returns ``(ok, worst_margin, symmetry_deviation, trials)``; ok is the
-    trial-and-symmetry rule without the exact certificate.
+    ``psi`` lists one :class:`AlgebraElement` per group element.  Returns
+    ``(ok, worst_margin, symmetry_deviation, trials, exact_lambda_max)``; the
+    certificate compresses each block's dense ``(n d_k, n d_k)`` matrix to
+    the sum-zero subspace through an orthonormal basis from a QR
+    factorization, not the package's Helmert basis.
     """
     group = table.group
     structure = table.structure
@@ -323,50 +295,51 @@ def reference_negative_definite_check(psi, table, trials=500, seed=0, mode="rand
         herm = (dense + dense.conj().T) / 2.0
         return float(np.linalg.eigvalsh(herm)[-1])
 
-    worst = -np.inf
-    count = 0
-    if mode == "sweep":
-        units = []
+    exact = 0.0  # the trivial group's sum-zero subspace is zero
+    if n > 1:
+        basis = np.linalg.qr(np.eye(n)[:, :-1] - np.eye(n)[:, 1:])[0]
+        tops = []
         for k, d in enumerate(structure.block_dims):
-            for r in range(d):
-                for col in range(d):
-                    units.append(AlgebraElement.matrix_unit(structure, k, r, col))
-        zero = AlgebraElement.zero(structure)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for u in units:
-                    bs = [zero] * n
-                    bs[i] = u
-                    bs[j] = -1.0 * u
-                    worst = max(worst, form_lambda_max(bs))
-                    count += 1
-    else:
-        rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            bs = []
-            for _ in range(n - 1):
-                blocks = [
-                    rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                    for d in structure.block_dims
-                ]
-                bs.append(AlgebraElement(structure, blocks))
-            total = AlgebraElement.zero(structure)
-            for b in bs:
-                total = total + b
-            bs.append(-1.0 * total)
-            worst = max(worst, form_lambda_max(bs))
-            count += 1
+            dense = np.block([[M[i][j].blocks[k] for j in range(n)] for i in range(n)])
+            p = np.kron(basis, np.eye(d))
+            comp = p.T @ dense @ p
+            tops.append(float(np.linalg.eigvalsh((comp + comp.conj().T) / 2.0)[-1]))
+        exact = max(tops)
+    worst = -np.inf
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        bs = []
+        for _ in range(n - 1):
+            blocks = [
+                rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                for d in structure.block_dims
+            ]
+            bs.append(AlgebraElement(structure, blocks))
+        total = AlgebraElement.zero(structure)
+        for b in bs:
+            total = total + b
+        bs.append(-1.0 * total)
+        worst = max(worst, form_lambda_max(bs))
+    count = max(trials, 0)
     if count == 0:
         worst = 0.0
-    return worst <= tol and sym_dev <= 1e-10, float(worst), sym_dev, count
+    ok = worst <= tol and exact <= tol and sym_dev <= 1e-10
+    return ok, float(worst), sym_dev, count, exact
 
 
-def assert_matches_reference(rep, ref, tol=1e-8):
-    ok, worst, sym_dev, count = ref
-    assert rep.trials == count
-    assert rep.symmetry_deviation == sym_dev
+def assert_matches_reference(rep, ref):
+    """The central check against the reference on the embedded values."""
+    ok, worst, sym_dev, count, exact = ref
+    assert rep.ok == ok and rep.trials == count
     assert abs(rep.worst_margin - worst) <= 1e-12 * (1.0 + abs(worst))
-    assert rep.ok == (ok and rep.exact_lambda_max <= tol)
+    assert abs(rep.exact_lambda_max - exact) <= 1e-12 * (1.0 + abs(exact))
+    assert abs(rep.symmetry_deviation - sym_dev) <= 1e-12 * (1.0 + sym_dev)
+
+
+def exact_unitaries(table) -> bool:
+    """Whether every automorphism of the table conjugates by identity matrices,
+    so that the reference's u (z I) u* is z I without rounding."""
+    return all(np.array_equal(u, np.eye(len(u))) for a in table.autos for u in a.unitaries)
 
 
 def vertex_functions(name):
@@ -381,11 +354,10 @@ def vertex_functions(name):
         h = convention_flip(sc.system.multipliers[v])
         table = sc.system.actions.tables[v]
         try:
-            psi = squared_norms(cocycle_build(gns_build(h, table)))
+            psi = cocycle_build(gns_build(h, table)).Q
             built = True
         except (NotPositiveError, NotUnitalError):
-            one = AlgebraElement.identity(h.structure)
-            psi = [2.0 * one - embed_central(x) - embed_central(x).adjoint() for x in h.values]
+            psi = 2.0 - h.scalars - h.scalars.conj()
             built = False
         yield v, psi, table, sc.nd_trials, sc.seed + 7 * v, built
 
@@ -394,14 +366,19 @@ def vertex_functions(name):
 def test_negative_definite_check_matches_reference_on_scenarios(name):
     for v, psi, table, trials, seed, built in vertex_functions(name):
         rep = negative_definite_check(psi, table, trials=trials, seed=seed)
-        ref = reference_negative_definite_check(psi, table, trials=trials, seed=seed)
+        elements = as_coefficients(table.structure, psi)
+        ref = reference_negative_definite_check(elements, table, trials=trials, seed=seed)
         assert_matches_reference(rep, ref)
-        # added pair by pair in the single-trial order, the reported
-        # residual keeps every bit
-        assert rep.worst_margin == ref[1], (name, v)
-        # a cocycle's squared norm is negative definite; a non-pd h's is not
+        if exact_unitaries(table):
+            # the same twisted matrix, added pair by pair in the single-trial
+            # order: the reported residual keeps every bit
+            assert rep.worst_margin == ref[1], (name, v)
+        # a cocycle's squared norm is negative definite and exactly symmetric;
+        # a non-pd h's is not negative definite
         assert rep.ok is built, (name, v)
         assert (rep.exact_lambda_max <= 1e-8) is built, (name, v)
+        if built:
+            assert rep.symmetry_deviation == 0.0, (name, v)
 
 
 def cyclic_unitary_action(group, structure, rng):
@@ -421,8 +398,8 @@ def cyclic_unitary_action(group, structure, rng):
 @hst.composite
 def nd_cases(draw):
     """A group of order <= 4 acting on <= 3 blocks of size <= 3, and a random
-    non-central psi: symmetrized or not, and shifted towards negative
-    definiteness by c (1 - delta_e) or not."""
+    central psi as an ``(n, K)`` array: symmetrized or not, and shifted
+    towards negative definiteness by c (1 - delta_e) or not."""
     dims = tuple(draw(hst.lists(hst.integers(1, 3), min_size=1, max_size=3)))
     structure = BlockStructure(dims)
     group = draw(hst.sampled_from([1, 2, 3, 4, "klein"]))
@@ -443,37 +420,28 @@ def nd_cases(draw):
         perms = [[0, 1] + rest if g % 2 == 0 else [1, 0] + rest for g in range(group.order)]
         table = block_permutation_action(group, structure, perms)
     n = group.order
-    raw = [
-        AlgebraElement(
-            structure,
-            [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in dims],
-        )
-        for _ in range(n)
-    ]
+    psi = rng.standard_normal((n, len(dims))) + 1j * rng.standard_normal((n, len(dims)))
     if draw(hst.booleans()):
-        raw = [
-            0.5 * (raw[s] + table.autos[s].apply(raw[group.inverse(s)]).adjoint())
-            for s in range(n)
-        ]
-    shift = draw(hst.sampled_from([0.0, 20.0]))
-    one = AlgebraElement.identity(structure)
-    psi = [x + (0.0 if s == group.identity else shift) * one for s, x in enumerate(raw)]
-    mode = draw(hst.sampled_from(["random", "sweep"]))
+        # alpha_s(psi(s^-1)) = psi(s)*, with alpha_s the index array perms[s]
+        flipped = psi[group.inv[:, None], table.perms].conj()
+        psi = 0.5 * (psi + flipped)
+    shift = np.full(n, draw(hst.sampled_from([0.0, 20.0])))
+    shift[group.identity] = 0.0
+    psi = psi + shift[:, None]
     trials = draw(hst.sampled_from([0, 1, 63, 64, 65, 200]))
-    return psi, table, trials, draw(hst.integers(0, 1000)), mode
+    return psi, table, trials, draw(hst.integers(0, 1000))
 
 
 @settings(max_examples=60, deadline=None)
 @given(nd_cases())
 def test_negative_definite_check_matches_reference(case):
-    psi, table, trials, seed, mode = case
-    rep = negative_definite_check(psi, table, trials=trials, seed=seed, mode=mode)
-    ref = reference_negative_definite_check(psi, table, trials=trials, seed=seed, mode=mode)
-    assert_matches_reference(rep, ref)
-    assert rep.mode == mode
+    psi, table, trials, seed = case
+    rep = negative_definite_check(psi, table, trials=trials, seed=seed)
+    elements = as_coefficients(table.structure, psi)
+    assert_matches_reference(rep, reference_negative_definite_check(elements, table, trials, seed))
     # every trial is the compressed form at some coefficients, so a negative
     # certificate keeps every trial at or below zero
-    scale = max(float(np.max(np.abs(b))) for x in psi for b in x.blocks)
+    scale = float(np.max(np.abs(psi)))
     if rep.exact_lambda_max < -1e-9 * scale:
         assert rep.worst_margin <= 1e-9 * scale
 
@@ -596,7 +564,7 @@ def assert_matches_oracle(h, table):
         assert c_err is NotUnitalError
         return
     Q, res, res2 = oracle_cocycle(ref)
-    assert coefficient_diff(Q, squared_norms(c)) <= 1e-12
+    assert coefficient_diff(Q, as_coefficients(st, c.Q)) <= 1e-12
     for t in (0.1, 1.0, 10.0):
         sch = schoenberg_multiplier(c, t)
         assert np.max(np.abs(sch - oracle_schoenberg(Q, t))) <= 1e-12

@@ -6,7 +6,6 @@ import pytest
 from gpmult.errors import (
     EdgeViolationError,
     NotHomomorphismError,
-    SetupInvalidError,
     StructureMismatchError,
 )
 from gpmult.dynamics import (
@@ -79,7 +78,7 @@ def test_point_permutation_action_moves_functions_contravariantly():
     table = point_permutation_action(group, st, maps)
     validate_action(table)
     f = CentralElement(st, [5.0, 7.0, 11.0])
-    g1 = apply_central(table.auto(1), f)
+    g1 = apply_central(table.autos[1], f)
     # (alpha_g f)(k) = f(g^{-1} k)
     assert np.allclose(g1.scalars, [11.0, 5.0, 7.0])
 
@@ -121,8 +120,6 @@ def test_action_system_flags_noncommuting_edge():
     system = ActionSystem(ctx, st, [swap01, swap12])
     with pytest.raises(EdgeViolationError):
         system.setup_commutes_per_graph()
-    with pytest.raises(SetupInvalidError):
-        system.require_valid()
     del cycle
 
 
@@ -137,11 +134,10 @@ def test_word_action_applies_letters_right_to_left():
     system = ActionSystem(ctx, st, [rot, swap])
     system.validate_actions()
     system.setup_commutes_per_graph()
-    system.require_valid()
     x = ctx.normalize([(0, 1), (1, 1)])  # u then v
     f = CentralElement(st, [1.0, 2.0, 3.0])
     got = system.act_word(x).on_central(f)
-    expect = apply_central(rot.auto(1), apply_central(swap.auto(1), f))
+    expect = apply_central(rot.autos[1], apply_central(swap.autos[1], f))
     assert np.allclose(got.scalars, expect.scalars)
 
 
@@ -170,4 +166,4 @@ def test_trivial_action_is_identity_everywhere():
     table = trivial_action(cyclic_group(4), st)
     validate_action(table)
     for gidx in range(4):
-        assert table.auto(gidx).is_identity_map()
+        assert table.autos[gidx].is_identity_map()

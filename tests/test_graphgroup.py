@@ -17,11 +17,11 @@ from gpmult.graphgroup import (
     SimplicialGraph,
     cyclic_group,
     dihedral_group,
-    multipartite_graph,
     preset_group,
     symmetric_group,
     validate_group,
 )
+from support import multipartite_graph
 
 
 def test_graph_build_and_adjacency():

@@ -1,9 +1,9 @@
 """Every name a package module imports is used in that module, every
 module-level UPPER_CASE constant of the package is loaded somewhere in
 ``src/``, ``tests/`` or ``bench/``, every function, method and class of the
-package is named there outside its own definition, and every
+package is named there outside its own definition, every
 ``GPMultError`` subclass in ``errors.py`` is named by some other file
-there."""
+there, and only the algebra and action layers use full algebra elements."""
 
 import ast
 import re
@@ -288,3 +288,37 @@ def test_every_error_class_is_named_outside_its_module():
             if p != SRC / "errors.py":
                 names |= referenced_names(p.read_text(encoding="utf-8"))
     assert unreferenced_errors((SRC / "errors.py").read_text(encoding="utf-8"), names) == []
+
+
+# Full algebra elements are for action validation; every other module works
+# on central values as arrays of block scalars.
+ALGEBRA_NAMES = {"AlgebraElement", "embed_central"}
+ALGEBRA_LAYER = {"matalg.py", "dynamics.py"}
+
+
+def algebra_uses(source: str):
+    """(line, name) of every import of an algebra-element name and every
+    read of one as a module attribute."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            out += [(node.lineno, a.name) for a in node.names if a.name in ALGEBRA_NAMES]
+        elif isinstance(node, ast.Attribute) and node.attr in ALGEBRA_NAMES:
+            out.append((node.lineno, node.attr))
+    return sorted(out)
+
+
+def test_algebra_scanner_finds_imports_and_attributes():
+    source = (
+        "from .matalg import CentralElement, embed_central\n"
+        "from . import matalg\n"
+        "x = matalg.AlgebraElement\n"
+        "y = CentralElement.one\n"
+        "doc = 'AlgebraElement'\n"
+    )
+    assert algebra_uses(source) == [(1, "embed_central"), (3, "AlgebraElement")]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m not in ALGEBRA_LAYER])
+def test_only_the_algebra_layer_uses_algebra_elements(module):
+    assert algebra_uses((SRC / module).read_text(encoding="utf-8")) == []
