@@ -48,7 +48,7 @@ from .errors import (
 )
 from .graphgroup import FiniteGroup
 from .matalg import BlockStructure, CentralElement, is_positive, max_residual
-from .wordcraft import DEFAULT_BUDGET, GPElement, Letter
+from .wordcraft import DEFAULT_BUDGET, GPElement
 
 UNITAL_TOL = 1e-12
 COMMUTE_TOL = 1e-12
@@ -250,11 +250,10 @@ class MultiplierSystem:
         return self.multipliers[letter.vertex].values[letter.elem]
 
     def gp_value(self, x: GPElement) -> CentralElement:
-        """Graph-product multiplier evaluated on the canonical expression."""
+        """The product multiplier on x's canonical expression (its value row)."""
         if x.ctx is not self.words:
             raise ContextMismatchError("element belongs to a different context")
-        i = self.words.intern(x.letters)
-        return CentralElement._adopt(self.structure, self._value_rows()[i].copy())
+        return self.gp_value_letters(x.letters)
 
     def _value_rows(self) -> np.ndarray:
         """Values of all interned words, row i the value of word i.
@@ -335,7 +334,7 @@ class MultiplierSystem:
         words._check_ctx(*xs)
         n, K = len(xs), self.structure.num_blocks
         prod = words.product_ids(
-            [self._kernel.inverse_id(x) for x in xs], [words.intern(x.letters) for x in xs]
+            [words._inverse_id(x) for x in xs], [words.intern(x.letters) for x in xs]
         )
         values = self._value_rows()
         perms = np.array(
@@ -369,26 +368,12 @@ class _ValueRows:
 
 
 class KernelTable:
-    """Lazy memoized kernel K(x, y) = alpha_y(h(x^-1 y)).
-
-    ``inverses`` memoizes the interned id of x^-1 per x, the word id of the
-    inverted letters of x in reverse; a pair's entry is read from the kernel
-    matrix over (x, y).
-    """
+    """Lazy memoized kernel K(x, y) = alpha_y(h(x^-1 y)); a pair's entry is
+    read from the kernel matrix over (x, y)."""
 
     def __init__(self, system: MultiplierSystem):
         self.system = system
         self.cache: dict = {}
-        self.inverses: dict = {}
-
-    def inverse_id(self, x: GPElement) -> int:
-        i = self.inverses.get(x.letters)
-        if i is None:
-            groups = self.system.words.groups
-            i = self.inverses[x.letters] = self.system.words._word_id(
-                Letter(l.vertex, groups[l.vertex].inverse(l.elem)) for l in reversed(x.letters)
-            )
-        return i
 
     def get(self, x: GPElement, y: GPElement) -> CentralElement:
         key = (x.letters, y.letters)

@@ -278,7 +278,7 @@ def verify_peel_off(sc: Scenario) -> CheckResult:
         if not x.letters:
             continue
         for r in words.rearrangements(x, budget=sc.budget):
-            tail = words._push(r[1:])
+            tail = words.normalize(r[1:])
             tail_inv = words.inverse(tail)
             twisted = sys_.actions.act_word(tail_inv).on_central(
                 sys_.value_of_letter(r[0])
@@ -334,7 +334,7 @@ def verify_drop_last(sc: Scenario) -> CheckResult:
         if not x.letters:
             continue
         Y = np.flatnonzero(reduced[i])
-        H = [index[words._push(r[:-1])] for r in words.rearrangements(x, budget=sc.budget)]
+        H = [index[words.normalize(r[:-1])] for r in words.rearrangements(x, budget=sc.budget)]
         diff = gram[:, i, Y][:, None, :] - gram[:, i, H][:, :, None] * gram[:, H][:, :, Y]
         worst = max_residual(worst, float(np.abs(diff).max()))
         n_checked += len(H) * len(Y)
@@ -354,6 +354,26 @@ def verify_drop_last(sc: Scenario) -> CheckResult:
     )
 
 
+def _standard_form_classes(sc: Scenario, ball, index) -> list:
+    """Per vertex v0, two integer arrays over the ball: the class of each
+    word x, its y vertex word in the standard form x = y c a b numbered in
+    order of first appearance (-1 without a v0 letter), and the ball index
+    of y c."""
+    words = sc.system.words
+    vertex_words = [x.vertex_word for x in ball]
+    out = []
+    for v0 in range(words.graph.n):
+        cls, yc = np.full(len(ball), -1), np.full(len(ball), -1)
+        classes: dict = {}
+        for i, x in enumerate(ball):
+            if v0 in vertex_words[i]:
+                sf = words.standard_form(x, v0, sc.budget)
+                cls[i] = classes.setdefault(sf.y.vertex_word, len(classes))
+                yc[i] = index[words.multiply(sf.y, sf.c)]
+        out.append((cls, yc))
+    return out
+
+
 def verify_cross_terms(sc: Scenario) -> CheckResult:
     """Factorization K(x, z) = K(x, yc) K(yc, z) under the two order conditions.
 
@@ -365,21 +385,13 @@ def verify_cross_terms(sc: Scenario) -> CheckResult:
     """
     words = sc.system.words
     ball, gram, index = sc.system.ball_stack(sc.identity_radius, sc.budget)
-    vertex_words = [x.vertex_word for x in ball]
+    # every count before any standard form: the count search raises the first budget error
+    counts = [[words.downset_nc_max(x, v, sc.budget) for x in ball] for v in range(words.graph.n)]
     worst = 0.0
     n1 = n2 = 0
-    for v0 in range(words.graph.n):
-        nc = np.array([words.downset_nc_max(x, v0, sc.budget) for x in ball])
-        ycls = np.full(len(ball), -1)  # id of the y vertex word, -1 without a v0 letter
-        classes: dict = {}
-        rows, yc = [], []  # ball indices of each x with a v0 letter and of its y c
-        for i, x in enumerate(ball):
-            if v0 in vertex_words[i]:
-                sf = words.standard_form(x, v0, sc.budget)
-                ycls[i] = classes.setdefault(sf.y.vertex_word, len(classes))
-                rows.append(i)
-                yc.append(index[words.multiply(sf.y, sf.c)])
-        if not rows:
+    for nc, (ycls, yc) in zip(np.array(counts), _standard_form_classes(sc, ball, index)):
+        rows = np.flatnonzero(ycls >= 0)
+        if not rows.size:
             continue
         cond1 = nc[None, :] < nc[rows, None]
         cond2 = (nc[None, :] == nc[rows, None]) & (ycls >= 0) & (ycls[None, :] != ycls[rows, None])
@@ -387,7 +399,7 @@ def verify_cross_terms(sc: Scenario) -> CheckResult:
         n2 += int(cond2.sum())
         r, z = np.nonzero(cond1 | cond2)
         if r.size:
-            x, c = np.array(rows)[r], np.array(yc)[r]
+            x, c = rows[r], yc[rows[r]]
             diff = gram[:, x, z] - gram[:, x, c] * gram[:, c, z]
             worst = max_residual(worst, float(np.abs(diff).max()))
     if n1 == n2 == 0:
@@ -406,15 +418,15 @@ def verify_cross_terms(sc: Scenario) -> CheckResult:
     )
 
 
-def _dominance_margin(system, xs, ps, gram):
+def _dominance_margin(gram):
     """lambda_min and largest |entry| of the dominance difference
     K(x_i, x_j) - K(x_i, p_i) K(p_i, p_j) K(p_j, x_j) over a family.
 
-    Every entry is read from ``gram``, the kernel stack over xs then ps;
-    the product is formed left to right, as the central products it
-    stands for.
+    Every entry is read from ``gram``, the kernel stack over x_0..x_{n-1}
+    then p_0..p_{n-1}; the product is formed left to right, as the central
+    products it stands for.
     """
-    n = len(xs)
+    n = gram.shape[-1] // 2
     left = gram[:, :n, n:].diagonal(axis1=1, axis2=2)
     right = gram[:, n:, :n].diagonal(axis1=1, axis2=2)
     diff = gram[:, :n, :n] - left[:, :, None] * gram[:, n:, n:] * right[:, None, :]
@@ -467,7 +479,7 @@ def verify_schwarz(sc: Scenario) -> CheckResult:
         if not _cross_kernels_factor(gram, n):
             rejected += 1
             continue
-        lam, maxdiff = _dominance_margin(sys_, cbs, cs, gram)
+        lam, maxdiff = _dominance_margin(gram)
         accepted += 1
         if maxdiff > 1e-13:
             non_vacuous += 1
@@ -502,7 +514,6 @@ def verify_y1_square(sc: Scenario) -> CheckResult:
     ball, so each family stack is a gather from the ball's kernel stack.
     """
     sys_ = sc.system
-    words = sys_.words
     for h in sys_.multipliers:
         if np.max(np.abs(h.scalars.imag)) > 1e-12 or np.min(h.scalars.real) < -1e-12:
             return _vacuous(
@@ -515,14 +526,10 @@ def verify_y1_square(sc: Scenario) -> CheckResult:
     worst = np.inf
     accepted = non_vacuous = 0
     all_ok = True
-    class_lists = []  # per class its members (x, y c)
-    for v0 in range(words.graph.n):
-        with_v0 = [x for x in ball if v0 in x.vertex_word]
-        classes: dict = {}
-        for x in with_v0:
-            sf = words.standard_form(x, v0, sc.budget)
-            classes.setdefault(sf.y.vertex_word, []).append((x, words.multiply(sf.y, sf.c)))
-        class_lists.extend(classes.values())
+    class_lists = []  # per class its members, as ball indices (x, y c)
+    for cls, yc in _standard_form_classes(sc, ball, index):
+        for k in range(cls.max() + 1):
+            class_lists.append([(i, yc[i]) for i in np.flatnonzero(cls == k)])
     families = []
     per_class = max(8, -(-2 * sc.tuple_target // max(1, len(class_lists))))
     for members in class_lists:
@@ -530,15 +537,12 @@ def verify_y1_square(sc: Scenario) -> CheckResult:
         # random sub-multisets with repetition, for tuple volume
         for _ in range(per_class):
             n = int(rng.integers(1, 4))
-            fam = [members[int(rng.integers(0, len(members)))] for _ in range(n)]
-            families.append(fam)
+            families.append([members[int(rng.integers(0, len(members)))] for _ in range(n)])
     for fam in families:
         if non_vacuous >= sc.tuple_target and accepted >= sc.tuple_target:
             break
-        xs = [x for (x, _) in fam]
-        ycs = [yc for (_, yc) in fam]
-        at = [index[w] for w in xs + ycs]
-        lam, maxdiff = _dominance_margin(sys_, xs, ycs, gram[:, at][:, :, at])
+        at = [x for (x, _) in fam] + [yc for (_, yc) in fam]
+        lam, maxdiff = _dominance_margin(gram[:, at][:, :, at])
         accepted += 1
         if maxdiff > 1e-13:
             non_vacuous += 1

@@ -3,24 +3,22 @@
 Elements of the graph product are stored as canonical words: reduced letter
 sequences that are lexicographically least among all rearrangements (the
 rearrangement class of a reduced word is its orbit under swapping adjacent
-letters whose vertices are joined in the graph).  Every canonical word of
-a letter sequence is built by one routine, ``WordContext._push``, which
-appends letters one at a time: a new letter either merges with the one
-same-vertex letter it can commute back to, or is inserted at the one place
-that keeps the word least (Green's normal form theorem; the shortlex forms
-of Hermiller and Meier).
-Products push only the right factor onto the left one, so cancellation
-happens at the interface.
+letters whose vertices are joined in the graph).  A letter appended to a
+canonical word either merges with the one same-vertex letter it can commute
+back to, or is inserted at the one place that keeps the word least (Green's
+normal form theorem; the shortlex forms of Hermiller and Meier).
 
 Canonical words are interned as integer ids.  A prefix of a canonical word
 is canonical, so an id is stored as the id of its prefix and its last
-letter, and a word's letters are read back along its prefixes.  A successor
-memo maps (id, letter) to the id of the canonical product.  A miss does not
-rebuild the word: it recurses on the word's last letter, which the new
-letter merges with, stops at, or passes to meet the prefix (the scan of
-``_push`` one letter at a time), so it costs memo lookups, not a rescan.  A
-table of products over a set of words is one memo lookup per pair once the
-memo is warm.
+letter, and a word's letters are read back along its prefixes.  Every
+canonical word is built by one routine, the successor memo, which maps
+(id, letter) to the id of the canonical product: normal forms, products and
+inverses are walks of successors from the identity or from the left factor.
+A miss does not rescan the word: it walks down the prefixes while the new
+letter passes their last letters, to the prefix whose last letter it merges
+with or stops at, and rebuilds upward, so it costs memo lookups.  A table
+of products over a set of words is one memo lookup per pair once the memo
+is warm.
 
 A word is *reduced* when for every pair of equal-vertex positions k < l some
 intermediate position p carries a vertex not joined to it; equivalently, no
@@ -140,6 +138,7 @@ class WordContext:
         # letters -> (size of the rearrangement class, immediate truncations)
         self._trunc_cache: dict = {}
         self._balls: dict = {}  # radius -> ball
+        self._inverses: dict = {}  # letters of x -> id of x^-1
         # interned canonical words: per id the id of its prefix and the slot
         # of its last letter (-1 and -1 for the identity, id 0, which is
         # installed on first use); ``_ids`` maps the letters of interned
@@ -168,21 +167,9 @@ class WordContext:
     def identity(self) -> GPElement:
         return GPElement(self, ())
 
-    def letter(self, vertex: int, elem: int) -> GPElement:
-        """Single-letter element; the group identity yields the empty word."""
-        self._check_letter(vertex, elem)
-        if elem == self.groups[vertex].identity:
-            return self.identity()
-        return GPElement(self, (Letter(vertex, elem),))
-
     def generators(self):
         """All single non-identity letters, in (vertex, element) order."""
-        out = []
-        for v, grp in enumerate(self.groups):
-            for g in range(grp.order):
-                if g != grp.identity:
-                    out.append(Letter(v, g))
-        return out
+        return [l for l in self._slot_letter if l is not None]
 
     def _check_letter(self, vertex: int, elem: int) -> None:
         if not (0 <= vertex < self.graph.n):
@@ -207,42 +194,13 @@ class WordContext:
         same-vertex letters are combined (possibly cancelling), and the
         result is the lexicographically least reduced word of its class.
         """
-        letters = list(raw)
-        for v, g in letters:
+        letters = []
+        for v, g in raw:
             self._check_letter(v, g)
-        return self._push(letters)
-
-    def _push(self, letters, word=()) -> GPElement:
-        """Push letters one at a time onto the canonical word ``word``.
-
-        Each letter scans left across the letters it commutes with.  If that
-        reaches a letter of its own vertex the two merge (and vanish at the
-        identity); otherwise it is inserted before the first letter of larger
-        vertex in the reachable suffix.  Merging keeps the word reduced, and
-        the insertion point keeps it least: a word is lexicographically least
-        in its class exactly when it has no factor b u a with a < b and a
-        commuting with b u.
-        """
-        adjacent = self.graph.adjacent
-        out = list(word)
-        for v, g in letters:
-            grp = self.groups[v]
-            if g == grp.identity:
-                continue
-            i = pos = len(out)
-            while i > 0 and adjacent(v, out[i - 1].vertex):
-                i -= 1
-                if out[i].vertex > v:
-                    pos = i
-            if i > 0 and out[i - 1].vertex == v:
-                g = grp.mul(out[i - 1].elem, g)
-                if g == grp.identity:
-                    del out[i - 1]
-                else:
-                    out[i - 1] = Letter(v, g)
-            else:
-                out.insert(pos, Letter(v, g))
-        return GPElement(self, tuple(out))
+            letter = self._slot_letter[self._slot_offset[v] + g]
+            if letter is not None:
+                letters.append(letter)
+        return self._element(self._word_id(letters))
 
     def is_reduced(self, vertices) -> bool:
         """Reducedness of a vertex word (no group elements involved)."""
@@ -274,14 +232,24 @@ class WordContext:
 
     def multiply(self, x: GPElement, y: GPElement) -> GPElement:
         self._check_ctx(x, y)
-        return self._push(y.letters, x.letters)
+        i = self.intern(x.letters)
+        for l in y.letters:
+            i = self.successor(i, l)
+        return self._element(i)
 
     def inverse(self, x: GPElement) -> GPElement:
         self._check_ctx(x)
-        return self._push(
-            (l.vertex, self.groups[l.vertex].inverse(l.elem))
-            for l in reversed(x.letters)
-        )
+        return self._element(self._inverse_id(x))
+
+    def _inverse_id(self, x: GPElement) -> int:
+        """Id of x^-1 (its inverted letters in reverse), memoized per x."""
+        i = self._inverses.get(x.letters)
+        if i is None:
+            groups = self.groups
+            i = self._inverses[x.letters] = self._word_id(
+                Letter(l.vertex, groups[l.vertex].inverse(l.elem)) for l in reversed(x.letters)
+            )
+        return i
 
     # ------------------------------------------------------------------
     # interned words
@@ -318,37 +286,51 @@ class WordContext:
     def successor(self, i: int, letter: Letter) -> int:
         """Id of the canonical product of word ``i`` and one letter, memoized.
 
-        A miss recurses on the last letter a of word i = w a, following the
-        scan of ``_push``: a letter l at a's vertex merges with a (the
-        product is w, or w with a l in a's place); l not joined to a is
-        appended; l joined to a passes it and meets w as it would alone, so
-        the product is the successor w' of w and l with a put back at the
-        end, except when w' is w with l appended and l's vertex is larger
-        than a's: then the least order keeps l after a, and the product is
-        w a l.
+        A miss walks down the prefixes of i while the letter l passes their
+        last letters, that is while the last letter a of the current word
+        w a is joined to l at another vertex, and stops at a memoized
+        successor, at the identity (l is the product), at an a of l's vertex
+        (they merge: the product is w, or w with a l in a's place) or at an
+        a not joined to l (l is appended).  It then rebuilds upward: each
+        passed letter a is put back at the end of the product w' of w and l,
+        except when w' is w with l appended and l's vertex is larger than
+        a's: then the least order keeps l after a, and the product is w a l.
         """
-        v = letter.vertex
-        slot = self._slot_offset[v] + letter.elem
-        j = self._succ.get(i * self._letter_slots + slot)
+        slots = self._letter_slots
+        slot = self._slot_offset[letter.vertex] + letter.elem
+        j = self._succ.get(i * slots + slot)
         if j is not None:
             return j
-        if i == 0:
-            return self._child(0, slot)
-        a_slot = self._id_last[i]
-        a = self._slot_letter[a_slot]
-        p = self._id_prefix[i]
-        if a.vertex == v:
-            grp = self.groups[v]
-            g = grp.mul(a.elem, letter.elem)
-            j = p if g == grp.identity else self._child(p, self._slot_offset[v] + g)
-        elif not self.graph.adjacent(a.vertex, v):
-            return self._child(i, slot)
-        else:
-            r = self.successor(p, letter)
-            if self._id_prefix[r] == p and self._id_last[r] == slot and a.vertex < v:
-                return self._child(i, slot)
-            j = self._child(r, a_slot)
-        self._succ[i * self._letter_slots + slot] = j
+        v = letter.vertex
+        prefix, last, slot_letter = self._id_prefix, self._id_last, self._slot_letter
+        adjacent = self.graph.adjacent
+        passed = []  # the words whose last letter l passed, outermost first
+        while True:
+            if i == 0:
+                j = self._child(0, slot)
+                break
+            a = slot_letter[last[i]]
+            if a.vertex == v:
+                grp = self.groups[v]
+                g = grp.mul(a.elem, letter.elem)
+                p = prefix[i]
+                j = p if g == grp.identity else self._child(p, self._slot_offset[v] + g)
+                self._succ[i * slots + slot] = j
+                break
+            if not adjacent(a.vertex, v):
+                j = self._child(i, slot)
+                break
+            passed.append(i)
+            i = prefix[i]
+            j = self._succ.get(i * slots + slot)
+            if j is not None:
+                break
+        for i in reversed(passed):
+            p, a_slot = prefix[i], last[i]
+            if prefix[j] == p and last[j] == slot and slot_letter[a_slot].vertex < v:
+                j = self._child(i, slot)
+            else:
+                j = self._succ[i * slots + slot] = self._child(j, a_slot)
         return j
 
     def _word_id(self, letters) -> int:
@@ -441,12 +423,12 @@ class WordContext:
         cached = self._trunc_cache.get(z.letters)
         if cached is None:
             seqs = self._rearrangements_seq(z.letters, budget)
-            out = set()
+            ids = set()
             for r in seqs:
                 if r:
-                    out.add(self._push(r[1:]))
-                    out.add(self._push(r[:-1]))
-            cached = self._trunc_cache[z.letters] = (len(seqs), tuple(out))
+                    ids.add(self._word_id(r[1:]))
+                    ids.add(self._word_id(r[:-1]))
+            cached = self._trunc_cache[z.letters] = (len(seqs), tuple(map(self._element, ids)))
         size, out = cached
         if size > max(budget, 1):
             raise _class_budget_error(z.letters, budget, max(budget, 1) + 1)
@@ -684,20 +666,20 @@ class WordContext:
 
     def _list_ball(self, radius: int, budget: int) -> tuple:
         gens = self.generators()
-        out = {self.identity()}
-        frontier = [self.identity()]
+        seen = {self.intern(())}
+        frontier = list(seen)
         for r in range(1, radius + 1):
             nxt = []
-            for x in frontier:
+            for i in frontier:
                 for l in gens:
-                    y = self._push((l,), x.letters)
-                    if y not in out:
-                        out.add(y)
-                        if len(out) > budget:
-                            raise _ball_budget_error(budget, r, len(out))
-                        nxt.append(y)
+                    j = self.successor(i, l)
+                    if j not in seen:
+                        seen.add(j)
+                        if len(seen) > budget:
+                            raise _ball_budget_error(budget, r, len(seen))
+                        nxt.append(j)
             frontier = nxt
-        return tuple(sorted(out, key=_sort_key))
+        return tuple(sorted(map(self._element, seen), key=_sort_key))
 
     # ------------------------------------------------------------------
     # serialization

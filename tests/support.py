@@ -1,11 +1,12 @@
 """Constructions, word helpers and reference paths that only the tests use.
 
 None of them is called by ``gpmult verify``: the tensor and groupoid
-systems build differential fixtures, the word helpers restate properties
-of complete sets and down-sets that the package computes in other ways,
-and the per-entry central paths are the oracles of the gathers from
-``ActionTable.perms`` and ``Multiplier.scalars`` (and of the module form's
-cumulative sum) that replaced them.
+systems build differential fixtures, ``reference_push`` is the letter-list
+normal form the successor memo replaced, the word helpers restate
+properties of complete sets and down-sets that the package computes in
+other ways, and the per-entry central paths are the oracles of the gathers
+from ``ActionTable.perms`` and ``Multiplier.scalars`` (and of the module
+form's cumulative sum) that replaced them.
 """
 
 import itertools
@@ -69,6 +70,39 @@ def random_element(words: WordContext, rng, max_len: int) -> GPElement:
         g = int(rng.integers(1, grp.order))
         letters.append((v, g))
     return words.normalize(letters)
+
+
+def reference_push(words: WordContext, letters, word=()) -> GPElement:
+    """Push letters one at a time onto the canonical word ``word``.
+
+    Each letter scans left across the letters it commutes with.  If that
+    reaches a letter of its own vertex the two merge (and vanish at the
+    identity); otherwise it is inserted before the first letter of larger
+    vertex in the reachable suffix.  Merging keeps the word reduced, and
+    the insertion point keeps it least: a word is lexicographically least
+    in its class exactly when it has no factor b u a with a < b and a
+    commuting with b u.
+    """
+    adjacent = words.graph.adjacent
+    out = list(word)
+    for v, g in letters:
+        grp = words.groups[v]
+        if g == grp.identity:
+            continue
+        i = pos = len(out)
+        while i > 0 and adjacent(v, out[i - 1].vertex):
+            i -= 1
+            if out[i].vertex > v:
+                pos = i
+        if i > 0 and out[i - 1].vertex == v:
+            g = grp.mul(out[i - 1].elem, g)
+            if g == grp.identity:
+                del out[i - 1]
+            else:
+                out[i - 1] = Letter(v, g)
+        else:
+            out.insert(pos, Letter(v, g))
+    return GPElement(words, tuple(out))
 
 
 def leq(words: WordContext, x: GPElement, y: GPElement, budget: int = DEFAULT_BUDGET) -> bool:

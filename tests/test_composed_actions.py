@@ -168,7 +168,7 @@ def test_word_perm_memoizes_each_suffix_once():
 
 def _memo_tables(system):
     """Every memo table of a system: the four that grow with the ball, the
-    word permutations and the kernel's inverse ids, then the interned words,
+    word permutations and the inverse ids, then the interned words,
     the successor memo, the down-set maxima, the immediate truncations, the
     balls and the ball kernel stacks."""
     words = system.words
@@ -178,7 +178,7 @@ def _memo_tables(system):
         "downset": words._downset_cache,
         "standard_form": words._sf_cache,
         "word_perms": system.actions._word_perms,
-        "inverses": system._kernel.inverses,
+        "inverses": words._inverses,
         "word_ids": words._ids,
         "id_prefix": words._id_prefix,
         "id_last": words._id_last,

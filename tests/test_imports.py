@@ -3,7 +3,8 @@ module-level UPPER_CASE constant of the package is loaded somewhere in
 ``src/``, ``tests/`` or ``bench/``, every function, method and class of the
 package is named there outside its own definition, every
 ``GPMultError`` subclass in ``errors.py`` is named by some other file
-there, and only the algebra and action layers use full algebra elements."""
+there, only the algebra and action layers use full algebra elements, and
+only the word and value layers read the internals of a word context."""
 
 import ast
 import re
@@ -322,3 +323,41 @@ def test_algebra_scanner_finds_imports_and_attributes():
 @pytest.mark.parametrize("module", [m for m in MODULES if m not in ALGEBRA_LAYER])
 def test_only_the_algebra_layer_uses_algebra_elements(module):
     assert algebra_uses((SRC / module).read_text(encoding="utf-8")) == []
+
+
+# Word ids, the successor memo and the other internals of a WordContext are
+# read only by the word layer and by the value rows built on its ids; every
+# other module goes through the public word operations.
+WORD_LAYER = {"wordcraft.py", "multipliers.py"}
+CONTEXT_NAMES = {"words", "ctx"}
+
+
+def word_internal_reads(source: str):
+    """(line, attribute) of every underscore attribute read from a name
+    ``words`` or ``ctx``, or from an attribute of that name."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            owner = node.value
+            name = getattr(owner, "id", None) or getattr(owner, "attr", None)
+            if name in CONTEXT_NAMES and not DUNDER.fullmatch(node.attr):
+                out.append((node.lineno, node.attr))
+    return sorted(out)
+
+
+def test_word_internals_scanner_finds_private_reads():
+    source = (
+        "tail = words._push(r[1:])\n"
+        "n = len(sc.system.words._id_prefix)\n"
+        "self.ctx._succ.clear()\n"
+        "x = words.normalize(r)\n"
+        "y = other._ids\n"
+        "z = words.__class__\n"
+        "doc = 'words._push'\n"
+    )
+    assert word_internal_reads(source) == [(1, "_push"), (2, "_id_prefix"), (3, "_succ")]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m not in WORD_LAYER])
+def test_only_the_word_layer_reads_word_internals(module):
+    assert word_internal_reads((SRC / module).read_text(encoding="utf-8")) == []

@@ -13,18 +13,20 @@ and last letter, a twist by p(l) instead of p(l^-1) or the permutation of
 x instead of y changes the stack.
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import central_stack
+from support import central_stack, groupoid_from_space, reference_push
 from test_composed_actions import _system_and_words
 from test_wordcraft import id_letters
 
 from gpmult.cli import build_scenario, load_config
 from gpmult.errors import ContextMismatchError
+from gpmult.graphgroup import SimplicialGraph, cyclic_group
 from gpmult.matalg import CentralElement
 from gpmult import multipliers
 from gpmult.multipliers import Multiplier, MultiplierSystem
@@ -99,8 +101,8 @@ def test_value_rows_are_bit_equal_to_the_left_to_right_evaluation(case):
     """Every row of the bulk-filled value array equals ``gp_value_letters``
     of its id's letters bit for bit, on point actions that do not commute,
     whether the rows were filled in two steps or from scratch over ids made
-    by the successor recursion, in rounds or one by one.  In the second system about half the letter
-    values are real with a negative zero imaginary part, which 1 * h(l)
+    by successor walks, in rounds or one by one.  In the second system about
+    half the letter values are real with a negative zero imaginary part, which 1 * h(l)
     would make positive, so a one-letter word must copy h(l)."""
     system, raws, rng = case
     words = system.words
@@ -165,7 +167,7 @@ def test_interned_ids_put_prefixes_first():
     for key, j in words._succ.items():
         i, slot = divmod(key, words._letter_slots)
         letter = words._slot_letter[slot]
-        assert letters[j] == words._push((letter,), letters[i]).letters
+        assert letters[j] == reference_push(words, (letter,), letters[i]).letters
 
 
 def test_kernel_matrix_rejects_words_of_another_context():
@@ -176,3 +178,59 @@ def test_kernel_matrix_rejects_words_of_another_context():
         first.kernel_matrix([first.words.identity(), x])
     with pytest.raises(ContextMismatchError):
         first.kernel(first.words.identity(), x)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_gp_value_is_the_value_row(name):
+    """The value of a canonical word, evaluated along its letters, is its
+    row of the value array bit for bit: both follow the prefix recursion."""
+    sc = build_scenario(load_config(str(ROOT / "scenarios" / f"{name}.json")), seed=42)
+    system = sc.system
+    words = system.words
+    ball = words.ball(sc.ball_radius)
+    ids = [words.intern(x.letters) for x in ball]
+    rows = system._value_rows()
+    for x, i in zip(ball, ids):
+        assert system.gp_value(x).scalars.tobytes() == rows[i].tobytes()
+
+
+def test_words_longer_than_the_recursion_limit():
+    """On the path a - v - b with v first, a letter v appended to (a b)^k
+    passes all 2k letters to the front, and the inverse of v (a b)^k ends
+    with that walk; random words over the three vertices merge and cancel.
+    Words of three times the recursion limit are normalized, multiplied,
+    inverted and evaluated as ``reference_push`` and the left-to-right
+    evaluation give them, and their kernel matrix with the identity holds
+    h(x^-1) and alpha_x(h(x))."""
+    limit = sys.getrecursionlimit()
+    graph = SimplicialGraph.build(("v", "a", "b"), [("v", "a"), ("v", "b")])
+    rotations = [[(p + g) % 3 for p in range(3)] for g in range(3)]
+    rng = np.random.default_rng(5)
+    values = [
+        [list(np.exp(rng.uniform(-0.01, 0.0, 3) + 1j * rng.uniform(0, 6, 3))) for _ in range(3)]
+        for _ in range(3)
+    ]
+    maps = {1: rotations, 2: rotations}
+    system = groupoid_from_space(graph, [cyclic_group(3)] * 3, 3, maps, values)
+    words = system.words
+    k = 3 * limit // 2
+    vertices, elements = rng.integers(0, 3, 3 * limit), rng.integers(1, 3, 3 * limit)
+    raws = [
+        [(1, 1), (2, 1)] * k + [(0, 1)],
+        [(int(v), int(g)) for v, g in zip(vertices, elements)],
+    ]
+    xs = [words.normalize(raw) for raw in raws]
+    assert xs[0].letters[0].vertex == 0 and len(xs[0]) == 2 * k + 1
+    for raw, x in zip(raws, xs):
+        assert x == reference_push(words, raw)
+        inverse = reference_push(
+            words, [(l.vertex, words.groups[l.vertex].inverse(l.elem)) for l in reversed(x.letters)]
+        )
+        assert words.inverse(x) == inverse
+        value = system.gp_value_letters(x.letters).scalars
+        assert system.gp_value(x).scalars.tobytes() == value.tobytes()
+        gram = system.kernel_matrix([x, words.identity()])
+        assert gram[:, 0, 1].tobytes() == system.gp_value_letters(inverse.letters).scalars.tobytes()
+        assert gram[:, 1, 0].tobytes() == value[system.actions.word_perm(x.letters)].tobytes()
+    for x, y in (xs, xs[::-1]):
+        assert words.multiply(x, y) == reference_push(words, y.letters, x.letters)

@@ -21,7 +21,7 @@ from gpmult.errors import BudgetExceededError, GPMultError, NoV0LetterError
 from gpmult.graphgroup import SimplicialGraph, cyclic_group
 from gpmult.verifier import Scenario, run_suite
 from gpmult.wordcraft import DEFAULT_BUDGET, StandardForm, WordContext, _sort_key
-from support import leq, nc_length_set
+from support import leq, nc_length_set, reference_push
 from test_composed_actions import _system_and_words
 
 
@@ -33,8 +33,8 @@ def oracle_truncations(words, z, budget=DEFAULT_BUDGET):
     out = set()
     for r in words._rearrangements_seq(z.letters, budget):
         if r:
-            out.add(words._push(r[1:]))
-            out.add(words._push(r[:-1]))
+            out.add(reference_push(words, r[1:]))
+            out.add(reference_push(words, r[:-1]))
     return out
 
 
@@ -104,14 +104,14 @@ def oracle_standard_form_candidates(words, x, v0, budget=DEFAULT_BUDGET):
                     continue
                 if words._nc_direct(y_vw, v0) != n_target:
                     continue
-                ya = words._push(tuple(y_letters) + (letter,))
+                ya = reference_push(words, tuple(y_letters) + (letter,))
                 if not oracle_leq(words, ya, x, budget):
                     continue
                 form = StandardForm(
-                    y=words._push(y_letters),
-                    c=words._push(c_letters),
+                    y=reference_push(words, y_letters),
+                    c=reference_push(words, c_letters),
                     a=letter,
-                    b=words._push(b),
+                    b=reference_push(words, b),
                     v0=v0,
                     nc=n_target,
                 )

@@ -27,7 +27,15 @@ from gpmult.graphgroup import (
     symmetric_group,
 )
 from gpmult.wordcraft import Letter, WordContext
-from support import is_complete, leq, multipartite_graph, nc_length, nc_length_set, random_element
+from support import (
+    is_complete,
+    leq,
+    multipartite_graph,
+    nc_length,
+    nc_length_set,
+    random_element,
+    reference_push,
+)
 from test_composed_actions import _system_and_words
 
 
@@ -531,7 +539,7 @@ def test_standard_form_recomposes_and_preserves_nc():
             sf = ctx.standard_form(x, v0)
             recomposed = ctx.multiply(
                 ctx.multiply(sf.y, sf.c),
-                ctx.multiply(ctx.letter(sf.a.vertex, sf.a.elem), sf.b),
+                ctx.multiply(ctx.normalize([sf.a]), sf.b),
             )
             assert recomposed == x
             assert sf.a.vertex == v0
@@ -616,8 +624,8 @@ def test_pairs_round_trip():
 @given(_system_and_words())
 def test_prefixes_of_canonical_words_are_canonical_and_values_recurse(case):
     """Every prefix of a canonical word is canonical, interning puts it
-    first, and the value built by the prefix recursion is bit-equal to the
-    left-to-right evaluation, on point actions that do not commute."""
+    first, and the value row built by the prefix recursion is bit-equal to
+    the left-to-right evaluation, on point actions that do not commute."""
     system, raws, _ = case
     words = system.words
     for raw in raws:
@@ -627,8 +635,8 @@ def test_prefixes_of_canonical_words_are_canonical_and_values_recurse(case):
             prefix = x.letters[:k]
             assert words.normalize(prefix).letters == prefix
             assert words.intern(prefix) <= i
-            value = system.gp_value(words.normalize(prefix))
-            assert value.scalars.tobytes() == system.gp_value_letters(prefix).scalars.tobytes()
+            row = system._value_rows()[words.intern(prefix)]
+            assert row.tobytes() == system.gp_value_letters(prefix).scalars.tobytes()
         if x.letters:
             assert words._id_prefix[i] == words.intern(x.letters[:-1])
 
@@ -673,15 +681,16 @@ def _context_and_walks(draw):
 @settings(max_examples=80, deadline=None)
 @given(_context_and_walks())
 def test_successor_memo_agrees_with_push(case):
-    """Successors found by the last-letter recursion are the canonical
-    products ``_push`` builds, every id is one distinct canonical word, and
-    every memo entry, the recursion's own included, is a push."""
+    """Successors found by the walk down the prefixes are the canonical
+    products ``reference_push`` builds, every id is one distinct canonical
+    word, and every memo entry, the walk's own included, is a push."""
     words, walks = case
     for walk in walks:
         i = words.intern(())
         for letter in walk:
             j = words.successor(i, letter)
-            assert id_letters(words, j) == words._push((letter,), id_letters(words, i)).letters
+            want = reference_push(words, (letter,), id_letters(words, i))
+            assert id_letters(words, j) == want.letters
             i = j
         assert id_letters(words, i) == words.normalize(walk).letters
         assert i == words.intern(words.normalize(walk).letters)
@@ -689,4 +698,5 @@ def test_successor_memo_agrees_with_push(case):
     assert len(set(letters)) == len(letters)
     for key, j in words._succ.items():
         i, slot = divmod(key, words._letter_slots)
-        assert letters[j] == words._push((words._slot_letter[slot],), letters[i]).letters
+        want = reference_push(words, (words._slot_letter[slot],), letters[i])
+        assert letters[j] == want.letters
