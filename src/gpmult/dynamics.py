@@ -10,10 +10,11 @@ the group level instead, so inverse actions come from inverse words.
 On central elements an automorphism only permutes the block scalars: an
 :class:`ActionTable` holds the index arrays of all its automorphisms as the
 read-only ``(n, K)`` array ``perms``, row g mapping scalars c to c[perms[g]].
-A word action on central elements is one composed index array,
-I(l1...ln) = I(l2...ln)[perms(l1)]; :class:`ActionSystem` memoizes it per
-letter tuple, building each entry from its memoized suffix, so applying a
-word to a central value is one fancy index.
+A word action on central elements is one composed index array, folded over
+the letters by I(l1...lj) = perms(lj)[I(l1...l(j-1))] from I(e) = arange(K);
+only integer indices move, so applying it is one fancy index.  The index
+arrays of interned canonical words are rows of the value arrays of
+:class:`gpmult.multipliers.MultiplierSystem`, filled by the same step.
 """
 
 from __future__ import annotations
@@ -196,7 +197,6 @@ class ActionSystem:
         self.words = words
         self.structure = structure
         self.tables = tables
-        self._word_perms: dict = {}
 
     def validate_actions(self) -> None:
         for t in self.tables:
@@ -229,30 +229,6 @@ class ActionSystem:
             letters = tuple(x)
         return WordAction(self, letters)
 
-    def word_perm(self, letters: tuple) -> np.ndarray:
-        """Index array I with ``act_word(letters)`` mapping scalars c to c[I].
-
-        Built right to left by I(l1...ln) = I(l2...ln)[perms(l1)] from
-        the longest memoized suffix, memoizing every longer suffix on the way.
-        """
-        perms = self._word_perms
-        perm = perms.get(letters)
-        if perm is not None:
-            return perm
-        start = 1
-        while start < len(letters) and letters[start:] not in perms:
-            start += 1
-        perm = perms.get(letters[start:])
-        if perm is None:  # the empty word
-            perm = np.arange(self.structure.num_blocks, dtype=np.intp)
-            perm.flags.writeable = False
-        for i in range(min(start, len(letters)) - 1, -1, -1):
-            l = letters[i]
-            perm = perm[self.tables[l.vertex].perms[l.elem]]
-            perm.flags.writeable = False
-            perms[letters[i:]] = perm
-        return perm
-
 
 class WordAction:
     """Composition alpha_{l1} o alpha_{l2} o ... o alpha_{ln} for a letter word."""
@@ -267,7 +243,10 @@ class WordAction:
         system = self.system
         if c.structure != system.structure:
             raise StructureMismatchError("element has wrong structure")
-        return CentralElement._adopt(c.structure, c.scalars[system.word_perm(self.letters)])
+        idx = np.arange(system.structure.num_blocks)
+        for l in self.letters:
+            idx = system.tables[l.vertex].perms[l.elem][idx]
+        return CentralElement._adopt(c.structure, c.scalars[idx])
 
 
 # ----------------------------------------------------------------------

@@ -18,16 +18,16 @@ definiteness of h is equivalent to positivity of all kernel matrices over
 finite tuples, and the identities verified in :mod:`gpmult.verifier` are all
 phrased through K.
 
-Values of canonical words are the rows of one growing ``(N, K)`` array V,
-row i the value of interned word i (see :mod:`gpmult.wordcraft`).  They are
-computed from the right by the prefix recursion
-value(x' l) = value(x')[p(l^-1)] * h(l), p(l^-1) the index array of the
-inverse letter's action, for all ids without a value at once, in rounds of
-ids whose prefixes have theirs.  An index array distributes over
-elementwise products, so this is bit-equal to the left-to-right product
-above.  A kernel matrix over words x_0, ..., x_{n-1} is then one gather:
-the successor memo gives the ids prod[i, j] of x_i^-1 x_j, and
-``G[k, i, j] = V[prod[i, j], word_perm(x_j)[k]]``.
+Values and actions of canonical words are the rows of two growing
+``(N, K)`` arrays V and P, row i those of interned word i (see
+:mod:`gpmult.wordcraft`); P[i] is the index array of the word's action on
+block scalars.  Both are computed from the right by one prefix recursion,
+value(x' l) = value(x')[p(l^-1)] * h(l) and P[x' l] = p(l)[P[x']], p(l)
+the index array of the letter's action, for all ids without rows at once.
+An index array distributes over elementwise products, so this is bit-equal
+to the left-to-right product above.  A kernel matrix over words x_0, ...,
+x_{n-1} is then one gather: the successor memo gives the ids prod[i, j] of
+x_i^-1 x_j, and ``G[k, i, j] = V[prod[i, j], P[x_j, k]]``.
 """
 
 from __future__ import annotations
@@ -211,10 +211,13 @@ class MultiplierSystem:
         self._value_cache = _ValueRows(self.structure.num_blocks)
         self._kernel = KernelTable(self)
         self._ball_stacks: dict = {}  # radius -> (kernel stack, index map)
-        # per letter slot of the word context: the index array of the inverse
-        # letter's action and the letter's value (the identity's at an
-        # identity slot, which no letter uses)
+        # per letter slot of the word context: the index arrays of the
+        # letter's action and of the inverse letter's, and the letter's value
+        # (the identity's at an identity slot, which no letter uses)
         K = self.structure.num_blocks
+        self._slot_actions = np.array(
+            [p for t in actions.tables for p in t.perms], dtype=np.int32
+        ).reshape(-1, K)
         self._slot_perms = np.array(
             [p for t in actions.tables for p in t.perms[t.group.inv]], dtype=np.intp
         ).reshape(-1, K)
@@ -255,51 +258,58 @@ class MultiplierSystem:
             raise ContextMismatchError("element belongs to a different context")
         return self.gp_value_letters(x.letters)
 
-    def _value_rows(self) -> np.ndarray:
-        """Values of all interned words, row i the value of word i.
+    def _value_rows(self) -> tuple:
+        """Values and actions of all interned words: arrays V and P, row i
+        those of word i.
 
-        Ids without a value are filled in rounds, each taking every pending
-        id whose prefix has one: V[i] = V[prefix][p(l^-1)] * h(l) for the
-        last letter l, and a one-letter word copies h(l).  At most
-        ``SEQUENTIAL_FILL`` of them are filled one by one in id order, which
-        lists every prefix first.
+        Rows are filled for every id without them by V[i] =
+        V[prefix][p(l^-1)] * h(l) and P[i] = p(l)[P[prefix]] for the last
+        letter l, from V[e] = 1 and P[e] = arange(K); a one-letter word
+        copies h(l).  At most ``SEQUENTIAL_FILL`` ids are filled one by one
+        in id order, which lists every prefix first.  More are filled in
+        rounds, round r taking the ids with r proper prefixes still without
+        rows (counted by pointer jumping), so each id is taken once.
         """
         rows = self._value_cache
         words = self.words
         lo, n = rows.filled, len(words._id_prefix)
         if lo == n:
-            return rows.array[:n]
-        if n > len(rows.array):
-            grown = np.empty((max(n, 2 * len(rows.array)), self.structure.num_blocks), complex)
-            grown[:lo] = rows.array[:lo]
-            rows.array = grown
-        V = rows.array
+            return rows.values[:n], rows.perms[:n]
+        if n > len(rows.values):
+            rows.grow(max(n, 2 * len(rows.values)))
+        V, P = rows.values, rows.perms
         if lo == 0:
-            V[0] = 1.0
+            V[0], P[0] = 1.0, np.arange(self.structure.num_blocks)
             lo = 1
-        perms, values = self._slot_perms, self._slot_values
+        acts, perms, values = self._slot_actions, self._slot_perms, self._slot_values
         if n - lo <= SEQUENTIAL_FILL:
             for j in range(lo, n):
                 p, s = words._id_prefix[j], words._id_last[j]
                 V[j] = values[s] if p == 0 else V[p, perms[s]] * values[s]
+                P[j] = acts[s, P[p]]
         else:
             prefix = np.array(words._id_prefix[lo:n], dtype=np.intp)
             slot = np.array(words._id_last[lo:n], dtype=np.intp)
-            done = np.zeros(n - lo, dtype=bool)
-            todo = np.arange(n - lo)
-            while todo.size:
-                rank = prefix[todo] - lo  # negative where the prefix had a value before
-                ready = (rank < 0) | done[rank.clip(0)]
-                take = todo[ready]
+            up = prefix - lo  # negative where the prefix has rows
+            depth = (up >= 0).astype(np.intp)
+            live = np.flatnonzero(up >= 0)
+            while live.size:
+                nxt = up[live]
+                depth[live] += depth[nxt]
+                up[live] = up[nxt]
+                live = live[up[live] >= 0]
+            order = np.argsort(depth, kind="stable")
+            ends = np.cumsum(np.bincount(depth))
+            one = np.flatnonzero(prefix == 0)
+            for start, end in zip((0, *ends[:-1]), ends):
+                take = order[start:end]
                 p, s = prefix[take], slot[take]
-                vals = V[p[:, None], perms[s]] * values[s]
-                first = p == 0
-                vals[first] = values[s[first]]
-                V[lo + take] = vals
-                done[take] = True
-                todo = todo[~ready]
+                V[lo + take] = V[p[:, None], perms[s]] * values[s]
+                P[lo + take] = acts[s[:, None], P[p]]
+                if start == 0:
+                    V[lo + one] = values[slot[one]]
         rows.filled = n
-        return V[:n]
+        return V[:n], P[:n]
 
     def gp_value_letters(self, letters) -> CentralElement:
         """Evaluate on one specific reduced expression l_0 ... l_{m-1}.
@@ -326,22 +336,18 @@ class MultiplierSystem:
     def kernel_matrix(self, xs) -> np.ndarray:
         """Kernel Gram matrix over xs as a ``(K, n, n)`` stack of block scalars.
 
-        One gather from the value rows of the products x_i^-1 x_j; no pair
-        gets a central element of its own.
+        One gather from the value rows of the products x_i^-1 x_j at the
+        action rows of the x_j; no pair gets a central element of its own.
         """
         xs = list(xs)
         words = self.words
         words._check_ctx(*xs)
         n, K = len(xs), self.structure.num_blocks
-        prod = words.product_ids(
-            [words._inverse_id(x) for x in xs], [words.intern(x.letters) for x in xs]
-        )
-        values = self._value_rows()
-        perms = np.array(
-            [self.actions.word_perm(x.letters) for x in xs], dtype=np.intp
-        ).reshape(n, K)
+        ids = [words.intern(x.letters) for x in xs]
+        prod = words.product_ids([words._inverse_id(x) for x in xs], ids)
+        values, perms = self._value_rows()
         prod = np.array(prod, dtype=np.intp).reshape(n, n, 1)
-        return values[prod, perms[None, :, :]].transpose(2, 0, 1)
+        return values[prod, perms[ids].reshape(1, n, K)].transpose(2, 0, 1)
 
     def ball_stack(self, radius: int, budget: int = DEFAULT_BUDGET):
         """The word ball of ``radius``, its kernel stack and the ball index
@@ -356,12 +362,21 @@ class MultiplierSystem:
 
 
 class _ValueRows:
-    """Values of interned words as the rows of one growing ``(N, K)`` array;
-    ids below ``filled`` have theirs, and ``len()`` counts them."""
+    """Values and action index arrays of interned words as the rows of two
+    growing ``(N, K)`` arrays; ids below ``filled`` have theirs, and
+    ``len()`` counts them."""
 
     def __init__(self, num_blocks: int):
-        self.array = np.empty((0, num_blocks), dtype=np.complex128)
+        self.values = np.empty((0, num_blocks), dtype=np.complex128)
+        self.perms = np.empty((0, num_blocks), dtype=np.int32)
         self.filled = 0
+
+    def grow(self, size: int) -> None:
+        for name in ("values", "perms"):
+            old = getattr(self, name)
+            new = np.empty((size, old.shape[1]), dtype=old.dtype)
+            new[: self.filled] = old[: self.filled]
+            setattr(self, name, new)
 
     def __len__(self):
         return self.filled

@@ -1,9 +1,10 @@
 """Composed index arrays against the letter-by-letter reference.
 
-Word actions on central values are one memoized index array per letter
-tuple, and ``gp_value_letters`` follows the prefix recursion of the value
-rows over the raw letters.  Both are compared bit for bit with the
-reference that applies one automorphism per letter
+A word action on central values is one index array, folded over the raw
+letters by ``WordAction.on_central`` and kept as the action row of each
+interned word by the value-row fill; ``gp_value_letters`` follows the
+prefix recursion of the value rows over the raw letters.  All are compared
+bit for bit with the reference that applies one automorphism per letter
 (``support.apply_central``), on actions that do not commute across
 non-edges, so a composition in the wrong order or a tail shifted by one
 letter changes the values.
@@ -90,14 +91,15 @@ def _powers(p, order):
 
 
 @st.composite
-def _system_and_words(draw):
+def _system_and_words(draw, free_pair=False):
     """At most 4 vertices with Z/2 or Z/3, each acting on 3 or 4 points by a
     transposition or a 3-cycle (non-commuting across non-edges allowed), and
-    raw words of at most 10 letters."""
-    n = draw(st.integers(1, 4))
+    raw words of at most 10 letters.  With ``free_pair`` there are at least
+    two vertices and vertices 0 and 1 are not joined."""
+    n = draw(st.integers(2 if free_pair else 1, 4))
     points = draw(st.sampled_from([3, 4]))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = [p for p in pairs if draw(st.booleans())]
+    edges = [p for p in pairs if not (free_pair and p == (0, 1)) and draw(st.booleans())]
     graph = SimplicialGraph.build(tuple(range(n)), edges)
     orders = [draw(st.sampled_from([2, 3])) for _ in range(n)]
     maps = {}
@@ -144,7 +146,11 @@ def test_composed_actions_match_the_letter_fold_on_complete_sets(name):
         assert_matches_reference(sc.system, X, rng)
 
 
-def test_word_perm_memoizes_each_suffix_once():
+def test_word_actions_compose_letter_index_arrays():
+    """On two non-adjacent Z/2 vertices acting by (0 1) and (1 2), the
+    action of a word is the fold of its letters' index arrays, read the same
+    from ``on_central`` and from the action rows behind ``kernel_matrix``,
+    and the action system keeps no per-word state."""
     graph = SimplicialGraph.build((0, 1), [])
     system = groupoid_from_space(
         graph,
@@ -153,22 +159,25 @@ def test_word_perm_memoizes_each_suffix_once():
         {0: _powers((1, 0, 2), 2), 1: _powers((0, 2, 1), 2)},
         [[[1, 1, 1], [0.5, 0.25, 0.125]], [[1, 1, 1], [0.3, 0.2, 0.1]]],
     )
-    actions = system.actions
+    actions, words = system.actions, system.words
     a, b = Letter(0, 1), Letter(1, 1)
-    assert list(actions.word_perm((b, a))) == [1, 2, 0]  # memoizes (b, a) and (a,)
-    word = (b, a, b, a)
-    perm = actions.word_perm(word)
-    assert set(actions._word_perms) == {(a,), (b, a), (a, b, a), word}
-    assert actions.word_perm(word) is perm
-    assert not perm.flags.writeable
-    # (0 1), then (1 2), then (0 1), then (1 2): c -> c[I]
     c = CentralElement(system.structure, [1.0, 2.0, 3.0])
-    assert list(actions.act_word(word).on_central(c).scalars.real) == [3.0, 1.0, 2.0]
+    # (1 2), then (0 1): c -> c[I] with I = [1, 2, 0]; twice more: [2, 0, 1]
+    for letters, index in (((b, a), [1, 2, 0]), ((b, a, b, a), [2, 0, 1])):
+        moved = actions.act_word(letters).on_central(c)
+        assert moved.scalars.tobytes() == c.scalars[index].tobytes()
+        x = words.normalize([(l.vertex, l.elem) for l in letters])
+        assert x.letters == letters
+        gram = system.kernel_matrix([x, words.identity()])
+        assert gram[:, 1, 0].tobytes() == system.gp_value(x).scalars[index].tobytes()
+        assert system._value_rows()[1][words.intern(letters)].tolist() == index
+    assert list(actions.act_word((b, a, b, a)).on_central(c).scalars.real) == [3.0, 1.0, 2.0]
+    assert set(vars(actions)) == {"words", "structure", "tables"}
 
 
 def _memo_tables(system):
-    """Every memo table of a system: the four that grow with the ball, the
-    word permutations and the inverse ids, then the interned words,
+    """Every memo table of a system: the four that grow with the ball (the
+    value rows hold the word actions too), the inverse ids, the interned words,
     the successor memo, the down-set maxima, the immediate truncations, the
     balls and the ball kernel stacks."""
     words = system.words
@@ -177,7 +186,6 @@ def _memo_tables(system):
         "gp_value": system._value_cache,
         "downset": words._downset_cache,
         "standard_form": words._sf_cache,
-        "word_perms": system.actions._word_perms,
         "inverses": words._inverses,
         "word_ids": words._ids,
         "id_prefix": words._id_prefix,

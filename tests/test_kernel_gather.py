@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from support import central_stack, groupoid_from_space, reference_push
-from test_composed_actions import _system_and_words
+from test_composed_actions import _system_and_words, fold_on_central
 from test_wordcraft import id_letters
 
 from gpmult.cli import build_scenario, load_config
@@ -135,10 +135,47 @@ def test_value_rows_are_bit_equal_to_the_left_to_right_evaluation(case):
     finally:
         multipliers.SEQUENTIAL_FILL = saved
     for sys_ in (system, signed, one_by_one):
-        rows = sys_._value_rows()
+        rows, _ = sys_._value_rows()
         assert len(rows) == len(words._id_prefix) == len(sys_._value_cache)
         for i, row in enumerate(rows):
             assert row.tobytes() == sys_.gp_value_letters(id_letters(words, i)).scalars.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(_system_and_words(free_pair=True), st.data())
+def test_fills_in_batches_match_one_cold_fill_and_the_letter_folds(case, data):
+    """Words interned in batches, each batch followed by a fill: first the
+    12-letter prefix of a chain of 115 to 140 letters alternating between
+    the free vertices 0 and 1, then in random order the drawn words one by
+    one, a longer prefix of the chain, the whole chain and the radius-2
+    ball, so some fills go one by one and some in rounds, and a cold fill
+    takes more than 100 rounds for the chain.  Every value row equals
+    ``gp_value_letters`` of its id's letters bit for bit, every action row
+    the fold of its letters' automorphisms, and a cold fill of all ids over
+    the same words gives the same arrays."""
+    system, raws, _ = case
+    words, K = system.words, system.structure.num_blocks
+    chain = [(v % 2, 1) for v in range(data.draw(st.integers(115, 140)))]
+    later = [[raw] for raw in raws] + [[chain[: data.draw(st.integers(12, len(chain)))]], [chain]]
+    later.append([[(l.vertex, l.elem) for l in x.letters] for x in words.ball(2)])
+    fills = []
+    for batch in [[chain[:12]], *data.draw(st.permutations(later))]:
+        before = len(words._id_prefix)
+        for raw in batch:
+            words.intern(words.normalize(raw).letters)
+        fills.append(len(words._id_prefix) - before)
+        system._value_rows()
+    assert 0 < fills[0] <= multipliers.SEQUENTIAL_FILL < max(fills)
+    values, perms = system._value_rows()
+    assert perms.dtype == np.int32
+    cold = MultiplierSystem(system.actions, system.multipliers)._value_rows()
+    assert [a.tobytes() for a in cold] == [values.tobytes(), perms.tobytes()]
+    index = CentralElement(system.structure, np.arange(K))
+    for i in range(len(words._id_prefix)):
+        letters = id_letters(words, i)
+        assert values[i].tobytes() == system.gp_value_letters(letters).scalars.tobytes()
+        folded = fold_on_central(system.actions, letters, index)
+        assert perms[i].tolist() == folded.scalars.real.tolist()
 
 
 def test_empty_and_single_word_stacks():
@@ -189,7 +226,7 @@ def test_gp_value_is_the_value_row(name):
     words = system.words
     ball = words.ball(sc.ball_radius)
     ids = [words.intern(x.letters) for x in ball]
-    rows = system._value_rows()
+    rows, _ = system._value_rows()
     for x, i in zip(ball, ids):
         assert system.gp_value(x).scalars.tobytes() == rows[i].tobytes()
 
@@ -201,7 +238,8 @@ def test_words_longer_than_the_recursion_limit():
     Words of three times the recursion limit are normalized, multiplied,
     inverted and evaluated as ``reference_push`` and the left-to-right
     evaluation give them, and their kernel matrix with the identity holds
-    h(x^-1) and alpha_x(h(x))."""
+    h(x^-1) and alpha_x(h(x)), the latter as the letter-by-letter fold
+    gives it."""
     limit = sys.getrecursionlimit()
     graph = SimplicialGraph.build(("v", "a", "b"), [("v", "a"), ("v", "b")])
     rotations = [[(p + g) % 3 for p in range(3)] for g in range(3)]
@@ -231,6 +269,7 @@ def test_words_longer_than_the_recursion_limit():
         assert system.gp_value(x).scalars.tobytes() == value.tobytes()
         gram = system.kernel_matrix([x, words.identity()])
         assert gram[:, 0, 1].tobytes() == system.gp_value_letters(inverse.letters).scalars.tobytes()
-        assert gram[:, 1, 0].tobytes() == value[system.actions.word_perm(x.letters)].tobytes()
+        moved = fold_on_central(system.actions, x.letters, CentralElement(system.structure, value))
+        assert gram[:, 1, 0].tobytes() == moved.scalars.tobytes()
     for x, y in (xs, xs[::-1]):
         assert words.multiply(x, y) == reference_push(words, y.letters, x.letters)

@@ -635,7 +635,7 @@ def test_prefixes_of_canonical_words_are_canonical_and_values_recurse(case):
             prefix = x.letters[:k]
             assert words.normalize(prefix).letters == prefix
             assert words.intern(prefix) <= i
-            row = system._value_rows()[words.intern(prefix)]
+            row = system._value_rows()[0][words.intern(prefix)]
             assert row.tobytes() == system.gp_value_letters(prefix).scalars.tobytes()
         if x.letters:
             assert words._id_prefix[i] == words.intern(x.letters[:-1])
