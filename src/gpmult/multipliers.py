@@ -27,7 +27,8 @@ the index array of the letter's action, for all ids without rows at once.
 An index array distributes over elementwise products, so this is bit-equal
 to the left-to-right product above.  A kernel matrix over words x_0, ...,
 x_{n-1} is then one gather: the successor memo gives the ids prod[i, j] of
-x_i^-1 x_j, and ``G[k, i, j] = V[prod[i, j], P[x_j, k]]``.
+x_i^-1 x_j, and ``G[k, i, j] = V[prod[i, j], P[x_j, k]]``.  Many families
+of words share one fill, and those of one size one gather.
 """
 
 from __future__ import annotations
@@ -298,7 +299,9 @@ class MultiplierSystem:
                 depth[live] += depth[nxt]
                 up[live] = up[nxt]
                 live = live[up[live] >= 0]
-            order = np.argsort(depth, kind="stable")
+            # the same stable order, sorted in the smallest dtype that holds
+            # every depth (numpy radix-sorts 8- and 16-bit keys)
+            order = np.argsort(depth.astype(np.min_scalar_type(depth.max())), kind="stable")
             ends = np.cumsum(np.bincount(depth))
             one = np.flatnonzero(prefix == 0)
             for start, end in zip((0, *ends[:-1]), ends):
@@ -334,20 +337,38 @@ class MultiplierSystem:
         return self._kernel.get(x, y)
 
     def kernel_matrix(self, xs) -> np.ndarray:
-        """Kernel Gram matrix over xs as a ``(K, n, n)`` stack of block scalars.
-
-        One gather from the value rows of the products x_i^-1 x_j at the
-        action rows of the x_j; no pair gets a central element of its own.
-        """
+        """Kernel Gram matrix over xs as a ``(K, n, n)`` stack of block scalars:
+        the one-family case of :meth:`kernel_stacks`."""
         xs = list(xs)
+        return self.kernel_stacks([xs])[len(xs)][0]
+
+    def kernel_stacks(self, families) -> dict:
+        """Kernel Gram matrices over many families of words, grouped by size:
+        per family size m the ``(F, K, m, m)`` stack of the F families of m
+        words, in their given order.
+
+        Each family's products x_i^-1 x_j come from the successor memo; then
+        one value-row fill serves every family, and each size is one gather
+        from the value rows of the products at the action rows of the x_j.
+        No pair gets a central element of its own.
+        """
         words = self.words
-        words._check_ctx(*xs)
-        n, K = len(xs), self.structure.num_blocks
-        ids = [words.intern(x.letters) for x in xs]
-        prod = words.product_ids([words._inverse_id(x) for x in xs], ids)
+        by_size: dict = {}  # m -> (word ids, product ids) per family of m words
+        for xs in families:
+            words._check_ctx(*xs)
+            ids = [words.intern(x.letters) for x in xs]
+            prod = words.product_ids([words._inverse_id(x) for x in xs], ids)
+            group = by_size.setdefault(len(ids), ([], []))
+            group[0].append(ids)
+            group[1].append(prod)
         values, perms = self._value_rows()
-        prod = np.array(prod, dtype=np.intp).reshape(n, n, 1)
-        return values[prod, perms[ids].reshape(1, n, K)].transpose(2, 0, 1)
+        out = {}
+        for m, (ids, prods) in by_size.items():
+            F = len(ids)
+            prod = np.array(prods, dtype=np.intp).reshape(F, m, m, 1)
+            act = perms[np.array(ids, dtype=np.intp).reshape(F, 1, m)]
+            out[m] = values[prod, act].transpose(0, 3, 1, 2)
+        return out
 
     def ball_stack(self, radius: int, budget: int = DEFAULT_BUDGET):
         """The word ball of ``radius``, its kernel stack and the ball index

@@ -13,6 +13,7 @@ reason under ``details.non_finite``, so reports stay strict JSON.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -419,31 +420,54 @@ def verify_cross_terms(sc: Scenario) -> CheckResult:
 
 
 def _dominance_margin(gram):
-    """lambda_min and largest |entry| of the dominance difference
-    K(x_i, x_j) - K(x_i, p_i) K(p_i, p_j) K(p_j, x_j) over a family.
+    """Dominance differences K(x_i, x_j) - K(x_i, p_i) K(p_i, p_j) K(p_j, x_j)
+    over a leading family axis, and each family's largest |entry|.
 
-    Every entry is read from ``gram``, the kernel stack over x_0..x_{n-1}
-    then p_0..p_{n-1}; the product is formed left to right, as the central
-    products it stands for.
+    Every entry is read from ``gram``, the ``(F, K, 2n, 2n)`` kernel stacks
+    over x_0..x_{n-1} then p_0..p_{n-1}; the product is formed left to
+    right, as the central products it stands for.
     """
     n = gram.shape[-1] // 2
-    left = gram[:, :n, n:].diagonal(axis1=1, axis2=2)
-    right = gram[:, n:, :n].diagonal(axis1=1, axis2=2)
-    diff = gram[:, :n, :n] - left[:, :, None] * gram[:, n:, n:] * right[:, None, :]
-    maxdiff = float(np.max(np.abs(diff)))
-    _, lam = is_positive(diff, tol=ABS_PSD_TOL, hermitian_tol=1e-8)
-    return lam, maxdiff
+    left = gram[..., :n, n:].diagonal(axis1=-2, axis2=-1)
+    right = gram[..., n:, :n].diagonal(axis1=-2, axis2=-1)
+    diff = gram[..., :n, :n] - left[..., :, None] * gram[..., n:, n:] * right[..., None, :]
+    return diff, np.abs(diff).max(axis=(-3, -2, -1), initial=0.0)
 
 
-def _cross_kernels_factor(gram: np.ndarray, n: int) -> bool:
-    """Whether K(x_i, p_j) = K(x_i, p_i) K(p_i, p_j) for all i != j, read
-    from the kernel stack over x_0..x_{n-1} then p_0..p_{n-1}: per pair the
-    largest block deviation (NaN when one is NaN) is within KERNEL_TOL."""
-    cross = gram[:, :n, n:]
-    left = cross.diagonal(axis1=1, axis2=2)
-    dev = np.abs(cross - left[:, :, None] * gram[:, n:, n:]).max(axis=0)
-    np.fill_diagonal(dev, 0.0)
-    return not (dev > KERNEL_TOL).any()
+def _cross_kernels_factor(gram: np.ndarray) -> np.ndarray:
+    """Per family, whether K(x_i, p_j) = K(x_i, p_i) K(p_i, p_j) for all
+    i != j, read from the ``(F, K, 2n, 2n)`` kernel stacks over x_0..x_{n-1}
+    then p_0..p_{n-1}: per pair the largest block deviation (NaN when one
+    is NaN) is within KERNEL_TOL."""
+    n = gram.shape[-1] // 2
+    cross = gram[..., :n, n:]
+    left = cross.diagonal(axis1=-2, axis2=-1)
+    dev = np.abs(cross - left[..., :, None] * gram[..., n:, n:]).max(axis=-3)
+    dev[..., range(n), range(n)] = 0.0
+    return ~(dev > KERNEL_TOL).any(axis=(-2, -1))
+
+
+def _least_eigenvalue(groups) -> float:
+    """Smallest eigenvalue over the dominance differences of a chunk's
+    families, np.inf for none: one eigensolve per group, each ``(draw
+    positions, (F, K, n, n) differences)`` of one family size.
+
+    A group that raises is certified again family by family in draw order
+    over all groups, so the error raised is the first failing family's own.
+    """
+    groups = [(pos, diff) for pos, diff in groups if len(diff)]
+    try:
+        return min(
+            (is_positive(diff, tol=ABS_PSD_TOL, hermitian_tol=1e-8)[1] for _, diff in groups),
+            default=np.inf,
+        )
+    except GPMultError:
+        drawn = sorted(
+            ((p, diff[k]) for pos, diff in groups for k, p in enumerate(pos)), key=lambda t: t[0]
+        )
+        for _, diff in drawn:
+            is_positive(diff, tol=ABS_PSD_TOL, hermitian_tol=1e-8)
+        raise
 
 
 def verify_schwarz(sc: Scenario) -> CheckResult:
@@ -455,6 +479,13 @@ def verify_schwarz(sc: Scenario) -> CheckResult:
     accepted families, the dominance difference with x_i = c_i b_i and
     p_i = c_i.  Tuples whose difference vanishes identically are counted as
     vacuous.
+
+    Families are drawn in chunks of as many as could still be needed, so
+    each chunk is drawn whole and the stop rule is met only at its end.
+    A chunk's kernel stacks are one gather per family size
+    (``MultiplierSystem.kernel_stacks``), the hypothesis and the
+    differences are computed over the family axis, and the accepted
+    families of one size share one eigensolve.
     """
     sys_ = sc.system
     words = sys_.words
@@ -466,23 +497,28 @@ def verify_schwarz(sc: Scenario) -> CheckResult:
     max_attempts = 60 * sc.tuple_target
     all_ok = True
     while non_vacuous < sc.tuple_target and attempts < max_attempts:
-        attempts += 1
-        n = int(rng.integers(2, 4))
-        if rng.integers(0, 2) == 0:
-            c = ball[int(rng.integers(0, len(ball)))]
-            cs = [c] * n
-        else:
-            cs = [ball[int(rng.integers(0, len(ball)))] for _ in range(n)]
-        bs = [ball[int(rng.integers(0, len(ball)))] for _ in range(n)]
-        cbs = [words.multiply(c, b) for c, b in zip(cs, bs)]
-        gram = sys_.kernel_matrix(cbs + cs)
-        if not _cross_kernels_factor(gram, n):
-            rejected += 1
-            continue
-        lam, maxdiff = _dominance_margin(gram)
-        accepted += 1
-        if maxdiff > 1e-13:
-            non_vacuous += 1
+        chunk = min(sc.tuple_target - non_vacuous, max_attempts - attempts)
+        attempts += chunk
+        families = []
+        for _ in range(chunk):
+            n = int(rng.integers(2, 4))
+            if rng.integers(0, 2) == 0:
+                c = ball[int(rng.integers(0, len(ball)))]
+                cs = [c] * n
+            else:
+                cs = [ball[int(rng.integers(0, len(ball)))] for _ in range(n)]
+            bs = [ball[int(rng.integers(0, len(ball)))] for _ in range(n)]
+            families.append([words.multiply(c, b) for c, b in zip(cs, bs)] + cs)
+        groups = []
+        for m, gram in sys_.kernel_stacks(families).items():
+            factor = _cross_kernels_factor(gram)
+            diff, maxdiff = _dominance_margin(gram[factor])
+            rejected += int((~factor).sum())
+            accepted += len(diff)
+            non_vacuous += int((maxdiff > 1e-13).sum())
+            pos = [i for i, fam in enumerate(families) if len(fam) == m]
+            groups.append((np.array(pos)[factor], diff))
+        lam = _least_eigenvalue(groups)
         worst = min(worst, lam)
         all_ok = all_ok and (lam >= -ABS_PSD_TOL)
     if accepted == 0:
@@ -511,7 +547,11 @@ def verify_y1_square(sc: Scenario) -> CheckResult:
     quantity is the smallest eigenvalue of the dominance difference with
     p_i = y_i c_i.  Requires all multiplier values to be positive central
     elements.  x_i and its truncation y_i c_i lie in the identity-check
-    ball, so each family stack is a gather from the ball's kernel stack.
+    ball, so family stacks are gathers from the ball's kernel stack.
+
+    Families are drawn lazily in chunks of as many as could still be
+    needed, so the stop rule is met only at a chunk's end; per chunk the
+    families of one size are one gather and share one eigensolve.
     """
     sys_ = sc.system
     for h in sys_.multipliers:
@@ -530,22 +570,32 @@ def verify_y1_square(sc: Scenario) -> CheckResult:
     for cls, yc in _standard_form_classes(sc, ball, index):
         for k in range(cls.max() + 1):
             class_lists.append([(i, yc[i]) for i in np.flatnonzero(cls == k)])
-    families = []
     per_class = max(8, -(-2 * sc.tuple_target // max(1, len(class_lists))))
-    for members in class_lists:
-        families.append(members[:6])
-        # random sub-multisets with repetition, for tuple volume
-        for _ in range(per_class):
-            n = int(rng.integers(1, 4))
-            families.append([members[int(rng.integers(0, len(members)))] for _ in range(n)])
-    for fam in families:
-        if non_vacuous >= sc.tuple_target and accepted >= sc.tuple_target:
-            break
-        at = [x for (x, _) in fam] + [yc for (_, yc) in fam]
-        lam, maxdiff = _dominance_margin(gram[:, at][:, :, at])
-        accepted += 1
-        if maxdiff > 1e-13:
-            non_vacuous += 1
+
+    def draw():
+        for members in class_lists:
+            yield members[:6]
+            # random sub-multisets with repetition, for tuple volume
+            for _ in range(per_class):
+                n = int(rng.integers(1, 4))
+                yield [members[int(rng.integers(0, len(members)))] for _ in range(n)]
+
+    families = draw()
+    # accepted >= non_vacuous, so the loop runs while non_vacuous < tuple_target
+    while chunk := list(itertools.islice(families, max(0, sc.tuple_target - non_vacuous))):
+        by_size: dict = {}  # m -> (draw positions, ball indices of x then y c)
+        for i, fam in enumerate(chunk):
+            pos, at = by_size.setdefault(len(fam), ([], []))
+            pos.append(i)
+            at.append([x for (x, _) in fam] + [yc for (_, yc) in fam])
+        groups = []
+        for pos, at in by_size.values():
+            at = np.array(at)
+            diff, maxdiff = _dominance_margin(gram[:, at[:, :, None], at[:, None, :]].swapaxes(0, 1))
+            accepted += len(diff)
+            non_vacuous += int((maxdiff > 1e-13).sum())
+            groups.append((pos, diff))
+        lam = _least_eigenvalue(groups)
         worst = min(worst, lam)
         all_ok = all_ok and (lam >= -ABS_PSD_TOL)
     if accepted == 0:

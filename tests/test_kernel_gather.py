@@ -188,6 +188,62 @@ def test_empty_and_single_word_stacks():
     assert_same_stack(system, [x, x, x])
 
 
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_family_stacks_are_the_stacked_kernel_matrices(name):
+    """``kernel_stacks`` over families of mixed sizes, the empty family
+    included, gives per size the ``np.stack`` of the families' own
+    ``kernel_matrix`` bit for bit, in their order, and leaves no table on
+    the system or its words beyond those it had."""
+    sc = build_scenario(load_config(str(ROOT / "scenarios" / f"{name}.json")), seed=42)
+    system = sc.system
+    words = system.words
+    ball = words.ball(2)
+    rng = np.random.default_rng(3)
+    families = [[]]
+    for _ in range(12):
+        picks = rng.integers(0, len(ball), int(rng.integers(1, 5)))
+        families.append([words.multiply(ball[i], ball[j]) for i, j in zip(picks, picks[::-1])])
+    tables = set(vars(system)), set(vars(words))
+    stacks = system.kernel_stacks(families)
+    assert (set(vars(system)), set(vars(words))) == tables
+    assert sorted(stacks) == sorted({len(f) for f in families})
+    for m, stack in stacks.items():
+        want = np.stack([system.kernel_matrix(f) for f in families if len(f) == m])
+        assert stack.shape == want.shape == (len(want), system.structure.num_blocks, m, m)
+        assert stack.tobytes() == want.tobytes()
+
+
+def test_fill_deeper_than_a_byte_of_depths():
+    """A cold fill of one chain of 300 new ids, the prefixes of (a b)^150
+    in the free product of two Z/3 rotating three points, runs in about
+    300 rounds, so its depths pass 127 and 255, the largest values of the
+    one-byte dtypes.  Every row equals ``gp_value_letters`` and the fold of
+    its letters' automorphisms, as a fill one id at a time gives them."""
+    graph = SimplicialGraph.build((0, 1), [])
+    rotations = [[(p + g) % 3 for p in range(3)] for g in range(3)]
+    rng = np.random.default_rng(8)
+    values = [[list(np.exp(1j * rng.uniform(0, 6, 3)) * 0.9) for _ in range(3)] for _ in range(2)]
+    system = groupoid_from_space(graph, [cyclic_group(3)] * 2, 3, {0: rotations, 1: rotations}, values)
+    words = system.words
+    x = words.normalize([(0, 1), (1, 2)] * 150)
+    words.intern(x.letters)
+    assert len(words._id_prefix) == 301
+    values_rows, perms = system._value_rows()
+    one_by_one = MultiplierSystem(system.actions, system.multipliers)
+    saved = multipliers.SEQUENTIAL_FILL
+    try:
+        multipliers.SEQUENTIAL_FILL = len(words._id_prefix)
+        sequential = one_by_one._value_rows()
+    finally:
+        multipliers.SEQUENTIAL_FILL = saved
+    assert [a.tobytes() for a in sequential] == [values_rows.tobytes(), perms.tobytes()]
+    index = CentralElement(system.structure, np.arange(3))
+    for i in range(len(words._id_prefix)):
+        letters = id_letters(words, i)
+        assert values_rows[i].tobytes() == system.gp_value_letters(letters).scalars.tobytes()
+        assert perms[i].tolist() == fold_on_central(system.actions, letters, index).scalars.real.tolist()
+
+
 def test_interned_ids_put_prefixes_first():
     sc = build_scenario(load_config(str(ROOT / "scenarios" / "path_mixed.json")))
     words = sc.system.words

@@ -3,13 +3,16 @@
 ``drop-last-letter`` and ``cross-terms`` read every kernel from the
 identity ball's ``(K, n, n)`` stack, and decide whether x^-1 y is reduced
 from the first vertices of x and y.  The Schwarz and shared-prefix bounds
-read their factor hypothesis and dominance difference from one
-``kernel_matrix`` stack over each family's words.  The per-pair
+draw their families in chunks and read the factor hypothesis and the
+dominance differences of a chunk from one kernel stack per family size,
+certified by one eigensolve per size.  The per-pair, per-family
 implementations they replaced are kept below as the reference: one
 ``kernel`` call per pair, reducedness by rescanning the concatenated vertex
-word, and the dominance difference assembled from grids of central
-products.  Reports are compared byte for byte, on the committed scenarios
-and on random small graph products.  Where the point actions do not
+word, and each family's dominance difference assembled from grids of
+central products and certified on its own.  Reports are compared byte for
+byte, on the committed scenarios at several seeds and family targets, on
+random small graph products, on a system whose families all vanish and on
+one with a NaN value, where the error must be the first failing family's.  Where the point actions do not
 commute across non-edges the kernels are not Hermitian and the identities
 fail with large residuals that any misplaced gather would change; with
 trivial actions and positive definite values the dominance bounds reach
@@ -26,7 +29,9 @@ from hypothesis import strategies as st
 from support import central_stack, groupoid_from_space, nc_length_set, reference_push
 from test_composed_actions import THREE_CYCLES, TRANSPOSITIONS, _powers
 
+from gpmult import verifier
 from gpmult.cli import build_scenario, load_config
+from gpmult.errors import NotFiniteError, NotHermitianError
 from gpmult.graphgroup import SimplicialGraph, cyclic_group
 from gpmult.matalg import is_positive, max_residual
 from gpmult.verifier import (
@@ -35,8 +40,10 @@ from gpmult.verifier import (
     CheckResult,
     Scenario,
     _guarded,
+    _least_eigenvalue,
     _reduced_pairs,
     _vacuous,
+    run_suite,
     verify_cross_terms,
     verify_drop_last,
     verify_schwarz,
@@ -310,6 +317,111 @@ def test_stack_checks_match_the_per_pair_reference(name):
     sc = build_scenario(load_config(str(ROOT / "scenarios" / f"{name}.json")), seed=42)
     assert_same_reports(sc)
     assert_reduced_from_first_vertices(sc.system.words, sc.system.words.ball(sc.identity_radius))
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_chunked_families_match_the_reference_across_seeds_and_targets(name):
+    """Chunks are as large as the families still needed, so the targets
+    cover no chunk (0), one family per chunk (1), a few chunks (5) and the
+    default; each seed draws other families."""
+    cfg = load_config(str(ROOT / "scenarios" / f"{name}.json"))
+    for seed in (0, 3, 11):
+        for target in (0, 1, 5, 60):
+            sc = build_scenario(cfg, seed=seed)
+            sc.tuple_target = target
+            for fn, ref in ((verify_schwarz, reference_schwarz), (verify_y1_square, reference_y1_square)):
+                assert report_text(fn, sc) == report_text(ref, sc)
+
+
+def _constant_system(values):
+    """Three free Z/3 vertices with trivial actions on two points and the
+    given per-vertex values (one list per group element)."""
+    graph = SimplicialGraph.build((0, 1, 2), [(0, 1)])
+    return groupoid_from_space(graph, [cyclic_group(3)] * 3, 2, {}, values)
+
+
+def test_families_that_all_vanish_end_at_the_attempt_cap():
+    """With h = 1 everywhere every kernel is 1 and every dominance
+    difference is 0: no family counts toward the target, so Schwarz draws
+    until its cap of 60 attempts per target family, in chunks of the whole
+    target, and the shared-prefix bound until its families run out."""
+    system = _constant_system([[[1.0, 1.0]] * 3] * 3)
+    for target in (1, 5, 60):
+        sc = Scenario(name="ones", system=system, seed=7, identity_radius=2, tuple_target=target)
+        report = verify_schwarz(sc)
+        assert report.vacuous
+        assert report.counts["families"] + report.counts["rejected"] == 60 * target
+        assert report.counts["non_vacuous"] == 0
+        assert report_text(verify_schwarz, sc) == report_text(reference_schwarz, sc)
+        assert report_text(verify_y1_square, sc) == report_text(reference_y1_square, sc)
+
+
+def test_a_nan_value_fails_on_the_first_family_in_draw_order():
+    """One NaN value on one point: the families through it are accepted
+    (a NaN deviation is not above the tolerance) and fail their eigensolve.
+    The report must name the first such family's own shape, which differs
+    between seeds, whichever family size its chunk certifies first."""
+    values = [[[1.0, 1.0], [0.5, np.nan], [0.5, 0.3]]] + [[[1.0, 1.0], [0.4, 0.2], [0.4, 0.2]]] * 2
+    system = _constant_system(values)
+    messages = set()
+    for seed in range(8):
+        for target in (1, 5, 60):
+            sc = Scenario(name="nan", system=system, seed=seed, identity_radius=2, tuple_target=target)
+            for fn, ref in ((verify_schwarz, reference_schwarz), (verify_y1_square, reference_y1_square)):
+                text = report_text(fn, sc)
+                assert text == report_text(ref, sc)
+                messages.add(json.loads(text)["details"]["message"])
+    for n in (2, 3):
+        assert any(f"shape=(2, {n}, {n})" in m for m in messages)
+
+
+def test_least_eigenvalue_raises_the_first_failing_family_in_draw_order():
+    """Groups are certified in their own order, but an error comes from the
+    first failing family in draw order: here draw position 1, a
+    non-Hermitian 3x3 family of the second group, not the NaN 2x2 family at
+    position 2 that makes the first group's eigensolve raise."""
+    good2 = np.eye(2)[None]
+    nan2 = np.full((1, 2, 2), np.nan)
+    skew3 = np.eye(3)[None] + np.triu(np.full((3, 3), 0.5), 1)[None]
+    groups = [([0, 2], np.stack([good2, nan2])), ([1], skew3[None])]
+    with pytest.raises(NotHermitianError) as err:
+        _least_eigenvalue(groups)
+    with pytest.raises(NotHermitianError) as own:
+        is_positive(skew3, tol=ABS_PSD_TOL, hermitian_tol=1e-8)
+    assert str(err.value) == str(own.value)
+    with pytest.raises(NotFiniteError, match=r"shape=\(1, 2, 2\)"):
+        _least_eigenvalue(groups[:1])
+    assert _least_eigenvalue([([0, 1], np.stack([good2, 2 * good2]))]) == 1.0
+    assert _least_eigenvalue([([], np.empty((0, 1, 2, 2)))]) == np.inf
+
+
+def test_lemma_suite_certifies_families_in_batches(monkeypatch):
+    """One eigensolve per chunk and family size, not one per family: on a
+    lemma_ball-shaped system (Z/3 vertices, blocks [1, 1], trivial actions,
+    geometric values) the two dominance checks certify 120 families, and
+    the whole lemma suite calls ``is_positive`` a few tens of times at most."""
+    cfg = {
+        "name": "path3",
+        "graph": {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]},
+        "groups": {v: {"preset": "cyclic", "n": 3} for v in "abc"},
+        "algebra": {"blocks": [1, 1]},
+        "actions": {v: {"preset": "trivial"} for v in "abc"},
+        "multipliers": {v: {"preset": "geometric", "c": c} for v, c in zip("abc", (0.3, 0.2, 0.4))},
+        "verify": {"seed": 11, "identity_radius": 3},
+    }
+    shapes = []
+
+    def counted(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return is_positive(m, *args, **kwargs)
+
+    monkeypatch.setattr(verifier, "is_positive", counted)
+    results = {r.name: r for r in run_suite(build_scenario(cfg), "lemmas")}
+    dominance = ("schwarz-inequality", "shared-prefix-square-bound")
+    families = sum(results[name].counts["families"] for name in dominance)
+    assert families == 120
+    assert len(shapes) <= 24
+    assert sum(shape[0] for shape in shapes) == families
 
 
 @st.composite
