@@ -54,11 +54,6 @@ from .wordcraft import DEFAULT_BUDGET, GPElement
 UNITAL_TOL = 1e-12
 COMMUTE_TOL = 1e-12
 WELL_DEFINED_TOL = 1e-10
-# Up to this many ids without a value are filled one by one: a fill round
-# costs about as much numpy overhead as nine single rows (16 against 1.8 us
-# on a 2-core x86-64 host), and a few new ids, such as one new word's
-# prefixes, usually form a chain that needs one round per id.
-SEQUENTIAL_FILL = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,10 +261,8 @@ class MultiplierSystem:
         Rows are filled for every id without them by V[i] =
         V[prefix][p(l^-1)] * h(l) and P[i] = p(l)[P[prefix]] for the last
         letter l, from V[e] = 1 and P[e] = arange(K); a one-letter word
-        copies h(l).  At most ``SEQUENTIAL_FILL`` ids are filled one by one
-        in id order, which lists every prefix first.  More are filled in
-        rounds, round r taking the ids with r proper prefixes still without
-        rows (counted by pointer jumping), so each id is taken once.
+        copies h(l).  Round r takes the ids with r proper prefixes still
+        without rows (counted by pointer jumping), so each id is taken once.
         """
         rows = self._value_cache
         words = self.words
@@ -283,34 +276,28 @@ class MultiplierSystem:
             V[0], P[0] = 1.0, np.arange(self.structure.num_blocks)
             lo = 1
         acts, perms, values = self._slot_actions, self._slot_perms, self._slot_values
-        if n - lo <= SEQUENTIAL_FILL:
-            for j in range(lo, n):
-                p, s = words._id_prefix[j], words._id_last[j]
-                V[j] = values[s] if p == 0 else V[p, perms[s]] * values[s]
-                P[j] = acts[s, P[p]]
-        else:
-            prefix = np.array(words._id_prefix[lo:n], dtype=np.intp)
-            slot = np.array(words._id_last[lo:n], dtype=np.intp)
-            up = prefix - lo  # negative where the prefix has rows
-            depth = (up >= 0).astype(np.intp)
-            live = np.flatnonzero(up >= 0)
-            while live.size:
-                nxt = up[live]
-                depth[live] += depth[nxt]
-                up[live] = up[nxt]
-                live = live[up[live] >= 0]
-            # the same stable order, sorted in the smallest dtype that holds
-            # every depth (numpy radix-sorts 8- and 16-bit keys)
-            order = np.argsort(depth.astype(np.min_scalar_type(depth.max())), kind="stable")
-            ends = np.cumsum(np.bincount(depth))
-            one = np.flatnonzero(prefix == 0)
-            for start, end in zip((0, *ends[:-1]), ends):
-                take = order[start:end]
-                p, s = prefix[take], slot[take]
-                V[lo + take] = V[p[:, None], perms[s]] * values[s]
-                P[lo + take] = acts[s[:, None], P[p]]
-                if start == 0:
-                    V[lo + one] = values[slot[one]]
+        prefix = np.array(words._id_prefix[lo:n], dtype=np.intp)
+        slot = np.array(words._id_last[lo:n], dtype=np.intp)
+        up = prefix - lo  # negative where the prefix has rows
+        depth = (up >= 0).astype(np.intp)
+        live = np.flatnonzero(up >= 0)
+        while live.size:
+            nxt = up[live]
+            depth[live] += depth[nxt]
+            up[live] = up[nxt]
+            live = live[up[live] >= 0]
+        # the same stable order, sorted in the smallest dtype that holds
+        # every depth (numpy radix-sorts 8- and 16-bit keys)
+        order = np.argsort(depth.astype(np.min_scalar_type(depth.max(initial=0))), kind="stable")
+        ends = np.cumsum(np.bincount(depth))
+        one = np.flatnonzero(prefix == 0)
+        for start, end in zip((0, *ends[:-1]), ends):
+            take = order[start:end]
+            p, s = prefix[take], slot[take]
+            V[lo + take] = V[p[:, None], perms[s]] * values[s]
+            P[lo + take] = acts[s[:, None], P[p]]
+            if start == 0:
+                V[lo + one] = values[slot[one]]
         rows.filled = n
         return V[:n], P[:n]
 

@@ -470,6 +470,45 @@ def _least_eigenvalue(groups) -> float:
         raise
 
 
+def _dominance_check(name, families, stacks, tuple_target, no_family, vanishes, rejected=False):
+    """The dominance bound over lazily drawn families, as a check result.
+
+    Families are taken from the ``families`` iterator in chunks of as many
+    as could still be needed, so each chunk is drawn whole and the stop
+    rule (``tuple_target`` non-vacuous families) is met only at its end.
+    ``stacks(chunk)`` yields per family size the draw positions and the
+    ``(F, K, 2n, 2n)`` kernel stacks of the accepted families; their
+    differences are computed over the family axis and share one eigensolve
+    per size.  The reasons ``no_family`` and ``vanishes`` make the result
+    vacuous when nothing was accepted or every difference vanished;
+    ``rejected`` counts the drawn families that were not accepted.
+    """
+    worst = np.inf
+    drawn = accepted = non_vacuous = 0
+    all_ok = True
+    while chunk := list(itertools.islice(families, max(0, tuple_target - non_vacuous))):
+        drawn += len(chunk)
+        groups = []
+        for pos, gram in stacks(chunk):
+            diff, maxdiff = _dominance_margin(gram)
+            accepted += len(diff)
+            non_vacuous += int((maxdiff > 1e-13).sum())
+            groups.append((pos, diff))
+        lam = _least_eigenvalue(groups)
+        worst = min(worst, lam)
+        all_ok = all_ok and (lam >= -ABS_PSD_TOL)
+    if accepted == 0:
+        return _vacuous(name, "lemmas", no_family)
+    counts = {"families": accepted, "non_vacuous": non_vacuous}
+    if rejected:
+        counts["rejected"] = drawn - accepted
+    if non_vacuous == 0 and all_ok:
+        return _vacuous(name, "lemmas", vanishes, counts)
+    return CheckResult(
+        name=name, suite="lemmas", passed=all_ok, lambda_min=float(worst), counts=counts
+    )
+
+
 def verify_schwarz(sc: Scenario) -> CheckResult:
     """Schwarz-type dominance for families (c_i, b_i) with factoring cross kernels.
 
@@ -478,29 +517,18 @@ def verify_schwarz(sc: Scenario) -> CheckResult:
     the certified quantity is the smallest eigenvalue of LHS - RHS over all
     accepted families, the dominance difference with x_i = c_i b_i and
     p_i = c_i.  Tuples whose difference vanishes identically are counted as
-    vacuous.
-
-    Families are drawn in chunks of as many as could still be needed, so
-    each chunk is drawn whole and the stop rule is met only at its end.
-    A chunk's kernel stacks are one gather per family size
-    (``MultiplierSystem.kernel_stacks``), the hypothesis and the
-    differences are computed over the family axis, and the accepted
-    families of one size share one eigensolve.
+    vacuous.  At most ``60 * tuple_target`` families are drawn.  A chunk's
+    kernel stacks are one gather per family size
+    (``MultiplierSystem.kernel_stacks``) and the hypothesis is tested over
+    the family axis.
     """
     sys_ = sc.system
     words = sys_.words
     ball = list(words.ball(sc.identity_radius, budget=sc.budget))
     rng = np.random.default_rng([sc.seed, 104])
-    worst = np.inf
-    accepted = non_vacuous = rejected = 0
-    attempts = 0
-    max_attempts = 60 * sc.tuple_target
-    all_ok = True
-    while non_vacuous < sc.tuple_target and attempts < max_attempts:
-        chunk = min(sc.tuple_target - non_vacuous, max_attempts - attempts)
-        attempts += chunk
-        families = []
-        for _ in range(chunk):
+
+    def draw():
+        for _ in range(60 * sc.tuple_target):
             n = int(rng.integers(2, 4))
             if rng.integers(0, 2) == 0:
                 c = ball[int(rng.integers(0, len(ball)))]
@@ -508,34 +536,22 @@ def verify_schwarz(sc: Scenario) -> CheckResult:
             else:
                 cs = [ball[int(rng.integers(0, len(ball)))] for _ in range(n)]
             bs = [ball[int(rng.integers(0, len(ball)))] for _ in range(n)]
-            families.append([words.multiply(c, b) for c, b in zip(cs, bs)] + cs)
-        groups = []
-        for m, gram in sys_.kernel_stacks(families).items():
+            yield [words.multiply(c, b) for c, b in zip(cs, bs)] + cs
+
+    def stacks(chunk):
+        for m, gram in sys_.kernel_stacks(chunk).items():
             factor = _cross_kernels_factor(gram)
-            diff, maxdiff = _dominance_margin(gram[factor])
-            rejected += int((~factor).sum())
-            accepted += len(diff)
-            non_vacuous += int((maxdiff > 1e-13).sum())
-            pos = [i for i, fam in enumerate(families) if len(fam) == m]
-            groups.append((np.array(pos)[factor], diff))
-        lam = _least_eigenvalue(groups)
-        worst = min(worst, lam)
-        all_ok = all_ok and (lam >= -ABS_PSD_TOL)
-    if accepted == 0:
-        return _vacuous("schwarz-inequality", "lemmas", "no admissible family found")
-    if non_vacuous == 0 and all_ok:
-        return _vacuous(
-            "schwarz-inequality",
-            "lemmas",
-            "LHS - RHS vanishes on every admissible family",
-            {"families": accepted, "non_vacuous": 0, "rejected": rejected},
-        )
-    return CheckResult(
-        name="schwarz-inequality",
-        suite="lemmas",
-        passed=all_ok,
-        lambda_min=float(worst),
-        counts={"families": accepted, "non_vacuous": non_vacuous, "rejected": rejected},
+            pos = np.array([i for i, fam in enumerate(chunk) if len(fam) == m])
+            yield pos[factor], gram[factor]
+
+    return _dominance_check(
+        "schwarz-inequality",
+        draw(),
+        stacks,
+        sc.tuple_target,
+        "no admissible family found",
+        "LHS - RHS vanishes on every admissible family",
+        rejected=True,
     )
 
 
@@ -547,11 +563,8 @@ def verify_y1_square(sc: Scenario) -> CheckResult:
     quantity is the smallest eigenvalue of the dominance difference with
     p_i = y_i c_i.  Requires all multiplier values to be positive central
     elements.  x_i and its truncation y_i c_i lie in the identity-check
-    ball, so family stacks are gathers from the ball's kernel stack.
-
-    Families are drawn lazily in chunks of as many as could still be
-    needed, so the stop rule is met only at a chunk's end; per chunk the
-    families of one size are one gather and share one eigensolve.
+    ball, so a chunk's family stacks of one size are one gather from the
+    ball's kernel stack.
     """
     sys_ = sc.system
     for h in sys_.multipliers:
@@ -563,9 +576,6 @@ def verify_y1_square(sc: Scenario) -> CheckResult:
             )
     ball, gram, index = sys_.ball_stack(sc.identity_radius, sc.budget)
     rng = np.random.default_rng([sc.seed, 105])
-    worst = np.inf
-    accepted = non_vacuous = 0
-    all_ok = True
     class_lists = []  # per class its members, as ball indices (x, y c)
     for cls, yc in _standard_form_classes(sc, ball, index):
         for k in range(cls.max() + 1):
@@ -580,41 +590,23 @@ def verify_y1_square(sc: Scenario) -> CheckResult:
                 n = int(rng.integers(1, 4))
                 yield [members[int(rng.integers(0, len(members)))] for _ in range(n)]
 
-    families = draw()
-    # accepted >= non_vacuous, so the loop runs while non_vacuous < tuple_target
-    while chunk := list(itertools.islice(families, max(0, sc.tuple_target - non_vacuous))):
+    def stacks(chunk):
         by_size: dict = {}  # m -> (draw positions, ball indices of x then y c)
         for i, fam in enumerate(chunk):
             pos, at = by_size.setdefault(len(fam), ([], []))
             pos.append(i)
             at.append([x for (x, _) in fam] + [yc for (_, yc) in fam])
-        groups = []
         for pos, at in by_size.values():
             at = np.array(at)
-            diff, maxdiff = _dominance_margin(gram[:, at[:, :, None], at[:, None, :]].swapaxes(0, 1))
-            accepted += len(diff)
-            non_vacuous += int((maxdiff > 1e-13).sum())
-            groups.append((pos, diff))
-        lam = _least_eigenvalue(groups)
-        worst = min(worst, lam)
-        all_ok = all_ok and (lam >= -ABS_PSD_TOL)
-    if accepted == 0:
-        return _vacuous(
-            "shared-prefix-square-bound", "lemmas", "no family with the vertex found"
-        )
-    if non_vacuous == 0 and all_ok:
-        return _vacuous(
-            "shared-prefix-square-bound",
-            "lemmas",
-            "LHS - RHS vanishes on every family",
-            {"families": accepted, "non_vacuous": 0},
-        )
-    return CheckResult(
-        name="shared-prefix-square-bound",
-        suite="lemmas",
-        passed=all_ok,
-        lambda_min=float(worst),
-        counts={"families": accepted, "non_vacuous": non_vacuous},
+            yield pos, gram[:, at[:, :, None], at[:, None, :]].swapaxes(0, 1)
+
+    return _dominance_check(
+        "shared-prefix-square-bound",
+        draw(),
+        stacks,
+        sc.tuple_target,
+        "no family with the vertex found",
+        "LHS - RHS vanishes on every family",
     )
 
 

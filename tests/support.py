@@ -4,9 +4,10 @@ None of them is called by ``gpmult verify``: the tensor and groupoid
 systems build differential fixtures, ``reference_push`` is the letter-list
 normal form the successor memo replaced, the word helpers restate
 properties of complete sets and down-sets that the package computes in
-other ways, and the per-entry central paths are the oracles of the gathers
-from ``ActionTable.perms`` and ``Multiplier.scalars`` (and of the module
-form's cumulative sum) that replaced them.
+other ways, the matrix-unit loops are the oracles of action validation on
+``ActionTable.unit_images``, and the per-entry central paths are the
+oracles of the gathers from ``ActionTable.perms`` and ``Multiplier.scalars``
+(and of the module form's cumulative sum) that replaced them.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import numpy as np
 
 from gpmult.cocycles import schoenberg_multiplier
 from gpmult.dynamics import (
+    MAP_TOL,
     ActionSystem,
     ActionTable,
     Automorphism,
@@ -26,6 +28,7 @@ from gpmult.errors import (
     EdgeViolationError,
     EmptySetError,
     GPMultError,
+    NotHomomorphismError,
     StructureMismatchError,
 )
 from gpmult.graphgroup import FiniteGroup, SimplicialGraph
@@ -170,6 +173,57 @@ def act_on(action, a: AlgebraElement) -> AlgebraElement:
     for l in reversed(action.letters):
         a = action.system.tables[l.vertex].autos[l.elem].apply(a)
     return a
+
+
+# ----------------------------------------------------------------------
+# action validation on algebra elements
+
+
+def matrix_units(structure: BlockStructure) -> list:
+    """Every matrix unit E^k_rc, block by block, row-major within a block."""
+    return [
+        AlgebraElement.matrix_unit(structure, k, r, c)
+        for k, d in enumerate(structure.block_dims)
+        for r in range(d)
+        for c in range(d)
+    ]
+
+
+def reference_is_identity_map(auto: Automorphism) -> bool:
+    """Whether the automorphism fixes every matrix unit within ``MAP_TOL``."""
+    return all(auto.apply(u).maxabs_diff(u) <= MAP_TOL for u in matrix_units(auto.structure))
+
+
+def reference_validate_action(table: ActionTable) -> None:
+    """``validate_action`` one matrix unit at a time: raises at the first
+    (g, h) and unit where autos[g*h] and autos[g] o autos[h] differ."""
+    units = matrix_units(table.structure)
+    e = table.group.identity
+    if not reference_is_identity_map(table.autos[e]):
+        raise NotHomomorphismError("identity element does not act trivially", g=e)
+    n = table.group.order
+    for g in range(n):
+        for h in range(n):
+            gh = table.group.mul(g, h)
+            for u in units:
+                lhs = table.autos[gh].apply(u)
+                rhs = table.autos[g].apply(table.autos[h].apply(u))
+                if not lhs.maxabs_diff(rhs) <= MAP_TOL:
+                    raise NotHomomorphismError(
+                        "action is not multiplicative", g=g, h=h, deviation=lhs.maxabs_diff(rhs)
+                    )
+
+
+def reference_actions_commute(t1: ActionTable, t2: ActionTable) -> bool:
+    """``actions_commute`` one pair of automorphisms and one matrix unit at
+    a time."""
+    units = matrix_units(t1.structure)
+    for a1 in t1.autos:
+        for a2 in t2.autos:
+            for u in units:
+                if not a1.apply(a2.apply(u)).maxabs_diff(a2.apply(a1.apply(u))) <= MAP_TOL:
+                    return False
+    return True
 
 
 # ----------------------------------------------------------------------

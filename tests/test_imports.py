@@ -291,8 +291,8 @@ def test_every_error_class_is_named_outside_its_module():
     assert unreferenced_errors((SRC / "errors.py").read_text(encoding="utf-8"), names) == []
 
 
-# Full algebra elements are for action validation; every other module works
-# on central values as arrays of block scalars.
+# Full algebra elements are for automorphisms acting on them in the tests;
+# every other module works on central values as arrays of block scalars.
 ALGEBRA_NAMES = {"AlgebraElement", "embed_central"}
 ALGEBRA_LAYER = {"matalg.py", "dynamics.py"}
 

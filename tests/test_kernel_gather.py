@@ -28,7 +28,6 @@ from gpmult.cli import build_scenario, load_config
 from gpmult.errors import ContextMismatchError
 from gpmult.graphgroup import SimplicialGraph, cyclic_group
 from gpmult.matalg import CentralElement
-from gpmult import multipliers
 from gpmult.multipliers import Multiplier, MultiplierSystem
 from gpmult.verifier import _complete_sets
 
@@ -101,9 +100,10 @@ def test_value_rows_are_bit_equal_to_the_left_to_right_evaluation(case):
     """Every row of the bulk-filled value array equals ``gp_value_letters``
     of its id's letters bit for bit, on point actions that do not commute,
     whether the rows were filled in two steps or from scratch over ids made
-    by successor walks, in rounds or one by one.  In the second system about
-    half the letter values are real with a negative zero imaginary part, which 1 * h(l)
-    would make positive, so a one-letter word must copy h(l)."""
+    by successor walks, and the two fills agree.  In the second system
+    about half the letter values are real with a negative zero imaginary
+    part, which 1 * h(l) would make positive, so a one-letter word must copy
+    h(l)."""
     system, raws, rng = case
     words = system.words
     signed = MultiplierSystem(
@@ -125,16 +125,9 @@ def test_value_rows_are_bit_equal_to_the_left_to_right_evaluation(case):
     xs = [words.normalize(raw) for raw in raws] + list(words.ball(1))
     system.kernel_matrix(xs[: len(raws)])
     system.kernel_matrix(xs)
-    one_by_one = MultiplierSystem(system.actions, signed.multipliers)
-    saved = multipliers.SEQUENTIAL_FILL
-    try:
-        multipliers.SEQUENTIAL_FILL = 0
-        signed._value_rows()  # every id in rounds
-        multipliers.SEQUENTIAL_FILL = len(words._id_prefix)
-        one_by_one._value_rows()
-    finally:
-        multipliers.SEQUENTIAL_FILL = saved
-    for sys_ in (system, signed, one_by_one):
+    cold = MultiplierSystem(system.actions, system.multipliers)._value_rows()
+    assert [a.tobytes() for a in cold] == [a.tobytes() for a in system._value_rows()]
+    for sys_ in (system, signed):
         rows, _ = sys_._value_rows()
         assert len(rows) == len(words._id_prefix) == len(sys_._value_cache)
         for i, row in enumerate(rows):
@@ -148,8 +141,8 @@ def test_fills_in_batches_match_one_cold_fill_and_the_letter_folds(case, data):
     12-letter prefix of a chain of 115 to 140 letters alternating between
     the free vertices 0 and 1, then in random order the drawn words one by
     one, a longer prefix of the chain, the whole chain and the radius-2
-    ball, so some fills go one by one and some in rounds, and a cold fill
-    takes more than 100 rounds for the chain.  Every value row equals
+    ball, so some fills take one id and some many, and a cold fill takes
+    more than 100 rounds for the chain.  Every value row equals
     ``gp_value_letters`` of its id's letters bit for bit, every action row
     the fold of its letters' automorphisms, and a cold fill of all ids over
     the same words gives the same arrays."""
@@ -165,7 +158,7 @@ def test_fills_in_batches_match_one_cold_fill_and_the_letter_folds(case, data):
             words.intern(words.normalize(raw).letters)
         fills.append(len(words._id_prefix) - before)
         system._value_rows()
-    assert 0 < fills[0] <= multipliers.SEQUENTIAL_FILL < max(fills)
+    assert 0 < fills[0] < max(fills)
     values, perms = system._value_rows()
     assert perms.dtype == np.int32
     cold = MultiplierSystem(system.actions, system.multipliers)._value_rows()
@@ -218,24 +211,26 @@ def test_fill_deeper_than_a_byte_of_depths():
     in the free product of two Z/3 rotating three points, runs in about
     300 rounds, so its depths pass 127 and 255, the largest values of the
     one-byte dtypes.  Every row equals ``gp_value_letters`` and the fold of
-    its letters' automorphisms, as a fill one id at a time gives them."""
+    its letters' automorphisms, as fills of one new id at a time give them,
+    and a fill of the identity alone is a fill too."""
     graph = SimplicialGraph.build((0, 1), [])
     rotations = [[(p + g) % 3 for p in range(3)] for g in range(3)]
     rng = np.random.default_rng(8)
     values = [[list(np.exp(1j * rng.uniform(0, 6, 3)) * 0.9) for _ in range(3)] for _ in range(2)]
-    system = groupoid_from_space(graph, [cyclic_group(3)] * 2, 3, {0: rotations, 1: rotations}, values)
+    system, one_by_one = (
+        groupoid_from_space(graph, [cyclic_group(3)] * 2, 3, {0: rotations, 1: rotations}, values)
+        for _ in range(2)
+    )
     words = system.words
     x = words.normalize([(0, 1), (1, 2)] * 150)
-    words.intern(x.letters)
     assert len(words._id_prefix) == 301
     values_rows, perms = system._value_rows()
-    one_by_one = MultiplierSystem(system.actions, system.multipliers)
-    saved = multipliers.SEQUENTIAL_FILL
-    try:
-        multipliers.SEQUENTIAL_FILL = len(words._id_prefix)
-        sequential = one_by_one._value_rows()
-    finally:
-        multipliers.SEQUENTIAL_FILL = saved
+    one_by_one.words.intern(())
+    assert [len(a) for a in one_by_one._value_rows()] == [1, 1]
+    for m in range(1, len(x) + 1):
+        one_by_one.words.intern(x.letters[:m])
+        one_by_one._value_rows()
+    sequential = one_by_one._value_rows()
     assert [a.tobytes() for a in sequential] == [values_rows.tobytes(), perms.tobytes()]
     index = CentralElement(system.structure, np.arange(3))
     for i in range(len(words._id_prefix)):

@@ -9,6 +9,7 @@ import pytest
 
 from gpmult.cli import build_scenario, load_config
 from gpmult.errors import BudgetExceededError
+from gpmult.matalg import AlgebraElement
 from gpmult.verifier import (
     CheckResult,
     Scenario,
@@ -103,6 +104,26 @@ def test_threads_do_not_change_the_report(free_pair_report):
     a = {k: v for k, v in free_pair_report.items() if k != "timing"}
     b = {k: v for k, v in threaded.items() if k != "timing"}
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_verify_builds_no_algebra_element(monkeypatch):
+    """Every check works on arrays: over every suite of the 8 committed
+    scenarios, the two sabotaged ones included, no ``AlgebraElement`` is
+    constructed."""
+    built = []
+    init = AlgebraElement.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AlgebraElement, "__init__", counting)
+    assert len(SCENARIOS) == 8
+    for name in SCENARIOS:
+        run_all(scenario(name), suites=ALL_SUITES)
+    assert len(built) == 0
+    AlgebraElement.identity(scenario("free_pair_z2").system.structure)
+    assert len(built) == 1  # the counter counts
 
 
 def test_nonpositive_vertex_multiplier_hits_the_gram_check():
