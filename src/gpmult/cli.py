@@ -517,6 +517,14 @@ def cmd_verify(args) -> int:
     return 0 if report["pass"] else 1
 
 
+def nonnegative_int(text: str) -> int:
+    """An integer >= 0, as ``/verify/seed`` requires of a seed."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gpmult",
@@ -548,7 +556,7 @@ def make_parser() -> argparse.ArgumentParser:
         choices=list(SUITES) + ["all"],
         default="all",
     )
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=nonnegative_int, default=None)
     p.add_argument(
         "--threads", type=int, default=1, help="accepted for compatibility; no effect"
     )

@@ -85,9 +85,9 @@ class Multiplier:
         return float(np.abs(self.scalars[self.group.identity] - 1.0).max()) <= UNITAL_TOL
 
     def off_identity_sup(self) -> float:
-        e = self.group.identity
-        sups = [v.norm() for g, v in enumerate(self.values) if g != e]
-        return max(sups) if sups else 0.0
+        """Largest block scalar modulus off the identity; NaN if any is NaN."""
+        off = np.abs(np.delete(self.scalars, self.group.identity, axis=0))
+        return float(off.max()) if off.size else 0.0
 
 
 def delta_multiplier(group: FiniteGroup, structure: BlockStructure) -> Multiplier:
@@ -153,12 +153,13 @@ def unitalize(h: Multiplier) -> Multiplier:
     e = h.group.identity
     tol = UNITAL_TOL
     sup = h.off_identity_sup()
-    if sup > 0.5 + tol:
+    # both conditions are written so that a NaN fails them
+    if not sup <= 0.5 + tol:
         raise NormTooLargeError(
             "off-identity values must have norm at most 1/2", sup=sup
         )
     he = h.scalars[e]
-    if np.max(np.abs(he.imag)) > tol or np.min(he.real) < -tol or np.max(he.real) > 1 + tol:
+    if not np.all((np.abs(he.imag) <= tol) & (-tol <= he.real) & (he.real <= 1 + tol)):
         raise BadIdentityValueError(
             "identity value must satisfy 0 <= h(e) <= 1", value=list(he)
         )
@@ -480,11 +481,10 @@ def haagerup_witness_ball(
     for v, h in enumerate(system.multipliers):
         if not h.is_unital:
             raise NotUnitalError("vertex multiplier is not unital", vertex=v)
-        if h.off_identity_sup() > 0.5 + 1e-12:
+        sup = h.off_identity_sup()
+        if not sup <= 0.5 + 1e-12:  # a NaN fails too
             raise HypothesisViolatedError(
-                "off-identity values must have norm at most 1/2",
-                vertex=v,
-                sup=h.off_identity_sup(),
+                "off-identity values must have norm at most 1/2", vertex=v, sup=sup
             )
     if 2.0 ** (-K) > eps:
         raise HypothesisViolatedError("need 2^-K <= eps", K=K, eps=eps)

@@ -368,7 +368,7 @@ def _standard_form_classes(sc: Scenario, ball, index) -> list:
         classes: dict = {}
         for i, x in enumerate(ball):
             if v0 in vertex_words[i]:
-                sf = words.standard_form(x, v0, sc.budget)
+                sf = words.standard_form(x, v0)
                 cls[i] = classes.setdefault(sf.y.vertex_word, len(classes))
                 yc[i] = index[words.multiply(sf.y, sf.c)]
         out.append((cls, yc))
@@ -386,8 +386,7 @@ def verify_cross_terms(sc: Scenario) -> CheckResult:
     """
     words = sc.system.words
     ball, gram, index = sc.system.ball_stack(sc.identity_radius, sc.budget)
-    # every count before any standard form: the count search raises the first budget error
-    counts = [[words.downset_nc_max(x, v, sc.budget) for x in ball] for v in range(words.graph.n)]
+    counts = [[words.downset_nc_max(x, v) for x in ball] for v in range(words.graph.n)]
     worst = 0.0
     n1 = n2 = 0
     for nc, (ycls, yc) in zip(np.array(counts), _standard_form_classes(sc, ball, index)):

@@ -134,7 +134,6 @@ class WordContext:
         self.groups = tuple(groups)
         self._downset_cache: dict = {}
         self._sf_cache: dict = {}
-        self._nc_max_cache: dict = {}  # letters -> down-set maximum per v0
         # letters -> (size of the rearrangement class, immediate truncations)
         self._trunc_cache: dict = {}
         self._balls: dict = {}  # radius -> ball
@@ -513,74 +512,67 @@ class WordContext:
 
     # ------------------------------------------------------------------
     # non-commuting counts and standard form
+    #
+    # Two letters not joined (same-vertex letters included) keep their order
+    # in every rearrangement of a reduced word, which is the heap of its
+    # letters (Cartier-Foata), so both quantities below are read off the
+    # canonical letters with no search.
 
-    def _nc_direct(self, vertices: tuple, v0: int) -> int:
-        last = -1
-        for i, v in enumerate(vertices):
-            if v == v0:
-                last = i
-        if last < 0:
-            return -1
-        # letters that cannot commute past the final v0 letter pin it down
-        for k in range(last + 1, len(vertices)):
-            if not self.graph.adjacent(vertices[k], v0):
-                return -1
-        return sum(
-            1
-            for i, v in enumerate(vertices)
-            if i != last and not self.graph.adjacent(v, v0)
-        )
-
-    def downset_nc_max(self, x: GPElement, v0: int, budget: int = DEFAULT_BUDGET) -> int:
+    def downset_nc_max(self, x: GPElement, v0: int) -> int:
         """Largest non-commuting count relative to v0 over the down-set of x.
 
-        The down-set of x is x, the identity and the down-sets of the
-        immediate truncations of x, so the maximum is built from theirs;
-        the maxima of a word for every vertex are memoized together.
+        -1 without a v0 letter; else the number of letters before the last v0
+        letter that are not joined to v0.  The prefix through that letter is
+        a truncation with this count, and a truncation keeps a subset of x's
+        letters in their order, so none has more before its last v0 letter.
         """
         self._check_ctx(x)
-        return self._downset_nc_maxima(x, budget)[v0]
+        vs = x.vertex_word
+        if v0 not in vs:
+            return -1
+        k = len(vs) - 1 - vs[::-1].index(v0)
+        return sum(1 for v in vs[:k] if not self.graph.adjacent(v, v0))
 
-    def _downset_nc_maxima(self, x: GPElement, budget: int) -> tuple:
-        maxima = self._nc_max_cache.get(x.letters)
-        if maxima is None:
-            vertices = x.vertex_word
-            maxima = [self._nc_direct(vertices, v0) for v0 in range(self.graph.n)]
-            for t in self._immediate_truncations(x, budget):
-                below = self._downset_nc_maxima(t, budget)
-                maxima = [max(m, b) for m, b in zip(maxima, below)]
-            maxima = self._nc_max_cache[x.letters] = tuple(maxima)
-        return maxima
+    def standard_form(self, x: GPElement, v0: int) -> StandardForm:
+        """The decomposition x = y * c * a * b relative to v0, memoized.
 
-    def standard_form(self, x: GPElement, v0: int, budget: int = DEFAULT_BUDGET) -> StandardForm:
-        """The unique decomposition x = y * c * a * b relative to v0.
-
-        Exhaustive search over rearrangements: among splits whose prefix
-        through the chosen v0 letter realizes the maximal non-commuting count
-        of the down-set of x, first minimize the length of b, then the length
-        of y.  Raises ``NoV0LetterError`` when x has no v0 letter, and
-        ``BudgetExceededError`` when a rearrangement class or a truncation
-        search exceeds ``budget``.
+        With k the last v0 letter, the one whose prefix realizes the count
+        ``nc``: a is letter k; b is the letters after k that k reaches by a
+        chain of letters pairwise not joined, which is what must stay after
+        a; y is the letters before k not joined to v0 with every earlier
+        letter that reaches one of them by such a chain, which is what y * a
+        below x with count ``nc`` must hold; c is the rest in word order.
+        So b, then y, is shortest.  Raises ``NoV0LetterError`` when x has no
+        v0 letter.
         """
         self._check_ctx(x)
         key = (x.letters, v0)
-        cached = self._sf_cache.get(key)
-        if cached is not None:
-            return cached
-        forms = self.standard_form_candidates(x, v0, budget)
-        if len(forms) != 1:
-            raise GPMultError(
-                "standard form is not unique",
-                word=x.letters,
-                v0=v0,
-                count=len(forms),
+        form = self._sf_cache.get(key)
+        if form is None:
+            vs = x.vertex_word
+            if v0 not in vs:
+                raise NoV0LetterError("element has no letter at the vertex", v0=v0)
+            k = len(vs) - 1 - vs[::-1].index(v0)
+            joined = self.graph.adjacent
+            part = ["c"] * len(vs)
+            part[k] = "a"
+            for j in range(k + 1, len(vs)):
+                if any(part[i] != "c" and not joined(vs[i], vs[j]) for i in range(k, j)):
+                    part[j] = "b"
+            for i in reversed(range(k)):
+                if any(part[j] != "c" and not joined(vs[i], vs[j]) for j in range(i + 1, k + 1)):
+                    part[i] = "y"
+            y, c, b = (
+                self._element(self._word_id(l for l, p in zip(x.letters, part) if p == name))
+                for name in "ycb"
             )
-        form = next(iter(forms))
-        self._sf_cache[key] = form
+            nc = self.downset_nc_max(x, v0)
+            form = self._sf_cache[key] = StandardForm(y, c, x.letters[k], b, v0, nc)
         return form
 
     def standard_form_candidates(self, x: GPElement, v0: int, budget: int = DEFAULT_BUDGET):
-        """All minimizers of the standard-form search (should be exactly one).
+        """All minimizers of the exhaustive standard-form search: exactly
+        one, the form ``standard_form`` reads off the letter order.
 
         Stage 1 splits rearrangements of x as p a b at a v0 letter a whose
         prefix p realizes the down-set maximum n of x, keeping the splits
@@ -595,7 +587,7 @@ class WordContext:
         self._check_ctx(x)
         if v0 not in x.vertex_word:
             raise NoV0LetterError("element has no letter at the vertex", v0=v0)
-        n_target = self.downset_nc_max(x, v0, budget)
+        n_target = self.downset_nc_max(x, v0)
         adjacent = self.graph.adjacent
         # stage 1: choose the split point at a v0 letter, minimizing |b|
         cands = []

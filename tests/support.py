@@ -4,10 +4,12 @@ None of them is called by ``gpmult verify``: the tensor and groupoid
 systems build differential fixtures, ``reference_push`` is the letter-list
 normal form the successor memo replaced, the word helpers restate
 properties of complete sets and down-sets that the package computes in
-other ways, the matrix-unit loops are the oracles of action validation on
-``ActionTable.unit_images``, and the per-entry central paths are the
-oracles of the gathers from ``ActionTable.perms`` and ``Multiplier.scalars``
-(and of the module form's cumulative sum) that replaced them.
+other ways (``nc_direct`` is the per-word count whose maximum over the
+down-set the package now reads off the letter order), the matrix-unit
+loops are the oracles of action validation on ``ActionTable.unit_images``,
+and the per-entry central paths are the oracles of the gathers from
+``ActionTable.perms`` and ``Multiplier.scalars`` (and of the module form's
+cumulative sum) that replaced them.
 """
 
 import itertools
@@ -115,6 +117,27 @@ def leq(words: WordContext, x: GPElement, y: GPElement, budget: int = DEFAULT_BU
     return words._leq(x, y, budget)
 
 
+def nc_direct(words: WordContext, vertices: tuple, v0: int) -> int:
+    """Non-commuting count of a reduced vertex word relative to v0: -1 unless
+    its last v0 letter can commute to the end, else the number of other
+    letters not joined to v0."""
+    last = -1
+    for i, v in enumerate(vertices):
+        if v == v0:
+            last = i
+    if last < 0:
+        return -1
+    # letters that cannot commute past the final v0 letter pin it down
+    for k in range(last + 1, len(vertices)):
+        if not words.graph.adjacent(vertices[k], v0):
+            return -1
+    return sum(
+        1
+        for i, v in enumerate(vertices)
+        if i != last and not words.graph.adjacent(v, v0)
+    )
+
+
 def nc_length(
     words: WordContext, x: GPElement, v0: int, check_all: bool = False, budget: int = DEFAULT_BUDGET
 ) -> int:
@@ -127,7 +150,7 @@ def nc_length(
     """
     words._check_ctx(x)
     vertices = x.vertex_word
-    val = words._nc_direct(vertices, v0)
+    val = nc_direct(words, vertices, v0)
     if check_all:
         # Only vertices matter to the search, so any element stands in.
         placeholders = tuple(Letter(v, 0) for v in vertices)

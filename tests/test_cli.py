@@ -88,6 +88,17 @@ def test_verify_seed_override(capsys, tmp_path):
     assert json.loads(out_path.read_text())["seed"] == 7
 
 
+def test_verify_negative_seed_is_a_usage_error(capsys):
+    """Rejected at argument parsing with exit 2, as ``/verify/seed`` is."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", FREE_PAIR, "--seed", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: must be >= 0, got -1" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_verify_failing_scenario_exits_one(capsys):
     code, out, _ = run(
         capsys, ["verify", "scenarios/sabotage_nonpd.json", "--suite", "main"]

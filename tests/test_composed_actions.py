@@ -178,8 +178,8 @@ def test_word_actions_compose_letter_index_arrays():
 def _memo_tables(system):
     """Every memo table of a system: the four that grow with the ball (the
     value rows hold the word actions too), the inverse ids, the interned words,
-    the successor memo, the down-set maxima, the immediate truncations, the
-    balls and the ball kernel stacks."""
+    the successor memo, the immediate truncations, the balls and the ball
+    kernel stacks."""
     words = system.words
     return {
         "kernel": system._kernel.cache,
@@ -191,16 +191,15 @@ def _memo_tables(system):
         "id_prefix": words._id_prefix,
         "id_last": words._id_last,
         "successors": words._succ,
-        "downset_nc_max": words._nc_max_cache,
         "truncations": words._trunc_cache,
         "balls": words._balls,
         "ball_stacks": system._ball_stacks,
     }
 
 
-# The lemma suite reads every kernel from gathered stacks and takes down-set
-# maxima from the truncations' maxima, so it leaves these two cold.
-NOT_FILLED_BY_LEMMAS = ("kernel", "downset")
+# The lemma suite reads every kernel from gathered stacks and reads standard
+# forms and down-set maxima off the letter order, so it leaves these cold.
+NOT_FILLED_BY_LEMMAS = ("kernel", "downset", "truncations")
 
 
 def test_fresh_scenarios_start_with_cold_unshared_memo_tables():

@@ -3,8 +3,9 @@ module-level UPPER_CASE constant of the package is loaded somewhere in
 ``src/``, ``tests/`` or ``bench/``, every function, method and class of the
 package is named there outside its own definition, every
 ``GPMultError`` subclass in ``errors.py`` is named by some other file
-there, only the algebra and action layers use full algebra elements, and
-only the word and value layers read the internals of a word context."""
+there, only the algebra and action layers use full algebra elements,
+only the word and value layers read the internals of a word context, and
+only the word layer names the truncation search."""
 
 import ast
 import re
@@ -361,3 +362,39 @@ def test_word_internals_scanner_finds_private_reads():
 @pytest.mark.parametrize("module", [m for m in MODULES if m not in WORD_LAYER])
 def test_only_the_word_layer_reads_word_internals(module):
     assert word_internal_reads((SRC / module).read_text(encoding="utf-8")) == []
+
+
+# The exhaustive standard-form search and the truncation order stay inside
+# the word layer, where the acceptance gate and the tests reach them; the
+# checks read standard forms and down-set maxima off the letter order.
+SEARCH_NAMES = {"standard_form_candidates", "_leq", "_immediate_truncations"}
+
+
+def search_mentions(source: str):
+    """(line, name) of every import or mention of a truncation-search name."""
+    sites = name_sites(source)
+    out = [(line, name) for name in SEARCH_NAMES for line in sites.get(name, ())]
+    imports = imported_names(ast.parse(source))
+    return sorted(out + [(line, name) for name, line in imports.items() if name in SEARCH_NAMES])
+
+
+def test_search_scanner_finds_names_attributes_and_strings():
+    source = (
+        "forms = words.standard_form_candidates(x, 0)\n"
+        "from .wordcraft import _leq\n"
+        "f = getattr(words, '_immediate_truncations')\n"
+        "sf = words.standard_form(x, 0)\n"
+        "_leq(x, y, 10)\n"
+    )
+    expected = [
+        (1, "standard_form_candidates"),
+        (2, "_leq"),
+        (3, "_immediate_truncations"),
+        (5, "_leq"),
+    ]
+    assert search_mentions(source) == expected
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "wordcraft.py"])
+def test_only_the_word_layer_names_the_truncation_search(module):
+    assert search_mentions((SRC / module).read_text(encoding="utf-8")) == []

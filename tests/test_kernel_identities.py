@@ -242,7 +242,7 @@ def reference_y1_square(sc: Scenario) -> CheckResult:
         classes: dict = {}
         for x in ball:
             if v0 in x.vertex_word:
-                sf = words.standard_form(x, v0, sc.budget)
+                sf = words.standard_form(x, v0)
                 classes.setdefault(sf.y.vertex_word, []).append((x, words.multiply(sf.y, sf.c)))
         class_lists.extend(classes.values())
     families = []

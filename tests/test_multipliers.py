@@ -124,6 +124,23 @@ def test_unitalize_rejects_bad_input():
         unitalize(scalar_multiplier(z2, 0.5 + 0.2j, 0.2))
 
 
+@pytest.mark.parametrize("off", [(0.3, np.nan), (np.nan, 0.3)])
+def test_nan_values_fail_the_norm_preconditions(off):
+    """A NaN off the identity makes the sup NaN wherever it sits, and every
+    norm precondition rejects it; so does a NaN identity value."""
+    z3 = cyclic_group(3)
+    h = scalar_multiplier(z3, 1.0, *off)
+    assert np.isnan(h.off_identity_sup())
+    with pytest.raises(NormTooLargeError):
+        unitalize(h)
+    with pytest.raises(BadIdentityValueError):
+        unitalize(scalar_multiplier(z3, np.nan, 0.3, 0.3))
+    ctx = WordContext(SimplicialGraph.build(("a", "b"), []), (z3, z3))
+    acts = ActionSystem(ctx, SCALAR, (trivial_action(z3, SCALAR), trivial_action(z3, SCALAR)))
+    with pytest.raises(HypothesisViolatedError):
+        haagerup_witness_ball(MultiplierSystem(acts, (h, h)), K=4, eps=0.0625, L=6)
+
+
 def test_geometric_preset_uses_cyclic_distance():
     z5 = cyclic_group(5)
     g = geometric_multiplier(z5, SCALAR, 0.5)

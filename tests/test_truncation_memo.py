@@ -6,22 +6,30 @@ search skips splits above the best one and builds forms only there.  The
 oracle below is the search without either: every truncation step
 re-enumerates the rearrangement class and re-pushes r[1:] and r[:-1], and
 every admissible split builds its form.  Results must agree exactly, and a
-warm memo must raise the same budget errors as a cold search.
+warm memo must raise the same budget errors as a cold search.  The same
+oracle checks the standard forms and down-set maxima that ``WordContext``
+reads off the letter order with no search.
 """
 
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from gpmult.cli import build_scenario
+from gpmult.cli import build_scenario, load_config
 from gpmult.errors import BudgetExceededError, GPMultError, NoV0LetterError
 from gpmult.graphgroup import SimplicialGraph, cyclic_group
-from gpmult.verifier import Scenario, run_suite
+from gpmult.verifier import (
+    Scenario,
+    run_suite,
+    verify_cross_terms,
+    verify_peel_off,
+    verify_y1_square,
+)
 from gpmult.wordcraft import DEFAULT_BUDGET, StandardForm, WordContext, _sort_key
-from support import leq, nc_length_set, reference_push
+from support import leq, nc_direct, nc_length_set, reference_push
 from test_composed_actions import _system_and_words
 
 
@@ -102,7 +110,7 @@ def oracle_standard_form_candidates(words, x, v0, budget=DEFAULT_BUDGET):
                 y_vw = tuple(m.vertex for m in y_letters) + (v0,)
                 if not words.is_reduced(y_vw):
                     continue
-                if words._nc_direct(y_vw, v0) != n_target:
+                if nc_direct(words, y_vw, v0) != n_target:
                     continue
                 ya = reference_push(words, tuple(y_letters) + (letter,))
                 if not oracle_leq(words, ya, x, budget):
@@ -182,6 +190,71 @@ def test_memoized_searches_match_the_oracle_under_point_actions(case):
                 assert {words.standard_form(x, v0)} == oracle_standard_form_candidates(words, x, v0)
 
 
+@st.composite
+def _long_word_and_a_vertex(draw):
+    """2 to 6 vertices with random edges, Z/2 or Z/3 at each, a word of at
+    most 12 letters and a vertex.  A seeded generator appends random
+    letters that lengthen the word, up to a random length from 1 to 12;
+    random raw words mostly cancel to a few letters."""
+    n = draw(st.integers(2, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [p for p in pairs if draw(st.booleans())]
+    orders = draw(st.lists(st.integers(2, 3), min_size=n, max_size=n))
+    words = WordContext(SimplicialGraph.build(list(range(n)), edges), [cyclic_group(k) for k in orders])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gens = words.generators()
+    x, m = words.identity(), int(rng.integers(1, 13))
+    for _ in range(4 * m):
+        y = words.multiply(x, words.normalize([gens[int(rng.integers(0, len(gens)))]]))
+        if len(y) > len(x):
+            x = y
+            if len(x) == m:
+                break
+    return words, x, int(rng.integers(0, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_long_word_and_a_vertex())
+def test_letter_order_forms_match_the_exhaustive_search(case):
+    """``standard_form`` and ``downset_nc_max`` read the last v0 letter and
+    the chains of letters not joined off the canonical word; the oracle
+    searches every rearrangement and the whole down-set.  Its cost grows
+    steeply with the rearrangement class (seconds past 100 sequences), so
+    words with more than 30 are rejected."""
+    words, x, v0 = case
+    try:
+        words.rearrangements(x, budget=30)
+    except BudgetExceededError:
+        reject()
+    assert words.downset_nc_max(x, v0) == oracle_downset_nc_max(words, x, v0)
+    if v0 in x.vertex_word:
+        assert {words.standard_form(x, v0)} == oracle_standard_form_candidates(words, x, v0)
+    else:
+        with pytest.raises(NoV0LetterError):
+            words.standard_form(x, v0)
+
+
+def test_cross_terms_and_shared_prefix_enumerate_no_rearrangements(monkeypatch):
+    """Once the ball stack exists, the two standard-form checks list no
+    rearrangement class: forms and down-set maxima come off the letters."""
+    sc = build_scenario(load_config("scenarios/path_mixed.json"))
+    sc.system.ball_stack(sc.identity_radius, sc.budget)
+    calls = []
+    search = WordContext._rearrangements_seq
+
+    def counted(self, letters, budget):
+        calls.append(letters)
+        return search(self, letters, budget)
+
+    monkeypatch.setattr(WordContext, "_rearrangements_seq", counted)
+    for check in (verify_cross_terms, verify_y1_square):
+        result = check(sc)
+        assert result.passed and not result.vacuous
+    assert calls == []
+    verify_peel_off(sc)  # the counter sees a check that does enumerate
+    assert calls
+
+
 # ----------------------------------------------------------------------
 # budgets
 
@@ -220,7 +293,7 @@ def test_warm_truncation_memo_keeps_budget_errors():
     searches = [
         lambda w, x, l, budget: leq(w, l, x, budget=budget),
         lambda w, x, l, budget: w.complete_closure([x], budget=budget),
-        lambda w, x, l, budget: w.standard_form(x, 0, budget=budget),
+        lambda w, x, l, budget: w.standard_form_candidates(x, 0, budget=budget),
     ]
     # budgets below 2 are first checked at the second sequence
     for budget, sequences in ((0, 2), (1, 2), (20, 21), (23, 24)):
@@ -230,7 +303,8 @@ def test_warm_truncation_memo_keeps_budget_errors():
             word = [(v, 1) for v in range(4)]
             assert context == {"budget": budget, "word": word, "sequences": sequences}
             assert budget_error(lambda: search(warm, abcd[1], a[1], budget)) == (message, context)
-    assert leq(warm, a[1], abcd[1], budget=24) and warm.standard_form(abcd[1], 0, budget=24)
+    assert leq(warm, a[1], abcd[1], budget=24)
+    assert warm.standard_form_candidates(abcd[1], 0, budget=24)
 
 
 def test_warm_ball_memo_keeps_budget_errors():
