@@ -303,23 +303,45 @@ class MultiplierSystem:
         return V[:n], P[:n]
 
     def gp_value_letters(self, letters) -> CentralElement:
-        """Evaluate on one specific reduced expression l_0 ... l_{m-1}.
+        """Evaluate on one specific reduced expression l_0 ... l_{m-1}: the
+        one-expression case of :meth:`gp_values_letters`."""
+        return CentralElement._adopt(self.structure, self.gp_values_letters([letters])[0])
+
+    def gp_values_letters(self, expressions) -> np.ndarray:
+        """Values of E >= 1 raw expressions of one length m as an ``(E, K)``
+        array, row e that of expression e.
 
         Letter j is twisted by the action of its inverted right tail, the raw
         letters (l_{m-1}^-1, ..., l_{j+1}^-1); no tail is normalized.  This
         is the step of the value rows along the raw prefixes,
-        out = out[p(l^-1)] * h(l) from a copy of h(l_0), bit-equal to
-        multiplying the twisted factors left to right.
+        out = out[p(l^-1)] * h(l) from a copy of h(l_0), taken for all
+        expressions at once, one step per letter position.  The step is
+        elementwise, so each row is bit-equal to multiplying its twisted
+        factors left to right.
         """
         offset = self.words._slot_offset
-        slots = [offset[l.vertex] + l.elem for l in letters]
-        if not slots:
-            return CentralElement.one(self.structure)
+        slots = np.array(
+            [[offset[l.vertex] + l.elem for l in r] for r in expressions], dtype=np.intp
+        )
+        E, m = slots.shape
+        if m == 0:
+            return np.ones((E, self.structure.num_blocks), dtype=np.complex128)
         perms, values = self._slot_perms, self._slot_values
-        out = values[slots[0]].copy()
-        for s in slots[1:]:
-            out = out[perms[s]] * values[s]
-        return CentralElement._adopt(self.structure, out)
+        rows = np.arange(E)[:, None]
+        out = values[slots[:, 0]]
+        for s in slots.T[1:]:
+            out = out[rows, perms[s]] * values[s]
+        return out
+
+    def word_rows(self, xs) -> tuple:
+        """Value and action rows of the words xs: two ``(n, K)`` arrays, row i
+        the value of x_i and the index array of its action on block
+        scalars."""
+        words = self.words
+        words._check_ctx(*xs)
+        ids = np.array([words.intern(x.letters) for x in xs], dtype=np.intp)
+        values, perms = self._value_rows()
+        return values[ids], perms[ids]
 
     def kernel(self, x: GPElement, y: GPElement) -> CentralElement:
         return self._kernel.get(x, y)

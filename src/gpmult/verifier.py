@@ -267,33 +267,46 @@ def verify_star_symmetry(sc: Scenario) -> CheckResult:
 def verify_peel_off(sc: Scenario) -> CheckResult:
     """First-letter factorization of the product multiplier.
 
-    For every reduced expression x_1...x_m of every ball element, the value
-    must equal the tail value times the first letter's value twisted by the
-    inverse tail action.
+    For every reduced expression l r' of every ball element, the value must
+    equal h(l) twisted by the action of t^-1 times the value of t, where t
+    is the element of the tail r': h(l)[P[t^-1]] * V[t] with the value and
+    action rows V and P.  The tail depends only on the first letter, so it
+    is normalized once per first letter of each element.  The left sides
+    are one batched value recursion per expression length, and the right
+    sides one gather from the rows of the tails and their inverses.
     """
     sys_ = sc.system
     words = sys_.words
-    worst = 0.0
-    n_checked = 0
+    tails = []
+    by_length: dict = {}  # m -> (expressions, index of each one's tail)
     for x in words.ball(sc.identity_radius, budget=sc.budget):
         if not x.letters:
             continue
+        tail_of: dict = {}  # first letter -> index of its tail in ``tails``
         for r in words.rearrangements(x, budget=sc.budget):
-            tail = words.normalize(r[1:])
-            tail_inv = words.inverse(tail)
-            twisted = sys_.actions.act_word(tail_inv).on_central(
-                sys_.value_of_letter(r[0])
-            )
-            rhs = twisted * sys_.gp_value(tail)
-            worst = max_residual(worst, sys_.gp_value_letters(r).maxabs_diff(rhs))
-            n_checked += 1
-    if n_checked == 0:
+            if r[0] not in tail_of:
+                tail_of[r[0]] = len(tails)
+                tails.append(words.normalize(r[1:]))
+            exprs, at = by_length.setdefault(len(r), ([], []))
+            exprs.append(r)
+            at.append(tail_of[r[0]])
+    if not tails:
         return _vacuous(
             "peel-first-letter",
             "lemmas",
             "no nontrivial element in the identity-check ball",
             {"expressions": 0},
         )
+    values, _ = sys_.word_rows(tails)
+    _, acts = sys_.word_rows([words.inverse(t) for t in tails])
+    worst = 0.0
+    n_checked = 0
+    for exprs, at in by_length.values():
+        lhs = sys_.gp_values_letters(exprs)
+        first = sys_.gp_values_letters([r[:1] for r in exprs])
+        rhs = first[np.arange(len(exprs))[:, None], acts[at]] * values[at]
+        worst = max_residual(worst, float(np.abs(lhs - rhs).max()))
+        n_checked += len(exprs)
     return CheckResult(
         name="peel-first-letter",
         suite="lemmas",
@@ -355,41 +368,22 @@ def verify_drop_last(sc: Scenario) -> CheckResult:
     )
 
 
-def _standard_form_classes(sc: Scenario, ball, index) -> list:
-    """Per vertex v0, two integer arrays over the ball: the class of each
-    word x, its y vertex word in the standard form x = y c a b numbered in
-    order of first appearance (-1 without a v0 letter), and the ball index
-    of y c."""
-    words = sc.system.words
-    vertex_words = [x.vertex_word for x in ball]
-    out = []
-    for v0 in range(words.graph.n):
-        cls, yc = np.full(len(ball), -1), np.full(len(ball), -1)
-        classes: dict = {}
-        for i, x in enumerate(ball):
-            if v0 in vertex_words[i]:
-                sf = words.standard_form(x, v0)
-                cls[i] = classes.setdefault(sf.y.vertex_word, len(classes))
-                yc[i] = index[words.multiply(sf.y, sf.c)]
-        out.append((cls, yc))
-    return out
-
-
 def verify_cross_terms(sc: Scenario) -> CheckResult:
     """Factorization K(x, z) = K(x, yc) K(yc, z) under the two order conditions.
 
     x ranges over ball elements containing the distinguished vertex, with
     standard form x = y c a b; pairs (x, z) qualify when the down-set count
-    of z is strictly smaller, or equal with a different y vertex word.  yc
-    is a truncation of x, so per vertex the residuals are one gather from
-    the ball's kernel stack over the qualifying pairs.
+    of z is strictly smaller, or equal with a different y vertex word.  The
+    classes, the counts and the ball index of yc come from the word
+    context's standard-form table of the ball.  yc is a truncation of x, so
+    per vertex the residuals are one gather from the ball's kernel stack
+    over the qualifying pairs.
     """
-    words = sc.system.words
-    ball, gram, index = sc.system.ball_stack(sc.identity_radius, sc.budget)
-    counts = [[words.downset_nc_max(x, v) for x in ball] for v in range(words.graph.n)]
+    sys_ = sc.system
+    _, gram, _ = sys_.ball_stack(sc.identity_radius, sc.budget)
     worst = 0.0
     n1 = n2 = 0
-    for nc, (ycls, yc) in zip(np.array(counts), _standard_form_classes(sc, ball, index)):
+    for ycls, yc, nc in sys_.words.standard_form_table(sc.identity_radius, sc.budget):
         rows = np.flatnonzero(ycls >= 0)
         if not rows.size:
             continue
@@ -561,9 +555,10 @@ def verify_y1_square(sc: Scenario) -> CheckResult:
     common vertex; families require equal y vertex words.  The certified
     quantity is the smallest eigenvalue of the dominance difference with
     p_i = y_i c_i.  Requires all multiplier values to be positive central
-    elements.  x_i and its truncation y_i c_i lie in the identity-check
-    ball, so a chunk's family stacks of one size are one gather from the
-    ball's kernel stack.
+    elements.  Classes and the ball indices of y_i c_i are read from the
+    word context's standard-form table of the ball.  x_i and its truncation
+    y_i c_i lie in the identity-check ball, so a chunk's family stacks of
+    one size are one gather from the ball's kernel stack.
     """
     sys_ = sc.system
     for h in sys_.multipliers:
@@ -573,10 +568,10 @@ def verify_y1_square(sc: Scenario) -> CheckResult:
                 "lemmas",
                 "multiplier values are not positive central elements",
             )
-    ball, gram, index = sys_.ball_stack(sc.identity_radius, sc.budget)
+    _, gram, _ = sys_.ball_stack(sc.identity_radius, sc.budget)
     rng = np.random.default_rng([sc.seed, 105])
     class_lists = []  # per class its members, as ball indices (x, y c)
-    for cls, yc in _standard_form_classes(sc, ball, index):
+    for cls, yc, _ in sys_.words.standard_form_table(sc.identity_radius, sc.budget):
         for k in range(cls.max() + 1):
             class_lists.append([(i, yc[i]) for i in np.flatnonzero(cls == k)])
     per_class = max(8, -(-2 * sc.tuple_target // max(1, len(class_lists))))

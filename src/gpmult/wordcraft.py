@@ -33,6 +33,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import (
     BudgetExceededError,
     ContextMismatchError,
@@ -134,6 +136,8 @@ class WordContext:
         self.groups = tuple(groups)
         self._downset_cache: dict = {}
         self._sf_cache: dict = {}
+        # radius -> per vertex the (class, y c index, nc) arrays over the ball
+        self._sf_tables: dict = {}
         # letters -> (size of the rearrangement class, immediate truncations)
         self._trunc_cache: dict = {}
         self._balls: dict = {}  # radius -> ball
@@ -153,6 +157,11 @@ class WordContext:
             sum(g.order for g in self.groups[:v]) for v in range(graph.n)
         )
         self._letter_slots = sum(g.order for g in self.groups)
+        # per vertex the vertices not joined to it, itself included
+        self._apart = tuple(
+            frozenset(u for u in range(graph.n) if not graph.adjacent(u, v))
+            for v in range(graph.n)
+        )
         # the letter of each slot (None at a group identity)
         self._slot_letter = tuple(
             None if g == grp.identity else Letter(v, g)
@@ -518,6 +527,39 @@ class WordContext:
     # letters (Cartier-Foata), so both quantities below are read off the
     # canonical letters with no search.
 
+    def _standard_labels(self, vs: tuple, v0: int) -> tuple:
+        """The part of each letter of a reduced vertex word in its standard
+        form x = y * c * a * b relative to v0, and the count ``nc``.
+
+        ``(None, -1)`` without a v0 letter.  Else, with k the last v0
+        letter: letter k is "a"; a later letter is "b" when some "a" or "b"
+        letter before it is not joined to it (same-vertex letters are never
+        joined), so it is reached by a chain of letters pairwise not joined;
+        an earlier letter is "y" when some "y" or "a" letter after it is not
+        joined to it; the rest are "c".  ``nc`` counts the letters before k
+        not joined to v0, all of them "y".
+        """
+        if v0 not in vs:
+            return None, -1
+        k = len(vs) - 1 - vs[::-1].index(v0)
+        apart = self._apart
+        parts = ["c"] * len(vs)
+        parts[k] = "a"
+        seen = {v0}  # vertices of the "a" and "b" letters so far
+        for j in range(k + 1, len(vs)):
+            if not apart[vs[j]].isdisjoint(seen):
+                parts[j] = "b"
+                seen.add(vs[j])
+        seen = {v0}  # vertices of the "y" and "a" letters so far
+        nc = 0
+        for i in reversed(range(k)):
+            v = vs[i]
+            if not apart[v].isdisjoint(seen):
+                parts[i] = "y"
+                seen.add(v)
+                nc += v in apart[v0]
+        return "".join(parts), nc
+
     def downset_nc_max(self, x: GPElement, v0: int) -> int:
         """Largest non-commuting count relative to v0 over the down-set of x.
 
@@ -527,48 +569,64 @@ class WordContext:
         letters in their order, so none has more before its last v0 letter.
         """
         self._check_ctx(x)
-        vs = x.vertex_word
-        if v0 not in vs:
-            return -1
-        k = len(vs) - 1 - vs[::-1].index(v0)
-        return sum(1 for v in vs[:k] if not self.graph.adjacent(v, v0))
+        return self._standard_labels(x.vertex_word, v0)[1]
 
     def standard_form(self, x: GPElement, v0: int) -> StandardForm:
         """The decomposition x = y * c * a * b relative to v0, memoized.
 
-        With k the last v0 letter, the one whose prefix realizes the count
-        ``nc``: a is letter k; b is the letters after k that k reaches by a
-        chain of letters pairwise not joined, which is what must stay after
-        a; y is the letters before k not joined to v0 with every earlier
-        letter that reaches one of them by such a chain, which is what y * a
-        below x with count ``nc`` must hold; c is the rest in word order.
-        So b, then y, is shortest.  Raises ``NoV0LetterError`` when x has no
-        v0 letter.
+        Each part is the word of the letters ``_standard_labels`` gives it,
+        in word order.  b holds what must stay after a, and y what y * a
+        below x with count ``nc`` must hold, so b, then y, is shortest.
+        Raises ``NoV0LetterError`` when x has no v0 letter.
         """
         self._check_ctx(x)
         key = (x.letters, v0)
         form = self._sf_cache.get(key)
         if form is None:
-            vs = x.vertex_word
-            if v0 not in vs:
+            parts, nc = self._standard_labels(x.vertex_word, v0)
+            if parts is None:
                 raise NoV0LetterError("element has no letter at the vertex", v0=v0)
-            k = len(vs) - 1 - vs[::-1].index(v0)
-            joined = self.graph.adjacent
-            part = ["c"] * len(vs)
-            part[k] = "a"
-            for j in range(k + 1, len(vs)):
-                if any(part[i] != "c" and not joined(vs[i], vs[j]) for i in range(k, j)):
-                    part[j] = "b"
-            for i in reversed(range(k)):
-                if any(part[j] != "c" and not joined(vs[i], vs[j]) for j in range(i + 1, k + 1)):
-                    part[i] = "y"
             y, c, b = (
-                self._element(self._word_id(l for l, p in zip(x.letters, part) if p == name))
+                self._element(self._word_id(l for l, p in zip(x.letters, parts) if p == name))
                 for name in "ycb"
             )
-            nc = self.downset_nc_max(x, v0)
-            form = self._sf_cache[key] = StandardForm(y, c, x.letters[k], b, v0, nc)
+            a = x.letters[parts.index("a")]
+            form = self._sf_cache[key] = StandardForm(y, c, a, b, v0, nc)
         return form
+
+    def standard_form_table(self, radius: int, budget: int = DEFAULT_BUDGET) -> tuple:
+        """The standard forms over ``ball(radius, budget)``, per vertex v0 as
+        three read-only integer arrays over the ball, memoized per radius.
+
+        Per word x: its class, the y vertex word numbered in order of first
+        appearance; the ball index of y * c; and ``nc``.  All three are -1
+        without a v0 letter.  Each word's letters are labelled once per
+        vertex and no form is built: y * c is the word of x's "y" and "c"
+        letters in their order, since the labels split a rearrangement
+        y c a b of x, and deleting the same letters from two equivalent
+        words leaves equivalent words (Diekert-Rozenberg, The Book of
+        Traces), so one walk of successors over those letters gives its id.
+        """
+        ball = self.ball(radius, budget)
+        table = self._sf_tables.get(radius)
+        if table is None:
+            n = self.graph.n
+            out = np.full((n, 3, len(ball)), -1, dtype=np.intp)  # [v0, (cls, yc, nc), i]
+            classes = [{} for _ in range(n)]  # per vertex: y vertex word -> class
+            at = {self.intern(x.letters): i for i, x in enumerate(ball)}
+            for i, x in enumerate(ball):
+                vs = x.vertex_word
+                for v0 in range(n):
+                    parts, out[v0, 2, i] = self._standard_labels(vs, v0)
+                    if parts is None:
+                        continue
+                    y = tuple(v for v, p in zip(vs, parts) if p == "y")
+                    out[v0, 0, i] = classes[v0].setdefault(y, len(classes[v0]))
+                    yc = self._word_id(l for l, p in zip(x.letters, parts) if p in "yc")
+                    out[v0, 1, i] = at[yc]
+            out.flags.writeable = False
+            table = self._sf_tables[radius] = tuple(tuple(rows) for rows in out)
+        return table
 
     def standard_form_candidates(self, x: GPElement, v0: int, budget: int = DEFAULT_BUDGET):
         """All minimizers of the exhaustive standard-form search: exactly

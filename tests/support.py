@@ -7,9 +7,11 @@ properties of complete sets and down-sets that the package computes in
 other ways (``nc_direct`` is the per-word count whose maximum over the
 down-set the package now reads off the letter order), the matrix-unit
 loops are the oracles of action validation on ``ActionTable.unit_images``,
-and the per-entry central paths are the oracles of the gathers from
+the per-entry central paths are the oracles of the gathers from
 ``ActionTable.perms`` and ``Multiplier.scalars`` (and of the module form's
-cumulative sum) that replaced them.
+cumulative sum) that replaced them, and the per-word lemma paths are the
+oracles of the ball's standard-form table and of the batched
+peel-first-letter check.
 """
 
 import itertools
@@ -34,8 +36,9 @@ from gpmult.errors import (
     StructureMismatchError,
 )
 from gpmult.graphgroup import FiniteGroup, SimplicialGraph
-from gpmult.matalg import AlgebraElement, BlockStructure, CentralElement, is_positive
+from gpmult.matalg import AlgebraElement, BlockStructure, CentralElement, is_positive, max_residual
 from gpmult.multipliers import Multiplier, MultiplierSystem, convention_flip
+from gpmult.verifier import PEEL_TOL, CheckResult, _vacuous
 from gpmult.wordcraft import DEFAULT_BUDGET, GPElement, Letter, WordContext
 
 
@@ -176,6 +179,70 @@ def nc_length_set(words: WordContext, elements, v0: int) -> int:
     if not elements:
         raise EmptySetError("non-commuting count of an empty collection")
     return max(nc_length(words, x, v0) for x in elements)
+
+
+def reference_downset_nc_max(words: WordContext, x: GPElement, v0: int) -> int:
+    """Largest non-commuting count relative to v0 over the down-set of x,
+    counted directly: -1 without a v0 letter, else the letters before the
+    last v0 letter that are not joined to v0."""
+    vs = x.vertex_word
+    if v0 not in vs:
+        return -1
+    k = len(vs) - 1 - vs[::-1].index(v0)
+    return sum(1 for v in vs[:k] if not words.graph.adjacent(v, v0))
+
+
+def reference_standard_form_table(words: WordContext, ball) -> list:
+    """Per vertex v0 the class, y c index and nc arrays over the ball, one
+    ``standard_form`` and one ``multiply`` per word with a v0 letter and
+    one direct count per word."""
+    index = {x: i for i, x in enumerate(ball)}
+    out = []
+    for v0 in range(words.graph.n):
+        cls, yc = np.full(len(ball), -1), np.full(len(ball), -1)
+        nc = np.array([reference_downset_nc_max(words, x, v0) for x in ball])
+        classes: dict = {}
+        for i, x in enumerate(ball):
+            if v0 in x.vertex_word:
+                sf = words.standard_form(x, v0)
+                cls[i] = classes.setdefault(sf.y.vertex_word, len(classes))
+                yc[i] = index[words.multiply(sf.y, sf.c)]
+        out.append((cls, yc, nc))
+    return out
+
+
+def reference_verify_peel_off(sc) -> CheckResult:
+    """peel-first-letter one expression at a time: the tail normalized, its
+    inverse's action folded onto the first letter's value, times the tail's
+    value, against the expression's value."""
+    sys_ = sc.system
+    words = sys_.words
+    worst = 0.0
+    n_checked = 0
+    for x in words.ball(sc.identity_radius, budget=sc.budget):
+        if not x.letters:
+            continue
+        for r in words.rearrangements(x, budget=sc.budget):
+            tail = words.normalize(r[1:])
+            tail_inv = words.inverse(tail)
+            twisted = sys_.actions.act_word(tail_inv).on_central(sys_.value_of_letter(r[0]))
+            rhs = twisted * sys_.gp_value(tail)
+            worst = max_residual(worst, sys_.gp_value_letters(r).maxabs_diff(rhs))
+            n_checked += 1
+    if n_checked == 0:
+        return _vacuous(
+            "peel-first-letter",
+            "lemmas",
+            "no nontrivial element in the identity-check ball",
+            {"expressions": 0},
+        )
+    return CheckResult(
+        name="peel-first-letter",
+        suite="lemmas",
+        passed=worst <= PEEL_TOL,
+        residual=worst,
+        counts={"expressions": n_checked},
+    )
 
 
 def is_complete(words: WordContext, elements) -> bool:

@@ -178,8 +178,8 @@ def test_word_actions_compose_letter_index_arrays():
 def _memo_tables(system):
     """Every memo table of a system: the four that grow with the ball (the
     value rows hold the word actions too), the inverse ids, the interned words,
-    the successor memo, the immediate truncations, the balls and the ball
-    kernel stacks."""
+    the successor memo, the immediate truncations, the balls, the ball
+    standard-form tables and the ball kernel stacks."""
     words = system.words
     return {
         "kernel": system._kernel.cache,
@@ -193,13 +193,15 @@ def _memo_tables(system):
         "successors": words._succ,
         "truncations": words._trunc_cache,
         "balls": words._balls,
+        "standard_form_tables": words._sf_tables,
         "ball_stacks": system._ball_stacks,
     }
 
 
-# The lemma suite reads every kernel from gathered stacks and reads standard
-# forms and down-set maxima off the letter order, so it leaves these cold.
-NOT_FILLED_BY_LEMMAS = ("kernel", "downset", "truncations")
+# The lemma suite reads every kernel from gathered stacks and its standard
+# forms and down-set maxima from the ball's standard-form table, built off
+# the letter order, so it leaves these cold.
+NOT_FILLED_BY_LEMMAS = ("kernel", "downset", "standard_form", "truncations")
 
 
 def test_fresh_scenarios_start_with_cold_unshared_memo_tables():
