@@ -28,12 +28,15 @@ An index array distributes over elementwise products, so this is bit-equal
 to the left-to-right product above.  A kernel matrix over words x_0, ...,
 x_{n-1} is then one gather: the successor memo gives the ids prod[i, j] of
 x_i^-1 x_j, and ``G[k, i, j] = V[prod[i, j], P[x_j, k]]``.  Many families
-of words share one fill, and those of one size one gather.
+of words share one fill, and those of one size one gather.  The identity
+ball's stack takes its products, and the rows of ball(2r), from the word
+context's ball arrays instead, so it interns no word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +57,8 @@ from .wordcraft import DEFAULT_BUDGET, GPElement
 UNITAL_TOL = 1e-12
 COMMUTE_TOL = 1e-12
 WELL_DEFINED_TOL = 1e-10
+# entries per chunk of a gather over ball rows
+GATHER_ELEMENTS = 1 << 21
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,7 +212,7 @@ class MultiplierSystem:
         self.valid_multipliers = None
         self._value_cache = _ValueRows(self.structure.num_blocks)
         self._kernel = KernelTable(self)
-        self._ball_stacks: dict = {}  # radius -> (kernel stack, index map)
+        self._ball_stacks: dict = {}  # radius -> _BallStack
         # per letter slot of the word context: the index arrays of the
         # letter's action and of the inverse letter's, and the letter's value
         # (the identity's at an identity slot, which no letter uses)
@@ -259,11 +264,9 @@ class MultiplierSystem:
         """Values and actions of all interned words: arrays V and P, row i
         those of word i.
 
-        Rows are filled for every id without them by V[i] =
-        V[prefix][p(l^-1)] * h(l) and P[i] = p(l)[P[prefix]] for the last
-        letter l, from V[e] = 1 and P[e] = arange(K); a one-letter word
-        copies h(l).  Round r takes the ids with r proper prefixes still
-        without rows (counted by pointer jumping), so each id is taken once.
+        Rows are filled by ``_fill_rows`` for every id without them.  Round
+        r takes the ids with r proper prefixes still without rows (counted
+        by pointer jumping), so each id is taken once.
         """
         rows = self._value_cache
         words = self.words
@@ -276,7 +279,6 @@ class MultiplierSystem:
         if lo == 0:
             V[0], P[0] = 1.0, np.arange(self.structure.num_blocks)
             lo = 1
-        acts, perms, values = self._slot_actions, self._slot_perms, self._slot_values
         prefix = np.array(words._id_prefix[lo:n], dtype=np.intp)
         slot = np.array(words._id_last[lo:n], dtype=np.intp)
         up = prefix - lo  # negative where the prefix has rows
@@ -291,16 +293,23 @@ class MultiplierSystem:
         # every depth (numpy radix-sorts 8- and 16-bit keys)
         order = np.argsort(depth.astype(np.min_scalar_type(depth.max(initial=0))), kind="stable")
         ends = np.cumsum(np.bincount(depth))
-        one = np.flatnonzero(prefix == 0)
-        for start, end in zip((0, *ends[:-1]), ends):
-            take = order[start:end]
-            p, s = prefix[take], slot[take]
-            V[lo + take] = V[p[:, None], perms[s]] * values[s]
-            P[lo + take] = acts[s[:, None], P[p]]
-            if start == 0:
-                V[lo + one] = values[slot[one]]
+        takes = (order[start:end] for start, end in zip((0, *ends[:-1]), ends))
+        self._fill_rows(V, P, ((lo + t, prefix[t], slot[t]) for t in takes))
         rows.filled = n
         return V[:n], P[:n]
+
+    def _fill_rows(self, V, P, rounds) -> None:
+        """Fill value and action rows round by round, each round ``(ids,
+        prefixes, last slots)`` of words whose prefixes have rows:
+        V[i] = V[prefix][p(l^-1)] * h(l) and P[i] = p(l)[P[prefix]] for the
+        last letter l, and a one-letter word copies h(l)."""
+        acts, perms, values = self._slot_actions, self._slot_perms, self._slot_values
+        for ids, p, s in rounds:
+            v = V[p[:, None], perms[s]] * values[s]
+            one = p == 0
+            v[one] = values[s[one]]
+            V[ids] = v
+            P[ids] = acts[s[:, None], P[p]]
 
     def gp_value_letters(self, letters) -> CentralElement:
         """Evaluate on one specific reduced expression l_0 ... l_{m-1}: the
@@ -386,10 +395,61 @@ class MultiplierSystem:
         ball = self.words.ball(radius, budget=budget)
         cached = self._ball_stacks.get(radius)
         if cached is None:
-            gram = self.kernel_matrix(ball)
-            gram.flags.writeable = False
-            cached = self._ball_stacks[radius] = (gram, {x: i for i, x in enumerate(ball)})
-        return (ball, *cached)
+            cached = self._ball_stacks[radius] = self._gather_ball_stack(ball, radius)
+        return ball, cached.gram, cached.index
+
+    def ball_rows(self, radius: int, budget: int = DEFAULT_BUDGET) -> tuple:
+        """Over the word ball of ``radius``: the ball index of each word's
+        inverse, and the value and action rows of the words, kept with the
+        ball's kernel stack."""
+        self.ball_stack(radius, budget)
+        cached = self._ball_stacks[radius]
+        return cached.inverse, cached.values, cached.perms
+
+    def _gather_ball_stack(self, ball, radius: int) -> "_BallStack":
+        """The kernel stack over the ball from the arrays of ball(2 radius),
+        with no word interned.
+
+        Q[a, y] = a y over the ball is one gather from the successor table
+        per sphere of y, Q[:, y] = succ[Q[:, prefix(y)], last(y)], and the
+        inverse of a is the y with Q[a, y] the identity.  The value and
+        action rows of ball(2 radius) are filled sphere by sphere, and the
+        stack G[k, i, j] = V[Q[x_i^-1, j], P[x_j, k]] is gathered in row
+        chunks.
+        """
+        arrays = self.words.ball_arrays(2 * radius)
+        n, K = len(ball), self.structure.num_blocks
+        prod = np.empty((n, n), dtype=np.int32)
+        prod[:, 0] = np.arange(n)
+        for a, b in arrays.spheres(radius):
+            prod[:, a:b] = arrays.succ[prod[:, arrays.prefix[a:b]], arrays.last[a:b]]
+        inverse = prod.argmin(axis=1)
+        V = np.empty((len(arrays.prefix), K), dtype=np.complex128)
+        P = np.empty(V.shape, dtype=np.int32)
+        V[0], P[0] = 1.0, np.arange(K)
+        self._fill_rows(
+            V,
+            P,
+            ((slice(a, b), arrays.prefix[a:b], arrays.last[a:b]) for a, b in arrays.spheres()),
+        )
+        gram = np.empty((K, n, n), dtype=np.complex128)
+        act = P[:n].T[:, None, :]
+        step = max(1, GATHER_ELEMENTS // (K * n))
+        for a in range(0, n, step):
+            gram[:, a : a + step] = V[prod[inverse[a : a + step]][None], act]
+        gram.flags.writeable = False
+        index = {x: i for i, x in enumerate(ball)}
+        return _BallStack(gram, index, inverse, V[:n].copy(), P[:n].copy())
+
+
+class _BallStack(NamedTuple):
+    """What ``ball_stack`` keeps per radius."""
+
+    gram: np.ndarray  # (K, N, N) kernel stack, read-only
+    index: dict  # word -> ball index
+    inverse: np.ndarray  # ball index of each word's inverse
+    values: np.ndarray  # (N, K) value rows
+    perms: np.ndarray  # (N, K) action rows
 
 
 class _ValueRows:

@@ -38,6 +38,7 @@ from .errors import (
 )
 from .matalg import is_positive, max_residual
 from .multipliers import (
+    GATHER_ELEMENTS,
     MultiplierSystem,
     convention_flip,
     gp_well_defined,
@@ -267,44 +268,41 @@ def verify_star_symmetry(sc: Scenario) -> CheckResult:
 def verify_peel_off(sc: Scenario) -> CheckResult:
     """First-letter factorization of the product multiplier.
 
-    For every reduced expression l r' of every ball element, the value must
-    equal h(l) twisted by the action of t^-1 times the value of t, where t
-    is the element of the tail r': h(l)[P[t^-1]] * V[t] with the value and
-    action rows V and P.  The tail depends only on the first letter, so it
-    is normalized once per first letter of each element.  The left sides
-    are one batched value recursion per expression length, and the right
-    sides one gather from the rows of the tails and their inverses.
+    For every reduced expression l r' of every ball element x, the value
+    must equal h(l) twisted by the action of t^-1 times the value of t,
+    where t = l^-1 x is the element of the tail r': h(l)[P[t^-1]] * V[t]
+    with the value and action rows V and P of the ball.  t^-1 is x^-1 with
+    its last letter at l's vertex deleted, read off the ball's last-letter
+    table, and t its inverse.  The left sides are one batched value
+    recursion per expression length, and the right sides one gather from
+    the rows of the tails and their inverses.
     """
     sys_ = sc.system
     words = sys_.words
-    tails = []
-    by_length: dict = {}  # m -> (expressions, index of each one's tail)
-    for x in words.ball(sc.identity_radius, budget=sc.budget):
-        if not x.letters:
-            continue
-        tail_of: dict = {}  # first letter -> index of its tail in ``tails``
+    ball = words.ball(sc.identity_radius, budget=sc.budget)
+    inverse, values, perms = sys_.ball_rows(sc.identity_radius, sc.budget)
+    _, heads, _ = words.last_letter_table(sc.identity_radius, sc.budget)
+    by_length: dict = {}  # m -> (expressions, ball index of each one's inverted tail)
+    for i, x in enumerate(ball[1:], 1):
+        tails_inv = heads[inverse[i]]
         for r in words.rearrangements(x, budget=sc.budget):
-            if r[0] not in tail_of:
-                tail_of[r[0]] = len(tails)
-                tails.append(words.normalize(r[1:]))
             exprs, at = by_length.setdefault(len(r), ([], []))
             exprs.append(r)
-            at.append(tail_of[r[0]])
-    if not tails:
+            at.append(tails_inv[r[0].vertex])
+    if not by_length:
         return _vacuous(
             "peel-first-letter",
             "lemmas",
             "no nontrivial element in the identity-check ball",
             {"expressions": 0},
         )
-    values, _ = sys_.word_rows(tails)
-    _, acts = sys_.word_rows([words.inverse(t) for t in tails])
     worst = 0.0
     n_checked = 0
     for exprs, at in by_length.values():
+        at = np.array(at)
         lhs = sys_.gp_values_letters(exprs)
         first = sys_.gp_values_letters([r[:1] for r in exprs])
-        rhs = first[np.arange(len(exprs))[:, None], acts[at]] * values[at]
+        rhs = first[np.arange(len(exprs))[:, None], perms[at]] * values[inverse[at]]
         worst = max_residual(worst, float(np.abs(lhs - rhs).max()))
         n_checked += len(exprs)
     return CheckResult(
@@ -316,42 +314,37 @@ def verify_peel_off(sc: Scenario) -> CheckResult:
     )
 
 
-def _reduced_pairs(words, elements) -> np.ndarray:
-    """``(n, n)`` booleans: whether x_i^-1 x_j is reduced, for all pairs.
+def _reduced_pairs(lasts, inverse) -> np.ndarray:
+    """``(N, N)`` booleans over a ball: whether x_i^-1 x_j is reduced.
 
-    It is reduced exactly when x_i and x_j share no first vertex, so the
-    matrix is one integer product of the ``(n, V)`` first-vertex incidence
-    matrix with its transpose.
+    It is reduced exactly when x_i and x_j share no first vertex.  The first
+    vertices of x are the last vertices of x^-1, so the matrix is one
+    integer product of the ``(N, V)`` first-vertex incidence matrix, read
+    off the last vertices ``lasts`` at the inverses, with its transpose.
     """
-    first = np.zeros((len(elements), words.graph.n), dtype=bool)
-    for i, x in enumerate(elements):
-        first[i, list(words.first_vertices(x))] = True
-    counts = first.astype(int)
-    return counts @ counts.T == 0
+    first = lasts[inverse].astype(np.intp)
+    return first @ first.T == 0
 
 
 def verify_drop_last(sc: Scenario) -> CheckResult:
     """Kernel factorization through the last letter.
 
-    When x^-1 y is reduced (length adds), K(x, y) must factor as
-    K(x, head) K(head, y) for the head of every reduced expression of x.
-    Heads and y lie in the identity-check ball, so per x the instances are
-    one gather from the ball's kernel stack: the y with x^-1 y reduced
-    against the heads H, one per expression (repeats kept).
+    When x^-1 y is reduced (length adds), K(x, head) K(head, y) must equal
+    K(x, y) for the head of every reduced expression of x.  The heads are x
+    with one of its last letters deleted, each as many times as the class
+    of the head has sequences, read off the ball's last-letter table; x^-1 y
+    is reduced exactly when x and y share no first vertex, the last
+    vertices of their inverses.  The instances are gathered from the ball's
+    kernel stack over (x, head) pairs in row chunks.
     """
-    words = sc.system.words
-    ball, gram, index = sc.system.ball_stack(sc.identity_radius, sc.budget)
-    reduced = _reduced_pairs(words, ball)
-    worst = 0.0
-    n_checked = 0
-    for i, x in enumerate(ball):
-        if not x.letters:
-            continue
-        Y = np.flatnonzero(reduced[i])
-        H = [index[words.normalize(r[:-1])] for r in words.rearrangements(x, budget=sc.budget)]
-        diff = gram[:, i, Y][:, None, :] - gram[:, i, H][:, :, None] * gram[:, H][:, :, Y]
-        worst = max_residual(worst, float(np.abs(diff).max()))
-        n_checked += len(H) * len(Y)
+    sys_ = sc.system
+    _, gram, _ = sys_.ball_stack(sc.identity_radius, sc.budget)
+    inverse, _, _ = sys_.ball_rows(sc.identity_radius, sc.budget)
+    lasts, heads, sizes = sys_.words.last_letter_table(sc.identity_radius, sc.budget)
+    reduced = _reduced_pairs(lasts, inverse)
+    x, u = np.nonzero(lasts)
+    h = heads[x, u]
+    n_checked = int((sizes[h] * reduced[x].sum(axis=1)).sum())
     if n_checked == 0:
         return _vacuous(
             "drop-last-letter",
@@ -359,6 +352,12 @@ def verify_drop_last(sc: Scenario) -> CheckResult:
             "no x != e and y in the identity-check ball with x^-1 y reduced",
             {"instances": 0},
         )
+    worst = 0.0
+    step = max(1, GATHER_ELEMENTS // (gram.shape[0] * gram.shape[2]))
+    for a in range(0, len(x), step):
+        xs, hs = x[a : a + step], h[a : a + step]
+        diff = gram[:, xs] - gram[:, xs, hs][:, :, None] * gram[:, hs]
+        worst = max_residual(worst, float(np.where(reduced[xs], np.abs(diff), 0.0).max()))
     return CheckResult(
         name="drop-last-letter",
         suite="lemmas",

@@ -8,17 +8,21 @@ canonical word either merges with the one same-vertex letter it can commute
 back to, or is inserted at the one place that keeps the word least (Green's
 normal form theorem; the shortlex forms of Hermiller and Meier).
 
-Canonical words are interned as integer ids.  A prefix of a canonical word
-is canonical, so an id is stored as the id of its prefix and its last
-letter, and a word's letters are read back along its prefixes.  Every
-canonical word is built by one routine, the successor memo, which maps
-(id, letter) to the id of the canonical product: normal forms, products and
-inverses are walks of successors from the identity or from the left factor.
-A miss does not rescan the word: it walks down the prefixes while the new
-letter passes their last letters, to the prefix whose last letter it merges
-with or stops at, and rebuilds upward, so it costs memo lookups.  A table
-of products over a set of words is one memo lookup per pair once the memo
-is warm.
+Single words are interned as integer ids.  A prefix of a canonical word is
+canonical, so an id is stored as the id of its prefix and its last letter,
+and a word's letters are read back along its prefixes.  The successor memo
+maps (id, letter) to the id of the canonical product: normal forms,
+products and inverses are walks of successors from the identity or from
+the left factor.  A miss does not rescan the word: it walks down the
+prefixes while the new letter passes their last letters, to the prefix
+whose last letter it merges with or stops at, and rebuilds upward, so it
+costs memo lookups.
+
+Balls do not go through the memo.  The canonical words form a regular
+language (Hermiller-Meier, J. Algebra 171, 1995), so ``ball_arrays`` lists
+a ball sphere by sphere as integer arrays, one numpy step per sphere, with
+a table of successors over it filled by the same cases as ``successor``;
+the memo serves single words and is the oracle of those tables.
 
 A word is *reduced* when for every pair of equal-vertex positions k < l some
 intermediate position p carries a vertex not joined to it; equivalently, no
@@ -26,7 +30,6 @@ two same-vertex letters can be brought together by allowed swaps.  All
 equivalent reduced words are permutations of one another and have equal
 length, so word length and the vertex multiset are well defined on elements.
 """
-
 from __future__ import annotations
 
 from collections import deque
@@ -119,6 +122,22 @@ class StandardForm:
     nc: int
 
 
+class BallArrays(NamedTuple):
+    """A ball as integer arrays, word i the i-th word of ``WordContext.ball``
+    (see ``WordContext.ball_arrays``)."""
+
+    prefix: np.ndarray  # int32 ball index of each word's prefix (-1 at the identity)
+    last: np.ndarray  # int32 slot of each word's last letter (-1 at the identity)
+    ends: tuple  # ends[t] = |ball(t)|, up to the radius or the last nonempty sphere
+    succ: np.ndarray  # int32 (|ball(radius - 1)|, slots): index of the product with a slot's letter
+
+    def spheres(self, radius: int | None = None):
+        """(start, end) of the spheres 1, 2, ... of ball(radius), by default
+        of the whole listed ball."""
+        ends = self.ends[: None if radius is None else radius + 1]
+        return zip(ends[:-1], ends[1:])
+
+
 class WordContext:
     """A graph together with one finite group per vertex.
 
@@ -141,6 +160,7 @@ class WordContext:
         # letters -> (size of the rearrangement class, immediate truncations)
         self._trunc_cache: dict = {}
         self._balls: dict = {}  # radius -> ball
+        self._ball_arrays: dict = {}  # radius -> BallArrays
         self._inverses: dict = {}  # letters of x -> id of x^-1
         # interned canonical words: per id the id of its prefix and the slot
         # of its last letter (-1 and -1 for the identity, id 0, which is
@@ -168,6 +188,13 @@ class WordContext:
             for v, grp in enumerate(self.groups)
             for g in range(grp.order)
         )
+        # the vertex of each slot, and the adjacency matrix
+        self._slot_vertex = np.array(
+            [v for v, grp in enumerate(self.groups) for _ in range(grp.order)], dtype=np.intp
+        )
+        self._adjacency = np.array(
+            [[graph.adjacent(u, v) for v in range(graph.n)] for u in range(graph.n)], dtype=bool
+        ).reshape(graph.n, graph.n)
 
     # ------------------------------------------------------------------
     # constructors
@@ -605,7 +632,8 @@ class WordContext:
         letters in their order, since the labels split a rearrangement
         y c a b of x, and deleting the same letters from two equivalent
         words leaves equivalent words (Diekert-Rozenberg, The Book of
-        Traces), so one walk of successors over those letters gives its id.
+        Traces), so one walk of the ball's successor table over those
+        letters gives its ball index.
         """
         ball = self.ball(radius, budget)
         table = self._sf_tables.get(radius)
@@ -613,7 +641,7 @@ class WordContext:
             n = self.graph.n
             out = np.full((n, 3, len(ball)), -1, dtype=np.intp)  # [v0, (cls, yc, nc), i]
             classes = [{} for _ in range(n)]  # per vertex: y vertex word -> class
-            at = {self.intern(x.letters): i for i, x in enumerate(ball)}
+            succ, offset = self.ball_arrays(radius).succ.tolist(), self._slot_offset
             for i, x in enumerate(ball):
                 vs = x.vertex_word
                 for v0 in range(n):
@@ -622,8 +650,11 @@ class WordContext:
                         continue
                     y = tuple(v for v, p in zip(vs, parts) if p == "y")
                     out[v0, 0, i] = classes[v0].setdefault(y, len(classes[v0]))
-                    yc = self._word_id(l for l, p in zip(x.letters, parts) if p in "yc")
-                    out[v0, 1, i] = at[yc]
+                    yc = 0
+                    for l, p in zip(x.letters, parts):
+                        if p in "yc":
+                            yc = succ[yc][offset[l.vertex] + l.elem]
+                    out[v0, 1, i] = yc
             out.flags.writeable = False
             table = self._sf_tables[radius] = tuple(tuple(rows) for rows in out)
         return table
@@ -699,37 +730,132 @@ class WordContext:
     # enumeration
 
     def ball(self, radius: int, budget: int = DEFAULT_BUDGET):
-        """All elements of word length at most ``radius``, sorted.
+        """All elements of word length at most ``radius``, sorted, read off
+        ``ball_arrays`` and memoized per radius.
 
         ``BudgetExceededError`` names the radius whose words were being
-        listed when the ball outgrew ``budget``.  Memoized per radius: round
-        r lists the words of length r, so the element of a memoized ball
-        where a later, smaller budget runs out has the radius to name.
+        listed when the ball outgrew ``budget``.
         """
+        arrays = self.ball_arrays(radius, budget)
         out = self._balls.get(radius)
         if out is None:
-            out = self._balls[radius] = self._list_ball(radius, budget)
-        words = max(budget, 1) + 1  # the first count checked is 2
-        if len(out) >= words:
-            raise _ball_budget_error(budget, len(out[words - 1]), words)
+            letters, slot_letter = [()], self._slot_letter
+            for p, s in zip(arrays.prefix[1:].tolist(), arrays.last[1:].tolist()):
+                letters.append(letters[p] + (slot_letter[s],))
+            out = self._balls[radius] = tuple(GPElement(self, l) for l in letters)
         return out
 
-    def _list_ball(self, radius: int, budget: int) -> tuple:
-        gens = self.generators()
-        seen = {self.intern(())}
-        frontier = list(seen)
-        for r in range(1, radius + 1):
-            nxt = []
-            for i in frontier:
-                for l in gens:
-                    j = self.successor(i, l)
-                    if j not in seen:
-                        seen.add(j)
-                        if len(seen) > budget:
-                            raise _ball_budget_error(budget, r, len(seen))
-                        nxt.append(j)
-            frontier = nxt
-        return tuple(sorted(map(self._element, seen), key=_sort_key))
+    def ball_arrays(self, radius: int, budget: int | None = None) -> BallArrays:
+        """The ball of ``radius`` as integer arrays in ball order, memoized
+        per radius; a ``budget`` bounds its words as in ``ball``.
+
+        The canonical words are listed sphere by sphere by the graph-product
+        automaton (Hermiller-Meier).  The state of a word is the set B of
+        vertices a next letter may not take: a letter at w is appended iff w
+        is not in B, and the new state is (B & adj(w)) | {w} | {v in adj(w)
+        : v < w}.  Children listed in (parent, slot) order are sorted by
+        letters, as the parents are, so each sphere is in ball order.
+
+        The successor table over ball(radius - 1) holds each word's children
+        and, at an identity slot, the word itself.  The other products are
+        filled sphere by sphere by the cases of ``successor``: a letter of
+        the last letter's vertex merges with it (the product is the prefix's
+        successor by the merged slot, the prefix itself at the identity),
+        and a letter joined to the last letter passes it (the product is the
+        successor of the prefix's product by the last letter).
+        """
+        limit = None if budget is None else max(budget, 1) + 1  # the first count checked is 2
+        arrays = self._ball_arrays.get(radius)
+        if arrays is None:
+            arrays = self._ball_arrays[radius] = self._enumerate_ball(radius, budget, limit)
+        if limit is not None and arrays.ends[-1] >= limit:
+            reached = int(np.searchsorted(arrays.ends, limit - 1, side="right"))
+            raise _ball_budget_error(budget, reached, limit)
+        return arrays
+
+    def _enumerate_ball(self, radius: int, budget, limit) -> BallArrays:
+        n, slots = self.graph.n, self._letter_slots
+        adj, vertex = self._adjacency, self._slot_vertex
+        letter = np.array([l is not None for l in self._slot_letter], dtype=bool)
+        below = np.arange(n)[None, :] < np.arange(n)[:, None]
+        added = np.eye(n, dtype=bool) | (adj & below)  # per appended vertex w
+        prefix, last, ends = [np.array([-1], np.int32)], [np.array([-1], np.int32)], [1]
+        state, lo = np.zeros((1, n), dtype=bool), 0
+        for t in range(1, radius + 1):
+            kids = np.flatnonzero(letter & ~state[:, vertex])
+            if not kids.size:
+                break
+            if limit is not None and ends[-1] + kids.size >= limit:
+                raise _ball_budget_error(budget, t, limit)
+            parent, slot = np.divmod(kids, slots)
+            w = vertex[slot]
+            state = (state[parent] & adj[w]) | added[w]
+            prefix.append((lo + parent).astype(np.int32))
+            last.append(slot.astype(np.int32))
+            lo = ends[-1]
+            ends.append(lo + kids.size)
+        prefix, last = np.concatenate(prefix), np.concatenate(last)
+        rows = ends[min(radius - 1, len(ends) - 1)] if radius else 0  # |ball(radius - 1)|
+        succ = np.full((rows, slots), -1, dtype=np.int32)
+        succ[:, ~letter] = np.arange(rows, dtype=np.int32)[:, None]
+        succ[prefix[1:], last[1:]] = np.arange(1, len(prefix), dtype=np.int32)
+        # the slot of the product of slots a and b of one vertex is
+        # mul[row[a] + b], mul holding the vertex groups' tables as slots
+        offset, groups = self._slot_offset, self.groups
+        starts = np.cumsum([0] + [grp.order**2 for grp in groups])
+        mul = np.concatenate([off + grp.table.ravel() for off, grp in zip(offset, groups)])
+        row = np.concatenate(
+            [s + grp.order * np.arange(grp.order) - off for s, off, grp in zip(starts, offset, groups)]
+        )
+        for a, b in zip(ends[:-1], ends[1:]):
+            if a >= rows:
+                break
+            i, col = np.nonzero(succ[a:b] < 0)
+            i += a
+            p, l = prefix[i], last[i]
+            same = vertex[col] == vertex[l]
+            merged = mul[row[l[same]] + col[same]]
+            succ[i[same], col[same]] = succ[p[same], merged]
+            passed = ~same
+            succ[i[passed], col[passed]] = succ[succ[p[passed], col[passed]], l[passed]]
+        return BallArrays(prefix, last, tuple(ends), succ)
+
+    def last_letter_table(self, radius: int, budget: int = DEFAULT_BUDGET) -> tuple:
+        """Per word x of ``ball(radius, budget)``: the vertices some
+        rearrangement of x ends with, as an ``(N, n)`` boolean array; the
+        ball index of x with its last letter at u deleted, per such u (-1 at
+        the others); and the size of x's rearrangement class.
+
+        For x = x' l with l at w the last vertices are w and those of x'
+        joined to w.  Deleting l leaves x'; deleting the letter at such a u
+        leaves the successor of x' with it deleted by l.  A rearrangement
+        ends with the letter of one last vertex, so the class size is the
+        sum of the class sizes of the deletions; sizes are capped just past
+        ``budget``, and the first word in ball order whose class exceeds it
+        raises the error ``rearrangements`` raises for it.
+        """
+        ball = self.ball(radius, budget)
+        arrays = self.ball_arrays(radius)
+        adj, vertex = self._adjacency, self._slot_vertex
+        lasts = np.zeros((len(ball), self.graph.n), dtype=bool)
+        heads = np.full(lasts.shape, -1, dtype=np.int32)
+        sizes = np.ones(len(ball), dtype=np.int64)
+        # a sum of n capped sizes must not wrap
+        cap = min(max(budget, 1), np.iinfo(np.int64).max // (self.graph.n + 1)) + 1
+        for a, b in arrays.spheres():
+            p, s = arrays.prefix[a:b], arrays.last[a:b]
+            w, own = vertex[s], np.arange(b - a)
+            kept = lasts[p] & adj[w]
+            i, u = np.nonzero(kept)
+            heads[a + i, u] = arrays.succ[heads[p[i], u], s[i]]
+            heads[a + own, w] = p
+            kept[own, w] = True
+            lasts[a:b] = kept
+            sizes[a:b] = np.minimum(np.where(kept, sizes[heads[a:b]], 0).sum(axis=1), cap)
+        over = np.flatnonzero(sizes >= cap)
+        if over.size:
+            raise _class_budget_error(ball[over[0]].letters, budget, cap)
+        return lasts, heads, sizes
 
     # ------------------------------------------------------------------
     # serialization

@@ -11,7 +11,11 @@ the per-entry central paths are the oracles of the gathers from
 ``ActionTable.perms`` and ``Multiplier.scalars`` (and of the module form's
 cumulative sum) that replaced them, and the per-word lemma paths are the
 oracles of the ball's standard-form table and of the batched
-peel-first-letter check.
+peel-first-letter check.  ``reference_ball`` is the breadth-first ball over
+the successor memo that the automaton arrays replaced, the per-word
+drop-last and normalized-tail peel loops are the oracles of the checks that
+read the ball's last-letter table, and ``growth_sphere_sizes`` counts each
+sphere from the growth series with no word listed.
 """
 
 import itertools
@@ -38,7 +42,7 @@ from gpmult.errors import (
 from gpmult.graphgroup import FiniteGroup, SimplicialGraph
 from gpmult.matalg import AlgebraElement, BlockStructure, CentralElement, is_positive, max_residual
 from gpmult.multipliers import Multiplier, MultiplierSystem, convention_flip
-from gpmult.verifier import PEEL_TOL, CheckResult, _vacuous
+from gpmult.verifier import KERNEL_TOL, PEEL_TOL, CheckResult, _vacuous
 from gpmult.wordcraft import DEFAULT_BUDGET, GPElement, Letter, WordContext
 
 
@@ -111,6 +115,53 @@ def reference_push(words: WordContext, letters, word=()) -> GPElement:
         else:
             out.insert(pos, Letter(v, g))
     return GPElement(words, tuple(out))
+
+
+def reference_ball(words: WordContext, radius: int) -> list:
+    """The ball listed by breadth-first search over the successor memo, one
+    ``successor`` call per word and generator, sorted by (length, letters)."""
+    seen = {words.intern(())}
+    frontier = list(seen)
+    for _ in range(radius):
+        nxt = []
+        for i in frontier:
+            for l in words.generators():
+                j = words.successor(i, l)
+                if j not in seen:
+                    seen.add(j)
+                    nxt.append(j)
+        frontier = nxt
+    return sorted(map(words._element, seen), key=lambda x: (len(x), x.letters))
+
+
+def growth_sphere_sizes(words: WordContext, radius: int) -> list:
+    """Sphere sizes 0..radius of the graph product from its growth series
+    (Chiswell, Bull. London Math. Soc. 26, 1994), with no word listed.
+
+    1/W(z) is the sum over the cliques of the graph, the empty one
+    included, of the products of 1/W_v(z) - 1 = sum_k (-q_v z)^k over
+    their vertices, q_v + 1 the order of G_v, since every non-identity
+    element of G_v has length 1.  The constant term is 1, so the series
+    inverts exactly in integers, truncated at z^radius.
+    """
+    graph = words.graph
+
+    def times(a, b):
+        return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(radius + 1)]
+
+    inv = [0] * (radius + 1)
+    for size in range(graph.n + 1):
+        for clique in itertools.combinations(range(graph.n), size):
+            if all(graph.adjacent(u, v) for u, v in itertools.combinations(clique, 2)):
+                term = [1] + [0] * radius
+                for v in clique:
+                    q = words.groups[v].order - 1
+                    term = times(term, [0] + [(-q) ** k for k in range(1, radius + 1)])
+                inv = [a + b for a, b in zip(inv, term)]
+    out = [1] + [0] * radius
+    for k in range(1, radius + 1):
+        out[k] = -sum(inv[i] * out[k - i] for i in range(1, k + 1))
+    return out
 
 
 def leq(words: WordContext, x: GPElement, y: GPElement, budget: int = DEFAULT_BUDGET) -> bool:
@@ -242,6 +293,94 @@ def reference_verify_peel_off(sc) -> CheckResult:
         passed=worst <= PEEL_TOL,
         residual=worst,
         counts={"expressions": n_checked},
+    )
+
+
+def reference_normalized_peel_off(sc) -> CheckResult:
+    """peel-first-letter with each tail normalized once per first letter of
+    each element and its inverse built, their rows read through
+    ``word_rows``; the left sides one batched recursion per length."""
+    sys_ = sc.system
+    words = sys_.words
+    tails = []
+    by_length: dict = {}  # m -> (expressions, index of each one's tail)
+    for x in words.ball(sc.identity_radius, budget=sc.budget):
+        if not x.letters:
+            continue
+        tail_of: dict = {}  # first letter -> index of its tail in ``tails``
+        for r in words.rearrangements(x, budget=sc.budget):
+            if r[0] not in tail_of:
+                tail_of[r[0]] = len(tails)
+                tails.append(words.normalize(r[1:]))
+            exprs, at = by_length.setdefault(len(r), ([], []))
+            exprs.append(r)
+            at.append(tail_of[r[0]])
+    if not tails:
+        return _vacuous(
+            "peel-first-letter",
+            "lemmas",
+            "no nontrivial element in the identity-check ball",
+            {"expressions": 0},
+        )
+    values, _ = sys_.word_rows(tails)
+    _, acts = sys_.word_rows([words.inverse(t) for t in tails])
+    worst = 0.0
+    n_checked = 0
+    for exprs, at in by_length.values():
+        lhs = sys_.gp_values_letters(exprs)
+        first = sys_.gp_values_letters([r[:1] for r in exprs])
+        rhs = first[np.arange(len(exprs))[:, None], acts[at]] * values[at]
+        worst = max_residual(worst, float(np.abs(lhs - rhs).max()))
+        n_checked += len(exprs)
+    return CheckResult(
+        name="peel-first-letter",
+        suite="lemmas",
+        passed=worst <= PEEL_TOL,
+        residual=worst,
+        counts={"expressions": n_checked},
+    )
+
+
+def reference_reduced_pairs(words: WordContext, elements) -> np.ndarray:
+    """``(n, n)`` booleans: whether x_i^-1 x_j is reduced, from the first
+    vertices of each element listed by ``first_vertices``."""
+    first = np.zeros((len(elements), words.graph.n), dtype=bool)
+    for i, x in enumerate(elements):
+        first[i, list(words.first_vertices(x))] = True
+    counts = first.astype(int)
+    return counts @ counts.T == 0
+
+
+def reference_per_word_drop_last(sc) -> CheckResult:
+    """drop-last-letter one ball element at a time: the head of every
+    rearrangement normalized and looked up in the ball, then one gather
+    from the ball's kernel stack per element."""
+    words = sc.system.words
+    ball, gram, index = sc.system.ball_stack(sc.identity_radius, sc.budget)
+    reduced = reference_reduced_pairs(words, ball)
+    worst = 0.0
+    n_checked = 0
+    for i, x in enumerate(ball):
+        if not x.letters:
+            continue
+        Y = np.flatnonzero(reduced[i])
+        H = [index[words.normalize(r[:-1])] for r in words.rearrangements(x, budget=sc.budget)]
+        diff = gram[:, i, Y][:, None, :] - gram[:, i, H][:, :, None] * gram[:, H][:, :, Y]
+        worst = max_residual(worst, float(np.abs(diff).max()))
+        n_checked += len(H) * len(Y)
+    if n_checked == 0:
+        return _vacuous(
+            "drop-last-letter",
+            "lemmas",
+            "no x != e and y in the identity-check ball with x^-1 y reduced",
+            {"instances": 0},
+        )
+    return CheckResult(
+        name="drop-last-letter",
+        suite="lemmas",
+        passed=worst <= KERNEL_TOL,
+        residual=worst,
+        counts={"instances": n_checked},
     )
 
 

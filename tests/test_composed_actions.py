@@ -178,8 +178,8 @@ def test_word_actions_compose_letter_index_arrays():
 def _memo_tables(system):
     """Every memo table of a system: the four that grow with the ball (the
     value rows hold the word actions too), the inverse ids, the interned words,
-    the successor memo, the immediate truncations, the balls, the ball
-    standard-form tables and the ball kernel stacks."""
+    the successor memo, the immediate truncations, the balls, their arrays,
+    the ball standard-form tables and the ball kernel stacks."""
     words = system.words
     return {
         "kernel": system._kernel.cache,
@@ -193,6 +193,7 @@ def _memo_tables(system):
         "successors": words._succ,
         "truncations": words._trunc_cache,
         "balls": words._balls,
+        "ball_arrays": words._ball_arrays,
         "standard_form_tables": words._sf_tables,
         "ball_stacks": system._ball_stacks,
     }

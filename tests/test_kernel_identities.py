@@ -26,7 +26,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import central_stack, groupoid_from_space, nc_length_set, reference_push
+from support import (
+    central_stack,
+    groupoid_from_space,
+    nc_length_set,
+    reference_push,
+    reference_reduced_pairs,
+)
 from test_composed_actions import THREE_CYCLES, TRANSPOSITIONS, _powers
 
 from gpmult import verifier
@@ -303,8 +309,22 @@ def assert_same_reports(sc):
         assert report_text(fn, sc) == report_text(ref, sc)
 
 
-def assert_reduced_from_first_vertices(words, ball):
-    reduced = _reduced_pairs(words, ball)
+def reduced_pairs(system, radius):
+    """The reduced-pair matrix over ball(radius) as drop-last-letter reads
+    it, after checking its first vertices against ``first_vertices``."""
+    words = system.words
+    lasts, _, _ = words.last_letter_table(radius)
+    inverse, _, _ = system.ball_rows(radius)
+    for i, x in enumerate(words.ball(radius)):
+        assert tuple(np.flatnonzero(lasts[inverse[i]])) == tuple(sorted(words.first_vertices(x)))
+    return _reduced_pairs(lasts, inverse)
+
+
+def assert_reduced_from_first_vertices(system, radius):
+    words = system.words
+    ball = words.ball(radius)
+    reduced = reduced_pairs(system, radius)
+    assert np.array_equal(reduced, reference_reduced_pairs(words, ball))
     for i, x in enumerate(ball):
         x_inv = words.inverse(x)
         for j, y in enumerate(ball):
@@ -316,7 +336,7 @@ def assert_reduced_from_first_vertices(words, ball):
 def test_stack_checks_match_the_per_pair_reference(name):
     sc = build_scenario(load_config(str(ROOT / "scenarios" / f"{name}.json")), seed=42)
     assert_same_reports(sc)
-    assert_reduced_from_first_vertices(sc.system.words, sc.system.words.ball(sc.identity_radius))
+    assert_reduced_from_first_vertices(sc.system, sc.identity_radius)
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -470,7 +490,7 @@ def _random_scenario(draw):
 @given(_random_scenario())
 def test_stack_checks_match_the_per_pair_reference_on_random_products(sc):
     assert_same_reports(sc)
-    assert_reduced_from_first_vertices(sc.system.words, sc.system.words.ball(sc.identity_radius))
+    assert_reduced_from_first_vertices(sc.system, sc.identity_radius)
 
 
 def test_first_vertices_past_sixty_four_vertices():
@@ -483,11 +503,11 @@ def test_first_vertices_past_sixty_four_vertices():
     words = system.words
     ball = words.ball(1)
     assert [words.first_vertices(x) for x in ball] == [()] + [(v,) for v in range(n)]
-    reduced = _reduced_pairs(words, ball)
+    reduced = reduced_pairs(system, 1)
     letters = reduced[1:, 1:]
     assert reduced[0].all() and reduced[:, 0].all()
     assert np.array_equal(letters, ~np.eye(n, dtype=bool))
-    assert_reduced_from_first_vertices(words, ball)
+    assert_reduced_from_first_vertices(system, 1)
     sc = Scenario(name="wide", system=system, identity_radius=1)
     report = verify_drop_last(sc)
     assert report.counts == {"instances": n * n}
