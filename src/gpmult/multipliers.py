@@ -4,33 +4,30 @@ A multiplier assigns a central algebra element to each element of a finite
 group.  Positive definiteness is relative to an action: the matrix with
 entries ``alpha_{x_j}(h(x_i^-1 x_j))`` over a tuple of group elements must be
 positive in the matrix algebra over A.  The graph product of one multiplier
-per vertex is evaluated on reduced words by twisting each letter's value with
-the inverse action of its right tail and multiplying; when the per-edge
-commutation requirements hold (adjacent actions commute as maps, and each
-vertex action fixes the multipliers of its neighbours), the value does not
-depend on the chosen rearrangement.  A multiplier holds its values as the
-read-only ``(n, K)`` array ``scalars``, and on central values each twist is
-an index array, so an m-letter expression costs m index operations and
-products along the prefix recursion below.
+per vertex is evaluated on reduced expressions by twisting each letter's
+value with the inverse action of its right tail and multiplying; when the
+per-edge commutation requirements hold (adjacent actions commute as maps, and
+each vertex action fixes the multipliers of its neighbours), the value does
+not depend on the chosen expression.  Values are held as the read-only
+``(n, K)`` array ``scalars``, and on central values each twist is an index
+array.  The kernel ``K(x, y) = alpha_y(h(x^-1 y))`` is positive on all
+finite tuples exactly when h is positive definite, and the identities
+verified in :mod:`gpmult.verifier` are all phrased through K.
 
-The kernel of a multiplier is ``K(x, y) = alpha_y(h(x^-1 y))``; positive
-definiteness of h is equivalent to positivity of all kernel matrices over
-finite tuples, and the identities verified in :mod:`gpmult.verifier` are all
-phrased through K.
-
-Values and actions of canonical words are the rows of two growing
-``(N, K)`` arrays V and P, row i those of interned word i (see
-:mod:`gpmult.wordcraft`); P[i] is the index array of the word's action on
-block scalars.  Both are computed from the right by one prefix recursion,
-value(x' l) = value(x')[p(l^-1)] * h(l) and P[x' l] = p(l)[P[x']], p(l)
-the index array of the letter's action, for all ids without rows at once.
-An index array distributes over elementwise products, so this is bit-equal
-to the left-to-right product above.  A kernel matrix over words x_0, ...,
-x_{n-1} is then one gather: the successor memo gives the ids prod[i, j] of
-x_i^-1 x_j, and ``G[k, i, j] = V[prod[i, j], P[x_j, k]]``.  Many families
-of words share one fill, and those of one size one gather.  The identity
-ball's stack takes its products, and the rows of ball(2r), from the word
-context's ball arrays instead, so it interns no word.
+Values and actions of words are rows of ``(N, K)`` arrays V and P, computed
+from the right by one prefix recursion, value(x' l) = value(x')[p(l^-1)] *
+h(l) and P[x' l] = p(l)[P[x']], p(l) the index array of the letter's action;
+an index array distributes over elementwise products, so this is bit-equal
+to the left-to-right product.  ``tree_rows`` takes one step per length over
+a prefix tree of arrays from :mod:`gpmult.wordcraft`: a ball, or its
+expression table, which lists every reduced expression of every ball word,
+so rearrangement independence and the witness bound are read off rows.
+Interned words get rows in a growing cache, and a kernel matrix over x_0,
+..., x_{n-1} is one gather ``G[k, i, j] = V[prod[i, j], P[x_j, k]]``, prod
+the ids of the products x_i^-1 x_j from the successor memo; many families
+share one fill, and those of one size one gather.  The identity ball's
+stack takes its products and the rows of ball(2r) from the ball arrays, so
+it interns no word.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ from .errors import (
     StructureMismatchError,
 )
 from .graphgroup import FiniteGroup
-from .matalg import BlockStructure, CentralElement, is_positive, max_residual
+from .matalg import BlockStructure, CentralElement, is_positive
 from .wordcraft import DEFAULT_BUDGET, GPElement
 
 UNITAL_TOL = 1e-12
@@ -251,9 +248,6 @@ class MultiplierSystem:
     # ------------------------------------------------------------------
     # evaluation
 
-    def value_of_letter(self, letter) -> CentralElement:
-        return self.multipliers[letter.vertex].values[letter.elem]
-
     def gp_value(self, x: GPElement) -> CentralElement:
         """The product multiplier on x's canonical expression (its value row)."""
         if x.ctx is not self.words:
@@ -312,45 +306,20 @@ class MultiplierSystem:
             P[ids] = acts[s[:, None], P[p]]
 
     def gp_value_letters(self, letters) -> CentralElement:
-        """Evaluate on one specific reduced expression l_0 ... l_{m-1}: the
-        one-expression case of :meth:`gp_values_letters`."""
-        return CentralElement._adopt(self.structure, self.gp_values_letters([letters])[0])
-
-    def gp_values_letters(self, expressions) -> np.ndarray:
-        """Values of E >= 1 raw expressions of one length m as an ``(E, K)``
-        array, row e that of expression e.
+        """Evaluate on one specific reduced expression l_0 ... l_{m-1}.
 
         Letter j is twisted by the action of its inverted right tail, the raw
         letters (l_{m-1}^-1, ..., l_{j+1}^-1); no tail is normalized.  This
         is the step of the value rows along the raw prefixes,
-        out = out[p(l^-1)] * h(l) from a copy of h(l_0), taken for all
-        expressions at once, one step per letter position.  The step is
-        elementwise, so each row is bit-equal to multiplying its twisted
-        factors left to right.
+        out = out[p(l^-1)] * h(l) from a copy of h(l_0), so it is bit-equal
+        to multiplying the twisted factors left to right.
         """
-        offset = self.words._slot_offset
-        slots = np.array(
-            [[offset[l.vertex] + l.elem for l in r] for r in expressions], dtype=np.intp
-        )
-        E, m = slots.shape
-        if m == 0:
-            return np.ones((E, self.structure.num_blocks), dtype=np.complex128)
-        perms, values = self._slot_perms, self._slot_values
-        rows = np.arange(E)[:, None]
-        out = values[slots[:, 0]]
-        for s in slots.T[1:]:
-            out = out[rows, perms[s]] * values[s]
-        return out
-
-    def word_rows(self, xs) -> tuple:
-        """Value and action rows of the words xs: two ``(n, K)`` arrays, row i
-        the value of x_i and the index array of its action on block
-        scalars."""
-        words = self.words
-        words._check_ctx(*xs)
-        ids = np.array([words.intern(x.letters) for x in xs], dtype=np.intp)
-        values, perms = self._value_rows()
-        return values[ids], perms[ids]
+        offset, perms, values = self.words._slot_offset, self._slot_perms, self._slot_values
+        out = np.ones(self.structure.num_blocks, dtype=np.complex128)
+        for j, l in enumerate(letters):
+            s = offset[l.vertex] + l.elem
+            out = values[s].copy() if j == 0 else out[perms[s]] * values[s]
+        return CentralElement._adopt(self.structure, out)
 
     def kernel(self, x: GPElement, y: GPElement) -> CentralElement:
         return self._kernel.get(x, y)
@@ -406,16 +375,27 @@ class MultiplierSystem:
         cached = self._ball_stacks[radius]
         return cached.inverse, cached.values, cached.perms
 
+    def tree_rows(self, tree) -> tuple:
+        """Value and action rows of every node of a prefix tree of arrays, a
+        ball's (``BallArrays``) or its expressions' (``ExpressionTable``):
+        two ``(N, K)`` arrays, row 0 that of the empty word, filled by
+        ``_fill_rows`` one length at a time."""
+        V = np.empty((len(tree.prefix), self.structure.num_blocks), dtype=np.complex128)
+        P = np.empty(V.shape, dtype=np.int32)
+        V[0], P[0] = 1.0, np.arange(V.shape[1])
+        levels = zip(tree.ends[:-1], tree.ends[1:])
+        self._fill_rows(V, P, ((slice(a, b), tree.prefix[a:b], tree.last[a:b]) for a, b in levels))
+        return V, P
+
     def _gather_ball_stack(self, ball, radius: int) -> "_BallStack":
         """The kernel stack over the ball from the arrays of ball(2 radius),
         with no word interned.
 
         Q[a, y] = a y over the ball is one gather from the successor table
         per sphere of y, Q[:, y] = succ[Q[:, prefix(y)], last(y)], and the
-        inverse of a is the y with Q[a, y] the identity.  The value and
-        action rows of ball(2 radius) are filled sphere by sphere, and the
-        stack G[k, i, j] = V[Q[x_i^-1, j], P[x_j, k]] is gathered in row
-        chunks.
+        inverse of a is the y with Q[a, y] the identity.  The stack
+        G[k, i, j] = V[Q[x_i^-1, j], P[x_j, k]] is gathered from the rows of
+        ball(2 radius) in row chunks.
         """
         arrays = self.words.ball_arrays(2 * radius)
         n, K = len(ball), self.structure.num_blocks
@@ -424,14 +404,7 @@ class MultiplierSystem:
         for a, b in arrays.spheres(radius):
             prod[:, a:b] = arrays.succ[prod[:, arrays.prefix[a:b]], arrays.last[a:b]]
         inverse = prod.argmin(axis=1)
-        V = np.empty((len(arrays.prefix), K), dtype=np.complex128)
-        P = np.empty(V.shape, dtype=np.int32)
-        V[0], P[0] = 1.0, np.arange(K)
-        self._fill_rows(
-            V,
-            P,
-            ((slice(a, b), arrays.prefix[a:b], arrays.last[a:b]) for a, b in arrays.spheres()),
-        )
+        V, P = self.tree_rows(arrays)
         gram = np.empty((K, n, n), dtype=np.complex128)
         act = P[:n].T[:, None, :]
         step = max(1, GATHER_ELEMENTS // (K * n))
@@ -516,32 +489,35 @@ def gp_well_defined(
     radius: int = 4,
     budget: int = 100_000,
 ) -> WellDefinedReport:
-    """Compare the product evaluation across all rearrangements of all short words.
+    """Compare the product evaluation across all reduced expressions of all
+    short words: the rows of the expression table of ``ball(radius)``
+    against the ball's rows.
 
     Runs regardless of whether the setup checks passed, so it doubles as a
-    detector for broken setups: the report carries the worst word and its
-    deviation.
+    detector for broken setups: the witness is the least letter sequence of
+    the first word, in ball order, with the worst deviation (a NaN wins).
     """
     words = system.words
-    worst = 0.0
+    table = words.expression_table(radius, budget)
+    values, _ = system.tree_rows(words.ball_arrays(radius))
+    exprs, _ = system.tree_rows(table)
+    dev = np.abs(exprs - values[table.word]).max(axis=1)
+    worst = float(dev.max())
     witness = None
-    n_words = 0
-    n_exprs = 0
-    for x in words.ball(radius, budget=budget):
-        base = system.gp_value(x)
-        n_words += 1
-        for r in words.rearrangements(x, budget=budget):
-            n_exprs += 1
-            dev = system.gp_value_letters(r).maxabs_diff(base)
-            if dev > worst or (dev != dev and worst == worst):  # the first NaN wins
-                worst = dev
-                witness = r
+    if not worst <= 0.0:  # a deviation, or a NaN
+        hits = np.flatnonzero(np.isnan(dev) if worst != worst else dev == worst)
+        tied = hits[table.word[hits] == table.word[hits[0]]]
+        e, slots = tied, []  # the tied expressions' last slots, read back along their prefixes
+        while e[0] > 0:
+            slots.append(table.last[e])
+            e = table.prefix[e]
+        witness = min(tuple(words._slot_letter[s] for s in reversed(r)) for r in zip(*slots))
     return WellDefinedReport(
         ok=worst <= WELL_DEFINED_TOL,
         max_deviation=worst,
         word=witness,
-        checked_words=n_words,
-        checked_expressions=n_exprs,
+        checked_words=len(values),
+        checked_expressions=len(exprs),
     )
 
 
@@ -558,7 +534,8 @@ def haagerup_witness_ball(
     identity included).  Preconditions: every vertex multiplier is unital
     with off-identity values of norm at most 1/2, ``2^-K <= eps``, and
     ``L > K``.  Reports the largest multiplier norm over the radius-L ball
-    outside F and whether it stays below eps; ``budget`` caps the ball.
+    outside F, read off its value rows, and whether it stays below eps;
+    ``budget`` caps the ball.
     """
     for v, h in enumerate(system.multipliers):
         if not h.is_unital:
@@ -572,16 +549,14 @@ def haagerup_witness_ball(
         raise HypothesisViolatedError("need 2^-K <= eps", K=K, eps=eps)
     if L <= K:
         raise HypothesisViolatedError("need L > K", K=K, L=L)
-    ball = system.words.ball(L, budget=budget)
-    f_size = sum(1 for x in ball if len(x) <= K)
-    worst = 0.0
-    for x in ball:
-        if len(x) > K:
-            worst = max_residual(worst, system.gp_value(x).norm())
+    arrays = system.words.ball_arrays(L, budget)
+    values, _ = system.tree_rows(arrays)
+    f_size = arrays.ends[min(K, len(arrays.ends) - 1)] if K >= 0 else 0
+    worst = float(np.abs(values[f_size:]).max(initial=0.0))  # NaN if one is NaN
     return WitnessReport(
         ok=worst < eps,
         max_off_norm=worst,
         threshold=eps,
         f_size=f_size,
-        ball_size=len(ball),
+        ball_size=len(values),
     )

@@ -247,15 +247,30 @@ def verify_main_theorem(sc: Scenario, threads: int = 1) -> CheckResult:
 # ----------------------------------------------------------------------
 # kernel identity suite
 
+def _max_over_rows(gram, n: int, residual) -> float:
+    """The largest of ``residual(rows)`` over chunks of ``range(n)``, each
+    row a ``(K, N)`` gather from the ``(K, N, N)`` kernel stack ``gram`` and
+    a chunk at most ``GATHER_ELEMENTS`` entries; 0.0 over none, NaN when one
+    is NaN."""
+    worst = 0.0
+    step = max(1, GATHER_ELEMENTS // (gram.shape[0] * gram.shape[2]))
+    for a in range(0, n, step):
+        worst = max_residual(worst, float(residual(slice(a, a + step))))
+    return worst
+
+
 def verify_star_symmetry(sc: Scenario) -> CheckResult:
     """K(x, y) = K(y, x)* over all pairs from the identity-check ball.
 
     The residual is max |G - G^H| over the blocks of the ball's kernel stack,
     which the system builds once per radius and shares with drop-last-letter
-    and cross-terms.
+    and cross-terms, taken over row blocks against the matching column
+    blocks.
     """
     ball, gram, _ = sc.system.ball_stack(sc.identity_radius, sc.budget)
-    worst = float(np.abs(gram - gram.conj().swapaxes(-1, -2)).max())
+    worst = _max_over_rows(
+        gram, len(ball), lambda rows: np.abs(gram[:, rows] - gram[:, :, rows].conj().swapaxes(-1, -2)).max()
+    )
     return CheckResult(
         name="kernel-star-symmetry",
         suite="lemmas",
@@ -271,46 +286,39 @@ def verify_peel_off(sc: Scenario) -> CheckResult:
     For every reduced expression l r' of every ball element x, the value
     must equal h(l) twisted by the action of t^-1 times the value of t,
     where t = l^-1 x is the element of the tail r': h(l)[P[t^-1]] * V[t]
-    with the value and action rows V and P of the ball.  t^-1 is x^-1 with
-    its last letter at l's vertex deleted, read off the ball's last-letter
-    table, and t its inverse.  The left sides are one batched value
-    recursion per expression length, and the right sides one gather from
-    the rows of the tails and their inverses.
+    with the value and action rows V and P of the ball, h(l) the row of
+    the one-letter word.  The expressions are the word context's
+    expression table and their values its rows; the first letter and t are
+    carried down its prefix column, t by the ball's successor table.
     """
     sys_ = sc.system
     words = sys_.words
-    ball = words.ball(sc.identity_radius, budget=sc.budget)
     inverse, values, perms = sys_.ball_rows(sc.identity_radius, sc.budget)
-    _, heads, _ = words.last_letter_table(sc.identity_radius, sc.budget)
-    by_length: dict = {}  # m -> (expressions, ball index of each one's inverted tail)
-    for i, x in enumerate(ball[1:], 1):
-        tails_inv = heads[inverse[i]]
-        for r in words.rearrangements(x, budget=sc.budget):
-            exprs, at = by_length.setdefault(len(r), ([], []))
-            exprs.append(r)
-            at.append(tails_inv[r[0].vertex])
-    if not by_length:
+    table = words.expression_table(sc.identity_radius, sc.budget)
+    if len(table.prefix) == 1:
         return _vacuous(
             "peel-first-letter",
             "lemmas",
             "no nontrivial element in the identity-check ball",
             {"expressions": 0},
         )
-    worst = 0.0
-    n_checked = 0
-    for exprs, at in by_length.values():
-        at = np.array(at)
-        lhs = sys_.gp_values_letters(exprs)
-        first = sys_.gp_values_letters([r[:1] for r in exprs])
-        rhs = first[np.arange(len(exprs))[:, None], perms[at]] * values[inverse[at]]
-        worst = max_residual(worst, float(np.abs(lhs - rhs).max()))
-        n_checked += len(exprs)
+    succ = words.ball_arrays(sc.identity_radius).succ
+    first = table.word.copy()  # the ball index of each expression's first letter
+    tail = np.zeros_like(first)  # and of its t
+    for a, b in zip(table.ends[1:-1], table.ends[2:]):
+        p = table.prefix[a:b]
+        first[a:b] = first[p]
+        tail[a:b] = succ[tail[p], table.last[a:b]]
+    lhs, _ = sys_.tree_rows(table)
+    first, t = first[1:], tail[1:]
+    rhs = values[first[:, None], perms[inverse[t]]] * values[t]
+    worst = float(np.abs(lhs[1:] - rhs).max())  # NaN if one is NaN
     return CheckResult(
         name="peel-first-letter",
         suite="lemmas",
         passed=worst <= PEEL_TOL,
         residual=worst,
-        counts={"expressions": n_checked},
+        counts={"expressions": len(rhs)},
     )
 
 
@@ -340,9 +348,9 @@ def verify_drop_last(sc: Scenario) -> CheckResult:
     sys_ = sc.system
     _, gram, _ = sys_.ball_stack(sc.identity_radius, sc.budget)
     inverse, _, _ = sys_.ball_rows(sc.identity_radius, sc.budget)
-    lasts, heads, sizes = sys_.words.last_letter_table(sc.identity_radius, sc.budget)
-    reduced = _reduced_pairs(lasts, inverse)
-    x, u = np.nonzero(lasts)
+    heads, _, sizes = sys_.words.last_letter_table(sc.identity_radius, sc.budget)
+    reduced = _reduced_pairs(heads >= 0, inverse)
+    x, u = np.nonzero(heads >= 0)
     h = heads[x, u]
     n_checked = int((sizes[h] * reduced[x].sum(axis=1)).sum())
     if n_checked == 0:
@@ -352,12 +360,13 @@ def verify_drop_last(sc: Scenario) -> CheckResult:
             "no x != e and y in the identity-check ball with x^-1 y reduced",
             {"instances": 0},
         )
-    worst = 0.0
-    step = max(1, GATHER_ELEMENTS // (gram.shape[0] * gram.shape[2]))
-    for a in range(0, len(x), step):
-        xs, hs = x[a : a + step], h[a : a + step]
+
+    def residual(rows):
+        xs, hs = x[rows], h[rows]
         diff = gram[:, xs] - gram[:, xs, hs][:, :, None] * gram[:, hs]
-        worst = max_residual(worst, float(np.where(reduced[xs], np.abs(diff), 0.0).max()))
+        return np.where(reduced[xs], np.abs(diff), 0.0).max()
+
+    worst = _max_over_rows(gram, len(x), residual)
     return CheckResult(
         name="drop-last-letter",
         suite="lemmas",
@@ -375,8 +384,8 @@ def verify_cross_terms(sc: Scenario) -> CheckResult:
     of z is strictly smaller, or equal with a different y vertex word.  The
     classes, the counts and the ball index of yc come from the word
     context's standard-form table of the ball.  yc is a truncation of x, so
-    per vertex the residuals are one gather from the ball's kernel stack
-    over the qualifying pairs.
+    per vertex the residuals are gathered from the ball's kernel stack in
+    row chunks of x, over all z with the non-qualifying pairs masked.
     """
     sys_ = sc.system
     _, gram, _ = sys_.ball_stack(sc.identity_radius, sc.budget)
@@ -384,17 +393,18 @@ def verify_cross_terms(sc: Scenario) -> CheckResult:
     n1 = n2 = 0
     for ycls, yc, nc in sys_.words.standard_form_table(sc.identity_radius, sc.budget):
         rows = np.flatnonzero(ycls >= 0)
-        if not rows.size:
-            continue
         cond1 = nc[None, :] < nc[rows, None]
         cond2 = (nc[None, :] == nc[rows, None]) & (ycls >= 0) & (ycls[None, :] != ycls[rows, None])
         n1 += int(cond1.sum())
         n2 += int(cond2.sum())
-        r, z = np.nonzero(cond1 | cond2)
-        if r.size:
-            x, c = rows[r], yc[rows[r]]
-            diff = gram[:, x, z] - gram[:, x, c] * gram[:, c, z]
-            worst = max_residual(worst, float(np.abs(diff).max()))
+        qualify = cond1 | cond2
+
+        def residual(chunk):
+            x, c = rows[chunk], yc[rows[chunk]]
+            diff = gram[:, x] - gram[:, x, c][:, :, None] * gram[:, c]
+            return np.where(qualify[chunk], np.abs(diff), 0.0).max()
+
+        worst = max_residual(worst, _max_over_rows(gram, len(rows), residual))
     if n1 == n2 == 0:
         return _vacuous(
             "cross-terms",

@@ -21,8 +21,9 @@ costs memo lookups.
 Balls do not go through the memo.  The canonical words form a regular
 language (Hermiller-Meier, J. Algebra 171, 1995), so ``ball_arrays`` lists
 a ball sphere by sphere as integer arrays, one numpy step per sphere, with
-a table of successors over it filled by the same cases as ``successor``;
-the memo serves single words and is the oracle of those tables.
+a table of successors over it filled by the same cases as ``successor``,
+and ``expression_table`` lists the reduced expressions of its words as one
+more prefix tree; the memo serves single words and is the oracle of both.
 
 A word is *reduced* when for every pair of equal-vertex positions k < l some
 intermediate position p carries a vertex not joined to it; equivalently, no
@@ -138,6 +139,16 @@ class BallArrays(NamedTuple):
         return zip(ends[:-1], ends[1:])
 
 
+class ExpressionTable(NamedTuple):
+    """Every reduced expression of every word of a ball as a prefix tree of
+    arrays like ``BallArrays`` (see ``WordContext.expression_table``)."""
+
+    word: np.ndarray  # int32 ball index of each expression's word
+    prefix: np.ndarray  # int32 index of each expression's prefix (-1 at the empty one)
+    last: np.ndarray  # int32 slot of each expression's last letter (-1 at the empty one)
+    ends: tuple  # ends[t] = number of expressions of length at most t
+
+
 class WordContext:
     """A graph together with one finite group per vertex.
 
@@ -153,7 +164,7 @@ class WordContext:
             )
         self.graph = graph
         self.groups = tuple(groups)
-        self._downset_cache: dict = {}
+        self._downset_cache: dict = {}  # unfilled; the benchmark's cold-cache test reads it
         self._sf_cache: dict = {}
         # radius -> per vertex the (class, y c index, nc) arrays over the ball
         self._sf_tables: dict = {}
@@ -249,18 +260,6 @@ class WordContext:
                 ):
                     return False
         return True
-
-    def first_vertices(self, x: GPElement) -> tuple:
-        """Vertices some rearrangement of x starts with, in word order.
-
-        They are the vertices of the letters that only letters adjacent to
-        them precede.  x^-1 y is reduced (its length is |x| + |y|) exactly
-        when x and y share no first vertex.
-        """
-        self._check_ctx(x)
-        adjacent = self.graph.adjacent
-        vs = [l.vertex for l in x.letters]
-        return tuple(v for i, v in enumerate(vs) if all(adjacent(u, v) for u in vs[:i]))
 
     # ------------------------------------------------------------------
     # group operations
@@ -492,15 +491,6 @@ class WordContext:
                     if len(t.letters) > len(target):
                         frontier.append(t)
         return False
-
-    def downset(self, x: GPElement, max_size: int = 10_000, budget: int = DEFAULT_BUDGET):
-        """All elements below x in the truncation order (x included), sorted."""
-        self._check_ctx(x)
-        cached = self._downset_cache.get(x.letters)
-        if cached is None:
-            cached = self.complete_closure([x], max_size=max_size, budget=budget)
-            self._downset_cache[x.letters] = cached
-        return cached
 
     def complete_closure(
         self, elements, max_size: int = 10_000, budget: int = DEFAULT_BUDGET, optional=()
@@ -821,41 +811,63 @@ class WordContext:
         return BallArrays(prefix, last, tuple(ends), succ)
 
     def last_letter_table(self, radius: int, budget: int = DEFAULT_BUDGET) -> tuple:
-        """Per word x of ``ball(radius, budget)``: the vertices some
-        rearrangement of x ends with, as an ``(N, n)`` boolean array; the
-        ball index of x with its last letter at u deleted, per such u (-1 at
-        the others); and the size of x's rearrangement class.
+        """Per word x of ``ball(radius, budget)`` and vertex u: the ball
+        index of x with its last letter at u deleted, and the slot of that
+        letter, as two ``(N, n)`` arrays, -1 where no rearrangement of x ends
+        at u; and the size of x's rearrangement class.
 
         For x = x' l with l at w the last vertices are w and those of x'
         joined to w.  Deleting l leaves x'; deleting the letter at such a u
-        leaves the successor of x' with it deleted by l.  A rearrangement
-        ends with the letter of one last vertex, so the class size is the
-        sum of the class sizes of the deletions; sizes are capped just past
-        ``budget``, and the first word in ball order whose class exceeds it
-        raises the error ``rearrangements`` raises for it.
+        leaves the successor of x' with it deleted by l, and that letter is
+        x''s at u.  A rearrangement ends with the letter of one last vertex,
+        so the class size is the sum of the class sizes of the deletions;
+        sizes are capped just past ``budget``, and the first word in ball
+        order whose class exceeds it raises the error ``rearrangements``
+        raises for it.
         """
-        ball = self.ball(radius, budget)
-        arrays = self.ball_arrays(radius)
+        arrays = self.ball_arrays(radius, budget)
         adj, vertex = self._adjacency, self._slot_vertex
-        lasts = np.zeros((len(ball), self.graph.n), dtype=bool)
-        heads = np.full(lasts.shape, -1, dtype=np.int32)
-        sizes = np.ones(len(ball), dtype=np.int64)
+        heads = np.full((len(arrays.prefix), self.graph.n), -1, dtype=np.int32)
+        slots = heads.copy()
+        sizes = np.ones(len(heads), dtype=np.int64)
         # a sum of n capped sizes must not wrap
         cap = min(max(budget, 1), np.iinfo(np.int64).max // (self.graph.n + 1)) + 1
         for a, b in arrays.spheres():
             p, s = arrays.prefix[a:b], arrays.last[a:b]
             w, own = vertex[s], np.arange(b - a)
-            kept = lasts[p] & adj[w]
-            i, u = np.nonzero(kept)
+            i, u = np.nonzero((heads[p] >= 0) & adj[w])
             heads[a + i, u] = arrays.succ[heads[p[i], u], s[i]]
-            heads[a + own, w] = p
-            kept[own, w] = True
-            lasts[a:b] = kept
-            sizes[a:b] = np.minimum(np.where(kept, sizes[heads[a:b]], 0).sum(axis=1), cap)
+            slots[a + i, u] = slots[p[i], u]
+            heads[a + own, w], slots[a + own, w] = p, s
+            h = heads[a:b]
+            sizes[a:b] = np.minimum(np.where(h >= 0, sizes[h], 0).sum(axis=1), cap)
         over = np.flatnonzero(sizes >= cap)
         if over.size:
-            raise _class_budget_error(ball[over[0]].letters, budget, cap)
-        return lasts, heads, sizes
+            raise _class_budget_error(self.ball(radius, budget)[over[0]].letters, budget, cap)
+        return heads, slots, sizes
+
+    def expression_table(self, radius: int, budget: int = DEFAULT_BUDGET) -> ExpressionTable:
+        """Every reduced expression of every word of ``ball(radius, budget)``
+        with no search, and the budget errors of ``last_letter_table``: the
+        empty one first, then each word's in one run, in ball order.
+
+        The expressions of x ending with its last letter at u are those of
+        x with that letter deleted, followed by it (Diekert-Rozenberg, The
+        Book of Traces), so per (x, u) they are the run of the deletion's
+        expressions with one letter more; a word's run starts at the sum of
+        the class sizes before it, so all lengths are listed at once.
+        """
+        heads, slots, sizes = self.last_letter_table(radius, budget)
+        x, u = np.nonzero(heads >= 0)
+        h, upto = heads[x, u], np.cumsum(sizes)
+        count = sizes[h]
+        # per new expression: its word, its prefix less its place, its last slot
+        cols = np.repeat(np.array([x, upto[h] - np.cumsum(count), slots[x, u]], np.int32), count, axis=1)
+        cols[1] += np.arange(cols.shape[1], dtype=np.int32)
+        word, prefix, last = np.pad(cols, ((0, 0), (1, 0)), constant_values=-1)
+        word[0] = 0
+        ends = tuple(int(upto[b - 1]) for b in self.ball_arrays(radius).ends)
+        return ExpressionTable(word, prefix, last, ends)
 
     # ------------------------------------------------------------------
     # serialization

@@ -10,12 +10,17 @@ loops are the oracles of action validation on ``ActionTable.unit_images``,
 the per-entry central paths are the oracles of the gathers from
 ``ActionTable.perms`` and ``Multiplier.scalars`` (and of the module form's
 cumulative sum) that replaced them, and the per-word lemma paths are the
-oracles of the ball's standard-form table and of the batched
-peel-first-letter check.  ``reference_ball`` is the breadth-first ball over
-the successor memo that the automaton arrays replaced, the per-word
-drop-last and normalized-tail peel loops are the oracles of the checks that
-read the ball's last-letter table, and ``growth_sphere_sizes`` counts each
-sphere from the growth series with no word listed.
+oracles of the ball's standard-form table and of peel-first-letter.
+``reference_ball`` is the breadth-first ball over the successor memo that
+the automaton arrays replaced, the per-word drop-last and normalized-tail
+peel loops are the oracles of the checks that read the ball's last-letter
+and expression tables, and ``growth_sphere_sizes`` counts each sphere from
+the growth series with no word listed.  The per-word value paths the
+package dropped when its checks moved onto those tables live here too:
+``value_of_letter``, ``word_rows`` (rows of interned words),
+``first_vertices``, the batched ``gp_values_letters``, ``downset`` (the
+closure of one word), and the per-expression product-well-defined and
+per-word haagerup-witness loops, the oracles of the table checks.
 """
 
 import itertools
@@ -41,7 +46,14 @@ from gpmult.errors import (
 )
 from gpmult.graphgroup import FiniteGroup, SimplicialGraph
 from gpmult.matalg import AlgebraElement, BlockStructure, CentralElement, is_positive, max_residual
-from gpmult.multipliers import Multiplier, MultiplierSystem, convention_flip
+from gpmult.multipliers import (
+    WELL_DEFINED_TOL,
+    Multiplier,
+    MultiplierSystem,
+    WellDefinedReport,
+    WitnessReport,
+    convention_flip,
+)
 from gpmult.verifier import KERNEL_TOL, PEEL_TOL, CheckResult, _vacuous
 from gpmult.wordcraft import DEFAULT_BUDGET, GPElement, Letter, WordContext
 
@@ -171,6 +183,12 @@ def leq(words: WordContext, x: GPElement, y: GPElement, budget: int = DEFAULT_BU
     return words._leq(x, y, budget)
 
 
+def downset(words: WordContext, x: GPElement, max_size: int = 10_000, budget: int = DEFAULT_BUDGET):
+    """All elements below x in the truncation order (x included), sorted:
+    the closure of x."""
+    return words.complete_closure([x], max_size=max_size, budget=budget)
+
+
 def nc_direct(words: WordContext, vertices: tuple, v0: int) -> int:
     """Non-commuting count of a reduced vertex word relative to v0: -1 unless
     its last v0 letter can commute to the end, else the number of other
@@ -262,6 +280,102 @@ def reference_standard_form_table(words: WordContext, ball) -> list:
     return out
 
 
+# ----------------------------------------------------------------------
+# per-word value paths
+
+
+def value_of_letter(system: MultiplierSystem, letter) -> CentralElement:
+    """The value of one letter under its vertex multiplier."""
+    return system.multipliers[letter.vertex].values[letter.elem]
+
+
+def word_rows(system: MultiplierSystem, xs) -> tuple:
+    """Value and action rows of the words xs, interned and read off the
+    memo's rows: two ``(n, K)`` arrays, row i the value of x_i and the
+    index array of its action on block scalars."""
+    words = system.words
+    words._check_ctx(*xs)
+    ids = np.array([words.intern(x.letters) for x in xs], dtype=np.intp)
+    values, perms = system._value_rows()
+    return values[ids], perms[ids]
+
+
+def first_vertices(words: WordContext, x: GPElement) -> tuple:
+    """Vertices some rearrangement of x starts with, in word order: those of
+    the letters that only letters joined to them precede."""
+    words._check_ctx(x)
+    adjacent = words.graph.adjacent
+    vs = [l.vertex for l in x.letters]
+    return tuple(v for i, v in enumerate(vs) if all(adjacent(u, v) for u in vs[:i]))
+
+
+def gp_values_letters(system: MultiplierSystem, expressions) -> np.ndarray:
+    """Values of E >= 1 raw expressions of one length as an ``(E, K)``
+    array: the step of ``gp_value_letters`` taken for all of them at once,
+    one step per letter position."""
+    offset = system.words._slot_offset
+    slots = np.array(
+        [[offset[l.vertex] + l.elem for l in r] for r in expressions], dtype=np.intp
+    )
+    E, m = slots.shape
+    if m == 0:
+        return np.ones((E, system.structure.num_blocks), dtype=np.complex128)
+    perms, values = system._slot_perms, system._slot_values
+    rows = np.arange(E)[:, None]
+    out = values[slots[:, 0]]
+    for s in slots.T[1:]:
+        out = out[rows, perms[s]] * values[s]
+    return out
+
+
+def reference_gp_well_defined(
+    system: MultiplierSystem, radius: int = 4, budget: int = 100_000
+) -> WellDefinedReport:
+    """product-well-defined one expression at a time: every rearrangement of
+    every ball word through ``gp_value_letters``, against ``gp_value``; the
+    first strictly worse deviation, or the first NaN, is the witness."""
+    words = system.words
+    worst = 0.0
+    witness = None
+    n_words = 0
+    n_exprs = 0
+    for x in words.ball(radius, budget=budget):
+        base = system.gp_value(x)
+        n_words += 1
+        for r in words.rearrangements(x, budget=budget):
+            n_exprs += 1
+            dev = system.gp_value_letters(r).maxabs_diff(base)
+            if dev > worst or (dev != dev and worst == worst):  # the first NaN wins
+                worst = dev
+                witness = r
+    return WellDefinedReport(
+        ok=worst <= WELL_DEFINED_TOL,
+        max_deviation=worst,
+        word=witness,
+        checked_words=n_words,
+        checked_expressions=n_exprs,
+    )
+
+
+def reference_haagerup_witness_ball(
+    system: MultiplierSystem, K: int, eps: float, L: int, budget: int = DEFAULT_BUDGET
+) -> WitnessReport:
+    """haagerup-witness past its preconditions, one ``gp_value`` norm per
+    ball word longer than K."""
+    ball = system.words.ball(L, budget=budget)
+    worst = 0.0
+    for x in ball:
+        if len(x) > K:
+            worst = max_residual(worst, system.gp_value(x).norm())
+    return WitnessReport(
+        ok=worst < eps,
+        max_off_norm=worst,
+        threshold=eps,
+        f_size=sum(1 for x in ball if len(x) <= K),
+        ball_size=len(ball),
+    )
+
+
 def reference_verify_peel_off(sc) -> CheckResult:
     """peel-first-letter one expression at a time: the tail normalized, its
     inverse's action folded onto the first letter's value, times the tail's
@@ -276,7 +390,7 @@ def reference_verify_peel_off(sc) -> CheckResult:
         for r in words.rearrangements(x, budget=sc.budget):
             tail = words.normalize(r[1:])
             tail_inv = words.inverse(tail)
-            twisted = sys_.actions.act_word(tail_inv).on_central(sys_.value_of_letter(r[0]))
+            twisted = sys_.actions.act_word(tail_inv).on_central(value_of_letter(sys_, r[0]))
             rhs = twisted * sys_.gp_value(tail)
             worst = max_residual(worst, sys_.gp_value_letters(r).maxabs_diff(rhs))
             n_checked += 1
@@ -322,13 +436,13 @@ def reference_normalized_peel_off(sc) -> CheckResult:
             "no nontrivial element in the identity-check ball",
             {"expressions": 0},
         )
-    values, _ = sys_.word_rows(tails)
-    _, acts = sys_.word_rows([words.inverse(t) for t in tails])
+    values, _ = word_rows(sys_, tails)
+    _, acts = word_rows(sys_, [words.inverse(t) for t in tails])
     worst = 0.0
     n_checked = 0
     for exprs, at in by_length.values():
-        lhs = sys_.gp_values_letters(exprs)
-        first = sys_.gp_values_letters([r[:1] for r in exprs])
+        lhs = gp_values_letters(sys_, exprs)
+        first = gp_values_letters(sys_, [r[:1] for r in exprs])
         rhs = first[np.arange(len(exprs))[:, None], acts[at]] * values[at]
         worst = max_residual(worst, float(np.abs(lhs - rhs).max()))
         n_checked += len(exprs)
@@ -346,7 +460,7 @@ def reference_reduced_pairs(words: WordContext, elements) -> np.ndarray:
     vertices of each element listed by ``first_vertices``."""
     first = np.zeros((len(elements), words.graph.n), dtype=bool)
     for i, x in enumerate(elements):
-        first[i, list(words.first_vertices(x))] = True
+        first[i, list(first_vertices(words, x))] = True
     counts = first.astype(int)
     return counts @ counts.T == 0
 

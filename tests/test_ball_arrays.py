@@ -32,6 +32,7 @@ from support import (
     reference_ball,
     reference_normalized_peel_off,
     reference_per_word_drop_last,
+    word_rows,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -155,7 +156,7 @@ def assert_stack_matches_the_memo(system, radius):
     assert gram.shape == want.shape and gram.tobytes() == np.ascontiguousarray(want).tobytes()
     inverse, values, perms = system.ball_rows(radius)
     assert [ball[j] for j in inverse] == [words.inverse(x) for x in ball]
-    memo_values, memo_perms = system.word_rows(ball)
+    memo_values, memo_perms = word_rows(system, ball)
     assert values.tobytes() == memo_values.tobytes()
     assert np.array_equal(perms, memo_perms)
     assert all(ball[i] == x for x, i in index.items())
@@ -192,14 +193,16 @@ def test_ball_stack_interns_no_word_of_the_doubled_ball():
 def assert_last_letter_table(words, radius):
     ball = words.ball(radius)
     index = {x: i for i, x in enumerate(ball)}
-    lasts, heads, sizes = words.last_letter_table(radius)
+    heads, slots, sizes = words.last_letter_table(radius)
     for i, x in enumerate(ball):
         seqs = words.rearrangements(x)
         assert sizes[i] == len(seqs)
         ends = {r[-1].vertex: index[words.normalize(r[:-1])] for r in seqs if r}
-        assert set(np.flatnonzero(lasts[i])) == set(ends)
+        letters = {r[-1].vertex: words._slot_offset[r[-1].vertex] + r[-1].elem for r in seqs if r}
+        assert set(np.flatnonzero(heads[i] >= 0)) == set(ends)
         assert {u: heads[i, u] for u in ends} == ends
-        assert (heads[i] >= 0).sum() == len(ends)
+        assert {u: slots[i, u] for u in ends} == letters
+        assert (heads[i] >= 0).sum() == (slots[i] >= 0).sum() == len(ends)
 
 
 def report(fn, sc) -> tuple:

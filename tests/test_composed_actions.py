@@ -20,7 +20,7 @@ from gpmult.graphgroup import SimplicialGraph, cyclic_group
 from gpmult.matalg import CentralElement
 from gpmult.verifier import _complete_sets, run_suite
 from gpmult.wordcraft import Letter
-from support import apply_central, groupoid_from_space
+from support import apply_central, groupoid_from_space, value_of_letter
 
 
 def fold_on_central(actions, letters, c):
@@ -40,9 +40,9 @@ def fold_gp_value(system, letters):
     inv = [Letter(l.vertex, groups[l.vertex].inverse(l.elem)) for l in letters]
     out = None
     for j, letter in enumerate(letters[:-1]):
-        factor = fold_on_central(system.actions, inv[:j:-1], system.value_of_letter(letter))
+        factor = fold_on_central(system.actions, inv[:j:-1], value_of_letter(system, letter))
         out = factor if out is None else out * factor
-    last = system.value_of_letter(letters[-1])
+    last = value_of_letter(system, letters[-1])
     return last if out is None else out * last
 
 

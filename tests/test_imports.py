@@ -4,8 +4,9 @@ module-level UPPER_CASE constant of the package is loaded somewhere in
 package is named there outside its own definition, every
 ``GPMultError`` subclass in ``errors.py`` is named by some other file
 there, only the algebra and action layers use full algebra elements,
-only the word and value layers read the internals of a word context, and
-only the word layer names the truncation search."""
+only the word and value layers read the internals of a word context,
+only the word layer names the truncation search, and neither the value
+layer nor the checks name the rearrangement search."""
 
 import ast
 import re
@@ -370,12 +371,13 @@ def test_only_the_word_layer_reads_word_internals(module):
 SEARCH_NAMES = {"standard_form_candidates", "_leq", "_immediate_truncations"}
 
 
-def search_mentions(source: str):
-    """(line, name) of every import or mention of a truncation-search name."""
+def search_mentions(source: str, names=SEARCH_NAMES):
+    """(line, name) of every import or mention of one of ``names``, by
+    default the truncation-search names."""
     sites = name_sites(source)
-    out = [(line, name) for name in SEARCH_NAMES for line in sites.get(name, ())]
+    out = [(line, name) for name in names for line in sites.get(name, ())]
     imports = imported_names(ast.parse(source))
-    return sorted(out + [(line, name) for name, line in imports.items() if name in SEARCH_NAMES])
+    return sorted(out + [(line, name) for name, line in imports.items() if name in names])
 
 
 def test_search_scanner_finds_names_attributes_and_strings():
@@ -398,3 +400,28 @@ def test_search_scanner_finds_names_attributes_and_strings():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "wordcraft.py"])
 def test_only_the_word_layer_names_the_truncation_search(module):
     assert search_mentions((SRC / module).read_text(encoding="utf-8")) == []
+
+
+# The checks and the value layer read every reduced expression off the word
+# context's expression table, so neither enumerates a rearrangement class.
+ENUMERATION_NAMES = {"rearrangements", "_rearrangements_seq"}
+
+
+def test_enumeration_scanner_finds_names_attributes_and_strings():
+    source = (
+        '"""Every rearrangements of x."""\n'
+        "seqs = words.rearrangements(x)\n"
+        "from .wordcraft import _rearrangements_seq\n"
+        "f = getattr(words, 'rearrangements')\n"
+        "rearrangements_count = len(seqs)\n"
+        "table = words.expression_table(3)\n"
+    )
+    expected = [(2, "rearrangements"), (3, "_rearrangements_seq"), (4, "rearrangements")]
+    assert search_mentions(source, ENUMERATION_NAMES) == expected
+
+
+@pytest.mark.parametrize("module", ["multipliers.py", "verifier.py"])
+def test_checks_and_values_name_no_rearrangement_search(module):
+    source = (SRC / module).read_text(encoding="utf-8")
+    assert search_mentions(source, ENUMERATION_NAMES) == []
+

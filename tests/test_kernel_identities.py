@@ -28,6 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from support import (
     central_stack,
+    downset,
+    first_vertices,
     groupoid_from_space,
     nc_length_set,
     reference_push,
@@ -120,7 +122,7 @@ def reference_cross_terms(sc: Scenario) -> CheckResult:
     n1 = n2 = 0
     for v0 in range(words.graph.n):
         with_v0 = [x for x in ball if v0 in x.vertex_word]
-        nc_set = {x: nc_length_set(words, words.downset(x), v0) for x in ball}
+        nc_set = {x: nc_length_set(words, downset(words, x), v0) for x in ball}
         forms = {x: words.standard_form(x, v0) for x in with_v0}
         for x in with_v0:
             sf = forms[x]
@@ -313,10 +315,11 @@ def reduced_pairs(system, radius):
     """The reduced-pair matrix over ball(radius) as drop-last-letter reads
     it, after checking its first vertices against ``first_vertices``."""
     words = system.words
-    lasts, _, _ = words.last_letter_table(radius)
+    heads, _, _ = words.last_letter_table(radius)
+    lasts = heads >= 0
     inverse, _, _ = system.ball_rows(radius)
     for i, x in enumerate(words.ball(radius)):
-        assert tuple(np.flatnonzero(lasts[inverse[i]])) == tuple(sorted(words.first_vertices(x)))
+        assert tuple(np.flatnonzero(lasts[inverse[i]])) == tuple(sorted(first_vertices(words, x)))
     return _reduced_pairs(lasts, inverse)
 
 
@@ -502,7 +505,7 @@ def test_first_vertices_past_sixty_four_vertices():
     system = groupoid_from_space(graph, [cyclic_group(2)] * n, 1, {}, values)
     words = system.words
     ball = words.ball(1)
-    assert [words.first_vertices(x) for x in ball] == [()] + [(v,) for v in range(n)]
+    assert [first_vertices(words, x) for x in ball] == [()] + [(v,) for v in range(n)]
     reduced = reduced_pairs(system, 1)
     letters = reduced[1:, 1:]
     assert reduced[0].all() and reduced[:, 0].all()

@@ -38,7 +38,7 @@ from gpmult.multipliers import (
 )
 from gpmult.verifier import Scenario, verify_main_theorem, verify_setup
 from gpmult.wordcraft import WordContext
-from support import groupoid_from_space, tensor_fixture
+from support import groupoid_from_space, tensor_fixture, value_of_letter
 
 SCALAR = BlockStructure((1,))
 
@@ -257,10 +257,10 @@ def canonical_tail_value(system, letters):
     for j, letter in enumerate(letters[:-1]):
         tail_inv = words.inverse(words.normalize(letters[j + 1 :]))
         factor = system.actions.act_word(tail_inv).on_central(
-            system.value_of_letter(letter)
+            value_of_letter(system, letter)
         )
         out = factor if out is None else out * factor
-    last = system.value_of_letter(letters[-1])
+    last = value_of_letter(system, letters[-1])
     return last if out is None else out * last
 
 

@@ -5,9 +5,9 @@
 search skips splits above the best one and builds forms only there.  The
 oracle below is the search without either: every truncation step
 re-enumerates the rearrangement class and re-pushes r[1:] and r[:-1], and
-every admissible split builds its form (tested against the down-set of x,
-collected once that way).  Results must agree exactly, and a
-warm memo must raise the same budget errors as a cold search.  The same
+every split at every y length is tested (each distinct y a once, against
+the down-set of x, collected once that way).  Results must agree exactly,
+and a warm memo must raise the same budget errors as a cold search.  The same
 oracle checks the standard forms and down-set maxima that ``WordContext``
 reads off the letter order with no search.
 """
@@ -22,11 +22,14 @@ from hypothesis import strategies as st
 from gpmult.cli import build_scenario, load_config
 from gpmult.errors import BudgetExceededError, GPMultError, NoV0LetterError
 from gpmult.graphgroup import SimplicialGraph, cyclic_group
+from gpmult.multipliers import MultiplierSystem
 from gpmult.verifier import (
     Scenario,
     run_suite,
     verify_cross_terms,
     verify_peel_off,
+    verify_well_defined,
+    verify_witness,
     verify_y1_square,
 )
 from gpmult.wordcraft import DEFAULT_BUDGET, StandardForm, WordContext, _sort_key
@@ -90,7 +93,9 @@ def oracle_standard_form_candidates(words, x, v0, budget=DEFAULT_BUDGET):
 
     The down-set of x is collected once, so whether y a lies below x is a
     membership test: the down-set is the closure of x under truncation,
-    and it holds the identity, which every nonempty word is above.
+    and it holds the identity, which every nonempty word is above.  Each
+    distinct y a is pushed and tested once, and forms are built only for
+    the splits at the least admissible |y|.
     """
     if v0 not in x.vertex_word:
         raise NoV0LetterError("element has no letter at the vertex", v0=v0)
@@ -110,30 +115,37 @@ def oracle_standard_form_candidates(words, x, v0, budget=DEFAULT_BUDGET):
         raise GPMultError("no split realizes the down-set maximum", word=x.letters, v0=v0)
     min_b = min(len(b) for (_, _, b) in cands)
     cands = [c for c in cands if len(c[2]) == min_b]
-    finals = {}
+    admissible = {}  # (y letters, a) -> whether y a is reduced with count n and below x
+    splits = []  # (y letters, c letters, a, b letters) of every admissible split
     for prefix, letter, b in cands:
         for rp in words._rearrangements_seq(tuple(prefix), budget):
             for j in range(len(rp) + 1):
-                y_letters, c_letters = rp[:j], rp[j:]
-                y_vw = tuple(m.vertex for m in y_letters) + (v0,)
-                if not words.is_reduced(y_vw):
-                    continue
-                if nc_direct(words, y_vw, v0) != n_target:
-                    continue
-                if reference_push(words, tuple(y_letters) + (letter,)) not in below:
-                    continue
-                form = StandardForm(
-                    y=reference_push(words, y_letters),
-                    c=reference_push(words, c_letters),
-                    a=letter,
-                    b=reference_push(words, b),
-                    v0=v0,
-                    nc=n_target,
-                )
-                finals.setdefault(j, set()).add(form)
-    if not finals:
+                key = (rp[:j], letter)
+                ok = admissible.get(key)
+                if ok is None:
+                    y_vw = tuple(m.vertex for m in rp[:j]) + (v0,)
+                    ok = admissible[key] = (
+                        words.is_reduced(y_vw)
+                        and nc_direct(words, y_vw, v0) == n_target
+                        and reference_push(words, rp[:j] + (letter,)) in below
+                    )
+                if ok:
+                    splits.append((rp[:j], rp[j:], letter, b))
+    if not splits:
         raise GPMultError("no admissible y split found", word=x.letters, v0=v0)
-    return finals[min(finals)]
+    best = min(len(y) for y, _, _, _ in splits)
+    return {
+        StandardForm(
+            y=reference_push(words, y),
+            c=reference_push(words, c),
+            a=letter,
+            b=reference_push(words, b),
+            v0=v0,
+            nc=n_target,
+        )
+        for y, c, letter, b in splits
+        if len(y) == best
+    }
 
 
 # ----------------------------------------------------------------------
@@ -234,11 +246,11 @@ def test_letter_order_forms_match_the_exhaustive_search(case):
     """``standard_form`` and ``downset_nc_max`` read the last v0 letter and
     the chains of letters not joined off the canonical word; the oracle
     searches every rearrangement and the whole down-set.  Its cost grows
-    steeply with the rearrangement class (up to 2 s per pair near 200
-    sequences, 14 s at 488), so words with more than 200 are rejected."""
+    with the rearrangement class (up to 0.7 s per pair near 500 sequences,
+    2 s near 1,000), so words with more than 500 are rejected."""
     words, x, v0 = case
     try:
-        words.rearrangements(x, budget=200)
+        words.rearrangements(x, budget=500)
     except BudgetExceededError:
         reject()
     assert words.downset_nc_max(x, v0) == oracle_downset_nc_max(words, x, v0)
@@ -251,9 +263,10 @@ def test_letter_order_forms_match_the_exhaustive_search(case):
 
 def test_cross_terms_and_shared_prefix_enumerate_no_rearrangements(monkeypatch):
     """Once the ball stack exists, the two standard-form checks list no
-    rearrangement class: forms and down-set maxima come off the letters."""
-    sc = build_scenario(load_config("scenarios/path_mixed.json"))
-    sc.system.ball_stack(sc.identity_radius, sc.budget)
+    rearrangement class: forms and down-set maxima come off the letters.
+    product-well-defined, peel-first-letter and haagerup-witness read the
+    expression table and the ball's rows, so they list none either and
+    evaluate no word or expression one at a time."""
     calls = []
     search = WordContext._rearrangements_seq
 
@@ -262,12 +275,20 @@ def test_cross_terms_and_shared_prefix_enumerate_no_rearrangements(monkeypatch):
         return search(self, letters, budget)
 
     monkeypatch.setattr(WordContext, "_rearrangements_seq", counted)
-    for check in (verify_cross_terms, verify_y1_square):
+    for meth in ("gp_value", "gp_value_letters"):
+        monkeypatch.setattr(MultiplierSystem, meth, lambda *args, meth=meth: calls.append(meth))
+    sc = build_scenario(load_config("scenarios/path_mixed.json"))
+    sc.system.ball_stack(sc.identity_radius, sc.budget)
+    for check in (verify_cross_terms, verify_y1_square, verify_well_defined, verify_peel_off):
         result = check(sc)
         assert result.passed and not result.vacuous
+    sc = build_scenario(load_config("scenarios/free_pair_z2.json"))
+    result = verify_witness(sc)
+    assert result.passed and not result.vacuous
     assert calls == []
-    verify_peel_off(sc)  # the counter sees a check that does enumerate
-    assert calls
+    sc.system.words.complete_closure(sc.system.words.ball(2))  # the counters see a search
+    sc.system.gp_value(sc.system.words.identity())  # and an evaluation
+    assert calls[:-1] and calls[-1] == "gp_value"
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,7 @@ from gpmult.graphgroup import (
 )
 from gpmult.wordcraft import Letter, WordContext
 from support import (
+    downset,
     is_complete,
     leq,
     multipartite_graph,
@@ -316,7 +317,7 @@ def test_budget_bounds_every_rearrangement_search():
     assert len(ctx.ball(4, budget=20)) == 16
     searches = [
         lambda budget: ctx.standard_form_candidates(abcd, 0, budget),
-        lambda budget: ctx.downset(abcd, budget=budget),
+        lambda budget: downset(ctx, abcd, budget=budget),
         lambda budget: ctx.complete_closure([abcd], budget=budget),
         lambda budget: leq(ctx, abc, abcd, budget),
         lambda budget: nc_length(ctx, abcd, 0, check_all=True, budget=budget),
@@ -356,7 +357,7 @@ def test_inverse_is_involution():
 def test_downset_free_pair_frozen():
     ctx = free_pair()
     ab = ctx.normalize([(0, 1), (1, 1)])
-    ds = ctx.downset(ab)
+    ds = downset(ctx, ab)
     as_words = sorted(x.vertex_word for x in ds)
     assert as_words == [(), (0,), (0, 1), (1,)]
 
@@ -364,7 +365,7 @@ def test_downset_free_pair_frozen():
 def test_downset_contains_identity_and_self():
     ctx = path_abc()
     for x in ctx.ball(3):
-        ds = ctx.downset(x)
+        ds = downset(ctx, x)
         assert ctx.identity() in ds
         assert x in ds
         for z in ds:
@@ -380,7 +381,7 @@ def test_complete_closure_is_complete_and_contains_downsets():
         closure = ctx.complete_closure(sample)
         assert is_complete(ctx, closure)
         for x in sample:
-            for z in ctx.downset(x):
+            for z in downset(ctx, x):
                 assert z in closure
 
 
@@ -403,7 +404,7 @@ def test_capped_closure_adds_the_longest_prefix_of_optional_that_fits(data):
 def test_is_complete_rejects_punctured_set():
     ctx = free_pair()
     ab = ctx.normalize([(0, 1), (1, 1)])
-    full = ctx.downset(ab)
+    full = downset(ctx, ab)
     missing = tuple(x for x in full if x.vertex_word != (1,))
     assert not is_complete(ctx, missing)
     assert not is_complete(ctx, [ab])  # identity missing
@@ -472,7 +473,7 @@ def test_downset_maximum_matches_the_down_set_scan(ctx_factory):
     ball = ctx.ball(4)
     for v0 in range(ctx.graph.n):
         for x in ball:
-            assert ctx.downset_nc_max(x, v0) == nc_length_set(ctx, ctx.downset(x), v0)
+            assert ctx.downset_nc_max(x, v0) == nc_length_set(ctx, downset(ctx, x), v0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -481,13 +482,13 @@ def test_downset_maximum_matches_the_down_set_scan_on_random_products(data):
     ctx = data.draw(_graph_product(max_vertices=4, max_order=3))
     x = ctx.normalize(_draw_raw(data.draw, ctx, max_len=6))
     for v0 in range(ctx.graph.n):
-        assert ctx.downset_nc_max(x, v0) == nc_length_set(ctx, ctx.downset(x), v0)
+        assert ctx.downset_nc_max(x, v0) == nc_length_set(ctx, downset(ctx, x), v0)
 
 
 def test_nc_length_set_on_downsets():
     ctx = free_pair()
     aba = ctx.normalize([(0, 1), (1, 1), (0, 1)])
-    assert nc_length_set(ctx, ctx.downset(aba), 0) == 2
+    assert nc_length_set(ctx, downset(ctx, aba), 0) == 2
     with pytest.raises(EmptySetError):
         nc_length_set(ctx, [], 0)
 
@@ -540,7 +541,7 @@ def test_standard_form_recomposes_and_preserves_nc():
             )
             assert recomposed == x
             assert sf.a.vertex == v0
-            assert sf.nc == nc_length_set(ctx, ctx.downset(x), v0)
+            assert sf.nc == nc_length_set(ctx, downset(ctx, x), v0)
             checked += 1
     assert checked > 100
 
