@@ -211,12 +211,7 @@ def verify_main_theorem(sc: Scenario, threads: int = 1) -> CheckResult:
 
     ``threads`` is accepted for compatibility and has no effect.
     """
-    try:
-        sets = _complete_sets(sc)
-    except BudgetExceededError:
-        raise
-    except GPMultError as err:
-        return _failure("kernel-gram-positive", "main", err)
+    sets = _complete_sets(sc)
     if not sets:
         return _vacuous("kernel-gram-positive", "main", "no complete set (num_sets is 0)")
     worst = np.inf
@@ -257,6 +252,19 @@ def _max_over_rows(gram, n: int, residual) -> float:
     for a in range(0, n, step):
         worst = max_residual(worst, float(residual(slice(a, a + step))))
     return worst
+
+
+def _factor_residual(gram, x, c, keep) -> float:
+    """The factorization residual max |K(x_i, z) - K(x_i, c_i) K(c_i, z)|
+    over the ball indices x_i, c_i and the ball words z, in row chunks of
+    ``_max_over_rows``; ``keep(rows)`` masks the (i, z) pairs of a chunk."""
+
+    def residual(rows):
+        xs, cs = x[rows], c[rows]
+        diff = gram[:, xs] - gram[:, xs, cs][:, :, None] * gram[:, cs]
+        return np.where(keep(rows), np.abs(diff), 0.0).max()
+
+    return _max_over_rows(gram, len(x), residual)
 
 
 def verify_star_symmetry(sc: Scenario) -> CheckResult:
@@ -360,13 +368,7 @@ def verify_drop_last(sc: Scenario) -> CheckResult:
             "no x != e and y in the identity-check ball with x^-1 y reduced",
             {"instances": 0},
         )
-
-    def residual(rows):
-        xs, hs = x[rows], h[rows]
-        diff = gram[:, xs] - gram[:, xs, hs][:, :, None] * gram[:, hs]
-        return np.where(reduced[xs], np.abs(diff), 0.0).max()
-
-    worst = _max_over_rows(gram, len(x), residual)
+    worst = _factor_residual(gram, x, h, lambda rows: reduced[x[rows]])
     return CheckResult(
         name="drop-last-letter",
         suite="lemmas",
@@ -398,13 +400,7 @@ def verify_cross_terms(sc: Scenario) -> CheckResult:
         n1 += int(cond1.sum())
         n2 += int(cond2.sum())
         qualify = cond1 | cond2
-
-        def residual(chunk):
-            x, c = rows[chunk], yc[rows[chunk]]
-            diff = gram[:, x] - gram[:, x, c][:, :, None] * gram[:, c]
-            return np.where(qualify[chunk], np.abs(diff), 0.0).max()
-
-        worst = max_residual(worst, _max_over_rows(gram, len(rows), residual))
+        worst = max_residual(worst, _factor_residual(gram, rows, yc[rows], qualify.__getitem__))
     if n1 == n2 == 0:
         return _vacuous(
             "cross-terms",

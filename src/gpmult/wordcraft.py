@@ -21,9 +21,10 @@ costs memo lookups.
 Balls do not go through the memo.  The canonical words form a regular
 language (Hermiller-Meier, J. Algebra 171, 1995), so ``ball_arrays`` lists
 a ball sphere by sphere as integer arrays, one numpy step per sphere, with
-a table of successors over it filled by the same cases as ``successor``,
-and ``expression_table`` lists the reduced expressions of its words as one
-more prefix tree; the memo serves single words and is the oracle of both.
+a table of successors over it filled by the cases of ``successor`` from
+its one merge table, and ``expression_table`` lists the reduced
+expressions of its words as one more prefix tree; the memo serves single
+words and is the oracle of both.
 
 A word is *reduced* when for every pair of equal-vertex positions k < l some
 intermediate position p carries a vertex not joined to it; equivalently, no
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -206,6 +208,14 @@ class WordContext:
         self._adjacency = np.array(
             [[graph.adjacent(u, v) for v in range(graph.n)] for u in range(graph.n)], dtype=bool
         ).reshape(graph.n, graph.n)
+        # the merge rule: the slot of the product of slots a and b of one
+        # vertex is _merge[_merge_row[a] + b], _merge holding the vertex
+        # groups' tables as slots one after another
+        merge, row = [], []
+        for off, grp in zip(self._slot_offset, self.groups):
+            row += (len(merge) - off + grp.order * np.arange(grp.order)).tolist()
+            merge += (off + grp.table.ravel()).tolist()
+        self._merge, self._merge_row = np.array(merge, np.intp), np.array(row, np.intp)
 
     # ------------------------------------------------------------------
     # constructors
@@ -249,16 +259,14 @@ class WordContext:
         return self._element(self._word_id(letters))
 
     def is_reduced(self, vertices) -> bool:
-        """Reducedness of a vertex word (no group elements involved)."""
-        vs = tuple(vertices)
-        for k in range(len(vs)):
-            for l in range(k + 1, len(vs)):
-                if vs[k] != vs[l]:
-                    continue
-                if not any(
-                    not self.graph.adjacent(vs[k], vs[p]) for p in range(k + 1, l)
-                ):
-                    return False
+        """Reducedness of a vertex word in one scan, ``free`` holding the
+        vertices a next letter would merge with: those so far joined to all later."""
+        adjacent = self.graph.adjacent
+        free = set()
+        for v in vertices:
+            if v in free:
+                return False
+            free = {u for u in free if adjacent(u, v)} | {v}
         return True
 
     # ------------------------------------------------------------------
@@ -345,10 +353,9 @@ class WordContext:
                 break
             a = slot_letter[last[i]]
             if a.vertex == v:
-                grp = self.groups[v]
-                g = grp.mul(a.elem, letter.elem)
+                g = int(self._merge[self._merge_row[last[i]] + slot])
                 p = prefix[i]
-                j = p if g == grp.identity else self._child(p, self._slot_offset[v] + g)
+                j = p if slot_letter[g] is None else self._child(p, g)
                 self._succ[i * slots + slot] = j
                 break
             if not adjacent(a.vertex, v):
@@ -499,39 +506,29 @@ class WordContext:
 
         Closed means: with every member, all one-letter truncations of all its
         rearrangements are members too.  Sorted deterministically by (length,
-        letters).  ``max_size`` caps the closure and ``budget`` each
-        rearrangement class.  The elements of ``optional`` are then added in
-        order, each with its closure, while the set stays within
-        ``max_size``; the first that does not fit ends the additions, so the
-        result is the closure of the input and of the longest prefix of
-        ``optional`` that fits.
+        letters).  ``max_size`` caps the closure, the input and the identity
+        included, and ``budget`` each rearrangement class.  The set grows in
+        batches, each by a breadth-first search over immediate truncations
+        while it fits in ``max_size``: first the identity and the input, in
+        (length, letters) order, which raise ``BudgetExceededError`` when
+        they do not fit; then each element of ``optional`` in order, the
+        first that does not fit ending the additions, so the result is the
+        closure of the input and of the longest prefix of ``optional`` that
+        fits.
         """
-        seed = {self.identity()}
-        for x in elements:
-            self._check_ctx(x)
-            seed.add(x)
-        out = set(seed)
-        todo = deque(sorted(seed, key=_sort_key))
-        while todo:
-            z = todo.popleft()
-            for t in self._immediate_truncations(z, budget):
-                if t not in out:
-                    out.add(t)
-                    if len(out) > max_size:
-                        raise BudgetExceededError(
-                            "closure exceeds size budget", max_size=max_size
-                        )
-                    todo.append(t)
-        for x in optional:
-            self._check_ctx(x)
-            new = {x} - out
-            todo = deque(new)
+        out = set()
+        for k, batch in enumerate(chain([(self.identity(), *elements)], ([x] for x in optional))):
+            self._check_ctx(*batch)
+            todo = deque(sorted(set(batch) - out, key=_sort_key))
+            new = set(todo)
             while todo and len(out) + len(new) <= max_size:
                 for t in self._immediate_truncations(todo.popleft(), budget):
                     if t not in out and t not in new:
                         new.add(t)
                         todo.append(t)
             if len(out) + len(new) > max_size:
+                if k == 0:
+                    raise BudgetExceededError("closure exceeds size budget", max_size=max_size)
                 break
             out |= new
         return tuple(sorted(out, key=_sort_key))
@@ -750,7 +747,8 @@ class WordContext:
         and, at an identity slot, the word itself.  The other products are
         filled sphere by sphere by the cases of ``successor``: a letter of
         the last letter's vertex merges with it (the product is the prefix's
-        successor by the merged slot, the prefix itself at the identity),
+        successor by the slot the merge table gives, the prefix itself at
+        the identity),
         and a letter joined to the last letter passes it (the product is the
         successor of the prefix's product by the last letter).
         """
@@ -789,14 +787,6 @@ class WordContext:
         succ = np.full((rows, slots), -1, dtype=np.int32)
         succ[:, ~letter] = np.arange(rows, dtype=np.int32)[:, None]
         succ[prefix[1:], last[1:]] = np.arange(1, len(prefix), dtype=np.int32)
-        # the slot of the product of slots a and b of one vertex is
-        # mul[row[a] + b], mul holding the vertex groups' tables as slots
-        offset, groups = self._slot_offset, self.groups
-        starts = np.cumsum([0] + [grp.order**2 for grp in groups])
-        mul = np.concatenate([off + grp.table.ravel() for off, grp in zip(offset, groups)])
-        row = np.concatenate(
-            [s + grp.order * np.arange(grp.order) - off for s, off, grp in zip(starts, offset, groups)]
-        )
         for a, b in zip(ends[:-1], ends[1:]):
             if a >= rows:
                 break
@@ -804,7 +794,7 @@ class WordContext:
             i += a
             p, l = prefix[i], last[i]
             same = vertex[col] == vertex[l]
-            merged = mul[row[l[same]] + col[same]]
+            merged = self._merge[self._merge_row[l[same]] + col[same]]
             succ[i[same], col[same]] = succ[p[same], merged]
             passed = ~same
             succ[i[passed], col[passed]] = succ[succ[p[passed], col[passed]], l[passed]]

@@ -21,9 +21,14 @@ package dropped when its checks moved onto those tables live here too:
 ``first_vertices``, the batched ``gp_values_letters``, ``downset`` (the
 closure of one word), and the per-expression product-well-defined and
 per-word haagerup-witness loops, the oracles of the table checks.
+``reference_complete_closure`` and ``reference_is_reduced`` are the
+two-phase closure, which did not count its seeds against the size cap, and
+the pairwise reducedness test, the oracles of the one-loop closure and of
+the one-scan ``is_reduced``.
 """
 
 import itertools
+from collections import deque
 
 import numpy as np
 
@@ -37,6 +42,7 @@ from gpmult.dynamics import (
     trivial_action,
 )
 from gpmult.errors import (
+    BudgetExceededError,
     ContextMismatchError,
     EdgeViolationError,
     EmptySetError,
@@ -187,6 +193,53 @@ def downset(words: WordContext, x: GPElement, max_size: int = 10_000, budget: in
     """All elements below x in the truncation order (x included), sorted:
     the closure of x."""
     return words.complete_closure([x], max_size=max_size, budget=budget)
+
+
+def reference_complete_closure(
+    words: WordContext, elements, max_size: int = 10_000, budget: int = DEFAULT_BUDGET, optional=()
+):
+    """The two-phase closure ``complete_closure`` replaced: a breadth-first
+    search from the identity and the input, which raises only when a
+    truncation takes the set past ``max_size`` (so the seeds themselves are
+    never counted), then the elements of ``optional`` one at a time while
+    they fit."""
+    seed = {words.identity()}
+    for x in elements:
+        words._check_ctx(x)
+        seed.add(x)
+    out = set(seed)
+    todo = deque(sorted(seed, key=lambda x: (len(x), x.letters)))
+    while todo:
+        for t in words._immediate_truncations(todo.popleft(), budget):
+            if t not in out:
+                out.add(t)
+                if len(out) > max_size:
+                    raise BudgetExceededError("closure exceeds size budget", max_size=max_size)
+                todo.append(t)
+    for x in optional:
+        words._check_ctx(x)
+        new = {x} - out
+        todo = deque(new)
+        while todo and len(out) + len(new) <= max_size:
+            for t in words._immediate_truncations(todo.popleft(), budget):
+                if t not in out and t not in new:
+                    new.add(t)
+                    todo.append(t)
+        if len(out) + len(new) > max_size:
+            break
+        out |= new
+    return tuple(sorted(out, key=lambda x: (len(x), x.letters)))
+
+
+def reference_is_reduced(words: WordContext, vertices) -> bool:
+    """Reducedness by the definition, pair by pair: no two equal vertices
+    at k < l with every vertex strictly between them joined to theirs."""
+    vs = tuple(vertices)
+    for k in range(len(vs)):
+        for l in range(k + 1, len(vs)):
+            if vs[k] == vs[l] and all(words.graph.adjacent(vs[k], vs[p]) for p in range(k + 1, l)):
+                return False
+    return True
 
 
 def nc_direct(words: WordContext, vertices: tuple, v0: int) -> int:

@@ -115,6 +115,18 @@ def test_verify_budget_exhaustion_exits_three(capsys, tmp_path):
     assert "budget exceeded" in err
 
 
+def test_gram_sets_never_exceed_max_set_size(capsys, tmp_path):
+    """The first complete set holds ball(1), three words on the free pair:
+    under a cap of 2 verify stops with exit code 3 instead of certifying a
+    3-word Gram matrix."""
+    cfg = load_free_pair()
+    cfg["verify"]["max_set_size"] = 2
+    code, out, err = run(capsys, ["verify", write_config(tmp_path, cfg), "--suite", "main"])
+    assert code == 3
+    assert out == ""
+    assert "closure exceeds size budget" in err
+
+
 def test_witness_ball_obeys_the_configured_budget(capsys, tmp_path):
     # the witness ball (L = 6) has 13 words
     cfg = load_free_pair()

@@ -5,8 +5,9 @@ package is named there outside its own definition, every
 ``GPMultError`` subclass in ``errors.py`` is named by some other file
 there, only the algebra and action layers use full algebra elements,
 only the word and value layers read the internals of a word context,
-only the word layer names the truncation search, and neither the value
-layer nor the checks name the rearrangement search."""
+only the word layer names the truncation search, neither the value
+layer nor the checks name the rearrangement search, and the word layer
+reads the vertex groups' multiplication only to build its merge table."""
 
 import ast
 import re
@@ -425,3 +426,52 @@ def test_checks_and_values_name_no_rearrangement_search(module):
     source = (SRC / module).read_text(encoding="utf-8")
     assert search_mentions(source, ENUMERATION_NAMES) == []
 
+
+
+# The rule that merges two letters of one vertex is one slot table that
+# WordContext.__init__ builds from the vertex groups; successor and the
+# ball's successor table both read it, and nothing else in the word layer
+# reads a group's multiplication.
+
+
+def group_table_reads(source: str):
+    """(line, name) of every ``.table`` attribute and every ``.mul(`` call
+    outside ``WordContext.__init__``."""
+    tree = ast.parse(source)
+    inits = [
+        (f.lineno, f.end_lineno)
+        for c in tree.body
+        if isinstance(c, ast.ClassDef) and c.name == "WordContext"
+        for f in c.body
+        if isinstance(f, ast.FunctionDef) and f.name == "__init__"
+    ]
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "table":
+            out.append((node.lineno, "table"))
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "mul":
+            out.append((node.lineno, "mul"))
+    return sorted((line, name) for line, name in out if not any(a <= line <= b for a, b in inits))
+
+
+def test_group_table_scanner_finds_reads_outside_the_constructor():
+    source = (
+        "class WordContext:\n"
+        "    def __init__(self, groups):\n"
+        "        self.t = [g.table for g in groups]\n"
+        "        self.m = groups[0].mul(1, 1)\n"
+        "    def successor(self, grp, a, b):\n"
+        "        return grp.mul(a, b)\n"
+        "def fill(grp):\n"
+        "    rows = grp.table.ravel()\n"
+        "    doc = 'grp.table and grp.mul(a, b)'\n"
+        "    return rows, self._merge[a]\n"
+        "class Other:\n"
+        "    def __init__(self, grp):\n"
+        "        self.t = grp.table\n"
+    )
+    assert group_table_reads(source) == [(6, "mul"), (8, "table"), (13, "table")]
+
+
+def test_word_layer_reads_group_tables_only_in_its_constructor():
+    assert group_table_reads((SRC / "wordcraft.py").read_text(encoding="utf-8")) == []

@@ -35,6 +35,8 @@ from support import (
     nc_length,
     nc_length_set,
     random_element,
+    reference_complete_closure,
+    reference_is_reduced,
     reference_push,
 )
 from test_composed_actions import _system_and_words
@@ -399,6 +401,72 @@ def test_capped_closure_adds_the_longest_prefix_of_optional_that_fits(data):
     cap = data.draw(st.integers(len(closures[0]), len(closures[-1]) + 1))
     want = next(c for c in reversed(closures) if len(c) <= cap)
     assert ctx.complete_closure(base, max_size=cap, optional=optional) == want
+
+
+def test_closure_counts_its_identity_and_input_against_max_size():
+    """On the free pair of Z/2's (scenario free_pair_z2) ball(1) is three
+    words and already closed: a cap of 2 raises, where the two-phase
+    closure returned all three."""
+    ctx = free_pair()
+    ball = ctx.ball(1)
+    with pytest.raises(BudgetExceededError, match="closure exceeds size budget") as err:
+        ctx.complete_closure(ball, max_size=2)
+    assert err.value.context == {"max_size": 2}
+    assert len(reference_complete_closure(ctx, ball, max_size=2)) == 3
+    assert ctx.complete_closure(ball, max_size=3) == ball
+
+
+def _closure_outcome(closure, ctx, *args, **kwargs):
+    """Letters of the closure's words, or the message and context of its
+    budget error."""
+    try:
+        return [x.letters for x in closure(ctx, *args, **kwargs)]
+    except BudgetExceededError as err:
+        return err.args[0], err.context
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_closure_matches_the_two_phase_oracle(data):
+    """The one-loop closure equals the two-phase one, budget errors
+    included, except where the identity and the input alone exceed
+    ``max_size``: there it raises, and the oracle returned more than
+    ``max_size`` words or raised."""
+    ctx = data.draw(_graph_product())
+    ball = ctx.ball(3)
+    pick = st.integers(0, len(ball) - 1).map(ball.__getitem__)
+    elements = data.draw(st.lists(pick, max_size=4))
+    optional = data.draw(st.lists(pick, max_size=8))
+    max_size = data.draw(st.integers(1, 12) | st.integers(1, 10**4))
+    budget = data.draw(st.integers(0, 30) | st.integers(0, 10**5))
+    kwargs = dict(max_size=max_size, budget=budget, optional=optional)
+    got = _closure_outcome(WordContext.complete_closure, ctx, elements, **kwargs)
+    want = _closure_outcome(reference_complete_closure, ctx, elements, **kwargs)
+    if len({ctx.identity(), *elements}) > max_size:
+        assert got == ("closure exceeds size budget", {"max_size": max_size})
+        assert isinstance(want, tuple) or len(want) > max_size
+    else:
+        assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_is_reduced_matches_the_pairwise_oracle(data):
+    ctx = data.draw(_graph_product())
+    vertex = st.integers(0, ctx.graph.n - 1)
+    for vs in data.draw(st.lists(st.lists(vertex, max_size=10), max_size=20)):
+        assert ctx.is_reduced(vs) == reference_is_reduced(ctx, vs)
+
+
+def test_merge_table_holds_each_vertex_group_table_in_slot_space():
+    g = SimplicialGraph.build(list("abcd"), [("a", "b"), ("c", "d")])
+    groups = [cyclic_group(3), symmetric_group(3), dihedral_group(4), cyclic_group(1)]
+    ctx = WordContext(g, groups)
+    assert len(ctx._merge) == sum(grp.order**2 for grp in groups)
+    for off, grp in zip(ctx._slot_offset, groups):
+        slots = off + np.arange(grp.order)
+        merged = ctx._merge[ctx._merge_row[slots][:, None] + slots[None, :]]
+        assert np.array_equal(merged, off + grp.table)
 
 
 def test_is_complete_rejects_punctured_set():
