@@ -27,7 +27,9 @@ Interned words get rows in a growing cache, and a kernel matrix over x_0,
 the ids of the products x_i^-1 x_j from the successor memo; many families
 share one fill, and those of one size one gather.  The identity ball's
 stack takes its products and the rows of ball(2r) from the ball arrays, so
-it interns no word.
+it interns no word; it keeps the products and the action rows of ball(2r),
+so a stack over left translates c u_0, ..., c u_{m-1} of ball words is one
+more gather from it, with no word and no covariance of the action.
 """
 
 from __future__ import annotations
@@ -333,22 +335,29 @@ class MultiplierSystem:
     def kernel_stacks(self, families) -> dict:
         """Kernel Gram matrices over many families of words, grouped by size:
         per family size m the ``(F, K, m, m)`` stack of the F families of m
-        words, in their given order.
+        words, in their given order (``id_stacks`` over their ids)."""
+        words = self.words
+
+        def ids(xs):
+            words._check_ctx(*xs)
+            return [words.intern(x.letters) for x in xs], [words._inverse_id(x) for x in xs]
+
+        return self.id_stacks(map(ids, families))
+
+    def id_stacks(self, families) -> dict:
+        """``kernel_stacks`` over families given as the ids of their words
+        and the ids of those words' inverses.
 
         Each family's products x_i^-1 x_j come from the successor memo; then
         one value-row fill serves every family, and each size is one gather
         from the value rows of the products at the action rows of the x_j.
         No pair gets a central element of its own.
         """
-        words = self.words
         by_size: dict = {}  # m -> (word ids, product ids) per family of m words
-        for xs in families:
-            words._check_ctx(*xs)
-            ids = [words.intern(x.letters) for x in xs]
-            prod = words.product_ids([words._inverse_id(x) for x in xs], ids)
+        for ids, inverse in families:
             group = by_size.setdefault(len(ids), ([], []))
             group[0].append(ids)
-            group[1].append(prod)
+            group[1].append(self.words.product_ids(inverse, ids))
         values, perms = self._value_rows()
         out = {}
         for m, (ids, prods) in by_size.items():
@@ -357,6 +366,26 @@ class MultiplierSystem:
             act = perms[np.array(ids, dtype=np.intp).reshape(F, 1, m)]
             out[m] = values[prod, act].transpose(0, 3, 1, 2)
         return out
+
+    def translate_stacks(self, radius: int, c, u, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+        """Kernel stacks over left translates of ``ball(radius)`` words: with
+        ball indices c of shape (F,) and u of shape (F, m), the ``(F, K, m,
+        m)`` stack over c_f u_{f,0}, ..., c_f u_{f,m-1}, one gather from the
+        ball's kernel stack G.
+
+        K(c u_i, c u_j) = alpha_{c u_j}(h(u_i^-1 u_j)), and G holds
+        alpha_{u_j}(h(u_i^-1 u_j)): its block k is G's block
+        P[u_j]^-1[P[c u_j, k]], P[c u_j] the action row of the ball(2
+        radius) word Q[c, u_j].  Action rows are permutations, so this is
+        index arithmetic on the same value rows whether or not the actions
+        compose.
+        """
+        self.ball_stack(radius, budget)
+        cached = self._ball_stacks[radius]
+        u = np.asarray(u, dtype=np.intp)
+        act = cached.actions[cached.products[np.asarray(c, dtype=np.intp)[:, None], u]]
+        block = np.take_along_axis(np.argsort(cached.perms[u], axis=-1), act, axis=-1)
+        return cached.gram[block.swapaxes(1, 2)[:, :, None, :], u[:, None, :, None], u[:, None, None, :]]
 
     def ball_stack(self, radius: int, budget: int = DEFAULT_BUDGET):
         """The word ball of ``radius``, its kernel stack and the ball index
@@ -412,7 +441,7 @@ class MultiplierSystem:
             gram[:, a : a + step] = V[prod[inverse[a : a + step]][None], act]
         gram.flags.writeable = False
         index = {x: i for i, x in enumerate(ball)}
-        return _BallStack(gram, index, inverse, V[:n].copy(), P[:n].copy())
+        return _BallStack(gram, index, inverse, V[:n].copy(), P[:n], prod, P)
 
 
 class _BallStack(NamedTuple):
@@ -422,7 +451,9 @@ class _BallStack(NamedTuple):
     index: dict  # word -> ball index
     inverse: np.ndarray  # ball index of each word's inverse
     values: np.ndarray  # (N, K) value rows
-    perms: np.ndarray  # (N, K) action rows
+    perms: np.ndarray  # (N, K) action rows, the leading rows of ``actions``
+    products: np.ndarray  # int32 (N, N): Q[a, y], the ball(2 radius) index of a y
+    actions: np.ndarray  # int32 action rows of ball(2 radius)
 
 
 class _ValueRows:

@@ -515,31 +515,56 @@ def verify_schwarz(sc: Scenario) -> CheckResult:
     the certified quantity is the smallest eigenvalue of LHS - RHS over all
     accepted families, the dominance difference with x_i = c_i b_i and
     p_i = c_i.  Tuples whose difference vanishes identically are counted as
-    vacuous.  At most ``60 * tuple_target`` families are drawn.  A chunk's
-    kernel stacks are one gather per family size
-    (``MultiplierSystem.kernel_stacks``) and the hypothesis is tested over
-    the family axis.
+    vacuous.  At most ``60 * tuple_target`` families are drawn, as indices
+    into the identity-check ball, and no word is built.  A family with one
+    c is the left translate by c of (b_0, ..., e, ...), so its stack is a
+    gather from the ball's kernel stack
+    (``MultiplierSystem.translate_stacks``); the others go by word ids, x_i
+    and x_i^-1 = b_i^-1 c_i^-1 products of ball words
+    (``MultiplierSystem.id_stacks``).  A chunk's families of one size share
+    one stack, and the hypothesis is tested over the family axis.
     """
     sys_ = sc.system
     words = sys_.words
-    ball = list(words.ball(sc.identity_radius, budget=sc.budget))
+    radius = sc.identity_radius
+    size = len(words.ball(radius, budget=sc.budget))
     rng = np.random.default_rng([sc.seed, 104])
 
     def draw():
         for _ in range(60 * sc.tuple_target):
             n = int(rng.integers(2, 4))
             if rng.integers(0, 2) == 0:
-                c = ball[int(rng.integers(0, len(ball)))]
-                cs = [c] * n
+                cs = [int(rng.integers(0, size))] * n
             else:
-                cs = [ball[int(rng.integers(0, len(ball)))] for _ in range(n)]
-            bs = [ball[int(rng.integers(0, len(ball)))] for _ in range(n)]
-            yield [words.multiply(c, b) for c, b in zip(cs, bs)] + cs
+                cs = [int(rng.integers(0, size)) for _ in range(n)]
+            yield cs, [int(rng.integers(0, size)) for _ in range(n)]
 
     def stacks(chunk):
-        for m, gram in sys_.kernel_stacks(chunk).items():
+        inverse, _, _ = sys_.ball_rows(radius, sc.budget)
+        ids = None  # the ids of the ball words, once a family needs them
+        by_size: dict = {}  # n -> draw positions
+        for i, (cs, _) in enumerate(chunk):
+            by_size.setdefault(len(cs), []).append(i)
+        for n, pos in by_size.items():
+            pos = np.array(pos)
+            c, b = (np.array([chunk[i][k] for i in pos]) for k in (0, 1))
+            gram = np.empty((len(pos), sys_.structure.num_blocks, 2 * n, 2 * n), dtype=np.complex128)
+            one = (c == c[:, :1]).all(axis=1)
+            u = np.hstack([b, np.zeros_like(b)])[one]  # (b_0, ..., e, ...)
+            gram[one] = sys_.translate_stacks(radius, c[one, 0], u, sc.budget)
+            if not one.all():
+                ids = ids or words.ball_ids(radius)
+                c, b = c[~one].ravel().tolist(), b[~one].ravel().tolist()
+                inv_c, inv_b = inverse[c].tolist(), inverse[b].tolist()
+                x = words.ball_product_ids(radius, [ids[i] for i in c], b)
+                x_inv = words.ball_product_ids(radius, [ids[i] for i in inv_b], inv_c)
+                p, p_inv = [ids[i] for i in c], [ids[i] for i in inv_c]
+                fams = (
+                    (x[k : k + n] + p[k : k + n], x_inv[k : k + n] + p_inv[k : k + n])
+                    for k in range(0, len(x), n)
+                )
+                gram[~one] = sys_.id_stacks(fams)[2 * n]
             factor = _cross_kernels_factor(gram)
-            pos = np.array([i for i, fam in enumerate(chunk) if len(fam) == m])
             yield pos[factor], gram[factor]
 
     return _dominance_check(

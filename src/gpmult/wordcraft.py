@@ -216,6 +216,9 @@ class WordContext:
             row += (len(merge) - off + grp.order * np.arange(grp.order)).tolist()
             merge += (off + grp.table.ravel()).tolist()
         self._merge, self._merge_row = np.array(merge, np.intp), np.array(row, np.intp)
+        # plain-list copies for the successor walk, with the vertex of each slot
+        self._merge_list, self._merge_row_list = merge, row
+        self._vertex_of = self._slot_vertex.tolist()
 
     # ------------------------------------------------------------------
     # constructors
@@ -326,7 +329,13 @@ class WordContext:
         return j
 
     def successor(self, i: int, letter: Letter) -> int:
-        """Id of the canonical product of word ``i`` and one letter, memoized.
+        """Id of the canonical product of word ``i`` and one letter, memoized
+        (the walk of ``_successor`` from the letter's slot)."""
+        return self._successor(i, self._slot_offset[letter.vertex] + letter.elem)
+
+    def _successor(self, i: int, slot: int) -> int:
+        """Id of the canonical product of word ``i`` and the letter of
+        ``slot``, memoized.
 
         A miss walks down the prefixes of i while the letter l passes their
         last letters, that is while the last letter a of the current word
@@ -339,26 +348,25 @@ class WordContext:
         a's: then the least order keeps l after a, and the product is w a l.
         """
         slots = self._letter_slots
-        slot = self._slot_offset[letter.vertex] + letter.elem
         j = self._succ.get(i * slots + slot)
         if j is not None:
             return j
-        v = letter.vertex
-        prefix, last, slot_letter = self._id_prefix, self._id_last, self._slot_letter
-        adjacent = self.graph.adjacent
+        prefix, last, vertex = self._id_prefix, self._id_last, self._vertex_of
+        v = vertex[slot]
+        apart = self._apart[v]
         passed = []  # the words whose last letter l passed, outermost first
         while True:
             if i == 0:
                 j = self._child(0, slot)
                 break
-            a = slot_letter[last[i]]
-            if a.vertex == v:
-                g = int(self._merge[self._merge_row[last[i]] + slot])
+            a = last[i]
+            if vertex[a] == v:
+                g = self._merge_list[self._merge_row_list[a] + slot]
                 p = prefix[i]
-                j = p if slot_letter[g] is None else self._child(p, g)
+                j = p if self._slot_letter[g] is None else self._child(p, g)
                 self._succ[i * slots + slot] = j
                 break
-            if not adjacent(a.vertex, v):
+            if vertex[a] in apart:
                 j = self._child(i, slot)
                 break
             passed.append(i)
@@ -367,11 +375,11 @@ class WordContext:
             if j is not None:
                 break
         for i in reversed(passed):
-            p, a_slot = prefix[i], last[i]
-            if prefix[j] == p and last[j] == slot and slot_letter[a_slot].vertex < v:
+            p, a = prefix[i], last[i]
+            if prefix[j] == p and last[j] == slot and vertex[a] < v:
                 j = self._child(i, slot)
             else:
-                j = self._succ[i * slots + slot] = self._child(j, a_slot)
+                j = self._succ[i * slots + slot] = self._child(j, a)
         return j
 
     def _word_id(self, letters) -> int:
@@ -399,10 +407,10 @@ class WordContext:
         product with the prefix of its right factor: one memo lookup per
         left factor and word of the prefix closure.
         """
-        prefix, last, slot_letter = self._id_prefix, self._id_last, self._slot_letter
+        prefix, last = self._id_prefix, self._id_last
         slots = self._letter_slots
         pos = {0: 0}  # closure word id -> its place in a row
-        steps = []  # per closure word after the identity: (place of prefix, letter, slot)
+        steps = []  # per closure word after the identity: (place of prefix, slot)
         for j in rights:
             chain = []
             while j not in pos:
@@ -410,19 +418,47 @@ class WordContext:
                 j = prefix[j]
             for j in reversed(chain):
                 pos[j] = len(steps) + 1
-                steps.append((pos[prefix[j]], slot_letter[last[j]], last[j]))
+                steps.append((pos[prefix[j]], last[j]))
         cols = [pos[j] for j in rights]
-        get = self._succ.get
+        get, step = self._succ.get, self._successor
         rows: dict = {}  # left id -> its products with the closure
         for a in lefts:
             if a in rows:
                 continue
             row = rows[a] = [a]
             append = row.append
-            for p, letter, slot in steps:
+            for p, slot in steps:
                 b = get(row[p] * slots + slot)
-                append(self.successor(row[p], letter) if b is None else b)
+                append(step(row[p], slot) if b is None else b)
         return [[row[c] for c in cols] for row in map(rows.__getitem__, lefts)]
+
+    def ball_ids(self, radius: int) -> list:
+        """Ids of the words of ``ball(radius)`` in ball order, each word
+        interned as the child of its prefix."""
+        arrays = self.ball_arrays(radius)
+        ids = [self.intern(())]
+        for p, s in zip(arrays.prefix[1:].tolist(), arrays.last[1:].tolist()):
+            ids.append(self._child(ids[p], s))
+        return ids
+
+    def ball_product_ids(self, radius: int, lefts, rights) -> list:
+        """Ids of the canonical products of words ``lefts[k]`` (given as ids)
+        and ``ball(radius)`` words ``rights[k]`` (given as ball indices): one
+        successor per letter of the right word, its letters read off the
+        ball's arrays."""
+        arrays = self.ball_arrays(radius)
+        prefix, last = arrays.prefix.tolist(), arrays.last.tolist()
+        step = self._successor
+        out = []
+        for i, x in zip(lefts, rights):
+            slots = []
+            while x > 0:
+                slots.append(last[x])
+                x = prefix[x]
+            for s in reversed(slots):
+                i = step(i, s)
+            out.append(i)
+        return out
 
     # ------------------------------------------------------------------
     # rearrangements and the truncation order

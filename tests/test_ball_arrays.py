@@ -145,9 +145,9 @@ def test_budget_stops_the_listing_at_the_sphere_that_outgrows_it():
 
 
 def assert_stack_matches_the_memo(system, radius):
-    """The stack bit for bit against ``kernel_matrix``, and the inverses and
-    rows kept with it against the memo's, with no more than the ball
-    interned by the stack."""
+    """The stack bit for bit against ``kernel_matrix``, and the inverses,
+    rows, products and action rows of the doubled ball kept with it against
+    the memo's, with no more than the ball interned by the stack."""
     words = system.words
     before = len(words._id_prefix)
     ball, gram, index = system.ball_stack(radius)
@@ -160,6 +160,10 @@ def assert_stack_matches_the_memo(system, radius):
     assert values.tobytes() == memo_values.tobytes()
     assert np.array_equal(perms, memo_perms)
     assert all(ball[i] == x for x, i in index.items())
+    kept, doubled = system._ball_stacks[radius], words.ball(2 * radius)
+    for i in range(0, len(ball), max(1, len(ball) // 8)):
+        assert [doubled[q] for q in kept.products[i]] == [words.multiply(ball[i], y) for y in ball]
+    assert np.array_equal(kept.actions, word_rows(system, doubled)[1])
 
 
 @pytest.mark.parametrize("name", SCENARIOS)

@@ -199,10 +199,11 @@ def _memo_tables(system):
     }
 
 
-# The lemma suite reads every kernel from gathered stacks and its standard
+# The lemma suite reads every kernel from gathered stacks, its standard
 # forms and down-set maxima from the ball's standard-form table, built off
-# the letter order, so it leaves these cold.
-NOT_FILLED_BY_LEMMAS = ("kernel", "downset", "standard_form", "truncations")
+# the letter order, and the inverses of its Schwarz families from the
+# ball's inverse indices, so it leaves these cold.
+NOT_FILLED_BY_LEMMAS = ("kernel", "downset", "standard_form", "truncations", "inverses")
 
 
 def test_fresh_scenarios_start_with_cold_unshared_memo_tables():

@@ -6,8 +6,9 @@ package is named there outside its own definition, every
 there, only the algebra and action layers use full algebra elements,
 only the word and value layers read the internals of a word context,
 only the word layer names the truncation search, neither the value
-layer nor the checks name the rearrangement search, and the word layer
-reads the vertex groups' multiplication only to build its merge table."""
+layer nor the checks name the rearrangement search, the word layer
+reads the vertex groups' multiplication only to build its merge table,
+and the checks multiply, invert and normalize no word."""
 
 import ast
 import re
@@ -475,3 +476,38 @@ def test_group_table_scanner_finds_reads_outside_the_constructor():
 
 def test_word_layer_reads_group_tables_only_in_its_constructor():
     assert group_table_reads((SRC / "wordcraft.py").read_text(encoding="utf-8")) == []
+
+
+# The checks take their words as ball indices and word ids from the word and
+# value layers' tables, so none multiplies, inverts or normalizes a word.
+WORD_OPERATIONS = {"multiply", "inverse", "normalize"}
+
+
+def word_operation_uses(source: str, names=WORD_OPERATIONS):
+    """(line, name) of every attribute named in ``names``, called or not,
+    and of every call of a bare name in ``names``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            out.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in names:
+            out.append((node.lineno, node.func.id))
+    return sorted(out)
+
+
+def test_word_operation_scanner_finds_calls_and_attributes():
+    source = (
+        "x = words.multiply(a, b)\n"
+        "y = sc.system.words.inverse(x)\n"
+        "z = normalize(raw)\n"
+        "f = words.multiply\n"
+        "doc = 'words.normalize(r)'\n"
+        "inverse, _, _ = system.ball_rows(3)\n"
+        "t = words.ball_product_ids(3, ids, inverse[b])\n"
+    )
+    expected = [(1, "multiply"), (2, "inverse"), (3, "normalize"), (4, "multiply")]
+    assert word_operation_uses(source) == expected
+
+
+def test_checks_multiply_invert_and_normalize_no_word():
+    assert word_operation_uses((SRC / "verifier.py").read_text(encoding="utf-8")) == []

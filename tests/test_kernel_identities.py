@@ -16,7 +16,11 @@ one with a NaN value, where the error must be the first failing family's.  Where
 commute across non-edges the kernels are not Hermitian and the identities
 fail with large residuals that any misplaced gather would change; with
 trivial actions and positive definite values the dominance bounds reach
-their eigensolves.
+their eigensolves.  The Schwarz check draws ball indices and builds no
+word: its stacks are also compared bit for bit with those of the word path
+it replaced, and the left translates it gathers from the ball's stack with
+``kernel_stacks`` over the multiplied words, where the actions of an edge
+do not commute too.
 """
 
 import json
@@ -35,6 +39,7 @@ from support import (
     reference_push,
     reference_reduced_pairs,
 )
+from test_ball_arrays import graph_products, identity_radius
 from test_composed_actions import THREE_CYCLES, TRANSPOSITIONS, _powers
 
 from gpmult import verifier
@@ -494,6 +499,131 @@ def _random_scenario(draw):
 def test_stack_checks_match_the_per_pair_reference_on_random_products(sc):
     assert_same_reports(sc)
     assert_reduced_from_first_vertices(sc.system, sc.identity_radius)
+
+
+def word_path_schwarz(sc: Scenario) -> CheckResult:
+    """The Schwarz check with each family built as words, x_i = c_i b_i by
+    ``multiply``, and its stacks from ``kernel_stacks``: the path that the
+    gather from the ball's stack and the products of word ids replaced."""
+    sys_ = sc.system
+    words = sys_.words
+    ball = list(words.ball(sc.identity_radius, budget=sc.budget))
+    rng = np.random.default_rng([sc.seed, 104])
+
+    def draw():
+        for _ in range(60 * sc.tuple_target):
+            n = int(rng.integers(2, 4))
+            if rng.integers(0, 2) == 0:
+                cs = [ball[int(rng.integers(0, len(ball)))]] * n
+            else:
+                cs = [ball[int(rng.integers(0, len(ball)))] for _ in range(n)]
+            bs = [ball[int(rng.integers(0, len(ball)))] for _ in range(n)]
+            yield [words.multiply(c, b) for c, b in zip(cs, bs)] + cs
+
+    def stacks(chunk):
+        for m, gram in sys_.kernel_stacks(chunk).items():
+            factor = verifier._cross_kernels_factor(gram)
+            pos = np.array([i for i, fam in enumerate(chunk) if len(fam) == m])
+            yield pos[factor], gram[factor]
+
+    return verifier._dominance_check(
+        "schwarz-inequality",
+        draw(),
+        stacks,
+        sc.tuple_target,
+        "no admissible family found",
+        "LHS - RHS vanishes on every admissible family",
+        rejected=True,
+    )
+
+
+def schwarz_stacks(fn, sc):
+    """The check's report text and every kernel stack whose factor
+    hypothesis it tests, the rejected families' included, as bytes."""
+    seen, factor = [], verifier._cross_kernels_factor
+
+    def recording(gram):
+        seen.append((gram.shape, np.ascontiguousarray(gram).tobytes()))
+        return factor(gram)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "_cross_kernels_factor", recording)
+        return report_text(fn, sc), seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_scenario(), st.sampled_from([0, 1, 5, 60]))
+def test_schwarz_matches_the_reference_on_random_products_and_targets(sc, target):
+    """Families with one c are gathered from the ball's stack and the others
+    go by word ids: the report equals the per-pair reference's, and every
+    stack the word path's bit for bit.  Where the point actions do not
+    commute across an edge, only exact index arithmetic on the same rows
+    gives the same stacks."""
+    sc.tuple_target = target
+    text, stacks = schwarz_stacks(verify_schwarz, sc)
+    assert (text, stacks) == schwarz_stacks(word_path_schwarz, sc)
+    assert text == report_text(reference_schwarz, sc)
+
+
+# ----------------------------------------------------------------------
+# left translates from the identity ball's stack
+
+
+def covariant_translates(system, radius, c, u):
+    """The stacks alpha_c(K(u_i, u_j)) that K(c u_i, c u_j) would equal if
+    the action of c u_j were that of u_j after c: the ball stack's blocks
+    moved by the action row of c alone."""
+    _, gram, _ = system.ball_stack(radius)
+    _, _, perms = system.ball_rows(radius)
+    return gram[perms[c][:, :, None, None], u[:, None, :, None], u[:, None, None, :]]
+
+
+def assert_translates_match_kernel_stacks(system, radius, seed):
+    """``translate_stacks`` bit for bit against ``kernel_stacks`` over the
+    multiplied words, for random c and families u of 1-6 ball words, the
+    identity among them as in the Schwarz families."""
+    words = system.words
+    ball = words.ball(radius)
+    rng = np.random.default_rng(seed)
+    for m in (1, 2, 4, 6):
+        c = rng.integers(0, len(ball), 5)
+        u = rng.integers(0, len(ball), (5, m))
+        u[:, m // 2 :] *= rng.integers(0, 2, (5, m - m // 2))
+        got = system.translate_stacks(radius, c, u)
+        want = system.kernel_stacks([[words.multiply(ball[i], ball[j]) for j in row] for i, row in zip(c, u)])[m]
+        assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_translate_stacks_match_kernel_stacks_on_scenarios(name):
+    sc = build_scenario(load_config(str(ROOT / "scenarios" / f"{name}.json")), seed=42)
+    assert_translates_match_kernel_stacks(sc.system, sc.identity_radius, seed=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_products(), st.integers(0, 2**32 - 1))
+def test_translate_stacks_match_kernel_stacks_on_random_products(system, seed):
+    assert_translates_match_kernel_stacks(system, identity_radius(system.words), seed)
+
+
+def test_translates_read_the_action_rows_of_the_products():
+    """An edge whose actions do not commute (a transposition and a 3-cycle
+    of three points): the action of the canonical word of c u is not that
+    of u after c, so covariance gives other stacks than ``kernel_stacks``,
+    and the translates, which read the action rows of the products, the
+    same ones."""
+    graph = SimplicialGraph.build((0, 1), [(0, 1)])
+    maps = {0: _powers(TRANSPOSITIONS[3][0], 2), 1: _powers(THREE_CYCLES[3][0], 3)}
+    rng = np.random.default_rng(5)
+    values = [[list(rng.standard_normal(3) + 1j * rng.standard_normal(3)) for _ in range(o)] for o in (2, 3)]
+    system = groupoid_from_space(graph, [cyclic_group(2), cyclic_group(3)], 3, maps, values)
+    words = system.words
+    ball = words.ball(2)
+    c, b = np.divmod(np.arange(len(ball) ** 2), len(ball))
+    u = np.stack([b, np.zeros_like(b)], axis=1)
+    want = system.kernel_stacks([[words.multiply(ball[i], ball[j]) for j in row] for i, row in zip(c, u)])[2]
+    assert system.translate_stacks(2, c, u).tobytes() == np.ascontiguousarray(want).tobytes()
+    assert not np.array_equal(covariant_translates(system, 2, c, u), want)
 
 
 def test_first_vertices_past_sixty_four_vertices():

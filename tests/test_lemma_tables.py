@@ -84,9 +84,8 @@ LEMMA_GRAPHS = (
 )
 
 
-@pytest.mark.parametrize("name, vs, edges, order, radius", LEMMA_GRAPHS)
-def test_lemma_graphs_agree_with_the_per_word_paths(name, vs, edges, order, radius):
-    cfg = {
+def lemma_config(name, vs, edges, order, radius) -> dict:
+    return {
         "name": name,
         "graph": {"vertices": list(vs), "edges": [list(e) for e in edges]},
         "groups": {v: {"preset": "cyclic", "n": order} for v in vs},
@@ -95,7 +94,53 @@ def test_lemma_graphs_agree_with_the_per_word_paths(name, vs, edges, order, radi
         "multipliers": {v: {"preset": "geometric", "c": 0.15 + 0.1 * i} for i, v in enumerate(vs)},
         "verify": {"seed": 3, "identity_radius": radius},
     }
+
+
+@pytest.mark.parametrize("name, vs, edges, order, radius", LEMMA_GRAPHS)
+def test_lemma_graphs_agree_with_the_per_word_paths(name, vs, edges, order, radius):
+    cfg = lemma_config(name, vs, edges, order, radius)
     assert_paths_agree(lambda: build_scenario(cfg))
+
+
+# Ids interned by one lemma-suite run on each graph above: (when the Schwarz
+# families were built as words and multiplied, now).  The complete graph's
+# ball(3) is its whole group of 27 elements either way.
+INTERNED_IDS = {
+    "free3": (2186, 1746),
+    "edge3": (1921, 1682),
+    "path3": (650, 623),
+    "triangle3": (27, 27),
+    "path4_z2": (1555, 1455),
+}
+
+
+@pytest.mark.parametrize("graph", LEMMA_GRAPHS, ids=[g[0] for g in LEMMA_GRAPHS])
+def test_lemma_suite_multiplies_no_word(monkeypatch, graph):
+    """The Schwarz families are ball indices: a family with one c is a
+    gather from the ball's stack and the others products of word ids, so
+    the lemma suite calls ``multiply`` never (211-283 times per graph when
+    each x_i = c_i b_i was a multiplied word) and interns fewer ids."""
+    calls = Counter()
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    counted(WordContext, "multiply")
+    counted(MultiplierSystem, "translate_stacks")
+    counted(MultiplierSystem, "id_stacks")
+    sc = build_scenario(lemma_config(*graph))
+    results = run_suite(sc, "lemmas")
+    assert all(r.passed for r in results)
+    assert calls["multiply"] == 0
+    assert calls["translate_stacks"] > 0 and calls["id_stacks"] > 0  # both kinds of family
+    before, now = INTERNED_IDS[graph[0]]
+    assert len(sc.system.words._id_prefix) == now <= before
 
 
 def _copies(system):
@@ -138,8 +183,8 @@ def test_a_nan_value_fails_peel_first_letter_on_both_paths():
 
 def test_lemma_suite_labels_each_word_once_and_builds_no_form(monkeypatch):
     """One lemma-suite run labels each (x, v0) of the identity ball once;
-    cross-terms and the shared-prefix bound multiply nothing and build no
-    ``StandardForm``."""
+    cross-terms and the shared-prefix bound build no ``StandardForm``, and
+    no check multiplies, the Schwarz draws included."""
     sc = build_scenario(load_config("scenarios/path_mixed.json"))
     words = sc.system.words
     labels, calls, active = Counter(), Counter(), []
@@ -176,4 +221,6 @@ def test_lemma_suite_labels_each_word_once_and_builds_no_form(monkeypatch):
     ball = words.ball(sc.identity_radius)
     assert labels == Counter((x.vertex_word, v0) for x in ball for v0 in range(words.graph.n))
     assert calls["multiply", True] == calls["standard_form", True] == 0
-    assert calls["multiply", False] > 0  # the Schwarz draws multiply
+    assert calls["multiply", False] == 0
+    words.multiply(ball[1], ball[1])
+    assert calls["multiply", False] == 1  # the counter is live
