@@ -27,9 +27,12 @@ Interned words get rows in a growing cache, and a kernel matrix over x_0,
 the ids of the products x_i^-1 x_j from the successor memo; many families
 share one fill, and those of one size one gather.  The identity ball's
 stack takes its products and the rows of ball(2r) from the ball arrays, so
-it interns no word; it keeps the products and the action rows of ball(2r),
-so a stack over left translates c u_0, ..., c u_{m-1} of ball words is one
-more gather from it, with no word and no covariance of the action.
+it interns no word.  ``ball_stack`` returns it as one record,
+``BallStack``, with the tables the checks read: the ball's inverse
+indices and value rows, the products Q[a, y] = a y as ball(2r) indices and
+the action rows of ball(2r).  A stack over left translates c u_0, ...,
+c u_{m-1} of ball words is one more gather from it, with no word and no
+covariance of the action.
 """
 
 from __future__ import annotations
@@ -211,7 +214,7 @@ class MultiplierSystem:
         self.valid_multipliers = None
         self._value_cache = _ValueRows(self.structure.num_blocks)
         self._kernel = KernelTable(self)
-        self._ball_stacks: dict = {}  # radius -> _BallStack
+        self._ball_stacks: dict = {}  # radius -> BallStack
         # per letter slot of the word context: the index arrays of the
         # letter's action and of the inverse letter's, and the letter's value
         # (the identity's at an identity slot, which no letter uses)
@@ -367,42 +370,14 @@ class MultiplierSystem:
             out[m] = values[prod, act].transpose(0, 3, 1, 2)
         return out
 
-    def translate_stacks(self, radius: int, c, u, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-        """Kernel stacks over left translates of ``ball(radius)`` words: with
-        ball indices c of shape (F,) and u of shape (F, m), the ``(F, K, m,
-        m)`` stack over c_f u_{f,0}, ..., c_f u_{f,m-1}, one gather from the
-        ball's kernel stack G.
-
-        K(c u_i, c u_j) = alpha_{c u_j}(h(u_i^-1 u_j)), and G holds
-        alpha_{u_j}(h(u_i^-1 u_j)): its block k is G's block
-        P[u_j]^-1[P[c u_j, k]], P[c u_j] the action row of the ball(2
-        radius) word Q[c, u_j].  Action rows are permutations, so this is
-        index arithmetic on the same value rows whether or not the actions
-        compose.
-        """
-        self.ball_stack(radius, budget)
-        cached = self._ball_stacks[radius]
-        u = np.asarray(u, dtype=np.intp)
-        act = cached.actions[cached.products[np.asarray(c, dtype=np.intp)[:, None], u]]
-        block = np.take_along_axis(np.argsort(cached.perms[u], axis=-1), act, axis=-1)
-        return cached.gram[block.swapaxes(1, 2)[:, :, None, :], u[:, None, :, None], u[:, None, None, :]]
-
-    def ball_stack(self, radius: int, budget: int = DEFAULT_BUDGET):
-        """The word ball of ``radius``, its kernel stack and the ball index
-        of each element; the read-only stack is built once per radius."""
-        ball = self.words.ball(radius, budget=budget)
-        cached = self._ball_stacks.get(radius)
-        if cached is None:
-            cached = self._ball_stacks[radius] = self._gather_ball_stack(ball, radius)
-        return ball, cached.gram, cached.index
-
-    def ball_rows(self, radius: int, budget: int = DEFAULT_BUDGET) -> tuple:
-        """Over the word ball of ``radius``: the ball index of each word's
-        inverse, and the value and action rows of the words, kept with the
-        ball's kernel stack."""
-        self.ball_stack(radius, budget)
-        cached = self._ball_stacks[radius]
-        return cached.inverse, cached.values, cached.perms
+    def ball_stack(self, radius: int, budget: int = DEFAULT_BUDGET) -> "BallStack":
+        """The kernel stack of the word ball of ``radius`` with the tables
+        kept beside it, built once per radius; ``budget`` bounds the ball."""
+        self.words.ball_arrays(radius, budget)
+        stack = self._ball_stacks.get(radius)
+        if stack is None:
+            stack = self._ball_stacks[radius] = self._gather_ball_stack(radius)
+        return stack
 
     def tree_rows(self, tree) -> tuple:
         """Value and action rows of every node of a prefix tree of arrays, a
@@ -416,7 +391,7 @@ class MultiplierSystem:
         self._fill_rows(V, P, ((slice(a, b), tree.prefix[a:b], tree.last[a:b]) for a, b in levels))
         return V, P
 
-    def _gather_ball_stack(self, ball, radius: int) -> "_BallStack":
+    def _gather_ball_stack(self, radius: int) -> "BallStack":
         """The kernel stack over the ball from the arrays of ball(2 radius),
         with no word interned.
 
@@ -427,7 +402,7 @@ class MultiplierSystem:
         ball(2 radius) in row chunks.
         """
         arrays = self.words.ball_arrays(2 * radius)
-        n, K = len(ball), self.structure.num_blocks
+        n, K = len(self.words.ball_arrays(radius).prefix), self.structure.num_blocks
         prod = np.empty((n, n), dtype=np.int32)
         prod[:, 0] = np.arange(n)
         for a, b in arrays.spheres(radius):
@@ -440,20 +415,35 @@ class MultiplierSystem:
         for a in range(0, n, step):
             gram[:, a : a + step] = V[prod[inverse[a : a + step]][None], act]
         gram.flags.writeable = False
-        index = {x: i for i, x in enumerate(ball)}
-        return _BallStack(gram, index, inverse, V[:n].copy(), P[:n], prod, P)
+        return BallStack(gram, inverse, V[:n].copy(), prod, P)
 
 
-class _BallStack(NamedTuple):
-    """What ``ball_stack`` keeps per radius."""
+class BallStack(NamedTuple):
+    """The identity ball's kernel stack and the tables kept with it, over
+    the N words of ball(r) in ball order (see ``MultiplierSystem.ball_stack``)."""
 
     gram: np.ndarray  # (K, N, N) kernel stack, read-only
-    index: dict  # word -> ball index
     inverse: np.ndarray  # ball index of each word's inverse
     values: np.ndarray  # (N, K) value rows
-    perms: np.ndarray  # (N, K) action rows, the leading rows of ``actions``
-    products: np.ndarray  # int32 (N, N): Q[a, y], the ball(2 radius) index of a y
-    actions: np.ndarray  # int32 action rows of ball(2 radius)
+    products: np.ndarray  # int32 (N, N): Q[a, y], the ball(2 r) index of a y
+    actions: np.ndarray  # int32 action rows of ball(2 r), those of ball(r) first
+
+    def translates(self, c, u) -> np.ndarray:
+        """Kernel stacks over left translates of ball words: with ball
+        indices c of shape (F,) and u of shape (F, m), the ``(F, K, m, m)``
+        stack over c_f u_{f,0}, ..., c_f u_{f,m-1}, one gather from G.
+
+        K(c u_i, c u_j) = alpha_{c u_j}(h(u_i^-1 u_j)), and G holds
+        alpha_{u_j}(h(u_i^-1 u_j)): its block k is G's block
+        P[u_j]^-1[P[c u_j, k]], P[c u_j] the action row of the ball(2 r)
+        word Q[c, u_j].  Action rows are permutations, so this is index
+        arithmetic on the same value rows whether or not the actions
+        compose.
+        """
+        u = np.asarray(u, dtype=np.intp)
+        act = self.actions[self.products[np.asarray(c, dtype=np.intp)[:, None], u]]
+        block = np.take_along_axis(np.argsort(self.actions[u], axis=-1), act, axis=-1)
+        return self.gram[block.swapaxes(1, 2)[:, :, None, :], u[:, None, :, None], u[:, None, None, :]]
 
 
 class _ValueRows:

@@ -271,20 +271,21 @@ def verify_star_symmetry(sc: Scenario) -> CheckResult:
     """K(x, y) = K(y, x)* over all pairs from the identity-check ball.
 
     The residual is max |G - G^H| over the blocks of the ball's kernel stack,
-    which the system builds once per radius and shares with drop-last-letter
-    and cross-terms, taken over row blocks against the matching column
-    blocks.
+    taken over row blocks against the matching column blocks.  The system
+    builds the stack once per radius, and every lemma check reads it or the
+    tables kept with it.
     """
-    ball, gram, _ = sc.system.ball_stack(sc.identity_radius, sc.budget)
+    gram = sc.system.ball_stack(sc.identity_radius, sc.budget).gram
+    n = gram.shape[1]
     worst = _max_over_rows(
-        gram, len(ball), lambda rows: np.abs(gram[:, rows] - gram[:, :, rows].conj().swapaxes(-1, -2)).max()
+        gram, n, lambda rows: np.abs(gram[:, rows] - gram[:, :, rows].conj().swapaxes(-1, -2)).max()
     )
     return CheckResult(
         name="kernel-star-symmetry",
         suite="lemmas",
         passed=worst <= KERNEL_TOL,
         residual=worst,
-        counts={"pairs": len(ball) ** 2},
+        counts={"pairs": n**2},
     )
 
 
@@ -301,7 +302,7 @@ def verify_peel_off(sc: Scenario) -> CheckResult:
     """
     sys_ = sc.system
     words = sys_.words
-    inverse, values, perms = sys_.ball_rows(sc.identity_radius, sc.budget)
+    _, inverse, values, _, actions = sys_.ball_stack(sc.identity_radius, sc.budget)
     table = words.expression_table(sc.identity_radius, sc.budget)
     if len(table.prefix) == 1:
         return _vacuous(
@@ -319,7 +320,7 @@ def verify_peel_off(sc: Scenario) -> CheckResult:
         tail[a:b] = succ[tail[p], table.last[a:b]]
     lhs, _ = sys_.tree_rows(table)
     first, t = first[1:], tail[1:]
-    rhs = values[first[:, None], perms[inverse[t]]] * values[t]
+    rhs = values[first[:, None], actions[inverse[t]]] * values[t]
     worst = float(np.abs(lhs[1:] - rhs).max())  # NaN if one is NaN
     return CheckResult(
         name="peel-first-letter",
@@ -354,8 +355,7 @@ def verify_drop_last(sc: Scenario) -> CheckResult:
     kernel stack over (x, head) pairs in row chunks.
     """
     sys_ = sc.system
-    _, gram, _ = sys_.ball_stack(sc.identity_radius, sc.budget)
-    inverse, _, _ = sys_.ball_rows(sc.identity_radius, sc.budget)
+    gram, inverse, *_ = sys_.ball_stack(sc.identity_radius, sc.budget)
     heads, _, sizes = sys_.words.last_letter_table(sc.identity_radius, sc.budget)
     reduced = _reduced_pairs(heads >= 0, inverse)
     x, u = np.nonzero(heads >= 0)
@@ -390,7 +390,7 @@ def verify_cross_terms(sc: Scenario) -> CheckResult:
     row chunks of x, over all z with the non-qualifying pairs masked.
     """
     sys_ = sc.system
-    _, gram, _ = sys_.ball_stack(sc.identity_radius, sc.budget)
+    gram = sys_.ball_stack(sc.identity_radius, sc.budget).gram
     worst = 0.0
     n1 = n2 = 0
     for ycls, yc, nc in sys_.words.standard_form_table(sc.identity_radius, sc.budget):
@@ -474,21 +474,29 @@ def _dominance_check(name, families, stacks, tuple_target, no_family, vanishes, 
     Families are taken from the ``families`` iterator in chunks of as many
     as could still be needed, so each chunk is drawn whole and the stop
     rule (``tuple_target`` non-vacuous families) is met only at its end.
-    ``stacks(chunk)`` yields per family size the draw positions and the
-    ``(F, K, 2n, 2n)`` kernel stacks of the accepted families; their
-    differences are computed over the family axis and share one eigensolve
-    per size.  The reasons ``no_family`` and ``vanishes`` make the result
-    vacuous when nothing was accepted or every difference vanished;
-    ``rejected`` counts the drawn families that were not accepted.
+    A family is a pair of n-tuples; a chunk's families are grouped by n in
+    order of first appearance, and ``stacks(families)`` returns, for the
+    families of one n, a mask of the accepted ones and the ``(F, K, 2n, 2n)``
+    kernel stacks over x_0..x_{n-1} then p_0..p_{n-1} of all of them.  The
+    accepted families' differences are computed over the family axis and
+    share one eigensolve per size.  The reasons ``no_family`` and
+    ``vanishes`` make the result vacuous when nothing was accepted or every
+    difference vanished; ``rejected`` counts the drawn families that were
+    not accepted.
     """
     worst = np.inf
     drawn = accepted = non_vacuous = 0
     all_ok = True
     while chunk := list(itertools.islice(families, max(0, tuple_target - non_vacuous))):
         drawn += len(chunk)
+        by_size: dict = {}  # n -> draw positions
+        for i, (first, _) in enumerate(chunk):
+            by_size.setdefault(len(first), []).append(i)
         groups = []
-        for pos, gram in stacks(chunk):
-            diff, maxdiff = _dominance_margin(gram)
+        for pos in by_size.values():
+            ok, gram = stacks([chunk[i] for i in pos])
+            pos = np.array(pos)[ok]
+            diff, maxdiff = _dominance_margin(gram[ok])
             accepted += len(diff)
             non_vacuous += int((maxdiff > 1e-13).sum())
             groups.append((pos, diff))
@@ -518,16 +526,17 @@ def verify_schwarz(sc: Scenario) -> CheckResult:
     vacuous.  At most ``60 * tuple_target`` families are drawn, as indices
     into the identity-check ball, and no word is built.  A family with one
     c is the left translate by c of (b_0, ..., e, ...), so its stack is a
-    gather from the ball's kernel stack
-    (``MultiplierSystem.translate_stacks``); the others go by word ids, x_i
-    and x_i^-1 = b_i^-1 c_i^-1 products of ball words
-    (``MultiplierSystem.id_stacks``).  A chunk's families of one size share
-    one stack, and the hypothesis is tested over the family axis.
+    gather from the ball's kernel stack (``BallStack.translates``); the
+    others go by word ids (``MultiplierSystem.id_stacks``), the ids of
+    x_i = Q[c_i, b_i] and x_i^-1 = Q[b_i^-1, c_i^-1] read off the ball's
+    product table Q.  The families of one size share one stack, and the
+    hypothesis is tested over the family axis.
     """
     sys_ = sc.system
-    words = sys_.words
     radius = sc.identity_radius
-    size = len(words.ball(radius, budget=sc.budget))
+    stack = sys_.ball_stack(radius, sc.budget)
+    _, inverse, _, Q, _ = stack
+    size = len(inverse)
     rng = np.random.default_rng([sc.seed, 104])
 
     def draw():
@@ -539,33 +548,21 @@ def verify_schwarz(sc: Scenario) -> CheckResult:
                 cs = [int(rng.integers(0, size)) for _ in range(n)]
             yield cs, [int(rng.integers(0, size)) for _ in range(n)]
 
-    def stacks(chunk):
-        inverse, _, _ = sys_.ball_rows(radius, sc.budget)
-        ids = None  # the ids of the ball words, once a family needs them
-        by_size: dict = {}  # n -> draw positions
-        for i, (cs, _) in enumerate(chunk):
-            by_size.setdefault(len(cs), []).append(i)
-        for n, pos in by_size.items():
-            pos = np.array(pos)
-            c, b = (np.array([chunk[i][k] for i in pos]) for k in (0, 1))
-            gram = np.empty((len(pos), sys_.structure.num_blocks, 2 * n, 2 * n), dtype=np.complex128)
-            one = (c == c[:, :1]).all(axis=1)
-            u = np.hstack([b, np.zeros_like(b)])[one]  # (b_0, ..., e, ...)
-            gram[one] = sys_.translate_stacks(radius, c[one, 0], u, sc.budget)
-            if not one.all():
-                ids = ids or words.ball_ids(radius)
-                c, b = c[~one].ravel().tolist(), b[~one].ravel().tolist()
-                inv_c, inv_b = inverse[c].tolist(), inverse[b].tolist()
-                x = words.ball_product_ids(radius, [ids[i] for i in c], b)
-                x_inv = words.ball_product_ids(radius, [ids[i] for i in inv_b], inv_c)
-                p, p_inv = [ids[i] for i in c], [ids[i] for i in inv_c]
-                fams = (
-                    (x[k : k + n] + p[k : k + n], x_inv[k : k + n] + p_inv[k : k + n])
-                    for k in range(0, len(x), n)
-                )
-                gram[~one] = sys_.id_stacks(fams)[2 * n]
-            factor = _cross_kernels_factor(gram)
-            yield pos[factor], gram[factor]
+    def stacks(families):
+        c, b = (np.array(f) for f in zip(*families))
+        n = c.shape[1]
+        gram = np.empty((len(c), sys_.structure.num_blocks, 2 * n, 2 * n), dtype=np.complex128)
+        one = (c == c[:, :1]).all(axis=1)
+        u = np.hstack([b, np.zeros_like(b)])[one]  # (b_0, ..., e, ...)
+        gram[one] = stack.translates(c[one, 0], u)
+        if not one.all():
+            c, b = c[~one], b[~one]
+            inv_c = inverse[c]
+            # per family the ball(2 r) indices of x then p, then of their inverses
+            at = np.hstack([Q[c, b], c, Q[inverse[b], inv_c], inv_c])
+            ids = np.reshape(sys_.words.ball_word_ids(2 * radius, at.ravel().tolist()), (-1, 2, 2 * n))
+            gram[~one] = sys_.id_stacks(ids.tolist())[2 * n]
+        return _cross_kernels_factor(gram), gram
 
     return _dominance_check(
         "schwarz-inequality",
@@ -598,7 +595,7 @@ def verify_y1_square(sc: Scenario) -> CheckResult:
                 "lemmas",
                 "multiplier values are not positive central elements",
             )
-    _, gram, _ = sys_.ball_stack(sc.identity_radius, sc.budget)
+    gram = sys_.ball_stack(sc.identity_radius, sc.budget).gram
     rng = np.random.default_rng([sc.seed, 105])
     class_lists = []  # per class its members, as ball indices (x, y c)
     for cls, yc, _ in sys_.words.standard_form_table(sc.identity_radius, sc.budget):
@@ -608,21 +605,15 @@ def verify_y1_square(sc: Scenario) -> CheckResult:
 
     def draw():
         for members in class_lists:
-            yield members[:6]
+            yield tuple(zip(*members[:6]))
             # random sub-multisets with repetition, for tuple volume
             for _ in range(per_class):
                 n = int(rng.integers(1, 4))
-                yield [members[int(rng.integers(0, len(members)))] for _ in range(n)]
+                yield tuple(zip(*[members[int(rng.integers(0, len(members)))] for _ in range(n)]))
 
-    def stacks(chunk):
-        by_size: dict = {}  # m -> (draw positions, ball indices of x then y c)
-        for i, fam in enumerate(chunk):
-            pos, at = by_size.setdefault(len(fam), ([], []))
-            pos.append(i)
-            at.append([x for (x, _) in fam] + [yc for (_, yc) in fam])
-        for pos, at in by_size.values():
-            at = np.array(at)
-            yield pos, gram[:, at[:, :, None], at[:, None, :]].swapaxes(0, 1)
+    def stacks(families):
+        at = np.array([xs + ps for xs, ps in families])  # ball indices of x then y c
+        return np.ones(len(at), dtype=bool), gram[:, at[:, :, None], at[:, None, :]].swapaxes(0, 1)
 
     return _dominance_check(
         "shared-prefix-square-bound",

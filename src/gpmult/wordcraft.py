@@ -432,33 +432,22 @@ class WordContext:
                 append(step(row[p], slot) if b is None else b)
         return [[row[c] for c in cols] for row in map(rows.__getitem__, lefts)]
 
-    def ball_ids(self, radius: int) -> list:
-        """Ids of the words of ``ball(radius)`` in ball order, each word
-        interned as the child of its prefix."""
-        arrays = self.ball_arrays(radius)
-        ids = [self.intern(())]
-        for p, s in zip(arrays.prefix[1:].tolist(), arrays.last[1:].tolist()):
-            ids.append(self._child(ids[p], s))
-        return ids
-
-    def ball_product_ids(self, radius: int, lefts, rights) -> list:
-        """Ids of the canonical products of words ``lefts[k]`` (given as ids)
-        and ``ball(radius)`` words ``rights[k]`` (given as ball indices): one
-        successor per letter of the right word, its letters read off the
+    def ball_word_ids(self, radius: int, indices) -> list:
+        """Ids of the ``ball(radius)`` words at ball ``indices``, in their
+        order, each word interned as the child of its prefix along the
         ball's arrays."""
         arrays = self.ball_arrays(radius)
-        prefix, last = arrays.prefix.tolist(), arrays.last.tolist()
-        step = self._successor
-        out = []
-        for i, x in zip(lefts, rights):
-            slots = []
-            while x > 0:
-                slots.append(last[x])
-                x = prefix[x]
-            for s in reversed(slots):
-                i = step(i, s)
-            out.append(i)
-        return out
+        prefix, last = arrays.prefix.item, arrays.last.item
+        ids = {0: self.intern(())}  # ball index -> id
+        for x in indices:
+            chain = []  # x and its prefixes down to one with an id
+            while x not in ids:
+                chain.append(x)
+                x = prefix(x)
+            i = ids[x]
+            for y in reversed(chain):
+                i = ids[y] = self._child(i, last(y))
+        return [ids[x] for x in indices]
 
     # ------------------------------------------------------------------
     # rearrangements and the truncation order

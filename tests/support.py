@@ -523,7 +523,9 @@ def reference_per_word_drop_last(sc) -> CheckResult:
     rearrangement normalized and looked up in the ball, then one gather
     from the ball's kernel stack per element."""
     words = sc.system.words
-    ball, gram, index = sc.system.ball_stack(sc.identity_radius, sc.budget)
+    gram = sc.system.ball_stack(sc.identity_radius, sc.budget).gram
+    ball = words.ball(sc.identity_radius, budget=sc.budget)
+    index = {x: i for i, x in enumerate(ball)}
     reduced = reference_reduced_pairs(words, ball)
     worst = 0.0
     n_checked = 0

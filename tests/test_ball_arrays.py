@@ -2,14 +2,16 @@
 graph-product automaton, against the successor memo and the per-word paths.
 
 ``WordContext.ball_arrays`` lists a ball sphere by sphere and fills a table
-of successors over it; ``MultiplierSystem.ball_stack`` gathers the kernel
-stack from those arrays with no word interned; ``last_letter_table`` gives
+of successors over it, and ``ball_word_ids`` interns ball words along
+them; ``MultiplierSystem.ball_stack`` gathers the kernel stack from those
+arrays with no word interned; ``last_letter_table`` gives
 drop-last-letter its heads and multiplicities and peel-first-letter its
 tails.  Each is compared with what it replaced: the successor memo entry by
-entry, ``kernel_matrix`` bit for bit, and the per-word drop-last and peel
-loops report for report, on the committed scenarios and on random graph
-products of Z/2, Z/3, S3 and D4 acting on four points.  Sphere sizes are
-checked against the growth series, which shares no code with either.
+entry, ``intern`` id by id, ``kernel_matrix`` bit for bit, and the
+per-word drop-last and peel loops report for report, on the committed
+scenarios and on random graph products of Z/2, Z/3, S3 and D4 acting on
+four points.  Sphere sizes are checked against the growth series, which
+shares no code with either.
 """
 
 import itertools
@@ -112,6 +114,37 @@ def test_successor_table_matches_the_memo_on_random_products(system):
     assert_successor_table(words, 2 * identity_radius(words, cap=600) - 1)
 
 
+def assert_ball_word_ids(words, radius, indices, interned_first):
+    """``ball_word_ids`` against ``intern`` on the ball words at ``indices``,
+    whichever of the two interns them first; a second call interns no more."""
+    ball = words.ball(radius)
+    want = [words.intern(ball[i].letters) for i in indices] if interned_first else None
+    got = words.ball_word_ids(radius, indices)
+    size = len(words._id_prefix)
+    assert got == [words.intern(ball[i].letters) for i in indices] == (want or got)
+    assert words.ball_word_ids(radius, indices) == got and len(words._id_prefix) == size
+
+
+@pytest.mark.parametrize("interned_first", [False, True])
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_ball_word_ids_match_intern_on_scenarios(name, interned_first):
+    sc = scenario(name)
+    words, radius = sc.system.words, 2 * sc.identity_radius
+    indices = np.random.default_rng(3).integers(0, len(words.ball(radius)), 40).tolist()
+    assert_ball_word_ids(words, radius, indices + [0] + indices[:5], interned_first)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_products(), st.lists(st.integers(0, 2**20), min_size=1, max_size=40), st.booleans())
+def test_ball_word_ids_match_intern_on_random_products(system, picks, interned_first):
+    """Unordered and repeated indices, the identity among them."""
+    words = system.words
+    radius = 2 * identity_radius(words, cap=600)
+    size = len(words.ball(radius))
+    indices = [p % size for p in picks]
+    assert_ball_word_ids(words, radius, indices + [0, indices[0]], interned_first)
+
+
 @settings(max_examples=60, deadline=None)
 @given(graph_products(), st.integers(0, 8))
 def test_sphere_sizes_follow_the_growth_series(system, radius):
@@ -150,20 +183,20 @@ def assert_stack_matches_the_memo(system, radius):
     the memo's, with no more than the ball interned by the stack."""
     words = system.words
     before = len(words._id_prefix)
-    ball, gram, index = system.ball_stack(radius)
+    stack = system.ball_stack(radius)
+    assert stack is system._ball_stacks[radius]
+    ball = words.ball(radius)
     assert len(words._id_prefix) <= before + len(ball)
     want = system.kernel_matrix(ball)
-    assert gram.shape == want.shape and gram.tobytes() == np.ascontiguousarray(want).tobytes()
-    inverse, values, perms = system.ball_rows(radius)
-    assert [ball[j] for j in inverse] == [words.inverse(x) for x in ball]
+    assert stack.gram.shape == want.shape and stack.gram.tobytes() == np.ascontiguousarray(want).tobytes()
+    assert [ball[j] for j in stack.inverse] == [words.inverse(x) for x in ball]
     memo_values, memo_perms = word_rows(system, ball)
-    assert values.tobytes() == memo_values.tobytes()
-    assert np.array_equal(perms, memo_perms)
-    assert all(ball[i] == x for x, i in index.items())
-    kept, doubled = system._ball_stacks[radius], words.ball(2 * radius)
+    assert stack.values.tobytes() == memo_values.tobytes()
+    assert np.array_equal(stack.actions[: len(ball)], memo_perms)
+    doubled = words.ball(2 * radius)
     for i in range(0, len(ball), max(1, len(ball) // 8)):
-        assert [doubled[q] for q in kept.products[i]] == [words.multiply(ball[i], y) for y in ball]
-    assert np.array_equal(kept.actions, word_rows(system, doubled)[1])
+        assert [doubled[q] for q in stack.products[i]] == [words.multiply(ball[i], y) for y in ball]
+    assert np.array_equal(stack.actions, word_rows(system, doubled)[1])
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -179,15 +212,15 @@ def test_ball_stack_matches_kernel_matrix_on_random_products(system):
 
 
 def test_ball_stack_interns_no_word_of_the_doubled_ball():
-    """The stack over ball(r) reads ball(2 r) off the arrays: the dict memo
-    gains at most the ball's own ids, here none."""
+    """The stack over ball(r) reads ball(2 r) off the arrays and builds no
+    word: the dict memo and the balls' words stay as they were."""
     sc = scenario("path_mixed")
     words = sc.system.words
     words.normalize([(0, 1), (1, 1)])
     before = len(words._id_prefix)
-    ball, _, _ = sc.system.ball_stack(sc.identity_radius, sc.budget)
-    assert len(words.ball_arrays(2 * sc.identity_radius).prefix) > len(ball)
-    assert len(words._id_prefix) <= before + len(ball)
+    stack = sc.system.ball_stack(sc.identity_radius, sc.budget)
+    assert len(words.ball_arrays(2 * sc.identity_radius).prefix) > len(stack.inverse)
+    assert len(words._id_prefix) == before and not words._balls
 
 
 # ----------------------------------------------------------------------

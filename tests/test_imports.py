@@ -8,7 +8,8 @@ only the word and value layers read the internals of a word context,
 only the word layer names the truncation search, neither the value
 layer nor the checks name the rearrangement search, the word layer
 reads the vertex groups' multiplication only to build its merge table,
-and the checks multiply, invert and normalize no word."""
+the checks multiply, invert and normalize no word, and only the value
+layer reads the internals of a multiplier system."""
 
 import ast
 import re
@@ -336,15 +337,16 @@ WORD_LAYER = {"wordcraft.py", "multipliers.py"}
 CONTEXT_NAMES = {"words", "ctx"}
 
 
-def word_internal_reads(source: str):
-    """(line, attribute) of every underscore attribute read from a name
-    ``words`` or ``ctx``, or from an attribute of that name."""
+def private_reads(source: str, owners=CONTEXT_NAMES):
+    """(line, attribute) of every underscore attribute read from a name in
+    ``owners`` (by default ``words`` or ``ctx``), or from an attribute of
+    that name."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
             owner = node.value
             name = getattr(owner, "id", None) or getattr(owner, "attr", None)
-            if name in CONTEXT_NAMES and not DUNDER.fullmatch(node.attr):
+            if name in owners and not DUNDER.fullmatch(node.attr):
                 out.append((node.lineno, node.attr))
     return sorted(out)
 
@@ -359,12 +361,12 @@ def test_word_internals_scanner_finds_private_reads():
         "z = words.__class__\n"
         "doc = 'words._push'\n"
     )
-    assert word_internal_reads(source) == [(1, "_push"), (2, "_id_prefix"), (3, "_succ")]
+    assert private_reads(source) == [(1, "_push"), (2, "_id_prefix"), (3, "_succ")]
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m not in WORD_LAYER])
 def test_only_the_word_layer_reads_word_internals(module):
-    assert word_internal_reads((SRC / module).read_text(encoding="utf-8")) == []
+    assert private_reads((SRC / module).read_text(encoding="utf-8")) == []
 
 
 # The exhaustive standard-form search and the truncation order stay inside
@@ -502,8 +504,8 @@ def test_word_operation_scanner_finds_calls_and_attributes():
         "z = normalize(raw)\n"
         "f = words.multiply\n"
         "doc = 'words.normalize(r)'\n"
-        "inverse, _, _ = system.ball_rows(3)\n"
-        "t = words.ball_product_ids(3, ids, inverse[b])\n"
+        "gram, inverse, *_ = system.ball_stack(3)\n"
+        "t = words.ball_word_ids(6, stack.products[inverse[b], c])\n"
     )
     expected = [(1, "multiply"), (2, "inverse"), (3, "normalize"), (4, "multiply")]
     assert word_operation_uses(source) == expected
@@ -511,3 +513,27 @@ def test_word_operation_scanner_finds_calls_and_attributes():
 
 def test_checks_multiply_invert_and_normalize_no_word():
     assert word_operation_uses((SRC / "verifier.py").read_text(encoding="utf-8")) == []
+
+
+# The value layer keeps its caches and slot tables behind the methods of a
+# multiplier system; the checks and the command line read the ball stack and
+# the rows through ``ball_stack``, ``tree_rows`` and the other public methods.
+SYSTEM_NAMES = {"system", "sys_"}
+
+
+def test_system_internals_scanner_finds_private_reads():
+    source = (
+        "stack = sys_._ball_stacks[3]\n"
+        "rows = sc.system._value_rows()\n"
+        "self.system._kernel.cache.clear()\n"
+        "stack = sys_.ball_stack(3)\n"
+        "y = other._slot_values\n"
+        "z = system.__class__\n"
+        "doc = 'system._ball_stacks'\n"
+    )
+    assert private_reads(source, SYSTEM_NAMES) == [(1, "_ball_stacks"), (2, "_value_rows"), (3, "_kernel")]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "multipliers.py"])
+def test_only_the_value_layer_reads_system_internals(module):
+    assert private_reads((SRC / module).read_text(encoding="utf-8"), SYSTEM_NAMES) == []

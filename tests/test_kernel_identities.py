@@ -322,7 +322,7 @@ def reduced_pairs(system, radius):
     words = system.words
     heads, _, _ = words.last_letter_table(radius)
     lasts = heads >= 0
-    inverse, _, _ = system.ball_rows(radius)
+    _, inverse, *_ = system.ball_stack(radius)
     for i, x in enumerate(words.ball(radius)):
         assert tuple(np.flatnonzero(lasts[inverse[i]])) == tuple(sorted(first_vertices(words, x)))
     return _reduced_pairs(lasts, inverse)
@@ -518,13 +518,11 @@ def word_path_schwarz(sc: Scenario) -> CheckResult:
             else:
                 cs = [ball[int(rng.integers(0, len(ball)))] for _ in range(n)]
             bs = [ball[int(rng.integers(0, len(ball)))] for _ in range(n)]
-            yield [words.multiply(c, b) for c, b in zip(cs, bs)] + cs
+            yield [words.multiply(c, b) for c, b in zip(cs, bs)], cs
 
-    def stacks(chunk):
-        for m, gram in sys_.kernel_stacks(chunk).items():
-            factor = verifier._cross_kernels_factor(gram)
-            pos = np.array([i for i, fam in enumerate(chunk) if len(fam) == m])
-            yield pos[factor], gram[factor]
+    def stacks(families):
+        gram = sys_.kernel_stacks([xs + ps for xs, ps in families])[2 * len(families[0][0])]
+        return verifier._cross_kernels_factor(gram), gram
 
     return verifier._dominance_check(
         "schwarz-inequality",
@@ -573,13 +571,12 @@ def covariant_translates(system, radius, c, u):
     """The stacks alpha_c(K(u_i, u_j)) that K(c u_i, c u_j) would equal if
     the action of c u_j were that of u_j after c: the ball stack's blocks
     moved by the action row of c alone."""
-    _, gram, _ = system.ball_stack(radius)
-    _, _, perms = system.ball_rows(radius)
-    return gram[perms[c][:, :, None, None], u[:, None, :, None], u[:, None, None, :]]
+    stack = system.ball_stack(radius)
+    return stack.gram[stack.actions[c][:, :, None, None], u[:, None, :, None], u[:, None, None, :]]
 
 
 def assert_translates_match_kernel_stacks(system, radius, seed):
-    """``translate_stacks`` bit for bit against ``kernel_stacks`` over the
+    """``BallStack.translates`` bit for bit against ``kernel_stacks`` over the
     multiplied words, for random c and families u of 1-6 ball words, the
     identity among them as in the Schwarz families."""
     words = system.words
@@ -589,20 +586,20 @@ def assert_translates_match_kernel_stacks(system, radius, seed):
         c = rng.integers(0, len(ball), 5)
         u = rng.integers(0, len(ball), (5, m))
         u[:, m // 2 :] *= rng.integers(0, 2, (5, m - m // 2))
-        got = system.translate_stacks(radius, c, u)
+        got = system.ball_stack(radius).translates(c, u)
         want = system.kernel_stacks([[words.multiply(ball[i], ball[j]) for j in row] for i, row in zip(c, u)])[m]
         assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
-def test_translate_stacks_match_kernel_stacks_on_scenarios(name):
+def test_ball_stack_translates_match_kernel_stacks_on_scenarios(name):
     sc = build_scenario(load_config(str(ROOT / "scenarios" / f"{name}.json")), seed=42)
     assert_translates_match_kernel_stacks(sc.system, sc.identity_radius, seed=1)
 
 
 @settings(max_examples=40, deadline=None)
 @given(graph_products(), st.integers(0, 2**32 - 1))
-def test_translate_stacks_match_kernel_stacks_on_random_products(system, seed):
+def test_ball_stack_translates_match_kernel_stacks_on_random_products(system, seed):
     assert_translates_match_kernel_stacks(system, identity_radius(system.words), seed)
 
 
@@ -622,7 +619,7 @@ def test_translates_read_the_action_rows_of_the_products():
     c, b = np.divmod(np.arange(len(ball) ** 2), len(ball))
     u = np.stack([b, np.zeros_like(b)], axis=1)
     want = system.kernel_stacks([[words.multiply(ball[i], ball[j]) for j in row] for i, row in zip(c, u)])[2]
-    assert system.translate_stacks(2, c, u).tobytes() == np.ascontiguousarray(want).tobytes()
+    assert system.ball_stack(2).translates(c, u).tobytes() == np.ascontiguousarray(want).tobytes()
     assert not np.array_equal(covariant_translates(system, 2, c, u), want)
 
 

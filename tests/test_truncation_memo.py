@@ -360,9 +360,8 @@ def test_shared_ball_stack_is_read_only_and_built_once():
     sc.budget = DEFAULT_BUDGET
     run_suite(sc, "lemmas")
     system = sc.system
-    ball, gram, index = system.ball_stack(sc.identity_radius)
+    stack = system.ball_stack(sc.identity_radius)
     assert list(system._ball_stacks) == [sc.identity_radius]
-    assert system.ball_stack(sc.identity_radius)[1] is gram
-    assert not gram.flags.writeable
-    assert np.array_equal(gram, system.kernel_matrix(ball))
-    assert all(ball[i] == x for x, i in index.items())
+    assert system.ball_stack(sc.identity_radius) is stack
+    assert not stack.gram.flags.writeable
+    assert np.array_equal(stack.gram, system.kernel_matrix(system.words.ball(sc.identity_radius)))
