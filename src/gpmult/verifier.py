@@ -202,7 +202,7 @@ def _complete_sets(sc: Scenario):
         n_draw = min(sc.sample_size, len(ball))
         idx = sorted(int(i) for i in rng.choice(len(ball), size=n_draw, replace=False))
         sample = [ball[i] for i in idx]
-        sets.append(words.complete_closure(base, max_size=cap, budget=sc.budget, optional=sample))
+        sets.append(words.complete_closure(base, max_size=cap, optional=sample))
     return sets
 
 
@@ -302,7 +302,7 @@ def verify_peel_off(sc: Scenario) -> CheckResult:
     """
     sys_ = sc.system
     words = sys_.words
-    _, inverse, values, _, actions = sys_.ball_stack(sc.identity_radius, sc.budget)
+    stack = sys_.ball_stack(sc.identity_radius, sc.budget)
     table = words.expression_table(sc.identity_radius, sc.budget)
     if len(table.prefix) == 1:
         return _vacuous(
@@ -320,7 +320,7 @@ def verify_peel_off(sc: Scenario) -> CheckResult:
         tail[a:b] = succ[tail[p], table.last[a:b]]
     lhs, _ = sys_.tree_rows(table)
     first, t = first[1:], tail[1:]
-    rhs = values[first[:, None], actions[inverse[t]]] * values[t]
+    rhs = stack.values[first[:, None], stack.actions[stack.inverse[t]]] * stack.values[t]
     worst = float(np.abs(lhs[1:] - rhs).max())  # NaN if one is NaN
     return CheckResult(
         name="peel-first-letter",
@@ -355,9 +355,9 @@ def verify_drop_last(sc: Scenario) -> CheckResult:
     kernel stack over (x, head) pairs in row chunks.
     """
     sys_ = sc.system
-    gram, inverse, *_ = sys_.ball_stack(sc.identity_radius, sc.budget)
+    stack = sys_.ball_stack(sc.identity_radius, sc.budget)
     heads, _, sizes = sys_.words.last_letter_table(sc.identity_radius, sc.budget)
-    reduced = _reduced_pairs(heads >= 0, inverse)
+    reduced = _reduced_pairs(heads >= 0, stack.inverse)
     x, u = np.nonzero(heads >= 0)
     h = heads[x, u]
     n_checked = int((sizes[h] * reduced[x].sum(axis=1)).sum())
@@ -368,7 +368,7 @@ def verify_drop_last(sc: Scenario) -> CheckResult:
             "no x != e and y in the identity-check ball with x^-1 y reduced",
             {"instances": 0},
         )
-    worst = _factor_residual(gram, x, h, lambda rows: reduced[x[rows]])
+    worst = _factor_residual(stack.gram, x, h, lambda rows: reduced[x[rows]])
     return CheckResult(
         name="drop-last-letter",
         suite="lemmas",
@@ -535,7 +535,7 @@ def verify_schwarz(sc: Scenario) -> CheckResult:
     sys_ = sc.system
     radius = sc.identity_radius
     stack = sys_.ball_stack(radius, sc.budget)
-    _, inverse, _, Q, _ = stack
+    inverse, Q = stack.inverse, stack.products
     size = len(inverse)
     rng = np.random.default_rng([sc.seed, 104])
 

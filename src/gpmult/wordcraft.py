@@ -170,7 +170,7 @@ class WordContext:
         self._sf_cache: dict = {}
         # radius -> per vertex the (class, y c index, nc) arrays over the ball
         self._sf_tables: dict = {}
-        # letters -> (size of the rearrangement class, immediate truncations)
+        # letters -> immediate truncations
         self._trunc_cache: dict = {}
         self._balls: dict = {}  # radius -> ball
         self._ball_arrays: dict = {}  # radius -> BallArrays
@@ -477,69 +477,52 @@ class WordContext:
                         frontier.append(s)
         return sorted(seen)
 
-    def _immediate_truncations(self, z: GPElement, budget: int = DEFAULT_BUDGET) -> tuple:
-        """The elements r[1:] and r[:-1] over the rearrangements r of z.
+    def _immediate_truncations(self, z: GPElement) -> tuple:
+        """The elements r[1:] and r[:-1] over the rearrangements r of z,
+        memoized per word, with no rearrangement listed.
 
-        Memoized per word together with the size of its rearrangement
-        class, so a call whose ``budget`` that class exceeds raises the
-        error the enumeration would have raised: it checks the count of
-        sequences from the second one found on and stops at the first count
-        past the budget.
+        Two letters not joined (same-vertex letters included) keep their
+        order in every rearrangement, so a letter can come first exactly
+        when no earlier letter is apart from it, and last when no later one
+        is; r[1:] or r[:-1] is then z with that letter deleted.
         """
-        cached = self._trunc_cache.get(z.letters)
-        if cached is None:
-            seqs = self._rearrangements_seq(z.letters, budget)
-            ids = set()
-            for r in seqs:
-                if r:
-                    ids.add(self._word_id(r[1:]))
-                    ids.add(self._word_id(r[:-1]))
-            cached = self._trunc_cache[z.letters] = (len(seqs), tuple(map(self._element, ids)))
-        size, out = cached
-        if size > max(budget, 1):
-            raise _class_budget_error(z.letters, budget, max(budget, 1) + 1)
+        out = self._trunc_cache.get(z.letters)
+        if out is None:
+            letters, apart = z.letters, self._apart
+            ends = set()  # indices of the letters that can come first or last
+            for order in (range(len(letters)), reversed(range(len(letters)))):
+                seen = set()
+                for i in order:
+                    if apart[letters[i].vertex].isdisjoint(seen):
+                        ends.add(i)
+                    seen.add(letters[i].vertex)
+            ids = dict.fromkeys(self._word_id(letters[:i] + letters[i + 1 :]) for i in sorted(ends))
+            out = self._trunc_cache[z.letters] = tuple(map(self._element, ids))
         return out
 
     def _leq(self, x: GPElement, y: GPElement, budget: int) -> bool:
         """Truncation order: x below y when x arises by repeatedly dropping a
-        first or last letter from rearrangements of y."""
-        target = x.letters
-        if target == y.letters:
+        first or last letter from rearrangements of y, that is when x lies
+        in the closure of y; ``budget`` caps the closure's size."""
+        if x.letters == y.letters:
             return True
-        if len(target) >= len(y.letters):
+        if len(x.letters) >= len(y.letters):
             return False
-        seen = {y.letters}
-        frontier = deque([y])
-        while frontier:
-            for t in self._immediate_truncations(frontier.popleft(), budget):
-                if t.letters == target:
-                    return True
-                if t.letters not in seen:
-                    seen.add(t.letters)
-                    if len(seen) > budget:
-                        raise BudgetExceededError(
-                            "truncation search exceeds budget", budget=budget, seen=len(seen)
-                        )
-                    if len(t.letters) > len(target):
-                        frontier.append(t)
-        return False
+        return x in self.complete_closure([y], max_size=budget)
 
-    def complete_closure(
-        self, elements, max_size: int = 10_000, budget: int = DEFAULT_BUDGET, optional=()
-    ):
+    def complete_closure(self, elements, max_size: int = 10_000, optional=()):
         """Smallest truncation-closed set containing the input and the identity.
 
         Closed means: with every member, all one-letter truncations of all its
         rearrangements are members too.  Sorted deterministically by (length,
         letters).  ``max_size`` caps the closure, the input and the identity
-        included, and ``budget`` each rearrangement class.  The set grows in
-        batches, each by a breadth-first search over immediate truncations
-        while it fits in ``max_size``: first the identity and the input, in
-        (length, letters) order, which raise ``BudgetExceededError`` when
-        they do not fit; then each element of ``optional`` in order, the
-        first that does not fit ending the additions, so the result is the
-        closure of the input and of the longest prefix of ``optional`` that
-        fits.
+        included.  The set grows in batches, each by a breadth-first search
+        over immediate truncations while it fits in ``max_size``: first the
+        identity and the input, in (length, letters) order, which raise
+        ``BudgetExceededError`` when they do not fit; then each element of
+        ``optional`` in order, the first that does not fit ending the
+        additions, so the result is the closure of the input and of the
+        longest prefix of ``optional`` that fits.
         """
         out = set()
         for k, batch in enumerate(chain([(self.identity(), *elements)], ([x] for x in optional))):
@@ -547,7 +530,7 @@ class WordContext:
             todo = deque(sorted(set(batch) - out, key=_sort_key))
             new = set(todo)
             while todo and len(out) + len(new) <= max_size:
-                for t in self._immediate_truncations(todo.popleft(), budget):
+                for t in self._immediate_truncations(todo.popleft()):
                     if t not in out and t not in new:
                         new.add(t)
                         todo.append(t)

@@ -24,7 +24,10 @@ per-word haagerup-witness loops, the oracles of the table checks.
 ``reference_complete_closure`` and ``reference_is_reduced`` are the
 two-phase closure, which did not count its seeds against the size cap, and
 the pairwise reducedness test, the oracles of the one-loop closure and of
-the one-scan ``is_reduced``.
+the one-scan ``is_reduced``; ``oracle_truncations`` lists a word's
+rearrangement class and pushes r[1:] and r[:-1] of each, the oracle of the
+truncations ``WordContext`` reads off the letter order, and the two-phase
+closure walks it.
 """
 
 import itertools
@@ -86,6 +89,22 @@ def multipartite_graph(part_sizes) -> SimplicialGraph:
             for b in pb:
                 edges.append((a, b))
     return SimplicialGraph.build(vertices, edges)
+
+
+def k4_z2_config(**verify) -> dict:
+    """Config of (Z/2)^4 on the complete graph K4 with trivial actions and
+    ``verify`` as its verify section: ball(4) has 16 words, but the
+    rearrangement class of abcd has 24 sequences."""
+    vs = "abcd"
+    return {
+        "name": "k4_z2",
+        "graph": {"vertices": list(vs), "edges": [[u, v] for u in vs for v in vs if u < v]},
+        "groups": {v: {"preset": "cyclic", "n": 2} for v in vs},
+        "algebra": {"blocks": [1, 1]},
+        "actions": {v: {"preset": "trivial"} for v in vs},
+        "multipliers": {v: {"preset": "geometric", "c": 0.3} for v in vs},
+        "verify": verify,
+    }
 
 
 def random_element(words: WordContext, rng, max_len: int) -> GPElement:
@@ -189,15 +208,25 @@ def leq(words: WordContext, x: GPElement, y: GPElement, budget: int = DEFAULT_BU
     return words._leq(x, y, budget)
 
 
-def downset(words: WordContext, x: GPElement, max_size: int = 10_000, budget: int = DEFAULT_BUDGET):
+def downset(words: WordContext, x: GPElement, max_size: int = 10_000):
     """All elements below x in the truncation order (x included), sorted:
     the closure of x."""
-    return words.complete_closure([x], max_size=max_size, budget=budget)
+    return words.complete_closure([x], max_size=max_size)
 
 
-def reference_complete_closure(
-    words: WordContext, elements, max_size: int = 10_000, budget: int = DEFAULT_BUDGET, optional=()
-):
+def oracle_truncations(words: WordContext, z: GPElement, budget: int = DEFAULT_BUDGET) -> set:
+    """The immediate truncations of z by their definition: r[1:] and r[:-1]
+    over every sequence r of its rearrangement class, each pushed letter by
+    letter."""
+    out = set()
+    for r in words._rearrangements_seq(z.letters, budget):
+        if r:
+            out.add(reference_push(words, r[1:]))
+            out.add(reference_push(words, r[:-1]))
+    return out
+
+
+def reference_complete_closure(words: WordContext, elements, max_size: int = 10_000, optional=()):
     """The two-phase closure ``complete_closure`` replaced: a breadth-first
     search from the identity and the input, which raises only when a
     truncation takes the set past ``max_size`` (so the seeds themselves are
@@ -210,7 +239,7 @@ def reference_complete_closure(
     out = set(seed)
     todo = deque(sorted(seed, key=lambda x: (len(x), x.letters)))
     while todo:
-        for t in words._immediate_truncations(todo.popleft(), budget):
+        for t in oracle_truncations(words, todo.popleft()):
             if t not in out:
                 out.add(t)
                 if len(out) > max_size:
@@ -221,7 +250,7 @@ def reference_complete_closure(
         new = {x} - out
         todo = deque(new)
         while todo and len(out) + len(new) <= max_size:
-            for t in words._immediate_truncations(todo.popleft(), budget):
+            for t in oracle_truncations(words, todo.popleft()):
                 if t not in out and t not in new:
                     new.add(t)
                     todo.append(t)

@@ -31,6 +31,7 @@ from gpmult.wordcraft import WordContext
 from support import (
     groupoid_from_space,
     growth_sphere_sizes,
+    k4_z2_config,
     reference_ball,
     reference_normalized_peel_off,
     reference_per_word_drop_last,
@@ -276,18 +277,7 @@ def test_drop_last_and_peel_match_the_per_word_loops_on_random_products(system, 
 
 def k4_z2(budget):
     """(Z/2)^4 on K4 at identity radius 4: the class of abcd has 24 sequences."""
-    vs = "abcd"
-    return build_scenario(
-        {
-            "name": "k4_z2",
-            "graph": {"vertices": list(vs), "edges": [[u, v] for u in vs for v in vs if u < v]},
-            "groups": {v: {"preset": "cyclic", "n": 2} for v in vs},
-            "algebra": {"blocks": [1, 1]},
-            "actions": {v: {"preset": "trivial"} for v in vs},
-            "multipliers": {v: {"preset": "geometric", "c": 0.3} for v in vs},
-            "verify": {"identity_radius": 4, "budget": budget},
-        }
-    )
+    return build_scenario(k4_z2_config(identity_radius=4, budget=budget))
 
 
 def raised(fn, sc):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gpmult.cli import _emit, main
+from support import k4_z2_config
 
 FREE_PAIR = "scenarios/free_pair_z2.json"
 
@@ -113,6 +114,13 @@ def test_verify_budget_exhaustion_exits_three(capsys, tmp_path):
     code, _, err = run(capsys, ["verify", write_config(tmp_path, cfg), "--suite", "main"])
     assert code == 3
     assert "budget exceeded" in err
+    # (Z/2)^4 on K4: ball(4) has 16 words, but abcd has 24 rearrangements,
+    # so product-well-defined stops before any complete set is built
+    k4 = write_config(tmp_path, k4_z2_config(ball_radius=4, budget=20), "k4.json")
+    code, out, err = run(capsys, ["verify", k4, "--suite", "main"])
+    assert code == 3
+    assert out == ""
+    assert "rearrangement class exceeds budget" in err
 
 
 def test_gram_sets_never_exceed_max_set_size(capsys, tmp_path):

@@ -482,18 +482,25 @@ def test_word_layer_reads_group_tables_only_in_its_constructor():
 
 # The checks take their words as ball indices and word ids from the word and
 # value layers' tables, so none multiplies, inverts or normalizes a word.
+# Records may carry fields of those names (``BallStack.inverse``), so only
+# calls and the attributes of a word context are word operations.
 WORD_OPERATIONS = {"multiply", "inverse", "normalize"}
+WORD_CONTEXTS = {"words", "ctx"}
 
 
 def word_operation_uses(source: str, names=WORD_OPERATIONS):
-    """(line, name) of every attribute named in ``names``, called or not,
-    and of every call of a bare name in ``names``."""
-    out = []
+    """(line, name) of every call of an attribute or a bare name in
+    ``names``, and of every attribute in ``names`` read from a word context
+    (a name or attribute in ``WORD_CONTEXTS``), called or not."""
+    out = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr in names:
-            out.append((node.lineno, node.attr))
-        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in names:
-            out.append((node.lineno, node.func.id))
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in names:
+                out.add((node.lineno, name))
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            if getattr(node.value, "id", getattr(node.value, "attr", None)) in WORD_CONTEXTS:
+                out.add((node.lineno, node.attr))
     return sorted(out)
 
 
@@ -505,9 +512,20 @@ def test_word_operation_scanner_finds_calls_and_attributes():
         "f = words.multiply\n"
         "doc = 'words.normalize(r)'\n"
         "gram, inverse, *_ = system.ball_stack(3)\n"
-        "t = words.ball_word_ids(6, stack.products[inverse[b], c])\n"
+        "t = words.ball_word_ids(6, stack.products[stack.inverse[b], c])\n"
+        "g = ctx.inverse\n"
+        "h = group.inverse(a)\n"
+        "i = sys_.words.normalize\n"
     )
-    expected = [(1, "multiply"), (2, "inverse"), (3, "normalize"), (4, "multiply")]
+    expected = [
+        (1, "multiply"),
+        (2, "inverse"),
+        (3, "normalize"),
+        (4, "multiply"),
+        (8, "inverse"),
+        (9, "inverse"),
+        (10, "normalize"),
+    ]
     assert word_operation_uses(source) == expected
 
 

@@ -1,18 +1,20 @@
-"""Memoized truncation searches against the un-memoized oracle.
+"""Truncations, closures and the truncation order against the enumerating
+oracle.
 
-``WordContext`` memoizes the immediate truncations of every word it meets
-(with the size of the word's rearrangement class), and the standard-form
-search skips splits above the best one and builds forms only there.  The
-oracle below is the search without either: every truncation step
-re-enumerates the rearrangement class and re-pushes r[1:] and r[:-1], and
-every split at every y length is tested (each distinct y a once, against
-the down-set of x, collected once that way).  Results must agree exactly,
-and a warm memo must raise the same budget errors as a cold search.  The same
+``WordContext`` reads the immediate truncations of a word off its letter
+order and memoizes them per word, and the standard-form search skips splits
+above the best one and builds forms only there.  The oracle is the search
+without either: every truncation step re-enumerates the rearrangement class
+and re-pushes r[1:] and r[:-1] (``support.oracle_truncations``), and every
+split at every y length is tested (each distinct y a once, against the
+down-set of x, collected once that way).  Results must agree exactly, and a
+warm memo must raise the same budget errors as a cold search.  The same
 oracle checks the standard forms and down-set maxima that ``WordContext``
 reads off the letter order with no search.
 """
 
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,9 @@ from gpmult.errors import BudgetExceededError, GPMultError, NoV0LetterError
 from gpmult.graphgroup import SimplicialGraph, cyclic_group
 from gpmult.multipliers import MultiplierSystem
 from gpmult.verifier import (
+    SUITES,
     Scenario,
+    run_all,
     run_suite,
     verify_cross_terms,
     verify_peel_off,
@@ -33,21 +37,14 @@ from gpmult.verifier import (
     verify_y1_square,
 )
 from gpmult.wordcraft import DEFAULT_BUDGET, StandardForm, WordContext, _sort_key
-from support import leq, nc_direct, nc_length_set, reference_push
+from support import k4_z2_config, leq, nc_direct, nc_length_set, oracle_truncations, reference_push
 from test_composed_actions import _system_and_words
+
+SCENARIOS = sorted(Path(__file__).resolve().parents[1].glob("scenarios/*.json"))
 
 
 # ----------------------------------------------------------------------
 # oracle
-
-
-def oracle_truncations(words, z, budget=DEFAULT_BUDGET):
-    out = set()
-    for r in words._rearrangements_seq(z.letters, budget):
-        if r:
-            out.add(reference_push(words, r[1:]))
-            out.add(reference_push(words, r[:-1]))
-    return out
 
 
 def oracle_leq(words, x, y, budget=DEFAULT_BUDGET):
@@ -261,6 +258,41 @@ def test_letter_order_forms_match_the_exhaustive_search(case):
             words.standard_form(x, v0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_long_word_and_a_vertex())
+def test_letter_order_truncations_match_the_enumeration(case):
+    """The truncations read off the letter order, cold and memoized, are
+    r[1:] and r[:-1] over the rearrangements r; words with more than 500
+    are rejected, as in the standard-form test."""
+    words, x, _ = case
+    try:
+        want = oracle_truncations(words, x, budget=500)
+    except BudgetExceededError:
+        reject()
+    got = words._immediate_truncations(x)
+    assert len(got) == len(want) and set(got) == want
+    assert words._immediate_truncations(x) is got
+
+
+def test_verify_lists_no_rearrangement_class(monkeypatch):
+    """Every suite on every committed scenario reads truncations, forms
+    and the expressions of its balls off the letter order: ``verify``
+    enumerates no rearrangement class."""
+    calls = []
+    search = WordContext._rearrangements_seq
+
+    def counted(self, letters, budget):
+        calls.append(letters)
+        return search(self, letters, budget)
+
+    monkeypatch.setattr(WordContext, "_rearrangements_seq", counted)
+    assert len(SCENARIOS) == 8
+    for path in SCENARIOS:
+        report = run_all(build_scenario(load_config(str(path))))
+        assert {check["suite"] for check in report["checks"]} == set(SUITES)
+    assert calls == []
+
+
 def test_cross_terms_and_shared_prefix_enumerate_no_rearrangements(monkeypatch):
     """Once the ball stack exists, the two standard-form checks list no
     rearrangement class: forms and down-set maxima come off the letters.
@@ -286,7 +318,7 @@ def test_cross_terms_and_shared_prefix_enumerate_no_rearrangements(monkeypatch):
     result = verify_witness(sc)
     assert result.passed and not result.vacuous
     assert calls == []
-    sc.system.words.complete_closure(sc.system.words.ball(2))  # the counters see a search
+    sc.system.words.rearrangements(sc.system.words.ball(2)[-1])  # the counters see a search
     sc.system.gp_value(sc.system.words.identity())  # and an evaluation
     assert calls[:-1] and calls[-1] == "gp_value"
 
@@ -298,18 +330,7 @@ def test_cross_terms_and_shared_prefix_enumerate_no_rearrangements(monkeypatch):
 def k4_z2():
     """(Z/2)^4 on the complete graph K4 at identity radius 4, as in the
     lemma budget test: the class of abcd has 24 sequences."""
-    vs = "abcd"
-    return build_scenario(
-        {
-            "name": "k4_z2",
-            "graph": {"vertices": list(vs), "edges": [[u, v] for u in vs for v in vs if u < v]},
-            "groups": {v: {"preset": "cyclic", "n": 2} for v in vs},
-            "algebra": {"blocks": [1, 1]},
-            "actions": {v: {"preset": "trivial"} for v in vs},
-            "multipliers": {v: {"preset": "geometric", "c": 0.3} for v in vs},
-            "verify": {"identity_radius": 4, "budget": 20},
-        }
-    )
+    return build_scenario(k4_z2_config(identity_radius=4, budget=20))
 
 
 def budget_error(search):
@@ -319,27 +340,23 @@ def budget_error(search):
 
 
 def test_warm_truncation_memo_keeps_budget_errors():
+    """The standard-form search enumerates the class of x, which its
+    budget bounds whatever the memo holds."""
     cold, warm = k4_z2().system.words, k4_z2().system.words
     abcd = [w.normalize([(v, 1) for v in range(4)]) for w in (cold, warm)]
-    a = [w.normalize([(0, 1)]) for w in (cold, warm)]
-    # warm: every truncation of abcd memoized under the default budget
+    a = warm.normalize([(0, 1)])
+    # warm: every truncation of abcd memoized
     assert len(warm.complete_closure([abcd[1]])) == 16
-    assert leq(warm, a[1], abcd[1])
+    assert leq(warm, a, abcd[1])
     assert abcd[1].letters in warm._trunc_cache
-    searches = [
-        lambda w, x, l, budget: leq(w, l, x, budget=budget),
-        lambda w, x, l, budget: w.complete_closure([x], budget=budget),
-        lambda w, x, l, budget: w.standard_form_candidates(x, 0, budget=budget),
-    ]
+    word = [(v, 1) for v in range(4)]
     # budgets below 2 are first checked at the second sequence
     for budget, sequences in ((0, 2), (1, 2), (20, 21), (23, 24)):
-        for search in searches:
-            message, context = budget_error(lambda: search(cold, abcd[0], a[0], budget))
-            assert message.startswith("rearrangement class exceeds budget")
-            word = [(v, 1) for v in range(4)]
-            assert context == {"budget": budget, "word": word, "sequences": sequences}
-            assert budget_error(lambda: search(warm, abcd[1], a[1], budget)) == (message, context)
-    assert leq(warm, a[1], abcd[1], budget=24)
+        message, context = budget_error(lambda: cold.standard_form_candidates(abcd[0], 0, budget))
+        assert message.startswith("rearrangement class exceeds budget")
+        assert context == {"budget": budget, "word": word, "sequences": sequences}
+        assert budget_error(lambda: warm.standard_form_candidates(abcd[1], 0, budget)) == (message, context)
+    assert leq(warm, a, abcd[1], budget=24)
     assert warm.standard_form_candidates(abcd[1], 0, budget=24)
 
 

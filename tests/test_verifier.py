@@ -20,7 +20,7 @@ from gpmult.verifier import (
     verify_peel_off,
     verify_y1_square,
 )
-from support import is_complete
+from support import is_complete, k4_z2_config
 
 ALL_SUITES = ("main", "lemmas", "haagerup", "cocycles")
 SCENARIOS = sorted(p.stem for p in Path("scenarios").glob("*.json"))
@@ -256,7 +256,7 @@ def retry_complete_sets(sc):
     for base, sample, cap in sampler_inputs(sc):
         while True:
             try:
-                closure = words.complete_closure(base + sample, max_size=cap, budget=sc.budget)
+                closure = words.complete_closure(base + sample, max_size=cap)
                 break
             except BudgetExceededError as err:
                 if not sample or "max_size" not in err.context:
@@ -273,7 +273,7 @@ def prefix_complete_sets(sc):
     sets = []
     for base, sample, cap in sampler_inputs(sc):
         closures = [
-            words.complete_closure(base + sample[:m], max_size=10**9, budget=sc.budget)
+            words.complete_closure(base + sample[:m], max_size=10**9)
             for m in range(len(sample) + 1)
         ]
         fits = [c for c in closures if len(c) <= cap]
@@ -325,16 +325,7 @@ def test_budget_bounds_every_lemma_check():
     budget of 20 stops every check that enumerates it.  Cross-terms and the
     shared-prefix bound read standard forms off the letter order and
     enumerate nothing, so the budget leaves their results unchanged."""
-    vs = "abcd"
-    cfg = {
-        "name": "k4_z2",
-        "graph": {"vertices": list(vs), "edges": [[u, v] for u in vs for v in vs if u < v]},
-        "groups": {v: {"preset": "cyclic", "n": 2} for v in vs},
-        "algebra": {"blocks": [1, 1]},
-        "actions": {v: {"preset": "trivial"} for v in vs},
-        "multipliers": {v: {"preset": "geometric", "c": 0.3} for v in vs},
-        "verify": {"identity_radius": 4, "budget": 20},
-    }
+    cfg = k4_z2_config(identity_radius=4, budget=20)
     sc = build_scenario(cfg)
     assert len(sc.system.words.ball(4, budget=20)) == 16
     for check in (verify_peel_off, verify_drop_last):
