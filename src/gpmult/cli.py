@@ -45,6 +45,9 @@ ACTION_PRESETS = (
     "block-permutation",
     "point-permutation",
 )
+# Largest D, the sum of the squared block dimensions: an action's (n, D, D)
+# complex matrix-unit images then stay near 126 MB at the largest group order.
+MAX_UNIT_DIM = 256
 
 
 # ----------------------------------------------------------------------
@@ -158,6 +161,11 @@ def _build_structure(cfg) -> BlockStructure:
     blocks = _as_list(a["blocks"], "/algebra/blocks")
     _want(len(blocks) > 0, "/algebra/blocks", "need at least one block")
     dims = [_as_int(b, f"/algebra/blocks/{i}", at_least=1) for i, b in enumerate(blocks)]
+    _want(
+        sum(d * d for d in dims) <= MAX_UNIT_DIM,
+        "/algebra/blocks",
+        f"the squared block dimensions must sum to at most {MAX_UNIT_DIM}",
+    )
     return BlockStructure(tuple(dims))
 
 

@@ -37,7 +37,7 @@ from .errors import (
     StructureMismatchError,
 )
 from .graphgroup import FiniteGroup
-from .matalg import AlgebraElement, BlockStructure, CentralElement
+from .matalg import BlockStructure, CentralElement
 from .wordcraft import GPElement, WordContext
 
 MAP_TOL = 1e-12
@@ -94,15 +94,6 @@ class Automorphism:
             tuple(range(structure.num_blocks)),
             tuple(np.eye(d) for d in structure.block_dims),
         )
-
-    def apply(self, a: AlgebraElement) -> AlgebraElement:
-        if a.structure != self.structure:
-            raise StructureMismatchError("element has wrong structure")
-        blocks = []
-        for k in range(self.structure.num_blocks):
-            u = self.unitaries[k]
-            blocks.append(u @ a.blocks[self._perm_inv[k]] @ u.conj().T)
-        return AlgebraElement(self.structure, blocks)
 
 
 @dataclass(frozen=True, eq=False)

@@ -67,10 +67,6 @@ class BudgetExceededError(GPMultError):
     code = "budget_exceeded"
 
 
-class EmptySetError(GPMultError):
-    code = "empty_set"
-
-
 class NoV0LetterError(GPMultError):
     code = "no_v0_letter"
 

@@ -102,9 +102,6 @@ class FiniteGroup:
     def order(self) -> int:
         return self.table.shape[0]
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
     @property
     def identity(self) -> int:
         if self._identity is None:
@@ -147,12 +144,15 @@ def _inverse_table(table: np.ndarray, identity: int) -> np.ndarray:
 def validate_group(group: FiniteGroup) -> None:
     """Exhaustively verify the multiplication table defines a group.
 
-    Checks shape, the Latin square property, existence of a two-sided
-    identity, unique two-sided inverses, and all n^3 associativity triples
-    (vectorized, so fine up to the supported order cap).
+    Checks the order cap, shape, the Latin square property, existence of a
+    two-sided identity, unique two-sided inverses, and all n^3
+    associativity triples (vectorized, so fine up to the order cap, which is
+    checked before anything of size n^3 is allocated).
     """
     table = group.table
     n = group.order
+    if n > MAX_GROUP_ORDER:
+        raise TooLargeError("group order exceeds the cap", order=n, max=MAX_GROUP_ORDER)
     if table.ndim != 2 or table.shape != (n, n):
         raise NotLatinSquareError("table is not square", shape=table.shape)
     if n == 0:

@@ -1,7 +1,8 @@
 """Finite-dimensional C*-algebras as block-diagonal complex matrices.
 
 An algebra is a direct sum of full matrix blocks, fixed by a
-:class:`BlockStructure`.  Elements store one dense complex array per block.
+:class:`BlockStructure`.  Elements store one dense complex array per block
+and carry no arithmetic: every value the package computes is central.
 Central elements are exactly the block scalars and get their own lightweight
 vector representation.  An n x n matrix of central elements is gathered by
 its callers as a ``(K, n, n)`` stack of scalar matrices, one per block: the
@@ -57,7 +58,7 @@ class BlockStructure:
 
 
 class AlgebraElement:
-    """One dense complex matrix per block."""
+    """One dense complex matrix per block, placed by :meth:`dense`."""
 
     __slots__ = ("structure", "blocks")
 
@@ -77,65 +78,6 @@ class AlgebraElement:
                 )
         self.structure = structure
         self.blocks = blocks
-
-    # -- constructors --
-
-    @classmethod
-    def identity(cls, structure: BlockStructure) -> "AlgebraElement":
-        return cls(structure, [np.eye(d) for d in structure.block_dims])
-
-    @classmethod
-    def zero(cls, structure: BlockStructure) -> "AlgebraElement":
-        return cls(structure, [np.zeros((d, d)) for d in structure.block_dims])
-
-    @classmethod
-    def matrix_unit(cls, structure, block, row, col) -> "AlgebraElement":
-        blocks = [np.zeros((d, d), dtype=np.complex128) for d in structure.block_dims]
-        blocks[block][row, col] = 1.0
-        return cls(structure, blocks)
-
-    # -- arithmetic --
-
-    def _check(self, other: "AlgebraElement") -> None:
-        if self.structure != other.structure:
-            raise StructureMismatchError("mixed block structures")
-
-    def __add__(self, other):
-        self._check(other)
-        return AlgebraElement(
-            self.structure, [a + b for a, b in zip(self.blocks, other.blocks)]
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        return AlgebraElement(
-            self.structure, [a - b for a, b in zip(self.blocks, other.blocks)]
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            self._check(other)
-            return AlgebraElement(
-                self.structure, [a @ b for a, b in zip(self.blocks, other.blocks)]
-            )
-        return AlgebraElement(self.structure, [other * a for a in self.blocks])
-
-    def __rmul__(self, scalar):
-        return AlgebraElement(self.structure, [scalar * a for a in self.blocks])
-
-    def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement(self.structure, [a.conj().T for a in self.blocks])
-
-    def norm(self) -> float:
-        """C*-norm: the largest block operator 2-norm."""
-        return max(float(np.linalg.norm(b, 2)) for b in self.blocks)
-
-    def maxabs_diff(self, other: "AlgebraElement") -> float:
-        self._check(other)
-        return max(
-            float(np.max(np.abs(a - b))) if a.size else 0.0
-            for a, b in zip(self.blocks, other.blocks)
-        )
 
     def dense(self) -> np.ndarray:
         """The single block-diagonal matrix of size total_dim."""
@@ -195,36 +137,8 @@ class CentralElement:
     def constant(cls, structure, value) -> "CentralElement":
         return cls(structure, np.full(structure.num_blocks, value, dtype=np.complex128))
 
-    def _check(self, other):
-        if self.structure != other.structure:
-            raise StructureMismatchError("mixed block structures")
-
-    def __add__(self, other):
-        self._check(other)
-        return CentralElement._adopt(self.structure, self.scalars + other.scalars)
-
-    def __sub__(self, other):
-        self._check(other)
-        return CentralElement._adopt(self.structure, self.scalars - other.scalars)
-
-    def __mul__(self, other):
-        if isinstance(other, CentralElement):
-            self._check(other)
-            return CentralElement._adopt(self.structure, self.scalars * other.scalars)
-        return CentralElement(self.structure, other * self.scalars)
-
-    def __rmul__(self, scalar):
-        return CentralElement(self.structure, scalar * self.scalars)
-
     def conj(self) -> "CentralElement":
         return CentralElement._adopt(self.structure, self.scalars.conj())
-
-    def norm(self) -> float:
-        return float(np.abs(self.scalars).max()) if self.scalars.size else 0.0
-
-    def maxabs_diff(self, other) -> float:
-        self._check(other)
-        return float(np.abs(self.scalars - other.scalars).max())
 
     def __repr__(self):
         return f"CentralElement({list(self.scalars)})"

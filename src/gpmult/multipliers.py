@@ -330,26 +330,19 @@ class MultiplierSystem:
         return self._kernel.get(x, y)
 
     def kernel_matrix(self, xs) -> np.ndarray:
-        """Kernel Gram matrix over xs as a ``(K, n, n)`` stack of block scalars:
-        the one-family case of :meth:`kernel_stacks`."""
-        xs = list(xs)
-        return self.kernel_stacks([xs])[len(xs)][0]
-
-    def kernel_stacks(self, families) -> dict:
-        """Kernel Gram matrices over many families of words, grouped by size:
-        per family size m the ``(F, K, m, m)`` stack of the F families of m
-        words, in their given order (``id_stacks`` over their ids)."""
+        """Kernel Gram matrix over xs as a ``(K, n, n)`` stack of block
+        scalars: ``id_stacks`` over one family, their ids and their inverses'."""
         words = self.words
-
-        def ids(xs):
-            words._check_ctx(*xs)
-            return [words.intern(x.letters) for x in xs], [words._inverse_id(x) for x in xs]
-
-        return self.id_stacks(map(ids, families))
+        xs = list(xs)
+        words._check_ctx(*xs)
+        family = [words.intern(x.letters) for x in xs], [words._inverse_id(x) for x in xs]
+        return self.id_stacks([family])[len(xs)][0]
 
     def id_stacks(self, families) -> dict:
-        """``kernel_stacks`` over families given as the ids of their words
-        and the ids of those words' inverses.
+        """Kernel Gram matrices over many families of words, grouped by
+        size: per family size m the ``(F, K, m, m)`` stack of the F families
+        of m words in their given order, each family given as the ids of its
+        words and the ids of those words' inverses.
 
         Each family's products x_i^-1 x_j come from the successor memo; then
         one value-row fill serves every family, and each size is one gather

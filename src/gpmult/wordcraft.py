@@ -226,10 +226,6 @@ class WordContext:
     def identity(self) -> GPElement:
         return GPElement(self, ())
 
-    def generators(self):
-        """All single non-identity letters, in (vertex, element) order."""
-        return [l for l in self._slot_letter if l is not None]
-
     def _check_letter(self, vertex: int, elem: int) -> None:
         if not (0 <= vertex < self.graph.n):
             raise ElementOutOfRangeError("vertex index out of range", vertex=vertex)

@@ -6,7 +6,9 @@ normal form the successor memo replaced, the word helpers restate
 properties of complete sets and down-sets that the package computes in
 other ways (``nc_direct`` is the per-word count whose maximum over the
 down-set the package now reads off the letter order), the matrix-unit
-loops are the oracles of action validation on ``ActionTable.unit_images``,
+loops are the oracles of action validation on ``ActionTable.unit_images``
+(an algebra element is the list of its blocks, and ``apply_auto`` applies
+an automorphism to one: the package keeps no algebra arithmetic),
 the per-entry central paths are the oracles of the gathers from
 ``ActionTable.perms`` and ``Multiplier.scalars`` (and of the module form's
 cumulative sum) that replaced them, and the per-word lemma paths are the
@@ -48,13 +50,12 @@ from gpmult.errors import (
     BudgetExceededError,
     ContextMismatchError,
     EdgeViolationError,
-    EmptySetError,
     GPMultError,
     NotHomomorphismError,
     StructureMismatchError,
 )
 from gpmult.graphgroup import FiniteGroup, SimplicialGraph
-from gpmult.matalg import AlgebraElement, BlockStructure, CentralElement, is_positive, max_residual
+from gpmult.matalg import BlockStructure, CentralElement, is_positive, max_residual
 from gpmult.multipliers import (
     WELL_DEFINED_TOL,
     Multiplier,
@@ -107,6 +108,11 @@ def k4_z2_config(**verify) -> dict:
     }
 
 
+def generators(words: WordContext) -> list:
+    """All single non-identity letters, in (vertex, element) order."""
+    return [Letter(v, g) for v, grp in enumerate(words.groups) for g in range(grp.order) if g != grp.identity]
+
+
 def random_element(words: WordContext, rng, max_len: int) -> GPElement:
     """Normalization of a uniformly random raw word of length <= max_len."""
     m = int(rng.integers(0, max_len + 1))
@@ -144,7 +150,7 @@ def reference_push(words: WordContext, letters, word=()) -> GPElement:
             if out[i].vertex > v:
                 pos = i
         if i > 0 and out[i - 1].vertex == v:
-            g = grp.mul(out[i - 1].elem, g)
+            g = int(grp.table[out[i - 1].elem, g])
             if g == grp.identity:
                 del out[i - 1]
             else:
@@ -162,7 +168,7 @@ def reference_ball(words: WordContext, radius: int) -> list:
     for _ in range(radius):
         nxt = []
         for i in frontier:
-            for l in words.generators():
+            for l in generators(words):
                 j = words.successor(i, l)
                 if j not in seen:
                     seen.add(j)
@@ -328,7 +334,7 @@ def nc_length_set(words: WordContext, elements, v0: int) -> int:
     """Maximum non-commuting count over a nonempty collection."""
     elements = list(elements)
     if not elements:
-        raise EmptySetError("non-commuting count of an empty collection")
+        raise ValueError("non-commuting count of an empty collection")
     return max(nc_length(words, x, v0) for x in elements)
 
 
@@ -426,7 +432,7 @@ def reference_gp_well_defined(
         n_words += 1
         for r in words.rearrangements(x, budget=budget):
             n_exprs += 1
-            dev = system.gp_value_letters(r).maxabs_diff(base)
+            dev = central_diff(system.gp_value_letters(r), base)
             if dev > worst or (dev != dev and worst == worst):  # the first NaN wins
                 worst = dev
                 witness = r
@@ -448,7 +454,7 @@ def reference_haagerup_witness_ball(
     worst = 0.0
     for x in ball:
         if len(x) > K:
-            worst = max_residual(worst, system.gp_value(x).norm())
+            worst = max_residual(worst, float(np.abs(system.gp_value(x).scalars).max()))
     return WitnessReport(
         ok=worst < eps,
         max_off_norm=worst,
@@ -473,8 +479,9 @@ def reference_verify_peel_off(sc) -> CheckResult:
             tail = words.normalize(r[1:])
             tail_inv = words.inverse(tail)
             twisted = sys_.actions.act_word(tail_inv).on_central(value_of_letter(sys_, r[0]))
-            rhs = twisted * sys_.gp_value(tail)
-            worst = max_residual(worst, sys_.gp_value_letters(r).maxabs_diff(rhs))
+            rhs = twisted.scalars * sys_.gp_value(tail).scalars
+            dev = float(np.abs(sys_.gp_value_letters(r).scalars - rhs).max())
+            worst = max_residual(worst, dev)
             n_checked += 1
     if n_checked == 0:
         return _vacuous(
@@ -594,31 +601,55 @@ def is_complete(words: WordContext, elements) -> bool:
     return True
 
 
-def act_on(action, a: AlgebraElement) -> AlgebraElement:
-    """A word action on a full algebra element, one automorphism per letter,
-    last letter first."""
+# ----------------------------------------------------------------------
+# automorphisms on algebra elements, each element a list of its blocks
+
+
+def apply_auto(auto: Automorphism, a) -> list:
+    """An automorphism on an element given as one array per block: target
+    block k is U_k a_j U_k*, j the source block that ``block_perm`` sends
+    to k."""
+    return [u @ a[j] @ u.conj().T for j, u in zip(auto._perm_inv, auto.unitaries)]
+
+
+def blocks_diff(a, b) -> float:
+    """Largest entry modulus of a - b over the blocks of two elements."""
+    return max(float(np.abs(x - y).max()) for x, y in zip(a, b))
+
+
+def central_diff(a: CentralElement, b: CentralElement) -> float:
+    """Largest block scalar modulus of a - b; NaN if one is NaN."""
+    return float(np.abs(a.scalars - b.scalars).max())
+
+
+def act_on(action, a) -> list:
+    """A word action on an element given as its blocks, one automorphism
+    per letter, last letter first."""
     for l in reversed(action.letters):
-        a = action.system.tables[l.vertex].autos[l.elem].apply(a)
+        a = apply_auto(action.system.tables[l.vertex].autos[l.elem], a)
     return a
 
 
-# ----------------------------------------------------------------------
-# action validation on algebra elements
-
-
 def matrix_units(structure: BlockStructure) -> list:
-    """Every matrix unit E^k_rc, block by block, row-major within a block."""
-    return [
-        AlgebraElement.matrix_unit(structure, k, r, c)
-        for k, d in enumerate(structure.block_dims)
-        for r in range(d)
-        for c in range(d)
-    ]
+    """Every matrix unit E^k_rc as its blocks, block by block, row-major
+    within a block."""
+    out = []
+    for k, d in enumerate(structure.block_dims):
+        for r in range(d):
+            for c in range(d):
+                unit = [np.zeros((e, e), dtype=np.complex128) for e in structure.block_dims]
+                unit[k][r, c] = 1.0
+                out.append(unit)
+    return out
+
+
+# ----------------------------------------------------------------------
+# action validation on matrix units
 
 
 def reference_is_identity_map(auto: Automorphism) -> bool:
     """Whether the automorphism fixes every matrix unit within ``MAP_TOL``."""
-    return all(auto.apply(u).maxabs_diff(u) <= MAP_TOL for u in matrix_units(auto.structure))
+    return all(blocks_diff(apply_auto(auto, u), u) <= MAP_TOL for u in matrix_units(auto.structure))
 
 
 def reference_validate_action(table: ActionTable) -> None:
@@ -631,14 +662,14 @@ def reference_validate_action(table: ActionTable) -> None:
     n = table.group.order
     for g in range(n):
         for h in range(n):
-            gh = table.group.mul(g, h)
+            gh = table.group.table[g, h]
             for u in units:
-                lhs = table.autos[gh].apply(u)
-                rhs = table.autos[g].apply(table.autos[h].apply(u))
-                if not lhs.maxabs_diff(rhs) <= MAP_TOL:
-                    raise NotHomomorphismError(
-                        "action is not multiplicative", g=g, h=h, deviation=lhs.maxabs_diff(rhs)
-                    )
+                dev = blocks_diff(
+                    apply_auto(table.autos[gh], u),
+                    apply_auto(table.autos[g], apply_auto(table.autos[h], u)),
+                )
+                if not dev <= MAP_TOL:
+                    raise NotHomomorphismError("action is not multiplicative", g=g, h=h, deviation=dev)
 
 
 def reference_actions_commute(t1: ActionTable, t2: ActionTable) -> bool:
@@ -648,7 +679,7 @@ def reference_actions_commute(t1: ActionTable, t2: ActionTable) -> bool:
     for a1 in t1.autos:
         for a2 in t2.autos:
             for u in units:
-                if not a1.apply(a2.apply(u)).maxabs_diff(a2.apply(a1.apply(u))) <= MAP_TOL:
+                if not blocks_diff(apply_auto(a1, apply_auto(a2, u)), apply_auto(a2, apply_auto(a1, u))) <= MAP_TOL:
                     return False
     return True
 
@@ -681,7 +712,7 @@ def reference_is_positive_definite(h, table, S=None, tol=1e-9, hermitian_tol=1e-
         S = list(range(h.group.order))
     group = h.group
     grid = [
-        [apply_central(table.autos[xj], h.values[group.mul(group.inverse(xi), xj)]) for xj in S]
+        [apply_central(table.autos[xj], h.values[group.table[group.inv[xi], xj]]) for xj in S]
         for xi in S
     ]
     return is_positive(central_stack(h.structure, grid), tol=tol, hermitian_tol=hermitian_tol)
@@ -698,7 +729,7 @@ def reference_multipliers_commute(system: MultiplierSystem, tol: float = 1e-12) 
             worst = 0.0
             for auto in table.autos:
                 for val in h.values:
-                    worst = max(worst, apply_central(auto, val).maxabs_diff(val))
+                    worst = max(worst, central_diff(apply_central(auto, val), val))
             if worst > tol:
                 raise EdgeViolationError(
                     "adjacent action moves a multiplier value",
@@ -735,7 +766,7 @@ def tensor_algebra(s1: BlockStructure, s2: BlockStructure):
 
     Blocks are ordered (i, j) row-major over the factors; returns
     ``(structure, embed_left, embed_right)`` with embed_left(a) = a (x) 1 and
-    embed_right(b) = 1 (x) b.
+    embed_right(b) = 1 (x) b, each element given as its list of blocks.
     """
     dims = []
     for d1 in s1.block_dims:
@@ -743,23 +774,11 @@ def tensor_algebra(s1: BlockStructure, s2: BlockStructure):
             dims.append(d1 * d2)
     ts = BlockStructure(tuple(dims))
 
-    def embed_left(a: AlgebraElement) -> AlgebraElement:
-        if a.structure != s1:
-            raise StructureMismatchError("element not in the left factor")
-        blocks = []
-        for b1 in a.blocks:
-            for d2 in s2.block_dims:
-                blocks.append(np.kron(b1, np.eye(d2)))
-        return AlgebraElement(ts, blocks)
+    def embed_left(a) -> list:
+        return [np.kron(b1, np.eye(d2)) for b1 in a for d2 in s2.block_dims]
 
-    def embed_right(b: AlgebraElement) -> AlgebraElement:
-        if b.structure != s2:
-            raise StructureMismatchError("element not in the right factor")
-        blocks = []
-        for d1 in s1.block_dims:
-            for b2 in b.blocks:
-                blocks.append(np.kron(np.eye(d1), b2))
-        return AlgebraElement(ts, blocks)
+    def embed_right(b) -> list:
+        return [np.kron(np.eye(d1), b2) for d1 in s1.block_dims for b2 in b]
 
     return ts, embed_left, embed_right
 

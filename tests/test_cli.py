@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from gpmult.cli import _emit, main
+from gpmult.cli import MAX_UNIT_DIM, _emit, main
+from gpmult.graphgroup import MAX_GROUP_ORDER
 from support import k4_z2_config
 
 FREE_PAIR = "scenarios/free_pair_z2.json"
@@ -185,6 +186,38 @@ def test_unknown_edge_vertex(capsys, tmp_path):
     code, _, err = run(capsys, ["check-setup", write_config(tmp_path, cfg)])
     assert code == 2
     assert "config error at /graph/edges/0/1" in err
+
+
+@pytest.mark.parametrize("blocks", [[10**20], [16, 1], [1] * 257])
+def test_oversized_algebra_is_a_config_error(capsys, tmp_path, blocks):
+    """Block dimensions whose squares sum past ``MAX_UNIT_DIM`` exit 2 with
+    a pointer before any array is built; ``10**20`` used to escape as a
+    numpy traceback."""
+    cfg = load_free_pair()
+    cfg["algebra"]["blocks"] = blocks
+    code, out, err = run(capsys, ["verify", write_config(tmp_path, cfg)])
+    assert code == 2 and out == ""
+    assert f"config error at /algebra/blocks: the squared block dimensions must sum to at most {MAX_UNIT_DIM}" in err
+
+
+def test_algebra_at_the_size_cap_is_accepted(capsys, tmp_path):
+    cfg = load_free_pair()
+    cfg["algebra"]["blocks"] = [16]
+    assert 16 * 16 == MAX_UNIT_DIM
+    code, out, _ = run(capsys, ["check-setup", write_config(tmp_path, cfg)])
+    assert code == 0 and json.loads(out)["valid"] is True
+
+
+def test_custom_group_past_the_order_cap_is_a_config_error(capsys, tmp_path):
+    """A custom table of order 121, one past the presets' cap, used to pass
+    check-setup; it is refused before the n^3 associativity arrays."""
+    cfg = load_free_pair()
+    n = MAX_GROUP_ORDER + 1
+    cfg["groups"]["a"] = {"table": [[(i + j) % n for j in range(n)] for i in range(n)]}
+    cfg["multipliers"]["a"] = {"preset": "delta"}
+    code, out, err = run(capsys, ["check-setup", write_config(tmp_path, cfg)])
+    assert code == 2 and out == ""
+    assert "config error at /groups/a/table: group order exceeds the cap" in err
 
 
 def test_verify_report_echoes_expanded_config(capsys, tmp_path):

@@ -1,9 +1,10 @@
 """Modules, cocycles, Schoenberg multipliers, negative definiteness.
 
 The package runs the module layer on ``(n, K)`` arrays of block scalars.
-The generic ``AlgebraElement`` module layer it replaced is kept below as the
-oracle: dense blocks, vectors as coefficient lists, the action applied with
-its unitaries, and the Gram matrix certified in its flattened layout.
+The generic module layer it replaced is kept below as the oracle: an
+algebra element is a list of dense blocks, vectors are coefficient lists,
+the action is applied with its unitaries, and the Gram matrix is certified
+in its flattened layout.
 """
 
 from pathlib import Path
@@ -40,16 +41,9 @@ from gpmult.errors import (
     SupportEscapeError,
 )
 from gpmult.graphgroup import cyclic_group, dihedral_group
-from gpmult.matalg import (
-    AlgebraElement,
-    BlockStructure,
-    CentralElement,
-    OperatorMatrix,
-    embed_central,
-    is_positive,
-)
+from gpmult.matalg import BlockStructure, CentralElement, OperatorMatrix, is_positive
 from gpmult.multipliers import Multiplier, convention_flip
-from support import apply_central
+from support import apply_auto, apply_central, blocks_diff
 
 SCALAR = BlockStructure((1,))
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -70,9 +64,33 @@ def z4_module():
     return h, gns_build(h, trivial_action(z4, SCALAR))
 
 
+def embed(structure, scalars) -> list:
+    """Block scalars as the blocks z_k I_{d_k} of an algebra element."""
+    return [z * np.eye(d) for z, d in zip(np.asarray(scalars, dtype=np.complex128), structure.block_dims)]
+
+
+def zero(structure) -> list:
+    return [np.zeros((d, d), dtype=np.complex128) for d in structure.block_dims]
+
+
+def adjoint(a) -> list:
+    return [x.conj().T for x in a]
+
+
+def block_diag(a) -> np.ndarray:
+    """The blocks of an element as one block-diagonal matrix."""
+    T = sum(len(x) for x in a)
+    out = np.zeros((T, T), dtype=np.complex128)
+    off = 0
+    for x in a:
+        out[off : off + len(x), off : off + len(x)] = x
+        off += len(x)
+    return out
+
+
 def as_coefficients(structure, v):
     """An ``(n, K)`` array of block scalars as a list of algebra elements."""
-    return [embed_central(CentralElement(structure, x)) for x in v]
+    return [embed(structure, x) for x in v]
 
 
 def test_gram_matches_classical_circulant():
@@ -260,13 +278,13 @@ def test_exact_certificate_matches_the_circulant_spectrum():
 
 
 # ----------------------------------------------------------------------
-# the per-trial AlgebraElement evaluation, kept as the reference
+# the per-trial evaluation on dense blocks, kept as the reference
 
 
 def reference_negative_definite_check(psi, table, trials=500, seed=0, tol=1e-8):
     """One trial at a time with generic algebra arithmetic and a dense eigensolve.
 
-    ``psi`` lists one :class:`AlgebraElement` per group element.  Returns
+    ``psi`` lists one algebra element (a list of blocks) per group element.  Returns
     ``(ok, worst_margin, symmetry_deviation, trials, exact_lambda_max)``; the
     certificate compresses each block's dense ``(n d_k, n d_k)`` matrix to
     the sum-zero subspace through an orthonormal basis from a QR
@@ -278,20 +296,20 @@ def reference_negative_definite_check(psi, table, trials=500, seed=0, tol=1e-8):
     psi = [psi[g] for g in range(n)]
     sym_dev = 0.0
     for s in range(n):
-        lhs = table.autos[s].apply(psi[group.inverse(s)])
-        sym_dev = max(sym_dev, lhs.maxabs_diff(psi[s].adjoint()))
+        lhs = apply_auto(table.autos[s], psi[group.inverse(s)])
+        sym_dev = max(sym_dev, blocks_diff(lhs, adjoint(psi[s])))
     M = [
-        [table.autos[i].apply(psi[group.mul(group.inverse(i), j)]) for j in range(n)]
+        [apply_auto(table.autos[i], psi[group.table[group.inv[i], j]]) for j in range(n)]
         for i in range(n)
     ]
 
     def form_lambda_max(bs) -> float:
-        acc = AlgebraElement.zero(structure)
+        acc = zero(structure)
         for i in range(n):
-            bi = bs[i].adjoint()
+            bi = adjoint(bs[i])
             for j in range(n):
-                acc = acc + bi * M[i][j] * bs[j]
-        dense = acc.dense()
+                acc = [a + x @ m @ y for a, x, m, y in zip(acc, bi, M[i][j], bs[j])]
+        dense = block_diag(acc)
         herm = (dense + dense.conj().T) / 2.0
         return float(np.linalg.eigvalsh(herm)[-1])
 
@@ -300,7 +318,7 @@ def reference_negative_definite_check(psi, table, trials=500, seed=0, tol=1e-8):
         basis = np.linalg.qr(np.eye(n)[:, :-1] - np.eye(n)[:, 1:])[0]
         tops = []
         for k, d in enumerate(structure.block_dims):
-            dense = np.block([[M[i][j].blocks[k] for j in range(n)] for i in range(n)])
+            dense = np.block([[M[i][j][k] for j in range(n)] for i in range(n)])
             p = np.kron(basis, np.eye(d))
             comp = p.T @ dense @ p
             tops.append(float(np.linalg.eigvalsh((comp + comp.conj().T) / 2.0)[-1]))
@@ -314,11 +332,11 @@ def reference_negative_definite_check(psi, table, trials=500, seed=0, tol=1e-8):
                 rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                 for d in structure.block_dims
             ]
-            bs.append(AlgebraElement(structure, blocks))
-        total = AlgebraElement.zero(structure)
+            bs.append(blocks)
+        total = zero(structure)
         for b in bs:
-            total = total + b
-        bs.append(-1.0 * total)
+            total = [t + x for t, x in zip(total, b)]
+        bs.append([-1.0 * t for t in total])
         worst = max(worst, form_lambda_max(bs))
     count = max(trials, 0)
     if count == 0:
@@ -447,13 +465,13 @@ def test_negative_definite_check_matches_reference(case):
 
 
 # ----------------------------------------------------------------------
-# the AlgebraElement module layer, kept as the oracle
+# the module layer on dense blocks, kept as the oracle
 
 
 class OracleModule:
     """Module of a row-convention multiplier with dense algebra coefficients.
 
-    A vector is a list of one :class:`AlgebraElement` per group element; the
+    A vector is a list of one algebra element (a list of blocks) per group element; the
     action applies each automorphism with its unitaries, and the Gram matrix
     is certified in its flattened ``(nT) x (nT)`` layout.
     """
@@ -463,7 +481,7 @@ class OracleModule:
         n = group.order
         self.h, self.table, self.group, self.structure = h, table, group, h.structure
         grid = [
-            [apply_central(table.autos[s], h.values[group.mul(group.inverse(s), t)])
+            [apply_central(table.autos[s], h.values[group.table[group.inv[s], t]])
              for t in range(n)]
             for s in range(n)
         ]
@@ -471,48 +489,48 @@ class OracleModule:
         ok, self.lambda_min = is_positive(flat, tol=tol, hermitian_tol=1e-8)
         if not ok:
             raise NotPositiveError("Gram matrix of the multiplier is not positive")
-        self.gram = [[embed_central(c) for c in row] for row in grid]
+        self.gram = [[embed(h.structure, c.scalars) for c in row] for row in grid]
 
     def delta(self, g):
-        v = [AlgebraElement.zero(self.structure) for _ in range(self.group.order)]
-        v[g] = AlgebraElement.identity(self.structure)
+        v = [zero(self.structure) for _ in range(self.group.order)]
+        v[g] = embed(self.structure, np.ones(self.structure.num_blocks))
         return v
 
     def inner(self, f, g):
-        out = AlgebraElement.zero(self.structure)
+        out = zero(self.structure)
         for s in range(self.group.order):
-            gs = g[s].adjoint()
+            gs = adjoint(g[s])
             for t in range(self.group.order):
-                out = out + gs * self.gram[s][t] * f[t]
+                out = [o + x @ m @ y for o, x, m, y in zip(out, gs, self.gram[s][t], f[t])]
         return out
 
     def u_action(self, s, v):
         s_inv = self.group.inverse(s)
         auto = self.table.autos[s]
-        return [auto.apply(v[self.group.mul(s_inv, t)]) for t in range(self.group.order)]
+        return [apply_auto(auto, v[self.group.table[s_inv, t]]) for t in range(self.group.order)]
 
 
 def coefficient_diff(u, v):
     """Largest entrywise difference of two coefficient lists."""
-    return max(a.maxabs_diff(b) for a, b in zip(u, v))
+    return max(blocks_diff(a, b) for a, b in zip(u, v))
 
 
 def oracle_cocycle(mod):
     """(Q, cocycle-identity residual, squared-norm residual) of xi = delta_e."""
     n = mod.group.order
     xi = mod.delta(mod.group.identity)
-    b = [[x - y for x, y in zip(xi, mod.u_action(s, xi))] for s in range(n)]
+    b = [[[p - q for p, q in zip(x, y)] for x, y in zip(xi, mod.u_action(s, xi))] for s in range(n)]
     Q = [mod.inner(bs, bs) for bs in b]
     res = 0.0
     for s in range(n):
         for t in range(n):
-            rhs = [x + y for x, y in zip(b[s], mod.u_action(s, b[t]))]
-            res = max(res, coefficient_diff(b[mod.group.mul(s, t)], rhs))
-    one = AlgebraElement.identity(mod.structure)
+            rhs = [[p + q for p, q in zip(x, y)] for x, y in zip(b[s], mod.u_action(s, b[t]))]
+            res = max(res, coefficient_diff(b[mod.group.table[s, t]], rhs))
     res2 = 0.0
     for s in range(n):
-        hs = embed_central(mod.h.values[s])
-        res2 = max(res2, Q[s].maxabs_diff(2.0 * one - hs - hs.adjoint()))
+        hs = embed(mod.structure, mod.h.values[s].scalars)
+        want = [2.0 * np.eye(len(x)) - x - x.conj().T for x in hs]
+        res2 = max(res2, blocks_diff(Q[s], want))
     return Q, res, res2
 
 
@@ -521,7 +539,7 @@ def oracle_schoenberg(Q, t):
     out = []
     for q in Q:
         scalars = []
-        for blk in q.blocks:
+        for blk in q:
             d = blk.shape[0]
             z = np.trace(blk) / d
             assert np.linalg.norm(blk - z * np.eye(d)) <= 1e-9

@@ -40,10 +40,10 @@ def fold_gp_value(system, letters):
     inv = [Letter(l.vertex, groups[l.vertex].inverse(l.elem)) for l in letters]
     out = None
     for j, letter in enumerate(letters[:-1]):
-        factor = fold_on_central(system.actions, inv[:j:-1], value_of_letter(system, letter))
+        factor = fold_on_central(system.actions, inv[:j:-1], value_of_letter(system, letter)).scalars
         out = factor if out is None else out * factor
-    last = value_of_letter(system, letters[-1])
-    return last if out is None else out * last
+    last = value_of_letter(system, letters[-1]).scalars
+    return CentralElement(system.structure, last if out is None else out * last)
 
 
 def fold_kernel(system, x, y):

@@ -26,11 +26,13 @@ from gpmult.dynamics import (
     validate_action,
 )
 from gpmult.graphgroup import SimplicialGraph, cyclic_group, symmetric_group
-from gpmult.matalg import AlgebraElement, BlockStructure, CentralElement
+from gpmult.matalg import BlockStructure, CentralElement
 from gpmult.wordcraft import WordContext
 from support import (
     act_on,
+    apply_auto,
     apply_central,
+    blocks_diff,
     matrix_units,
     reference_actions_commute,
     reference_is_identity_map,
@@ -43,13 +45,15 @@ def test_automorphism_is_multiplicative_and_unital():
     rng = np.random.default_rng(1)
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     alpha = Automorphism(st, (1, 0), (np.eye(2), q))
-    a = AlgebraElement(st, [rng.standard_normal((2, 2)) for _ in range(2)])
-    b = AlgebraElement(st, [rng.standard_normal((2, 2)) for _ in range(2)])
-    assert alpha.apply(a * b).maxabs_diff(alpha.apply(a) * alpha.apply(b)) < 1e-12
-    assert alpha.apply(AlgebraElement.identity(st)).maxabs_diff(
-        AlgebraElement.identity(st)
-    ) < 1e-12
-    assert alpha.apply(a.adjoint()).maxabs_diff(alpha.apply(a).adjoint()) < 1e-12
+    a = [rng.standard_normal((2, 2)) for _ in range(2)]
+    b = [rng.standard_normal((2, 2)) for _ in range(2)]
+    ab = [x @ y for x, y in zip(a, b)]
+    images = [x @ y for x, y in zip(apply_auto(alpha, a), apply_auto(alpha, b))]
+    assert blocks_diff(apply_auto(alpha, ab), images) < 1e-12
+    one = [np.eye(2), np.eye(2)]
+    assert blocks_diff(apply_auto(alpha, one), one) < 1e-12
+    adjoints = [x.conj().T for x in apply_auto(alpha, a)]
+    assert blocks_diff(apply_auto(alpha, [x.conj().T for x in a]), adjoints) < 1e-12
 
 
 def test_automorphism_rejects_bad_data():
@@ -167,12 +171,12 @@ def test_word_action_representative_independent_on_commuting_edge():
     system.setup_commutes_per_graph()
     uv = ctx.normalize([(0, 1), (1, 1)])
     rng = np.random.default_rng(0)
-    a = AlgebraElement(st, [rng.standard_normal((1, 1)) for _ in range(4)])
+    a = [rng.standard_normal((1, 1)) for _ in range(4)]
     outs = []
     for r in ctx.rearrangements(uv):
         outs.append(act_on(system.act_word(list(r)), a))
     assert len(outs) == 2
-    assert outs[0].maxabs_diff(outs[1]) < 1e-12
+    assert blocks_diff(outs[0], outs[1]) < 1e-12
 
 
 def test_trivial_action_is_identity_everywhere():
@@ -187,7 +191,7 @@ def test_trivial_action_is_identity_everywhere():
 def test_unit_images_are_the_matrix_unit_images():
     """Column (j, r, c) of ``unit_images[g]`` is alpha_g(E^j_rc), its
     blocks read row-major, on a block swap with unitaries on every block
-    (up to rounding: kron multiplies once where ``apply`` also sums)."""
+    (up to rounding: kron multiplies once where ``apply_auto`` also sums)."""
     st = BlockStructure([2, 1, 2])
     rng = np.random.default_rng(4)
     q = [_unitary(rng, d) for d in (2, 1, 2)]
@@ -195,8 +199,7 @@ def test_unit_images_are_the_matrix_unit_images():
     images = table.unit_images
     assert images.shape == (1, 9, 9) and not images.flags.writeable
     for col, u in enumerate(matrix_units(st)):
-        image = table.autos[0].apply(u)
-        want = np.concatenate([b.ravel() for b in image.blocks])
+        want = np.concatenate([b.ravel() for b in apply_auto(table.autos[0], u)])
         assert np.abs(images[0, :, col] - want).max() < 1e-15
 
 

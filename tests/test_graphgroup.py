@@ -14,6 +14,8 @@ from gpmult.errors import (
     UnknownVertexError,
 )
 from gpmult.graphgroup import (
+    MAX_GROUP_ORDER,
+    FiniteGroup,
     SimplicialGraph,
     cyclic_group,
     dihedral_group,
@@ -60,7 +62,7 @@ def test_cyclic_group_table():
     assert g.identity == 0
     for a in range(5):
         for b in range(5):
-            assert g.mul(a, b) == (a + b) % 5
+            assert g.table[a, b] == (a + b) % 5
         assert g.inverse(a) == (-a) % 5
 
 
@@ -76,7 +78,7 @@ def test_symmetric_group_against_permutation_oracle():
     assert g.order == 6
     for i, p in enumerate(perms):
         for j, q in enumerate(perms):
-            assert perms[g.mul(i, j)] == _perm_compose(p, q)
+            assert perms[g.table[i, j]] == _perm_compose(p, q)
 
 
 def test_dihedral_group_is_isomorphic_to_s3():
@@ -90,7 +92,7 @@ def test_dihedral_group_is_isomorphic_to_s3():
         if sigma[d3.identity] != s3.identity:
             continue
         if all(
-            sigma[d3.mul(a, b)] == s3.mul(sigma[a], sigma[b])
+            sigma[d3.table[a, b]] == s3.table[sigma[a], sigma[b]]
             for a in range(6)
             for b in range(6)
         ):
@@ -107,10 +109,10 @@ def test_dihedral_relations():
     # r has order n, f has order 2, and f r f = r^{-1}
     x = g.identity
     for _ in range(n):
-        x = g.mul(x, r)
+        x = g.table[x, r]
     assert x == g.identity
-    assert g.mul(f, f) == g.identity
-    assert g.mul(g.mul(f, r), f) == g.inverse(r)
+    assert g.table[f, f] == g.identity
+    assert g.table[g.table[f, r], f] == g.inverse(r)
 
 
 def test_validate_rejects_non_latin_square():
@@ -142,6 +144,16 @@ def test_validate_rejects_non_associative_quasigroup():
 def test_order_cap_enforced():
     with pytest.raises(TooLargeError):
         preset_group("cyclic", 500)
+
+
+def test_validate_caps_custom_tables_before_the_associativity_arrays():
+    """A valid cyclic table one past ``MAX_GROUP_ORDER`` is refused, not
+    checked through two n^3 arrays."""
+    n = MAX_GROUP_ORDER + 1
+    idx = np.arange(n)
+    with pytest.raises(TooLargeError) as err:
+        validate_group(FiniteGroup((idx[:, None] + idx[None, :]) % n))
+    assert err.value.context == {"order": n, "max": MAX_GROUP_ORDER}
 
 
 def test_preset_group_dispatch():

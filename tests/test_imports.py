@@ -1,9 +1,10 @@
 """Every name a package module imports is used in that module, every
 module-level UPPER_CASE constant of the package is loaded somewhere in
 ``src/``, ``tests/`` or ``bench/``, every function, method and class of the
-package is named there outside its own definition, every
+package is named there outside its own definition, and also by another
+package module, the benchmark or the acceptance gate, every
 ``GPMultError`` subclass in ``errors.py`` is named by some other file
-there, only the algebra and action layers use full algebra elements,
+there, only the algebra layer uses full algebra elements,
 only the word and value layers read the internals of a word context,
 only the word layer names the truncation search, neither the value
 layer nor the checks name the rearrangement search, the word layer
@@ -240,6 +241,55 @@ def test_every_definition_is_named_outside_itself(module, project_sites):
     assert unnamed_definitions(path.read_text(encoding="utf-8"), elsewhere) == []
 
 
+# A definition that only the unit tests name is test support and belongs
+# under tests/: every definition of the package is named by another package
+# module, by the benchmark or by the acceptance gate.
+GATE = ROOT / "tests" / "test_acceptance.py"
+
+
+def reaching_names(sites, path):
+    """Names mentioned by the files of ``sites`` (path -> names) under src/
+    or bench/, or by the acceptance gate, other than ``path``."""
+    reaching = (ROOT / "src", ROOT / "bench")
+    return set().union(
+        *(
+            names
+            for p, names in sites.items()
+            if p != path and (p == GATE or any(d in p.parents for d in reaching))
+        )
+    )
+
+
+def test_reaching_scanner_flags_definitions_only_tests_name():
+    module = (
+        "def shipped():\n"
+        "    return 1\n"
+        "def gated():\n"
+        "    return 2\n"
+        "def benched():\n"
+        "    return 3\n"
+        "def tested():\n"
+        "    return 4\n"
+    )
+    path = SRC / "m.py"
+    sites = {
+        path: set(name_sites(module)),
+        SRC / "cli.py": {"shipped"},
+        GATE: {"gated"},
+        ROOT / "bench" / "tracing.py": {"benched"},
+        ROOT / "tests" / "test_m.py": {"tested"},
+    }
+    assert unnamed_definitions(module, reaching_names(sites, path)) == [(7, "tested")]
+    everywhere = set().union(*(names for p, names in sites.items() if p != path))
+    assert unnamed_definitions(module, everywhere) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_definition_is_named_by_the_package_the_gate_or_the_benchmark(module, project_sites):
+    path = SRC / module
+    assert unnamed_definitions(path.read_text(encoding="utf-8"), reaching_names(project_sites, path)) == []
+
+
 def error_classes(source: str):
     """Name -> line of every class in the source that derives, directly or
     through another class there, from ``GPMultError``."""
@@ -296,10 +346,10 @@ def test_every_error_class_is_named_outside_its_module():
     assert unreferenced_errors((SRC / "errors.py").read_text(encoding="utf-8"), names) == []
 
 
-# Full algebra elements are for automorphisms acting on them in the tests;
-# every other module works on central values as arrays of block scalars.
+# Full algebra elements are the flattened layout's reference; every other
+# module works on central values as arrays of block scalars.
 ALGEBRA_NAMES = {"AlgebraElement", "embed_central"}
-ALGEBRA_LAYER = {"matalg.py", "dynamics.py"}
+ALGEBRA_LAYER = {"matalg.py"}
 
 
 def algebra_uses(source: str):

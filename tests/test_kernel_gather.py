@@ -183,7 +183,7 @@ def test_empty_and_single_word_stacks():
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_family_stacks_are_the_stacked_kernel_matrices(name):
-    """``kernel_stacks`` over families of mixed sizes, the empty family
+    """``id_stacks`` over families of mixed sizes, the empty family
     included, gives per size the ``np.stack`` of the families' own
     ``kernel_matrix`` bit for bit, in their order, and leaves no table on
     the system or its words beyond those it had."""
@@ -196,8 +196,12 @@ def test_family_stacks_are_the_stacked_kernel_matrices(name):
     for _ in range(12):
         picks = rng.integers(0, len(ball), int(rng.integers(1, 5)))
         families.append([words.multiply(ball[i], ball[j]) for i, j in zip(picks, picks[::-1])])
+    ids = [
+        ([words.intern(x.letters) for x in f], [words.intern(words.inverse(x).letters) for x in f])
+        for f in families
+    ]
     tables = set(vars(system)), set(vars(words))
-    stacks = system.kernel_stacks(families)
+    stacks = system.id_stacks(ids)
     assert (set(vars(system)), set(vars(words))) == tables
     assert sorted(stacks) == sorted({len(f) for f in families})
     for m, stack in stacks.items():

@@ -19,7 +19,7 @@ trivial actions and positive definite values the dominance bounds reach
 their eigensolves.  The Schwarz check draws ball indices and builds no
 word: its stacks are also compared bit for bit with those of the word path
 it replaced, and the left translates it gathers from the ball's stack with
-``kernel_stacks`` over the multiplied words, where the actions of an edge
+``kernel_matrix`` over the multiplied words, where the actions of an edge
 do not commute too.
 """
 
@@ -31,7 +31,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from support import (
-    central_stack,
     downset,
     first_vertices,
     groupoid_from_space,
@@ -168,14 +167,16 @@ def reference_cross_terms(sc: Scenario) -> CheckResult:
 def reference_dominance_margin(system, xs, ps):
     """The dominance difference from two grids of central products."""
     n = len(xs)
-    k = system.kernel
+
+    def k(x, y):
+        return system.kernel(x, y).scalars
+
     lhs_grid = [[k(xs[i], xs[j]) for j in range(n)] for i in range(n)]
     rhs_grid = [
         [k(xs[i], ps[i]) * k(ps[i], ps[j]) * k(ps[j], xs[j]) for j in range(n)]
         for i in range(n)
     ]
-    structure = system.structure
-    diff = central_stack(structure, lhs_grid) - central_stack(structure, rhs_grid)
+    diff = np.moveaxis(np.array(lhs_grid) - np.array(rhs_grid), -1, 0)
     maxdiff = float(np.max(np.abs(diff)))
     _, lam = is_positive(diff, tol=ABS_PSD_TOL, hermitian_tol=1e-8)
     return lam, maxdiff
@@ -192,6 +193,10 @@ def reference_schwarz(sc: Scenario) -> CheckResult:
     accepted = non_vacuous = rejected = 0
     attempts = 0
     all_ok = True
+
+    def k(x, y):
+        return sys_.kernel(x, y).scalars
+
     while non_vacuous < sc.tuple_target and attempts < 60 * sc.tuple_target:
         attempts += 1
         n = int(rng.integers(2, 4))
@@ -201,9 +206,8 @@ def reference_schwarz(sc: Scenario) -> CheckResult:
             cs = [ball[int(rng.integers(0, len(ball)))] for _ in range(n)]
         bs = [ball[int(rng.integers(0, len(ball)))] for _ in range(n)]
         cbs = [words.multiply(c, b) for c, b in zip(cs, bs)]
-        k = sys_.kernel
         if any(
-            k(cbs[i], cs[j]).maxabs_diff(k(cbs[i], cs[i]) * k(cs[i], cs[j])) > KERNEL_TOL
+            np.abs(k(cbs[i], cs[j]) - k(cbs[i], cs[i]) * k(cs[i], cs[j])).max() > KERNEL_TOL
             for i in range(n)
             for j in range(n)
             if i != j
@@ -503,7 +507,7 @@ def test_stack_checks_match_the_per_pair_reference_on_random_products(sc):
 
 def word_path_schwarz(sc: Scenario) -> CheckResult:
     """The Schwarz check with each family built as words, x_i = c_i b_i by
-    ``multiply``, and its stacks from ``kernel_stacks``: the path that the
+    ``multiply``, and its stacks from ``kernel_matrix``: the path that the
     gather from the ball's stack and the products of word ids replaced."""
     sys_ = sc.system
     words = sys_.words
@@ -521,7 +525,7 @@ def word_path_schwarz(sc: Scenario) -> CheckResult:
             yield [words.multiply(c, b) for c, b in zip(cs, bs)], cs
 
     def stacks(families):
-        gram = sys_.kernel_stacks([xs + ps for xs, ps in families])[2 * len(families[0][0])]
+        gram = np.stack([sys_.kernel_matrix(xs + ps) for xs, ps in families])
         return verifier._cross_kernels_factor(gram), gram
 
     return verifier._dominance_check(
@@ -575,8 +579,8 @@ def covariant_translates(system, radius, c, u):
     return stack.gram[stack.actions[c][:, :, None, None], u[:, None, :, None], u[:, None, None, :]]
 
 
-def assert_translates_match_kernel_stacks(system, radius, seed):
-    """``BallStack.translates`` bit for bit against ``kernel_stacks`` over the
+def assert_translates_match_kernel_matrices(system, radius, seed):
+    """``BallStack.translates`` bit for bit against ``kernel_matrix`` over the
     multiplied words, for random c and families u of 1-6 ball words, the
     identity among them as in the Schwarz families."""
     words = system.words
@@ -587,26 +591,26 @@ def assert_translates_match_kernel_stacks(system, radius, seed):
         u = rng.integers(0, len(ball), (5, m))
         u[:, m // 2 :] *= rng.integers(0, 2, (5, m - m // 2))
         got = system.ball_stack(radius).translates(c, u)
-        want = system.kernel_stacks([[words.multiply(ball[i], ball[j]) for j in row] for i, row in zip(c, u)])[m]
-        assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
+        want = np.stack([system.kernel_matrix([words.multiply(ball[i], ball[j]) for j in row]) for i, row in zip(c, u)])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
-def test_ball_stack_translates_match_kernel_stacks_on_scenarios(name):
+def test_ball_stack_translates_match_kernel_matrices_on_scenarios(name):
     sc = build_scenario(load_config(str(ROOT / "scenarios" / f"{name}.json")), seed=42)
-    assert_translates_match_kernel_stacks(sc.system, sc.identity_radius, seed=1)
+    assert_translates_match_kernel_matrices(sc.system, sc.identity_radius, seed=1)
 
 
 @settings(max_examples=40, deadline=None)
 @given(graph_products(), st.integers(0, 2**32 - 1))
-def test_ball_stack_translates_match_kernel_stacks_on_random_products(system, seed):
-    assert_translates_match_kernel_stacks(system, identity_radius(system.words), seed)
+def test_ball_stack_translates_match_kernel_matrices_on_random_products(system, seed):
+    assert_translates_match_kernel_matrices(system, identity_radius(system.words), seed)
 
 
 def test_translates_read_the_action_rows_of_the_products():
     """An edge whose actions do not commute (a transposition and a 3-cycle
     of three points): the action of the canonical word of c u is not that
-    of u after c, so covariance gives other stacks than ``kernel_stacks``,
+    of u after c, so covariance gives other stacks than ``kernel_matrix``,
     and the translates, which read the action rows of the products, the
     same ones."""
     graph = SimplicialGraph.build((0, 1), [(0, 1)])
@@ -618,8 +622,8 @@ def test_translates_read_the_action_rows_of_the_products():
     ball = words.ball(2)
     c, b = np.divmod(np.arange(len(ball) ** 2), len(ball))
     u = np.stack([b, np.zeros_like(b)], axis=1)
-    want = system.kernel_stacks([[words.multiply(ball[i], ball[j]) for j in row] for i, row in zip(c, u)])[2]
-    assert system.ball_stack(2).translates(c, u).tobytes() == np.ascontiguousarray(want).tobytes()
+    want = np.stack([system.kernel_matrix([words.multiply(ball[i], ball[j]) for j in row]) for i, row in zip(c, u)])
+    assert system.ball_stack(2).translates(c, u).tobytes() == want.tobytes()
     assert not np.array_equal(covariant_translates(system, 2, c, u), want)
 
 

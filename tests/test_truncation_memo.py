@@ -37,7 +37,7 @@ from gpmult.verifier import (
     verify_y1_square,
 )
 from gpmult.wordcraft import DEFAULT_BUDGET, StandardForm, WordContext, _sort_key
-from support import k4_z2_config, leq, nc_direct, nc_length_set, oracle_truncations, reference_push
+from support import generators, k4_z2_config, leq, nc_direct, nc_length_set, oracle_truncations, reference_push
 from test_composed_actions import _system_and_words
 
 SCENARIOS = sorted(Path(__file__).resolve().parents[1].glob("scenarios/*.json"))
@@ -172,7 +172,7 @@ def _grown_word(words, rng, m):
     """A reduced word of at most m letters: the identity, lengthened by
     random generators, at most 4 m draws; random raw words mostly cancel
     to a few letters."""
-    gens = words.generators()
+    gens = generators(words)
     x = words.identity()
     for _ in range(4 * m if gens else 0):
         y = words.multiply(x, words.normalize([gens[int(rng.integers(0, len(gens)))]]))

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from gpmult.errors import (
     BudgetExceededError,
-    EmptySetError,
     NoV0LetterError,
 )
 from gpmult.graphgroup import (
@@ -29,6 +28,7 @@ from gpmult.graphgroup import (
 from gpmult.wordcraft import Letter, WordContext
 from support import (
     downset,
+    generators,
     is_complete,
     leq,
     multipartite_graph,
@@ -75,7 +75,7 @@ def _oracle_rewrites(ctx, w):
     for i in range(len(w) - 1):
         (v1, e1), (v2, e2) = w[i], w[i + 1]
         if v1 == v2:
-            merged = (v1, ctx.groups[v1].mul(e1, e2))
+            merged = (v1, int(ctx.groups[v1].table[e1, e2]))
             out.append(w[:i] + (merged,) + w[i + 2 :])
         elif graph.adjacent(v1, v2):
             out.append(w[:i] + (w[i + 1], w[i]) + w[i + 2 :])
@@ -120,7 +120,7 @@ def _reference_reduce(ctx, letters):
                 # first same-vertex successor; later ones are blocked by this one
                 if all(ctx.graph.adjacent(vi, work[p].vertex) for p in range(i + 1, j)):
                     grp = ctx.groups[vi]
-                    g = grp.mul(work[i].elem, work[j].elem)
+                    g = int(grp.table[work[i].elem, work[j].elem])
                     del work[j]
                     if g == grp.identity:
                         del work[i]
@@ -160,7 +160,7 @@ def reference_ball(ctx, radius):
     for _ in range(radius):
         nxt = []
         for x in frontier:
-            for l in ctx.generators():
+            for l in generators(ctx):
                 y = reference_normalize(ctx, x + (l,))
                 if y not in out:
                     out.add(y)
@@ -553,7 +553,7 @@ def test_nc_length_set_on_downsets():
     ctx = free_pair()
     aba = ctx.normalize([(0, 1), (1, 1), (0, 1)])
     assert nc_length_set(ctx, downset(ctx, aba), 0) == 2
-    with pytest.raises(EmptySetError):
+    with pytest.raises(ValueError):
         nc_length_set(ctx, [], 0)
 
 
@@ -731,7 +731,7 @@ def _context_and_walks(draw):
     edges = [p for p in pairs if draw(st.booleans())]
     groups = [GROUP_FACTORIES[draw(st.integers(0, len(GROUP_FACTORIES) - 1))]() for _ in range(n)]
     ctx = WordContext(SimplicialGraph.build(tuple(range(n)), edges), groups)
-    letter = st.sampled_from(ctx.generators())
+    letter = st.sampled_from(generators(ctx))
     walks = []
     for raw in draw(st.lists(st.lists(letter, max_size=10), min_size=1, max_size=5)):
         k = draw(st.integers(0, len(raw)))
