@@ -187,28 +187,30 @@ def verify_well_defined(sc: Scenario) -> CheckResult:
 
 
 def _complete_sets(sc: Scenario):
-    """Seeded complete sets: closures of random ball samples, size-capped.
+    """Seeded complete sets as word ids: closures of random ball samples,
+    size-capped, each sorted by (length, letters).
 
     Each set is the closure of its base and of the longest prefix of its
     sample that keeps it within the cap.
     """
     words = sc.system.words
-    ball = words.ball(sc.ball_radius, budget=sc.budget)
+    n_ball = len(words.ball_arrays(sc.ball_radius, sc.budget).prefix)
     rng = np.random.default_rng([sc.seed, 101])
     cap = min(sc.max_set_size, sc.max_flat_dim // sc.system.structure.total_dim)
     sets = []
     for k in range(sc.num_sets):
-        base = list(words.ball(1)) if k == 0 else [words.identity()]
-        n_draw = min(sc.sample_size, len(ball))
-        idx = sorted(int(i) for i in rng.choice(len(ball), size=n_draw, replace=False))
-        sample = [ball[i] for i in idx]
-        sets.append(words.complete_closure(base, max_size=cap, optional=sample))
+        base = words.ball_word_ids(1, range(len(words.ball_arrays(1).prefix))) if k == 0 else []
+        n_draw = min(sc.sample_size, n_ball)
+        idx = sorted(int(i) for i in rng.choice(n_ball, size=n_draw, replace=False))
+        sample = words.ball_word_ids(sc.ball_radius, idx)
+        sets.append(words.complete_closure_ids(base, max_size=cap, optional=sample))
     return sets
 
 
 def verify_main_theorem(sc: Scenario, threads: int = 1) -> CheckResult:
     """Positivity of the kernel Gram matrix over seeded complete sets.
 
+    Each set's stack is gathered from its word ids and their inverses'.
     ``threads`` is accepted for compatibility and has no effect.
     """
     sets = _complete_sets(sc)
@@ -218,15 +220,16 @@ def verify_main_theorem(sc: Scenario, threads: int = 1) -> CheckResult:
     sizes = []
     all_ok = True
     T = sc.system.structure.total_dim
-    for X in sets:
+    for ids in sets:
         try:
-            m = sc.system.kernel_matrix(X)
+            family = ids, sc.system.words.closed_set_inverses(ids)
+            m = sc.system.id_stacks([family])[len(ids)][0]
             ok, lam = is_positive(m, tol=PSD_TOL, hermitian_tol=1e-8)
         except GPMultError as err:
             return _failure(
-                "kernel-gram-positive", "main", err, set_size=len(X)
+                "kernel-gram-positive", "main", err, set_size=len(ids)
             )
-        sizes.append([len(X), len(X) * T])
+        sizes.append([len(ids), len(ids) * T])
         worst = min(worst, lam)
         all_ok = all_ok and ok
     return CheckResult(

@@ -10,13 +10,21 @@ normal form theorem; the shortlex forms of Hermiller and Meier).
 
 Single words are interned as integer ids.  A prefix of a canonical word is
 canonical, so an id is stored as the id of its prefix and its last letter,
-and a word's letters are read back along its prefixes.  The successor memo
-maps (id, letter) to the id of the canonical product: normal forms,
-products and inverses are walks of successors from the identity or from
-the left factor.  A miss does not rescan the word: it walks down the
-prefixes while the new letter passes their last letters, to the prefix
-whose last letter it merges with or stops at, and rebuilds upward, so it
-costs memo lookups.
+and a word's letters are read back along its prefixes.  The successor table
+is a flat list with one row of letter slots per id, holding the id of the
+canonical product of the word and the slot's letter (-1 while unknown):
+normal forms, products and inverses are walks of successors from the
+identity or from the left factor.  A miss does not rescan the word: it
+walks down the prefixes while the new letter passes their last letters, to
+the prefix whose last letter it merges with or stops at, and rebuilds
+upward, so it costs table lookups.
+
+Truncation-closed sets are built on ids too.  The immediate truncations of
+a word are memoized per id: deleting its last letter gives its prefix, and
+deleting its first letter its tail, one successor step from its prefix's
+tail; only the other deletable letters are walked, from the prefix that
+ends before them.  In a truncation-closed set every member's tail is a
+member, so the inverses of the whole set cost one successor step per word.
 
 Balls do not go through the memo.  The canonical words form a regular
 language (Hermiller-Meier, J. Algebra 171, 1995), so ``ball_arrays`` lists
@@ -86,10 +94,6 @@ class GPElement:
 
     def __repr__(self):
         return f"GPElement{list(map(tuple, self.letters))!r}"
-
-
-def _sort_key(x: GPElement):
-    return (len(x.letters), x.letters)
 
 
 def _ball_budget_error(budget: int, radius_reached: int, words: int) -> BudgetExceededError:
@@ -170,8 +174,6 @@ class WordContext:
         self._sf_cache: dict = {}
         # radius -> per vertex the (class, y c index, nc) arrays over the ball
         self._sf_tables: dict = {}
-        # letters -> immediate truncations
-        self._trunc_cache: dict = {}
         self._balls: dict = {}  # radius -> ball
         self._ball_arrays: dict = {}  # radius -> BallArrays
         self._inverses: dict = {}  # letters of x -> id of x^-1
@@ -182,14 +184,20 @@ class WordContext:
         self._ids: dict = {}
         self._id_prefix: list = []
         self._id_last: list = []
-        # successor memo: (id, letter) -> id of the canonical product, keyed
-        # by the int id * letter_slots + slot(letter); when the product is the
+        # successor table: entry id * letter_slots + slot is the id of the
+        # canonical product of word id and the slot's letter, -1 while
+        # unknown; each new id appends its row, and when the product is the
         # word with the letter appended, its entry is what interns that word
-        self._succ: dict = {}
+        self._succ: list = []
+        # per id the ids of its immediate truncations, and the id of its tail
+        # (the word with its first letter deleted)
+        self._truncations: dict = {}
+        self._tails: dict = {}
         self._slot_offset = tuple(
             sum(g.order for g in self.groups[:v]) for v in range(graph.n)
         )
         self._letter_slots = sum(g.order for g in self.groups)
+        self._unknown_row = [-1] * self._letter_slots
         # per vertex the vertices not joined to it, itself included
         self._apart = tuple(
             frozenset(u for u in range(graph.n) if not graph.adjacent(u, v))
@@ -216,9 +224,13 @@ class WordContext:
             row += (len(merge) - off + grp.order * np.arange(grp.order)).tolist()
             merge += (off + grp.table.ravel()).tolist()
         self._merge, self._merge_row = np.array(merge, np.intp), np.array(row, np.intp)
-        # plain-list copies for the successor walk, with the vertex of each slot
+        # plain-list copies for the successor walk, with the vertex of each
+        # slot and the slot of each letter's inverse
         self._merge_list, self._merge_row_list = merge, row
         self._vertex_of = self._slot_vertex.tolist()
+        self._slot_inverse = [
+            off + grp.inverse(g) for off, grp in zip(self._slot_offset, self.groups) for g in range(grp.order)
+        ]
 
     # ------------------------------------------------------------------
     # constructors
@@ -306,6 +318,7 @@ class WordContext:
             if not self._id_prefix:
                 self._id_prefix.append(-1)
                 self._id_last.append(-1)
+                self._succ.extend(self._unknown_row)
             i = 0
             offset = self._slot_offset
             for l in letters:
@@ -317,11 +330,12 @@ class WordContext:
         """Id of word ``i`` with the letter of ``slot`` appended; only called
         where that word is canonical."""
         key = i * self._letter_slots + slot
-        j = self._succ.get(key)
-        if j is None:
+        j = self._succ[key]
+        if j < 0:
             j = self._succ[key] = len(self._id_prefix)
             self._id_prefix.append(i)
             self._id_last.append(slot)
+            self._succ.extend(self._unknown_row)
         return j
 
     def successor(self, i: int, letter: Letter) -> int:
@@ -343,9 +357,9 @@ class WordContext:
         except when w' is w with l appended and l's vertex is larger than
         a's: then the least order keeps l after a, and the product is w a l.
         """
-        slots = self._letter_slots
-        j = self._succ.get(i * slots + slot)
-        if j is not None:
+        slots, succ = self._letter_slots, self._succ
+        j = succ[i * slots + slot]
+        if j >= 0:
             return j
         prefix, last, vertex = self._id_prefix, self._id_last, self._vertex_of
         v = vertex[slot]
@@ -360,22 +374,22 @@ class WordContext:
                 g = self._merge_list[self._merge_row_list[a] + slot]
                 p = prefix[i]
                 j = p if self._slot_letter[g] is None else self._child(p, g)
-                self._succ[i * slots + slot] = j
+                succ[i * slots + slot] = j
                 break
             if vertex[a] in apart:
                 j = self._child(i, slot)
                 break
             passed.append(i)
             i = prefix[i]
-            j = self._succ.get(i * slots + slot)
-            if j is not None:
+            j = succ[i * slots + slot]
+            if j >= 0:
                 break
         for i in reversed(passed):
             p, a = prefix[i], last[i]
             if prefix[j] == p and last[j] == slot and vertex[a] < v:
                 j = self._child(i, slot)
             else:
-                j = self._succ[i * slots + slot] = self._child(j, a)
+                j = succ[i * slots + slot] = self._child(j, a)
         return j
 
     def _word_id(self, letters) -> int:
@@ -400,7 +414,7 @@ class WordContext:
 
         The right factors and their prefixes are listed with every prefix
         before its extensions, so each product is the successor of the
-        product with the prefix of its right factor: one memo lookup per
+        product with the prefix of its right factor: one table lookup per
         left factor and word of the prefix closure.
         """
         prefix, last = self._id_prefix, self._id_last
@@ -416,7 +430,7 @@ class WordContext:
                 pos[j] = len(steps) + 1
                 steps.append((pos[prefix[j]], last[j]))
         cols = [pos[j] for j in rights]
-        get, step = self._succ.get, self._successor
+        succ, step = self._succ, self._successor
         rows: dict = {}  # left id -> its products with the closure
         for a in lefts:
             if a in rows:
@@ -424,8 +438,8 @@ class WordContext:
             row = rows[a] = [a]
             append = row.append
             for p, slot in steps:
-                b = get(row[p] * slots + slot)
-                append(step(row[p], slot) if b is None else b)
+                b = succ[row[p] * slots + slot]
+                append(step(row[p], slot) if b < 0 else b)
         return [[row[c] for c in cols] for row in map(rows.__getitem__, lefts)]
 
     def ball_word_ids(self, radius: int, indices) -> list:
@@ -473,28 +487,62 @@ class WordContext:
                         frontier.append(s)
         return sorted(seen)
 
-    def _immediate_truncations(self, z: GPElement) -> tuple:
-        """The elements r[1:] and r[:-1] over the rearrangements r of z,
-        memoized per word, with no rearrangement listed.
+    def _truncation_ids(self, i: int) -> tuple:
+        """Ids of the words r[1:] and r[:-1] over the rearrangements r of
+        word ``i``, memoized per id, with no rearrangement listed.
 
         Two letters not joined (same-vertex letters included) keep their
         order in every rearrangement, so a letter can come first exactly
         when no earlier letter is apart from it, and last when no later one
-        is; r[1:] or r[:-1] is then z with that letter deleted.
+        is; r[1:] or r[:-1] is then the word with that letter deleted.
+        Deleting the last letter leaves the prefix and deleting the first
+        the tail; any other letter is deleted by walking the letters after
+        it from the prefix that ends before it.
         """
-        out = self._trunc_cache.get(z.letters)
+        out = self._truncations.get(i)
         if out is None:
-            letters, apart = z.letters, self._apart
+            prefix, last, vertex, apart = self._id_prefix, self._id_last, self._vertex_of, self._apart
+            path = [i]  # the word's prefixes, down to the identity
+            while path[-1]:
+                path.append(prefix[path[-1]])
+            path.reverse()  # path[k]: the prefix of k letters
+            slots = [last[j] for j in path[1:]]
             ends = set()  # indices of the letters that can come first or last
-            for order in (range(len(letters)), reversed(range(len(letters)))):
+            for order in (range(len(slots)), reversed(range(len(slots)))):
                 seen = set()
-                for i in order:
-                    if apart[letters[i].vertex].isdisjoint(seen):
-                        ends.add(i)
-                    seen.add(letters[i].vertex)
-            ids = dict.fromkeys(self._word_id(letters[:i] + letters[i + 1 :]) for i in sorted(ends))
-            out = self._trunc_cache[z.letters] = tuple(map(self._element, ids))
+                for k in order:
+                    v = vertex[slots[k]]
+                    if apart[v].isdisjoint(seen):
+                        ends.add(k)
+                    seen.add(v)
+            out = []
+            for k in sorted(ends):
+                if k == 0:
+                    t = self._tail(i)
+                else:
+                    t = path[k]
+                    for s in slots[k + 1 :]:
+                        t = self._successor(t, s)
+                out.append(t)
+            out = self._truncations[i] = tuple(out)
         return out
+
+    def _tail(self, i: int) -> int:
+        """Id of word ``i``, not the identity, with its first letter deleted,
+        memoized: the identity for one letter, else the successor of the
+        prefix's tail by the last letter, filled upward from the longest
+        prefix whose tail is known."""
+        tails = self._tails
+        t = tails.get(i)
+        if t is None:
+            prefix, last = self._id_prefix, self._id_last
+            path = [i]  # i and its prefixes down to a one-letter word or a known tail
+            while prefix[path[-1]] and prefix[path[-1]] not in tails:
+                path.append(prefix[path[-1]])
+            for j in reversed(path):
+                p = prefix[j]
+                t = tails[j] = self._successor(tails[p], last[j]) if p else 0
+        return t
 
     def _leq(self, x: GPElement, y: GPElement, budget: int) -> bool:
         """Truncation order: x below y when x arises by repeatedly dropping a
@@ -507,26 +555,44 @@ class WordContext:
         return x in self.complete_closure([y], max_size=budget)
 
     def complete_closure(self, elements, max_size: int = 10_000, optional=()):
-        """Smallest truncation-closed set containing the input and the identity.
+        """Smallest truncation-closed set containing the input and the identity,
+        as elements: ``complete_closure_ids`` over the words' ids.
 
         Closed means: with every member, all one-letter truncations of all its
         rearrangements are members too.  Sorted deterministically by (length,
-        letters).  ``max_size`` caps the closure, the input and the identity
-        included.  The set grows in batches, each by a breadth-first search
-        over immediate truncations while it fits in ``max_size``: first the
-        identity and the input, in (length, letters) order, which raise
-        ``BudgetExceededError`` when they do not fit; then each element of
-        ``optional`` in order, the first that does not fit ending the
-        additions, so the result is the closure of the input and of the
-        longest prefix of ``optional`` that fits.
+        letters).  ``max_size`` caps the closure as in
+        ``complete_closure_ids``: the identity and the input raise
+        ``BudgetExceededError`` when they do not fit, and of ``optional`` the
+        longest prefix that fits is added.
+        """
+        elements, optional = list(elements), list(optional)
+        self._check_ctx(*elements, *optional)
+        ids = self.complete_closure_ids(
+            [self.intern(x.letters) for x in elements],
+            max_size,
+            [self.intern(x.letters) for x in optional],
+        )
+        return tuple(map(self._element, ids))
+
+    def complete_closure_ids(self, required, max_size: int = 10_000, optional=()) -> list:
+        """Ids of the smallest truncation-closed set containing the identity
+        and the words ``required``, sorted by (length, letters).
+
+        ``max_size`` caps the closure, the input and the identity included.
+        The set grows in batches, each by a breadth-first search over the
+        ids of immediate truncations while it fits in ``max_size``: first
+        the identity and ``required``, which raise ``BudgetExceededError``
+        when they do not fit; then each id of ``optional`` in order, the
+        first that does not fit ending the additions, so the result is the
+        closure of the input and of the longest prefix of ``optional`` that
+        fits.
         """
         out = set()
-        for k, batch in enumerate(chain([(self.identity(), *elements)], ([x] for x in optional))):
-            self._check_ctx(*batch)
-            todo = deque(sorted(set(batch) - out, key=_sort_key))
-            new = set(todo)
+        for k, batch in enumerate(chain([(self.intern(()), *required)], ([i] for i in optional))):
+            new = set(batch) - out
+            todo = deque(new)
             while todo and len(out) + len(new) <= max_size:
-                for t in self._immediate_truncations(todo.popleft()):
+                for t in self._truncation_ids(todo.popleft()):
                     if t not in out and t not in new:
                         new.add(t)
                         todo.append(t)
@@ -535,7 +601,31 @@ class WordContext:
                     raise BudgetExceededError("closure exceeds size budget", max_size=max_size)
                 break
             out |= new
-        return tuple(sorted(out, key=_sort_key))
+        # a closed set holds every member's prefix, which has a smaller id,
+        # down to the identity, id 0; slots order letters as (vertex,
+        # element) does
+        prefix, last = self._id_prefix, self._id_last
+        slots = {0: ()}
+        for i in sorted(out)[1:]:
+            slots[i] = slots[prefix[i]] + (last[i],)
+        return sorted(out, key=lambda i: (len(slots[i]), slots[i]))
+
+    def closed_set_inverses(self, ids) -> list:
+        """Ids of the inverses of the words ``ids`` of a truncation-closed
+        set, given in (length, letters) order, one successor step per word.
+
+        A word x is its first letter f times its tail t, which is a shorter
+        member, so x^-1 is the successor of t^-1 by f^-1; the first letter
+        of x is its prefix's, or its only letter.
+        """
+        prefix, last, inverse = self._id_prefix, self._id_last, self._slot_inverse
+        inv, first = {0: 0}, {}
+        for i in ids:
+            if i:
+                p = prefix[i]
+                f = first[i] = first[p] if p else last[i]
+                inv[i] = self._successor(inv[self._tail(i)], inverse[f])
+        return [inv[i] for i in ids]
 
     # ------------------------------------------------------------------
     # non-commuting counts and standard form

@@ -64,7 +64,7 @@ from gpmult.multipliers import (
     WitnessReport,
     convention_flip,
 )
-from gpmult.verifier import KERNEL_TOL, PEEL_TOL, CheckResult, _vacuous
+from gpmult.verifier import KERNEL_TOL, PEEL_TOL, CheckResult, _complete_sets, _vacuous
 from gpmult.wordcraft import DEFAULT_BUDGET, GPElement, Letter, WordContext
 
 
@@ -589,16 +589,17 @@ def reference_per_word_drop_last(sc) -> CheckResult:
     )
 
 
+def complete_set_elements(sc) -> list:
+    """The seeded complete sets of ``verify_main_theorem`` as elements, read
+    back from the word ids ``_complete_sets`` gives."""
+    words = sc.system.words
+    return [tuple(map(words._element, ids)) for ids in _complete_sets(sc)]
+
+
 def is_complete(words: WordContext, elements) -> bool:
     """Whether a set is already truncation-closed and contains the identity."""
-    xs = set(elements)
-    if words.identity() not in xs:
-        return False
-    for z in xs:
-        for t in words._immediate_truncations(z):
-            if t not in xs:
-                return False
-    return True
+    xs = {words.intern(x.letters) for x in elements}
+    return 0 in xs and all(xs.issuperset(words._truncation_ids(i)) for i in xs)
 
 
 # ----------------------------------------------------------------------

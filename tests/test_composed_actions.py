@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from gpmult.cli import build_scenario, load_config
 from gpmult.graphgroup import SimplicialGraph, cyclic_group
 from gpmult.matalg import CentralElement
-from gpmult.verifier import _complete_sets, run_suite
+from gpmult.verifier import run_suite
 from gpmult.wordcraft import Letter
-from support import apply_central, groupoid_from_space, value_of_letter
+from support import apply_central, complete_set_elements, groupoid_from_space, value_of_letter
 
 
 def fold_on_central(actions, letters, c):
@@ -142,7 +142,7 @@ def test_composed_actions_match_the_letter_fold(case):
 def test_composed_actions_match_the_letter_fold_on_complete_sets(name):
     sc = build_scenario(load_config(f"scenarios/{name}.json"))
     rng = np.random.default_rng(7)
-    for X in _complete_sets(sc):
+    for X in complete_set_elements(sc):
         assert_matches_reference(sc.system, X, rng)
 
 
@@ -178,8 +178,8 @@ def test_word_actions_compose_letter_index_arrays():
 def _memo_tables(system):
     """Every memo table of a system: the four that grow with the ball (the
     value rows hold the word actions too), the inverse ids, the interned words,
-    the successor memo, the immediate truncations, the balls, their arrays,
-    the ball standard-form tables and the ball kernel stacks."""
+    the successor table, the immediate truncations and tails by id, the balls,
+    their arrays, the ball standard-form tables and the ball kernel stacks."""
     words = system.words
     return {
         "kernel": system._kernel.cache,
@@ -191,7 +191,8 @@ def _memo_tables(system):
         "id_prefix": words._id_prefix,
         "id_last": words._id_last,
         "successors": words._succ,
-        "truncations": words._trunc_cache,
+        "truncations": words._truncations,
+        "tails": words._tails,
         "balls": words._balls,
         "ball_arrays": words._ball_arrays,
         "standard_form_tables": words._sf_tables,
@@ -202,8 +203,9 @@ def _memo_tables(system):
 # The lemma suite reads every kernel from gathered stacks, its standard
 # forms and down-set maxima from the ball's standard-form table, built off
 # the letter order, and the inverses of its Schwarz families from the
-# ball's inverse indices, so it leaves these cold.
-NOT_FILLED_BY_LEMMAS = ("kernel", "downset", "standard_form", "truncations", "inverses")
+# ball's inverse indices, and it closes no set under truncation, so it
+# leaves these cold.
+NOT_FILLED_BY_LEMMAS = ("kernel", "downset", "standard_form", "truncations", "tails", "inverses")
 
 
 def test_fresh_scenarios_start_with_cold_unshared_memo_tables():

@@ -422,7 +422,7 @@ def test_only_the_word_layer_reads_word_internals(module):
 # The exhaustive standard-form search and the truncation order stay inside
 # the word layer, where the acceptance gate and the tests reach them; the
 # checks read standard forms and down-set maxima off the letter order.
-SEARCH_NAMES = {"standard_form_candidates", "_leq", "_immediate_truncations"}
+SEARCH_NAMES = {"standard_form_candidates", "_leq", "_truncation_ids"}
 
 
 def search_mentions(source: str, names=SEARCH_NAMES):
@@ -438,14 +438,14 @@ def test_search_scanner_finds_names_attributes_and_strings():
     source = (
         "forms = words.standard_form_candidates(x, 0)\n"
         "from .wordcraft import _leq\n"
-        "f = getattr(words, '_immediate_truncations')\n"
+        "f = getattr(words, '_truncation_ids')\n"
         "sf = words.standard_form(x, 0)\n"
         "_leq(x, y, 10)\n"
     )
     expected = [
         (1, "standard_form_candidates"),
         (2, "_leq"),
-        (3, "_immediate_truncations"),
+        (3, "_truncation_ids"),
         (5, "_leq"),
     ]
     assert search_mentions(source) == expected
@@ -605,3 +605,31 @@ def test_system_internals_scanner_finds_private_reads():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "multipliers.py"])
 def test_only_the_value_layer_reads_system_internals(module):
     assert private_reads((SRC / module).read_text(encoding="utf-8"), SYSTEM_NAMES) == []
+
+
+# The checks take the words of a ball as indices into ``ball_arrays`` and
+# their ids from ``ball_word_ids``, so none lists a ball as elements.
+
+
+def ball_listings(source: str):
+    """Line of every ``.ball`` attribute, called or not."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute) and node.attr == "ball"
+    )
+
+
+def test_ball_scanner_finds_calls_and_attributes():
+    source = (
+        "ball = words.ball(3)\n"
+        "xs = sc.system.words.ball(sc.ball_radius, budget=sc.budget)\n"
+        "arrays = words.ball_arrays(3, sc.budget)\n"
+        "f = words.ball\n"
+        "doc = 'words.ball(2)'\n"
+        "stack = system.ball_stack(2).gram\n"
+        "ball(4)\n"
+    )
+    assert ball_listings(source) == [1, 2, 4]
+
+
+def test_checks_list_no_ball_as_elements():
+    assert ball_listings((SRC / "verifier.py").read_text(encoding="utf-8")) == []

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import central_stack, groupoid_from_space, reference_push
+from support import central_stack, complete_set_elements, groupoid_from_space, reference_push
 from test_composed_actions import _system_and_words, fold_on_central
 from test_wordcraft import id_letters
 
@@ -29,7 +29,6 @@ from gpmult.errors import ContextMismatchError
 from gpmult.graphgroup import SimplicialGraph, cyclic_group
 from gpmult.matalg import CentralElement
 from gpmult.multipliers import Multiplier, MultiplierSystem
-from gpmult.verifier import _complete_sets
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted(p.stem for p in (ROOT / "scenarios").glob("*.json"))
@@ -69,7 +68,7 @@ def test_gathered_stack_matches_the_per_pair_builder_on_scenarios(name):
     sc = build_scenario(load_config(str(ROOT / "scenarios" / f"{name}.json")), seed=42)
     system = sc.system
     ball = system.words.ball(sc.identity_radius)
-    for xs in [*_complete_sets(sc), ball]:
+    for xs in [*complete_set_elements(sc), ball]:
         assert_same_stack(system, xs)
     for x in ball:
         for y in ball:
@@ -256,7 +255,10 @@ def test_interned_ids_put_prefixes_first():
     assert len(set(letters)) == len(letters)
     for key, i in words._ids.items():
         assert letters[i] == key
-    for key, j in words._succ.items():
+    assert len(words._succ) == len(words._id_prefix) * words._letter_slots
+    for key, j in enumerate(words._succ):
+        if j < 0:
+            continue
         i, slot = divmod(key, words._letter_slots)
         letter = words._slot_letter[slot]
         assert letters[j] == reference_push(words, (letter,), letters[i]).letters

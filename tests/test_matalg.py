@@ -23,8 +23,7 @@ from gpmult.matalg import (
     embed_central,
     is_positive,
 )
-from gpmult.verifier import _complete_sets
-from support import central_stack, tensor_algebra
+from support import central_stack, complete_set_elements, tensor_algebra
 
 
 def chol_psd_oracle(m, tol=1e-9):
@@ -265,7 +264,7 @@ def test_central_stack_of_an_empty_grid():
 def test_kernel_matrix_matches_the_flattened_oracle(name):
     sc = build_scenario(load_config(f"scenarios/{name}.json"))
     system = sc.system
-    for xs in _complete_sets(sc):
+    for xs in complete_set_elements(sc):
         stack = system.kernel_matrix(xs)
         grid = [[system.kernel(x, y) for y in xs] for x in xs]
         flat = OperatorMatrix.from_central_grid(system.structure, grid).flatten()

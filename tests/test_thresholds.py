@@ -10,11 +10,15 @@ import numpy as np
 import pytest
 
 from gpmult.cli import build_scenario
+from gpmult.errors import EdgeViolationError, NotUnitalError
 from gpmult.matalg import is_positive
+from gpmult.multipliers import haagerup_witness_ball, multipliers_commute
 from gpmult.verifier import verify_star_symmetry
 
 POS_TOL = 1e-9  # matalg.DEFAULT_POS_TOL
 KERNEL_TOL = 1e-10  # verifier.KERNEL_TOL
+UNITAL_TOL = 1e-12  # multipliers.UNITAL_TOL
+COMMUTE_TOL = 1e-12  # multipliers.COMMUTE_TOL
 
 
 def hermitian_with_spectrum(eigs, rng) -> np.ndarray:
@@ -66,3 +70,63 @@ def test_star_symmetry_kernel_tolerance_threshold(delta, ok):
     result = verify_star_symmetry(one_vertex_z3(delta))
     assert result.passed is ok
     assert abs(result.residual - delta) < 1e-15
+
+
+def one_vertex_z2(identity_value: float):
+    """Z/2 acting trivially on C with h(e) = identity_value and h(g) = 0.3."""
+    return build_scenario(
+        {
+            "name": "z2_unital",
+            "graph": {"vertices": ["a"]},
+            "groups": {"a": {"preset": "cyclic", "n": 2}},
+            "algebra": {"blocks": [1]},
+            "actions": {"a": {"preset": "trivial"}},
+            "multipliers": {"a": {"values": [identity_value, 0.3]}},
+        }
+    )
+
+
+@pytest.mark.parametrize("factor, ok", [(3.0, False), (-3.0, False), (0.3, True), (-0.3, True)])
+def test_unital_tolerance_threshold(factor, ok):
+    """|h(e) - 1| = factor tol up to the rounding of 1 + factor tol, 1.1e-16
+    at every factor: a vertex value is unital exactly inside the bound, and
+    the Haagerup witness raises on one that is not."""
+    system = one_vertex_z2(1.0 + factor * UNITAL_TOL).system
+    assert system.multipliers[0].is_unital is ok
+    if ok:
+        assert haagerup_witness_ball(system, K=1, eps=0.5, L=2).ok
+    else:
+        with pytest.raises(NotUnitalError):
+            haagerup_witness_ball(system, K=1, eps=0.5, L=2)
+
+
+def edge_with_swap(delta: float):
+    """Two joined Z/2 vertices on C + C: a swaps the two blocks, and b's
+    value off the identity is 0.3 in one block and 0.3 + delta in the other,
+    so a moves it by exactly delta."""
+    return build_scenario(
+        {
+            "name": "swap_edge",
+            "graph": {"vertices": ["a", "b"], "edges": [["a", "b"]]},
+            "groups": {v: {"preset": "cyclic", "n": 2} for v in "ab"},
+            "algebra": {"blocks": [1, 1]},
+            "actions": {
+                "a": {"preset": "block-permutation", "perms": [[0, 1], [1, 0]]},
+                "b": {"preset": "trivial"},
+            },
+            "multipliers": {"a": {"values": [[1, 1], [0.2, 0.2]]}, "b": {"values": [[1, 1], [0.3, 0.3 + delta]]}},
+        }
+    )
+
+
+@pytest.mark.parametrize("delta, ok", [(3 * COMMUTE_TOL, False), (0.3 * COMMUTE_TOL, True)])
+def test_commute_tolerance_threshold(delta, ok):
+    """The deviation of b's value under a's swap is |0.3 + delta - 0.3| =
+    delta up to rounding, 2.8e-17 at both deltas."""
+    system = edge_with_swap(delta).system
+    if ok:
+        multipliers_commute(system)
+    else:
+        with pytest.raises(EdgeViolationError) as err:
+            multipliers_commute(system)
+        assert abs(err.value.context["deviation"] - delta) < 1e-16

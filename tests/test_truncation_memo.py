@@ -36,7 +36,7 @@ from gpmult.verifier import (
     verify_witness,
     verify_y1_square,
 )
-from gpmult.wordcraft import DEFAULT_BUDGET, StandardForm, WordContext, _sort_key
+from gpmult.wordcraft import DEFAULT_BUDGET, StandardForm, WordContext
 from support import generators, k4_z2_config, leq, nc_direct, nc_length_set, oracle_truncations, reference_push
 from test_composed_actions import _system_and_words
 
@@ -68,6 +68,10 @@ def oracle_leq(words, x, y, budget=DEFAULT_BUDGET):
                 if len(t) > len(x):
                     frontier.append(t)
     return False
+
+
+def _sort_key(x):
+    return (len(x.letters), x.letters)
 
 
 def oracle_closure(words, elements, budget=DEFAULT_BUDGET):
@@ -269,9 +273,10 @@ def test_letter_order_truncations_match_the_enumeration(case):
         want = oracle_truncations(words, x, budget=500)
     except BudgetExceededError:
         reject()
-    got = words._immediate_truncations(x)
-    assert len(got) == len(want) and set(got) == want
-    assert words._immediate_truncations(x) is got
+    i = words.intern(x.letters)
+    got = words._truncation_ids(i)
+    assert len(got) == len(want) and {words._element(t) for t in got} == want
+    assert words._truncation_ids(i) is got
 
 
 def test_verify_lists_no_rearrangement_class(monkeypatch):
@@ -348,7 +353,7 @@ def test_warm_truncation_memo_keeps_budget_errors():
     # warm: every truncation of abcd memoized
     assert len(warm.complete_closure([abcd[1]])) == 16
     assert leq(warm, a, abcd[1])
-    assert abcd[1].letters in warm._trunc_cache
+    assert warm.intern(abcd[1].letters) in warm._truncations
     word = [(v, 1) for v in range(4)]
     # budgets below 2 are first checked at the second sequence
     for budget, sequences in ((0, 2), (1, 2), (20, 21), (23, 24)):

@@ -17,10 +17,12 @@ from gpmult.verifier import (
     run_all,
     verify_cross_terms,
     verify_drop_last,
+    verify_main_theorem,
     verify_peel_off,
     verify_y1_square,
 )
-from support import is_complete, k4_z2_config
+from gpmult.wordcraft import GPElement
+from support import complete_set_elements, is_complete, k4_z2_config
 
 ALL_SUITES = ("main", "lemmas", "haagerup", "cocycles")
 SCENARIOS = sorted(p.stem for p in Path("scenarios").glob("*.json"))
@@ -124,6 +126,43 @@ def test_verify_builds_no_algebra_element(monkeypatch):
     assert len(built) == 0
     structure = scenario("free_pair_z2").system.structure
     AlgebraElement(structure, [np.eye(d) for d in structure.block_dims])
+    assert len(built) == 1  # the counter counts
+
+
+def wide_gram_config():
+    """Three Z/3 vertices with one edge on C^6 + C^6, each fixing both
+    blocks, with geometric values: complete sets of 70, 70 and 68 words."""
+    decay = {"a": (0.3, 0.2), "b": (0.25, 0.4), "c": (0.15, 0.35)}
+    return {
+        "name": "wide_gram",
+        "graph": {"vertices": list("abc"), "edges": [["a", "b"]]},
+        "groups": {v: {"preset": "cyclic", "n": 3} for v in "abc"},
+        "algebra": {"blocks": [6, 6]},
+        "actions": {v: {"preset": "block-permutation", "perms": [[0, 1]] * 3} for v in "abc"},
+        "multipliers": {v: {"values": [[c ** min(g, 3 - g) for c in cs] for g in range(3)]} for v, cs in decay.items()},
+        "verify": {"seed": 1, "ball_radius": 4, "max_set_size": 70, "max_flat_dim": 1500, "sample_size": 40},
+    }
+
+
+def test_main_theorem_builds_no_word_element(monkeypatch):
+    """``kernel-gram-positive`` samples, closes, inverts and gathers on word
+    ids: on a system with sets of about 70 words and on the 8 committed
+    scenarios, the two sabotaged ones included, no ``GPElement`` is
+    constructed."""
+    systems = [build_scenario(wide_gram_config()), *map(scenario, SCENARIOS)]
+    built = []
+    init = GPElement.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GPElement, "__init__", counting)
+    assert len(SCENARIOS) == 8
+    results = [verify_main_theorem(sc) for sc in systems]
+    assert len(built) == 0
+    assert results[0].passed and [s[0] for s in results[0].sizes] == [70, 70, 68]
+    systems[0].system.words.identity()
     assert len(built) == 1  # the counter counts
 
 
@@ -282,12 +321,17 @@ def prefix_complete_sets(sc):
     return sets
 
 
+def set_ids(sc, sets):
+    """The word ids of the elements of each set, in their order."""
+    return [[sc.system.words.intern(x.letters) for x in xs] for xs in sets]
+
+
 @pytest.mark.parametrize("name", SCENARIOS)
 @pytest.mark.parametrize("max_set_size", [None, 8, 12, 16])
 def test_complete_sets_take_the_longest_sample_prefix_that_fits(name, max_set_size):
     sc = scenario(name)
     if max_set_size is None:
-        assert _complete_sets(sc) == retry_complete_sets(sc)
+        assert _complete_sets(sc) == set_ids(sc, retry_complete_sets(sc))
         return
     sc = dataclasses.replace(sc, max_set_size=max_set_size, sample_size=12)
 
@@ -297,12 +341,12 @@ def test_complete_sets_take_the_longest_sample_prefix_that_fits(name, max_set_si
         except BudgetExceededError as err:
             return str(err)
 
-    assert outcome(_complete_sets) == outcome(prefix_complete_sets)
+    assert outcome(_complete_sets) == outcome(lambda sc: set_ids(sc, prefix_complete_sets(sc)))
 
 
 def test_complete_sets_are_complete_and_capped():
     sc = scenario("triangle_perm_z2")
-    sets = _complete_sets(sc)
+    sets = complete_set_elements(sc)
     assert len(sets) == sc.num_sets
     ctx = sc.system.words
     for xs in sets:

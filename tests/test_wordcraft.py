@@ -758,7 +758,10 @@ def test_successor_memo_agrees_with_push(case):
         assert i == words.intern(words.normalize(walk).letters)
     letters = [id_letters(words, i) for i in range(len(words._id_prefix))]
     assert len(set(letters)) == len(letters)
-    for key, j in words._succ.items():
+    assert len(words._succ) == len(letters) * words._letter_slots
+    for key, j in enumerate(words._succ):
+        if j < 0:
+            continue
         i, slot = divmod(key, words._letter_slots)
         want = reference_push(words, (words._slot_letter[slot],), letters[i])
         assert letters[j] == want.letters
