@@ -24,15 +24,15 @@ expression table, which lists every reduced expression of every ball word,
 so rearrangement independence and the witness bound are read off rows.
 Interned words get rows in a growing cache, and a kernel matrix over x_0,
 ..., x_{n-1} is one gather ``G[k, i, j] = V[prod[i, j], P[x_j, k]]``, prod
-the ids of the products x_i^-1 x_j from the successor memo; many families
-share one fill, and those of one size one gather.  The identity ball's
-stack takes its products and the rows of ball(2r) from the ball arrays, so
-it interns no word.  ``ball_stack`` returns it as one record,
-``BallStack``, with the tables the checks read: the ball's inverse
-indices and value rows, the products Q[a, y] = a y as ball(2r) indices and
-the action rows of ball(2r).  A stack over left translates c u_0, ...,
-c u_{m-1} of ball words is one more gather from it, with no word and no
-covariance of the action.
+the ids of the products x_i^-1 x_j from the successor memo, x_i^-1 walked
+from x_i's letters; many families share one fill, and those of one size
+one gather.  The identity ball's stack takes its products and the rows of
+ball(2r) from the ball arrays, so it interns no word.  ``ball_stack``
+returns it as one record, ``BallStack``, with the tables the checks read:
+the ball's inverse indices and value rows, the products Q[a, y] = a y
+as ball(2r) indices and the action rows of ball(2r).  A stack over left
+translates c u_0, ..., c u_{m-1} of ball words is one more gather from
+it, with no word and no covariance of the action.
 """
 
 from __future__ import annotations
@@ -331,29 +331,29 @@ class MultiplierSystem:
 
     def kernel_matrix(self, xs) -> np.ndarray:
         """Kernel Gram matrix over xs as a ``(K, n, n)`` stack of block
-        scalars: ``id_stacks`` over one family, their ids and their inverses'."""
+        scalars: ``id_stacks`` over the one family of their ids."""
         words = self.words
         xs = list(xs)
         words._check_ctx(*xs)
-        family = [words.intern(x.letters) for x in xs], [words._inverse_id(x) for x in xs]
-        return self.id_stacks([family])[len(xs)][0]
+        return self.id_stacks([[words.intern(x.letters) for x in xs]])[len(xs)][0]
 
     def id_stacks(self, families) -> dict:
         """Kernel Gram matrices over many families of words, grouped by
         size: per family size m the ``(F, K, m, m)`` stack of the F families
-        of m words in their given order, each family given as the ids of its
-        words and the ids of those words' inverses.
+        of m words in their given order, each family a list of word ids.
 
-        Each family's products x_i^-1 x_j come from the successor memo; then
-        one value-row fill serves every family, and each size is one gather
-        from the value rows of the products at the action rows of the x_j.
-        No pair gets a central element of its own.
+        Each family's inverses come from ``WordContext.inverse_ids`` and its
+        products x_i^-1 x_j from the successor memo; then one value-row fill
+        serves every family, and each size is one gather from the value rows
+        of the products at the action rows of the x_j.  No pair gets a
+        central element of its own.
         """
+        words = self.words
         by_size: dict = {}  # m -> (word ids, product ids) per family of m words
-        for ids, inverse in families:
+        for ids in families:
             group = by_size.setdefault(len(ids), ([], []))
             group[0].append(ids)
-            group[1].append(self.words.product_ids(inverse, ids))
+            group[1].append(words.product_ids(words.inverse_ids(ids), ids))
         values, perms = self._value_rows()
         out = {}
         for m, (ids, prods) in by_size.items():

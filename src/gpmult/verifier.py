@@ -210,7 +210,7 @@ def _complete_sets(sc: Scenario):
 def verify_main_theorem(sc: Scenario, threads: int = 1) -> CheckResult:
     """Positivity of the kernel Gram matrix over seeded complete sets.
 
-    Each set's stack is gathered from its word ids and their inverses'.
+    Each set's stack is gathered from its word ids.
     ``threads`` is accepted for compatibility and has no effect.
     """
     sets = _complete_sets(sc)
@@ -222,8 +222,7 @@ def verify_main_theorem(sc: Scenario, threads: int = 1) -> CheckResult:
     T = sc.system.structure.total_dim
     for ids in sets:
         try:
-            family = ids, sc.system.words.closed_set_inverses(ids)
-            m = sc.system.id_stacks([family])[len(ids)][0]
+            m = sc.system.id_stacks([ids])[len(ids)][0]
             ok, lam = is_positive(m, tol=PSD_TOL, hermitian_tol=1e-8)
         except GPMultError as err:
             return _failure(
@@ -531,15 +530,15 @@ def verify_schwarz(sc: Scenario) -> CheckResult:
     c is the left translate by c of (b_0, ..., e, ...), so its stack is a
     gather from the ball's kernel stack (``BallStack.translates``); the
     others go by word ids (``MultiplierSystem.id_stacks``), the ids of
-    x_i = Q[c_i, b_i] and x_i^-1 = Q[b_i^-1, c_i^-1] read off the ball's
-    product table Q.  The families of one size share one stack, and the
+    x_i = Q[c_i, b_i] read off the ball's product table Q and interned
+    with the p_i.  The families of one size share one stack, and the
     hypothesis is tested over the family axis.
     """
     sys_ = sc.system
     radius = sc.identity_radius
     stack = sys_.ball_stack(radius, sc.budget)
-    inverse, Q = stack.inverse, stack.products
-    size = len(inverse)
+    Q = stack.products
+    size = len(Q)
     rng = np.random.default_rng([sc.seed, 104])
 
     def draw():
@@ -560,10 +559,8 @@ def verify_schwarz(sc: Scenario) -> CheckResult:
         gram[one] = stack.translates(c[one, 0], u)
         if not one.all():
             c, b = c[~one], b[~one]
-            inv_c = inverse[c]
-            # per family the ball(2 r) indices of x then p, then of their inverses
-            at = np.hstack([Q[c, b], c, Q[inverse[b], inv_c], inv_c])
-            ids = np.reshape(sys_.words.ball_word_ids(2 * radius, at.ravel().tolist()), (-1, 2, 2 * n))
+            at = np.hstack([Q[c, b], c])  # per family the ball(2 r) indices of x then p
+            ids = np.reshape(sys_.words.ball_word_ids(2 * radius, at.ravel().tolist()), (-1, 2 * n))
             gram[~one] = sys_.id_stacks(ids.tolist())[2 * n]
         return _cross_kernels_factor(gram), gram
 

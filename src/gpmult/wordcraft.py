@@ -14,17 +14,16 @@ and a word's letters are read back along its prefixes.  The successor table
 is a flat list with one row of letter slots per id, holding the id of the
 canonical product of the word and the slot's letter (-1 while unknown):
 normal forms, products and inverses are walks of successors from the
-identity or from the left factor.  A miss does not rescan the word: it
-walks down the prefixes while the new letter passes their last letters, to
-the prefix whose last letter it merges with or stops at, and rebuilds
-upward, so it costs table lookups.
+identity or from the left factor (an inverse by the inverted letters, met
+from the last along the word's prefixes).  A miss does not rescan the
+word: it walks down the prefixes while the new letter passes their last
+letters, to the prefix whose last letter it merges with or stops at, and
+rebuilds upward, so it costs table lookups.
 
 Truncation-closed sets are built on ids too.  The immediate truncations of
 a word are memoized per id: deleting its last letter gives its prefix, and
-deleting its first letter its tail, one successor step from its prefix's
-tail; only the other deletable letters are walked, from the prefix that
-ends before them.  In a truncation-closed set every member's tail is a
-member, so the inverses of the whole set cost one successor step per word.
+any other deletable letter is deleted by walking the letters after it from
+the prefix that ends before it.
 
 Balls do not go through the memo.  The canonical words form a regular
 language (Hermiller-Meier, J. Algebra 171, 1995), so ``ball_arrays`` lists
@@ -176,12 +175,9 @@ class WordContext:
         self._sf_tables: dict = {}
         self._balls: dict = {}  # radius -> ball
         self._ball_arrays: dict = {}  # radius -> BallArrays
-        self._inverses: dict = {}  # letters of x -> id of x^-1
         # interned canonical words: per id the id of its prefix and the slot
         # of its last letter (-1 and -1 for the identity, id 0, which is
-        # installed on first use); ``_ids`` maps the letters of interned
-        # elements to their ids
-        self._ids: dict = {}
+        # installed on first use)
         self._id_prefix: list = []
         self._id_last: list = []
         # successor table: entry id * letter_slots + slot is the id of the
@@ -189,10 +185,8 @@ class WordContext:
         # unknown; each new id appends its row, and when the product is the
         # word with the letter appended, its entry is what interns that word
         self._succ: list = []
-        # per id the ids of its immediate truncations, and the id of its tail
-        # (the word with its first letter deleted)
+        # per id the ids of its immediate truncations
         self._truncations: dict = {}
-        self._tails: dict = {}
         self._slot_offset = tuple(
             sum(g.order for g in self.groups[:v]) for v in range(graph.n)
         )
@@ -292,17 +286,7 @@ class WordContext:
 
     def inverse(self, x: GPElement) -> GPElement:
         self._check_ctx(x)
-        return self._element(self._inverse_id(x))
-
-    def _inverse_id(self, x: GPElement) -> int:
-        """Id of x^-1 (its inverted letters in reverse), memoized per x."""
-        i = self._inverses.get(x.letters)
-        if i is None:
-            groups = self.groups
-            i = self._inverses[x.letters] = self._word_id(
-                Letter(l.vertex, groups[l.vertex].inverse(l.elem)) for l in reversed(x.letters)
-            )
-        return i
+        return self._element(self.inverse_ids([self.intern(x.letters)])[0])
 
     # ------------------------------------------------------------------
     # interned words
@@ -313,17 +297,14 @@ class WordContext:
         Every prefix of the word gets a smaller id than the word, so
         ascending ids list each word after all of its prefixes.
         """
-        i = self._ids.get(letters)
-        if i is None:
-            if not self._id_prefix:
-                self._id_prefix.append(-1)
-                self._id_last.append(-1)
-                self._succ.extend(self._unknown_row)
-            i = 0
-            offset = self._slot_offset
-            for l in letters:
-                i = self._child(i, offset[l.vertex] + l.elem)
-            self._ids[letters] = i
+        if not self._id_prefix:
+            self._id_prefix.append(-1)
+            self._id_last.append(-1)
+            self._succ.extend(self._unknown_row)
+        i = 0
+        offset = self._slot_offset
+        for l in letters:
+            i = self._child(i, offset[l.vertex] + l.elem)
         return i
 
     def _child(self, i: int, slot: int) -> int:
@@ -399,6 +380,23 @@ class WordContext:
         for l in letters:
             i = self.successor(i, l)
         return i
+
+    def inverse_ids(self, ids) -> list:
+        """Ids of the inverses of the words ``ids``.
+
+        x^-1 is x's inverted letters in reverse, and the walk down x's
+        prefixes meets its letters from the last, so x^-1 is one successor
+        step per letter from the identity, with no memo and no recursion.
+        """
+        prefix, last, inverse = self._id_prefix, self._id_last, self._slot_inverse
+        out = []
+        for i in ids:
+            j = 0
+            while i:
+                j = self._successor(j, inverse[last[i]])
+                i = prefix[i]
+            out.append(j)
+        return out
 
     def _element(self, i: int) -> GPElement:
         """The canonical word of id ``i``, read back along its prefixes."""
@@ -495,9 +493,9 @@ class WordContext:
         order in every rearrangement, so a letter can come first exactly
         when no earlier letter is apart from it, and last when no later one
         is; r[1:] or r[:-1] is then the word with that letter deleted.
-        Deleting the last letter leaves the prefix and deleting the first
-        the tail; any other letter is deleted by walking the letters after
-        it from the prefix that ends before it.
+        Deleting the last letter leaves the prefix; any other letter is
+        deleted by walking the letters after it from the prefix that ends
+        before it.
         """
         out = self._truncations.get(i)
         if out is None:
@@ -517,32 +515,12 @@ class WordContext:
                     seen.add(v)
             out = []
             for k in sorted(ends):
-                if k == 0:
-                    t = self._tail(i)
-                else:
-                    t = path[k]
-                    for s in slots[k + 1 :]:
-                        t = self._successor(t, s)
+                t = path[k]
+                for s in slots[k + 1 :]:
+                    t = self._successor(t, s)
                 out.append(t)
             out = self._truncations[i] = tuple(out)
         return out
-
-    def _tail(self, i: int) -> int:
-        """Id of word ``i``, not the identity, with its first letter deleted,
-        memoized: the identity for one letter, else the successor of the
-        prefix's tail by the last letter, filled upward from the longest
-        prefix whose tail is known."""
-        tails = self._tails
-        t = tails.get(i)
-        if t is None:
-            prefix, last = self._id_prefix, self._id_last
-            path = [i]  # i and its prefixes down to a one-letter word or a known tail
-            while prefix[path[-1]] and prefix[path[-1]] not in tails:
-                path.append(prefix[path[-1]])
-            for j in reversed(path):
-                p = prefix[j]
-                t = tails[j] = self._successor(tails[p], last[j]) if p else 0
-        return t
 
     def _leq(self, x: GPElement, y: GPElement, budget: int) -> bool:
         """Truncation order: x below y when x arises by repeatedly dropping a
@@ -554,24 +532,18 @@ class WordContext:
             return False
         return x in self.complete_closure([y], max_size=budget)
 
-    def complete_closure(self, elements, max_size: int = 10_000, optional=()):
+    def complete_closure(self, elements, max_size: int = 10_000):
         """Smallest truncation-closed set containing the input and the identity,
         as elements: ``complete_closure_ids`` over the words' ids.
 
         Closed means: with every member, all one-letter truncations of all its
         rearrangements are members too.  Sorted deterministically by (length,
-        letters).  ``max_size`` caps the closure as in
-        ``complete_closure_ids``: the identity and the input raise
-        ``BudgetExceededError`` when they do not fit, and of ``optional`` the
-        longest prefix that fits is added.
+        letters).  ``max_size`` caps the closure: ``BudgetExceededError``
+        when the closure does not fit.
         """
-        elements, optional = list(elements), list(optional)
-        self._check_ctx(*elements, *optional)
-        ids = self.complete_closure_ids(
-            [self.intern(x.letters) for x in elements],
-            max_size,
-            [self.intern(x.letters) for x in optional],
-        )
+        elements = list(elements)
+        self._check_ctx(*elements)
+        ids = self.complete_closure_ids([self.intern(x.letters) for x in elements], max_size)
         return tuple(map(self._element, ids))
 
     def complete_closure_ids(self, required, max_size: int = 10_000, optional=()) -> list:
@@ -609,23 +581,6 @@ class WordContext:
         for i in sorted(out)[1:]:
             slots[i] = slots[prefix[i]] + (last[i],)
         return sorted(out, key=lambda i: (len(slots[i]), slots[i]))
-
-    def closed_set_inverses(self, ids) -> list:
-        """Ids of the inverses of the words ``ids`` of a truncation-closed
-        set, given in (length, letters) order, one successor step per word.
-
-        A word x is its first letter f times its tail t, which is a shorter
-        member, so x^-1 is the successor of t^-1 by f^-1; the first letter
-        of x is its prefix's, or its only letter.
-        """
-        prefix, last, inverse = self._id_prefix, self._id_last, self._slot_inverse
-        inv, first = {0: 0}, {}
-        for i in ids:
-            if i:
-                p = prefix[i]
-                f = first[i] = first[p] if p else last[i]
-                inv[i] = self._successor(inv[self._tail(i)], inverse[f])
-        return [inv[i] for i in ids]
 
     # ------------------------------------------------------------------
     # non-commuting counts and standard form

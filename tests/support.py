@@ -29,7 +29,8 @@ the pairwise reducedness test, the oracles of the one-loop closure and of
 the one-scan ``is_reduced``; ``oracle_truncations`` lists a word's
 rearrangement class and pushes r[1:] and r[:-1] of each, the oracle of the
 truncations ``WordContext`` reads off the letter order, and the two-phase
-closure walks it.
+closure walks it; ``id_closure`` reads ``complete_closure_ids`` with
+optional words back as elements.
 """
 
 import itertools
@@ -264,6 +265,17 @@ def reference_complete_closure(words: WordContext, elements, max_size: int = 10_
             break
         out |= new
     return tuple(sorted(out, key=lambda x: (len(x), x.letters)))
+
+
+def id_closure(words: WordContext, elements, max_size: int = 10_000, optional=()):
+    """``complete_closure_ids`` on the ids of the elements and of ``optional``,
+    read back as elements."""
+    ids = words.complete_closure_ids(
+        [words.intern(x.letters) for x in elements],
+        max_size,
+        [words.intern(x.letters) for x in optional],
+    )
+    return [words._element(i) for i in ids]
 
 
 def reference_is_reduced(words: WordContext, vertices) -> bool:

@@ -1,15 +1,15 @@
-"""Complete sets on word ids against the element paths.
+"""Complete sets and inverses on word ids against the element paths.
 
 ``WordContext.complete_closure_ids`` closes a set of word ids under
-immediate truncations memoized per id, and ``closed_set_inverses`` inverts
-a closed set one successor step per word from its members' tails.  Both are
-compared on random graph products of Z/2, Z/3, S3 and D4 vertices, where
-letters are not all involutions: the closure with
-``reference_complete_closure`` element by element and in order, budget
-outcomes included; the inverses with the letter walk of ``_inverse_id``;
-and the tails with the word of the letters after the first.
+immediate truncations memoized per id, and ``inverse_ids`` inverts any
+list of word ids one successor step per letter.  Both are compared on
+random graph products with S3 and D4 vertices, where letters are not all
+involutions: the closure with ``reference_complete_closure`` element by
+element and in order, budget outcomes included; the inverses with the word
+of the inverted letters in reverse and with the products x^-1 x.
 """
 
+import itertools
 import sys
 
 import numpy as np
@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 from gpmult.errors import BudgetExceededError
 from gpmult.graphgroup import SimplicialGraph, dihedral_group, symmetric_group
-from gpmult.wordcraft import WordContext
-from support import growth_sphere_sizes, reference_complete_closure
-from test_ball_arrays import graph_products
+from gpmult.wordcraft import Letter, WordContext
+from support import growth_sphere_sizes, id_closure, reference_complete_closure
+from test_ball_arrays import GROUPS, graph_products
 
 
 def sample_radius(words, cap: int = 400) -> int:
@@ -38,16 +38,6 @@ def outcome(closure):
         return [x.letters for x in closure()]
     except BudgetExceededError as err:
         return err.args[0], err.context
-
-
-def id_closure(words, elements, max_size, optional):
-    """``complete_closure_ids`` on the ids of the elements, read back."""
-    ids = words.complete_closure_ids(
-        [words.intern(x.letters) for x in elements],
-        max_size,
-        [words.intern(x.letters) for x in optional],
-    )
-    return [words._element(i) for i in ids]
 
 
 @settings(max_examples=80, deadline=None)
@@ -72,7 +62,8 @@ def test_id_closure_matches_the_reference_closure(system, data):
         assert isinstance(want, tuple) or len(want) > max_size
     else:
         assert got == want
-        assert outcome(lambda: words.complete_closure(elements, max_size, optional)) == want
+        if not optional:
+            assert outcome(lambda: words.complete_closure(elements, max_size)) == want
 
 
 def s3_d4_words():
@@ -96,47 +87,56 @@ def test_id_closure_budget_outcomes():
     assert id_closure(words, [y], 5, [d, x]) == [words.identity(), y, d]
 
 
-def assert_inverses_and_tails(words, ids):
-    inverses = words.closed_set_inverses(ids)
-    assert len(inverses) == len(ids)
-    for i, inv in zip(ids, inverses):
-        x = words._element(i)
-        assert inv == words._inverse_id(x)
-        if i:
-            assert words._tail(i) == words._word_id(x.letters[1:])
+def reversed_inverse_id(words, i):
+    """Id of the word of word ``i``'s inverted letters in reverse."""
+    groups = words.groups
+    letters = words._element(i).letters
+    return words._word_id(Letter(l.vertex, groups[l.vertex].inverse(l.elem)) for l in reversed(letters))
+
+
+@st.composite
+def non_involution_words(draw):
+    """A word context of 2-4 vertices, the first S3 and the second D4, the
+    others Z/2, Z/3, S3 or D4, with random edges, and a list of ids of
+    random words of up to 12 raw letters, in no order and with repeats."""
+    n = draw(st.integers(2, 4))
+    kinds = ["S3", "D4"] + [draw(st.sampled_from(sorted(GROUPS))) for _ in range(n - 2)]
+    groups = [GROUPS[k][0] for k in kinds]
+    edges = [p for p in itertools.combinations(range(n), 2) if draw(st.booleans())]
+    words = WordContext(SimplicialGraph.build(tuple(range(n)), edges), groups)
+    letter = st.integers(0, n - 1).flatmap(lambda v: st.tuples(st.just(v), st.integers(0, groups[v].order - 1)))
+    raws = draw(st.lists(st.lists(letter, max_size=12), min_size=1, max_size=8))
+    return words, [words.intern(words.normalize(raw).letters) for raw in raws]
 
 
 @settings(max_examples=80, deadline=None)
-@given(graph_products(), st.data())
-def test_set_inverses_and_tails_match_the_letter_walks(system, data):
-    """Over the closure of a few ball words, each member's inverse from its
-    tail is the letter walk's, and its tail is the word of its letters
-    after the first."""
-    words = system.words
-    ball = words.ball(sample_radius(words))
-    picks = data.draw(st.lists(st.integers(0, len(ball) - 1), max_size=5))
-    ids = words.complete_closure_ids([words.intern(ball[i].letters) for i in picks], max_size=10**9)
-    assert_inverses_and_tails(words, ids)
+@given(non_involution_words())
+def test_inverse_ids_match_the_reversed_inverted_letters(case):
+    """Each inverse is the word of the inverted letters in reverse, and
+    every x^-1 x is the identity."""
+    words, ids = case
+    inverses = words.inverse_ids(ids)
+    assert inverses == [reversed_inverse_id(words, i) for i in ids]
+    products = words.product_ids(inverses, ids)
+    assert [row[k] for k, row in enumerate(products)] == [words.intern(())] * len(ids)
 
 
-def test_set_inverses_of_non_involutions_invert_back():
-    """On S3 * D4 the inverses of a closed set differ from the words, and
-    inverting them again gives the words back."""
+def test_inverses_of_non_involutions_invert_back():
+    """On S3 * D4 the inverses of a closed set mostly differ from the words,
+    and inverting them again gives the words back."""
     words = s3_d4_words()
     ids = words.complete_closure_ids([words.intern(x.letters) for x in words.ball(3)])
-    inverses = words.closed_set_inverses(ids)
+    inverses = words.inverse_ids(ids)
     assert sum(i != j for i, j in zip(ids, inverses)) > len(ids) // 2
-    assert_inverses_and_tails(words, ids)
-    order = words.complete_closure_ids(inverses)
-    assert sorted(order) == sorted(ids)
-    back = dict(zip(order, words.closed_set_inverses(order)))
-    assert [back[j] for j in inverses] == ids
+    assert inverses == [reversed_inverse_id(words, i) for i in ids]
+    assert words.inverse_ids(inverses) == ids
 
 
-def test_tails_of_words_longer_than_the_recursion_limit():
-    """The tail memo fills upward from the longest prefix with a known
-    tail, with no recursion: a word of three times the recursion limit
-    over S3 * D4 gets the tail of its letters after the first."""
+def test_words_longer_than_the_recursion_limit():
+    """The inverse walk and the truncations use no recursion: a word of
+    three times the recursion limit over S3 * D4 gets the inverse of its
+    inverted letters in reverse, and as truncations the words of its
+    letters after the first and before the last."""
     words = s3_d4_words()
     rng = np.random.default_rng(5)
     n = 3 * sys.getrecursionlimit()
@@ -144,5 +144,6 @@ def test_tails_of_words_longer_than_the_recursion_limit():
     x = words.normalize(raw)
     assert len(x.letters) == n
     i = words.intern(x.letters)
-    assert words._tail(i) == words._word_id(x.letters[1:])
+    assert words.inverse_ids([i]) == [reversed_inverse_id(words, i)]
+    assert words.inverse(x) == words._element(reversed_inverse_id(words, i))
     assert set(words._truncation_ids(i)) == {words._word_id(x.letters[1:]), words._word_id(x.letters[:-1])}

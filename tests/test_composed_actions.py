@@ -177,22 +177,19 @@ def test_word_actions_compose_letter_index_arrays():
 
 def _memo_tables(system):
     """Every memo table of a system: the four that grow with the ball (the
-    value rows hold the word actions too), the inverse ids, the interned words,
-    the successor table, the immediate truncations and tails by id, the balls,
-    their arrays, the ball standard-form tables and the ball kernel stacks."""
+    value rows hold the word actions too), the interned words, the successor
+    table, the immediate truncations by id, the balls, their arrays, the
+    ball standard-form tables and the ball kernel stacks."""
     words = system.words
     return {
         "kernel": system._kernel.cache,
         "gp_value": system._value_cache,
         "downset": words._downset_cache,
         "standard_form": words._sf_cache,
-        "inverses": words._inverses,
-        "word_ids": words._ids,
         "id_prefix": words._id_prefix,
         "id_last": words._id_last,
         "successors": words._succ,
         "truncations": words._truncations,
-        "tails": words._tails,
         "balls": words._balls,
         "ball_arrays": words._ball_arrays,
         "standard_form_tables": words._sf_tables,
@@ -202,10 +199,9 @@ def _memo_tables(system):
 
 # The lemma suite reads every kernel from gathered stacks, its standard
 # forms and down-set maxima from the ball's standard-form table, built off
-# the letter order, and the inverses of its Schwarz families from the
-# ball's inverse indices, and it closes no set under truncation, so it
-# leaves these cold.
-NOT_FILLED_BY_LEMMAS = ("kernel", "downset", "standard_form", "truncations", "tails", "inverses")
+# the letter order, and it closes no set under truncation, so it leaves
+# these cold.
+NOT_FILLED_BY_LEMMAS = ("kernel", "downset", "standard_form", "truncations")
 
 
 def test_fresh_scenarios_start_with_cold_unshared_memo_tables():

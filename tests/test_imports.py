@@ -488,8 +488,7 @@ def test_checks_and_values_name_no_rearrangement_search(module):
 
 
 def group_table_reads(source: str):
-    """(line, name) of every ``.table`` attribute and every ``.mul(`` call
-    outside ``WordContext.__init__``."""
+    """Lines of every ``.table`` attribute outside ``WordContext.__init__``."""
     tree = ast.parse(source)
     inits = [
         (f.lineno, f.end_lineno)
@@ -498,13 +497,8 @@ def group_table_reads(source: str):
         for f in c.body
         if isinstance(f, ast.FunctionDef) and f.name == "__init__"
     ]
-    out = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "table":
-            out.append((node.lineno, "table"))
-        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "mul":
-            out.append((node.lineno, "mul"))
-    return sorted((line, name) for line, name in out if not any(a <= line <= b for a, b in inits))
+    lines = (node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "table")
+    return sorted(line for line in lines if not any(a <= line <= b for a, b in inits))
 
 
 def test_group_table_scanner_finds_reads_outside_the_constructor():
@@ -512,18 +506,17 @@ def test_group_table_scanner_finds_reads_outside_the_constructor():
         "class WordContext:\n"
         "    def __init__(self, groups):\n"
         "        self.t = [g.table for g in groups]\n"
-        "        self.m = groups[0].mul(1, 1)\n"
         "    def successor(self, grp, a, b):\n"
-        "        return grp.mul(a, b)\n"
+        "        return grp.table[a, b]\n"
         "def fill(grp):\n"
         "    rows = grp.table.ravel()\n"
-        "    doc = 'grp.table and grp.mul(a, b)'\n"
+        "    doc = 'grp.table'\n"
         "    return rows, self._merge[a]\n"
         "class Other:\n"
         "    def __init__(self, grp):\n"
         "        self.t = grp.table\n"
     )
-    assert group_table_reads(source) == [(6, "mul"), (8, "table"), (13, "table")]
+    assert group_table_reads(source) == [5, 7, 12]
 
 
 def test_word_layer_reads_group_tables_only_in_its_constructor():

@@ -195,10 +195,7 @@ def test_family_stacks_are_the_stacked_kernel_matrices(name):
     for _ in range(12):
         picks = rng.integers(0, len(ball), int(rng.integers(1, 5)))
         families.append([words.multiply(ball[i], ball[j]) for i, j in zip(picks, picks[::-1])])
-    ids = [
-        ([words.intern(x.letters) for x in f], [words.intern(words.inverse(x).letters) for x in f])
-        for f in families
-    ]
+    ids = [[words.intern(x.letters) for x in f] for f in families]
     tables = set(vars(system)), set(vars(words))
     stacks = system.id_stacks(ids)
     assert (set(vars(system)), set(vars(words))) == tables
@@ -253,8 +250,8 @@ def test_interned_ids_put_prefixes_first():
         assert words._succ[words._id_prefix[i] * words._letter_slots + words._id_last[i]] == i
     letters = [id_letters(words, i) for i in range(len(words._id_prefix))]
     assert len(set(letters)) == len(letters)
-    for key, i in words._ids.items():
-        assert letters[i] == key
+    for x in ball:
+        assert letters[words.intern(x.letters)] == x.letters
     assert len(words._succ) == len(words._id_prefix) * words._letter_slots
     for key, j in enumerate(words._succ):
         if j < 0:

@@ -12,13 +12,15 @@ import pytest
 from gpmult.cli import build_scenario
 from gpmult.errors import EdgeViolationError, NotUnitalError
 from gpmult.matalg import is_positive
-from gpmult.multipliers import haagerup_witness_ball, multipliers_commute
-from gpmult.verifier import verify_star_symmetry
+from gpmult.multipliers import gp_well_defined, haagerup_witness_ball, multipliers_commute
+from gpmult.verifier import verify_peel_off, verify_star_symmetry
 
 POS_TOL = 1e-9  # matalg.DEFAULT_POS_TOL
 KERNEL_TOL = 1e-10  # verifier.KERNEL_TOL
 UNITAL_TOL = 1e-12  # multipliers.UNITAL_TOL
 COMMUTE_TOL = 1e-12  # multipliers.COMMUTE_TOL
+WELL_DEFINED_TOL = 1e-10  # multipliers.WELL_DEFINED_TOL
+PEEL_TOL = 1e-12  # verifier.PEEL_TOL
 
 
 def hermitian_with_spectrum(eigs, rng) -> np.ndarray:
@@ -100,23 +102,25 @@ def test_unital_tolerance_threshold(factor, ok):
             haagerup_witness_ball(system, K=1, eps=0.5, L=2)
 
 
-def edge_with_swap(delta: float):
+def swap_edge_config(delta: float) -> dict:
     """Two joined Z/2 vertices on C + C: a swaps the two blocks, and b's
     value off the identity is 0.3 in one block and 0.3 + delta in the other,
     so a moves it by exactly delta."""
-    return build_scenario(
-        {
-            "name": "swap_edge",
-            "graph": {"vertices": ["a", "b"], "edges": [["a", "b"]]},
-            "groups": {v: {"preset": "cyclic", "n": 2} for v in "ab"},
-            "algebra": {"blocks": [1, 1]},
-            "actions": {
-                "a": {"preset": "block-permutation", "perms": [[0, 1], [1, 0]]},
-                "b": {"preset": "trivial"},
-            },
-            "multipliers": {"a": {"values": [[1, 1], [0.2, 0.2]]}, "b": {"values": [[1, 1], [0.3, 0.3 + delta]]}},
-        }
-    )
+    return {
+        "name": "swap_edge",
+        "graph": {"vertices": ["a", "b"], "edges": [["a", "b"]]},
+        "groups": {v: {"preset": "cyclic", "n": 2} for v in "ab"},
+        "algebra": {"blocks": [1, 1]},
+        "actions": {
+            "a": {"preset": "block-permutation", "perms": [[0, 1], [1, 0]]},
+            "b": {"preset": "trivial"},
+        },
+        "multipliers": {"a": {"values": [[1, 1], [0.2, 0.2]]}, "b": {"values": [[1, 1], [0.3, 0.3 + delta]]}},
+    }
+
+
+def edge_with_swap(delta: float):
+    return build_scenario(swap_edge_config(delta))
 
 
 @pytest.mark.parametrize("delta, ok", [(3 * COMMUTE_TOL, False), (0.3 * COMMUTE_TOL, True)])
@@ -130,3 +134,33 @@ def test_commute_tolerance_threshold(delta, ok):
         with pytest.raises(EdgeViolationError) as err:
             multipliers_commute(system)
         assert abs(err.value.context["deviation"] - delta) < 1e-16
+
+
+@pytest.mark.parametrize("factor, ok", [(3.0, False), (0.3, True)])
+def test_well_defined_tolerance_threshold(factor, ok):
+    """On the swap edge with delta = 5 factor tol the word a b has the
+    values 0.2 (0.3, 0.3 + delta) along a b and 0.2 (0.3 + delta, 0.3)
+    along b a, so the deviation is 0.2 delta = factor tol up to rounding,
+    at most 4.1e-18 at both factors."""
+    report = gp_well_defined(edge_with_swap(5 * factor * WELL_DEFINED_TOL).system, radius=2)
+    assert report.ok is ok
+    assert abs(report.max_deviation - factor * WELL_DEFINED_TOL) < 1e-16
+
+
+@pytest.mark.parametrize("factor, ok", [(3.0, False), (0.3, True)])
+def test_peel_tolerance_threshold(factor, ok):
+    """The swap edge with delta = 5 factor tol and a third Z/2 vertex c,
+    joined to neither, acting trivially with value 1: peeling c off c b a
+    leaves t = a b, whose ball row is its value along a b, while the
+    expression's value is c's times the value along b a, so the residual
+    is 0.2 delta = factor tol up to rounding, at most 1.1e-17 at both
+    factors."""
+    cfg = swap_edge_config(5 * factor * PEEL_TOL)
+    cfg["graph"]["vertices"].append("c")
+    cfg["groups"]["c"] = {"preset": "cyclic", "n": 2}
+    cfg["actions"]["c"] = {"preset": "trivial"}
+    cfg["multipliers"]["c"] = {"values": [[1, 1], [1, 1]]}
+    cfg["verify"] = {"identity_radius": 3}
+    result = verify_peel_off(build_scenario(cfg))
+    assert result.passed is ok
+    assert abs(result.residual - factor * PEEL_TOL) < 1e-16
