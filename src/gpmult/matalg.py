@@ -197,7 +197,9 @@ def is_positive(m, tol: float = DEFAULT_POS_TOL, hermitian_tol: float | None = N
     """Positive semidefiniteness with tolerance, over the last two axes.
 
     Accepts a dense ``(N, N)`` matrix or a ``(K, n, n)`` stack of block
-    matrices, which is positive when every block is.  The input is
+    matrices, which is positive when every block is.  Real floating input
+    is solved as real symmetric in float64, and any other input as complex
+    Hermitian in complex128.  The input is
     symmetrized when its Hermitian deviation (largest entry of M - M*) is
     within ``hermitian_tol`` (default: same as ``tol``) and rejected with
     ``NotHermitianError`` otherwise.  Returns ``(ok, lambda_min)`` where
@@ -206,7 +208,8 @@ def is_positive(m, tol: float = DEFAULT_POS_TOL, hermitian_tol: float | None = N
     non-finite entry, or one whose symmetrization overflows, raises
     ``NotFiniteError``: no eigensolve can certify it.
     """
-    m = np.asarray(m, dtype=np.complex128)
+    m = np.asarray(m)
+    m = m.astype(np.float64 if m.dtype.kind == "f" else np.complex128, copy=False)
     if m.size == 0:
         return True, 0.0
     if hermitian_tol is None:

@@ -26,8 +26,13 @@ Interned words get rows in a growing cache, and a kernel matrix over x_0,
 ..., x_{n-1} is one gather ``G[k, i, j] = V[prod[i, j], P[x_j, k]]``, prod
 the ids of the products x_i^-1 x_j from the successor memo, x_i^-1 walked
 from x_i's letters; many families share one fill, and those of one size
-one gather.  The identity ball's stack takes its products and the rows of
-ball(2r) from the ball arrays, so it interns no word.  ``ball_stack``
+one gather.  Rows and stacks are in the system's dtype, fixed from the
+vertex values when it is built: float64 when every value is finite and
+real, complex128 otherwise.  Actions only permute block scalars, so real
+values give real rows and kernel stacks, bit-equal to the real parts of
+complex arithmetic; the central elements handed out stay complex128.  The
+identity ball's stack takes its products and the rows of ball(2r) from the
+ball arrays, so it interns no word.  ``ball_stack``
 returns it as one record, ``BallStack``, with the tables the checks read:
 the ball's inverse indices and value rows, the products Q[a, y] = a y
 as ball(2r) indices and the action rows of ball(2r).  A stack over left
@@ -212,7 +217,6 @@ class MultiplierSystem:
         self.multipliers = multipliers
         self.valid_actions = None
         self.valid_multipliers = None
-        self._value_cache = _ValueRows(self.structure.num_blocks)
         self._kernel = KernelTable(self)
         self._ball_stacks: dict = {}  # radius -> BallStack
         # per letter slot of the word context: the index arrays of the
@@ -225,9 +229,17 @@ class MultiplierSystem:
         self._slot_perms = np.array(
             [p for t in actions.tables for p in t.perms[t.group.inv]], dtype=np.intp
         ).reshape(-1, K)
-        self._slot_values = np.array(
+        values = np.array(
             [v for h in multipliers for v in h.scalars], dtype=np.complex128
         ).reshape(-1, K)
+        # the system's dtype: real when every value is finite and real (with
+        # an infinite value, complex arithmetic makes NaN of inf * 0 in an
+        # imaginary part where real arithmetic gives a number)
+        if np.isfinite(values).all() and not values.imag.any():
+            values = values.real.copy()
+        self.dtype = values.dtype
+        self._slot_values = values
+        self._value_cache = _ValueRows(K, self.dtype)
 
     # ------------------------------------------------------------------
     # setup validation
@@ -320,18 +332,19 @@ class MultiplierSystem:
         to multiplying the twisted factors left to right.
         """
         offset, perms, values = self.words._slot_offset, self._slot_perms, self._slot_values
-        out = np.ones(self.structure.num_blocks, dtype=np.complex128)
+        out = np.ones(self.structure.num_blocks, dtype=self.dtype)
         for j, l in enumerate(letters):
             s = offset[l.vertex] + l.elem
             out = values[s].copy() if j == 0 else out[perms[s]] * values[s]
-        return CentralElement._adopt(self.structure, out)
+        return CentralElement._adopt(self.structure, out.astype(np.complex128, copy=False))
 
     def kernel(self, x: GPElement, y: GPElement) -> CentralElement:
         return self._kernel.get(x, y)
 
     def kernel_matrix(self, xs) -> np.ndarray:
         """Kernel Gram matrix over xs as a ``(K, n, n)`` stack of block
-        scalars: ``id_stacks`` over the one family of their ids."""
+        scalars in the system's dtype: ``id_stacks`` over the one family of
+        their ids."""
         words = self.words
         xs = list(xs)
         words._check_ctx(*xs)
@@ -339,8 +352,9 @@ class MultiplierSystem:
 
     def id_stacks(self, families) -> dict:
         """Kernel Gram matrices over many families of words, grouped by
-        size: per family size m the ``(F, K, m, m)`` stack of the F families
-        of m words in their given order, each family a list of word ids.
+        size: per family size m the ``(F, K, m, m)`` stack, in the system's
+        dtype, of the F families of m words in their given order, each
+        family a list of word ids.
 
         Each family's inverses come from ``WordContext.inverse_ids`` and its
         products x_i^-1 x_j from the successor memo; then one value-row fill
@@ -375,9 +389,10 @@ class MultiplierSystem:
     def tree_rows(self, tree) -> tuple:
         """Value and action rows of every node of a prefix tree of arrays, a
         ball's (``BallArrays``) or its expressions' (``ExpressionTable``):
-        two ``(N, K)`` arrays, row 0 that of the empty word, filled by
-        ``_fill_rows`` one length at a time."""
-        V = np.empty((len(tree.prefix), self.structure.num_blocks), dtype=np.complex128)
+        two ``(N, K)`` arrays, values in the system's dtype and actions
+        ``int32``, row 0 that of the empty word, filled by ``_fill_rows``
+        one length at a time."""
+        V = np.empty((len(tree.prefix), self.structure.num_blocks), dtype=self.dtype)
         P = np.empty(V.shape, dtype=np.int32)
         V[0], P[0] = 1.0, np.arange(V.shape[1])
         levels = zip(tree.ends[:-1], tree.ends[1:])
@@ -402,7 +417,7 @@ class MultiplierSystem:
             prod[:, a:b] = arrays.succ[prod[:, arrays.prefix[a:b]], arrays.last[a:b]]
         inverse = prod.argmin(axis=1)
         V, P = self.tree_rows(arrays)
-        gram = np.empty((K, n, n), dtype=np.complex128)
+        gram = np.empty((K, n, n), dtype=V.dtype)
         act = P[:n].T[:, None, :]
         step = max(1, GATHER_ELEMENTS // (K * n))
         for a in range(0, n, step):
@@ -413,7 +428,8 @@ class MultiplierSystem:
 
 class BallStack(NamedTuple):
     """The identity ball's kernel stack and the tables kept with it, over
-    the N words of ball(r) in ball order (see ``MultiplierSystem.ball_stack``)."""
+    the N words of ball(r) in ball order (see ``MultiplierSystem.ball_stack``);
+    the stack and the value rows are in the system's dtype."""
 
     gram: np.ndarray  # (K, N, N) kernel stack, read-only
     inverse: np.ndarray  # ball index of each word's inverse
@@ -441,11 +457,11 @@ class BallStack(NamedTuple):
 
 class _ValueRows:
     """Values and action index arrays of interned words as the rows of two
-    growing ``(N, K)`` arrays; ids below ``filled`` have theirs, and
-    ``len()`` counts them."""
+    growing ``(N, K)`` arrays, values in the system's dtype; ids below
+    ``filled`` have theirs, and ``len()`` counts them."""
 
-    def __init__(self, num_blocks: int):
-        self.values = np.empty((0, num_blocks), dtype=np.complex128)
+    def __init__(self, num_blocks: int, dtype):
+        self.values = np.empty((0, num_blocks), dtype=dtype)
         self.perms = np.empty((0, num_blocks), dtype=np.int32)
         self.filled = 0
 
@@ -472,7 +488,7 @@ class KernelTable:
         key = (x.letters, y.letters)
         val = self.cache.get(key)
         if val is None:
-            pair = self.system.kernel_matrix([x, y])[:, 0, 1].copy()
+            pair = self.system.kernel_matrix([x, y])[:, 0, 1].astype(np.complex128)
             val = self.cache[key] = CentralElement._adopt(self.system.structure, pair)
         return val
 

@@ -553,7 +553,7 @@ def verify_schwarz(sc: Scenario) -> CheckResult:
     def stacks(families):
         c, b = (np.array(f) for f in zip(*families))
         n = c.shape[1]
-        gram = np.empty((len(c), sys_.structure.num_blocks, 2 * n, 2 * n), dtype=np.complex128)
+        gram = np.empty((len(c), sys_.structure.num_blocks, 2 * n, 2 * n), dtype=sys_.dtype)
         one = (c == c[:, :1]).all(axis=1)
         u = np.hstack([b, np.zeros_like(b)])[one]  # (b_0, ..., e, ...)
         gram[one] = stack.translates(c[one, 0], u)

@@ -716,6 +716,20 @@ def central_stack(structure: BlockStructure, grid) -> np.ndarray:
     return np.moveaxis(scalars.reshape(n, n, structure.num_blocks), -1, 0)
 
 
+def assert_same_values(got, want):
+    """``got`` equals ``want`` bit for bit after both are cast to
+    complex128.  Rows and stacks of a system with real values are real, and
+    what they are compared with may be complex: where one side is real, the
+    other's imaginary parts must be zero, and only the real parts are
+    compared, since complex arithmetic on real values leaves zeros of
+    either sign there."""
+    got, want = np.asarray(got), np.asarray(want)
+    if "f" in (got.dtype.kind, want.dtype.kind):
+        assert not got.imag.any() and not want.imag.any()
+        got, want = got.real, want.real
+    assert got.astype(np.complex128).tobytes() == want.astype(np.complex128).tobytes()
+
+
 def reference_is_positive_definite(h, table, S=None, tol=1e-9, hermitian_tol=1e-8):
     """The grid ``alpha_{x_j}(h(x_i^-1 x_j))`` over the tuple S (default: the
     whole group), one ``apply_central`` per entry, certified as its stack."""

@@ -57,9 +57,9 @@ def scenario(name: str, seed: int = 42):
 
 
 @st.composite
-def graph_products(draw):
+def graph_products(draw, real=False):
     """1-5 vertices, each with Z/2, Z/3, S3 or D4 acting on four points,
-    random edges, and random complex values."""
+    random edges, and random complex values (real ones with ``real``)."""
     n = draw(st.integers(1, 5))
     edges = [p for p in itertools.combinations(range(n), 2) if draw(st.booleans())]
     kinds = [draw(st.sampled_from(sorted(GROUPS))) for _ in range(n)]
@@ -67,7 +67,7 @@ def graph_products(draw):
     maps = {v: [GROUPS[k][1](g) for g in range(groups[v].order)] for v, k in enumerate(kinds)}
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = [
-        [list(rng.standard_normal(POINTS) + 1j * rng.standard_normal(POINTS)) for _ in range(g.order)]
+        [list(rng.standard_normal(POINTS) + (0.0 if real else 1j * rng.standard_normal(POINTS))) for _ in range(g.order)]
         for g in groups
     ]
     graph = SimplicialGraph.build(tuple(range(n)), edges)

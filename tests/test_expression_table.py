@@ -21,6 +21,7 @@ from gpmult.errors import BudgetExceededError
 from gpmult.graphgroup import SimplicialGraph, cyclic_group
 from gpmult.multipliers import gp_well_defined, haagerup_witness_ball
 from support import (
+    assert_same_values,
     groupoid_from_space,
     growth_sphere_sizes,
     reference_gp_well_defined,
@@ -56,7 +57,7 @@ def assert_expression_table(system, radius):
         assert len(set(exprs)) == len(exprs)
         assert set(exprs) == set(words.rearrangements(x))
         for e, r in zip(run, exprs):
-            assert values[e].tobytes() == system.gp_value_letters(r).scalars.tobytes()
+            assert_same_values(values[e], system.gp_value_letters(r).scalars)
 
 
 def radius_within(words, cap: int, top: int = 5) -> int:

@@ -2,7 +2,8 @@
 module-level UPPER_CASE constant of the package is loaded somewhere in
 ``src/``, ``tests/`` or ``bench/``, every function, method and class of the
 package is named there outside its own definition, and also by another
-package module, the benchmark or the acceptance gate, every
+package module, the benchmark or the acceptance gate, every parameter
+with a default is passed by some call there, every
 ``GPMultError`` subclass in ``errors.py`` is named by some other file
 there, only the algebra layer uses full algebra elements,
 only the word and value layers read the internals of a word context,
@@ -13,6 +14,7 @@ the checks multiply, invert and normalize no word, and only the value
 layer reads the internals of a multiplier system."""
 
 import ast
+import math
 import re
 from collections import defaultdict
 from pathlib import Path
@@ -288,6 +290,135 @@ def test_reaching_scanner_flags_definitions_only_tests_name():
 def test_every_definition_is_named_by_the_package_the_gate_or_the_benchmark(module, project_sites):
     path = SRC / module
     assert unnamed_definitions(path.read_text(encoding="utf-8"), reaching_names(project_sites, path)) == []
+
+
+# Nor does the package keep a parameter that only the tests set: every
+# parameter with a default is passed, by keyword or by position, by some
+# call in src/, bench/ or the acceptance gate.  Calls are matched by the
+# name called, so a call of another definition of the same name counts too.
+# The two budgets README names are the exceptions.
+TEST_ONLY_PARAMETERS = {("rearrangements", "budget"), ("standard_form_candidates", "budget")}
+
+
+def defaulted_parameters(source: str):
+    """(line, name, parameter, position) of every parameter with a default
+    of every function and method, ``__init__`` under its class's name;
+    ``position`` counts the arguments a call passes by position (a method's
+    ``self`` or ``cls`` is not one) and is None for a keyword-only one."""
+    out = []
+
+    def visit(body, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                bound = int(cls is not None and not static)
+                name = cls if node.name == "__init__" else node.name
+                first = len(positional) - len(args.defaults)
+                for i, a in enumerate(positional[first:], first):
+                    out.append((a.lineno, name, a.arg, i - bound))
+                for a, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        out.append((a.lineno, name, a.arg, None))
+                visit(node.body, None)
+
+    visit(ast.parse(source).body, None)
+    return sorted(out)
+
+
+def passed_arguments(sources):
+    """Per name called (a bare name or an attribute), the keywords its calls
+    pass (None for ``**kwargs``) and the most arguments one passes by
+    position (infinite with ``*args``)."""
+    keywords, positions = defaultdict(set), defaultdict(int)
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                positions[name] = max(positions[name], math.inf if starred else len(node.args))
+                keywords[name].update(k.arg for k in node.keywords)
+    return keywords, positions
+
+
+def unpassed_parameters(source: str, passed, allowed=frozenset()):
+    """(line, name, parameter) of every parameter with a default in the
+    source that no call in ``passed`` (from ``passed_arguments``) sets and
+    that is not in ``allowed``."""
+    keywords, positions = passed
+    return [
+        (line, name, param)
+        for line, name, param, pos in defaulted_parameters(source)
+        if (name, param) not in allowed
+        and not ({param, None} & keywords.get(name, set()))
+        and not (pos is not None and positions.get(name, 0) > pos)
+    ]
+
+
+def test_parameter_scanner_flags_parameters_no_call_sets():
+    module = (
+        "def by_keyword(x, budget=10):\n"
+        "    return x\n"
+        "def by_position(x, y=1, *, z=2):\n"
+        "    def inner(w=3):\n"
+        "        return w\n"
+        "    return inner()\n"
+        "class Table:\n"
+        "    def __init__(self, size=4):\n"
+        "        self.size = size\n"
+        "    def get(self, key, default=None):\n"
+        "        return default\n"
+        "    @staticmethod\n"
+        "    def make(n=5):\n"
+        "        return n\n"
+        "def splatted(a=6, b=7):\n"
+        "    return a\n"
+    )
+    caller = (
+        "by_keyword(1, budget=3)\n"
+        "by_position(1, 2)\n"
+        "t = Table()\n"
+        "t.get('k')\n"
+        "Table.make(5)\n"
+        "splatted(*args)\n"
+        "doc = 'by_position(z=1)'\n"
+    )
+    passed = passed_arguments([caller])
+    expected = [(3, "by_position", "z"), (4, "inner", "w"), (8, "Table", "size"), (10, "get", "default")]
+    assert unpassed_parameters(module, passed) == expected
+    allowed = {("inner", "w"), ("Table", "size")}
+    assert unpassed_parameters(module, passed, allowed) == [(3, "by_position", "z"), (10, "get", "default")]
+    assert unpassed_parameters(module, passed_arguments([caller, "by_position(z=0)\nTable(size=2)\n"])) == [
+        (4, "inner", "w"),
+        (10, "get", "default"),
+    ]
+
+
+@pytest.fixture(scope="module")
+def reaching_arguments():
+    """The arguments passed by the calls in src/, bench/ and the gate."""
+    paths = [*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py"), GATE]
+    return passed_arguments(p.read_text(encoding="utf-8") for p in paths)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_defaulted_parameter_is_passed_by_the_package_the_gate_or_the_benchmark(module, reaching_arguments):
+    source = (SRC / module).read_text(encoding="utf-8")
+    assert unpassed_parameters(source, reaching_arguments, TEST_ONLY_PARAMETERS) == []
+
+
+def test_the_allowlisted_parameters_are_still_test_only(reaching_arguments):
+    """An allowlisted parameter that a call in the package comes to set
+    leaves the list."""
+    flagged = {
+        (name, param)
+        for module in MODULES
+        for _, name, param in unpassed_parameters((SRC / module).read_text(encoding="utf-8"), reaching_arguments)
+    }
+    assert flagged == TEST_ONLY_PARAMETERS
 
 
 def error_classes(source: str):

@@ -20,7 +20,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import central_stack, complete_set_elements, groupoid_from_space, reference_push
+from support import (
+    assert_same_values,
+    central_stack,
+    complete_set_elements,
+    groupoid_from_space,
+    reference_push,
+)
 from test_composed_actions import _system_and_words, fold_on_central
 from test_wordcraft import id_letters
 
@@ -51,8 +57,8 @@ def assert_same_stack(system, xs):
     got = system.kernel_matrix(xs)
     want = reference_kernel_matrix(system, xs)
     assert got.shape == want.shape
-    assert got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
+    assert got.dtype == system.dtype
+    assert_same_values(got, want)
 
 
 def assert_products_match_multiply(words, lefts, rights):
@@ -130,7 +136,7 @@ def test_value_rows_are_bit_equal_to_the_left_to_right_evaluation(case):
         rows, _ = sys_._value_rows()
         assert len(rows) == len(words._id_prefix) == len(sys_._value_cache)
         for i, row in enumerate(rows):
-            assert row.tobytes() == sys_.gp_value_letters(id_letters(words, i)).scalars.tobytes()
+            assert_same_values(row, sys_.gp_value_letters(id_letters(words, i)).scalars)
 
 
 @settings(max_examples=30, deadline=None)
@@ -282,7 +288,7 @@ def test_gp_value_is_the_value_row(name):
     ids = [words.intern(x.letters) for x in ball]
     rows, _ = system._value_rows()
     for x, i in zip(ball, ids):
-        assert system.gp_value(x).scalars.tobytes() == rows[i].tobytes()
+        assert_same_values(system.gp_value(x).scalars, rows[i])
 
 
 def test_words_longer_than_the_recursion_limit():

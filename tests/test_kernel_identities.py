@@ -177,6 +177,9 @@ def reference_dominance_margin(system, xs, ps):
         for i in range(n)
     ]
     diff = np.moveaxis(np.array(lhs_grid) - np.array(rhs_grid), -1, 0)
+    if system.dtype == np.float64:  # certified in the system's dtype, as the checks are
+        assert not diff.imag.any()
+        diff = diff.real
     maxdiff = float(np.max(np.abs(diff)))
     _, lam = is_positive(diff, tol=ABS_PSD_TOL, hermitian_tol=1e-8)
     return lam, maxdiff

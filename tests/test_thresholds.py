@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from gpmult.cli import build_scenario
-from gpmult.errors import EdgeViolationError, NotUnitalError
-from gpmult.matalg import is_positive
+from gpmult.dynamics import actions_commute, block_permutation_action, diagonal_phase_action, validate_action
+from gpmult.errors import EdgeViolationError, NotHomomorphismError, NotUnitalError
+from gpmult.graphgroup import cyclic_group
+from gpmult.matalg import BlockStructure, is_positive
 from gpmult.multipliers import gp_well_defined, haagerup_witness_ball, multipliers_commute
-from gpmult.verifier import verify_peel_off, verify_star_symmetry
+from gpmult.verifier import _dominance_check, verify_main_theorem, verify_peel_off, verify_star_symmetry
 
 POS_TOL = 1e-9  # matalg.DEFAULT_POS_TOL
 KERNEL_TOL = 1e-10  # verifier.KERNEL_TOL
@@ -21,13 +23,17 @@ UNITAL_TOL = 1e-12  # multipliers.UNITAL_TOL
 COMMUTE_TOL = 1e-12  # multipliers.COMMUTE_TOL
 WELL_DEFINED_TOL = 1e-10  # multipliers.WELL_DEFINED_TOL
 PEEL_TOL = 1e-12  # verifier.PEEL_TOL
+PSD_TOL = 1e-8  # verifier.PSD_TOL
+ABS_PSD_TOL = 1e-8  # verifier.ABS_PSD_TOL
+MAP_TOL = 1e-12  # dynamics.MAP_TOL
 
 
-def hermitian_with_spectrum(eigs, rng) -> np.ndarray:
+def hermitian_with_spectrum(eigs, rng, real=False) -> np.ndarray:
     """A dense Hermitian matrix with eigenvalues ``eigs``, in a random
-    unitary basis."""
+    unitary basis, or a real symmetric one in a random orthogonal basis."""
     n = len(eigs)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    a = rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(a if real else a + 1j * rng.standard_normal((n, n)))
     m = (q * np.asarray(eigs)) @ q.conj().T
     return (m + m.conj().T) / 2.0
 
@@ -164,3 +170,89 @@ def test_peel_tolerance_threshold(factor, ok):
     result = verify_peel_off(build_scenario(cfg))
     assert result.passed is ok
     assert abs(result.residual - factor * PEEL_TOL) < 1e-16
+
+
+# The Gram checks certify the stacks of a real system as real symmetric and
+# those of a complex one as complex Hermitian, so each threshold below is
+# met by a real and by a complex stack.
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("factor, ok", [(3.0, False), (0.3, True)])
+def test_main_theorem_psd_tolerance_threshold(monkeypatch, factor, ok, real):
+    """kernel-gram-positive passes a set whose stack has lambda_min >=
+    -tol (1 + scale): each set's gathered stack is replaced by one with
+    lambda_min = -factor tol (1 + scale) and scale 2.  Rounding moved
+    lambda_min by at most 7.6e-16 over 200 random bases of either kind."""
+    sc = one_vertex_z2(1.0)
+    scale = 2.0
+    lam = -factor * PSD_TOL * (1.0 + scale)
+    rng = np.random.default_rng(12)
+
+    def id_stacks(families):
+        out = {}
+        for ids in families:
+            spectrum = np.linspace(lam, scale, len(ids))
+            out.setdefault(len(ids), []).append(hermitian_with_spectrum(spectrum, rng, real)[None])
+        return {m: np.stack(stacks) for m, stacks in out.items()}
+
+    monkeypatch.setattr(sc.system, "id_stacks", id_stacks)
+    result = verify_main_theorem(sc)
+    assert [size for size, _ in result.sizes] == [2, 2, 2]
+    assert result.passed is ok
+    assert abs(result.lambda_min - lam) < 1e-14
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("factor, ok", [(3.0, False), (0.3, True)])
+def test_dominance_absolute_psd_tolerance_threshold(factor, ok, real):
+    """The Schwarz and shared-prefix bounds pass when the least eigenvalue
+    of the dominance differences is at least -tol, whatever their scale:
+    a family whose cross kernels K(x_i, p_i) vanish has the difference
+    K(x_i, x_j) itself, here with eigenvalues -factor tol, 1 and 10 (a
+    bound relative to the scale would pass both factors).  Rounding moved
+    lambda_min by at most 4.4e-15 over 200 random bases of either kind."""
+    lam = -factor * ABS_PSD_TOL
+    n = 3
+    gram = np.zeros((1, 1, 2 * n, 2 * n), dtype=np.float64 if real else np.complex128)
+    gram[0, 0, :n, :n] = hermitian_with_spectrum([lam, 1.0, 10.0], np.random.default_rng(13), real)
+    gram[0, 0, n:, n:] = np.eye(n)
+
+    def stacks(families):
+        assert len(families) == 1
+        return np.ones(1, dtype=bool), gram
+
+    family = ((0,) * n, (0,) * n)
+    result = _dominance_check("dominance", iter([family]), stacks, 1, "no family", "vanishes")
+    assert (result.passed, result.vacuous) == (ok, False)
+    assert abs(result.lambda_min - lam) < 1e-14
+
+
+@pytest.mark.parametrize("factor, ok", [(3.0, False), (0.3, True)])
+def test_action_map_tolerance_threshold(factor, ok):
+    """Z/2 conjugating C^2 by diag(1, exp(i delta / 2)): its square
+    conjugates by diag(1, exp(i delta)), which moves the matrix unit E_01
+    by |exp(i delta) - 1| = 2 sin(delta / 2), delta up to a relative
+    4e-25, from where the identity leaves it."""
+    delta = factor * MAP_TOL
+    table = diagonal_phase_action(cyclic_group(2), BlockStructure((2,)), [[[0.0, 0.0]], [[0.0, delta / 2]]])
+    if ok:
+        validate_action(table)
+    else:
+        with pytest.raises(NotHomomorphismError) as err:
+            validate_action(table)
+        assert (err.value.context["g"], err.value.context["h"]) == (1, 1)
+        assert abs(err.value.context["deviation"] - delta) < 1e-15 * delta
+
+
+@pytest.mark.parametrize("factor, ok", [(3.0, False), (0.3, True)])
+def test_commuting_actions_map_tolerance_threshold(factor, ok):
+    """On C^2 + C^2 a swap of the two blocks and the conjugation of block 0
+    by diag(1, exp(i delta)) differ on the matrix unit E_01 of a block by
+    |exp(i delta) - 1|, delta up to a relative 2e-24, in the two orders."""
+    delta = factor * MAP_TOL
+    structure = BlockStructure((2, 2))
+    swap = block_permutation_action(cyclic_group(2), structure, [[0, 1], [1, 0]])
+    phase = diagonal_phase_action(cyclic_group(2), structure, [[[0.0, 0.0]] * 2, [[0.0, delta], [0.0, 0.0]]])
+    assert actions_commute(swap, phase) is ok
+    assert actions_commute(phase, swap) is ok
