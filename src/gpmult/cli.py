@@ -35,7 +35,7 @@ from .multipliers import (
     delta_multiplier,
     geometric_multiplier,
 )
-from .verifier import SUITES, Scenario, run_all
+from .verifier import SUITES, Scenario, null_non_finite, run_all
 from .wordcraft import WordContext
 
 GROUP_PRESETS = ("cyclic", "symmetric", "dihedral")
@@ -489,11 +489,7 @@ def cmd_check_setup(args) -> int:
         )
         return 1
     _emit(
-        {
-            "valid": True,
-            "valid_actions": sc.system.valid_actions,
-            "valid_multipliers": sc.system.valid_multipliers,
-        },
+        {"valid": True, "valid_actions": True, "valid_multipliers": True},
         args.out,
     )
     return 0
@@ -504,15 +500,17 @@ def cmd_eval(args) -> int:
     sc = build_scenario(cfg)
     words = sc.system.words
     x = _parse_word(args.word, words)
-    val = sc.system.gp_value(x)
-    _emit(
-        {
-            "canonical": words.to_pairs(x.letters),
-            "value": _complex_pairs(val.scalars),
-            "blocks": list(sc.system.structure.block_dims),
-        },
-        args.out,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = sc.system.gp_value(x)
+    non_finite: dict = {}
+    payload = {
+        "canonical": words.to_pairs(x.letters),
+        "value": null_non_finite(_complex_pairs(val.scalars), "value", non_finite),
+        "blocks": list(sc.system.structure.block_dims),
+    }
+    if non_finite:
+        payload["non_finite"] = non_finite
+    _emit(payload, args.out)
     return 0
 
 

@@ -1,24 +1,27 @@
 """Inner-product modules, cocycles, and negative definiteness for one group.
 
-Two twisting conventions appear for positive definiteness of a multiplier h:
-the package default twists matrix entries by the column index,
-``alpha_{x_j}(h(x_i^-1 x_j))``, while the module machinery here uses the
-row-twisted convention ``alpha_{x_i}(h(x_i^-1 x_j))``; ``convention_flip``
-(s -> h(s^-1)*) exchanges the two.  Everything in this module expects
-row-convention multipliers - flip package-default ones first.
+A vertex multiplier h is positive definite in the package's column
+convention, ``alpha_{x_j}(h(x_i^-1 x_j))``, and :func:`gns_build` takes it
+as it is: it certifies h with ``is_positive_definite`` and builds the module
+of h~(s) = h(s^-1)*, which is positive definite in the row-twisted convention
+``alpha_{x_i}(h~(x_i^-1 x_j))``.  Its row-twisted Gram matrix is the
+conjugate transpose of h's column-twisted one, so the two certificates agree.
+Everything below works on h~.
 
-The module of a row-convention positive definite h on a finite group G is
-represented concretely by its Gram matrix ``gram[s, t] = alpha_s(h(s^-1 t))``
-over the full group (no null-space quotient is formed; all identities are
-checked through inner products).  Every quantity on this path is central:
-xi = delta_e has coefficient 1 and alpha_s(1) = 1.  So the Gram matrix is an
-``(n, n, K)`` array of block scalars, a vector is an ``(n, K)`` array, and
-the left regular action ``(u_s v)(t) = alpha_s(v(s^-1 t))`` is one fancy
-index by the group table and the block permutation of alpha_s.  It acts
-unitarily for the twisted form (``<u_s f|u_s g> = alpha_s(<f|g>)``), and
-for unital h the vector xi has ``<u_s xi | xi> = h(s)``.  The associated
-cocycle ``b(s) = xi - u_s xi`` satisfies b(st) = b(s) + u_s b(t) and
-``Q(s) = <b(s)|b(s)> = 2 - h(s) - h(s)*``.
+The module is represented concretely by its Gram matrix
+``gram[s, t] = alpha_s(h~(s^-1 t))`` over the full group (no null-space
+quotient is formed; all identities are checked through inner products).
+Every quantity on this path is central: xi = delta_e has coefficient 1 and
+alpha_s(1) = 1.  So the Gram matrix is an ``(n, n, K)`` array of block
+scalars, a vector is an ``(n, K)`` array, and the left regular action
+``(u_s v)(t) = alpha_s(v(s^-1 t))`` is one fancy index by the group table
+and the block permutation of alpha_s.  It acts unitarily for the twisted
+form (``<u_s f|u_s g> = alpha_s(<f|g>)``), and for unital h the vector xi
+has ``<u_s xi | xi> = h~(s)``.  The associated cocycle ``b(s) = xi - u_s xi``
+satisfies b(st) = b(s) + u_s b(t) and ``Q(s) = <b(s)|b(s)> = 2 - h~(s) -
+h~(s)*``.  Both identities hold by construction once the module is built:
+the first says u_{st} = u_s u_t, which setup checks of the action, and the
+second follows from <u_s xi|xi> = h~(s).
 
 Negative definiteness of psi = Q (Schoenberg: every exp(-t psi) is then
 positive definite) is checked on the same ``(n, K)`` block scalars: the
@@ -44,7 +47,7 @@ from .errors import (
     SupportEscapeError,
 )
 from .matalg import is_positive
-from .multipliers import Multiplier
+from .multipliers import Multiplier, is_positive_definite
 
 
 def _row_twisted(values: np.ndarray, table: ActionTable) -> np.ndarray:
@@ -54,11 +57,12 @@ def _row_twisted(values: np.ndarray, table: ActionTable) -> np.ndarray:
 
 
 class GNSModule:
-    """Inner-product module of a row-convention positive definite multiplier.
+    """Inner-product module of h~(s) = h(s^-1)* for a multiplier h.
 
     The support is always the whole (finite) group, so the twisted left
-    regular action never escapes it.  ``src[s, t] = s^-1 t`` and
-    ``table.perms[s]`` is the index array of alpha_s on block scalars.
+    regular action never escapes it.  ``scalars`` holds the ``(n, K)`` block
+    scalars of h~, ``src[s, t] = s^-1 t`` and ``table.perms[s]`` is the
+    index array of alpha_s on block scalars.
     """
 
     def __init__(self, h: Multiplier, table: ActionTable):
@@ -68,8 +72,9 @@ class GNSModule:
         self.group = group
         self.structure = h.structure
         self.src = group.table[group.inv]
-        self.gram = _row_twisted(h.scalars, table)
-        self.lambda_min = None  # set once gns_build has certified the Gram matrix
+        self.scalars = h.scalars[group.inv].conj()
+        self.gram = _row_twisted(self.scalars, table)
+        self.lambda_min = None  # set once gns_build has certified h
 
     # -- vectors --
 
@@ -102,19 +107,17 @@ class GNSModule:
 
 
 def gns_build(h: Multiplier, table: ActionTable) -> GNSModule:
-    """Module of a row-convention pd multiplier; certifies the Gram matrix.
+    """Module of a multiplier that ``is_positive_definite`` certifies.
 
-    Raises ``NotPositiveError`` when the Gram matrix over the whole group
-    fails the positivity test.
+    Raises ``NotPositiveError`` when h is not positive definite relative to
+    the action; ``lambda_min`` is the certified smallest eigenvalue.
     """
-    if table.group is not h.group or table.structure != h.structure:
-        raise StructureMismatchError("multiplier and action do not match")
-    module = GNSModule(h, table)
-    ok, lam = is_positive(np.moveaxis(module.gram, -1, 0), tol=1e-9, hermitian_tol=1e-8)
+    ok, lam = is_positive_definite(h, table)
     if not ok:
         raise NotPositiveError(
             "Gram matrix of the multiplier is not positive", lambda_min=lam
         )
+    module = GNSModule(h, table)
     module.lambda_min = lam
     return module
 
@@ -151,8 +154,8 @@ def cocycle_identity_residual(c: Cocycle) -> float:
 
 
 def squared_norm_residual(c: Cocycle) -> float:
-    """Worst deviation of <b(s)|b(s)> from 2 - h(s) - h(s)* over the group."""
-    hv = c.module.h.scalars
+    """Worst deviation of <b(s)|b(s)> from 2 - h~(s) - h~(s)* over the group."""
+    hv = c.module.scalars
     return float(np.max(np.abs(c.Q - (2.0 - hv - hv.conj()))))
 
 
@@ -275,4 +278,4 @@ def schoenberg_is_pd(c: Cocycle, t: float):
     of the flipped multiplier is R*, which symmetrizes to the same matrix.
     """
     gram = _row_twisted(schoenberg_multiplier(c, t), c.module.table)
-    return is_positive(np.moveaxis(gram, -1, 0), tol=1e-9, hermitian_tol=1e-8)
+    return is_positive(np.moveaxis(gram, -1, 0), tol=1e-9)

@@ -295,9 +295,4 @@ def point_permutation_action(group, structure, maps) -> ActionTable:
     """
     if any(d != 1 for d in structure.block_dims):
         raise StructureMismatchError("point permutations need all blocks of dim 1")
-    autos = []
-    for g in range(group.order):
-        perm = tuple(int(p) for p in maps[g])
-        unis = tuple(np.eye(1) for _ in range(structure.num_blocks))
-        autos.append(Automorphism(structure, perm, unis))
-    return ActionTable(group, structure, tuple(autos))
+    return block_permutation_action(group, structure, maps)

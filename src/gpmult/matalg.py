@@ -26,6 +26,8 @@ from .errors import (
 )
 
 DEFAULT_POS_TOL = 1e-9
+# largest entry of M - M* that is_positive symmetrizes away
+HERMITIAN_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -193,7 +195,7 @@ class OperatorMatrix:
         return out
 
 
-def is_positive(m, tol: float = DEFAULT_POS_TOL, hermitian_tol: float | None = None):
+def is_positive(m, tol: float = DEFAULT_POS_TOL):
     """Positive semidefiniteness with tolerance, over the last two axes.
 
     Accepts a dense ``(N, N)`` matrix or a ``(K, n, n)`` stack of block
@@ -201,8 +203,8 @@ def is_positive(m, tol: float = DEFAULT_POS_TOL, hermitian_tol: float | None = N
     is solved as real symmetric in float64, and any other input as complex
     Hermitian in complex128.  The input is
     symmetrized when its Hermitian deviation (largest entry of M - M*) is
-    within ``hermitian_tol`` (default: same as ``tol``) and rejected with
-    ``NotHermitianError`` otherwise.  Returns ``(ok, lambda_min)`` where
+    within ``HERMITIAN_TOL`` and rejected with ``NotHermitianError``
+    otherwise.  Returns ``(ok, lambda_min)`` where
     lambda_min is the smallest eigenvalue over all blocks and the test is
     lambda_min >= -tol * (1 + largest |eigenvalue| over all blocks).  A
     non-finite entry, or one whose symmetrization overflows, raises
@@ -212,16 +214,14 @@ def is_positive(m, tol: float = DEFAULT_POS_TOL, hermitian_tol: float | None = N
     m = m.astype(np.float64 if m.dtype.kind == "f" else np.complex128, copy=False)
     if m.size == 0:
         return True, 0.0
-    if hermitian_tol is None:
-        hermitian_tol = tol
     adj = m.conj().swapaxes(-1, -2)
     herm = (m + adj) / 2.0
     if not np.isfinite(herm).all():
         raise NotFiniteError("matrix has a non-finite or overflowing entry", shape=m.shape)
     dev = float(np.max(np.abs(m - adj)))
-    if dev > hermitian_tol:
+    if dev > HERMITIAN_TOL:
         raise NotHermitianError(
-            "matrix is not Hermitian within tolerance", deviation=dev, tol=hermitian_tol
+            "matrix is not Hermitian within tolerance", deviation=dev, tol=HERMITIAN_TOL
         )
     eigs = np.linalg.eigvalsh(herm)
     lam_min = float(np.min(eigs[..., 0]))

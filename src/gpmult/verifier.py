@@ -40,7 +40,6 @@ from .matalg import is_positive, max_residual
 from .multipliers import (
     GATHER_ELEMENTS,
     MultiplierSystem,
-    convention_flip,
     gp_well_defined,
     haagerup_witness_ball,
 )
@@ -102,12 +101,12 @@ class CheckResult:
         for key in ("lambda_min", "residual"):
             val = getattr(self, key)
             if val is not None:
-                out[key] = _finite(float(val), key, non_finite)
+                out[key] = null_non_finite(float(val), key, non_finite)
         if self.sizes:
             out["sizes"] = self.sizes
         if self.counts:
             out["counts"] = self.counts
-        details = _finite(self.details, "details", non_finite)
+        details = null_non_finite(self.details, "details", non_finite)
         if non_finite:
             details = {**details, "non_finite": non_finite}
         if details:
@@ -115,16 +114,16 @@ class CheckResult:
         return out
 
 
-def _finite(value, path: str, non_finite: dict):
+def null_non_finite(value, path: str, non_finite: dict):
     """``value`` with every non-finite float replaced by None, each recorded
     in ``non_finite`` under its path (its repr, e.g. "nan" or "inf")."""
     if isinstance(value, float) and not math.isfinite(value):
         non_finite[path] = repr(value)
         return None
     if isinstance(value, dict):
-        return {k: _finite(v, f"{path}/{k}", non_finite) for k, v in value.items()}
+        return {k: null_non_finite(v, f"{path}/{k}", non_finite) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_finite(v, f"{path}/{i}", non_finite) for i, v in enumerate(value)]
+        return [null_non_finite(v, f"{path}/{i}", non_finite) for i, v in enumerate(value)]
     return value
 
 
@@ -159,10 +158,7 @@ def verify_setup(sc: Scenario) -> CheckResult:
         name="setup",
         suite="main",
         passed=True,
-        details={
-            "valid_actions": sc.system.valid_actions,
-            "valid_multipliers": sc.system.valid_multipliers,
-        },
+        details={"valid_actions": True, "valid_multipliers": True},
     )
 
 
@@ -223,7 +219,7 @@ def verify_main_theorem(sc: Scenario, threads: int = 1) -> CheckResult:
     for ids in sets:
         try:
             m = sc.system.id_stacks([ids])[len(ids)][0]
-            ok, lam = is_positive(m, tol=PSD_TOL, hermitian_tol=1e-8)
+            ok, lam = is_positive(m, tol=PSD_TOL)
         except GPMultError as err:
             return _failure(
                 "kernel-gram-positive", "main", err, set_size=len(ids)
@@ -458,7 +454,7 @@ def _least_eigenvalue(groups) -> float:
     groups = [(pos, diff) for pos, diff in groups if len(diff)]
     try:
         return min(
-            (is_positive(diff, tol=ABS_PSD_TOL, hermitian_tol=1e-8)[1] for _, diff in groups),
+            (is_positive(diff, tol=ABS_PSD_TOL)[1] for _, diff in groups),
             default=np.inf,
         )
     except GPMultError:
@@ -466,7 +462,7 @@ def _least_eigenvalue(groups) -> float:
             ((p, diff[k]) for pos, diff in groups for k, p in enumerate(pos)), key=lambda t: t[0]
         )
         for _, diff in drawn:
-            is_positive(diff, tol=ABS_PSD_TOL, hermitian_tol=1e-8)
+            is_positive(diff, tol=ABS_PSD_TOL)
         raise
 
 
@@ -659,9 +655,14 @@ def verify_witness(sc: Scenario) -> CheckResult:
 # cocycle suite
 
 def verify_cocycles(sc: Scenario) -> list:
-    """Per-vertex module and cocycle checks, in the row-twisted convention.
+    """Per-vertex module and cocycle checks on each vertex multiplier h.
 
-    Each result's ``ms`` is the wall time since the previous result.
+    ``cocycle-identity`` certifies what setup does: it fails exactly when
+    ``is_positive_definite`` rejects h or h is not unital, and otherwise its
+    residual is exactly 0.0, since b(s) = delta_e - delta_s has entries 0
+    and +-1.  ``cocycle-norm-identity`` holds by construction for unital h,
+    up to the rounding of the form.  Each result's ``ms`` is the wall time
+    since the previous result.
     """
     out = []
     t_last = time.perf_counter()
@@ -677,11 +678,10 @@ def verify_cocycles(sc: Scenario) -> list:
     graph = sys_.words.graph
     for v in range(graph.n):
         vid = graph.vertices[v]
-        h_row = convention_flip(sys_.multipliers[v])
         table = sys_.actions.tables[v]
         prefix = f"vertex-{vid}"
         try:
-            module = gns_build(h_row, table)
+            module = gns_build(sys_.multipliers[v], table)
             coc = cocycle_build(module)
         except (NotFiniteError, NotPositiveError, NotUnitalError) as err:
             add(
@@ -830,12 +830,14 @@ def run_all(sc: Scenario, suites=SUITES, threads: int = 1) -> dict:
     checks = []
     timing = {}
     t0 = time.perf_counter()
-    for suite in suites:
-        t_suite = time.perf_counter()
-        results = run_suite(sc, suite)
-        for r in results:
-            checks.append(r)
-        timing[suite] = round((time.perf_counter() - t_suite) * 1000.0, 3)
+    # an overflow or NaN lands in the report as a failed check, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for suite in suites:
+            t_suite = time.perf_counter()
+            results = run_suite(sc, suite)
+            for r in results:
+                checks.append(r)
+            timing[suite] = round((time.perf_counter() - t_suite) * 1000.0, 3)
     total_ms = round((time.perf_counter() - t0) * 1000.0, 3)
     report = {
         "schema": "gpmult-report/1",

@@ -63,7 +63,6 @@ from gpmult.multipliers import (
     MultiplierSystem,
     WellDefinedReport,
     WitnessReport,
-    convention_flip,
 )
 from gpmult.verifier import KERNEL_TOL, PEEL_TOL, CheckResult, _complete_sets, _vacuous
 from gpmult.wordcraft import DEFAULT_BUDGET, GPElement, Letter, WordContext
@@ -730,7 +729,16 @@ def assert_same_values(got, want):
     assert got.astype(np.complex128).tobytes() == want.astype(np.complex128).tobytes()
 
 
-def reference_is_positive_definite(h, table, S=None, tol=1e-9, hermitian_tol=1e-8):
+def convention_flip(h: Multiplier) -> Multiplier:
+    """Exchange the two positive definiteness conventions: h~(s) = h(s^-1)*.
+
+    Applying the flip twice gives the original multiplier back.
+    """
+    vals = [h.values[h.group.inverse(g)].conj() for g in range(h.group.order)]
+    return Multiplier(h.group, h.structure, tuple(vals))
+
+
+def reference_is_positive_definite(h, table, S=None, tol=1e-9):
     """The grid ``alpha_{x_j}(h(x_i^-1 x_j))`` over the tuple S (default: the
     whole group), one ``apply_central`` per entry, certified as its stack."""
     if table.group is not h.group or table.structure != h.structure:
@@ -742,7 +750,7 @@ def reference_is_positive_definite(h, table, S=None, tol=1e-9, hermitian_tol=1e-
         [apply_central(table.autos[xj], h.values[group.table[group.inv[xi], xj]]) for xj in S]
         for xi in S
     ]
-    return is_positive(central_stack(h.structure, grid), tol=tol, hermitian_tol=hermitian_tol)
+    return is_positive(central_stack(h.structure, grid), tol=tol)
 
 
 def reference_multipliers_commute(system: MultiplierSystem, tol: float = 1e-12) -> None:

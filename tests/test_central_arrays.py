@@ -23,6 +23,7 @@ from support import (
     apply_central,
     assert_same_values,
     central_diff,
+    convention_flip,
     groupoid_from_space,
     reference_inner,
     reference_is_positive_definite,
@@ -40,7 +41,6 @@ from gpmult.matalg import CentralElement
 from gpmult.multipliers import (
     Multiplier,
     MultiplierSystem,
-    convention_flip,
     is_positive_definite,
     multipliers_commute,
 )
@@ -91,16 +91,17 @@ def assert_setup_matches(system):
 
 
 def assert_module_matches(h, table):
-    """Gram gather, module form and Schoenberg positivity of a
-    row-convention multiplier."""
+    """Gram gather, module form and Schoenberg positivity of the module of a
+    multiplier, whose Gram matrix is row-twisted from its flip."""
     try:
         module = gns_build(h, table)
     except GPMultError:
         return
     group = h.group
+    row = convention_flip(h)
     for s in range(group.order):
         for t in range(group.order):
-            entry = apply_central(table.autos[s], h.values[group.table[group.inv[s], t]])
+            entry = apply_central(table.autos[s], row.values[group.table[group.inv[s], t]])
             assert module.gram[s, t].tobytes() == entry.scalars.tobytes()
     rng = np.random.default_rng(h.group.order)
     f, g = rng.standard_normal((2, *module.gram.shape[1:], 2)) @ [1, 1j]
@@ -123,7 +124,7 @@ def test_central_gathers_match_the_per_entry_paths_on_scenarios(name):
     assert_tables_match(system)
     assert_setup_matches(system)
     for h, table in zip(system.multipliers, system.actions.tables):
-        assert_module_matches(convention_flip(h), table)
+        assert_module_matches(h, table)
 
 
 def test_sabotaged_invariance_reports_the_oracle_deviation():

@@ -1,6 +1,10 @@
 """Command line surface: golden outputs, config validation, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,3 +305,36 @@ def test_overflowing_multiplier_gives_a_strict_json_report(capsys, tmp_path):
         assert checks[name]["residual"] is None
         assert checks[name]["details"]["non_finite"] == {"residual": "nan"}
     assert checks["vertex-b/negative-definiteness"]["pass"] is True
+
+
+def run_child(argv):
+    """``python -m gpmult.cli <argv>`` in a child process, with numpy's
+    default error handling, so a floating-point warning reaches stderr."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "gpmult.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_overflowing_products_leave_stderr_empty(tmp_path):
+    """``eval`` writes a value that overflows as null, with its path under
+    ``non_finite``, and exits 0; ``verify`` writes its strict report and
+    exits 1.  Neither prints a warning or a traceback."""
+    cfg = load_free_pair()
+    cfg["multipliers"]["a"]["values"] = [1, 1e308]
+    path = write_config(tmp_path, cfg)
+    proc = run_child(["eval", path, "--word", '[["a",1],["b",1],["a",1]]'])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout, parse_constant=_reject_constant) == {
+        "canonical": [["a", 1], ["b", 1], ["a", 1]],
+        "value": [[None, 0.0]],
+        "blocks": [1],
+        "non_finite": {"value/0/0": "inf"},
+    }
+    proc = run_child(["verify", path, "--seed", "42"])
+    assert (proc.returncode, proc.stderr) == (1, "")
+    report = json.loads(proc.stdout, parse_constant=_reject_constant)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["product-well-defined"]["details"]["non_finite"] == {"residual": "nan"}
+    assert checks["haagerup-witness"]["details"]["error"] == "norm_too_large"

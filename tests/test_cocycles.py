@@ -42,8 +42,9 @@ from gpmult.errors import (
 )
 from gpmult.graphgroup import cyclic_group, dihedral_group
 from gpmult.matalg import BlockStructure, CentralElement, OperatorMatrix, is_positive
-from gpmult.multipliers import Multiplier, convention_flip
-from support import apply_auto, apply_central, blocks_diff
+from gpmult.multipliers import Multiplier, is_positive_definite
+from gpmult.verifier import verify_cocycles
+from support import apply_auto, apply_central, blocks_diff, convention_flip
 
 SCALAR = BlockStructure((1,))
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -369,13 +370,14 @@ def vertex_functions(name):
     """
     sc = build_scenario(load_config(str(SCENARIO_DIR / f"{name}.json")))
     for v in range(sc.system.words.graph.n):
-        h = convention_flip(sc.system.multipliers[v])
+        h = sc.system.multipliers[v]
         table = sc.system.actions.tables[v]
         try:
             psi = cocycle_build(gns_build(h, table)).Q
             built = True
         except (NotPositiveError, NotUnitalError):
-            psi = 2.0 - h.scalars - h.scalars.conj()
+            hv = convention_flip(h).scalars
+            psi = 2.0 - hv - hv.conj()
             built = False
         yield v, psi, table, sc.nd_trials, sc.seed + 7 * v, built
 
@@ -397,6 +399,21 @@ def test_negative_definite_check_matches_reference_on_scenarios(name):
         assert (rep.exact_lambda_max <= 1e-8) is built, (name, v)
         if built:
             assert rep.symmetry_deviation == 0.0, (name, v)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_cocycle_identity_verdict_is_the_vertex_certificate(name):
+    """``cocycle-identity`` passes exactly when ``is_positive_definite``
+    certifies the unital vertex multiplier, and then its residual is 0.0."""
+    sc = build_scenario(load_config(str(SCENARIO_DIR / f"{name}.json")))
+    results = {r.name: r for r in verify_cocycles(sc)}
+    for v, vid in enumerate(sc.system.words.graph.vertices):
+        h = sc.system.multipliers[v]
+        ok, _ = is_positive_definite(h, sc.system.actions.tables[v])
+        check = results[f"vertex-{vid}/cocycle-identity"]
+        assert check.passed == (ok and h.is_unital), (name, vid)
+        if check.passed:
+            assert check.residual == 0.0, (name, vid)
 
 
 def cyclic_unitary_action(group, structure, rng):
@@ -486,7 +503,7 @@ class OracleModule:
             for s in range(n)
         ]
         flat = OperatorMatrix.from_central_grid(h.structure, grid).flatten()
-        ok, self.lambda_min = is_positive(flat, tol=tol, hermitian_tol=1e-8)
+        ok, self.lambda_min = is_positive(flat, tol=tol)
         if not ok:
             raise NotPositiveError("Gram matrix of the multiplier is not positive")
         self.gram = [[embed(h.structure, c.scalars) for c in row] for row in grid]
@@ -558,8 +575,9 @@ def outcome(build):
 
 
 def assert_matches_oracle(h, table):
+    """The module of a multiplier h against the oracle module of its flip."""
     mod, err = outcome(lambda: gns_build(h, table))
-    ref, ref_err = outcome(lambda: OracleModule(h, table))
+    ref, ref_err = outcome(lambda: OracleModule(convention_flip(h), table))
     assert err is ref_err
     if err is not None:
         return
@@ -595,8 +613,7 @@ def assert_matches_oracle(h, table):
 def test_module_layer_matches_the_oracle_on_scenarios(name):
     sc = build_scenario(load_config(str(SCENARIO_DIR / f"{name}.json")))
     for v in range(sc.system.words.graph.n):
-        h = convention_flip(sc.system.multipliers[v])
-        assert_matches_oracle(h, sc.system.actions.tables[v])
+        assert_matches_oracle(sc.system.multipliers[v], sc.system.actions.tables[v])
 
 
 def row_hermitian_values(group, table, rng, scale):
@@ -658,4 +675,5 @@ def module_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(module_cases())
 def test_module_layer_matches_the_oracle(case):
-    assert_matches_oracle(*case)
+    h_row, table = case
+    assert_matches_oracle(convention_flip(h_row), table)

@@ -102,9 +102,22 @@ def test_point_permutation_action_moves_functions_contravariantly():
 
 
 def test_point_permutation_requires_one_dimensional_blocks():
-    st = BlockStructure([2, 1])
-    with pytest.raises(StructureMismatchError):
-        point_permutation_action(cyclic_group(2), st, [[0, 1], [1, 0]])
+    """Checked before the maps are read, so even valid block swaps fail."""
+    for dims in ((2, 1), (3, 3)):
+        with pytest.raises(StructureMismatchError) as err:
+            point_permutation_action(cyclic_group(2), BlockStructure(dims), [[0, 1], [1, 0]])
+        assert str(err.value) == "point permutations need all blocks of dim 1"
+
+
+def test_point_permutation_is_the_block_permutation_of_its_maps():
+    """S_3 on three points: automorphism g has block permutation maps[g]
+    and identity unitaries."""
+    maps = list(itertools.permutations(range(3)))
+    table = point_permutation_action(symmetric_group(3), BlockStructure((1, 1, 1)), maps)
+    validate_action(table)
+    for g, auto in enumerate(table.autos):
+        assert auto.block_perm == maps[g]
+        assert [u.tobytes() for u in auto.unitaries] == [np.eye(1, dtype=complex).tobytes()] * 3
 
 
 def test_block_permutation_action_homomorphism():

@@ -32,7 +32,7 @@ def report_text(report: dict) -> str:
 
 
 def test_every_scenario_has_a_golden_report():
-    assert len(SCENARIOS) == 8
+    assert len(SCENARIOS) == 9
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == SCENARIOS
 
 

@@ -10,8 +10,9 @@ only the word and value layers read the internals of a word context,
 only the word layer names the truncation search, neither the value
 layer nor the checks name the rearrangement search, the word layer
 reads the vertex groups' multiplication only to build its merge table,
-the checks multiply, invert and normalize no word, and only the value
-layer reads the internals of a multiplier system."""
+the checks multiply, invert and normalize no word, only the value
+layer reads the internals of a multiplier system, and every message
+literal raised in the package is raised with one error class."""
 
 import ast
 import math
@@ -757,3 +758,60 @@ def test_ball_scanner_finds_calls_and_attributes():
 
 def test_checks_list_no_ball_as_elements():
     assert ball_listings((SRC / "verifier.py").read_text(encoding="utf-8")) == []
+
+
+# One condition, one error class: a message literal raised in the package
+# names one condition, so every raise of it uses the same class, and a
+# report's error code follows from its message.
+
+
+def raised_messages(source: str):
+    """(message, class name, line) of every ``raise C("literal", ...)``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+            continue
+        call = node.exc
+        first = call.args[0] if call.args else None
+        if isinstance(first, ast.Constant) and isinstance(first.value, str):
+            name = call.func.attr if isinstance(call.func, ast.Attribute) else call.func.id
+            out.append((first.value, name, node.lineno))
+    return sorted(out, key=lambda m: m[2])
+
+
+def messages_with_several_classes(sources):
+    """Message -> sorted class names, for every message literal that the
+    sources raise with more than one class."""
+    classes = defaultdict(set)
+    for source in sources:
+        for message, name, _ in raised_messages(source):
+            classes[message].add(name)
+    return {m: sorted(c) for m, c in classes.items() if len(c) > 1}
+
+
+def test_message_scanner_finds_one_message_under_two_classes():
+    first = (
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise AError('shared', value=x)\n"
+        "    raise AError('own')\n"
+        "def g(err):\n"
+        "    raise err\n"
+    )
+    second = (
+        "from . import errors\n"
+        "def h(x):\n"
+        "    raise errors.BError('shared')\n"
+        "    raise AError('own', value=x)\n"
+        "    raise CError(f'formatted {x}')\n"
+        "    raise DError(x, 'formatted {x}')\n"
+        "    raise AError\n"
+        "    doc = CError('shared')\n"
+    )
+    assert raised_messages(first) == [("shared", "AError", 3), ("own", "AError", 4)]
+    assert messages_with_several_classes([first, second]) == {"shared": ["AError", "BError"]}
+
+
+def test_every_raised_message_has_one_error_class():
+    sources = [(SRC / m).read_text(encoding="utf-8") for m in MODULES]
+    assert messages_with_several_classes(sources) == {}

@@ -181,7 +181,7 @@ def reference_dominance_margin(system, xs, ps):
         assert not diff.imag.any()
         diff = diff.real
     maxdiff = float(np.max(np.abs(diff)))
-    _, lam = is_positive(diff, tol=ABS_PSD_TOL, hermitian_tol=1e-8)
+    _, lam = is_positive(diff, tol=ABS_PSD_TOL)
     return lam, maxdiff
 
 
@@ -422,7 +422,7 @@ def test_least_eigenvalue_raises_the_first_failing_family_in_draw_order():
     with pytest.raises(NotHermitianError) as err:
         _least_eigenvalue(groups)
     with pytest.raises(NotHermitianError) as own:
-        is_positive(skew3, tol=ABS_PSD_TOL, hermitian_tol=1e-8)
+        is_positive(skew3, tol=ABS_PSD_TOL)
     assert str(err.value) == str(own.value)
     with pytest.raises(NotFiniteError, match=r"shape=\(1, 2, 2\)"):
         _least_eigenvalue(groups[:1])

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpmult.cli import build_scenario, load_config
 from gpmult.errors import (
     BadIdentityValueError,
     ContextMismatchError,
@@ -28,7 +30,6 @@ from gpmult.matalg import BlockStructure, CentralElement, is_positive
 from gpmult.multipliers import (
     Multiplier,
     MultiplierSystem,
-    convention_flip,
     delta_multiplier,
     geometric_multiplier,
     gp_well_defined,
@@ -38,8 +39,15 @@ from gpmult.multipliers import (
 )
 from gpmult.verifier import Scenario, verify_main_theorem, verify_setup
 from gpmult.wordcraft import WordContext
-from support import central_diff, groupoid_from_space, tensor_fixture, value_of_letter
+from support import (
+    central_diff,
+    convention_flip,
+    groupoid_from_space,
+    tensor_fixture,
+    value_of_letter,
+)
 
+ROOT = Path(__file__).resolve().parent.parent
 SCALAR = BlockStructure((1,))
 
 
@@ -137,7 +145,7 @@ def test_nan_values_fail_the_norm_preconditions(off):
         unitalize(scalar_multiplier(z3, np.nan, 0.3, 0.3))
     ctx = WordContext(SimplicialGraph.build(("a", "b"), []), (z3, z3))
     acts = ActionSystem(ctx, SCALAR, (trivial_action(z3, SCALAR), trivial_action(z3, SCALAR)))
-    with pytest.raises(HypothesisViolatedError):
+    with pytest.raises(NormTooLargeError):
         haagerup_witness_ball(MultiplierSystem(acts, (h, h)), K=4, eps=0.0625, L=6)
 
 
@@ -378,13 +386,35 @@ def test_haagerup_witness_exact_on_free_pair():
     assert wit.ball_size == 13
 
 
+def assert_witness_decided_by_preconditions(system, K, eps, L):
+    """The witness passes, and its largest norm off F is at most
+    sup^(K+1) up to the rounding of the products."""
+    sup = max(h.off_identity_sup() for h in system.multipliers)
+    wit = haagerup_witness_ball(system, K=K, eps=eps, L=L)
+    assert wit.ok
+    assert wit.max_off_norm <= sup ** (K + 1) * (1 + 1e-12)
+
+
+def test_haagerup_witness_on_free_pair_scenario_is_decided_by_preconditions():
+    sc = build_scenario(load_config(str(ROOT / "scenarios" / "free_pair_z2.json")))
+    params = sc.witness
+    assert_witness_decided_by_preconditions(sc.system, params["K"], params["eps"], params["L"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_system(), st.integers(0, 3), st.integers(1, 2))
+def test_haagerup_witness_on_random_systems_is_decided_by_preconditions(system, K, extra):
+    """Every draw meets the preconditions at eps = 2^-K, so no draw fails."""
+    assert_witness_decided_by_preconditions(system, K, 2.0 ** (-K), K + extra)
+
+
 def test_haagerup_witness_hypothesis_errors():
     sys = free_pair_system()
     with pytest.raises(HypothesisViolatedError):
         haagerup_witness_ball(sys, K=2, eps=0.1, L=4)  # 2^-K > eps
     with pytest.raises(HypothesisViolatedError):
         haagerup_witness_ball(sys, K=4, eps=0.0625, L=3)  # L <= K
-    with pytest.raises(HypothesisViolatedError):
+    with pytest.raises(NormTooLargeError):
         haagerup_witness_ball(free_pair_system(c=0.8), K=4, eps=0.0625, L=6)
     z2 = cyclic_group(2)
     ctx = WordContext(SimplicialGraph.build(("a", "b"), []), (z2, z2))

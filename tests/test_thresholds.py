@@ -11,7 +11,7 @@ import pytest
 
 from gpmult.cli import build_scenario
 from gpmult.dynamics import actions_commute, block_permutation_action, diagonal_phase_action, validate_action
-from gpmult.errors import EdgeViolationError, NotHomomorphismError, NotUnitalError
+from gpmult.errors import EdgeViolationError, NotHermitianError, NotHomomorphismError, NotUnitalError
 from gpmult.graphgroup import cyclic_group
 from gpmult.matalg import BlockStructure, is_positive
 from gpmult.multipliers import gp_well_defined, haagerup_witness_ball, multipliers_commute
@@ -26,6 +26,7 @@ PEEL_TOL = 1e-12  # verifier.PEEL_TOL
 PSD_TOL = 1e-8  # verifier.PSD_TOL
 ABS_PSD_TOL = 1e-8  # verifier.ABS_PSD_TOL
 MAP_TOL = 1e-12  # dynamics.MAP_TOL
+HERMITIAN_TOL = 1e-8  # matalg.HERMITIAN_TOL
 
 
 def hermitian_with_spectrum(eigs, rng, real=False) -> np.ndarray:
@@ -54,6 +55,28 @@ def test_is_positive_default_tolerance_threshold(factor, ok):
         got, lam_min = is_positive(m)
         assert got is ok
         assert abs(lam_min - lam) < 1e-14
+
+
+@pytest.mark.parametrize("factor, ok", [(3.0, False), (0.3, True)])
+def test_is_positive_hermitian_tolerance_threshold(factor, ok):
+    """One entry of M - M* is factor tol, exactly: a dense real matrix, a
+    dense complex one and a stack with the deviation in its second block.
+    Inside the bound the symmetrized matrix is certified; past it the
+    error names the deviation and the tolerance."""
+    dev = factor * HERMITIAN_TOL
+    real = np.array([[2.0, dev], [0.0, 2.0]])
+    cplx = np.array([[2.0, 1j * dev], [0.0, 2.0]])
+    stack = np.stack([np.eye(2), real])
+    for m in (real, cplx, stack):
+        assert float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)))) == dev
+        if ok:
+            assert is_positive(m, tol=POS_TOL)[0]
+        else:
+            with pytest.raises(NotHermitianError) as err:
+                is_positive(m, tol=POS_TOL)
+            assert str(err.value) == (
+                f"matrix is not Hermitian within tolerance [deviation={dev!r}, tol=1e-08]"
+            )
 
 
 def one_vertex_z3(delta: float):

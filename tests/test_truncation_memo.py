@@ -291,7 +291,7 @@ def test_verify_lists_no_rearrangement_class(monkeypatch):
         return search(self, letters, budget)
 
     monkeypatch.setattr(WordContext, "_rearrangements_seq", counted)
-    assert len(SCENARIOS) == 8
+    assert len(SCENARIOS) == 9
     for path in SCENARIOS:
         report = run_all(build_scenario(load_config(str(path))))
         assert {check["suite"] for check in report["checks"]} == set(SUITES)

@@ -109,7 +109,7 @@ def test_threads_do_not_change_the_report(free_pair_report):
 
 
 def test_verify_builds_no_algebra_element(monkeypatch):
-    """Every check works on arrays: over every suite of the 8 committed
+    """Every check works on arrays: over every suite of the 9 committed
     scenarios, the two sabotaged ones included, no ``AlgebraElement`` is
     constructed."""
     built = []
@@ -120,7 +120,7 @@ def test_verify_builds_no_algebra_element(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(AlgebraElement, "__init__", counting)
-    assert len(SCENARIOS) == 8
+    assert len(SCENARIOS) == 9
     for name in SCENARIOS:
         run_all(scenario(name), suites=ALL_SUITES)
     assert len(built) == 0
@@ -146,7 +146,7 @@ def wide_gram_config():
 
 def test_main_theorem_builds_no_word_element(monkeypatch):
     """``kernel-gram-positive`` samples, closes, inverts and gathers on word
-    ids: on a system with sets of about 70 words and on the 8 committed
+    ids: on a system with sets of about 70 words and on the 9 committed
     scenarios, the two sabotaged ones included, no ``GPElement`` is
     constructed."""
     systems = [build_scenario(wide_gram_config()), *map(scenario, SCENARIOS)]
@@ -158,7 +158,7 @@ def test_main_theorem_builds_no_word_element(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(GPElement, "__init__", counting)
-    assert len(SCENARIOS) == 8
+    assert len(SCENARIOS) == 9
     results = [verify_main_theorem(sc) for sc in systems]
     assert len(built) == 0
     assert results[0].passed and [s[0] for s in results[0].sizes] == [70, 70, 68]
