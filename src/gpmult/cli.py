@@ -35,7 +35,7 @@ from .multipliers import (
     delta_multiplier,
     geometric_multiplier,
 )
-from .verifier import SUITES, Scenario, null_non_finite, run_all
+from .verifier import SUITES, Scenario, null_non_finite, run_all, verify_setup
 from .wordcraft import WordContext
 
 GROUP_PRESETS = ("cyclic", "symmetric", "dihedral")
@@ -461,9 +461,7 @@ def _emit(payload, out_path=None):
         print(text)
 
 
-def cmd_normalize(args) -> int:
-    cfg = load_config(args.config)
-    sc = build_scenario(cfg)
+def cmd_normalize(args, sc: Scenario) -> int:
     words = sc.system.words
     x = _parse_word(args.word, words)
     payload = {
@@ -477,31 +475,16 @@ def cmd_normalize(args) -> int:
     return 0
 
 
-def cmd_check_setup(args) -> int:
-    cfg = load_config(args.config)
-    sc = build_scenario(cfg)
-    try:
-        sc.system.validate()
-    except GPMultError as err:
-        _emit(
-            {"valid": False, "error": err.code, "message": str(err)},
-            args.out,
-        )
-        return 1
-    _emit(
-        {"valid": True, "valid_actions": True, "valid_multipliers": True},
-        args.out,
-    )
-    return 0
+def cmd_check_setup(args, sc: Scenario) -> int:
+    result = verify_setup(sc)
+    _emit({"valid": result.passed, **result.details}, args.out)
+    return 0 if result.passed else 1
 
 
-def cmd_eval(args) -> int:
-    cfg = load_config(args.config)
-    sc = build_scenario(cfg)
+def cmd_eval(args, sc: Scenario) -> int:
     words = sc.system.words
     x = _parse_word(args.word, words)
-    with np.errstate(over="ignore", invalid="ignore"):
-        val = sc.system.gp_value(x)
+    val = sc.system.gp_value(x)
     non_finite: dict = {}
     payload = {
         "canonical": words.to_pairs(x.letters),
@@ -514,9 +497,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    cfg = load_config(args.config)
-    sc = build_scenario(cfg, seed=args.seed)
+def cmd_verify(args, sc: Scenario) -> int:
     suites = SUITES if args.suite == "all" else (args.suite,)
     report = run_all(sc, suites=suites)
     _emit(report, args.out)
@@ -574,7 +555,10 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow or NaN lands in the command's output, not in a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            sc = build_scenario(load_config(args.config), getattr(args, "seed", None))
+            return args.func(args, sc)
     except ConfigError as err:
         print(f"config error at {err.pointer}: {err.args[0]}", file=sys.stderr)
         return 2

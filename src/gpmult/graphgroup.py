@@ -32,13 +32,12 @@ MAX_GROUP_ORDER = 120
 class SimplicialGraph:
     """Finite graph without loops or multi-edges.
 
-    ``vertices`` is the ordered list of vertex ids; ``edges`` contains
-    unordered id pairs.  Adjacency queries use vertex *indices* (positions in
-    ``vertices``), which is what the word machinery works with.
+    ``vertices`` is the ordered list of vertex ids.  Adjacency queries use
+    vertex *indices* (positions in ``vertices``), which is what the word
+    machinery works with.
     """
 
     vertices: tuple
-    edges: frozenset  # frozenset of frozenset({id, id}) pairs
     _index: dict = field(repr=False)
     _adj: frozenset = field(repr=False)  # ordered index pairs, both directions
 
@@ -48,7 +47,6 @@ class SimplicialGraph:
         index = {v: i for i, v in enumerate(vertices)}
         if len(index) != len(vertices):
             raise UnknownVertexError("duplicate vertex id", vertices=vertices)
-        edge_set = set()
         adj = set()
         for e in edges:
             a, b = e
@@ -58,10 +56,9 @@ class SimplicialGraph:
                 raise UnknownVertexError("edge endpoint not declared", vertex=b)
             if a == b:
                 raise LoopEdgeError("loop edges are not allowed", vertex=a)
-            edge_set.add(frozenset((a, b)))
             adj.add((index[a], index[b]))
             adj.add((index[b], index[a]))
-        return cls(vertices, frozenset(edge_set), index, frozenset(adj))
+        return cls(vertices, index, frozenset(adj))
 
     @property
     def n(self) -> int:

@@ -187,7 +187,8 @@ def _complete_sets(sc: Scenario):
     size-capped, each sorted by (length, letters).
 
     Each set is the closure of its base and of the longest prefix of its
-    sample that keeps it within the cap.
+    sample that keeps it within the cap.  A base that does not fit raises
+    the closure's budget error with the set's index and both caps.
     """
     words = sc.system.words
     n_ball = len(words.ball_arrays(sc.ball_radius, sc.budget).prefix)
@@ -199,7 +200,11 @@ def _complete_sets(sc: Scenario):
         n_draw = min(sc.sample_size, n_ball)
         idx = sorted(int(i) for i in rng.choice(n_ball, size=n_draw, replace=False))
         sample = words.ball_word_ids(sc.ball_radius, idx)
-        sets.append(words.complete_closure_ids(base, max_size=cap, optional=sample))
+        try:
+            sets.append(words.complete_closure_ids(base, max_size=cap, optional=sample))
+        except BudgetExceededError as err:
+            caps = {"set": k, "max_set_size": sc.max_set_size, "max_flat_dim": sc.max_flat_dim}
+            raise BudgetExceededError(err.args[0], **err.context, **caps) from err
     return sets
 
 
@@ -629,18 +634,13 @@ def verify_witness(sc: Scenario) -> CheckResult:
     if not sc.witness:
         return _vacuous("haagerup-witness", "haagerup", "no witness parameters configured")
     params = sc.witness
-    try:
-        rep = haagerup_witness_ball(
-            sc.system,
-            K=int(params["K"]),
-            eps=float(params["eps"]),
-            L=int(params["L"]),
-            budget=sc.budget,
-        )
-    except BudgetExceededError:
-        raise
-    except GPMultError as err:
-        return _failure("haagerup-witness", "haagerup", err)
+    rep = haagerup_witness_ball(
+        sc.system,
+        K=int(params["K"]),
+        eps=float(params["eps"]),
+        L=int(params["L"]),
+        budget=sc.budget,
+    )
     return CheckResult(
         name="haagerup-witness",
         suite="haagerup",
@@ -660,9 +660,10 @@ def verify_cocycles(sc: Scenario) -> list:
     ``cocycle-identity`` certifies what setup does: it fails exactly when
     ``is_positive_definite`` rejects h or h is not unital, and otherwise its
     residual is exactly 0.0, since b(s) = delta_e - delta_s has entries 0
-    and +-1.  ``cocycle-norm-identity`` holds by construction for unital h,
-    up to the rounding of the form.  Each result's ``ms`` is the wall time
-    since the previous result.
+    and +-1; its ``module_lambda_min`` is the certified smallest eigenvalue
+    of h's Gram matrix.  ``cocycle-norm-identity`` holds by construction for
+    unital h, up to the rounding of the form.  Each result's ``ms`` is the
+    wall time since the previous result.
     """
     out = []
     t_last = time.perf_counter()
@@ -695,6 +696,7 @@ def verify_cocycles(sc: Scenario) -> list:
                 suite="cocycles",
                 passed=res <= 1e-10,
                 residual=res,
+                details={"module_lambda_min": module.lambda_min},
             )
         )
         res2 = squared_norm_residual(coc)

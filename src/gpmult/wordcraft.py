@@ -552,10 +552,11 @@ class WordContext:
 
         ``max_size`` caps the closure, the input and the identity included.
         The set grows in batches, each by a breadth-first search over the
-        ids of immediate truncations while it fits in ``max_size``: first
-        the identity and ``required``, which raise ``BudgetExceededError``
-        when they do not fit; then each id of ``optional`` in order, the
-        first that does not fit ending the additions, so the result is the
+        ids of immediate truncations that stops at one id past
+        ``max_size``: first the identity and ``required``, which raise
+        ``BudgetExceededError`` when they do not fit, its ``words`` the
+        number of ids held; then each id of ``optional`` in order, the first
+        that does not fit ending the additions, so the result is the
         closure of the input and of the longest prefix of ``optional`` that
         fits.
         """
@@ -565,12 +566,14 @@ class WordContext:
             todo = deque(new)
             while todo and len(out) + len(new) <= max_size:
                 for t in self._truncation_ids(todo.popleft()):
-                    if t not in out and t not in new:
+                    if t not in out and t not in new and len(out) + len(new) <= max_size:
                         new.add(t)
                         todo.append(t)
             if len(out) + len(new) > max_size:
                 if k == 0:
-                    raise BudgetExceededError("closure exceeds size budget", max_size=max_size)
+                    raise BudgetExceededError(
+                        "closure exceeds size budget", max_size=max_size, words=len(new)
+                    )
                 break
             out |= new
         # a closed set holds every member's prefix, which has a smaller id,

@@ -249,7 +249,9 @@ def reference_complete_closure(words: WordContext, elements, max_size: int = 10_
             if t not in out:
                 out.add(t)
                 if len(out) > max_size:
-                    raise BudgetExceededError("closure exceeds size budget", max_size=max_size)
+                    raise BudgetExceededError(
+                        "closure exceeds size budget", max_size=max_size, words=len(out)
+                    )
                 todo.append(t)
     for x in optional:
         words._check_ctx(x)

@@ -140,6 +140,24 @@ def test_gram_sets_never_exceed_max_set_size(capsys, tmp_path):
     assert "closure exceeds size budget" in err
 
 
+def test_complete_set_budget_error_names_the_set_and_both_caps(capsys, tmp_path):
+    """One Z/61 vertex: ball(1) and the identity are 61 words, one past the
+    default cap of 60, so the first set stops before its search starts."""
+    cfg = {
+        "graph": {"vertices": ["a"]},
+        "groups": {"a": {"preset": "cyclic", "n": 61}},
+        "algebra": {"blocks": [1]},
+        "actions": {"a": {"preset": "trivial"}},
+        "multipliers": {"a": {"preset": "geometric", "c": 0.3}},
+    }
+    code, out, err = run(capsys, ["verify", write_config(tmp_path, cfg), "--suite", "main"])
+    assert (code, out) == (3, "")
+    assert err == (
+        "budget exceeded: closure exceeds size budget "
+        "[max_size=60, words=61, set=0, max_set_size=60, max_flat_dim=1500]\n"
+    )
+
+
 def test_witness_ball_obeys_the_configured_budget(capsys, tmp_path):
     # the witness ball (L = 6) has 13 words
     cfg = load_free_pair()
@@ -320,7 +338,8 @@ def run_child(argv):
 def test_overflowing_products_leave_stderr_empty(tmp_path):
     """``eval`` writes a value that overflows as null, with its path under
     ``non_finite``, and exits 0; ``verify`` writes its strict report and
-    exits 1.  Neither prints a warning or a traceback."""
+    exits 1; ``check-setup`` reports the overflow as ``not_finite`` and
+    exits 1.  None prints a warning or a traceback."""
     cfg = load_free_pair()
     cfg["multipliers"]["a"]["values"] = [1, 1e308]
     path = write_config(tmp_path, cfg)
@@ -338,3 +357,6 @@ def test_overflowing_products_leave_stderr_empty(tmp_path):
     checks = {c["name"]: c for c in report["checks"]}
     assert checks["product-well-defined"]["details"]["non_finite"] == {"residual": "nan"}
     assert checks["haagerup-witness"]["details"]["error"] == "norm_too_large"
+    proc = run_child(["check-setup", path])
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert json.loads(proc.stdout)["error"] == "not_finite"

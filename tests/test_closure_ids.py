@@ -57,8 +57,9 @@ def test_id_closure_matches_the_reference_closure(system, data):
     max_size = data.draw(st.integers(1, len(full) + 1))
     got = outcome(lambda: id_closure(words, elements, max_size, optional))
     want = outcome(lambda: reference_complete_closure(words, elements, max_size, optional))
-    if len({words.identity(), *elements}) > max_size:
-        assert got == ("closure exceeds size budget", {"max_size": max_size})
+    seeds = len({words.identity(), *elements})
+    if seeds > max_size:
+        assert got == ("closure exceeds size budget", {"max_size": max_size, "words": seeds})
         assert isinstance(want, tuple) or len(want) > max_size
     else:
         assert got == want

@@ -404,16 +404,18 @@ def test_negative_definite_check_matches_reference_on_scenarios(name):
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_cocycle_identity_verdict_is_the_vertex_certificate(name):
     """``cocycle-identity`` passes exactly when ``is_positive_definite``
-    certifies the unital vertex multiplier, and then its residual is 0.0."""
+    certifies the unital vertex multiplier, and then its residual is 0.0
+    and its ``module_lambda_min`` the certificate's least eigenvalue."""
     sc = build_scenario(load_config(str(SCENARIO_DIR / f"{name}.json")))
     results = {r.name: r for r in verify_cocycles(sc)}
     for v, vid in enumerate(sc.system.words.graph.vertices):
         h = sc.system.multipliers[v]
-        ok, _ = is_positive_definite(h, sc.system.actions.tables[v])
+        ok, lam = is_positive_definite(h, sc.system.actions.tables[v])
         check = results[f"vertex-{vid}/cocycle-identity"]
         assert check.passed == (ok and h.is_unital), (name, vid)
         if check.passed:
             assert check.residual == 0.0, (name, vid)
+            assert check.details == {"module_lambda_min": lam}, (name, vid)
 
 
 def cyclic_unitary_action(group, structure, rng):

@@ -1,10 +1,11 @@
 """Seed-42 reports of every committed scenario, compared byte for byte.
 
 ``tests/golden/<scenario>.json`` holds the ``verify --suite all --seed 42``
-report without its ``timing`` section, as the CLI writes it.  A change that
-moves any float, count or flag fails here; regenerate the files with
-``PYTHONPATH=src python tests/test_golden_reports.py`` and record the moved
-values in CHANGES.md.
+report without its ``timing`` section, as the CLI writes it, under the
+OpenBLAS kernel that ``conftest.py`` pins.  A change that moves any float,
+count or flag fails here; regenerate the files under the same pin with
+``OPENBLAS_CORETYPE=Nehalem OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python
+tests/test_golden_reports.py`` and record the moved values in CHANGES.md.
 """
 
 import json
@@ -50,6 +51,10 @@ def test_report_matches_golden(name):
 
 
 if __name__ == "__main__":
+    from test_blas_pin import openblas_corename
+
+    if openblas_corename() != "Nehalem":
+        sys.exit("regenerate under OPENBLAS_CORETYPE=Nehalem, the kernel conftest.py pins")
     for name in SCENARIOS:
         (GOLDEN / f"{name}.json").write_text(report_text(fresh_report(name)), encoding="utf-8")
         print(f"wrote tests/golden/{name}.json", file=sys.stderr)

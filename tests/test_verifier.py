@@ -339,9 +339,13 @@ def test_complete_sets_take_the_longest_sample_prefix_that_fits(name, max_set_si
         try:
             return sampler(sc)
         except BudgetExceededError as err:
-            return str(err)
+            return err.args[0], err.context
 
-    assert outcome(_complete_sets) == outcome(lambda sc: set_ids(sc, prefix_complete_sets(sc)))
+    want = outcome(lambda sc: set_ids(sc, prefix_complete_sets(sc)))
+    if isinstance(want, tuple):  # only the first set has a base that can overflow
+        caps = {"max_set_size": max_set_size, "max_flat_dim": sc.max_flat_dim}
+        want = want[0], {**want[1], "set": 0, **caps}
+    assert outcome(_complete_sets) == want
 
 
 def test_complete_sets_are_complete_and_capped():

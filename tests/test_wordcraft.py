@@ -308,7 +308,7 @@ def test_budget_errors_say_how_far_they_got():
     assert not leq(free, x, y)
     with pytest.raises(BudgetExceededError, match="closure exceeds size budget") as err:
         leq(free, x, y, budget=4)
-    assert err.value.context == {"max_size": 4}
+    assert err.value.context == {"max_size": 4, "words": 5}
     assert not leq(free, x, y, budget=13)
 
 
@@ -410,7 +410,7 @@ def test_closure_counts_its_identity_and_input_against_max_size():
     ball = ctx.ball(1)
     with pytest.raises(BudgetExceededError, match="closure exceeds size budget") as err:
         ctx.complete_closure(ball, max_size=2)
-    assert err.value.context == {"max_size": 2}
+    assert err.value.context == {"max_size": 2, "words": 3}
     assert len(reference_complete_closure(ctx, ball, max_size=2)) == 3
     assert ctx.complete_closure(ball, max_size=3) == ball
 
@@ -440,8 +440,9 @@ def test_closure_matches_the_two_phase_oracle(data):
     kwargs = dict(max_size=max_size, optional=optional)
     got = _closure_outcome(id_closure, ctx, elements, **kwargs)
     want = _closure_outcome(reference_complete_closure, ctx, elements, **kwargs)
-    if len({ctx.identity(), *elements}) > max_size:
-        assert got == ("closure exceeds size budget", {"max_size": max_size})
+    seeds = len({ctx.identity(), *elements})
+    if seeds > max_size:
+        assert got == ("closure exceeds size budget", {"max_size": max_size, "words": seeds})
         assert isinstance(want, tuple) or len(want) > max_size
     else:
         assert got == want
