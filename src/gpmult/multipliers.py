@@ -298,12 +298,14 @@ class MultiplierSystem:
         """Fill value and action rows round by round, each round ``(ids,
         prefixes, last slots)`` of words whose prefixes have rows:
         V[i] = V[prefix][p(l^-1)] * h(l) and P[i] = p(l)[P[prefix]] for the
-        last letter l, and a one-letter word copies h(l)."""
+        last letter l, and a one-letter word copies h(l).  The identity's
+        rows are filled first, so one-letter words come in the first round."""
         acts, perms, values = self._slot_actions, self._slot_perms, self._slot_values
-        for ids, p, s in rounds:
+        for k, (ids, p, s) in enumerate(rounds):
             v = V[p[:, None], perms[s]] * values[s]
-            one = p == 0
-            v[one] = values[s[one]]
+            if k == 0:
+                one = p == 0
+                v[one] = values[s[one]]
             V[ids] = v
             P[ids] = acts[s[:, None], P[p]]
 
@@ -342,7 +344,8 @@ class MultiplierSystem:
         family a list of word ids.
 
         Each family's inverses come from ``WordContext.inverse_ids`` and its
-        products x_i^-1 x_j from the successor memo; then one value-row fill
+        products x_i^-1 x_j from ``WordContext.product_ids``, one walk per
+        distinct inverse over the successor table; then one value-row fill
         serves every family, and each size is one gather from the value rows
         of the products at the action rows of the x_j.  No pair gets a
         central element of its own.

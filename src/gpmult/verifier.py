@@ -33,6 +33,7 @@ from .errors import (
     BudgetExceededError,
     GPMultError,
     NotFiniteError,
+    NotHermitianError,
     NotPositiveError,
     NotUnitalError,
 )
@@ -211,8 +212,10 @@ def _complete_sets(sc: Scenario):
 def verify_main_theorem(sc: Scenario, threads: int = 1) -> CheckResult:
     """Positivity of the kernel Gram matrix over seeded complete sets.
 
-    Each set's stack is gathered from its word ids.
-    ``threads`` is accepted for compatibility and has no effect.
+    The stacks of all sets are gathered from their word ids at once (one
+    ``id_stacks`` call: one value-row fill, one gather per set size), and
+    each set is certified on its own.  ``threads`` is accepted for
+    compatibility and has no effect.
     """
     sets = _complete_sets(sc)
     if not sets:
@@ -221,10 +224,10 @@ def verify_main_theorem(sc: Scenario, threads: int = 1) -> CheckResult:
     sizes = []
     all_ok = True
     T = sc.system.structure.total_dim
+    stacks = {m: iter(grams) for m, grams in sc.system.id_stacks(sets).items()}
     for ids in sets:
         try:
-            m = sc.system.id_stacks([ids])[len(ids)][0]
-            ok, lam = is_positive(m, tol=PSD_TOL)
+            ok, lam = is_positive(next(stacks[len(ids)]), tol=PSD_TOL)
         except GPMultError as err:
             return _failure(
                 "kernel-gram-positive", "main", err, set_size=len(ids)
@@ -658,7 +661,9 @@ def verify_cocycles(sc: Scenario) -> list:
     """Per-vertex module and cocycle checks on each vertex multiplier h.
 
     ``cocycle-identity`` certifies what setup does: it fails exactly when
-    ``is_positive_definite`` rejects h or h is not unital, and otherwise its
+    ``is_positive_definite`` rejects h or raises (a non-finite or
+    non-Hermitian Gram matrix) or h is not unital, failing that vertex
+    alone, and otherwise its
     residual is exactly 0.0, since b(s) = delta_e - delta_s has entries 0
     and +-1; its ``module_lambda_min`` is the certified smallest eigenvalue
     of h's Gram matrix.  ``cocycle-norm-identity`` holds by construction for
@@ -684,7 +689,7 @@ def verify_cocycles(sc: Scenario) -> list:
         try:
             module = gns_build(sys_.multipliers[v], table)
             coc = cocycle_build(module)
-        except (NotFiniteError, NotPositiveError, NotUnitalError) as err:
+        except (NotFiniteError, NotHermitianError, NotPositiveError, NotUnitalError) as err:
             add(
                 _failure(f"{prefix}/cocycle-identity", "cocycles", err)
             )

@@ -18,7 +18,10 @@ identity or from the left factor (an inverse by the inverted letters, met
 from the last along the word's prefixes).  A miss does not rescan the
 word: it walks down the prefixes while the new letter passes their last
 letters, to the prefix whose last letter it merges with or stops at, and
-rebuilds upward, so it costs table lookups.
+rebuilds upward, so it costs table lookups.  Where the letter stops at
+once is one flat table over (last slot, slot), the append rule, which the
+product walk of ``product_ids`` reads too, so an appended word is interned
+there with no miss.
 
 Truncation-closed sets are built on ids too.  The immediate truncations of
 a word are memoized per id: deleting its last letter gives its prefix, and
@@ -225,6 +228,14 @@ class WordContext:
         self._slot_inverse = [
             off + grp.inverse(g) for off, grp in zip(self._slot_offset, self.groups) for g in range(grp.order)
         ]
+        # the append rule: entry (a + 1) * letter_slots + s says whether a
+        # canonical word whose last letter has slot a (-1 at the identity)
+        # stays canonical with the letter of slot s appended, that is
+        # whether the word is the identity or the two vertices differ and
+        # are not joined
+        v = self._slot_vertex
+        apart = ~self._adjacency[v[:, None], v[None, :]] & (v[:, None] != v[None, :])
+        self._appends = [True] * self._letter_slots + apart.ravel().tolist()
 
     # ------------------------------------------------------------------
     # constructors
@@ -331,34 +342,31 @@ class WordContext:
         A miss walks down the prefixes of i while the letter l passes their
         last letters, that is while the last letter a of the current word
         w a is joined to l at another vertex, and stops at a memoized
-        successor, at the identity (l is the product), at an a of l's vertex
-        (they merge: the product is w, or w with a l in a's place) or at an
-        a not joined to l (l is appended).  It then rebuilds upward: each
-        passed letter a is put back at the end of the product w' of w and l,
-        except when w' is w with l appended and l's vertex is larger than
-        a's: then the least order keeps l after a, and the product is w a l.
+        successor, where the append rule holds (the identity, or an a not
+        joined to l: l is appended) or at an a of l's vertex (they merge:
+        the product is w, or w with a l in a's place).  It then rebuilds
+        upward: each passed letter a is put back at the end of the product
+        w' of w and l, except when w' is w with l appended and l's vertex is
+        larger than a's: then the least order keeps l after a, and the
+        product is w a l.
         """
         slots, succ = self._letter_slots, self._succ
         j = succ[i * slots + slot]
         if j >= 0:
             return j
-        prefix, last, vertex = self._id_prefix, self._id_last, self._vertex_of
+        prefix, last, vertex, appends = self._id_prefix, self._id_last, self._vertex_of, self._appends
         v = vertex[slot]
-        apart = self._apart[v]
         passed = []  # the words whose last letter l passed, outermost first
         while True:
-            if i == 0:
-                j = self._child(0, slot)
-                break
             a = last[i]
+            if appends[(a + 1) * slots + slot]:
+                j = self._child(i, slot)
+                break
             if vertex[a] == v:
                 g = self._merge_list[self._merge_row_list[a] + slot]
                 p = prefix[i]
                 j = p if self._slot_letter[g] is None else self._child(p, g)
                 succ[i * slots + slot] = j
-                break
-            if vertex[a] in apart:
-                j = self._child(i, slot)
                 break
             passed.append(i)
             i = prefix[i]
@@ -412,11 +420,13 @@ class WordContext:
 
         The right factors and their prefixes are listed with every prefix
         before its extensions, so each product is the successor of the
-        product with the prefix of its right factor: one table lookup per
-        left factor and word of the prefix closure.
+        product with the prefix of its right factor: one walk per distinct
+        left factor over the prefix closure.  A step is one table lookup
+        where the successor table holds the product; where the append rule
+        makes it, the new id is interned in the walk, as ``_child`` would;
+        only merges and passes call ``_successor``.
         """
         prefix, last = self._id_prefix, self._id_last
-        slots = self._letter_slots
         pos = {0: 0}  # closure word id -> its place in a row
         steps = []  # per closure word after the identity: (place of prefix, slot)
         for j in rights:
@@ -428,7 +438,7 @@ class WordContext:
                 pos[j] = len(steps) + 1
                 steps.append((pos[prefix[j]], last[j]))
         cols = [pos[j] for j in rights]
-        succ, step = self._succ, self._successor
+        succ, slots, appends, unknown = self._succ, self._letter_slots, self._appends, self._unknown_row
         rows: dict = {}  # left id -> its products with the closure
         for a in lefts:
             if a in rows:
@@ -436,8 +446,18 @@ class WordContext:
             row = rows[a] = [a]
             append = row.append
             for p, slot in steps:
-                b = succ[row[p] * slots + slot]
-                append(step(row[p], slot) if b < 0 else b)
+                i = row[p]
+                key = i * slots + slot
+                j = succ[key]
+                if j < 0:
+                    if appends[(last[i] + 1) * slots + slot]:
+                        j = succ[key] = len(prefix)
+                        prefix.append(i)
+                        last.append(slot)
+                        succ.extend(unknown)
+                    else:
+                        j = self._successor(i, slot)
+                append(j)
         return [[row[c] for c in cols] for row in map(rows.__getitem__, lefts)]
 
     def ball_word_ids(self, radius: int, indices) -> list:

@@ -6,7 +6,9 @@ list of word ids one successor step per letter.  Both are compared on
 random graph products with S3 and D4 vertices, where letters are not all
 involutions: the closure with ``reference_complete_closure`` element by
 element and in order, budget outcomes included; the inverses with the word
-of the inverted letters in reverse and with the products x^-1 x.
+of the inverted letters in reverse and with the products x^-1 x; and the
+products of ``product_ids``, whose walk interns appends itself, with walks
+of ``successor`` alone and with ``reference_push``.
 """
 
 import itertools
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from gpmult.errors import BudgetExceededError
 from gpmult.graphgroup import SimplicialGraph, dihedral_group, symmetric_group
 from gpmult.wordcraft import Letter, WordContext
-from support import growth_sphere_sizes, id_closure, reference_complete_closure
+from support import growth_sphere_sizes, id_closure, reference_complete_closure, reference_push
 from test_ball_arrays import GROUPS, graph_products
 
 
@@ -120,6 +122,42 @@ def test_inverse_ids_match_the_reversed_inverted_letters(case):
     assert inverses == [reversed_inverse_id(words, i) for i in ids]
     products = words.product_ids(inverses, ids)
     assert [row[k] for k, row in enumerate(products)] == [words.intern(())] * len(ids)
+
+
+def successor_walk(words, a, letters) -> int:
+    """Id of the product of word ``a`` and ``letters``, one ``successor``
+    step per letter."""
+    for letter in letters:
+        a = words.successor(a, letter)
+    return a
+
+
+@settings(max_examples=80, deadline=None)
+@given(non_involution_words(), st.randoms(use_true_random=False))
+def test_product_ids_match_successor_walks_and_pushed_words(case, pyrandom):
+    """On a context that holds only the words' prefix chains, so the walk
+    meets appends, merges and passes it has not seen, ``product_ids`` of
+    the words and their inverses (with repeats, the identity, in no order)
+    gives, per pair, the id that a walk of ``successor`` alone gives on the
+    same context and the word of a walk on a second cold context, and that
+    word is ``reference_push``'s."""
+    words, ids = case
+    letters = [words._element(i).letters for i in ids]
+    letters += [words._element(i).letters for i in words.inverse_ids(ids)] + [()]
+    cold, other = (WordContext(words.graph, words.groups) for _ in range(2))
+    lefts = [cold.intern(x) for x in letters] + [cold.intern(pyrandom.choice(letters))]
+    rights = [cold.intern(x) for x in pyrandom.sample(letters, len(letters))]
+    pyrandom.shuffle(lefts)
+    rows = cold.product_ids(lefts, rights)
+    assert [len(row) for row in rows] == [len(rights)] * len(lefts)
+    for a, row in zip(lefts, rows):
+        x = cold._element(a).letters
+        for b, got in zip(rights, row):
+            y = cold._element(b).letters
+            assert got == successor_walk(cold, a, y)
+            want = reference_push(cold, y, x).letters
+            assert cold._element(got).letters == want
+            assert other._element(successor_walk(other, other.intern(x), y)).letters == want
 
 
 def test_inverses_of_non_involutions_invert_back():

@@ -43,7 +43,7 @@ from gpmult.errors import (
 from gpmult.graphgroup import cyclic_group, dihedral_group
 from gpmult.matalg import BlockStructure, CentralElement, OperatorMatrix, is_positive
 from gpmult.multipliers import Multiplier, is_positive_definite
-from gpmult.verifier import verify_cocycles
+from gpmult.verifier import run_all, verify_cocycles
 from support import apply_auto, apply_central, blocks_diff, convention_flip
 
 SCALAR = BlockStructure((1,))
@@ -154,6 +154,25 @@ def test_cocycle_needs_unital_multiplier():
     mod = gns_build(scalar_multiplier(z2, 0.9, 0.3), trivial_action(z2, SCALAR))
     with pytest.raises(NotUnitalError):
         cocycle_build(mod)
+
+
+def test_a_non_hermitian_vertex_fails_only_its_own_cocycle_identity():
+    """Two free Z/2 vertices: a with h = (1, 0.5), and b with h(g) = 0.3 +
+    0.1i on its involution g, so b's Gram matrix is not Hermitian.  b's
+    ``gns_build`` raises ``NotHermitianError``, which fails b's
+    cocycle-identity alone; a's four checks are still reported, and pass."""
+    cfg = {
+        "graph": {"vertices": ["a", "b"]},
+        "groups": {v: {"preset": "cyclic", "n": 2} for v in "ab"},
+        "algebra": {"blocks": [1]},
+        "actions": {v: {"preset": "trivial"} for v in "ab"},
+        "multipliers": {"a": {"values": [1, 0.5]}, "b": {"values": [1, [[0.3, 0.1]]]}},
+    }
+    checks = run_all(build_scenario(cfg), suites=("cocycles",))["checks"]
+    kinds = ("cocycle-identity", "cocycle-norm-identity", "schoenberg-positivity", "negative-definiteness")
+    assert [c["name"] for c in checks] == [f"vertex-a/{k}" for k in kinds] + ["vertex-b/cocycle-identity"]
+    assert all(c["pass"] for c in checks[:4])
+    assert not checks[4]["pass"] and checks[4]["details"]["error"] == "not_hermitian"
 
 
 def test_cocycle_on_block_swapping_action():
