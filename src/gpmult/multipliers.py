@@ -298,14 +298,12 @@ class MultiplierSystem:
         """Fill value and action rows round by round, each round ``(ids,
         prefixes, last slots)`` of words whose prefixes have rows:
         V[i] = V[prefix][p(l^-1)] * h(l) and P[i] = p(l)[P[prefix]] for the
-        last letter l, and a one-letter word copies h(l).  The identity's
-        rows are filled first, so one-letter words come in the first round."""
+        last letter l, and a one-letter word copies h(l)."""
         acts, perms, values = self._slot_actions, self._slot_perms, self._slot_values
-        for k, (ids, p, s) in enumerate(rounds):
+        for ids, p, s in rounds:
             v = V[p[:, None], perms[s]] * values[s]
-            if k == 0:
-                one = p == 0
-                v[one] = values[s[one]]
+            one = p == 0
+            v[one] = values[s[one]]
             V[ids] = v
             P[ids] = acts[s[:, None], P[p]]
 

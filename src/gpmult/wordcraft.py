@@ -423,8 +423,8 @@ class WordContext:
         product with the prefix of its right factor: one walk per distinct
         left factor over the prefix closure.  A step is one table lookup
         where the successor table holds the product; where the append rule
-        makes it, the new id is interned in the walk, as ``_child`` would;
-        only merges and passes call ``_successor``.
+        makes it, ``_child`` interns the new id; only merges and passes call
+        ``_successor``.
         """
         prefix, last = self._id_prefix, self._id_last
         pos = {0: 0}  # closure word id -> its place in a row
@@ -438,7 +438,7 @@ class WordContext:
                 pos[j] = len(steps) + 1
                 steps.append((pos[prefix[j]], last[j]))
         cols = [pos[j] for j in rights]
-        succ, slots, appends, unknown = self._succ, self._letter_slots, self._appends, self._unknown_row
+        succ, slots, appends, child = self._succ, self._letter_slots, self._appends, self._child
         rows: dict = {}  # left id -> its products with the closure
         for a in lefts:
             if a in rows:
@@ -451,10 +451,7 @@ class WordContext:
                 j = succ[key]
                 if j < 0:
                     if appends[(last[i] + 1) * slots + slot]:
-                        j = succ[key] = len(prefix)
-                        prefix.append(i)
-                        last.append(slot)
-                        succ.extend(unknown)
+                        j = child(i, slot)
                     else:
                         j = self._successor(i, slot)
                 append(j)

@@ -66,6 +66,15 @@ NOT_PD = one_vertex(2, [1, 1.5])
 # h(g) = 0.3 + 0.1i on Z/2, where g is its own inverse: h(g^-1) is not conj(h(g)).
 NOT_STAR = one_vertex(2, [1, [[0.3, 0.1]]])
 
+
+def schoenberg_overflow() -> dict:
+    """free_pair_z2 with a = (1, 0.5) and the one Schoenberg exponent
+    t = -1000, which the config accepts: exp(1000 Q^2) overflows."""
+    cfg = free_pair([1, 0.5])
+    cfg["verify"]["schoenberg_t"] = [-1000]
+    return cfg
+
+
 # kind -> (config, whether it passes check-setup, error code of the failure or None)
 CONFIG_CONTROLS = {
     "setup": (NOT_PD, False, "hypothesis_violated"),
@@ -82,6 +91,8 @@ CONFIG_CONTROLS = {
     "haagerup-witness": (free_pair([1, 0.6]), True, "norm_too_large"),
     # h(e) = 0.9: positive definite, so setup passes, but no cocycle
     "vertex-*/cocycle-identity": (free_pair([0.9, 0.3]), True, "not_unital"),
+    # the overflow escapes verify_cocycles, past the guard around gns_build
+    "cocycle-modules": (schoenberg_overflow(), True, "not_finite"),
 }
 
 
@@ -116,13 +127,6 @@ DIRECT_CONTROLS = {
 }
 
 CANNOT_FAIL = {
-    "cocycle-modules": (
-        "it names the cocycle suite's failure when an error escapes "
-        "verify_cocycles, and none does: every error of gns_build and "
-        "cocycle_build fails that vertex's cocycle-identity (NOT_STAR fails "
-        "it with not_hermitian), and the checks after them run on the "
-        "module of a unital positive definite h, whose Q is finite and real"
-    ),
     "vertex-*/cocycle-norm-identity": (
         "it runs only after cocycle-identity built the cocycle of a unital "
         "positive definite h, and then <b(s)|b(s)> = 2 - h(s) - h(s)* holds "
@@ -164,12 +168,18 @@ def test_direct_control_fails_its_check(name):
 
 def test_setup_passing_controls_fail_only_what_they_name():
     """free_pair_z2 with a = (1, 0.6) fails the witness alone; with
-    a = (0.9, 0.3) the witness also needs a unital h."""
+    a = (0.9, 0.3) the witness also needs a unital h; the Schoenberg
+    overflow fails the cocycle suite alone."""
     failing = {
-        key: sorted(c["name"] for c in run_all(build_scenario(free_pair(a)))["checks"] if not c["pass"])
-        for key, a in (("wide", [1, 0.6]), ("non-unital", [0.9, 0.3]))
+        key: sorted(c["name"] for c in run_all(build_scenario(cfg))["checks"] if not c["pass"])
+        for key, cfg in (
+            ("wide", free_pair([1, 0.6])),
+            ("non-unital", free_pair([0.9, 0.3])),
+            ("overflow", schoenberg_overflow()),
+        )
     }
     assert failing == {
         "wide": ["haagerup-witness"],
         "non-unital": ["haagerup-witness", "vertex-a/cocycle-identity"],
+        "overflow": ["cocycle-modules"],
     }
