@@ -39,12 +39,6 @@ from .verifier import SUITES, Scenario, null_non_finite, run_all, verify_setup
 from .wordcraft import WordContext
 
 GROUP_PRESETS = ("cyclic", "symmetric", "dihedral")
-ACTION_PRESETS = (
-    "trivial",
-    "diagonal-phases",
-    "block-permutation",
-    "point-permutation",
-)
 # Largest D, the sum of the squared block dimensions: an action's (n, D, D)
 # complex matrix-unit images then stay near 126 MB at the largest group order.
 MAX_UNIT_DIM = 256
@@ -82,13 +76,17 @@ def _as_int(x, pointer, at_least=None):
     return x
 
 
-def _as_num(x, pointer):
-    _want(
-        isinstance(x, (int, float)) and not isinstance(x, bool),
-        pointer,
-        "expected a number",
-    )
+def _as_num(x, pointer, at_least=None):
+    _want(isinstance(x, (int, float)) and not isinstance(x, bool), pointer, "expected a number")
+    if at_least is not None:
+        _want(x >= at_least, pointer, f"must be at least {at_least}")
     return float(x)
+
+
+def _as_preset(x, pointer, presets):
+    kind = _as_str(x, pointer)
+    _want(kind in presets, pointer, f"unknown preset {kind!r}; choose from {', '.join(presets)}")
+    return kind
 
 
 def _keys(d, pointer, allowed, required=()):
@@ -142,12 +140,7 @@ def _build_group(spec, pointer) -> FiniteGroup:
             raise ConfigError(f"{pointer}/table", str(err)) from err
         return group
     _keys(d, pointer, {"preset", "n"}, required=("preset", "n"))
-    kind = _as_str(d["preset"], f"{pointer}/preset")
-    _want(
-        kind in GROUP_PRESETS,
-        f"{pointer}/preset",
-        f"unknown preset {kind!r}; choose from {', '.join(GROUP_PRESETS)}",
-    )
+    kind = _as_preset(d["preset"], f"{pointer}/preset", GROUP_PRESETS)
     n = _as_int(d["n"], f"{pointer}/n", at_least=1)
     try:
         return preset_group(kind, n)
@@ -169,62 +162,44 @@ def _build_structure(cfg) -> BlockStructure:
     return BlockStructure(tuple(dims))
 
 
+def _angles(x, pointer, dim):
+    """One block's entry of ``phases``: the angles of its ``dim`` diagonal units."""
+    return [_as_num(t, f"{pointer}/{i}") for i, t in enumerate(_as_list(x, pointer, length=dim))]
+
+
+def _index(x, pointer, dim):
+    """One block's entry of ``perms`` or ``maps``: an integer."""
+    return _as_int(x, pointer)
+
+
+# action preset -> (key of its [group order][block] lists, entry reader, builder)
+_ACTION_LISTS = {
+    "diagonal-phases": ("phases", _angles, diagonal_phase_action),
+    "block-permutation": ("perms", _index, block_permutation_action),
+    "point-permutation": ("maps", _index, point_permutation_action),
+}
+ACTION_PRESETS = ("trivial", *_ACTION_LISTS)
+
+
 def _build_action(spec, pointer, group, structure):
     d = _as_dict(spec, pointer)
-    _keys(
-        d,
-        pointer,
-        {"preset", "phases", "perms", "maps"},
-        required=("preset",),
-    )
-    kind = _as_str(d["preset"], f"{pointer}/preset")
-    _want(
-        kind in ACTION_PRESETS,
-        f"{pointer}/preset",
-        f"unknown preset {kind!r}; choose from {', '.join(ACTION_PRESETS)}",
-    )
-
-    def _perm_lists(key):
-        rows = _as_list(d.get(key), f"{pointer}/{key}", length=group.order)
-        out = []
-        for g, row in enumerate(rows):
-            row = _as_list(row, f"{pointer}/{key}/{g}", length=structure.num_blocks)
-            out.append([_as_int(p, f"{pointer}/{key}/{g}/{i}") for i, p in enumerate(row)])
-        return out
-
+    _keys(d, pointer, {"preset", "phases", "perms", "maps"}, required=("preset",))
+    kind = _as_preset(d["preset"], f"{pointer}/preset", ACTION_PRESETS)
     try:
         if kind == "trivial":
             _keys(d, pointer, {"preset"})
             return trivial_action(group, structure)
-        if kind == "diagonal-phases":
-            _keys(d, pointer, {"preset", "phases"}, required=("phases",))
-            rows = _as_list(d["phases"], f"{pointer}/phases", length=group.order)
-            phases = []
-            for g, row in enumerate(rows):
-                row = _as_list(
-                    row, f"{pointer}/phases/{g}", length=structure.num_blocks
-                )
-                per_block = []
-                for k, angles in enumerate(row):
-                    angles = _as_list(
-                        angles,
-                        f"{pointer}/phases/{g}/{k}",
-                        length=structure.block_dims[k],
-                    )
-                    per_block.append(
-                        [
-                            _as_num(t, f"{pointer}/phases/{g}/{k}/{i}")
-                            for i, t in enumerate(angles)
-                        ]
-                    )
-                phases.append(per_block)
-            return diagonal_phase_action(group, structure, phases)
-        if kind == "block-permutation":
-            _keys(d, pointer, {"preset", "perms"}, required=("perms",))
-            return block_permutation_action(group, structure, _perm_lists("perms"))
-        # point-permutation
-        _keys(d, pointer, {"preset", "maps"}, required=("maps",))
-        return point_permutation_action(group, structure, _perm_lists("maps"))
+        key, entry, build = _ACTION_LISTS[kind]
+        _keys(d, pointer, {"preset", key}, required=(key,))
+        at, dims = f"{pointer}/{key}", structure.block_dims
+        lists = [
+            [
+                entry(x, f"{at}/{g}/{k}", dims[k])
+                for k, x in enumerate(_as_list(row, f"{at}/{g}", length=len(dims)))
+            ]
+            for g, row in enumerate(_as_list(d[key], at, length=group.order))
+        ]
+        return build(group, structure, lists)
     except GPMultError as err:
         raise ConfigError(pointer, str(err)) from err
 
@@ -294,7 +269,7 @@ def _verify_params(cfg) -> dict:
         ts = _as_list(v["schoenberg_t"], "/verify/schoenberg_t")
         _want(len(ts) > 0, "/verify/schoenberg_t", "need at least one value")
         out["schoenberg_t"] = tuple(
-            _as_num(t, f"/verify/schoenberg_t/{i}") for i, t in enumerate(ts)
+            _as_num(t, f"/verify/schoenberg_t/{i}", at_least=0) for i, t in enumerate(ts)
         )
     if "witness" in v:
         w = _as_dict(v["witness"], "/verify/witness")
@@ -373,6 +348,14 @@ def load_config(path: str) -> dict:
     return _as_dict(cfg, "/")
 
 
+def _per_vertex(cfg, key, vids, build) -> list:
+    """Section ``key``: an object with one entry per vertex id, all
+    required, built by ``build(v, entry, pointer)`` in vertex order."""
+    at = f"/{key}"
+    section = _keys(_as_dict(cfg[key], at), at, set(vids), required=tuple(vids))
+    return [build(v, section[vid], f"{at}/{vid}") for v, vid in enumerate(vids)]
+
+
 def build_scenario(cfg, seed: int | None = None) -> Scenario:
     _keys(
         cfg,
@@ -384,30 +367,19 @@ def build_scenario(cfg, seed: int | None = None) -> Scenario:
     graph = _build_graph(cfg)
     structure = _build_structure(cfg)
 
-    groups_cfg = _as_dict(cfg["groups"], "/groups")
-    _keys(groups_cfg, "/groups", set(graph.vertices), required=tuple(graph.vertices))
-    groups = [
-        _build_group(groups_cfg[vid], f"/groups/{vid}") for vid in graph.vertices
-    ]
+    vids = graph.vertices
+    groups = _per_vertex(cfg, "groups", vids, lambda v, x, at: _build_group(x, at))
     words = WordContext(graph, groups)
-
-    actions_cfg = _as_dict(cfg["actions"], "/actions")
-    _keys(actions_cfg, "/actions", set(graph.vertices), required=tuple(graph.vertices))
-    tables = [
-        _build_action(actions_cfg[vid], f"/actions/{vid}", groups[v], structure)
-        for v, vid in enumerate(graph.vertices)
-    ]
+    tables = _per_vertex(
+        cfg, "actions", vids, lambda v, x, at: _build_action(x, at, groups[v], structure)
+    )
     try:
         actions = ActionSystem(words, structure, tables)
     except GPMultError as err:
         raise ConfigError("/actions", str(err)) from err
-
-    mult_cfg = _as_dict(cfg["multipliers"], "/multipliers")
-    _keys(mult_cfg, "/multipliers", set(graph.vertices), required=tuple(graph.vertices))
-    multipliers = [
-        _build_multiplier(mult_cfg[vid], f"/multipliers/{vid}", groups[v], structure)
-        for v, vid in enumerate(graph.vertices)
-    ]
+    multipliers = _per_vertex(
+        cfg, "multipliers", vids, lambda v, x, at: _build_multiplier(x, at, groups[v], structure)
+    )
     system = MultiplierSystem(actions, multipliers)
 
     params = {f.name: f.default for f in _VERIFY_FIELDS}
@@ -512,43 +484,38 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+_WORD = ("--word", dict(required=True, help='JSON like [["a",1],["b",2]]'))
+# (subcommand, function, help, arguments between the config and --out)
+_COMMANDS = (
+    ("normalize", cmd_normalize, "canonical form of a word", (_WORD,)),
+    ("check-setup", cmd_check_setup, "validate actions and multipliers", ()),
+    ("eval", cmd_eval, "evaluate the product multiplier on a word", (_WORD,)),
+    (
+        "verify",
+        cmd_verify,
+        "run certification suites, emit a JSON report",
+        (
+            ("--suite", dict(choices=list(SUITES) + ["all"], default="all")),
+            ("--seed", dict(type=nonnegative_int, default=None)),
+            ("--threads", dict(type=int, default=1, help="accepted for compatibility; no effect")),
+        ),
+    ),
+)
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gpmult",
         description="Graph products of group actions: evaluation and certification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("normalize", help="canonical form of a word")
-    p.add_argument("config")
-    p.add_argument("--word", required=True, help='JSON like [["a",1],["b",2]]')
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_normalize)
-
-    p = sub.add_parser("check-setup", help="validate actions and multipliers")
-    p.add_argument("config")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_check_setup)
-
-    p = sub.add_parser("eval", help="evaluate the product multiplier on a word")
-    p.add_argument("config")
-    p.add_argument("--word", required=True, help='JSON like [["a",1],["b",2]]')
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("verify", help="run certification suites, emit a JSON report")
-    p.add_argument("config")
-    p.add_argument(
-        "--suite",
-        choices=list(SUITES) + ["all"],
-        default="all",
-    )
-    p.add_argument("--seed", type=nonnegative_int, default=None)
-    p.add_argument(
-        "--threads", type=int, default=1, help="accepted for compatibility; no effect"
-    )
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
+    for name, func, help_text, extra in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("config")
+        for flag, options in extra:
+            p.add_argument(flag, **options)
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -19,9 +19,10 @@ and the block permutation of alpha_s.  It acts unitarily for the twisted
 form (``<u_s f|u_s g> = alpha_s(<f|g>)``), and for unital h the vector xi
 has ``<u_s xi | xi> = h~(s)``.  The associated cocycle ``b(s) = xi - u_s xi``
 satisfies b(st) = b(s) + u_s b(t) and ``Q(s) = <b(s)|b(s)> = 2 - h~(s) -
-h~(s)*``.  Both identities hold by construction once the module is built:
-the first says u_{st} = u_s u_t, which setup checks of the action, and the
-second follows from <u_s xi|xi> = h~(s).
+h~(s)*``.  The first holds by construction once the module is built: it
+says u_{st} = u_s u_t, which setup checks of the action.  The second
+follows from <u_s xi|xi> = h~(s) and <xi|u_s xi> = h~(s)*, so it holds only
+as far as the Gram matrix is Hermitian, which setup checks to 1e-8.
 
 Negative definiteness of psi = Q (Schoenberg: every exp(-t psi) is then
 positive definite) is checked on the same ``(n, K)`` block scalars: the

@@ -139,9 +139,6 @@ class CentralElement:
     def constant(cls, structure, value) -> "CentralElement":
         return cls(structure, np.full(structure.num_blocks, value, dtype=np.complex128))
 
-    def conj(self) -> "CentralElement":
-        return CentralElement._adopt(self.structure, self.scalars.conj())
-
     def __repr__(self):
         return f"CentralElement({list(self.scalars)})"
 

@@ -254,7 +254,8 @@ class MultiplierSystem:
         """The product multiplier on x's canonical expression (its value row)."""
         if x.ctx is not self.words:
             raise ContextMismatchError("element belongs to a different context")
-        return self.gp_value_letters(x.letters)
+        i = self.words.intern(x.letters)
+        return CentralElement._adopt(self.structure, self._value_rows()[0][i].astype(np.complex128))
 
     def _value_rows(self) -> tuple:
         """Values and actions of all interned words: arrays V and P, row i
@@ -315,6 +316,10 @@ class MultiplierSystem:
         is the step of the value rows along the raw prefixes,
         out = out[p(l^-1)] * h(l) from a copy of h(l_0), so it is bit-equal
         to multiplying the twisted factors left to right.
+
+        ``gp_value`` reads the canonical expression's value row instead; this
+        scalar loop is the tests' oracle for raw expressions, canonical or
+        not, and the benchmark's tracer times it.
         """
         offset, perms, values = self.words._slot_offset, self._slot_perms, self._slot_values
         out = np.ones(self.structure.num_blocks, dtype=self.dtype)

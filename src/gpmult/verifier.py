@@ -667,8 +667,10 @@ def verify_cocycles(sc: Scenario) -> list:
     residual is exactly 0.0, since b(s) = delta_e - delta_s has entries 0
     and +-1; its ``module_lambda_min`` is the certified smallest eigenvalue
     of h's Gram matrix.  ``cocycle-norm-identity`` holds by construction for
-    unital h, up to the rounding of the form.  Each result's ``ms`` is the
-    wall time since the previous result.
+    unital h with an exactly Hermitian Gram matrix, up to the rounding of
+    the form; setup accepts one that is Hermitian within 1e-8, and the
+    identity then misses by as much.  Each result's ``ms`` is the wall time
+    since the previous result.
     """
     out = []
     t_last = time.perf_counter()

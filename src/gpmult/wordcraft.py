@@ -240,9 +240,6 @@ class WordContext:
     # ------------------------------------------------------------------
     # constructors
 
-    def identity(self) -> GPElement:
-        return GPElement(self, ())
-
     def _check_letter(self, vertex: int, elem: int) -> None:
         if not (0 <= vertex < self.graph.n):
             raise ElementOutOfRangeError("vertex index out of range", vertex=vertex)

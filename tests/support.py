@@ -238,7 +238,7 @@ def reference_complete_closure(words: WordContext, elements, max_size: int = 10_
     truncation takes the set past ``max_size`` (so the seeds themselves are
     never counted), then the elements of ``optional`` one at a time while
     they fit."""
-    seed = {words.identity()}
+    seed = {words.normalize([])}
     for x in elements:
         words._check_ctx(x)
         seed.add(x)
@@ -736,8 +736,8 @@ def convention_flip(h: Multiplier) -> Multiplier:
 
     Applying the flip twice gives the original multiplier back.
     """
-    vals = [h.values[h.group.inverse(g)].conj() for g in range(h.group.order)]
-    return Multiplier(h.group, h.structure, tuple(vals))
+    vals = np.conj(h.scalars[h.group.inv])
+    return Multiplier(h.group, h.structure, tuple(CentralElement(h.structure, v) for v in vals))
 
 
 def reference_is_positive_definite(h, table, S=None, tol=1e-9):

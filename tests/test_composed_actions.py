@@ -174,7 +174,7 @@ def test_word_actions_compose_letter_index_arrays():
         assert moved.scalars.tobytes() == c.scalars[index].tobytes()
         x = words.normalize([(l.vertex, l.elem) for l in letters])
         assert x.letters == letters
-        gram = system.kernel_matrix([x, words.identity()])
+        gram = system.kernel_matrix([x, words.normalize([])])
         assert_same_values(gram[:, 1, 0], system.gp_value(x).scalars[index])
         assert system._value_rows()[1][words.intern(letters)].tolist() == index
     assert list(actions.act_word((b, a, b, a)).on_central(c).scalars.real) == [3.0, 1.0, 2.0]

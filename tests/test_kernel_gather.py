@@ -88,7 +88,7 @@ def test_gathered_stack_matches_on_unsorted_repeated_words(case, pyrandom):
     words = system.words
     elements = [words.normalize(raw) for raw in raws]
     # unsorted, with repeats and the identity; rarely prefix-closed
-    xs = elements + pyrandom.choices(elements, k=pyrandom.randint(0, 4)) + [words.identity()]
+    xs = elements + pyrandom.choices(elements, k=pyrandom.randint(0, 4)) + [words.normalize([])]
     pyrandom.shuffle(xs)
     assert_same_stack(system, xs)
     assert_products_match_multiply(words, xs, xs)
@@ -272,9 +272,9 @@ def test_kernel_matrix_rejects_words_of_another_context():
     first, second = build_scenario(cfg).system, build_scenario(cfg).system
     x = second.words.ball(1)[1]
     with pytest.raises(ContextMismatchError):
-        first.kernel_matrix([first.words.identity(), x])
+        first.kernel_matrix([first.words.normalize([]), x])
     with pytest.raises(ContextMismatchError):
-        first.kernel(first.words.identity(), x)
+        first.kernel(first.words.normalize([]), x)
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -327,7 +327,7 @@ def test_words_longer_than_the_recursion_limit():
         assert words.inverse(x) == inverse
         value = system.gp_value_letters(x.letters).scalars
         assert system.gp_value(x).scalars.tobytes() == value.tobytes()
-        gram = system.kernel_matrix([x, words.identity()])
+        gram = system.kernel_matrix([x, words.normalize([])])
         assert gram[:, 0, 1].tobytes() == system.gp_value_letters(inverse.letters).scalars.tobytes()
         moved = fold_on_central(system.actions, x.letters, CentralElement(system.structure, value))
         assert gram[:, 1, 0].tobytes() == moved.scalars.tobytes()

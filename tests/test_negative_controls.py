@@ -3,10 +3,11 @@ smallest input that fails it, or why none can.
 
 A ``pass`` is evidence only if some input would have failed the check.
 A row is a config where one exists, run through every suite, with whether
-it passes ``check-setup``: the main and lemma checks hold whenever setup
-does, so their controls break setup.  Where no system reaches a check's
-failing branch, the row calls the function the check reads.  A row with
-neither says why the check cannot fail once setup passes.
+it passes ``check-setup``.  Setup accepts a Gram matrix that is Hermitian
+within ``HERMITIAN_TOL`` = 1e-8, while ``kernel-star-symmetry`` and the
+cocycle identities hold to 1e-10 or 1e-12, so a near-Hermitian h passes
+setup and still fails them.  Where no config in the table reaches a
+check's failing branch, the row calls the function the check reads.
 """
 
 import json
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from gpmult.cli import build_scenario, load_config
-from gpmult.cocycles import cocycle_build, gns_build, negative_definite_check, schoenberg_is_pd
+from gpmult.cocycles import cocycle_build, gns_build, schoenberg_is_pd
 from gpmult.dynamics import trivial_action
 from gpmult.graphgroup import cyclic_group
 from gpmult.verifier import SUITES, _suite_checks, run_all, verify_setup
@@ -65,13 +66,17 @@ def peel_config() -> dict:
 NOT_PD = one_vertex(2, [1, 1.5])
 # h(g) = 0.3 + 0.1i on Z/2, where g is its own inverse: h(g^-1) is not conj(h(g)).
 NOT_STAR = one_vertex(2, [1, [[0.3, 0.1]]])
+# On Z/3, h(g^-1) is conj(h(g)) only up to 4e-9, inside the 1e-8 to which
+# setup symmetrizes: in the real part, and in the imaginary part.
+NEAR_STAR = one_vertex(3, [1, 0.3, 0.3 + 4e-9])
+NEAR_STAR_IMAG = one_vertex(3, [1, [[0.3, 4e-9]], 0.3])
 
 
-def schoenberg_overflow() -> dict:
-    """free_pair_z2 with a = (1, 0.5) and the one Schoenberg exponent
-    t = -1000, which the config accepts: exp(1000 Q^2) overflows."""
-    cfg = free_pair([1, 0.5])
-    cfg["verify"]["schoenberg_t"] = [-1000]
+def near_star_modules() -> dict:
+    """h = (1, 0.999 + 9e-9i, 0.999) on Z/3 and the Schoenberg exponent
+    t = 125000: the Gram matrix of exp(-t Q^2) is 5e-6 from Hermitian."""
+    cfg = one_vertex(3, [1, [[0.999, 9e-9]], 0.999])
+    cfg["verify"] = {"schoenberg_t": [125000]}
     return cfg
 
 
@@ -91,8 +96,12 @@ CONFIG_CONTROLS = {
     "haagerup-witness": (free_pair([1, 0.6]), True, "norm_too_large"),
     # h(e) = 0.9: positive definite, so setup passes, but no cocycle
     "vertex-*/cocycle-identity": (free_pair([0.9, 0.3]), True, "not_unital"),
-    # the overflow escapes verify_cocycles, past the guard around gns_build
-    "cocycle-modules": (schoenberg_overflow(), True, "not_finite"),
+    # <b(s)|b(s)> misses 2 - h~(s) - h~(s)* by the 4e-9 setup let through
+    "vertex-*/cocycle-norm-identity": (NEAR_STAR, True, None),
+    # the imaginary part leaves Q 8e-9 from its star symmetry; the check allows 1e-10
+    "vertex-*/negative-definiteness": (NEAR_STAR_IMAG, True, None),
+    # schoenberg_is_pd raises past the guard around gns_build
+    "cocycle-modules": (near_star_modules(), True, "not_hermitian"),
 }
 
 
@@ -109,32 +118,14 @@ def schoenberg_control() -> bool:
     return ok
 
 
-def negative_definiteness_control() -> bool:
-    """A positive definite function makes the form positive: h = (1, 0.5)
-    on Z/2, whose exact certificate is the DFT value 1 - 0.5."""
-    h = scalar_multiplier(cyclic_group(2), 1.0, 0.5)
-    rep = negative_definite_check(h.scalars, trivial_action(h.group, SCALAR), trials=8, seed=0)
-    assert abs(rep.exact_lambda_max - 0.5) < 1e-12
-    return rep.ok
-
-
-# The cocycle checks past cocycle-identity run only on a module of a unital
-# positive definite h, and the Q of such a module is a squared norm, so no
-# system fails these two; each calls its function on an input of its own.
+# schoenberg-positivity runs only on the module of a unital h that setup
+# certified; no config in the table fails it, so its row calls
+# schoenberg_is_pd on a Q that is no squared norm.
 DIRECT_CONTROLS = {
     "vertex-*/schoenberg-positivity": schoenberg_control,
-    "vertex-*/negative-definiteness": negative_definiteness_control,
 }
 
-CANNOT_FAIL = {
-    "vertex-*/cocycle-norm-identity": (
-        "it runs only after cocycle-identity built the cocycle of a unital "
-        "positive definite h, and then <b(s)|b(s)> = 2 - h(s) - h(s)* holds "
-        "by construction, up to a few ulps of the form's rounding"
-    ),
-}
-
-TABLE = {**CONFIG_CONTROLS, **DIRECT_CONTROLS, **CANNOT_FAIL}
+TABLE = {**CONFIG_CONTROLS, **DIRECT_CONTROLS}
 
 
 def test_every_check_kind_has_a_row():
@@ -147,7 +138,7 @@ def test_every_check_kind_has_a_row():
         for c in json.loads(path.read_text(encoding="utf-8"))["checks"]
     }
     listed = {name for suite in SUITES for name, _ in _suite_checks(suite)}
-    assert len(TABLE) == len(CONFIG_CONTROLS) + len(DIRECT_CONTROLS) + len(CANNOT_FAIL)
+    assert len(TABLE) == len(CONFIG_CONTROLS) + len(DIRECT_CONTROLS)
     assert set(TABLE) == emitted | listed
 
 
@@ -168,18 +159,27 @@ def test_direct_control_fails_its_check(name):
 
 def test_setup_passing_controls_fail_only_what_they_name():
     """free_pair_z2 with a = (1, 0.6) fails the witness alone; with
-    a = (0.9, 0.3) the witness also needs a unital h; the Schoenberg
-    overflow fails the cocycle suite alone."""
+    a = (0.9, 0.3) the witness also needs a unital h.  A near-Hermitian h
+    also fails the star symmetry, and with 9e-9 in two entries the Schwarz
+    inequality's matrices are 1.8e-8 from Hermitian, past setup's 1e-8."""
     failing = {
         key: sorted(c["name"] for c in run_all(build_scenario(cfg))["checks"] if not c["pass"])
         for key, cfg in (
             ("wide", free_pair([1, 0.6])),
             ("non-unital", free_pair([0.9, 0.3])),
-            ("overflow", schoenberg_overflow()),
+            ("near-star", NEAR_STAR),
+            ("near-star-imag", NEAR_STAR_IMAG),
+            ("near-star-modules", near_star_modules()),
         )
     }
     assert failing == {
         "wide": ["haagerup-witness"],
         "non-unital": ["haagerup-witness", "vertex-a/cocycle-identity"],
-        "overflow": ["cocycle-modules"],
+        "near-star": ["kernel-star-symmetry", "vertex-a/cocycle-norm-identity"],
+        "near-star-imag": [
+            "kernel-star-symmetry",
+            "vertex-a/cocycle-norm-identity",
+            "vertex-a/negative-definiteness",
+        ],
+        "near-star-modules": ["cocycle-modules", "kernel-star-symmetry", "schwarz-inequality"],
     }

@@ -75,7 +75,7 @@ def _sort_key(x):
 
 
 def oracle_closure(words, elements, budget=DEFAULT_BUDGET):
-    out = {words.identity(), *elements}
+    out = {words.normalize([]), *elements}
     todo = deque(sorted(out, key=_sort_key))
     while todo:
         for t in oracle_truncations(words, todo.popleft(), budget):
@@ -177,7 +177,7 @@ def _grown_word(words, rng, m):
     random generators, at most 4 m draws; random raw words mostly cancel
     to a few letters."""
     gens = generators(words)
-    x = words.identity()
+    x = words.normalize([])
     for _ in range(4 * m if gens else 0):
         y = words.multiply(x, words.normalize([gens[int(rng.integers(0, len(gens)))]]))
         if len(y) > len(x):
@@ -324,7 +324,7 @@ def test_cross_terms_and_shared_prefix_enumerate_no_rearrangements(monkeypatch):
     assert result.passed and not result.vacuous
     assert calls == []
     sc.system.words.rearrangements(sc.system.words.ball(2)[-1])  # the counters see a search
-    sc.system.gp_value(sc.system.words.identity())  # and an evaluation
+    sc.system.gp_value(sc.system.words.normalize([]))  # and an evaluation
     assert calls[:-1] and calls[-1] == "gp_value"
 
 

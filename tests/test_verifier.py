@@ -162,7 +162,7 @@ def test_main_theorem_builds_no_word_element(monkeypatch):
     results = [verify_main_theorem(sc) for sc in systems]
     assert len(built) == 0
     assert results[0].passed and [s[0] for s in results[0].sizes] == [70, 70, 68]
-    systems[0].system.words.identity()
+    systems[0].system.words.normalize([])
     assert len(built) == 1  # the counter counts
 
 
@@ -282,7 +282,7 @@ def sampler_inputs(sc):
     rng = np.random.default_rng([sc.seed, 101])
     cap = min(sc.max_set_size, sc.max_flat_dim // sc.system.structure.total_dim)
     for k in range(sc.num_sets):
-        base = list(words.ball(1)) if k == 0 else [words.identity()]
+        base = list(words.ball(1)) if k == 0 else [words.normalize([])]
         n_draw = min(sc.sample_size, len(ball))
         idx = sorted(int(i) for i in rng.choice(len(ball), size=n_draw, replace=False))
         yield base, [ball[i] for i in idx], cap
@@ -356,7 +356,7 @@ def test_complete_sets_are_complete_and_capped():
     for xs in sets:
         assert len(xs) <= sc.max_set_size
         assert is_complete(ctx, xs)
-    identity = ctx.identity()
+    identity = ctx.normalize([])
     assert identity in sets[0]
     for x in ctx.ball(1):
         assert x in sets[0]  # the first set always carries the radius-1 ball
