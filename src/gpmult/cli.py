@@ -200,6 +200,8 @@ def _build_action(spec, pointer, group, structure):
             for g, row in enumerate(_as_list(d[key], at, length=group.order))
         ]
         return build(group, structure, lists)
+    except ConfigError:
+        raise
     except GPMultError as err:
         raise ConfigError(pointer, str(err)) from err
 

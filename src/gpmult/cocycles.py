@@ -47,7 +47,7 @@ from .errors import (
     StructureMismatchError,
     SupportEscapeError,
 )
-from .matalg import is_positive
+from .matalg import DEFAULT_POS_TOL, is_positive
 from .multipliers import Multiplier, is_positive_definite
 
 
@@ -279,4 +279,4 @@ def schoenberg_is_pd(c: Cocycle, t: float):
     of the flipped multiplier is R*, which symmetrizes to the same matrix.
     """
     gram = _row_twisted(schoenberg_multiplier(c, t), c.module.table)
-    return is_positive(np.moveaxis(gram, -1, 0), tol=1e-9)
+    return is_positive(np.moveaxis(gram, -1, 0), tol=DEFAULT_POS_TOL)

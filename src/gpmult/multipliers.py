@@ -22,11 +22,12 @@ to the left-to-right product.  ``tree_rows`` takes one step per length over
 a prefix tree of arrays from :mod:`gpmult.wordcraft`: a ball, or its
 expression table, which lists every reduced expression of every ball word,
 so rearrangement independence and the witness bound are read off rows.
-Interned words get rows in a growing cache, and a kernel matrix over x_0,
-..., x_{n-1} is one gather ``G[k, i, j] = V[prod[i, j], P[x_j, k]]``, prod
-the ids of the products x_i^-1 x_j from the successor memo, x_i^-1 walked
-from x_i's letters; many families share one fill, and those of one size
-one gather.  Rows and stacks are in the system's dtype, fixed from the
+The interned words are such a tree too, each id with its length, and get
+rows in a growing cache, the new ids one length at a time; a kernel matrix
+over x_0, ..., x_{n-1} is one gather ``G[k, i, j] = V[prod[i, j], P[x_j,
+k]]``, prod the ids of the products x_i^-1 x_j from the successor memo,
+x_i^-1 walked from x_i's letters; many families share one fill, and those
+of one size one gather.  Rows and stacks are in the system's dtype, fixed from the
 vertex values when it is built: float64 when every value is finite and
 real, complex128 otherwise.  Actions only permute block scalars, so real
 values give real rows and kernel stacks, bit-equal to the real parts of
@@ -58,7 +59,7 @@ from .errors import (
     StructureMismatchError,
 )
 from .graphgroup import FiniteGroup
-from .matalg import BlockStructure, CentralElement, is_positive
+from .matalg import DEFAULT_POS_TOL, BlockStructure, CentralElement, is_positive
 from .wordcraft import DEFAULT_BUDGET, GPElement
 
 UNITAL_TOL = 1e-12
@@ -143,7 +144,7 @@ def is_positive_definite(h: Multiplier, table: ActionTable):
         raise ContextMismatchError("multiplier and action do not match")
     prod = h.group.table[h.group.inv]  # prod[i, j] = i^-1 j
     stack = h.scalars[prod[None, :, :], table.perms.T[:, None, :]]
-    return is_positive(stack, tol=1e-9)
+    return is_positive(stack, tol=DEFAULT_POS_TOL)
 
 
 def unitalize(h: Multiplier) -> Multiplier:
@@ -261,9 +262,10 @@ class MultiplierSystem:
         """Values and actions of all interned words: arrays V and P, row i
         those of word i.
 
-        Rows are filled by ``_fill_rows`` for every id without them.  Round
-        r takes the ids with r proper prefixes still without rows (counted
-        by pointer jumping), so each id is taken once.
+        Rows are filled by ``_fill_rows`` for every id without them, one
+        word length at a time as ``tree_rows`` fills a tree: the ids are
+        sorted stably by their lengths, and each length that has ids is one
+        round, so every prefix has its row before its extensions.
         """
         rows = self._value_cache
         words = self.words
@@ -278,19 +280,11 @@ class MultiplierSystem:
             lo = 1
         prefix = np.array(words._id_prefix[lo:n], dtype=np.intp)
         slot = np.array(words._id_last[lo:n], dtype=np.intp)
-        up = prefix - lo  # negative where the prefix has rows
-        depth = (up >= 0).astype(np.intp)
-        live = np.flatnonzero(up >= 0)
-        while live.size:
-            nxt = up[live]
-            depth[live] += depth[nxt]
-            up[live] = up[nxt]
-            live = live[up[live] >= 0]
-        # the same stable order, sorted in the smallest dtype that holds
-        # every depth (numpy radix-sorts 8- and 16-bit keys)
-        order = np.argsort(depth.astype(np.min_scalar_type(depth.max(initial=0))), kind="stable")
-        ends = np.cumsum(np.bincount(depth))
-        takes = (order[start:end] for start, end in zip((0, *ends[:-1]), ends))
+        length = np.array(words._id_len[lo:n], dtype=np.intp)
+        # keyed in the smallest dtype that holds them (numpy radix-sorts 8- and 16-bit keys)
+        order = np.argsort(length.astype(np.min_scalar_type(length.max(initial=0))), kind="stable")
+        ends = np.cumsum(np.bincount(length))
+        takes = (order[a:b] for a, b in zip((0, *ends[:-1]), ends) if a < b)
         self._fill_rows(V, P, ((lo + t, prefix[t], slot[t]) for t in takes))
         rows.filled = n
         return V[:n], P[:n]
@@ -559,18 +553,18 @@ def haagerup_witness_ball(
     ``budget`` caps the ball.
 
     The preconditions decide the verdict.  A word outside F has at least
-    K + 1 letters, each with a value of modulus at most 1/2 + 1e-12, and
-    twisting only permutes block scalars, so every block scalar of its value
-    has modulus at most (1/2 + 1e-12)^(K+1) < 2^-K <= eps.  So ``ok`` is
-    true whenever no precondition raises (a NaN or an infinite value fails
-    the norm precondition), and the report certifies the preconditions and
-    the measured largest norm.
+    K + 1 letters, each with a value of modulus at most 1/2 + ``UNITAL_TOL``
+    = t, and twisting only permutes block scalars, so every block scalar of
+    its value has modulus at most (1/2 + t)^(K+1) < 2^-K <= eps.  So ``ok``
+    is true whenever no precondition raises (a NaN or an infinite value
+    fails the norm precondition), and the report certifies the
+    preconditions and the measured largest norm.
     """
     for v, h in enumerate(system.multipliers):
         if not h.is_unital:
             raise NotUnitalError("vertex multiplier is not unital", vertex=v)
         sup = h.off_identity_sup()
-        if not sup <= 0.5 + 1e-12:  # a NaN fails too
+        if not sup <= 0.5 + UNITAL_TOL:  # a NaN fails too
             raise NormTooLargeError(
                 "off-identity values must have norm at most 1/2", vertex=v, sup=sup
             )

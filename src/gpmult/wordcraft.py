@@ -9,10 +9,12 @@ back to, or is inserted at the one place that keeps the word least (Green's
 normal form theorem; the shortlex forms of Hermiller and Meier).
 
 Single words are interned as integer ids.  A prefix of a canonical word is
-canonical, so an id is stored as the id of its prefix and its last letter,
-and a word's letters are read back along its prefixes.  The successor table
-is a flat list with one row of letter slots per id, holding the id of the
-canonical product of the word and the slot's letter (-1 while unknown):
+canonical, so the ids form a prefix tree like the ball arrays, rooted at
+the identity, id 0, from the context's construction on: an id is stored
+as the id of its prefix, its last letter and its length, and a word's
+letters are read back along its prefixes.  The successor table is a flat
+list with one row of letter slots per id, holding the id of the canonical
+product of the word and the slot's letter (-1 while unknown):
 normal forms, products and inverses are walks of successors from the
 identity or from the left factor (an inverse by the inverted letters, met
 from the last along the word's prefixes).  A miss does not rescan the
@@ -146,6 +148,13 @@ class BallArrays(NamedTuple):
         ends = self.ends[: None if radius is None else radius + 1]
         return zip(ends[:-1], ends[1:])
 
+    def slots(self) -> list:
+        """The slots of each word's letters, read along its prefixes."""
+        out = [()]
+        for p, s in zip(self.prefix[1:].tolist(), self.last[1:].tolist()):
+            out.append(out[p] + (s,))
+        return out
+
 
 class ExpressionTable(NamedTuple):
     """Every reduced expression of every word of a ball as a prefix tree of
@@ -176,18 +185,7 @@ class WordContext:
         self._sf_cache: dict = {}
         # radius -> per vertex the (class, y c index, nc) arrays over the ball
         self._sf_tables: dict = {}
-        self._balls: dict = {}  # radius -> ball
         self._ball_arrays: dict = {}  # radius -> BallArrays
-        # interned canonical words: per id the id of its prefix and the slot
-        # of its last letter (-1 and -1 for the identity, id 0, which is
-        # installed on first use)
-        self._id_prefix: list = []
-        self._id_last: list = []
-        # successor table: entry id * letter_slots + slot is the id of the
-        # canonical product of word id and the slot's letter, -1 while
-        # unknown; each new id appends its row, and when the product is the
-        # word with the letter appended, its entry is what interns that word
-        self._succ: list = []
         # per id the ids of its immediate truncations
         self._truncations: dict = {}
         self._slot_offset = tuple(
@@ -195,6 +193,14 @@ class WordContext:
         )
         self._letter_slots = sum(g.order for g in self.groups)
         self._unknown_row = [-1] * self._letter_slots
+        # interned canonical words: per id the id of its prefix, the slot of
+        # its last letter and its length (-1, -1 and 0 for the identity, id 0)
+        self._id_prefix, self._id_last, self._id_len = [-1], [-1], [0]
+        # successor table: entry id * letter_slots + slot is the id of the
+        # canonical product of word id and the slot's letter, -1 while
+        # unknown; each new id appends its row, and when the product is the
+        # word with the letter appended, its entry is what interns that word
+        self._succ: list = list(self._unknown_row)
         # per vertex the vertices not joined to it, itself included
         self._apart = tuple(
             frozenset(u for u in range(graph.n) if not graph.adjacent(u, v))
@@ -305,10 +311,6 @@ class WordContext:
         Every prefix of the word gets a smaller id than the word, so
         ascending ids list each word after all of its prefixes.
         """
-        if not self._id_prefix:
-            self._id_prefix.append(-1)
-            self._id_last.append(-1)
-            self._succ.extend(self._unknown_row)
         i = 0
         offset = self._slot_offset
         for l in letters:
@@ -324,6 +326,7 @@ class WordContext:
             j = self._succ[key] = len(self._id_prefix)
             self._id_prefix.append(i)
             self._id_last.append(slot)
+            self._id_len.append(self._id_len[i] + 1)
             self._succ.extend(self._unknown_row)
         return j
 
@@ -381,7 +384,7 @@ class WordContext:
     def _word_id(self, letters) -> int:
         """Id of the canonical word of a letter sequence, one successor per
         letter from the identity."""
-        i = self.intern(())
+        i = 0
         for l in letters:
             i = self.successor(i, l)
         return i
@@ -460,7 +463,7 @@ class WordContext:
         ball's arrays."""
         arrays = self.ball_arrays(radius)
         prefix, last = arrays.prefix.item, arrays.last.item
-        ids = {0: self.intern(())}  # ball index -> id
+        ids = {0: 0}  # ball index -> id
         for x in indices:
             chain = []  # x and its prefixes down to one with an id
             while x not in ids:
@@ -536,28 +539,28 @@ class WordContext:
             out = self._truncations[i] = tuple(out)
         return out
 
-    def _leq(self, x: GPElement, y: GPElement, budget: int) -> bool:
-        """Truncation order: x below y when x arises by repeatedly dropping a
-        first or last letter from rearrangements of y, that is when x lies
-        in the closure of y; ``budget`` caps the closure's size."""
-        if x.letters == y.letters:
+    def _leq(self, x: int, y: int, budget: int) -> bool:
+        """Truncation order on ids: x below y when x arises by repeatedly
+        dropping a first or last letter from rearrangements of y, that is
+        when x is in the closure of y, of at most ``budget`` words."""
+        if x == y:
             return True
-        if len(x.letters) >= len(y.letters):
+        if self._id_len[x] >= self._id_len[y]:
             return False
-        return x in self.complete_closure([y], max_size=budget)
+        return x in self.complete_closure_ids([y], max_size=budget)
 
-    def complete_closure(self, elements, max_size: int = 10_000):
+    def complete_closure(self, elements):
         """Smallest truncation-closed set containing the input and the identity,
-        as elements: ``complete_closure_ids`` over the words' ids.
+        as elements: ``complete_closure_ids`` over the words' ids, under its
+        default size cap.
 
         Closed means: with every member, all one-letter truncations of all its
         rearrangements are members too.  Sorted deterministically by (length,
-        letters).  ``max_size`` caps the closure: ``BudgetExceededError``
-        when the closure does not fit.
+        letters).
         """
         elements = list(elements)
         self._check_ctx(*elements)
-        ids = self.complete_closure_ids([self.intern(x.letters) for x in elements], max_size)
+        ids = self.complete_closure_ids([self.intern(x.letters) for x in elements])
         return tuple(map(self._element, ids))
 
     def complete_closure_ids(self, required, max_size: int = 10_000, optional=()) -> list:
@@ -575,7 +578,7 @@ class WordContext:
         fits.
         """
         out = set()
-        for k, batch in enumerate(chain([(self.intern(()), *required)], ([i] for i in optional))):
+        for k, batch in enumerate(chain([(0, *required)], ([i] for i in optional))):
             new = set(batch) - out
             todo = deque(new)
             while todo and len(out) + len(new) <= max_size:
@@ -686,17 +689,18 @@ class WordContext:
         y c a b of x, and deleting the same letters from two equivalent
         words leaves equivalent words (Diekert-Rozenberg, The Book of
         Traces), so one walk of the ball's successor table over those
-        letters gives its ball index.
+        letters gives its ball index.  The words' slots are read off the
+        ball's arrays, so no element is built.
         """
-        ball = self.ball(radius, budget)
+        arrays = self.ball_arrays(radius, budget)
         table = self._sf_tables.get(radius)
         if table is None:
-            n = self.graph.n
+            n, vertex = self.graph.n, self._vertex_of
+            ball, succ = arrays.slots(), arrays.succ.tolist()
             out = np.full((n, 3, len(ball)), -1, dtype=np.intp)  # [v0, (cls, yc, nc), i]
             classes = [{} for _ in range(n)]  # per vertex: y vertex word -> class
-            succ, offset = self.ball_arrays(radius).succ.tolist(), self._slot_offset
             for i, x in enumerate(ball):
-                vs = x.vertex_word
+                vs = tuple(vertex[s] for s in x)
                 for v0 in range(n):
                     parts, out[v0, 2, i] = self._standard_labels(vs, v0)
                     if parts is None:
@@ -704,9 +708,9 @@ class WordContext:
                     y = tuple(v for v, p in zip(vs, parts) if p == "y")
                     out[v0, 0, i] = classes[v0].setdefault(y, len(classes[v0]))
                     yc = 0
-                    for l, p in zip(x.letters, parts):
+                    for s, p in zip(x, parts):
                         if p in "yc":
-                            yc = succ[yc][offset[l.vertex] + l.elem]
+                            yc = succ[yc][s]
                     out[v0, 1, i] = yc
             out.flags.writeable = False
             table = self._sf_tables[radius] = tuple(tuple(rows) for rows in out)
@@ -729,7 +733,7 @@ class WordContext:
         self._check_ctx(x)
         if v0 not in x.vertex_word:
             raise NoV0LetterError("element has no letter at the vertex", v0=v0)
-        n_target = self.downset_nc_max(x, v0)
+        n_target, xid = self.downset_nc_max(x, v0), self.intern(x.letters)
         adjacent = self.graph.adjacent
         # stage 1: choose the split point at a v0 letter, minimizing |b|
         cands = []
@@ -764,7 +768,7 @@ class WordContext:
                 for j in range(start, stop + 1):
                     if j > start:
                         y = self.successor(y, rp[j - 1])
-                    if self._leq(self._element(self.successor(y, letter)), x, budget):
+                    if self._leq(self.successor(y, letter), xid, budget):
                         if j != best_y:
                             best_y, winners = j, set()
                         winners.add((y, self._word_id(rp[j:]), letter, self._word_id(b)))
@@ -784,19 +788,14 @@ class WordContext:
 
     def ball(self, radius: int, budget: int = DEFAULT_BUDGET):
         """All elements of word length at most ``radius``, sorted, read off
-        ``ball_arrays`` and memoized per radius.
+        ``ball_arrays``.
 
         ``BudgetExceededError`` names the radius whose words were being
         listed when the ball outgrew ``budget``.
         """
-        arrays = self.ball_arrays(radius, budget)
-        out = self._balls.get(radius)
-        if out is None:
-            letters, slot_letter = [()], self._slot_letter
-            for p, s in zip(arrays.prefix[1:].tolist(), arrays.last[1:].tolist()):
-                letters.append(letters[p] + (slot_letter[s],))
-            out = self._balls[radius] = tuple(GPElement(self, l) for l in letters)
-        return out
+        letter = self._slot_letter
+        slots = self.ball_arrays(radius, budget).slots()
+        return tuple(GPElement(self, tuple(letter[s] for s in x)) for x in slots)
 
     def ball_arrays(self, radius: int, budget: int | None = None) -> BallArrays:
         """The ball of ``radius`` as integer arrays in ball order, memoized

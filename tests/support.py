@@ -30,7 +30,8 @@ the one-scan ``is_reduced``; ``oracle_truncations`` lists a word's
 rearrangement class and pushes r[1:] and r[:-1] of each, the oracle of the
 truncations ``WordContext`` reads off the letter order, and the two-phase
 closure walks it; ``id_closure`` reads ``complete_closure_ids`` with
-optional words back as elements.
+optional words back as elements; ``count_elements`` counts the elements
+the word layer builds.
 """
 
 import itertools
@@ -38,6 +39,7 @@ from collections import deque
 
 import numpy as np
 
+from gpmult import wordcraft
 from gpmult.cocycles import schoenberg_multiplier
 from gpmult.dynamics import (
     MAP_TOL,
@@ -211,13 +213,28 @@ def leq(words: WordContext, x: GPElement, y: GPElement, budget: int = DEFAULT_BU
     """Truncation order: x below y when x arises by repeatedly dropping a
     first or last letter from rearrangements of y."""
     words._check_ctx(x, y)
-    return words._leq(x, y, budget)
+    return words._leq(words.intern(x.letters), words.intern(y.letters), budget)
 
 
-def downset(words: WordContext, x: GPElement, max_size: int = 10_000):
+def count_elements(monkeypatch) -> list:
+    """Put a counting subclass in for ``wordcraft.GPElement``: the returned
+    list gets the arguments of every element the word layer builds from
+    then on."""
+    built = []
+
+    class CountingElement(GPElement):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(wordcraft, "GPElement", CountingElement)
+    return built
+
+
+def downset(words: WordContext, x: GPElement):
     """All elements below x in the truncation order (x included), sorted:
     the closure of x."""
-    return words.complete_closure([x], max_size=max_size)
+    return words.complete_closure([x])
 
 
 def oracle_truncations(words: WordContext, z: GPElement, budget: int = DEFAULT_BUDGET) -> set:

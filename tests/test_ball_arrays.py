@@ -29,6 +29,8 @@ from gpmult.graphgroup import SimplicialGraph, cyclic_group, dihedral_group, sym
 from gpmult.verifier import Scenario, _guarded, verify_drop_last, verify_peel_off
 from gpmult.wordcraft import WordContext
 from support import (
+    count_elements,
+    generators,
     groupoid_from_space,
     growth_sphere_sizes,
     k4_z2_config,
@@ -167,11 +169,38 @@ def test_budget_stops_the_listing_at_the_sphere_that_outgrows_it():
     with pytest.raises(BudgetExceededError) as err:
         words.ball(60, budget=100)
     assert err.value.context == {"budget": 100, "radius_reached": 3, "words": 101}
-    assert not words._ball_arrays and not words._balls
+    assert not words._ball_arrays
     complete = SimplicialGraph.build("abc", [("a", "b"), ("b", "c"), ("a", "c")])
     words = WordContext(complete, [cyclic_group(2)] * 3)
     assert words.ball_arrays(1000).ends == (1, 4, 7, 8)
     assert len(words.ball(1000)) == 8 and len(words.ball_arrays(1000).prefix) == 8
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_products(), st.data())
+def test_interned_ids_form_a_rooted_prefix_tree_with_lengths(system, data):
+    """From construction on, id 0 is the identity, and after random
+    normalizations, products, inverses and product walks every id's prefix
+    has a smaller id and its recorded length is that of its word."""
+    words = system.words
+    assert (words._id_prefix, words._id_last, words._id_len) == ([-1], [-1], [0])
+    assert len(words._succ) == words._letter_slots
+    raw = st.lists(st.sampled_from(generators(words)), max_size=8)
+    xs = [words.normalize(r) for r in data.draw(st.lists(raw, min_size=1, max_size=6))]
+    for x, y in data.draw(st.lists(st.tuples(st.sampled_from(xs), st.sampled_from(xs)), max_size=6)):
+        xs.append(words.multiply(x, y))
+    ids = [words.intern(x.letters) for x in xs]
+    ids += words.inverse_ids(ids)
+    lefts = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=6))
+    rights = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=6))
+    words.product_ids(lefts, rights)
+    n = len(words._id_prefix)
+    assert len(words._id_last) == len(words._id_len) == n and len(words._succ) == n * words._letter_slots
+    assert (words._id_prefix[0], words._id_last[0], words._id_len[0]) == (-1, -1, 0)
+    assert words._element(0).letters == ()
+    for i in range(1, n):
+        assert words._id_len[i] == len(words._element(i).letters)
+        assert 0 <= words._id_prefix[i] < i
 
 
 # ----------------------------------------------------------------------
@@ -212,16 +241,17 @@ def test_ball_stack_matches_kernel_matrix_on_random_products(system):
     assert_stack_matches_the_memo(system, identity_radius(system.words))
 
 
-def test_ball_stack_interns_no_word_of_the_doubled_ball():
+def test_ball_stack_interns_no_word_of_the_doubled_ball(monkeypatch):
     """The stack over ball(r) reads ball(2 r) off the arrays and builds no
-    word: the dict memo and the balls' words stay as they were."""
+    word: the interned ids stay as they were and no element is built."""
+    built = count_elements(monkeypatch)
     sc = scenario("path_mixed")
     words = sc.system.words
     words.normalize([(0, 1), (1, 1)])
-    before = len(words._id_prefix)
+    before, elements = len(words._id_prefix), len(built)
     stack = sc.system.ball_stack(sc.identity_radius, sc.budget)
     assert len(words.ball_arrays(2 * sc.identity_radius).prefix) > len(stack.inverse)
-    assert len(words._id_prefix) == before and not words._balls
+    assert len(words._id_prefix) == before and len(built) == elements == 1
 
 
 # ----------------------------------------------------------------------

@@ -210,6 +210,27 @@ def test_unknown_edge_vertex(capsys, tmp_path):
     assert "config error at /graph/edges/0/1" in err
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("x", "config error at /actions/u/phases/1/0/3: expected a number"),
+        ([0.0] * 5, "config error at /actions/u/phases/1/0: expected 6 entries, got 5"),
+    ],
+)
+def test_action_list_errors_name_the_entry(capsys, tmp_path, entry, message):
+    """An error inside an action list keeps its own pointer, with no copy
+    of it in brackets after the action's."""
+    with open("scenarios/tensor_edge_z2_z3.json", "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    if isinstance(entry, list):
+        cfg["actions"]["u"]["phases"][1][0] = entry
+    else:
+        cfg["actions"]["u"]["phases"][1][0][3] = entry
+    code, out, err = run(capsys, ["check-setup", write_config(tmp_path, cfg)])
+    assert code == 2 and out == ""
+    assert err.strip() == message
+
+
 @pytest.mark.parametrize("blocks", [[10**20], [16, 1], [1] * 257])
 def test_oversized_algebra_is_a_config_error(capsys, tmp_path, blocks):
     """Block dimensions whose squares sum past ``MAX_UNIT_DIM`` exit 2 with

@@ -66,7 +66,7 @@ def test_id_closure_matches_the_reference_closure(system, data):
     else:
         assert got == want
         if not optional:
-            assert outcome(lambda: words.complete_closure(elements, max_size)) == want
+            assert list(words.complete_closure(elements)) == id_closure(words, elements)
 
 
 def s3_d4_words():

@@ -183,9 +183,9 @@ def test_word_actions_compose_letter_index_arrays():
 
 def _memo_tables(system):
     """Every memo table of a system: the four that grow with the ball (the
-    value rows hold the word actions too), the interned words, the successor
-    table, the immediate truncations by id, the balls, their arrays, the
-    ball standard-form tables and the ball kernel stacks."""
+    value rows hold the word actions too), the interned words with their
+    lengths, the successor table, the immediate truncations by id, the ball
+    arrays, the ball standard-form tables and the ball kernel stacks."""
     words = system.words
     return {
         "kernel": system._kernel.cache,
@@ -194,12 +194,29 @@ def _memo_tables(system):
         "standard_form": words._sf_cache,
         "id_prefix": words._id_prefix,
         "id_last": words._id_last,
+        "id_len": words._id_len,
         "successors": words._succ,
         "truncations": words._truncations,
-        "balls": words._balls,
         "ball_arrays": words._ball_arrays,
         "standard_form_tables": words._sf_tables,
         "ball_stacks": system._ball_stacks,
+    }
+
+
+def _cold_tables(system) -> set:
+    """Names of the memo tables that hold what a fresh system's hold: the
+    interned words exactly the identity, id 0, with one unknown successor
+    row, and every other table nothing."""
+    root = {
+        "id_prefix": [-1],
+        "id_last": [-1],
+        "id_len": [0],
+        "successors": [-1] * system.words._letter_slots,
+    }
+    return {
+        name
+        for name, table in _memo_tables(system).items()
+        if (table == root[name] if name in root else len(table) == 0)
     }
 
 
@@ -207,18 +224,18 @@ def _memo_tables(system):
 # forms and down-set maxima from the ball's standard-form table, built off
 # the letter order, and it closes no set under truncation, so it leaves
 # these cold.
-NOT_FILLED_BY_LEMMAS = ("kernel", "downset", "standard_form", "truncations")
+NOT_FILLED_BY_LEMMAS = {"kernel", "downset", "standard_form", "truncations"}
 
 
 def test_fresh_scenarios_start_with_cold_unshared_memo_tables():
     cfg = load_config("scenarios/path_mixed.json")
     first, second = build_scenario(cfg), build_scenario(cfg)
     for sc in (first, second):
-        assert all(len(t) == 0 for t in _memo_tables(sc.system).values())
+        assert _cold_tables(sc.system) == set(_memo_tables(sc.system))
     ids = [id(t) for sc in (first, second) for t in _memo_tables(sc.system).values()]
     assert len(set(ids)) == len(ids)
     run_suite(first, "lemmas")
-    for name, table in _memo_tables(first.system).items():
-        assert (len(table) == 0) == (name in NOT_FILLED_BY_LEMMAS), name
-    assert all(len(t) == 0 for t in _memo_tables(second.system).values())
-    assert all(len(t) == 0 for t in _memo_tables(build_scenario(cfg).system).values())
+    assert _cold_tables(first.system) == NOT_FILLED_BY_LEMMAS
+    assert _cold_tables(second.system) == set(_memo_tables(second.system))
+    fresh = build_scenario(cfg).system
+    assert _cold_tables(fresh) == set(_memo_tables(fresh))

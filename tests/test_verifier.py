@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpmult.cli import build_scenario, load_config
+from gpmult.cli import build_scenario, load_config, main
 from gpmult.errors import BudgetExceededError
 from gpmult.matalg import AlgebraElement
 from gpmult.verifier import (
@@ -22,7 +22,7 @@ from gpmult.verifier import (
     verify_y1_square,
 )
 from gpmult.wordcraft import GPElement
-from support import complete_set_elements, is_complete, k4_z2_config
+from support import complete_set_elements, count_elements, id_closure, is_complete, k4_z2_config
 
 ALL_SUITES = ("main", "lemmas", "haagerup", "cocycles")
 SCENARIOS = sorted(p.stem for p in Path("scenarios").glob("*.json"))
@@ -30,6 +30,24 @@ SCENARIOS = sorted(p.stem for p in Path("scenarios").glob("*.json"))
 
 def scenario(name):
     return build_scenario(load_config(f"scenarios/{name}.json"))
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_run_all_builds_no_element(monkeypatch, capsys, name):
+    """Every suite reads words as ids and ball arrays, so verifying a
+    committed scenario builds no ``GPElement``; normalize and eval, which
+    hand a word back, still build one."""
+    built = count_elements(monkeypatch)
+    sc = build_scenario(load_config(f"scenarios/{name}.json"), seed=42)
+    run_all(sc, suites=ALL_SUITES, threads=1)
+    assert built == []
+    words = sc.system.words
+    x = words.normalize([(0, 1)])
+    assert isinstance(x, GPElement) and len(x) == 1 and len(built) == 1
+    word = json.dumps([[words.graph.vertices[0], 1]])
+    assert main(["eval", f"scenarios/{name}.json", "--word", word]) == 0
+    assert json.loads(capsys.readouterr().out)["canonical"] == [[words.graph.vertices[0], 1]]
+    assert len(built) > 1
 
 
 @pytest.fixture(scope="module")
@@ -296,7 +314,7 @@ def retry_complete_sets(sc):
     for base, sample, cap in sampler_inputs(sc):
         while True:
             try:
-                closure = words.complete_closure(base + sample, max_size=cap)
+                closure = id_closure(words, base + sample, max_size=cap)
                 break
             except BudgetExceededError as err:
                 if not sample or "max_size" not in err.context:
@@ -313,11 +331,11 @@ def prefix_complete_sets(sc):
     sets = []
     for base, sample, cap in sampler_inputs(sc):
         closures = [
-            words.complete_closure(base + sample[:m], max_size=10**9)
+            id_closure(words, base + sample[:m], max_size=10**9)
             for m in range(len(sample) + 1)
         ]
         fits = [c for c in closures if len(c) <= cap]
-        sets.append(fits[-1] if fits else words.complete_closure(base, max_size=cap))
+        sets.append(fits[-1] if fits else id_closure(words, base, max_size=cap))
     return sets
 
 

@@ -409,10 +409,10 @@ def test_closure_counts_its_identity_and_input_against_max_size():
     ctx = free_pair()
     ball = ctx.ball(1)
     with pytest.raises(BudgetExceededError, match="closure exceeds size budget") as err:
-        ctx.complete_closure(ball, max_size=2)
+        id_closure(ctx, ball, max_size=2)
     assert err.value.context == {"max_size": 2, "words": 3}
     assert len(reference_complete_closure(ctx, ball, max_size=2)) == 3
-    assert ctx.complete_closure(ball, max_size=3) == ball
+    assert id_closure(ctx, ball, max_size=3) == list(ball)
 
 
 def _closure_outcome(closure, ctx, *args, **kwargs):
