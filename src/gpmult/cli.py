@@ -7,7 +7,7 @@ complaint carries a JSON-pointer to the offending entry; presets are
 expanded before use and the expansion is echoed into verification reports.
 
 Exit codes: 0 all requested checks passed, 1 at least one check failed,
-2 invalid configuration, 3 a search budget was exhausted.
+2 invalid configuration or an unwritable ``--out``, 3 a search budget ran out.
 """
 
 from __future__ import annotations
@@ -537,6 +537,9 @@ def main(argv=None) -> int:
     except GPMultError as err:
         print(f"error [{err.code}]: {err}", file=sys.stderr)
         return 1
+    except OSError as err:  # load_config reports its own as a ConfigError
+        print(f"error: cannot write {args.out or 'stdout'}: {err.strerror or err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -303,13 +303,12 @@ def verify_peel_off(sc: Scenario) -> CheckResult:
     where t = l^-1 x is the element of the tail r': h(l)[P[t^-1]] * V[t]
     with the value and action rows V and P of the ball, h(l) the row of
     the one-letter word.  The expressions are the word context's
-    expression table and their values its rows; the first letter and t are
-    carried down its prefix column, t by the ball's successor table.
+    expression table and their values its rows; the first letter is carried
+    down its prefix column, and t = Q[l^-1, x] is read off the ball's products.
     """
     sys_ = sc.system
-    words = sys_.words
     stack = sys_.ball_stack(sc.identity_radius, sc.budget)
-    table = words.expression_table(sc.identity_radius, sc.budget)
+    table = sys_.words.expression_table(sc.identity_radius, sc.budget)
     if len(table.prefix) == 1:
         return _vacuous(
             "peel-first-letter",
@@ -317,15 +316,11 @@ def verify_peel_off(sc: Scenario) -> CheckResult:
             "no nontrivial element in the identity-check ball",
             {"expressions": 0},
         )
-    succ = words.ball_arrays(sc.identity_radius).succ
     first = table.word.copy()  # the ball index of each expression's first letter
-    tail = np.zeros_like(first)  # and of its t
     for a, b in zip(table.ends[1:-1], table.ends[2:]):
-        p = table.prefix[a:b]
-        first[a:b] = first[p]
-        tail[a:b] = succ[tail[p], table.last[a:b]]
+        first[a:b] = first[table.prefix[a:b]]
     lhs, _ = sys_.tree_rows(table)
-    first, t = first[1:], tail[1:]
+    first, t = first[1:], stack.products[stack.inverse[first[1:]], table.word[1:]]
     rhs = stack.values[first[:, None], stack.actions[stack.inverse[t]]] * stack.values[t]
     worst = float(np.abs(lhs[1:] - rhs).max())  # NaN if one is NaN
     return CheckResult(
@@ -487,8 +482,8 @@ def _dominance_check(name, families, stacks, tuple_target, no_family, vanishes, 
     accepted families' differences are computed over the family axis and
     share one eigensolve per size.  The reasons ``no_family`` and
     ``vanishes`` make the result vacuous when nothing was accepted or every
-    difference vanished; ``rejected`` counts the drawn families that were
-    not accepted.
+    difference vanished, and a ``tuple_target`` of 0, which draws nothing,
+    says so; ``rejected`` counts the drawn families that were not accepted.
     """
     worst = np.inf
     drawn = accepted = non_vacuous = 0
@@ -510,7 +505,7 @@ def _dominance_check(name, families, stacks, tuple_target, no_family, vanishes, 
         worst = min(worst, lam)
         all_ok = all_ok and (lam >= -ABS_PSD_TOL)
     if accepted == 0:
-        return _vacuous(name, "lemmas", no_family)
+        return _vacuous(name, "lemmas", no_family if tuple_target else "no family drawn (tuple_target is 0)")
     counts = {"families": accepted, "non_vacuous": non_vacuous}
     if rejected:
         counts["rejected"] = drawn - accepted

@@ -678,7 +678,7 @@ class WordContext:
         return form
 
     def standard_form_table(self, radius: int, budget: int = DEFAULT_BUDGET) -> tuple:
-        """The standard forms over ``ball(radius, budget)``, per vertex v0 as
+        """The standard forms over ``ball_arrays(radius, budget)``, per vertex v0 as
         three read-only integer arrays over the ball, memoized per radius.
 
         Per word x: its class, the y vertex word numbered in order of first
@@ -786,20 +786,18 @@ class WordContext:
     # ------------------------------------------------------------------
     # enumeration
 
-    def ball(self, radius: int, budget: int = DEFAULT_BUDGET):
+    def ball(self, radius: int):
         """All elements of word length at most ``radius``, sorted, read off
-        ``ball_arrays``.
-
-        ``BudgetExceededError`` names the radius whose words were being
-        listed when the ball outgrew ``budget``.
-        """
+        ``ball_arrays`` under ``DEFAULT_BUDGET``; the package itself names
+        ball words by their ball index."""
         letter = self._slot_letter
-        slots = self.ball_arrays(radius, budget).slots()
+        slots = self.ball_arrays(radius, DEFAULT_BUDGET).slots()
         return tuple(GPElement(self, tuple(letter[s] for s in x)) for x in slots)
 
     def ball_arrays(self, radius: int, budget: int | None = None) -> BallArrays:
         """The ball of ``radius`` as integer arrays in ball order, memoized
-        per radius; a ``budget`` bounds its words as in ``ball``.
+        per radius; past ``budget`` words ``BudgetExceededError`` names the
+        radius whose words were being listed.
 
         The canonical words are listed sphere by sphere by the graph-product
         automaton (Hermiller-Meier).  The state of a word is the set B of
@@ -866,7 +864,7 @@ class WordContext:
         return BallArrays(prefix, last, tuple(ends), succ)
 
     def last_letter_table(self, radius: int, budget: int = DEFAULT_BUDGET) -> tuple:
-        """Per word x of ``ball(radius, budget)`` and vertex u: the ball
+        """Per word x of ``ball_arrays(radius, budget)`` and vertex u: the ball
         index of x with its last letter at u deleted, and the slot of that
         letter, as two ``(N, n)`` arrays, -1 where no rearrangement of x ends
         at u; and the size of x's rearrangement class.
@@ -878,7 +876,7 @@ class WordContext:
         so the class size is the sum of the class sizes of the deletions;
         sizes are capped just past ``budget``, and the first word in ball
         order whose class exceeds it raises the error ``rearrangements``
-        raises for it.
+        raises for it, its letters read off the ball arrays.
         """
         arrays = self.ball_arrays(radius, budget)
         adj, vertex = self._adjacency, self._slot_vertex
@@ -898,11 +896,11 @@ class WordContext:
             sizes[a:b] = np.minimum(np.where(h >= 0, sizes[h], 0).sum(axis=1), cap)
         over = np.flatnonzero(sizes >= cap)
         if over.size:
-            raise _class_budget_error(self.ball(radius, budget)[over[0]].letters, budget, cap)
+            raise _class_budget_error([self._slot_letter[s] for s in arrays.slots()[over[0]]], budget, cap)
         return heads, slots, sizes
 
     def expression_table(self, radius: int, budget: int = DEFAULT_BUDGET) -> ExpressionTable:
-        """Every reduced expression of every word of ``ball(radius, budget)``
+        """Every reduced expression of every word of ``ball_arrays(radius, budget)``
         with no search, and the budget errors of ``last_letter_table``: the
         empty one first, then each word's in one run, in ball order.
 

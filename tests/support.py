@@ -179,6 +179,13 @@ def reference_ball(words: WordContext, radius: int) -> list:
     return sorted(map(words._element, seen), key=lambda x: (len(x), x.letters))
 
 
+def budgeted_ball(words: WordContext, radius: int, budget: int) -> tuple:
+    """``ball(radius)`` after ``ball_arrays(radius, budget)``, so a ball
+    past ``budget`` raises the error a check bounded by it raises."""
+    words.ball_arrays(radius, budget)
+    return words.ball(radius)
+
+
 def growth_sphere_sizes(words: WordContext, radius: int) -> list:
     """Sphere sizes 0..radius of the graph product from its growth series
     (Chiswell, Bull. London Math. Soc. 26, 1994), with no word listed.
@@ -457,7 +464,7 @@ def reference_gp_well_defined(
     witness = None
     n_words = 0
     n_exprs = 0
-    for x in words.ball(radius, budget=budget):
+    for x in budgeted_ball(words, radius, budget):
         base = system.gp_value(x)
         n_words += 1
         for r in words.rearrangements(x, budget=budget):
@@ -480,7 +487,7 @@ def reference_haagerup_witness_ball(
 ) -> WitnessReport:
     """haagerup-witness past its preconditions, one ``gp_value`` norm per
     ball word longer than K."""
-    ball = system.words.ball(L, budget=budget)
+    ball = budgeted_ball(system.words, L, budget)
     worst = 0.0
     for x in ball:
         if len(x) > K:
@@ -502,7 +509,7 @@ def reference_verify_peel_off(sc) -> CheckResult:
     words = sys_.words
     worst = 0.0
     n_checked = 0
-    for x in words.ball(sc.identity_radius, budget=sc.budget):
+    for x in budgeted_ball(words, sc.identity_radius, sc.budget):
         if not x.letters:
             continue
         for r in words.rearrangements(x, budget=sc.budget):
@@ -529,6 +536,24 @@ def reference_verify_peel_off(sc) -> CheckResult:
     )
 
 
+def successor_walk_tails(words: WordContext, radius: int) -> tuple:
+    """Per expression l r' of ``expression_table(radius)`` the ball indices
+    of its first letter l and of the element t of its tail r', both carried
+    down the prefix column, t by the ball's successor table: the empty
+    expression's t is the identity, and a longer one's is its prefix's t
+    with the last letter appended.  peel-first-letter walked this before it
+    read t off the ball's product table."""
+    table = words.expression_table(radius)
+    succ = words.ball_arrays(radius).succ
+    first = table.word.copy()
+    tail = np.zeros_like(first)
+    for a, b in zip(table.ends[1:-1], table.ends[2:]):
+        p = table.prefix[a:b]
+        first[a:b] = first[p]
+        tail[a:b] = succ[tail[p], table.last[a:b]]
+    return first, tail
+
+
 def reference_normalized_peel_off(sc) -> CheckResult:
     """peel-first-letter with each tail normalized once per first letter of
     each element and its inverse built, their rows read through
@@ -537,7 +562,7 @@ def reference_normalized_peel_off(sc) -> CheckResult:
     words = sys_.words
     tails = []
     by_length: dict = {}  # m -> (expressions, index of each one's tail)
-    for x in words.ball(sc.identity_radius, budget=sc.budget):
+    for x in budgeted_ball(words, sc.identity_radius, sc.budget):
         if not x.letters:
             continue
         tail_of: dict = {}  # first letter -> index of its tail in ``tails``
@@ -590,7 +615,7 @@ def reference_per_word_drop_last(sc) -> CheckResult:
     from the ball's kernel stack per element."""
     words = sc.system.words
     gram = sc.system.ball_stack(sc.identity_radius, sc.budget).gram
-    ball = words.ball(sc.identity_radius, budget=sc.budget)
+    ball = budgeted_ball(words, sc.identity_radius, sc.budget)
     index = {x: i for i, x in enumerate(ball)}
     reduced = reference_reduced_pairs(words, ball)
     worst = 0.0

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpmult.cli import build_scenario, load_config
@@ -37,6 +37,7 @@ from support import (
     reference_ball,
     reference_normalized_peel_off,
     reference_per_word_drop_last,
+    successor_walk_tails,
     word_rows,
 )
 
@@ -167,7 +168,7 @@ def test_budget_stops_the_listing_at_the_sphere_that_outgrows_it():
     never listed; a finite group stops at its last sphere."""
     words = WordContext(SimplicialGraph.build("abc", []), [cyclic_group(3)] * 3)
     with pytest.raises(BudgetExceededError) as err:
-        words.ball(60, budget=100)
+        words.ball_arrays(60, 100)
     assert err.value.context == {"budget": 100, "radius_reached": 3, "words": 101}
     assert not words._ball_arrays
     complete = SimplicialGraph.build("abc", [("a", "b"), ("b", "c"), ("a", "c")])
@@ -303,6 +304,61 @@ def test_drop_last_and_peel_match_the_per_word_loops_on_random_products(system, 
         return Scenario(name="random", system=system, seed=seed, identity_radius=radius)
 
     assert_lemmas_match_the_per_word_loops(make)
+
+
+def assert_peel_tails(system, radius):
+    """The tails t = l^-1 x that peel-first-letter reads off the ball's
+    product table, Q[l^-1, x], are the successor walk's, expression by
+    expression."""
+    first, tail = successor_walk_tails(system.words, radius)
+    table = system.words.expression_table(radius)
+    stack = system.ball_stack(radius)
+    assert stack.products[stack.inverse[first], table.word].tolist() == tail.tolist()
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_peel_tails_from_the_product_table_match_the_successor_walk_on_scenarios(name):
+    sc = scenario(name)  # the sabotage scenarios included, whose actions do not compose
+    assert_peel_tails(sc.system, sc.identity_radius)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_products())
+def test_peel_tails_from_the_product_table_match_the_successor_walk_on_random_products(system):
+    assert_peel_tails(system, identity_radius(system.words, cap=1000))
+
+
+# Under a budget of at most 30 that its ball fits, only (Z/2)^4 on K4 has a
+# class that outgrows it (abcd's 24 sequences against 16 words), and random
+# draws almost never give it, so it is an explicit example.
+K4_Z2 = build_scenario(k4_z2_config()).system
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_products(), st.integers(1, 30))
+@example(K4_Z2, 16)
+@example(K4_Z2, 23)
+def test_class_budget_error_names_the_word_of_its_ball_index(system, budget):
+    """Past a budget that the ball fits, the error names the first word in
+    ball order whose class outgrows it, by letters read off the ball arrays;
+    the oracle is the word at that index of ``ball(radius)``.  The radius is
+    the largest up to 4 whose ball fits the budget, at least 1."""
+    words = system.words
+    sizes = np.cumsum(growth_sphere_sizes(words, 4))
+    radius = max([1] + [r for r in (2, 3, 4) if sizes[r] <= budget])
+    if sizes[radius] > budget:
+        with pytest.raises(BudgetExceededError, match="ball exceeds budget"):
+            words.last_letter_table(radius, budget)
+        return
+    classes = words.last_letter_table(radius)[2]
+    over = np.flatnonzero(classes > budget)
+    if not over.size:
+        assert np.array_equal(words.last_letter_table(radius, budget)[2], classes)
+        return
+    with pytest.raises(BudgetExceededError, match="rearrangement class exceeds budget") as err:
+        words.last_letter_table(radius, budget)
+    word = [tuple(l) for l in words.ball(radius)[over[0]].letters]
+    assert err.value.context == {"budget": budget, "word": word, "sequences": budget + 1}
 
 
 def k4_z2(budget):

@@ -105,6 +105,18 @@ def test_verify_negative_seed_is_a_usage_error(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_unwritable_out_path_is_a_usage_error(tmp_path):
+    """An ``--out`` under a missing directory ends with exit 2 and one line
+    naming the path, as a usage error does, not a traceback and exit 1."""
+    out_path = tmp_path / "missing" / "report.json"
+    proc = run_child(["verify", FREE_PAIR, "--suite", "main", "--out", str(out_path)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: cannot write {out_path}: No such file or directory\n"
+    assert "Traceback" not in proc.stderr
+    assert not out_path.parent.exists()
+
+
 def test_verify_failing_scenario_exits_one(capsys):
     code, out, _ = run(
         capsys, ["verify", "scenarios/sabotage_nonpd.json", "--suite", "main"]

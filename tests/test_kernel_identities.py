@@ -31,6 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from support import (
+    budgeted_ball,
     downset,
     first_vertices,
     groupoid_from_space,
@@ -74,7 +75,7 @@ def reference_drop_last(sc: Scenario) -> CheckResult:
     """K(x, y) = K(x, head) K(head, y) for x^-1 y reduced, pair by pair."""
     sys_ = sc.system
     words = sys_.words
-    ball = words.ball(sc.identity_radius, budget=sc.budget)
+    ball = budgeted_ball(words, sc.identity_radius, sc.budget)
     worst = 0.0
     n_checked = 0
     for x in ball:
@@ -121,7 +122,7 @@ def reference_cross_terms(sc: Scenario) -> CheckResult:
     """K(x, z) = K(x, yc) K(yc, z) under the two order conditions, pair by pair."""
     sys_ = sc.system
     words = sys_.words
-    ball = words.ball(sc.identity_radius, budget=sc.budget)
+    ball = budgeted_ball(words, sc.identity_radius, sc.budget)
     worst = 0.0
     n1 = n2 = 0
     for v0 in range(words.graph.n):
@@ -190,7 +191,7 @@ def reference_schwarz(sc: Scenario) -> CheckResult:
     the dominance difference from grids of central products."""
     sys_ = sc.system
     words = sys_.words
-    ball = list(words.ball(sc.identity_radius, budget=sc.budget))
+    ball = list(budgeted_ball(words, sc.identity_radius, sc.budget))
     rng = np.random.default_rng([sc.seed, 104])
     worst = np.inf
     accepted = non_vacuous = rejected = 0
@@ -224,7 +225,8 @@ def reference_schwarz(sc: Scenario) -> CheckResult:
         worst = min(worst, lam)
         all_ok = all_ok and (lam >= -ABS_PSD_TOL)
     if accepted == 0:
-        return _vacuous("schwarz-inequality", "lemmas", "no admissible family found")
+        reason = "no admissible family found" if sc.tuple_target else "no family drawn (tuple_target is 0)"
+        return _vacuous("schwarz-inequality", "lemmas", reason)
     if non_vacuous == 0 and all_ok:
         return _vacuous(
             "schwarz-inequality",
@@ -255,7 +257,7 @@ def reference_y1_square(sc: Scenario) -> CheckResult:
                 "lemmas",
                 "multiplier values are not positive central elements",
             )
-    ball = words.ball(sc.identity_radius, budget=sc.budget)
+    ball = budgeted_ball(words, sc.identity_radius, sc.budget)
     rng = np.random.default_rng([sc.seed, 105])
     class_lists = []
     for v0 in range(words.graph.n):
@@ -285,9 +287,8 @@ def reference_y1_square(sc: Scenario) -> CheckResult:
         worst = min(worst, lam)
         all_ok = all_ok and (lam >= -ABS_PSD_TOL)
     if accepted == 0:
-        return _vacuous(
-            "shared-prefix-square-bound", "lemmas", "no family with the vertex found"
-        )
+        reason = "no family with the vertex found" if sc.tuple_target else "no family drawn (tuple_target is 0)"
+        return _vacuous("shared-prefix-square-bound", "lemmas", reason)
     if non_vacuous == 0 and all_ok:
         return _vacuous(
             "shared-prefix-square-bound",
@@ -514,7 +515,7 @@ def word_path_schwarz(sc: Scenario) -> CheckResult:
     gather from the ball's stack and the products of word ids replaced."""
     sys_ = sc.system
     words = sys_.words
-    ball = list(words.ball(sc.identity_radius, budget=sc.budget))
+    ball = list(budgeted_ball(words, sc.identity_radius, sc.budget))
     rng = np.random.default_rng([sc.seed, 104])
 
     def draw():

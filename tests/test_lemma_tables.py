@@ -27,6 +27,7 @@ from gpmult.multipliers import BallStack, MultiplierSystem
 from gpmult.verifier import Scenario, run_suite, verify_peel_off
 from gpmult.wordcraft import WordContext
 from support import (
+    budgeted_ball,
     groupoid_from_space,
     reference_standard_form_table,
     reference_verify_peel_off,
@@ -38,7 +39,7 @@ SCENARIOS = sorted(p.stem for p in Path("scenarios").glob("*.json"))
 
 
 def reference_table(self, radius, budget):
-    return reference_standard_form_table(self, self.ball(radius, budget))
+    return reference_standard_form_table(self, budgeted_ball(self, radius, budget))
 
 
 def lemma_reports(sc, reference: bool) -> list:
@@ -58,7 +59,7 @@ def assert_paths_agree(make_scenario):
     sc = make_scenario()
     words = sc.system.words
     table = words.standard_form_table(sc.identity_radius, sc.budget)
-    ref = reference_standard_form_table(words, words.ball(sc.identity_radius, sc.budget))
+    ref = reference_standard_form_table(words, budgeted_ball(words, sc.identity_radius, sc.budget))
     assert len(table) == len(ref) == words.graph.n
     for got, want in zip(table, ref):
         for a, b in zip(got, want):

@@ -37,7 +37,7 @@ from gpmult.verifier import (
     verify_y1_square,
 )
 from gpmult.wordcraft import DEFAULT_BUDGET, StandardForm, WordContext
-from support import generators, k4_z2_config, leq, nc_direct, nc_length_set, oracle_truncations, reference_push
+from support import budgeted_ball, generators, k4_z2_config, leq, nc_direct, nc_length_set, oracle_truncations, reference_push
 from test_composed_actions import _system_and_words
 
 SCENARIOS = sorted(Path(__file__).resolve().parents[1].glob("scenarios/*.json"))
@@ -371,10 +371,10 @@ def test_warm_ball_memo_keeps_budget_errors():
     assert len(warm.ball(4)) == 8
     for budget, radius, words in ((0, 1, 2), (3, 1, 4), (5, 2, 6), (7, 3, 8)):
         cold = WordContext(graph, [cyclic_group(2)] * 3)
-        want = budget_error(lambda: cold.ball(4, budget=budget))
+        want = budget_error(lambda: cold.ball_arrays(4, budget))
         assert want[1] == {"budget": budget, "radius_reached": radius, "words": words}
-        assert budget_error(lambda: warm.ball(4, budget=budget)) == want
-    assert len(warm.ball(4, budget=8)) == 8
+        assert budget_error(lambda: warm.ball_arrays(4, budget)) == want
+    assert len(budgeted_ball(warm, 4, 8)) == 8
 
 
 def test_shared_ball_stack_is_read_only_and_built_once():

@@ -22,7 +22,14 @@ from gpmult.verifier import (
     verify_y1_square,
 )
 from gpmult.wordcraft import GPElement
-from support import complete_set_elements, count_elements, id_closure, is_complete, k4_z2_config
+from support import (
+    budgeted_ball,
+    complete_set_elements,
+    count_elements,
+    id_closure,
+    is_complete,
+    k4_z2_config,
+)
 
 ALL_SUITES = ("main", "lemmas", "haagerup", "cocycles")
 SCENARIOS = sorted(p.stem for p in Path("scenarios").glob("*.json"))
@@ -48,6 +55,20 @@ def test_run_all_builds_no_element(monkeypatch, capsys, name):
     assert main(["eval", f"scenarios/{name}.json", "--word", word]) == 0
     assert json.loads(capsys.readouterr().out)["canonical"] == [[words.graph.vertices[0], 1]]
     assert len(built) > 1
+
+
+def test_class_budget_error_builds_no_element(monkeypatch):
+    """The class-budget error names its word by the letters of its ball
+    index, so ``run_all`` stops on it with no ``GPElement`` built: on
+    (Z/2)^4 over K4 at radius 4, abcd has 24 sequences past a budget of 20."""
+    built = count_elements(monkeypatch)
+    sc = build_scenario(k4_z2_config(identity_radius=4, budget=20))
+    with pytest.raises(BudgetExceededError) as err:
+        run_all(sc, suites=ALL_SUITES, threads=1)
+    assert str(err.value) == (
+        "rearrangement class exceeds budget [budget=20, word=[(0, 1), (1, 1), (2, 1), (3, 1)], sequences=21]"
+    )
+    assert built == []
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +285,18 @@ def test_shared_prefix_with_vanishing_difference_is_vacuous(free_pair_report):
     assert committed["counts"]["non_vacuous"] == 60
 
 
+def test_zero_tuple_target_says_no_family_was_drawn():
+    """With ``tuple_target`` 0 neither dominance bound draws a family, and
+    both say so rather than that no drawn family qualified."""
+    sc = dataclasses.replace(scenario("free_pair_z2"), tuple_target=0)
+    checks = by_name(run_all(sc, suites=("lemmas",)))
+    for name in ("schwarz-inequality", "shared-prefix-square-bound"):
+        c = checks[name]
+        assert (c["pass"], c["vacuous"]) == (True, True)
+        assert c["details"] == {"reason": "no family drawn (tuple_target is 0)"}
+        assert "counts" not in c
+
+
 @pytest.fixture(scope="module")
 def radius_zero_report():
     sc = dataclasses.replace(scenario("free_pair_z2"), identity_radius=0)
@@ -296,7 +329,7 @@ def sampler_inputs(sc):
     """Per complete set the base, the seeded ball sample and the cap, drawn
     as ``_complete_sets`` draws them."""
     words = sc.system.words
-    ball = words.ball(sc.ball_radius, budget=sc.budget)
+    ball = budgeted_ball(words, sc.ball_radius, sc.budget)
     rng = np.random.default_rng([sc.seed, 101])
     cap = min(sc.max_set_size, sc.max_flat_dim // sc.system.structure.total_dim)
     for k in range(sc.num_sets):
@@ -394,7 +427,7 @@ def test_budget_bounds_every_lemma_check():
     enumerate nothing, so the budget leaves their results unchanged."""
     cfg = k4_z2_config(identity_radius=4, budget=20)
     sc = build_scenario(cfg)
-    assert len(sc.system.words.ball(4, budget=20)) == 16
+    assert len(budgeted_ball(sc.system.words, 4, 20)) == 16
     for check in (verify_peel_off, verify_drop_last):
         with pytest.raises(BudgetExceededError):
             check(sc)

@@ -27,6 +27,7 @@ from gpmult.graphgroup import (
 )
 from gpmult.wordcraft import Letter, WordContext
 from support import (
+    budgeted_ball,
     downset,
     generators,
     id_closure,
@@ -285,7 +286,7 @@ def test_rearrangements_budget():
     with pytest.raises(BudgetExceededError):
         ctx.rearrangements(x, budget=3)
     with pytest.raises(BudgetExceededError):
-        ctx.ball(4, budget=3)
+        ctx.ball_arrays(4, 3)
 
 
 def test_budget_errors_say_how_far_they_got():
@@ -296,10 +297,10 @@ def test_budget_errors_say_how_far_they_got():
     assert err.value.context == {"budget": 3, "word": [(0, 1), (1, 1), (2, 1)], "sequences": 4}
     # the 3 letters of radius 1 fit with the identity; the first of radius 2 does not
     with pytest.raises(BudgetExceededError, match="ball exceeds budget") as err:
-        ctx.ball(4, budget=3)
+        ctx.ball_arrays(4, 3)
     assert err.value.context == {"budget": 3, "radius_reached": 1, "words": 4}
     with pytest.raises(BudgetExceededError) as err:
-        ctx.ball(4, budget=5)
+        ctx.ball_arrays(4, 5)
     assert err.value.context == {"budget": 5, "radius_reached": 2, "words": 6}
     # free on a, b, c: ba is no factor of abcab, whose closure holds 13 words
     free = WordContext(SimplicialGraph.build(list("abc"), []), [cyclic_group(2)] * 3)
@@ -317,7 +318,7 @@ def test_budget_bounds_every_rearrangement_search():
     g = SimplicialGraph.build(list("abcd"), [(u, v) for u in "abcd" for v in "abcd" if u < v])
     ctx = WordContext(g, [cyclic_group(2)] * 4)
     abcd = ctx.normalize([(v, 1) for v in range(4)])
-    assert len(ctx.ball(4, budget=20)) == 16
+    assert len(budgeted_ball(ctx, 4, 20)) == 16
     searches = [
         lambda budget: ctx.standard_form_candidates(abcd, 0, budget),
         lambda budget: nc_length(ctx, abcd, 0, check_all=True, budget=budget),
